@@ -45,7 +45,6 @@ fn run_one(mix: Mix, delay: Option<Duration>, pool_frames: usize, part: &'static
         page_size: 4096,
         io_delay: delay,
         pool_frames,
-        delta_puts: true,
         background_flusher: false,
         page_checksums: false,
     });

@@ -21,12 +21,6 @@
 //! * **Part 3 (slot reuse):** a delete-heavy churn mix; freed slots must
 //!   be reclaimed in place (`slots reused` ≫ 0, pages recycled through the
 //!   allocation pool) without the heap's page count growing with the churn.
-//! * **Part 4 (write-path ablation, PR 7):** durable group-commit puts
-//!   across the `wal_staging × optimistic_reads` knob grid at peak
-//!   threads, plus a 1-thread both-on anchor. Staging + per-op deferred
-//!   commit lets concurrent writers share one stitched segment write and
-//!   one fsync, so the 8-thread/1-thread ratio — flat in the PR 6 numbers
-//!   — is the headline: it must exceed 2× with both knobs on.
 //!
 //! Emits `BENCH_kv_scalability.json` for trajectory tracking.
 
@@ -42,9 +36,6 @@ use std::time::Duration;
 struct Record {
     part: &'static str,
     mix: String,
-    /// Knob grid labels for the PR 7 write-path ablation ("-" elsewhere).
-    staging: &'static str,
-    optimistic: &'static str,
     threads: usize,
     shards: usize,
     ops_per_sec: f64,
@@ -81,8 +72,6 @@ fn run_one(db: &Arc<Db>, cfg: &KvRunConfig, part: &'static str) -> Record {
     Record {
         part,
         mix: cfg.mix.label(),
-        staging: "-",
-        optimistic: "-",
         threads: cfg.threads,
         shards: db.heap().shard_count(),
         ops_per_sec: r.ops_per_sec(),
@@ -249,132 +238,18 @@ fn main() {
     println!();
 
     // ------------------------------------------------------------------
-    // Part 4: write-path ablation (PR 7) — durable group commit, the
-    // wal_staging × optimistic_reads grid at peak threads, plus the
-    // 1-thread both-on anchor for the scaling headline.
-    // ------------------------------------------------------------------
-    let window = Duration::from_micros(200);
-    println!("-- write-path ablation: durable group commit (200µs), 100% puts --");
-    let mut t4 = Table::new(vec![
-        "staging",
-        "opt reads",
-        "threads",
-        "ops/s",
-        "p50 put µs",
-        "staged recs",
-        "publishes",
-    ]);
-    let mut grid: Vec<(bool, bool, usize, f64)> = Vec::new();
-    let mut cells: Vec<(bool, bool, usize)> = vec![
-        (false, false, ablation_threads),
-        (true, false, ablation_threads),
-        (false, true, ablation_threads),
-        (true, true, ablation_threads),
-    ];
-    if ablation_threads > 1 {
-        // 1-thread anchors: both-on for the scaling headline, both-off
-        // for the CI no-regression gate on the single-writer baseline.
-        cells.push((true, true, 1));
-        cells.push((false, false, 1));
-    }
-    for &(staging, optimistic, n) in &cells {
-        let dir = std::env::temp_dir().join(format!(
-            "blink-exp14-abl-{}-{}-{}-{}",
-            std::process::id(),
-            staging,
-            optimistic,
-            n
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Arc::new(
-            Db::open(
-                DbConfig::durable_group_commit(&dir, window)
-                    .with_k(16)
-                    .with_heap_shards(8)
-                    .with_wal_staging(staging)
-                    .with_optimistic_reads(optimistic),
-            )
-            .unwrap(),
-        );
-        // A tenth of the in-memory preload: the single-threaded preload
-        // commits through the group window one put at a time.
-        let mut cfg = KvRunConfig {
-            mix: KvMix::PUT_ONLY,
-            ..base_cfg(n)
-        };
-        cfg.preload /= 10;
-        let before = db.store().stats().snapshot();
-        let mut rec = run_one(&db, &cfg, "write-ablation");
-        rec.staging = if staging { "on" } else { "off" };
-        rec.optimistic = if optimistic { "on" } else { "off" };
-        let d = db.store().stats().snapshot().delta(&before);
-        t4.row(vec![
-            rec.staging.to_string(),
-            rec.optimistic.to_string(),
-            n.to_string(),
-            format!("{:.0}", rec.ops_per_sec),
-            format!("{:.1}", rec.p50_put_us),
-            d.wal_staged_records.to_string(),
-            d.wal_publishes.to_string(),
-        ]);
-        grid.push((staging, optimistic, n, rec.ops_per_sec));
-        records.push(rec);
-        db.verify().unwrap().assert_ok();
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    print!("{t4}");
-    let at = |s: bool, o: bool, n: usize| {
-        grid.iter()
-            .find(|&&(gs, go, gn, _)| gs == s && go == o && gn == n)
-            .map(|&(_, _, _, ops)| ops)
-    };
-    if let (Some(one), Some(peak)) = (at(true, true, 1), at(true, true, ablation_threads)) {
-        let scale = peak / one;
-        println!(
-            "durable put scaling with both knobs on: {one:.0} ops/s at 1 thread -> \
-             {peak:.0} at {ablation_threads} ({scale:.2}x)"
-        );
-        if !quick() {
-            assert!(
-                scale >= 2.0,
-                "staged group commit must batch concurrent writers: {scale:.2}x < 2x"
-            );
-        }
-    }
-    if let (Some(staged), Some(baseline)) = (at(true, true, 1), at(false, false, 1)) {
-        println!(
-            "1-thread durable put baseline: knobs off {baseline:.0} ops/s, \
-             knobs on {staged:.0} ops/s"
-        );
-        // No-regression gate (runs in QUICK/CI too): a lone writer takes
-        // the solo-commit fast path either way, so staging + optimistic
-        // descents must not tax the single-threaded baseline. The margin
-        // absorbs run-to-run fsync jitter, not a real regression.
-        assert!(
-            staged >= baseline * 0.6,
-            "write-path knobs must not regress the 1-thread put baseline: \
-             {staged:.0} < 0.6 * {baseline:.0} ops/s"
-        );
-    }
-    println!();
-
-    // ------------------------------------------------------------------
     // Perf record for the trajectory file.
     // ------------------------------------------------------------------
     let mut json = String::from("{\n  \"bench\": \"kv_scalability\",\n  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"part\": \"{}\", \"mix\": \"{}\", \"wal_staging\": \"{}\", \
-             \"optimistic_reads\": \"{}\", \"threads\": {}, \"shards\": {}, \
+            "    {{\"part\": \"{}\", \"mix\": \"{}\", \"threads\": {}, \"shards\": {}, \
              \"ops_per_sec\": {:.1}, \"p50_put_us\": {:.2}, \"heap_shard_contended\": {}, \
              \"heap_wait_ms\": {:.3}, \"heap_wait_p50_us\": {:.2}, \
              \"heap_wait_p99_us\": {:.2}, \"heap_wait_p99\": \"{}\", \"slots_reused\": {}, \
              \"pages_recycled\": {}, \"heap_pages\": {}}}{}\n",
             r.part,
             r.mix,
-            r.staging,
-            r.optimistic,
             r.threads,
             r.shards,
             r.ops_per_sec,

@@ -15,14 +15,7 @@
 //!   class of host the sweep explains the flat curve directly: the named
 //!   wait categories grow with thread count, and whatever is left is CPU.
 //! * **Part 2 (durable group-commit put sweep):** same sweep with a WAL;
-//!   the ledger gains wal_append / commit-window / fsync columns. Since
-//!   PR 7 the sweep runs with per-thread WAL staging + per-op deferred
-//!   commit (the defaults); a knobs-off baseline row at peak threads
-//!   shows the attribution the staged path removes — the combined
-//!   `wal_append + commit-window` wait **per op** must drop to at most
-//!   half of the single-mutex baseline's (as a share of thread-time the
-//!   columns always sum to ~100% on a saturated box, so per-op wait is
-//!   the honest cut).
+//!   the ledger gains wal_append / commit-window / fsync columns.
 //! * **Part 3 (mixed 8-thread run):** the balanced mix, as a cross-check
 //!   that read-heavy traffic shifts the breakdown away from write locks.
 //! * **Part 4 (metrics overhead):** the same 8-thread put run with
@@ -259,78 +252,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     print!("{t}");
-    println!();
-
-    // ------------------------------------------------------------------
-    // Part 2b: the PR 7 ablation anchor — the same durable put load at
-    // peak threads with staging, deferred commit, and optimistic reads
-    // all off (the single-mutex write path exp16 originally profiled).
-    // ------------------------------------------------------------------
-    println!("-- durable baseline (staging + optimistic reads off), {peak} threads --");
-    let mut t = table_header();
-    {
-        let dir = tmpdir("group-baseline");
-        let cfg = DbConfig::durable_group_commit(&dir, Duration::from_micros(200))
-            .with_k(16)
-            .with_heap_shards(8)
-            .with_wal_staging(false)
-            .with_adaptive_commit(false)
-            .with_optimistic_reads(false);
-        let db = Arc::new(Db::open(cfg).unwrap());
-        let mut run_cfg = base_cfg(peak, KvMix::PUT_ONLY);
-        run_cfg.preload /= 10;
-        let rec = run_one(&db, &run_cfg, "durable-put-baseline", "group-nostage");
-        table_row(&mut t, &rec);
-        records.push(rec);
-        db.verify().unwrap().assert_ok();
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    print!("{t}");
-    {
-        // On a saturated machine the *share* columns must sum to ~100% in
-        // both modes, so the attribution that matters is wait **per op**:
-        // share × thread-time ÷ ops. Staging removes the append-mutex
-        // queueing outright and deferred per-op commit collapses the
-        // several per-record window waits into one.
-        let per_op = |part: &str| {
-            records
-                .iter()
-                .find(|r| r.part == part && r.threads == peak)
-                .map(|r| {
-                    let us_per_pct = r.threads as f64 / r.ops_per_sec * 1e6 / 100.0;
-                    (
-                        r.ledger.pct(r.ledger.wal_append) * us_per_pct,
-                        r.ledger.pct(r.ledger.wal_commit) * us_per_pct,
-                    )
-                })
-        };
-        if let (Some((s_app, s_com)), Some((b_app, b_com))) =
-            (per_op("durable-put"), per_op("durable-put-baseline"))
-        {
-            println!(
-                "append wait/op at {peak} threads: baseline {b_app:.0}µs -> staged {s_app:.0}µs; \
-                 append+commit wait/op: {:.0}µs -> {:.0}µs ({:.2}x cut)",
-                b_app + b_com,
-                s_app + s_com,
-                (b_app + b_com) / (s_app + s_com)
-            );
-            if !quick() && b_app >= 10.0 {
-                assert!(
-                    s_app <= b_app / 2.0,
-                    "staging must cut append-mutex wait per op at least in half \
-                     ({b_app:.0}µs -> {s_app:.0}µs)"
-                );
-                assert!(
-                    s_app + s_com <= (b_app + b_com) * 0.7,
-                    "staging + deferred commit must cut append+commit wait per op \
-                     ({:.0}µs -> {:.0}µs)",
-                    b_app + b_com,
-                    s_app + s_com
-                );
-            }
-        }
-    }
     println!();
 
     // ------------------------------------------------------------------

@@ -17,7 +17,6 @@ fn required_keys(bench: &str) -> &'static [&'static str] {
     match bench {
         "kv" => &["part", "mix", "knobs", "ops_per_sec"],
         "bufferpool" => &["part", "pool_frames", "ops_per_sec", "hit_rate"],
-        "walamp" => &["value_len", "mode", "ops_per_sec", "wal_bytes_per_op"],
         "kv_scalability" => &[
             "part",
             "threads",

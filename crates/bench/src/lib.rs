@@ -51,7 +51,6 @@ pub fn fresh_store_io(delay: Duration) -> Arc<PageStore> {
         page_size: 4096,
         io_delay: Some(delay),
         pool_frames: 0,
-        delta_puts: true,
         background_flusher: false,
         page_checksums: false,
     })
@@ -63,7 +62,6 @@ pub fn fresh_store_io_cached(delay: Duration, frames: usize) -> Arc<PageStore> {
         page_size: 4096,
         io_delay: Some(delay),
         pool_frames: frames,
-        delta_puts: true,
         background_flusher: false,
         page_checksums: false,
     })

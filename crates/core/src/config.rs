@@ -53,14 +53,6 @@ pub struct TreeConfig {
     /// case 1, after \[4\]). With `false`, readers of deleted nodes must
     /// restart from the root.
     pub merge_pointers: bool,
-    /// **Ablation knob** (default `false`): descend through root/branch
-    /// levels with optimistic version-coupled reads — the node is copied
-    /// out of its buffer-pool frame without taking the frame latch,
-    /// validated by the frame's seqlock, and revalidated before the
-    /// descent acts on it (mismatch → restart). Leaf reads and all writes
-    /// keep latches. Exercised by the exp14 ablation grid; the `Db`
-    /// facade turns it on by default.
-    pub optimistic_reads: bool,
     /// Live page count of a co-resident structure sharing the tree's store
     /// (the `Db` facade keeps the record heap in the same store/WAL as the
     /// index; the heap maintains this counter). The verifier's page
@@ -79,7 +71,6 @@ impl Default for TreeConfig {
             wait_retries: 1000,
             gainer_first_writes: true,
             merge_pointers: true,
-            optimistic_reads: false,
             external_pages: None,
         }
     }

@@ -170,9 +170,9 @@ impl BLinkTree {
         expected_level: u8,
     ) -> Result<Option<Node>> {
         // Merge chains are short (one hop in steady state); bound defensively.
-        // Root/branch levels may read optimistically (seqlock-validated,
-        // no frame latch); leaves always take the latched path.
-        let optimistic = self.cfg.optimistic_reads && expected_level > 0;
+        // Root/branch levels read optimistically (seqlock-validated, no
+        // frame latch); leaves always take the latched path.
+        let optimistic = expected_level > 0;
         for _ in 0..64 {
             let read = if optimistic {
                 self.try_read_node_optimistic(*current)?

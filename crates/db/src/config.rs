@@ -32,31 +32,6 @@ pub struct DbConfig {
     /// records never contend on one allocator). `0` means auto — one shard
     /// per available CPU, capped at 16.
     pub heap_shards: usize,
-    /// Log heap-page mutations as coalesced WAL **delta records** gated by
-    /// per-page LSNs instead of full page images (durable stores only).
-    /// On by default — a 64-byte overwrite logs tens of bytes instead of a
-    /// page. `false` restores the v1 full-image log, the baseline
-    /// `exp15_walamp` measures write amplification against.
-    pub wal_delta_puts: bool,
-    /// Per-thread WAL staging (durable stores only): writers serialize
-    /// their records into thread-local staging slots without taking the
-    /// append mutex; the group-commit leader stitches staged records into
-    /// LSN order and issues one contiguous segment write. Multi-record
-    /// operations (a KV put touching heap + index pages) also defer the
-    /// fsync-policy commit to the end of the operation — one commit-window
-    /// wait per op instead of one per record. On by default; `false` is
-    /// the single-mutex append baseline of the exp14 ablation.
-    pub wal_staging: bool,
-    /// Adapt the group-commit window to the observed record-arrival and
-    /// fsync-duration distribution instead of always waiting the full
-    /// configured window ([`FsyncPolicy::Group`] only). On by default.
-    pub adaptive_commit: bool,
-    /// Pipelined group commit (durable stores, [`FsyncPolicy::Group`]
-    /// only): the commit leader fsyncs batch N on a cloned fd with no
-    /// locks held while batch N+1 fills behind it, overlapping fsync
-    /// latency with record arrival. On by default; `false` is the
-    /// stop-and-wait group-commit baseline of the exp13 ablation.
-    pub wal_pipeline: bool,
     /// Background write-back (durable stores only): a dedicated flusher
     /// thread drains dirty buffer-pool frames to the page file in
     /// clock-hand order between low/high watermarks, so foreground
@@ -68,13 +43,6 @@ pub struct DbConfig {
     /// `pread` syscall. Defaults from the `BLINK_MMAP=1` environment
     /// variable so the whole suite can run against the mapped backend.
     pub mmap_backend: bool,
-    /// Optimistic version-coupled reads on root/branch descent levels:
-    /// nodes are copied out of their buffer-pool frames without the frame
-    /// latch, validated by a per-frame seqlock, and revalidated before
-    /// the descent acts on them (mismatch → restart). Leaf reads and all
-    /// writes keep latches. On by default; `false` is the all-latched
-    /// baseline of the exp14 ablation.
-    pub optimistic_reads: bool,
     /// Store-owned per-page CRC32 checksums (durable stores only): every
     /// page image written to the page file is stamped in its reserved
     /// header and verified on every pool-miss read. A torn write or
@@ -103,13 +71,8 @@ impl DbConfig {
             segment_bytes: 8 << 20,
             pool_frames: 1024,
             heap_shards: 0,
-            wal_delta_puts: true,
-            wal_staging: true,
-            adaptive_commit: true,
-            wal_pipeline: true,
             background_flusher: true,
             mmap_backend: std::env::var("BLINK_MMAP").is_ok_and(|v| v == "1"),
-            optimistic_reads: true,
             page_checksums: true,
             metrics: true,
         }
@@ -144,45 +107,10 @@ impl DbConfig {
         self
     }
 
-    /// Enables or disables delta-record WAL puts (see
-    /// [`DbConfig::wal_delta_puts`]).
-    pub fn with_wal_delta_puts(mut self, on: bool) -> DbConfig {
-        self.wal_delta_puts = on;
-        self
-    }
-
     /// Enables or disables per-op latency recording (see
     /// [`DbConfig::metrics`]).
     pub fn with_metrics(mut self, on: bool) -> DbConfig {
         self.metrics = on;
-        self
-    }
-
-    /// Enables or disables per-thread WAL staging (see
-    /// [`DbConfig::wal_staging`]).
-    pub fn with_wal_staging(mut self, on: bool) -> DbConfig {
-        self.wal_staging = on;
-        self
-    }
-
-    /// Enables or disables the adaptive group-commit window (see
-    /// [`DbConfig::adaptive_commit`]).
-    pub fn with_adaptive_commit(mut self, on: bool) -> DbConfig {
-        self.adaptive_commit = on;
-        self
-    }
-
-    /// Enables or disables optimistic latch-free reads on upper index
-    /// levels (see [`DbConfig::optimistic_reads`]).
-    pub fn with_optimistic_reads(mut self, on: bool) -> DbConfig {
-        self.optimistic_reads = on;
-        self
-    }
-
-    /// Enables or disables pipelined group commit (see
-    /// [`DbConfig::wal_pipeline`]).
-    pub fn with_wal_pipeline(mut self, on: bool) -> DbConfig {
-        self.wal_pipeline = on;
         self
     }
 

@@ -97,7 +97,6 @@ impl Db {
                     page_size: cfg.page_size,
                     io_delay: None,
                     pool_frames: cfg.pool_frames,
-                    delta_puts: cfg.wal_delta_puts,
                     // No backend writes to hide — in-memory frames *are*
                     // the storage.
                     background_flusher: false,
@@ -109,7 +108,6 @@ impl Db {
                     RecordHeap::attach_with_config(Arc::clone(&store), Db::heap_config(&cfg))?.0,
                 );
                 let mut tcfg = cfg.tree.clone();
-                tcfg.optimistic_reads = cfg.optimistic_reads;
                 tcfg.external_pages = Some(heap.pages_handle());
                 let tree = BLinkTree::create(store, tcfg)?;
                 Ok(Db {
@@ -128,10 +126,6 @@ impl Db {
                     fsync: cfg.fsync,
                     segment_bytes: cfg.segment_bytes,
                     pool_frames: cfg.pool_frames,
-                    delta_puts: cfg.wal_delta_puts,
-                    wal_staging: cfg.wal_staging,
-                    adaptive_commit: cfg.adaptive_commit,
-                    wal_pipeline: cfg.wal_pipeline,
                     background_flusher: cfg.background_flusher,
                     mmap_backend: cfg.mmap_backend,
                     page_checksums: cfg.page_checksums,
@@ -146,7 +140,6 @@ impl Db {
                             .0,
                     );
                     let mut tcfg = cfg.tree.clone();
-                    tcfg.optimistic_reads = cfg.optimistic_reads;
                     tcfg.external_pages = Some(heap.pages_handle());
                     let tree = BLinkTree::create(store, tcfg)?;
                     debug_assert_eq!(tree.prime_page(), blink_durable::prime_page());
@@ -175,7 +168,6 @@ impl Db {
         let heap = Arc::new(heap);
         let protected: HashSet<PageId> = inventory.pages.iter().copied().collect();
         let mut tcfg = cfg.tree.clone();
-        tcfg.optimistic_reads = cfg.optimistic_reads;
         tcfg.external_pages = Some(heap.pages_handle());
         let (tree, stats) = BLinkTree::open_or_recover_protected(
             store,

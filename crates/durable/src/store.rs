@@ -66,25 +66,6 @@ pub struct DurableConfig {
     /// point, and dirty frames reach `pages.db` on eviction, `sync` or
     /// checkpoint.
     pub pool_frames: usize,
-    /// Log tracked page writes (heap mutations) as coalesced delta
-    /// records instead of full page images. On by default; `false` is the
-    /// write-amplified v1 baseline `exp15` measures against.
-    pub delta_puts: bool,
-    /// Per-thread WAL staging: writers serialize records into thread-local
-    /// staging slots without the append mutex; the group-commit leader
-    /// stitches staged records into LSN order and issues one contiguous
-    /// segment write. `false` is the single-mutex append baseline the
-    /// exp14 ablation measures against.
-    pub wal_staging: bool,
-    /// Adapt the group-commit window to the observed arrival/fsync-time
-    /// distribution instead of always waiting the configured window.
-    /// Only affects [`FsyncPolicy::Group`].
-    pub adaptive_commit: bool,
-    /// Pipelined group commit: the leader fsyncs batch N on a cloned fd
-    /// with no locks held while batch N+1 fills behind it. `false` is the
-    /// stop-and-wait baseline the exp13 ablation measures against. Only
-    /// affects [`FsyncPolicy::Group`].
-    pub wal_pipeline: bool,
     /// Background write-back: a flusher thread drains dirty frames to
     /// `pages.db` in clock-hand order between low/high watermarks, so
     /// foreground evictions find clean victims. `false` keeps all
@@ -113,10 +94,6 @@ impl DurableConfig {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             pool_frames: 1024,
-            delta_puts: true,
-            wal_staging: true,
-            adaptive_commit: true,
-            wal_pipeline: true,
             background_flusher: true,
             mmap_backend: std::env::var("BLINK_MMAP").is_ok_and(|v| v == "1"),
             page_checksums: true,
@@ -137,7 +114,6 @@ impl DurableConfig {
             page_size: self.page_size,
             io_delay: None,
             pool_frames: self.pool_frames,
-            delta_puts: self.delta_puts,
             background_flusher: self.background_flusher,
             page_checksums: self.page_checksums,
         }
@@ -427,20 +403,15 @@ impl DurableStore {
         Self::trim_log_tail(&cfg.dir, &report)?;
         backend.sync()?;
 
-        let wal = Arc::new(
-            Wal::open(
-                &cfg.dir,
-                cfg.fsync,
-                cfg.segment_bytes,
-                report.last_seg_seq,
-                report.next_lsn,
-                Arc::clone(&fault),
-                Arc::clone(&stats),
-            )?
-            .with_staging(cfg.wal_staging)
-            .with_adaptive_commit(cfg.adaptive_commit)
-            .with_pipeline(cfg.wal_pipeline),
-        );
+        let wal = Arc::new(Wal::open(
+            &cfg.dir,
+            cfg.fsync,
+            cfg.segment_bytes,
+            report.last_seg_seq,
+            report.next_lsn,
+            Arc::clone(&fault),
+            Arc::clone(&stats),
+        )?);
         let store = PageStore::with_parts(
             cfg.store_config(),
             backend,
@@ -609,9 +580,9 @@ impl DurableStore {
     /// is staged immediately (the commit point for crash semantics) but
     /// the fsync-policy commit runs **once** at scope exit instead of per
     /// record — a multi-record operation (a KV put touching heap + index
-    /// pages) pays one commit-window wait, not several. No-op without
-    /// staging. The deferred commit's error is returned alongside `f`'s
-    /// output; it surfaces even when `f` itself failed.
+    /// pages) pays one commit-window wait, not several. The deferred
+    /// commit's error is returned alongside `f`'s output; it surfaces even
+    /// when `f` itself failed.
     pub fn with_deferred_commit<T>(&self, f: impl FnOnce() -> T) -> (T, Result<()>) {
         self.wal.deferred_scope(f)
     }

@@ -40,15 +40,19 @@
 //!
 //! ## Commit
 //!
-//! `append` makes a record *logged*; `commit` makes it
-//! *durable* according to the [`FsyncPolicy`]:
+//! A writer *stages* a record in a per-thread slot; a committer
+//! *publishes* the staged records into the segment file in dense LSN
+//! order and makes them *durable* according to the [`FsyncPolicy`]:
 //!
 //! * [`Always`](FsyncPolicy::Always) — fsync before returning (safest,
 //!   one fsync per record unless concurrent commits batch behind the same
 //!   sync).
-//! * [`Group`](FsyncPolicy::Group) — wait up to `window` for somebody
-//!   else's fsync to cover the record, then fsync everything appended so
-//!   far. Concurrent committers share one fsync — the batch size is
+//! * [`Group`](FsyncPolicy::Group) — pipelined group commit: join the
+//!   filling batch; one leader fsyncs batch N on a cloned fd with no lock
+//!   held while batch N+1 fills behind it, and every committer waits only
+//!   on its own batch's gate. A self-elected leader with company first
+//!   waits up to `window` (less when observed arrivals and fsync times
+//!   say waiting cannot pay) for the batch to fill. The batch size is
 //!   reported in `StoreStats::wal_group_commit_records`.
 //! * [`Never`](FsyncPolicy::Never) — leave it to the OS (fastest, no
 //!   durability promise on power loss; still crash-consistent thanks to
@@ -350,24 +354,21 @@ pub struct Wal {
     fault: Arc<FaultInjector>,
     stats: Arc<StoreStats>,
     inner: Mutex<WalInner>,
-    /// Per-thread staging mode (see [`StagingState`]); `None` = every
-    /// append goes straight through the append mutex (the pre-staging
-    /// behavior, still the right choice for single-threaded embedders and
-    /// the knob-off arm of the exp14 ablation).
-    staging: Option<StagingState>,
-    /// Adaptive group-commit window sizing; `None` = fixed window.
-    tuner: Option<CommitTuner>,
-    /// Pipelined group commit (`FsyncPolicy::Group` only); `None` = the
-    /// blocking-window path (the knob-off arm of the exp13 ablation).
-    pipeline: Option<PipelineState>,
+    /// Per-thread staging slots every append goes through (see
+    /// [`StagingState`]).
+    staging: StagingState,
+    /// Sizes the group-commit window from observed arrivals and fsyncs.
+    tuner: CommitTuner,
+    /// Pipelined group commit (`FsyncPolicy::Group` only).
+    pipeline: PipelineState,
     /// Highest LSN known durable.
     flushed: Mutex<u64>,
-    flush_cv: Condvar,
     /// Committers currently inside [`Wal::commit`] under the Group policy.
     /// A committer that finds itself alone skips the batching window and
-    /// fsyncs immediately (PostgreSQL-style self-tuning: on an idle system
-    /// there is nobody to batch with, so waiting only adds latency).
-    committers: std::sync::atomic::AtomicU64,
+    /// cuts its batch immediately (PostgreSQL-style self-tuning: on an
+    /// idle system there is nobody to batch with, so waiting only adds
+    /// latency).
+    committers: AtomicU64,
     /// The store's health latch, bound by the durable store after the
     /// page store is constructed (they share one instance). A failed WAL
     /// fsync poisons it — sticky: every later append or commit fails with
@@ -434,9 +435,8 @@ impl Wal {
         )
     }
 
-    /// The only place the group-commit window (`Wal::flushed`) is locked:
-    /// registers as `CommitWindow` (a leaf; `commit_grouped` waits on the
-    /// flush condvar through it).
+    /// The only place the durable horizon (`Wal::flushed`) is locked:
+    /// registers as `CommitWindow` (a leaf).
     fn lock_flushed(&self) -> Audited<MutexGuard<'_, u64>> {
         audit::audited(
             LockClass::CommitWindow,
@@ -447,11 +447,11 @@ impl Wal {
 
     /// The only place the pipeline control mutex is locked: registers as
     /// `WalBatch` (a leaf; never held while a batch gate is taken).
-    fn lock_ctl<'a>(&self, ps: &'a PipelineState) -> Audited<MutexGuard<'a, PipelineCtl>> {
+    fn lock_ctl(&self) -> Audited<MutexGuard<'_, PipelineCtl>> {
         audit::audited(
             LockClass::WalBatch,
-            &ps.ctl as *const Mutex<PipelineCtl> as usize,
-            || ps.ctl.lock(),
+            &self.pipeline.ctl as *const Mutex<PipelineCtl> as usize,
+            || self.pipeline.ctl.lock(),
         )
     }
 
@@ -467,7 +467,9 @@ impl Wal {
 
     /// Opens the log for appending: continues segment `seg_seq` at
     /// `seg_len` bytes (creating it if absent) with the next record taking
-    /// `next_lsn`. Recovery computes these from a [`scan`].
+    /// `next_lsn`. Recovery computes these from a [`scan`]. The staging
+    /// LSN counter and the pipeline's durable horizon are seeded from
+    /// `next_lsn`.
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
@@ -509,6 +511,7 @@ impl Wal {
                 .map_err(|e| io_err("seek wal segment", e))?;
             len
         };
+        let durable_lsn = next_lsn.saturating_sub(1);
         Ok(Wal {
             dir: dir.to_path_buf(),
             policy,
@@ -521,12 +524,22 @@ impl Wal {
                 seg_len,
                 next_lsn,
             }),
-            staging: None,
-            tuner: None,
-            pipeline: None,
-            flushed: Mutex::new(next_lsn.saturating_sub(1)),
-            flush_cv: Condvar::new(),
-            committers: std::sync::atomic::AtomicU64::new(0),
+            staging: StagingState {
+                slots: (0..STAGING_SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
+                next_lsn: AtomicU64::new(next_lsn),
+                staged_bytes: AtomicU64::new(0),
+            },
+            tuner: CommitTuner::new(),
+            pipeline: PipelineState {
+                ctl: Mutex::new(PipelineCtl {
+                    filling: Arc::new(BatchCell::new()),
+                    filling_waiters: 0,
+                    leader_running: false,
+                    durable_lsn,
+                }),
+            },
+            flushed: Mutex::new(durable_lsn),
+            committers: AtomicU64::new(0),
             health: OnceLock::new(),
         })
     }
@@ -559,51 +572,6 @@ impl Wal {
         }
     }
 
-    /// Enables (or disables) per-thread staging. Call right after
-    /// [`Wal::open`], before the log is shared: the staging LSN counter is
-    /// seeded from the appender state.
-    pub fn with_staging(mut self, on: bool) -> Wal {
-        self.staging = if on {
-            let next = self.inner.get_mut().next_lsn;
-            Some(StagingState {
-                slots: (0..STAGING_SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
-                next_lsn: AtomicU64::new(next),
-                staged_bytes: AtomicU64::new(0),
-            })
-        } else {
-            None
-        };
-        self
-    }
-
-    /// Enables (or disables) adaptive group-commit window sizing. Only
-    /// affects the [`FsyncPolicy::Group`] policy.
-    pub fn with_adaptive_commit(mut self, on: bool) -> Wal {
-        self.tuner = on.then(CommitTuner::new);
-        self
-    }
-
-    /// Enables (or disables) the pipelined group commit. Only affects the
-    /// [`FsyncPolicy::Group`] policy: the fsync leader syncs batch N on a
-    /// cloned fd while batch N+1 fills in the staging slots, and each
-    /// committer waits only on its own batch's durability gate.
-    pub fn with_pipeline(mut self, on: bool) -> Wal {
-        self.pipeline = if on {
-            let durable = *self.flushed.get_mut();
-            Some(PipelineState {
-                ctl: Mutex::new(PipelineCtl {
-                    filling: Arc::new(BatchCell::new()),
-                    filling_waiters: 0,
-                    leader_running: false,
-                    durable_lsn: durable,
-                }),
-            })
-        } else {
-            None
-        };
-        self
-    }
-
     /// The fsync policy this log commits under.
     pub fn policy(&self) -> FsyncPolicy {
         self.policy
@@ -611,10 +579,7 @@ impl Wal {
 
     /// LSN of the most recently appended record (0 = none yet).
     pub fn appended_lsn(&self) -> u64 {
-        match &self.staging {
-            Some(st) => st.next_lsn.load(Ordering::Acquire) - 1,
-            None => self.lock_inner().next_lsn - 1,
-        }
+        self.staging.next_lsn.load(Ordering::Acquire) - 1
     }
 
     /// Sequence number of the segment currently being appended.
@@ -622,50 +587,19 @@ impl Wal {
         self.lock_inner().seg_seq
     }
 
-    /// Appends one record; returns its LSN. The record is *logged* (or
-    /// staged, in staging mode) but not necessarily durable — pair with
-    /// [`Wal::commit`].
+    /// Stages one record in this thread's slot — no append-mutex
+    /// acquisition — and returns its LSN. The record is not yet in the
+    /// file, let alone durable: pair with [`Wal::commit`]. The fault gate
+    /// runs *before* the LSN is claimed so a rejected record consumes no
+    /// LSN — crash-point matrices still observe exact record-boundary
+    /// prefixes.
     fn append_record(&self, op: u8, pid: PageId, data: &[u8]) -> Result<u64> {
         // A poisoned store accepts no new records: the durable prefix
         // ends at the failed fsync, and anything appended after it could
         // never be honestly acknowledged.
         self.check_poisoned()?;
-        if let Some(t) = &self.tuner {
-            t.note_arrival();
-        }
-        match &self.staging {
-            Some(st) => self.stage(st, op, pid, data),
-            None => self.append(op, pid, data),
-        }
-    }
-
-    /// The single-mutex append path (staging off).
-    fn append(&self, op: u8, pid: PageId, data: &[u8]) -> Result<u64> {
-        let mut inner = self.lock_inner();
-        self.fault.on_wal_record()?;
-        self.fault
-            .plan_outcome(FaultSite::WalAppend)
-            .pass_or_fail()?;
-        let lsn = inner.next_lsn;
-        let buf = encode_record(lsn, op, pid, data);
-        if inner.seg_len + buf.len() as u64 > self.segment_bytes && inner.seg_len > SEG_HEADER {
-            self.rotate(&mut inner)?;
-        }
-        inner
-            .file
-            .write_all(&buf)
-            .map_err(|e| io_err("append wal record", e))?;
-        inner.seg_len += buf.len() as u64;
-        inner.next_lsn += 1;
-        StoreStats::add(&self.stats.wal_bytes, buf.len() as u64);
-        Ok(lsn)
-    }
-
-    /// The staged append path: serialize into this thread's slot, no
-    /// append-mutex acquisition. The fault gate runs *before* the LSN is
-    /// claimed so a rejected record consumes no LSN — crash-point matrices
-    /// still observe exact record-boundary prefixes.
-    fn stage(&self, st: &StagingState, op: u8, pid: PageId, data: &[u8]) -> Result<u64> {
+        self.tuner.note_arrival();
+        let st = &self.staging;
         let slot = &st.slots[staging_slot_index(st.slots.len())];
         let mut entries = self.lock_slot(slot, true);
         self.fault.on_wal_record()?;
@@ -689,12 +623,9 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Writes every fully-staged record into the segment file (staging
-    /// mode; no-op otherwise). Does **not** fsync.
+    /// Writes every fully-staged record into the segment file. Does
+    /// **not** fsync.
     pub(crate) fn publish(&self) -> Result<()> {
-        if self.staging.is_none() {
-            return Ok(());
-        }
         let mut inner = self.lock_inner();
         self.publish_locked(&mut inner)
     }
@@ -703,9 +634,7 @@ impl Wal {
     /// counter, drain every slot below the cut, stitch into LSN order, and
     /// write the batch with at most one `write_all` per segment.
     fn publish_locked(&self, inner: &mut WalInner) -> Result<()> {
-        let Some(st) = &self.staging else {
-            return Ok(());
-        };
+        let st = &self.staging;
         let cut = st.next_lsn.load(Ordering::Acquire);
         if inner.next_lsn >= cut {
             return Ok(());
@@ -760,18 +689,27 @@ impl Wal {
         Ok(())
     }
 
-    /// Runs `f` with per-record commits deferred (staging mode only): the
-    /// records `f` logs on this thread are committed **once**, after `f`
-    /// returns — even when `f` fails, so a staged record acknowledged `Ok`
-    /// always reaches the file. Returns `f`'s output plus the outcome of
-    /// that final commit.
+    /// Runs `f` with per-record commits deferred: the records `f` logs on
+    /// this thread are committed **once**, after `f` returns — even when
+    /// `f` fails, so a staged record acknowledged `Ok` always reaches the
+    /// file. Returns `f`'s output plus the outcome of that final commit.
+    /// If `f` unwinds, the scope is closed without committing (the caller
+    /// never got an `Ok` to rely on) and later commits on this thread run
+    /// normally.
     pub fn deferred_scope<T>(&self, f: impl FnOnce() -> T) -> (T, Result<()>) {
-        if self.staging.is_none() {
-            return (f(), Ok(()));
+        /// Restores the enclosing scope on drop — also on unwind:
+        /// `DEFERRED` is per-thread, not per-`Wal`, so a scope leaked by a
+        /// panic would absorb every later commit on the thread.
+        struct Restore(Option<u64>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                DEFERRED.with(|d| d.set(self.0));
+            }
         }
-        let prev = DEFERRED.with(|d| d.replace(Some(0)));
+        let restore = Restore(DEFERRED.with(|d| d.replace(Some(0))));
         let out = f();
-        let staged = DEFERRED.with(|d| d.replace(prev)).unwrap_or(0);
+        let staged = DEFERRED.with(|d| d.get()).unwrap_or(0);
+        drop(restore);
         let fin = if staged != 0 {
             self.commit(staged)
         } else {
@@ -782,17 +720,15 @@ impl Wal {
 
     /// Commit, unless a deferred scope on this thread absorbs it.
     fn finish(&self, lsn: u64) -> Result<()> {
-        if self.staging.is_some() {
-            let deferred = DEFERRED.with(|d| match d.get() {
-                Some(max) => {
-                    d.set(Some(max.max(lsn)));
-                    true
-                }
-                None => false,
-            });
-            if deferred {
-                return Ok(());
+        let deferred = DEFERRED.with(|d| match d.get() {
+            Some(max) => {
+                d.set(Some(max.max(lsn)));
+                true
             }
+            None => false,
+        });
+        if deferred {
+            return Ok(());
         }
         self.commit(lsn)
     }
@@ -847,83 +783,37 @@ impl Wal {
             FsyncPolicy::Group { window } => {
                 // Self-tuning: only batch when at least one other
                 // committer is in flight to share the fsync with. A solo
-                // committer on an idle system syncs immediately — any
-                // batching wait would be pure added latency. In pipeline
-                // mode even the solo commit goes through the leader
-                // machinery (skipping the cut-steering wait): its fsync
-                // then runs on a cloned fd with no lock held, so later
-                // arrivals keep staging and publishing underneath it.
-                let siblings = self.committers.fetch_add(1, Ordering::AcqRel);
-                let r = if let Some(ps) = &self.pipeline {
-                    if siblings == 0 {
-                        StoreStats::bump(&self.stats.wal_group_solo_commits);
-                    }
-                    self.commit_pipelined(ps, lsn, window)
-                } else {
-                    let window = self.steered_window(window);
-                    if siblings == 0 {
-                        StoreStats::bump(&self.stats.wal_group_solo_commits);
-                        self.sync_to(lsn)
-                    } else if window.is_zero() {
-                        self.sync_to(lsn)
-                    } else {
-                        self.commit_grouped(lsn, window)
-                    }
-                };
+                // committer on an idle system cuts its batch immediately —
+                // any batching wait would be pure added latency. Even the
+                // solo commit goes through the leader machinery (skipping
+                // the cut-steering wait): its fsync then runs on a cloned
+                // fd with no lock held, so later arrivals keep staging and
+                // publishing underneath it.
+                if self.committers.fetch_add(1, Ordering::AcqRel) == 0 {
+                    StoreStats::bump(&self.stats.wal_group_solo_commits);
+                }
+                let r = self.commit_pipelined(lsn, window);
                 self.committers.fetch_sub(1, Ordering::AcqRel);
                 r
             }
         }
     }
 
-    /// The tuner-adjusted batching window (the configured cap when no
-    /// tuner is attached or it has no signal yet).
+    /// The tuner-adjusted batching window (the configured cap while the
+    /// tuner has no signal yet).
     fn steered_window(&self, configured: Duration) -> Duration {
-        match &self.tuner {
-            Some(t) => {
-                let w = t.effective_window(configured);
-                if w != configured {
-                    StoreStats::bump(&self.stats.wal_commit_window_adapted);
-                }
-                w
-            }
-            None => configured,
+        let w = self.tuner.effective_window(configured);
+        if w != configured {
+            StoreStats::bump(&self.stats.wal_commit_window_adapted);
         }
+        w
     }
 
-    /// The batching half of a Group commit: wait up to `window` for
-    /// somebody else's fsync to cover `lsn`, then fsync everything.
-    fn commit_grouped(&self, lsn: u64, window: Duration) -> Result<()> {
-        let t0 = Instant::now();
-        let deadline = t0 + window;
-        {
-            let mut flushed = self.lock_flushed();
-            while *flushed < lsn {
-                if self
-                    .flush_cv
-                    .wait_until(flushed.guard_mut(), deadline)
-                    .timed_out()
-                {
-                    break;
-                }
-            }
-            if *flushed >= lsn {
-                self.stats
-                    .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
-                return Ok(());
-            }
-        }
-        let r = self.sync_to(lsn);
-        self.stats
-            .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
-        r
-    }
-
-    /// The pipelined half of a Group commit. Join the filling batch; if
-    /// no leader is driving, become one. A committer returns only after
-    /// its own batch's gate reports a completed fsync covering its LSN —
-    /// never on a mere notification that *some* fsync ran.
-    fn commit_pipelined(&self, ps: &PipelineState, lsn: u64, window: Duration) -> Result<()> {
+    /// A Group commit. Join the filling batch; if no leader is driving,
+    /// become one. A committer returns only after its own batch's gate
+    /// reports a completed fsync covering its LSN — never on a mere
+    /// notification that *some* fsync ran.
+    fn commit_pipelined(&self, lsn: u64, window: Duration) -> Result<()> {
         let t0 = Instant::now();
         {
             // A checkpoint/`sync()` fsync may already cover us.
@@ -933,7 +823,7 @@ impl Wal {
             }
         }
         let (cell, lead) = {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             if ctl.durable_lsn >= lsn {
                 return Ok(());
             }
@@ -949,7 +839,7 @@ impl Wal {
             // Errors surface through the gate too (failed=true), so
             // waiters of this batch are never stranded; the leader's own
             // error is re-checked below like everyone else's.
-            let _ = self.run_leader(ps, false, window);
+            let _ = self.run_leader(false, window);
         }
         let failed = loop {
             let mut gate = self.lock_gate(&cell);
@@ -963,7 +853,7 @@ impl Wal {
             // fsync ran, and we cut it now.
             gate.lead_token = false;
             drop(gate);
-            let _ = self.run_leader(ps, true, window);
+            let _ = self.run_leader(true, window);
         };
         self.stats
             .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
@@ -980,9 +870,9 @@ impl Wal {
     /// and wake the batch. If the next batch already has waiters, leave
     /// the leadership token in its gate — that batch filled during this
     /// fsync, which is the pipeline overlap `wal_pipeline_depth` counts.
-    fn run_leader(&self, ps: &PipelineState, handoff: bool, window: Duration) -> Result<()> {
+    fn run_leader(&self, handoff: bool, window: Duration) -> Result<()> {
         if handoff {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             if ctl.leader_running {
                 // A freshly-arrived committer self-elected before we woke:
                 // it will cut our batch; go back to waiting.
@@ -1002,7 +892,7 @@ impl Wal {
             }
         }
         let cell = {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             let cell = Arc::clone(&ctl.filling);
             ctl.filling = Arc::new(BatchCell::new());
             ctl.filling_waiters = 0;
@@ -1033,13 +923,11 @@ impl Wal {
                 .map_err(|e| self.poison(io_err("wal fsync", e)))?;
             let ns = t0.elapsed().as_nanos() as u64;
             self.stats.record_fsync(ns);
-            if let Some(t) = &self.tuner {
-                t.note_fsync(ns);
-            }
+            self.tuner.note_fsync(ns);
             Ok(end)
         })();
         let (next_cell, err) = {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             let err = match &synced {
                 Ok(end) => {
                     if *end > ctl.durable_lsn {
@@ -1054,17 +942,16 @@ impl Wal {
             (next, err)
         };
         if let Ok(end) = synced {
-            // Keep the blocking-window path's view coherent: `sync_to`
-            // short-circuits on `flushed`, checkpoints read it, and the
-            // batch-size counters stay exact by always accounting against
-            // this one ledger (never against `durable_lsn` too).
+            // Keep `sync_to`'s view coherent: it short-circuits on
+            // `flushed`, checkpoints read it, and the batch-size counters
+            // stay exact by always accounting against this one ledger
+            // (never against `durable_lsn` too).
             let mut flushed = self.lock_flushed();
             if *flushed < end {
                 StoreStats::bump(&self.stats.wal_group_commits);
                 StoreStats::add(&self.stats.wal_group_commit_records, end - *flushed);
                 *flushed = end;
             }
-            self.flush_cv.notify_all();
         }
         {
             let mut gate = self.lock_gate(&cell);
@@ -1115,14 +1002,11 @@ impl Wal {
             .map_err(|e| self.poison(io_err("wal fsync", e)))?;
         let ns = t0.elapsed().as_nanos() as u64;
         self.stats.record_fsync(ns);
-        if let Some(t) = &self.tuner {
-            t.note_fsync(ns);
-        }
+        self.tuner.note_fsync(ns);
         let target = inner.next_lsn - 1;
         StoreStats::bump(&self.stats.wal_group_commits);
         StoreStats::add(&self.stats.wal_group_commit_records, target - *flushed);
         *flushed = target;
-        self.flush_cv.notify_all();
         Ok(())
     }
 }
@@ -1709,38 +1593,36 @@ mod tests {
 
     #[test]
     fn adaptive_solo_committer_shrinks_the_window() {
-        // With adaptive sizing on, a lone writer's sparse arrivals teach
-        // the tuner to stop waiting: the adapted-window counter must fire
-        // once there is signal, and commits stay fast despite a huge cap.
+        // A lone writer never waits the window (nobody to batch with), and
+        // its sparse arrivals teach the tuner that batching cannot win: the
+        // window a leader with company would wait collapses, and the
+        // adapted-window counter fires.
         let dir = tmpdir("adaptive");
         let stats = Arc::new(StoreStats::default());
+        let cap = Duration::from_millis(250);
         let w = Wal::open(
             &dir,
-            FsyncPolicy::Group {
-                window: Duration::from_millis(250),
-            },
+            FsyncPolicy::Group { window: cap },
             1 << 20,
             1,
             1,
             Arc::new(FaultInjector::new()),
             Arc::clone(&stats),
         )
-        .unwrap()
-        .with_adaptive_commit(true);
-        // Seed the tuner: arrivals far sparser than fsyncs.
-        if let Some(t) = &w.tuner {
-            t.arrival_ewma_ns.store(5_000_000, Ordering::Relaxed);
-            t.fsync_ewma_ns.store(50_000, Ordering::Relaxed);
-        }
+        .unwrap();
         let t0 = Instant::now();
         for i in 0..4 {
             w.log_put(pid(1 + i), &[1; 8]).unwrap();
         }
         assert!(
             t0.elapsed() < Duration::from_millis(200),
-            "adapted window must not wait out the 250ms cap (took {:?})",
+            "a lone writer must not wait out the 250ms cap (took {:?})",
             t0.elapsed()
         );
+        // Seed the tuner: arrivals far sparser than fsyncs.
+        w.tuner.arrival_ewma_ns.store(5_000_000, Ordering::Relaxed);
+        w.tuner.fsync_ewma_ns.store(50_000, Ordering::Relaxed);
+        assert_eq!(w.steered_window(cap), Duration::ZERO);
         assert!(
             stats.snapshot().wal_commit_window_adapted >= 1,
             "tuner with clear signal must adapt the window"
@@ -1819,11 +1701,11 @@ mod tests {
 
     #[test]
     fn pipelined_commit_stays_exact_under_concurrency() {
-        // Pipeline + staging on, fsync dilated so batches demonstrably
-        // fill while the leader syncs: every record must still become
-        // durable exactly once in the accounting, the log must scan clean
-        // and contiguous, and at least one leadership hand-off (a batch
-        // that filled during a running fsync) must be observed.
+        // fsync dilated so batches demonstrably fill while the leader
+        // syncs: every record must still become durable exactly once in
+        // the accounting, the log must scan clean and contiguous, and at
+        // least one leadership hand-off (a batch that filled during a
+        // running fsync) must be observed.
         let dir = tmpdir("pipeline");
         let stats = Arc::new(StoreStats::default());
         let fault = Arc::new(FaultInjector::new());
@@ -1839,9 +1721,7 @@ mod tests {
                 Arc::clone(&fault),
                 Arc::clone(&stats),
             )
-            .unwrap()
-            .with_staging(true)
-            .with_pipeline(true),
+            .unwrap(),
         );
         fault.set_fsync_delay(Duration::from_millis(2));
         // A hand-off needs a successor thread to arrive while the leader
@@ -1911,9 +1791,7 @@ mod tests {
                 Arc::clone(&fault),
                 Arc::new(StoreStats::default()),
             )
-            .unwrap()
-            .with_staging(true)
-            .with_pipeline(true),
+            .unwrap(),
         );
         w.log_put(pid(1), &[1; 8]).unwrap();
         fault.crash_after_wal_records(0);
@@ -1927,6 +1805,36 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap(), "post-trip commits must fail");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn deferred_scope_is_closed_when_its_body_panics() {
+        // `DEFERRED` is thread-wide: a scope leaked by an unwinding body
+        // would absorb every later commit on this thread, for any `Wal`,
+        // acknowledging records that were never fsynced.
+        let dir = tmpdir("deferpanic");
+        let stats = Arc::new(StoreStats::default());
+        let w = Wal::open(
+            &dir,
+            FsyncPolicy::Always,
+            1 << 20,
+            1,
+            1,
+            Arc::new(FaultInjector::new()),
+            Arc::clone(&stats),
+        )
+        .unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.deferred_scope(|| panic!("body fails mid-scope"))
+        }));
+        assert!(unwound.is_err());
+        let before = stats.snapshot().wal_fsyncs;
+        w.log_put(pid(1), &[1; 8]).unwrap();
+        assert!(
+            stats.snapshot().wal_fsyncs > before,
+            "a commit after the unwound scope must fsync, not be absorbed"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

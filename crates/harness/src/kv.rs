@@ -197,16 +197,6 @@ impl KvRunResult {
             .heap_wait_percentile_ns(p)
             .map(|ns| ns as f64 / 1e3)
     }
-
-    /// WAL bytes appended per completed operation — the write-amplification
-    /// figure `exp15` sweeps (0.0 for in-memory stores).
-    pub fn wal_bytes_per_op(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.store.wal_bytes as f64 / self.total_ops as f64
-        }
-    }
 }
 
 /// Deterministic value payload for `key` (first bytes identify the key so

@@ -70,10 +70,9 @@ pub trait Journal: Send + Sync + fmt::Debug {
     /// Write-ahead barrier before a **backend page write**: every record
     /// this journal has accepted so far must be in the log file (not
     /// necessarily fsynced) when this returns. Journals that buffer
-    /// accepted records outside the log (per-thread staging, see
-    /// `blink-durable`'s WAL staging mode) publish them here; the default
-    /// is a no-op because an unstaged journal's `log_*` calls already
-    /// write through. The store calls this before dirty-frame write-back,
+    /// accepted records outside the log (`blink-durable`'s WAL stages
+    /// them per thread) publish them here; the default is a no-op for
+    /// journals whose `log_*` calls write through. The store calls this before dirty-frame write-back,
     /// flush barriers, pool-bypass writes, and before zeroing a reused
     /// page — the four places backend bytes could otherwise overtake
     /// their own log records.

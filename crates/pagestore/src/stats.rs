@@ -163,7 +163,7 @@ store_stats! {
         /// WAL records appended (journaled stores only).
         wal_records,
         /// Bytes appended to the WAL (record headers + payloads) — the
-        /// write-amplification numerator `exp15` divides by puts.
+        /// write-amplification numerator.
         wal_bytes,
         /// Tracked page writes logged as v2 delta records.
         wal_put_deltas,

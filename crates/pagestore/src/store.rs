@@ -70,14 +70,6 @@ pub struct StoreConfig {
     /// `0` disables the pool entirely: every access copies through the
     /// backend, which is the literal §2.2 model.
     pub pool_frames: usize,
-    /// Log tracked page writes as coalesced **delta records** when the
-    /// journal supports them (see [`crate::journal::Journal::log_put_delta`]).
-    /// `false` forces every put to a full page image — the write-amplified
-    /// baseline `exp15` measures against. Deltas require the buffer pool:
-    /// bypass commits (`pool_frames: 0`, or every frame pinned) always log
-    /// full images, since only the frame write latch serializes same-page
-    /// writers tightly enough for delta chains to be replay-exact.
-    pub delta_puts: bool,
     /// Run a dedicated background thread that writes dirty frames back to
     /// the backend in clock-hand order whenever the dirty-page gauge rises
     /// above a low watermark, so foreground evictions almost never pay a
@@ -103,7 +95,6 @@ impl Default for StoreConfig {
             page_size: 4096,
             io_delay: None,
             pool_frames: 1024,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         }
@@ -587,8 +578,8 @@ impl PageWrite<'_> {
             // covered by the frame write latch, so two same-page bypass
             // writers can interleave — last-writer-wins is only sound for
             // whole images, never for merged delta chains. (Delta logging
-            // therefore needs the buffer pool; `pool_frames: 0` stores
-            // behave exactly like `delta_puts: false`.)
+            // therefore needs the buffer pool; `pool_frames: 0` stores log
+            // full images only.)
             WriteInner::Owned(page) => store.apply_full_write(pid, page.bytes()),
         }
     }
@@ -1168,7 +1159,7 @@ impl PageStore {
     /// Tracked writes (`ranges: Some`) are logged as a coalesced v2
     /// **delta record** when every gate passes:
     ///
-    /// * the journal speaks v2 and `StoreConfig::delta_puts` is on;
+    /// * the journal speaks v2;
     /// * the page has a base record in the current checkpoint epoch
     ///   (first touch after a checkpoint or open logs a full image, which
     ///   bounds recovery and repairs torn page-file writes);
@@ -1189,8 +1180,7 @@ impl PageStore {
         };
         // Delta records encode offsets as u16 and need room for the page
         // LSN field, so very small and very large pages stay on v1.
-        let v2 = self.cfg.delta_puts
-            && j.supports_deltas()
+        let v2 = j.supports_deltas()
             && self.cfg.page_size <= 1 << 16
             && self.cfg.page_size >= PAGE_LSN_OFFSET + PAGE_LSN_LEN;
         let lsn = match ranges {
@@ -2195,7 +2185,6 @@ mod tests {
             page_size: 64,
             io_delay: Some(Duration::from_micros(200)),
             pool_frames: 0,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2261,7 +2250,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: Some(Duration::from_micros(300)),
             pool_frames: 8,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2292,7 +2280,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2324,7 +2311,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 1,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2349,7 +2335,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 2,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2378,7 +2363,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2440,7 +2424,6 @@ mod pool_tests {
                 page_size: 64,
                 io_delay: None,
                 pool_frames: 1,
-                delta_puts: true,
                 background_flusher: false,
                 page_checksums: false,
             },
@@ -2477,7 +2460,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         });
@@ -2746,28 +2728,6 @@ mod journal_tests {
         w.write_at(40, &[7; 4]);
         w.commit().unwrap();
         assert_eq!(j.deltas.lock().len(), 1, "deltas resume on the v2 base");
-    }
-
-    #[test]
-    fn delta_puts_config_off_forces_v1_full_images() {
-        let j = Arc::new(DeltaMockJournal::default());
-        let store = PageStore::with_parts(
-            StoreConfig {
-                delta_puts: false,
-                ..StoreConfig::with_page_size(256)
-            },
-            Box::new(crate::backend::MemBackend::new(256)),
-            Some(Arc::clone(&j) as Arc<dyn Journal>),
-            Arc::new(StoreStats::default()),
-            &[],
-        )
-        .unwrap();
-        let a = store.alloc().unwrap();
-        let mut w = store.write_page(a, WriteIntent::Update).unwrap();
-        w.write_at(40, &[1; 4]);
-        w.commit().unwrap();
-        assert!(j.deltas.lock().is_empty());
-        assert_eq!(j.puts_v1.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -42,7 +42,6 @@ fn guards_never_observe_torn_pages_under_eviction_pressure() {
         page_size,
         io_delay: None,
         pool_frames: 8,
-        delta_puts: true,
         background_flusher: false,
         page_checksums: false,
     });
@@ -107,7 +106,6 @@ fn pinned_frames_are_never_evicted() {
         page_size,
         io_delay: None,
         pool_frames: 4,
-        delta_puts: true,
         background_flusher: false,
         page_checksums: false,
     });
@@ -161,7 +159,6 @@ fn exhausted_pool_bypasses_instead_of_evicting() {
         page_size: 128,
         io_delay: None,
         pool_frames: 2,
-        delta_puts: true,
         background_flusher: false,
         page_checksums: false,
     });
@@ -276,7 +273,6 @@ fn dirty_victims_hit_the_wal_before_the_backend() {
             page_size,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
             background_flusher: false,
             page_checksums: false,
         },

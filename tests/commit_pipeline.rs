@@ -176,34 +176,3 @@ fn committed_puts_survive_a_crash_mid_pipeline() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
-
-/// The ablation switch is honored: with `wal_pipeline` off the depth
-/// counter stays at zero no matter how hard committers race.
-#[test]
-fn pipeline_off_never_hands_off() {
-    let dir = tmpdir("off");
-    let db = Arc::new(Db::open(cfg(&dir).with_wal_pipeline(false)).unwrap());
-    db.durable()
-        .unwrap()
-        .fault()
-        .set_fsync_delay(Duration::from_micros(200));
-    std::thread::scope(|scope| {
-        for w in 0..4u64 {
-            let db = Arc::clone(&db);
-            scope.spawn(move || {
-                let mut s = db.session();
-                for i in 0..60u64 {
-                    s.put(w * 1_000 + i, &i.to_le_bytes()).unwrap();
-                }
-            });
-        }
-    });
-    let snap = db.store().stats().snapshot();
-    assert_eq!(
-        snap.wal_pipeline_depth, 0,
-        "legacy group commit must never report pipeline hand-offs"
-    );
-    assert!(snap.wal_group_commits > 0, "batches still form");
-    drop(db);
-    std::fs::remove_dir_all(&dir).unwrap();
-}

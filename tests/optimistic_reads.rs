@@ -1,4 +1,4 @@
-//! PR 7 optimistic-descent tests: root/branch levels are read without the
+//! Optimistic-descent tests: root/branch levels are read without the
 //! frame latch (seqlock-validated private copies) and **revalidated before
 //! the descent acts on them** — a node rewritten between the version read
 //! and the revalidation must force a restart, never a torn decode.
@@ -10,11 +10,7 @@ use std::sync::Arc;
 
 fn optimistic_tree(k: usize) -> Arc<BLinkTree> {
     let store = PageStore::new(StoreConfig::with_page_size(4096));
-    let cfg = TreeConfig {
-        optimistic_reads: true,
-        ..TreeConfig::with_k(k)
-    };
-    BLinkTree::create(store, cfg).unwrap()
+    BLinkTree::create(store, TreeConfig::with_k(k)).unwrap()
 }
 
 /// The deterministic seam: the test hook fires after the optimistic read
@@ -70,24 +66,6 @@ fn split_between_version_read_and_revalidate_restarts_the_descent() {
     );
 }
 
-/// The ablation baseline: with the knob off, no descent ever touches the
-/// optimistic path.
-#[test]
-fn latched_baseline_never_reads_optimistically() {
-    let store = PageStore::new(StoreConfig::with_page_size(4096));
-    let tree = BLinkTree::create(store, TreeConfig::with_k(2)).unwrap();
-    let mut s = tree.session();
-    for i in 0..500u64 {
-        tree.insert(&mut s, i, i).unwrap();
-    }
-    for i in 0..500u64 {
-        assert_eq!(tree.search(&mut s, i).unwrap(), Some(i));
-    }
-    let stats = tree.store().stats().snapshot();
-    assert_eq!(stats.optimistic_reads, 0);
-    assert_eq!(stats.optimistic_read_fallbacks, 0);
-}
-
 /// Optimistic descents stay correct under concurrent writers: every value
 /// read must be one the workload actually wrote, and the fast path must
 /// actually be taken.
@@ -130,7 +108,7 @@ fn concurrent_writers_and_optimistic_readers_agree() {
     assert!(stats.optimistic_reads > 0);
 }
 
-/// The `Db` facade turns the knob on by default and surfaces the counters
+/// The `Db` facade descends optimistically and surfaces the counters
 /// through `Db::metrics`.
 #[test]
 fn db_defaults_use_optimistic_descents() {
@@ -145,13 +123,6 @@ fn db_defaults_use_optimistic_descents() {
     let m = db.metrics();
     assert!(
         m.store.optimistic_reads > 0,
-        "Db default must use the optimistic fast path"
+        "Db must use the optimistic fast path"
     );
-
-    let db_off = Db::open(DbConfig::in_memory().with_k(4).with_optimistic_reads(false)).unwrap();
-    let mut s = db_off.session();
-    for i in 0..600u64 {
-        s.put(i, &i.to_le_bytes()).unwrap();
-    }
-    assert_eq!(db_off.metrics().store.optimistic_reads, 0);
 }

@@ -1,14 +1,14 @@
-//! Property tests for the PR 7 staged WAL pipeline: **per-thread staging →
+//! Property tests for the staged WAL pipeline: **per-thread staging →
 //! leader stitch → one contiguous segment write** must be indistinguishable
-//! from the single-mutex append baseline.
+//! from appending every record in program order.
 //!
 //! Two guarantees are exercised:
 //!
 //! 1. **Replay equivalence.** A random multi-thread workload (threads own
-//!    disjoint pages, so the final per-page state is deterministic) is run
-//!    once with staging on and once with it off; both runs crash without a
-//!    final flush and recover from their logs alone. Every page image must
-//!    match byte for byte (outside the store-reserved LSN + CRC region).
+//!    disjoint pages, so the final per-page state is just that thread's
+//!    script folded over a zero page) crashes without a final flush and
+//!    recovers from its log alone. Every page image must match the folded
+//!    script byte for byte (outside the store-reserved LSN + CRC region).
 //! 2. **Dense, monotone LSNs.** The stitched log is scanned record by
 //!    record: `wal::scan` rejects any record whose LSN is not exactly the
 //!    successor of the previous one, so `replayed == records logged` with
@@ -38,7 +38,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn cfg(dir: &PathBuf, staging: bool) -> DurableConfig {
+fn cfg(dir: &PathBuf) -> DurableConfig {
     DurableConfig {
         page_size: PAGE,
         fsync: FsyncPolicy::Never,
@@ -47,7 +47,6 @@ fn cfg(dir: &PathBuf, staging: bool) -> DurableConfig {
         // Fewer frames than pages: evictions force write-backs, which must
         // hit the publish barrier before touching the page file.
         pool_frames: 4,
-        wal_staging: staging,
         ..DurableConfig::new(dir)
     }
 }
@@ -90,11 +89,17 @@ fn scripts_strategy() -> impl Strategy<Value = Vec<Vec<Op>>> {
 
 fn mask(bytes: &[u8]) -> Vec<u8> {
     let mut v = bytes.to_vec();
-    // The store owns LSN + CRC: the two runs assign different LSNs to the
-    // same final image, and the CRC covers the LSN bytes, so both fields
-    // legitimately differ between staged and baseline stores.
+    // The store owns LSN + CRC: which LSN the final image carries depends
+    // on the interleaving, and the CRC covers the LSN bytes.
     v[PAGE_LSN_OFFSET..PAGE_RESERVED_END].fill(0);
     v
+}
+
+/// The byte pattern of an [`Op::Full`] image.
+fn fill_full(bytes: &mut [u8], seed: u8) {
+    for (j, b) in bytes.iter_mut().enumerate() {
+        *b = seed ^ (j as u8);
+    }
 }
 
 fn apply(store: &Arc<sagiv_blink_repro::pagestore::PageStore>, pid: PageId, op: &Op) {
@@ -108,23 +113,43 @@ fn apply(store: &Arc<sagiv_blink_repro::pagestore::PageStore>, pid: PageId, op: 
         }
         Op::Full(seed) => {
             let mut p = Page::zeroed(PAGE);
-            for (j, b) in p.bytes_mut().iter_mut().enumerate() {
-                *b = seed ^ (j as u8);
-            }
+            fill_full(p.bytes_mut(), *seed);
             store.put(pid, &p).unwrap();
         }
         Op::Sync => unreachable!("Sync is handled by the caller"),
     }
 }
 
+/// The oracle: each page's (masked) final image is its owning thread's
+/// script applied in order to a zero page — the same page choice and the
+/// same bytes as [`apply`].
+fn expected_images(scripts: &[Vec<Op>]) -> Vec<Vec<u8>> {
+    let mut imgs = vec![vec![0u8; PAGE]; scripts.len() * PAGES_PER_THREAD];
+    for (t, script) in scripts.iter().enumerate() {
+        for (i, op) in script.iter().enumerate() {
+            let img = &mut imgs[t * PAGES_PER_THREAD + i % PAGES_PER_THREAD];
+            match op {
+                Op::Tracked(ranges) => {
+                    for &(off, len, fill) in ranges {
+                        img[off..off + len].fill(fill);
+                    }
+                }
+                Op::Full(seed) => fill_full(img, *seed),
+                Op::Sync => {}
+            }
+        }
+    }
+    imgs.iter().map(|img| mask(img)).collect()
+}
+
 /// Runs `scripts` (one per thread, each thread on its own pages), crashes
 /// without a final flush, scans the log for density, reopens, and returns
-/// the recovered (masked) page images plus the record count.
-fn run(dir: &PathBuf, staging: bool, scripts: &[Vec<Op>]) -> (Vec<Vec<u8>>, u64) {
+/// the recovered (masked) page images.
+fn run(dir: &PathBuf, scripts: &[Vec<Op>]) -> Vec<Vec<u8>> {
     let pids: Vec<PageId>;
     let logged;
     {
-        let ds = Arc::new(DurableStore::create(cfg(dir, staging)).unwrap());
+        let ds = Arc::new(DurableStore::create(cfg(dir)).unwrap());
         let store = ds.store();
         pids = (0..scripts.len() * PAGES_PER_THREAD)
             .map(|_| store.alloc().unwrap())
@@ -156,26 +181,20 @@ fn run(dir: &PathBuf, staging: bool, scripts: &[Vec<Op>]) -> (Vec<Vec<u8>>, u64)
     assert!(!report.torn, "stitched log has a torn or reordered region");
     assert_eq!(report.replayed, logged, "log lost or duplicated records");
 
-    let ds = DurableStore::open(cfg(dir, staging)).unwrap();
-    let imgs = pids
-        .iter()
+    let ds = DurableStore::open(cfg(dir)).unwrap();
+    pids.iter()
         .map(|&pid| mask(ds.store().get(pid).unwrap().bytes()))
-        .collect();
-    drop(ds);
-    (imgs, logged)
+        .collect()
 }
 
 fn run_case(scripts: &[Vec<Op>]) {
-    let dir_staged = tmpdir("on");
-    let dir_base = tmpdir("off");
-    let (staged, _) = run(&dir_staged, true, scripts);
-    let (baseline, _) = run(&dir_base, false, scripts);
+    let dir = tmpdir("replay");
     assert_eq!(
-        staged, baseline,
-        "staged replay diverged from the single-mutex baseline"
+        run(&dir, scripts),
+        expected_images(scripts),
+        "staged replay diverged from the scripts' program order"
     );
-    let _ = std::fs::remove_dir_all(&dir_staged);
-    let _ = std::fs::remove_dir_all(&dir_base);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -238,7 +257,7 @@ fn crash_at_every_record_boundary_leaves_a_dense_staged_prefix() {
     // creation plus the page allocs).
     let dir = tmpdir("matrix");
     let total = {
-        let ds = Arc::new(DurableStore::create(cfg(&dir, true)).unwrap());
+        let ds = Arc::new(DurableStore::create(cfg(&dir)).unwrap());
         let pids: Vec<PageId> = (0..THREADS * PAGES_PER_THREAD)
             .map(|_| ds.store().alloc().unwrap())
             .collect();
@@ -264,7 +283,7 @@ fn crash_at_every_record_boundary_leaves_a_dense_staged_prefix() {
     for n in 0..total {
         let pre;
         {
-            let ds = Arc::new(DurableStore::create(cfg(&dir, true)).unwrap());
+            let ds = Arc::new(DurableStore::create(cfg(&dir)).unwrap());
             let pids: Vec<PageId> = (0..THREADS * PAGES_PER_THREAD)
                 .map(|_| ds.store().alloc().unwrap())
                 .collect();
@@ -289,9 +308,7 @@ fn crash_at_every_record_boundary_leaves_a_dense_staged_prefix() {
                                     }),
                                 Op::Full(seed) => {
                                     let mut p = Page::zeroed(PAGE);
-                                    for (j, b) in p.bytes_mut().iter_mut().enumerate() {
-                                        *b = seed ^ (j as u8);
-                                    }
+                                    fill_full(p.bytes_mut(), *seed);
                                     ds.store().put(pid, &p)
                                 }
                                 Op::Sync => unreachable!(),
@@ -319,7 +336,7 @@ fn crash_at_every_record_boundary_leaves_a_dense_staged_prefix() {
         );
 
         // Recovery accepts the prefix and the store stays writable.
-        let ds = DurableStore::open(cfg(&dir, true)).unwrap();
+        let ds = DurableStore::open(cfg(&dir)).unwrap();
         let pid = ds.store().alloc().unwrap();
         let mut w = ds.store().write_page(pid, WriteIntent::Update).unwrap();
         w.write_at(32, &[n as u8; 4]);
