@@ -29,18 +29,24 @@ fn self_test() -> ExitCode {
     // The fixture impersonates an allowlisted pagestore file so every rule
     // (including the unsafe SAFETY-comment one) is exercised at once.
     let found = lint::lint_source("crates/pagestore/src/store.rs", &src);
+    // (rule, text its message must name — wrapper-only has one seeded
+    // violation per family that is not a plain lock).
     let expected = [
-        "wrapper-only",
-        "no-std-sync",
-        "unsafe-safety-comment",
-        "store-stats-macro",
+        ("wrapper-only", ".allocated.lock("),
+        ("wrapper-only", ".pool.claim("),
+        ("wrapper-only", "backend_write_page("),
+        ("no-std-sync", ""),
+        ("unsafe-safety-comment", ""),
+        ("store-stats-macro", ""),
     ];
     let mut ok = true;
-    for rule in expected {
-        if found.iter().any(|v| v.rule == rule) {
-            println!("self-test: rule `{rule}` fires");
+    for (rule, what) in expected {
+        let label = format!("{rule} {what}");
+        let label = label.trim_end();
+        if found.iter().any(|v| v.rule == rule && v.msg.contains(what)) {
+            println!("self-test: rule `{label}` fires");
         } else {
-            println!("self-test: FAIL — rule `{rule}` did not fire on the fixture");
+            println!("self-test: FAIL — rule `{label}` did not fire on the fixture");
             ok = false;
         }
     }

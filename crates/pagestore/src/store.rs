@@ -1,10 +1,11 @@
 //! The page store: §2.2's model of secondary storage over a buffer pool.
 //!
 //! * `get(x)` returns the contents of the page, `put(A, x)` overwrites it;
-//!   each is indivisible with respect to the other. Since PR 2 the hot-path
-//!   form of `get` is [`PageStore::read`], which returns a [`PageRef`]
-//!   borrowing the bytes of a pinned **buffer-pool frame** — a hit performs
-//!   zero page-sized copies. The §2.2 semantics are unchanged: a process
+//!   each is indivisible with respect to the other. The hot-path forms are
+//!   [`PageStore::read`], which returns a [`PageRef`] borrowing the bytes
+//!   of a pinned **buffer-pool frame** (a hit performs zero page-sized
+//!   copies), and [`PageStore::write_page`], whose [`PageWrite::commit`] is
+//!   the atomic publish. The §2.2 semantics are unchanged: a process
 //!   decodes its node from the guard (a stable snapshot — writers need the
 //!   frame's write latch) and then reasons over that private value while
 //!   others rewrite the page.
@@ -14,12 +15,27 @@
 //! * Pages are allocated from a free list and freed back to it (freeing is
 //!   normally routed through [`crate::reclaim::DeferredFreeList`]).
 //!
-//! The *bytes* live in a pluggable [`PageBackend`] fronted by a
-//! buffer pool: writes are **write-back** (they land in the frame and
-//! reach the backend on eviction or [`PageStore::sync`]), reads are served
-//! from the frame when resident. When a [`Journal`] is attached, every
-//! `alloc`/`free`/`put` is logged **before** it is applied to the frame —
-//! write-ahead ordering — so a dirty frame's WAL record always precedes its
+//! ## One frame funnel
+//!
+//! Every latched page access goes through `PageStore::claim_frame`, the
+//! only `pool.claim` loop there is: it pins the page's frame, latches it
+//! shared (`read`) or exclusive (`write_page`), revalidates `owner` and
+//! the allocation flag under the latch, and on a miss writes the dirty
+//! victim back and loads (or, for an overwrite, zeroes) the frame. When no
+//! frame can be had — every frame pinned, or `StoreConfig::pool_frames` is
+//! `0` — its `Exhausted` arm is **the bypass**: a private copy read from
+//! the backend under the slot latch, committed by `write_bypass` (log +
+//! backend write in one slot-latch section). Backend page writes have
+//! three callers: `write_back_frame` (shared by `flush`,
+//! `flush_for_checkpoint` and the flusher), `write_back_victim` (eviction)
+//! and `write_bypass`. `latch_lint` holds both counts where they are.
+//!
+//! The *bytes* live in a pluggable [`PageBackend`] fronted by the pool:
+//! writes are **write-back** (they land in the frame and reach the backend
+//! on eviction or [`PageStore::sync`]), reads are served from the frame
+//! when resident. When a [`Journal`] is attached, every `alloc`/`free`/
+//! committed write is logged **before** it is published — write-ahead
+//! ordering — so a dirty frame's WAL record always precedes its
 //! write-back, and the store stays recoverable from the log plus a
 //! checkpoint image even though the backend lags the frames.
 //!
@@ -166,70 +182,41 @@ impl PaperLock {
         }
     }
 
-    /// Registers a successful acquisition with the latch auditor. Paper
-    /// locks are not RAII (the protocols release them in different scopes),
-    /// so the registration is manual and [`PaperLock::unlock`] undoes it.
-    /// The internal `owner` mutex is an implementation detail (held only
-    /// for the handful of instructions around the state change) and is
-    /// deliberately not a [`LockClass`] of its own.
-    fn note_acquired(&self) {
-        audit::acquire_manual(LockClass::PaperLock, self as *const PaperLock as usize);
-    }
-
-    /// Blocks until the lock is acquired. Returns nanoseconds spent waiting
-    /// (0 when uncontended).
-    fn lock(&self, sid: u64) -> u64 {
+    /// Acquires the lock for `sid`, waiting while another session owns it:
+    /// forever with no `deadline`, else until it passes (a deadline of
+    /// "now" never waits — `try_lock`). Returns the nanoseconds spent
+    /// waiting (0 when uncontended), or `None` when the deadline won.
+    fn acquire(&self, sid: u64, deadline: Option<Instant>) -> Option<u64> {
         let mut owner = self.owner.lock();
-        assert_ne!(*owner, Some(sid), "session {sid} attempted recursive lock");
-        if owner.is_none() {
-            *owner = Some(sid);
-            drop(owner);
-            self.note_acquired();
-            return 0;
-        }
-        let t0 = Instant::now();
-        while owner.is_some() {
-            self.cv.wait(&mut owner);
-        }
-        *owner = Some(sid);
-        drop(owner);
-        self.note_acquired();
-        t0.elapsed().as_nanos() as u64
-    }
-
-    fn try_lock(&self, sid: u64) -> bool {
-        let mut owner = self.owner.lock();
-        if owner.is_none() {
-            *owner = Some(sid);
-            drop(owner);
-            self.note_acquired();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Like `lock` but gives up after `timeout`. Returns `Some(wait_ns)` on
-    /// success.
-    fn lock_timeout(&self, sid: u64, timeout: Duration) -> Option<u64> {
-        let mut owner = self.owner.lock();
-        if owner.is_none() {
-            *owner = Some(sid);
-            drop(owner);
-            self.note_acquired();
-            return Some(0);
-        }
-        let t0 = Instant::now();
-        let deadline = t0 + timeout;
-        while owner.is_some() {
-            if self.cv.wait_until(&mut owner, deadline).timed_out() {
-                return None;
+        // Only the unbounded wait would deadlock on itself.
+        assert!(
+            deadline.is_some() || *owner != Some(sid),
+            "session {sid} attempted recursive lock"
+        );
+        let mut wait_ns = 0;
+        if owner.is_some() {
+            let t0 = Instant::now();
+            while owner.is_some() {
+                match deadline {
+                    None => self.cv.wait(&mut owner),
+                    Some(d) => {
+                        if self.cv.wait_until(&mut owner, d).timed_out() {
+                            return None;
+                        }
+                    }
+                }
             }
+            wait_ns = t0.elapsed().as_nanos() as u64;
         }
         *owner = Some(sid);
         drop(owner);
-        self.note_acquired();
-        Some(t0.elapsed().as_nanos() as u64)
+        // Paper locks are not RAII (the protocols release them in different
+        // scopes), so the auditor registration is manual and `unlock`
+        // undoes it. The internal `owner` mutex is an implementation detail
+        // (held only for the handful of instructions around the state
+        // change) and is deliberately not a `LockClass` of its own.
+        audit::acquire_manual(LockClass::PaperLock, self as *const PaperLock as usize);
+        Some(wait_ns)
     }
 
     fn unlock(&self, sid: u64) {
@@ -371,6 +358,35 @@ pub enum WriteIntent {
     Update,
 }
 
+/// A frame latch in either mode.
+enum Latch<'a> {
+    Shared(Audited<RwLockReadGuard<'a, Box<[u8]>>>),
+    Exclusive(Audited<RwLockWriteGuard<'a, Box<[u8]>>>),
+}
+
+impl Latch<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Latch::Shared(g) => g,
+            Latch::Exclusive(g) => g,
+        }
+    }
+}
+
+/// What the frame funnel ([`PageStore::claim_frame`]) hands back.
+enum Claimed<'a> {
+    /// The page's frame, pinned (the caller owns the pin) and latched.
+    Frame {
+        frame: &'a Frame,
+        latch: Latch<'a>,
+        /// Claimed for this write, unpublished: see [`FrameWrite::fresh`].
+        fresh: Option<usize>,
+    },
+    /// No frame could be had: a private copy of the page (all zeros for
+    /// [`WriteIntent::Overwrite`]).
+    Bypass(Page),
+}
+
 /// Exclusive in-place write access to a page, from [`PageStore::write_page`].
 ///
 /// The guard holds the frame's write latch, so the mutation is invisible
@@ -381,7 +397,8 @@ pub enum WriteIntent {
 pub struct PageWrite<'a> {
     store: &'a PageStore,
     pid: PageId,
-    committed: bool,
+    /// The page's slot, looked up once by `write_page`; commit latches it.
+    slot: Arc<Slot>,
     /// Byte ranges dirtied through the tracked-write API (`off`, `len`).
     /// Commit coalesces them into a delta record when the gates in
     /// [`PageStore::log_page_write`] pass.
@@ -389,26 +406,45 @@ pub struct PageWrite<'a> {
     /// Set once [`PageWrite::bytes_mut`] handed out the whole page: the
     /// ranges are no longer exhaustive, so commit logs a full image.
     untracked: bool,
-    inner: WriteInner<'a>,
+    /// `None` once commit consumed the state (Drop is then a no-op).
+    inner: Option<WriteInner<'a>>,
 }
 
 #[derive(Debug)]
 enum WriteInner<'a> {
-    /// Resident frame: bytes mutated in place; `undo` restores on rollback.
-    Hit {
-        frame: &'a Frame,
-        guard: Option<Audited<RwLockWriteGuard<'a, Box<[u8]>>>>,
-        undo: Box<[u8]>,
-    },
-    /// Freshly claimed frame (not yet published): rollback aborts the claim
-    /// and the backend still holds the prior contents — no undo copy.
-    Miss {
-        frame: &'a Frame,
-        idx: usize,
-        guard: Option<Audited<RwLockWriteGuard<'a, Box<[u8]>>>>,
-    },
+    /// A pinned frame under its write latch with the seqlock window open
+    /// (commit/rollback closes it); bytes are mutated in place.
+    Frame(FrameWrite<'a>),
     /// Pool exhausted/disabled: private staging buffer, applied on commit.
     Owned(Page),
+}
+
+#[derive(Debug)]
+struct FrameWrite<'a> {
+    frame: &'a Frame,
+    guard: Audited<RwLockWriteGuard<'a, Box<[u8]>>>,
+    /// `Some(idx)`: the frame was claimed for this write and is not yet
+    /// published — commit completes the miss, rollback aborts it (the
+    /// backend still holds the prior contents, so there is no undo copy).
+    fresh: Option<usize>,
+    /// Prior image of a resident frame, restored on rollback.
+    undo: Option<Box<[u8]>>,
+}
+
+impl FrameWrite<'_> {
+    /// Abandons the write: a resident frame gets its prior image back, a
+    /// fresh one is handed back to the pool unpublished. Releases the pin.
+    fn rollback(mut self, store: &PageStore, pid: PageId) {
+        if let Some(undo) = &self.undo {
+            self.guard.copy_from_slice(undo);
+        }
+        self.frame.end_write();
+        drop(self.guard);
+        match self.fresh {
+            Some(idx) => store.pool.abort_miss(pid, idx), // unpins
+            None => self.frame.unpin(),
+        }
+    }
 }
 
 impl PageWrite<'_> {
@@ -423,10 +459,8 @@ impl PageWrite<'_> {
     }
 
     fn raw_mut(&mut self) -> &mut [u8] {
-        match &mut self.inner {
-            WriteInner::Hit { guard, .. } | WriteInner::Miss { guard, .. } => {
-                guard.as_mut().expect("live guard")
-            }
+        match self.inner.as_mut().expect("live guard") {
+            WriteInner::Frame(fw) => &mut fw.guard,
             WriteInner::Owned(p) => p.bytes_mut(),
         }
     }
@@ -464,10 +498,8 @@ impl PageWrite<'_> {
 
     /// Read access to the (in-progress) image.
     pub fn bytes(&self) -> &[u8] {
-        match &self.inner {
-            WriteInner::Hit { guard, .. } | WriteInner::Miss { guard, .. } => {
-                guard.as_ref().expect("live guard")
-            }
+        match self.inner.as_ref().expect("live guard") {
+            WriteInner::Frame(fw) => &fw.guard,
             WriteInner::Owned(p) => p.bytes(),
         }
     }
@@ -486,128 +518,72 @@ impl PageWrite<'_> {
     /// delta when every mutation was tracked and the gates pass, else a
     /// full image; either way the commit point), then publish. On error
     /// the page is left unchanged.
-    pub fn commit(mut self) -> Result<()> {
-        let store = self.store;
-        let pid = self.pid;
-        StoreStats::bump(&store.stats.puts);
-        // Take the state out of `self` so Drop (committed = true) is a
-        // no-op; all cleanup happens explicitly below.
-        self.committed = true;
-        let tracked: Option<Vec<(u32, u32)>> = if self.untracked {
-            None
-        } else {
-            Some(std::mem::take(&mut self.ranges))
-        };
-        let inner = std::mem::replace(&mut self.inner, WriteInner::Owned(Page::zeroed(0)));
-        match inner {
-            WriteInner::Hit {
-                frame,
-                mut guard,
-                undo,
-            } => {
-                let slot = store.slot(pid)?;
-                let r = {
-                    let bytes = guard.as_ref().expect("live guard");
-                    let allocated = slot.latch();
+    pub fn commit(self) -> Result<()> {
+        StoreStats::bump(&self.store.stats.puts);
+        self.publish()
+    }
+
+    fn publish(mut self) -> Result<()> {
+        let (store, pid) = (self.store, self.pid);
+        match self.inner.take().expect("live guard") {
+            WriteInner::Frame(mut fw) => {
+                let tracked = (!self.untracked).then_some(&self.ranges[..]);
+                let logged = {
+                    let allocated = self.slot.latch();
                     if !*allocated {
                         Err(StoreError::PageFreed(pid))
                     } else {
-                        store.log_page_write(pid, &slot, bytes, tracked.as_deref())
+                        store.log_page_write(pid, &self.slot, &fw.guard, tracked)
                     }
                 };
-                match r {
-                    Ok(lsn) => {
-                        if let Some(lsn) = lsn {
-                            set_page_lsn(guard.as_mut().expect("live guard"), lsn);
-                        }
-                        frame.end_write();
-                        store.pool.mark_dirty(frame);
-                        drop(guard);
-                        frame.unpin();
-                        Ok(())
-                    }
+                let lsn = match logged {
+                    Ok(lsn) => lsn,
                     Err(e) => {
-                        guard.as_mut().expect("live guard").copy_from_slice(&undo);
-                        frame.end_write();
-                        drop(guard);
-                        frame.unpin();
-                        Err(e)
-                    }
-                }
-            }
-            WriteInner::Miss {
-                frame,
-                idx,
-                mut guard,
-            } => {
-                let slot = store.slot(pid)?;
-                let r = {
-                    let bytes = guard.as_ref().expect("live guard");
-                    let allocated = slot.latch();
-                    if !*allocated {
-                        Err(StoreError::PageFreed(pid))
-                    } else {
-                        store.log_page_write(pid, &slot, bytes, tracked.as_deref())
+                        fw.rollback(store, pid);
+                        return Err(e);
                     }
                 };
-                match r {
-                    Ok(lsn) => {
-                        if let Some(lsn) = lsn {
-                            set_page_lsn(guard.as_mut().expect("live guard"), lsn);
-                        }
-                        frame.end_write();
-                        store.pool.mark_dirty(frame);
-                        frame
-                            .owner
-                            .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-                        drop(guard);
-                        store.pool.complete_miss(pid, idx);
-                        frame.unpin();
-                        Ok(())
-                    }
-                    Err(e) => {
-                        frame.end_write();
-                        drop(guard);
-                        store.pool.abort_miss(pid, idx); // unpins
-                        Err(e)
-                    }
+                if let Some(lsn) = lsn {
+                    set_page_lsn(&mut fw.guard, lsn);
                 }
+                fw.frame.end_write();
+                store.pool.mark_dirty(fw.frame);
+                // Publishes a fresh frame; a resident one already says `pid`.
+                fw.frame
+                    .owner
+                    .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
+                drop(fw.guard);
+                if let Some(idx) = fw.fresh {
+                    store.pool.complete_miss(pid, idx);
+                }
+                fw.frame.unpin();
+                Ok(())
             }
-            // Bypass/pool-exhausted commits deliberately drop the tracked
-            // ranges and log a full image: an Owned staging buffer is not
-            // covered by the frame write latch, so two same-page bypass
-            // writers can interleave — last-writer-wins is only sound for
-            // whole images, never for merged delta chains. (Delta logging
-            // therefore needs the buffer pool; `pool_frames: 0` stores log
-            // full images only.)
-            WriteInner::Owned(page) => store.apply_full_write(pid, page.bytes()),
+            // A private buffer is not covered by a frame write latch, so
+            // two same-page bypass writers can interleave — last-writer-
+            // wins is only sound for whole images, never for merged delta
+            // chains: `write_bypass` logs a full image whatever was
+            // tracked. (Delta logging therefore needs the buffer pool;
+            // `pool_frames: 0` stores log full images only.)
+            WriteInner::Owned(page) => {
+                if store.write_bypass(pid, &self.slot, page.bytes())? {
+                    return Ok(());
+                }
+                // A loader mapped the page since `write_page` found the
+                // pool exhausted; readers of that frame must see the new
+                // image, so it goes through the frame.
+                let mut w = store.write_page(pid, WriteIntent::Overwrite)?;
+                w.bytes_mut().copy_from_slice(page.bytes());
+                w.publish()
+            }
         }
     }
 }
 
 impl Drop for PageWrite<'_> {
     fn drop(&mut self) {
-        if self.committed {
-            return; // commit() already consumed the state
-        }
-        match &mut self.inner {
-            WriteInner::Hit { frame, guard, undo } => {
-                if let Some(mut g) = guard.take() {
-                    g.copy_from_slice(undo);
-                    frame.end_write();
-                    drop(g);
-                    frame.unpin();
-                }
-            }
-            WriteInner::Miss { frame, idx, guard } => {
-                let idx = *idx;
-                if let Some(g) = guard.take() {
-                    frame.end_write();
-                    drop(g);
-                }
-                self.store.pool.abort_miss(self.pid, idx);
-            }
-            WriteInner::Owned(_) => {}
+        if let Some(WriteInner::Frame(fw)) = self.inner.take() {
+            fw.rollback(self.store, self.pid);
         }
     }
 }
@@ -808,36 +784,8 @@ impl PageStore {
         if self.pool.dirty_count() == 0 {
             return Ok(());
         }
-        let mut first_err = None;
-        for (frame, pid) in self.pool.pin_dirty() {
-            let r = (|| -> Result<()> {
-                let guard = self.latch_read(frame);
-                let slot = self.slot(pid)?;
-                let allocated = slot.latch();
-                // Claim the dirty bit before writing: a concurrent put needs
-                // the frame's write latch (blocked by `guard`), so nothing
-                // can re-dirty the bytes mid-write.
-                if *allocated && self.pool.clear_dirty(frame) {
-                    self.simulate_io();
-                    if let Err(e) = self.backend_write_page(pid, &guard) {
-                        // The frame bytes are the only up-to-date copy;
-                        // re-dirty so a later flush retries the write-back.
-                        self.pool.mark_dirty(frame);
-                        return Err(e);
-                    }
-                    StoreStats::bump(&self.stats.dirty_writebacks);
-                }
-                Ok(())
-            })();
-            frame.unpin();
-            if let Err(e) = r {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        let (_, errs) = self.sweep(self.pool.pin_dirty());
+        errs.into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Flushes the journal (regardless of fsync policy), writes all dirty
@@ -878,34 +826,12 @@ impl PageStore {
             j.sync()?;
         }
         self.publish_journal()?;
-        let mut first_err = None;
-        for (frame, pid) in self.pool.pin_resident_all() {
-            let r = (|| -> Result<()> {
-                let guard = self.latch_read(frame);
-                let slot = self.slot(pid)?;
-                let allocated = slot.latch();
-                if *allocated && frame.owned_by(pid) && self.pool.clear_dirty(frame) {
-                    self.simulate_io();
-                    if let Err(e) = self.backend_write_page(pid, &guard) {
-                        self.pool.mark_dirty(frame);
-                        return Err(e);
-                    }
-                    StoreStats::bump(&self.stats.dirty_writebacks);
-                }
-                Ok(())
-            })();
-            frame.unpin();
-            if let Err(e) = r {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
+        let (_, errs) = self.sweep(self.pool.pin_resident_all());
+        if let Some(e) = errs.into_iter().next() {
             return Err(e);
         }
-        // Bypass-writer barrier (wait 2 above). The slot table is cloned
-        // out first — SlotsMap is a leaf, no slot latch under it.
-        let slots: Vec<Arc<Slot>> = self.slots_read().iter().cloned().collect();
-        for slot in slots {
+        // Bypass-writer barrier (wait 2 above).
+        for slot in self.slot_handles() {
             drop(slot.latch());
         }
         self.backend.sync()
@@ -933,46 +859,64 @@ impl PageStore {
             return false;
         }
         StoreStats::bump(&self.stats.flusher_wakeups);
-        // Write-ahead barrier, same as `flush`. On a journal error leave
-        // the frames dirty and latch the error — the flusher has no
-        // caller, so "return false" alone would swallow it.
-        if let Err(e) = self.publish_journal() {
+        // Write-ahead barrier, same as `flush`; on a journal error the
+        // frames stay dirty.
+        let (wrote, errs) = match self.publish_journal() {
+            Ok(()) => self.sweep(self.pool.pin_dirty_batch(count - low)),
+            Err(e) => (0, vec![e]),
+        };
+        StoreStats::add(&self.stats.flusher_pages_written, wrote);
+        // A background failure has nobody to return to: latch it so the
+        // next foreground op fails loudly instead of the store limping
+        // along with an undrainable pool.
+        for e in errs {
             StoreStats::bump(&self.stats.flusher_errors);
             self.health.flag(e);
-            return false;
         }
-        let mut wrote = false;
-        for (frame, pid) in self.pool.pin_dirty_batch(count - low) {
-            let r = (|| -> Result<bool> {
-                let guard = self.latch_read(frame);
-                let slot = self.slot(pid)?;
-                let allocated = slot.latch();
-                if *allocated && frame.owned_by(pid) && self.pool.clear_dirty(frame) {
-                    self.simulate_io();
-                    if let Err(e) = self.backend_write_page(pid, &guard) {
-                        // The frame bytes are the only up-to-date copy.
-                        self.pool.mark_dirty(frame);
-                        return Err(e);
-                    }
-                    StoreStats::bump(&self.stats.dirty_writebacks);
-                    StoreStats::bump(&self.stats.flusher_pages_written);
-                    return Ok(true);
-                }
-                Ok(false)
-            })();
-            match r {
-                Ok(did_write) => wrote |= did_write,
-                // Background write-back failed with nobody to return to:
-                // latch it so the next foreground op fails loudly instead
-                // of the store limping along with an undrainable pool.
-                Err(e) => {
-                    StoreStats::bump(&self.stats.flusher_errors);
-                    self.health.flag(e);
-                }
+        wrote > 0
+    }
+
+    /// The one write-back sweep behind [`PageStore::flush`],
+    /// [`PageStore::flush_for_checkpoint`] and the flusher: writes every
+    /// pinned frame back (a failure does not stop the sweep) and unpins
+    /// it. Returns the pages written and the failures, in sweep order.
+    fn sweep(&self, pinned: Vec<(&Frame, PageId)>) -> (u64, Vec<StoreError>) {
+        let (mut wrote, mut errs) = (0, Vec::new());
+        for (frame, pid) in pinned {
+            match self.write_back_frame(frame, pid) {
+                Ok(did_write) => wrote += u64::from(did_write),
+                Err(e) => errs.push(e),
             }
             frame.unpin();
         }
-        wrote
+        (wrote, errs)
+    }
+
+    /// Writes one pinned frame back under its read latch, if it still
+    /// holds dirty bytes of the allocated page `pid`. The `owned_by` check
+    /// matters when the sweep raced a miss claim: `pool.claim` re-labels a
+    /// victim frame for the new page before the claimant has latched it,
+    /// so the frame can still hold the *victim's* dirty bytes — which are
+    /// the claimant's to write back, and must never land in `pid`'s slot.
+    fn write_back_frame(&self, frame: &Frame, pid: PageId) -> Result<bool> {
+        let guard = self.latch_read(frame);
+        let slot = self.slot(pid)?;
+        let allocated = slot.latch();
+        // Claim the dirty bit before writing: a concurrent put needs the
+        // frame's write latch (blocked by `guard`), so nothing can
+        // re-dirty the bytes mid-write.
+        if !(*allocated && frame.owned_by(pid) && self.pool.clear_dirty(frame)) {
+            return Ok(false);
+        }
+        self.simulate_io();
+        if let Err(e) = self.backend_write_page(pid, &guard) {
+            // The frame bytes are the only up-to-date copy; re-dirty so a
+            // later sweep retries the write-back.
+            self.pool.mark_dirty(frame);
+            return Err(e);
+        }
+        StoreStats::bump(&self.stats.dirty_writebacks);
+        Ok(true)
     }
 
     /// Foreground backpressure: when the dirty-page gauge is above the
@@ -1006,10 +950,7 @@ impl PageStore {
     /// Ids of all currently allocated pages, ascending. For recovery
     /// (garbage collection, checkpointing) on a quiesced store.
     pub fn allocated_pages(&self) -> Vec<PageId> {
-        // Clone the slot handles out first: the slot table is a leaf in
-        // the lock order, so no slot latch is taken while it is held.
-        let slots: Vec<Arc<Slot>> = self.slots_read().iter().cloned().collect();
-        slots
+        self.slot_handles()
             .iter()
             .enumerate()
             .filter(|(_, s)| *s.latch())
@@ -1023,6 +964,12 @@ impl PageStore {
             Ok(slot) => *slot.latch(),
             Err(_) => false,
         }
+    }
+
+    /// Every slot, cloned out of the table: the slot table is a leaf in
+    /// the lock order, so no slot latch may be taken while it is held.
+    fn slot_handles(&self) -> Vec<Arc<Slot>> {
+        self.slots_read().iter().cloned().collect()
     }
 
     fn slot(&self, pid: PageId) -> Result<Arc<Slot>> {
@@ -1317,25 +1264,53 @@ impl PageStore {
         self.check_health()?;
         let slot = self.slot(pid)?;
         StoreStats::bump(&self.stats.gets);
-        if self.pool.capacity() == 0 {
-            let page = self
-                .read_bypass(pid, &slot)?
-                .expect("a disabled pool cannot race a loader");
-            return Ok(PageRef {
-                inner: RefInner::Owned(page),
-            });
-        }
+        let inner = match self.claim_frame(pid, &slot, None)? {
+            Claimed::Frame {
+                frame,
+                latch: Latch::Shared(guard),
+                ..
+            } => RefInner::Frame {
+                frame,
+                guard: Some(guard),
+            },
+            Claimed::Frame { .. } => unreachable!("a read latches shared"),
+            Claimed::Bypass(page) => RefInner::Owned(page),
+        };
+        Ok(PageRef { inner })
+    }
+
+    /// The frame funnel, shared by [`PageStore::read`] (`write: None`) and
+    /// [`PageStore::write_page`]. Pins the page's frame and latches it:
+    /// shared for a read (a miss loads the page and publishes the frame),
+    /// exclusive with the seqlock window open for a write (a miss loads —
+    /// or for [`WriteIntent::Overwrite`] just zeroes — the frame and leaves
+    /// it unpublished until the commit). Hands out a private copy instead
+    /// when no frame can be had: every frame pinned, or a pool of none
+    /// (`pool_frames: 0`, the literal §2.2 model — the same arm).
+    ///
+    /// Inlined so that `write` is a constant in each caller — `read` keeps
+    /// only the shared-latch arms — as the hit path sits under every `get`.
+    #[inline(always)]
+    fn claim_frame<'a>(
+        &'a self,
+        pid: PageId,
+        slot: &Slot,
+        write: Option<WriteIntent>,
+    ) -> Result<Claimed<'a>> {
         let mut attempt = 0u32;
         loop {
-            match self.pool.claim(pid) {
+            let (frame, latch, fresh) = match self.pool.claim(pid) {
                 Claim::Hit(frame) => {
                     StoreStats::bump(&self.stats.pins);
-                    let guard = self.latch_read(frame);
+                    let latch = match write {
+                        None => Latch::Shared(self.latch_read(frame)),
+                        Some(_) => Latch::Exclusive(self.latch_write(frame)),
+                    };
                     if !frame.owned_by(pid) {
                         // The frame is mid-load or was repurposed between the
                         // map lookup and the latch; the responsible party is
                         // making progress — retry the claim.
-                        drop(guard);
+                        drop(latch);
                         frame.unpin();
                         attempt += 1;
                         if attempt > 32 {
@@ -1346,18 +1321,18 @@ impl PageStore {
                         continue;
                     }
                     if !*slot.latch() {
-                        drop(guard);
+                        drop(latch);
                         frame.unpin();
                         return Err(StoreError::PageFreed(pid));
                     }
-                    StoreStats::bump(&self.stats.cache_hits);
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    return Ok(PageRef {
-                        inner: RefInner::Frame {
-                            frame,
-                            guard: Some(guard),
-                        },
-                    });
+                    audit::classify_frame(frame.audit_addr(), latch.bytes());
+                    match write {
+                        None => StoreStats::bump(&self.stats.cache_hits),
+                        // Seqlock window: open before the first byte
+                        // changes; commit/rollback closes it.
+                        Some(_) => frame.begin_write(),
+                    }
+                    (frame, latch, None)
                 }
                 Claim::Miss {
                     frame,
@@ -1366,36 +1341,60 @@ impl PageStore {
                     evicted,
                 } => {
                     StoreStats::bump(&self.stats.pins);
-                    StoreStats::bump(&self.stats.cache_misses);
                     if evicted {
                         StoreStats::bump(&self.stats.frames_evicted);
                     }
-                    self.load_frame(pid, &slot, frame, idx, flush)?;
-                    self.pool.complete_miss(pid, idx);
-                    // Our pin keeps the frame ours; a put may slip in between
-                    // latch drops, but then the guard just sees newer bytes.
-                    let guard = self.latch_read(frame);
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    return Ok(PageRef {
-                        inner: RefInner::Frame {
-                            frame,
-                            guard: Some(guard),
-                        },
-                    });
+                    let guard = self.fill_frame(pid, slot, frame, idx, flush, write)?;
+                    match write {
+                        // Unpublished until commit: the writer keeps the
+                        // latch and the open seqlock window.
+                        Some(_) => (frame, Latch::Exclusive(guard), Some(idx)),
+                        None => {
+                            StoreStats::bump(&self.stats.cache_misses);
+                            frame.end_write();
+                            frame
+                                .owner
+                                .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
+                            drop(guard);
+                            self.pool.complete_miss(pid, idx);
+                            // Our pin keeps the frame ours; a put may slip in
+                            // between latch drops, but then the guard just
+                            // sees newer bytes.
+                            let guard = self.latch_read(frame);
+                            audit::classify_frame(frame.audit_addr(), &guard);
+                            (frame, Latch::Shared(guard), None)
+                        }
+                    }
                 }
                 Claim::Exhausted => {
-                    if let Some(page) = self.read_bypass(pid, &slot)? {
+                    // Bypass: a private copy read straight from the backend
+                    // under the slot latch — unless a racing loader mapped
+                    // the page meanwhile (its frame may hold newer bytes
+                    // than the backend, so take the frame route after all).
+                    let mut page = Page::zeroed(self.cfg.page_size);
+                    let allocated = slot.latch();
+                    if !*allocated {
+                        return Err(StoreError::PageFreed(pid));
+                    }
+                    if self.pool.is_mapped(pid) {
+                        continue;
+                    }
+                    if write != Some(WriteIntent::Overwrite) {
+                        self.simulate_io();
+                        self.backend_read_page(pid, page.bytes_mut())?;
+                    }
+                    if write.is_none() {
                         StoreStats::bump(&self.stats.cache_misses);
                         StoreStats::bump(&self.stats.pool_bypasses);
-                        return Ok(PageRef {
-                            inner: RefInner::Owned(page),
-                        });
                     }
-                    // A loader mapped the page while we were deciding to
-                    // bypass; take the frame route instead.
-                    continue;
+                    return Ok(Claimed::Bypass(page));
                 }
-            }
+            };
+            return Ok(Claimed::Frame {
+                frame,
+                latch,
+                fresh,
+            });
         }
     }
 
@@ -1466,70 +1465,55 @@ impl PageStore {
         frame.version_is(stamp.version) && frame.owned_by(pid)
     }
 
-    /// Populates a freshly claimed frame: writes the dirty victim back (its
-    /// WAL record predates its dirty bit — write-ahead holds), then reads
-    /// `pid` under its slot latch. Publishes `owner` on success. Rolls the
-    /// claim back itself on every error path — the caller must not call
-    /// `abort_miss` again.
-    fn load_frame(
+    /// Populates a freshly claimed frame under its write latch: writes the
+    /// dirty victim back (its WAL record predates its dirty bit —
+    /// write-ahead holds), then, under `pid`'s slot latch, reads the page
+    /// from the backend — or just zeroes the frame when the caller will
+    /// overwrite every byte. Returns with the seqlock window still open
+    /// and `owner` not yet published. Rolls the claim back (and releases
+    /// its pin) itself on every error path.
+    fn fill_frame<'a>(
         &self,
         pid: PageId,
-        slot: &Arc<Slot>,
-        frame: &Frame,
+        slot: &Slot,
+        frame: &'a Frame,
         idx: usize,
         flush: Option<PageId>,
-    ) -> Result<()> {
-        let mut buf = self.latch_write(frame);
-        if let Err(e) = self.flush_victim(pid, frame, idx, flush, &buf) {
-            drop(buf);
-            return Err(e);
+        write: Option<WriteIntent>,
+    ) -> Result<Audited<RwLockWriteGuard<'a, Box<[u8]>>>> {
+        let mut guard = self.latch_write(frame);
+        if let Some(old) = flush {
+            if let Err(e) = self.write_back_victim(old, idx, &guard) {
+                // The victim's frame bytes are its only up-to-date copy, so
+                // they must never be dropped on the floor (later reads
+                // would serve stale backend data as `Ok`): reinstate it as
+                // the frame's resident, still-dirty page.
+                self.pool.restore_victim(pid, idx);
+                return Err(e);
+            }
         }
+        frame.begin_write();
         let r = {
             let allocated = slot.latch();
             if !*allocated {
                 Err(StoreError::PageFreed(pid))
+            } else if write == Some(WriteIntent::Overwrite) {
+                guard.fill(0);
+                Ok(())
             } else {
                 self.simulate_io();
-                frame.begin_write();
-                let r = self.backend_read_page(pid, &mut buf);
-                frame.end_write();
-                r
+                self.backend_read_page(pid, &mut guard)
             }
         };
         if let Err(e) = r {
-            drop(buf);
+            frame.end_write();
+            drop(guard);
             self.pool.abort_miss(pid, idx);
             return Err(e);
         }
         self.pool.clear_dirty(frame);
-        frame
-            .owner
-            .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-        audit::classify_frame(frame.audit_addr(), &buf);
-        Ok(())
-    }
-
-    /// Writes a freshly claimed frame's dirty victim back and clears the
-    /// frame's dirty bit. On a write-back error the victim is reinstated as
-    /// the frame's resident (still-dirty) page and `pid`'s claim is rolled
-    /// back — the victim's frame bytes are its only up-to-date copy, so
-    /// they must never be dropped on the floor (later reads would serve
-    /// stale backend data as `Ok`).
-    fn flush_victim(
-        &self,
-        pid: PageId,
-        frame: &Frame,
-        idx: usize,
-        flush: Option<PageId>,
-        bytes: &[u8],
-    ) -> Result<()> {
-        let Some(old) = flush else { return Ok(()) };
-        if let Err(e) = self.write_back(old, idx, bytes) {
-            self.pool.restore_victim(pid, idx);
-            return Err(e);
-        }
-        self.pool.clear_dirty(frame);
-        Ok(())
+        audit::classify_frame(frame.audit_addr(), &guard);
+        Ok(guard)
     }
 
     /// Writes an evicted dirty frame's bytes back to the backend — unless
@@ -1539,7 +1523,7 @@ impl PageStore {
     /// `flushing` marker before the page can reach the free list, and both
     /// `free` and `alloc` need this latch, so `allocated && still_flushing`
     /// cannot go stale while it is held.
-    fn write_back(&self, old: PageId, idx: usize, bytes: &[u8]) -> Result<()> {
+    fn write_back_victim(&self, old: PageId, idx: usize, bytes: &[u8]) -> Result<()> {
         let slot = self.slot(old)?;
         let allocated = slot.latch();
         if *allocated && self.pool.still_flushing(old, idx) {
@@ -1551,149 +1535,30 @@ impl PageStore {
         Ok(())
     }
 
-    /// Reads `pid` directly from the backend into an owned page. Returns
-    /// `Ok(None)` when the page turned out to be pool-resident after all
-    /// (a racing loader mapped it — its frame may hold newer bytes than the
-    /// backend, so the caller must go through the pool).
-    fn read_bypass(&self, pid: PageId, slot: &Arc<Slot>) -> Result<Option<Page>> {
-        let mut page = Page::zeroed(self.cfg.page_size);
-        let allocated = slot.latch();
-        if !*allocated {
-            return Err(StoreError::PageFreed(pid));
-        }
-        if self.pool.is_mapped(pid) {
-            return Ok(None);
-        }
-        self.simulate_io();
-        self.backend_read_page(pid, page.bytes_mut())?;
-        Ok(Some(page))
-    }
-
-    /// §2.2 `put(A, x)`: overwrites the page with the buffer's contents.
-    /// With a journal attached the full page image is logged (and committed
-    /// per the fsync policy) before anything changes — write-ahead order.
-    /// The new image lands in the page's frame (write-back); it reaches the
-    /// backend on eviction or [`PageStore::sync`].
+    /// §2.2 `put(A, x)`: overwrites the page with the buffer's contents —
+    /// [`PageStore::write_page`] with [`WriteIntent::Overwrite`], a copy,
+    /// and a commit. With a journal attached the full page image is logged
+    /// (and committed per the fsync policy) before anything becomes
+    /// visible — write-ahead order. The new image lands in the page's
+    /// frame (write-back); it reaches the backend on eviction or
+    /// [`PageStore::sync`].
     pub fn put(&self, pid: PageId, page: &Page) -> Result<()> {
-        self.check_health()?;
         if page.len() != self.cfg.page_size {
             return Err(StoreError::PageSizeMismatch {
                 got: page.len(),
                 want: self.cfg.page_size,
             });
         }
-        StoreStats::bump(&self.stats.puts);
-        self.apply_full_write(pid, page.bytes())
+        let mut w = self.write_page(pid, WriteIntent::Overwrite)?;
+        w.bytes_mut().copy_from_slice(page.bytes());
+        w.commit()
     }
 
-    /// Installs a complete page image: via the page's frame when possible
-    /// (logging before the frame copy, so a journal error leaves the frame
-    /// untouched), else directly to the backend under the slot latch.
-    fn apply_full_write(&self, pid: PageId, data: &[u8]) -> Result<()> {
-        let slot = self.slot(pid)?;
-        if self.pool.capacity() == 0 {
-            let done = self.write_bypass(pid, &slot, data)?;
-            debug_assert!(done, "a disabled pool cannot race a loader");
-            return Ok(());
-        }
-        let mut attempt = 0u32;
-        loop {
-            match self.pool.claim(pid) {
-                Claim::Hit(frame) => {
-                    StoreStats::bump(&self.stats.pins);
-                    let mut guard = self.latch_write(frame);
-                    if !frame.owned_by(pid) {
-                        drop(guard);
-                        frame.unpin();
-                        attempt += 1;
-                        if attempt > 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    let allocated = slot.latch();
-                    if !*allocated {
-                        drop(allocated);
-                        drop(guard);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
-                    }
-                    let r = self.log_page_write(pid, &slot, data, None).map(|_| ());
-                    drop(allocated);
-                    if let Err(e) = r {
-                        drop(guard);
-                        frame.unpin();
-                        return Err(e);
-                    }
-                    audit::classify_frame(frame.audit_addr(), data);
-                    frame.begin_write();
-                    guard.copy_from_slice(data);
-                    frame.end_write();
-                    self.pool.mark_dirty(frame);
-                    drop(guard);
-                    frame.unpin();
-                    return Ok(());
-                }
-                Claim::Miss {
-                    frame,
-                    idx,
-                    flush,
-                    evicted,
-                } => {
-                    StoreStats::bump(&self.stats.pins);
-                    if evicted {
-                        StoreStats::bump(&self.stats.frames_evicted);
-                    }
-                    let mut guard = self.latch_write(frame);
-                    if let Err(e) = self.flush_victim(pid, frame, idx, flush, &guard) {
-                        drop(guard);
-                        return Err(e);
-                    }
-                    let r = {
-                        let allocated = slot.latch();
-                        if !*allocated {
-                            Err(StoreError::PageFreed(pid))
-                        } else {
-                            self.log_page_write(pid, &slot, data, None).map(|_| ())
-                        }
-                    };
-                    if let Err(e) = r {
-                        drop(guard);
-                        self.pool.abort_miss(pid, idx);
-                        return Err(e);
-                    }
-                    // A full overwrite needs no backend read: the frame
-                    // image *is* the page now.
-                    audit::classify_frame(frame.audit_addr(), data);
-                    frame.begin_write();
-                    guard.copy_from_slice(data);
-                    frame.end_write();
-                    self.pool.mark_dirty(frame);
-                    frame
-                        .owner
-                        .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-                    drop(guard);
-                    self.pool.complete_miss(pid, idx);
-                    frame.unpin();
-                    return Ok(());
-                }
-                Claim::Exhausted => {
-                    if self.write_bypass(pid, &slot, data)? {
-                        StoreStats::bump(&self.stats.pool_bypasses);
-                        return Ok(());
-                    }
-                    continue; // a loader mapped it; use the frame route
-                }
-            }
-        }
-    }
-
-    /// Direct backend write under the slot latch. Returns `Ok(false)` when
-    /// a racing loader mapped the page (the caller must write through the
+    /// The bypass writer: logs a full image and writes it straight to the
+    /// backend, all under the slot latch. Returns `Ok(false)` when a
+    /// racing loader mapped the page (the caller must write through the
     /// frame so readers of the frame see the new image).
-    fn write_bypass(&self, pid: PageId, slot: &Arc<Slot>, data: &[u8]) -> Result<bool> {
+    fn write_bypass(&self, pid: PageId, slot: &Slot, data: &[u8]) -> Result<bool> {
         let allocated = slot.latch();
         if !*allocated {
             return Err(StoreError::PageFreed(pid));
@@ -1705,6 +1570,7 @@ impl PageStore {
         self.publish_journal()?;
         self.simulate_io();
         self.backend_write_page(pid, data)?;
+        StoreStats::bump(&self.stats.pool_bypasses);
         Ok(true)
     }
 
@@ -1718,143 +1584,41 @@ impl PageStore {
     pub fn write_page(&self, pid: PageId, intent: WriteIntent) -> Result<PageWrite<'_>> {
         self.check_health()?;
         let slot = self.slot(pid)?;
-        let mut attempt = 0u32;
-        loop {
-            if self.pool.capacity() == 0 {
-                return self.write_page_bypass(pid, &slot, intent);
-            }
-            match self.pool.claim(pid) {
-                Claim::Hit(frame) => {
-                    StoreStats::bump(&self.stats.pins);
-                    let mut guard = self.latch_write(frame);
-                    if !frame.owned_by(pid) {
-                        drop(guard);
-                        frame.unpin();
-                        attempt += 1;
-                        if attempt > 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    if !*slot.latch() {
-                        drop(guard);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
-                    }
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    let undo = guard.to_vec().into_boxed_slice();
-                    // Seqlock window: open before the first byte changes;
-                    // commit/rollback closes it (the caller mutates the
-                    // frame through the guard until then).
-                    frame.begin_write();
-                    if intent == WriteIntent::Overwrite {
+        let overwrite = intent == WriteIntent::Overwrite;
+        let inner = match self.claim_frame(pid, &slot, Some(intent))? {
+            Claimed::Frame {
+                frame,
+                latch: Latch::Exclusive(mut guard),
+                fresh,
+            } => {
+                // A resident frame is mutated in place, so rollback needs
+                // its prior image; a fresh one arrives loaded or zeroed.
+                let mut undo = None;
+                if fresh.is_none() {
+                    undo = Some(guard.to_vec().into_boxed_slice());
+                    if overwrite {
                         guard.fill(0);
                     }
-                    return Ok(PageWrite {
-                        store: self,
-                        pid,
-                        committed: false,
-                        ranges: Vec::new(),
-                        // Overwrite pre-zeroed every byte outside the
-                        // tracker: only a full image can log it.
-                        untracked: intent == WriteIntent::Overwrite,
-                        inner: WriteInner::Hit {
-                            frame,
-                            guard: Some(guard),
-                            undo,
-                        },
-                    });
                 }
-                Claim::Miss {
+                WriteInner::Frame(FrameWrite {
                     frame,
-                    idx,
-                    flush,
-                    evicted,
-                } => {
-                    StoreStats::bump(&self.stats.pins);
-                    if evicted {
-                        StoreStats::bump(&self.stats.frames_evicted);
-                    }
-                    let mut guard = self.latch_write(frame);
-                    if let Err(e) = self.flush_victim(pid, frame, idx, flush, &guard) {
-                        drop(guard);
-                        return Err(e);
-                    }
-                    // Seqlock window: open before the first byte changes;
-                    // commit/rollback closes it.
-                    frame.begin_write();
-                    let r = {
-                        let allocated = slot.latch();
-                        if !*allocated {
-                            Err(StoreError::PageFreed(pid))
-                        } else {
-                            match intent {
-                                WriteIntent::Update => {
-                                    self.simulate_io();
-                                    self.backend_read_page(pid, &mut guard)
-                                }
-                                WriteIntent::Overwrite => {
-                                    guard.fill(0);
-                                    Ok(())
-                                }
-                            }
-                        }
-                    };
-                    if let Err(e) = r {
-                        frame.end_write();
-                        drop(guard);
-                        self.pool.abort_miss(pid, idx);
-                        return Err(e);
-                    }
-                    self.pool.clear_dirty(frame);
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    return Ok(PageWrite {
-                        store: self,
-                        pid,
-                        committed: false,
-                        ranges: Vec::new(),
-                        untracked: intent == WriteIntent::Overwrite,
-                        inner: WriteInner::Miss {
-                            frame,
-                            idx,
-                            guard: Some(guard),
-                        },
-                    });
-                }
-                Claim::Exhausted => {
-                    return self.write_page_bypass(pid, &slot, intent);
-                }
+                    guard,
+                    fresh,
+                    undo,
+                })
             }
-        }
-    }
-
-    fn write_page_bypass(
-        &self,
-        pid: PageId,
-        slot: &Arc<Slot>,
-        intent: WriteIntent,
-    ) -> Result<PageWrite<'_>> {
-        let mut page = Page::zeroed(self.cfg.page_size);
-        if intent == WriteIntent::Update {
-            // Current contents; if a loader raced us, read through its frame
-            // (`commit` re-routes through the frame as well, via the
-            // apply-loop's is_mapped recheck).
-            match self.read_bypass(pid, slot)? {
-                Some(p) => page = p,
-                None => page.bytes_mut().copy_from_slice(&self.read(pid)?),
-            }
-        } else if !*slot.latch() {
-            return Err(StoreError::PageFreed(pid));
-        }
+            Claimed::Frame { .. } => unreachable!("a write latches exclusive"),
+            Claimed::Bypass(page) => WriteInner::Owned(page),
+        };
         Ok(PageWrite {
             store: self,
             pid,
-            committed: false,
+            slot,
             ranges: Vec::new(),
-            untracked: false,
-            inner: WriteInner::Owned(page),
+            // Overwrite pre-zeroed every byte outside the tracker: only a
+            // full image can log it.
+            untracked: overwrite,
+            inner: Some(inner),
         })
     }
 
@@ -1862,48 +1626,34 @@ impl PageStore {
     ///
     /// Readers are unaffected; only other `lock` calls wait.
     pub fn lock(&self, pid: PageId, session: &mut Session) {
-        let slot = self
-            .slot(pid)
-            .expect("locking a page that was never allocated");
-        let wait_ns = slot.lock.lock(session.id());
-        StoreStats::bump(&self.stats.lock_acquires);
-        if wait_ns > 0 {
-            self.stats.record_lock_wait(wait_ns);
-        }
-        session.note_lock(pid);
+        let acquired = self.lock_until(pid, session, None);
+        debug_assert!(acquired, "an unbounded lock wait cannot time out");
     }
 
     /// Non-blocking lock attempt.
     pub fn try_lock(&self, pid: PageId, session: &mut Session) -> bool {
-        let slot = self
-            .slot(pid)
-            .expect("locking a page that was never allocated");
-        if slot.lock.try_lock(session.id()) {
-            StoreStats::bump(&self.stats.lock_acquires);
-            session.note_lock(pid);
-            true
-        } else {
-            false
-        }
+        self.lock_until(pid, session, Some(Instant::now()))
     }
 
     /// Lock with a timeout; used by deadlock-watchdog tests (E7). Returns
     /// `true` on acquisition.
     pub fn lock_timeout(&self, pid: PageId, session: &mut Session, timeout: Duration) -> bool {
+        self.lock_until(pid, session, Some(Instant::now() + timeout))
+    }
+
+    fn lock_until(&self, pid: PageId, session: &mut Session, deadline: Option<Instant>) -> bool {
         let slot = self
             .slot(pid)
             .expect("locking a page that was never allocated");
-        match slot.lock.lock_timeout(session.id(), timeout) {
-            Some(wait_ns) => {
-                StoreStats::bump(&self.stats.lock_acquires);
-                if wait_ns > 0 {
-                    self.stats.record_lock_wait(wait_ns);
-                }
-                session.note_lock(pid);
-                true
-            }
-            None => false,
+        let Some(wait_ns) = slot.lock.acquire(session.id(), deadline) else {
+            return false;
+        };
+        StoreStats::bump(&self.stats.lock_acquires);
+        if wait_ns > 0 {
+            self.stats.record_lock_wait(wait_ns);
         }
+        session.note_lock(pid);
+        true
     }
 
     /// `unlock(x)`.
@@ -2245,6 +1995,7 @@ mod pool_tests {
     use super::*;
 
     #[test]
+    #[cfg_attr(miri, ignore = "asserts a wall-clock upper bound")]
     fn pool_hits_skip_the_io_delay() {
         let store = PageStore::new(StoreConfig {
             page_size: 64,
@@ -2452,6 +2203,148 @@ mod pool_tests {
         assert!(store.read(b).unwrap().iter().all(|&x| x == 0));
         assert!(store.read(a).unwrap().iter().all(|&x| x == 0xD1));
         assert!(store.stats().snapshot().dirty_writebacks >= 1);
+    }
+
+    fn flaky_store(pool_frames: usize) -> (Arc<PageStore>, Arc<std::sync::atomic::AtomicU64>) {
+        let fail_writes = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let backend = Box::new(FlakyBackend {
+            inner: MemBackend::new(64),
+            fail_writes: Arc::clone(&fail_writes),
+        });
+        let store = PageStore::with_parts(
+            StoreConfig {
+                page_size: 64,
+                io_delay: None,
+                pool_frames,
+                background_flusher: false,
+                page_checksums: false,
+            },
+            backend,
+            None,
+            Arc::new(StoreStats::default()),
+            &[],
+        )
+        .unwrap();
+        (store, fail_writes)
+    }
+
+    #[test]
+    fn every_sweep_keeps_a_failed_frame_dirty_and_retries_it() {
+        // (sweep, dirty frames a healthy sweep leaves behind). The flusher
+        // has no caller to fail: its error is latched into `health` and
+        // surfaces on the next foreground op, which `check_health` models.
+        type Sweep = fn(&PageStore) -> Result<()>;
+        let flusher: Sweep = |s| {
+            s.flusher_pass();
+            s.check_health()
+        };
+        let table: [(&str, Sweep, usize); 3] = [
+            ("flush", |s| s.flush(), 0),
+            ("flush_for_checkpoint", |s| s.flush_for_checkpoint(), 0),
+            ("flusher_pass", flusher, 4), // drains to its low watermark
+        ];
+        for (name, sweep, floor) in table {
+            let (store, fail_writes) = flaky_store(8);
+            let pids: Vec<_> = (0..6).map(|_| store.alloc().unwrap()).collect();
+            let mut p = Page::zeroed(64);
+            for (i, &pid) in pids.iter().enumerate() {
+                p.bytes_mut().fill(i as u8 + 1);
+                store.put(pid, &p).unwrap();
+            }
+            assert_eq!(store.pool.dirty_count(), 6, "{name}");
+            // One frame's write-back fails for good (four failures outlast
+            // the transient-I/O retry schedule); the rest of the sweep
+            // still runs, and the failed frame stays dirty.
+            fail_writes.store(4, std::sync::atomic::Ordering::Relaxed);
+            assert!(matches!(sweep(&store), Err(StoreError::Io(_))), "{name}");
+            assert_eq!(store.pool.dirty_count(), floor + 1, "{name}");
+            let snap = store.stats().snapshot();
+            assert_eq!(snap.dirty_writebacks as usize, 6 - (floor + 1), "{name}");
+            assert_eq!(snap.flusher_errors, u64::from(name == "flusher_pass"));
+            // The backend healed: the next sweep writes the frame.
+            sweep(&store).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(store.pool.dirty_count(), floor, "{name}");
+            store.sync().unwrap();
+            assert_eq!(store.stats().snapshot().dirty_writebacks, 6, "{name}");
+            for (i, &pid) in pids.iter().enumerate() {
+                assert!(store
+                    .get(pid)
+                    .unwrap()
+                    .bytes()
+                    .iter()
+                    .all(|&b| b == i as u8 + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn flush_racing_a_miss_claim_leaves_the_victim_to_the_claimant() {
+        let (store, _) = flaky_store(1);
+        let a = store.alloc().unwrap();
+        let b = store.alloc().unwrap();
+        let mut p = Page::zeroed(64);
+        p.bytes_mut().fill(0xB2);
+        store.put(b, &p).unwrap();
+        store.sync().unwrap(); // b's image is in the backend
+        p.bytes_mut().fill(0xA1);
+        store.put(a, &p).unwrap(); // a dirty in the single frame
+                                   // A reader of b, stopped between its claim and its latch: the pool
+                                   // already calls the frame b's, the bytes in it are still dirty a.
+        let Claim::Miss {
+            frame, idx, flush, ..
+        } = store.pool.claim(b)
+        else {
+            panic!("b is not resident and the frame is unpinned");
+        };
+        assert_eq!(flush, Some(a));
+        // The racing flush must not write a's bytes into b's slot…
+        store.flush().unwrap();
+        // …so when the reader resumes, it loads b's own image.
+        let slot = store.slot(b).unwrap();
+        let guard = store.fill_frame(b, &slot, frame, idx, flush, None).unwrap();
+        frame.end_write();
+        frame
+            .owner
+            .store(b.to_raw(), std::sync::atomic::Ordering::Release);
+        drop(guard);
+        store.pool.complete_miss(b, idx);
+        frame.unpin();
+        assert!(store.get(b).unwrap().bytes().iter().all(|&x| x == 0xB2));
+        assert!(store.get(a).unwrap().bytes().iter().all(|&x| x == 0xA1));
+    }
+
+    #[test]
+    fn a_pool_of_no_frames_takes_the_exhausted_arm_for_every_access() {
+        // What exp10/exp12 read off a `pool_frames: 0` store: no hits,
+        // every get a miss and a bypass, every backend access delayed.
+        let delay = Duration::from_micros(200);
+        let store = PageStore::new(StoreConfig {
+            page_size: 64,
+            io_delay: Some(delay),
+            pool_frames: 0,
+            background_flusher: false,
+            page_checksums: false,
+        });
+        let pid = store.alloc().unwrap();
+        let t0 = Instant::now();
+        let mut p = Page::zeroed(64);
+        p.bytes_mut().fill(7);
+        store.put(pid, &p).unwrap(); // overwrite: no read, one write
+        for _ in 0..5 {
+            assert_eq!(store.get(pid).unwrap(), p); // one read each
+        }
+        let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+        assert_eq!(w.bytes(), p.bytes()); // one read…
+        w.write_at(40, &[9]);
+        w.commit().unwrap(); // …and one write
+        assert!(t0.elapsed() >= 8 * delay);
+        assert_eq!(store.get(pid).unwrap().bytes()[40], 9);
+        let s = store.stats().snapshot();
+        assert_eq!((s.gets, s.puts), (6, 2));
+        assert_eq!((s.cache_hits, s.cache_misses), (0, 6));
+        assert_eq!(s.pool_bypasses, 6 + 2);
+        assert_eq!((s.pins, s.dirty_writebacks), (0, 0));
+        assert_eq!(store.pool_resident(), 0);
     }
 
     #[test]
