@@ -5,11 +5,10 @@
 //! locks**; a **compression process locks three nodes simultaneously**;
 //! top-down solutions lock every node on the path, readers included.
 //!
-//! Regenerates the E1 table of EXPERIMENTS.md, now with the *waiting*
-//! half of the claim: lock counts say how often each algorithm locks, the
-//! windowed per-layer wait histograms (paper locks and rw-locks) say how
-//! long contended acquisitions actually stalled — p50/p99, not just sums.
-//! Emits `BENCH_locks.json`.
+//! Prints the E1 table, now with the *waiting* half of the claim: lock
+//! counts say how often each algorithm locks, the windowed per-layer wait
+//! histograms (paper locks and rw-locks) say how long contended
+//! acquisitions actually stalled — p50/p99, not just sums.
 
 use blink_baselines::ConcurrentIndex;
 use blink_bench::{banner, lehman_yao, sagiv, scale, topdown};
@@ -18,7 +17,6 @@ use blink_harness::runner::{run_workload, RunConfig};
 use blink_harness::Table;
 use blink_pagestore::StatsSnapshot;
 use blink_workload::{KeyDist, Mix};
-use std::io::Write;
 use std::sync::Arc;
 
 /// Combined contended-wait distribution of the paper's queue locks and
@@ -75,15 +73,6 @@ fn main() {
         "wait p50/p99",
         "paper bound",
     ]);
-    struct Row {
-        algorithm: String,
-        operation: &'static str,
-        locks_per_op: f64,
-        waits: u64,
-        wait_p50_ns: u64,
-        wait_p99_ns: u64,
-    }
-    let mut rows: Vec<Row> = Vec::new();
 
     let trees: Vec<(Arc<dyn ConcurrentIndex>, [&str; 3])> = vec![
         (sagiv(k), ["1", "0", "1"]),
@@ -122,14 +111,6 @@ fn main() {
                 wait_label(&waits),
                 bound.to_string(),
             ]);
-            rows.push(Row {
-                algorithm: index.name().to_string(),
-                operation: op_name,
-                locks_per_op: r.locks_per_op(),
-                waits: waits.count(),
-                wait_p50_ns: waits.percentile(50.0),
-                wait_p99_ns: waits.percentile(99.0),
-            });
         }
     }
 
@@ -163,14 +144,6 @@ fn main() {
         wait_label(&drain_waits),
         "3".to_string(),
     ]);
-    rows.push(Row {
-        algorithm: "sagiv".to_string(),
-        operation: "compress",
-        locks_per_op: st.locks_acquired as f64 / st.ops.max(1) as f64,
-        waits: drain_waits.count(),
-        wait_p50_ns: drain_waits.percentile(50.0),
-        wait_p99_ns: drain_waits.percentile(99.0),
-    });
 
     print!("{table}");
     println!();
@@ -179,25 +152,4 @@ fn main() {
          level); Sagiv/Lehman-Yao searches acquire none by design. the wait columns are \
          contended acquisitions only — an uncontended lock records nothing."
     );
-
-    let mut json = String::from("{\n  \"bench\": \"locks\",\n  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"operation\": \"{}\", \"locks_per_op\": {:.3}, \
-             \"waits\": {}, \"wait_p50_ns\": {}, \"wait_p99_ns\": {}}}{}\n",
-            r.algorithm,
-            r.operation,
-            r.locks_per_op,
-            r.waits,
-            r.wait_p50_ns,
-            r.wait_p99_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_locks.json";
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
 }

@@ -1,13 +1,13 @@
 //! Shared helpers for the experiment binaries (`src/bin/exp*_*.rs`,
 //! `src/bin/fig*_*.rs`) and criterion benches (`benches/`).
 //!
-//! Every binary regenerates one table or figure listed in DESIGN.md §3 and
-//! records paper-vs-measured in EXPERIMENTS.md. Set `QUICK=1` to shrink the
-//! workloads ~10× for smoke runs.
+//! Every binary reproduces one of the paper's claims or figures over the
+//! index alone and prints paper-vs-measured; `Db` end to end is measured
+//! by the benchmark in `benchmark/`. Set `QUICK=1` to shrink the workloads
+//! ~10× for smoke runs.
 
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod lint;
 
 use blink_baselines::{ConcurrentIndex, LehmanYaoTree, TopDownTree};

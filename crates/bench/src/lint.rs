@@ -11,12 +11,11 @@
 //! are declared only inside the `store_stats!` macro so snapshot/delta
 //! can never silently miss one.
 //!
-//! Like [`crate::json`], this is deliberately hand-rolled (no crate
-//! registry in the build environment): a line scanner with comment,
-//! string and char-literal stripping, brace-depth function tracking, and
-//! whitespace-insensitive needle matching. It is a lint, not a parser —
-//! it errs on the side of flagging, and the fix is always "go through
-//! the wrapper".
+//! It is deliberately hand-rolled (no crate registry in the build
+//! environment): a line scanner with comment, string and char-literal
+//! stripping, brace-depth function tracking, and whitespace-insensitive
+//! needle matching. It is a lint, not a parser — it errs on the side of
+//! flagging, and the fix is always "go through the wrapper".
 
 use std::fmt;
 use std::fs;

@@ -10,7 +10,9 @@ use std::time::Duration;
 /// The two constructors cover the two deployments: [`DbConfig::in_memory`]
 /// (the paper's §2.2 volatile store) and [`DbConfig::durable`] (page file +
 /// WAL in a directory, crash-recovered on open). Everything else has
-/// production defaults and plain public fields for tuning.
+/// production defaults and plain public fields for tuning. Durable stores
+/// always run the background flusher and per-page CRC32 checksums;
+/// in-memory stores run neither.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
     /// Durable store directory; `None` for a purely in-memory database.
@@ -32,32 +34,11 @@ pub struct DbConfig {
     /// records never contend on one allocator). `0` means auto — one shard
     /// per available CPU, capped at 16.
     pub heap_shards: usize,
-    /// Background write-back (durable stores only): a dedicated flusher
-    /// thread drains dirty buffer-pool frames to the page file in
-    /// clock-hand order between low/high watermarks, so foreground
-    /// evictions find clean victims and checkpoints start nearly flushed.
-    /// On by default; `false` keeps all write-back on the eviction path.
-    pub background_flusher: bool,
     /// Serve page-file reads from a read-only `mmap` (durable stores
     /// only): pool misses copy from the mapping instead of issuing a
     /// `pread` syscall. Defaults from the `BLINK_MMAP=1` environment
     /// variable so the whole suite can run against the mapped backend.
     pub mmap_backend: bool,
-    /// Store-owned per-page CRC32 checksums (durable stores only): every
-    /// page image written to the page file is stamped in its reserved
-    /// header and verified on every pool-miss read. A torn write or
-    /// bit-rot surfaces as a typed `ChecksumMismatch` at read time
-    /// instead of silent corruption; recovery repairs stamped pages from
-    /// the WAL. On by default; `false` is the overhead-ablation arm
-    /// `exp13` reports as `checksums off`.
-    pub page_checksums: bool,
-    /// Record end-to-end per-op latency histograms feeding
-    /// [`crate::Db::metrics`]. On by default (two relaxed atomic adds and
-    /// two clock reads per op); `false` is the no-metrics baseline
-    /// `exp16_contention` measures overhead against. Layer-level counters
-    /// and contended-wait histograms are always on — they live in the
-    /// store and cost nothing on uncontended paths.
-    pub metrics: bool,
 }
 
 impl DbConfig {
@@ -71,10 +52,7 @@ impl DbConfig {
             segment_bytes: 8 << 20,
             pool_frames: 1024,
             heap_shards: 0,
-            background_flusher: true,
             mmap_backend: std::env::var("BLINK_MMAP").is_ok_and(|v| v == "1"),
-            page_checksums: true,
-            metrics: true,
         }
     }
 
@@ -104,34 +82,6 @@ impl DbConfig {
     /// Sets the number of record-heap insertion shards (`0` = auto).
     pub fn with_heap_shards(mut self, shards: usize) -> DbConfig {
         self.heap_shards = shards;
-        self
-    }
-
-    /// Enables or disables per-op latency recording (see
-    /// [`DbConfig::metrics`]).
-    pub fn with_metrics(mut self, on: bool) -> DbConfig {
-        self.metrics = on;
-        self
-    }
-
-    /// Enables or disables the background flusher thread (see
-    /// [`DbConfig::background_flusher`]).
-    pub fn with_background_flusher(mut self, on: bool) -> DbConfig {
-        self.background_flusher = on;
-        self
-    }
-
-    /// Enables or disables the `mmap` read path for the page file (see
-    /// [`DbConfig::mmap_backend`]).
-    pub fn with_mmap_backend(mut self, on: bool) -> DbConfig {
-        self.mmap_backend = on;
-        self
-    }
-
-    /// Enables or disables per-page image checksums (see
-    /// [`DbConfig::page_checksums`]).
-    pub fn with_page_checksums(mut self, on: bool) -> DbConfig {
-        self.page_checksums = on;
         self
     }
 }

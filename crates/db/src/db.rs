@@ -12,6 +12,7 @@ use parking_lot::{Mutex, MutexGuard};
 use sagiv_blink::{BLinkTree, Result, TreeError, VerifyReport};
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Bounded retries for the read-side race where a record is freed between
 /// the index lookup and the heap fetch (the re-read converges: the index
@@ -90,35 +91,16 @@ impl Db {
     /// reconcile index against heap: every leaf's `RecordId` must resolve
     /// (else the store is corrupt), and every live record some leaf does
     /// *not* reference is freed.
+    ///
+    /// A store with no allocated pages holds no tree yet and gets a fresh
+    /// one: an in-memory store, a new directory, or a directory whose
+    /// first open failed (or crashed) before the tree's first page.
     pub fn open(cfg: DbConfig) -> Result<Db> {
-        match &cfg.dir {
-            None => {
-                let store = PageStore::new(StoreConfig {
-                    page_size: cfg.page_size,
-                    io_delay: None,
-                    pool_frames: cfg.pool_frames,
-                    // No backend writes to hide — in-memory frames *are*
-                    // the storage.
-                    background_flusher: false,
-                    // Nothing crosses a disk boundary, so there is nothing
-                    // for an image checksum to protect.
-                    page_checksums: false,
-                });
-                let heap = Arc::new(
-                    RecordHeap::attach_with_config(Arc::clone(&store), Db::heap_config(&cfg))?.0,
-                );
-                let mut tcfg = cfg.tree.clone();
-                tcfg.external_pages = Some(heap.pages_handle());
-                let tree = BLinkTree::create(store, tcfg)?;
-                Ok(Db {
-                    tree,
-                    heap,
-                    durable: None,
-                    recovery: None,
-                    read_sessions: Mutex::new(Vec::new()),
-                    op_hists: OpHists::new(cfg.metrics),
-                })
-            }
+        // Reject an index that cannot fit the page before the directory is
+        // touched, so a bad first open leaves nothing behind.
+        cfg.tree.validate(cfg.page_size)?;
+        let durable = match &cfg.dir {
+            None => None,
             Some(dir) => {
                 let dcfg = DurableConfig {
                     dir: dir.clone(),
@@ -126,68 +108,69 @@ impl Db {
                     fsync: cfg.fsync,
                     segment_bytes: cfg.segment_bytes,
                     pool_frames: cfg.pool_frames,
-                    background_flusher: cfg.background_flusher,
                     mmap_backend: cfg.mmap_backend,
-                    page_checksums: cfg.page_checksums,
                 };
-                if dir.join("meta").exists() {
-                    Db::open_durable(dcfg, cfg)
+                Some(Arc::new(if dir.join("meta").exists() {
+                    DurableStore::open(dcfg)?
                 } else {
-                    let ds = Arc::new(DurableStore::create(dcfg)?);
-                    let store = Arc::clone(ds.store());
-                    let heap = Arc::new(
-                        RecordHeap::attach_with_config(Arc::clone(&store), Db::heap_config(&cfg))?
-                            .0,
-                    );
-                    let mut tcfg = cfg.tree.clone();
-                    tcfg.external_pages = Some(heap.pages_handle());
-                    let tree = BLinkTree::create(store, tcfg)?;
-                    debug_assert_eq!(tree.prime_page(), blink_durable::prime_page());
-                    Ok(Db {
-                        tree,
-                        heap,
-                        durable: Some(ds),
-                        recovery: None,
-                        read_sessions: Mutex::new(Vec::new()),
-                        op_hists: OpHists::new(cfg.metrics),
-                    })
-                }
+                    DurableStore::create(dcfg)?
+                }))
             }
-        }
-    }
-
-    fn open_durable(dcfg: DurableConfig, cfg: DbConfig) -> Result<Db> {
-        let ds = Arc::new(DurableStore::open(dcfg)?);
-        let store = Arc::clone(ds.store());
-        // The heap is re-attached first; its single page sweep yields the
-        // inventory everything below consumes — the protected set for the
-        // tree's repair, the live-record list for GC, and the empty-page
-        // candidates — without re-reading the store once per question.
+        };
+        let store = match &durable {
+            Some(ds) => Arc::clone(ds.store()),
+            None => PageStore::new(StoreConfig {
+                page_size: cfg.page_size,
+                io_delay: None,
+                pool_frames: cfg.pool_frames,
+                // No backend writes to hide and nothing crosses a disk
+                // boundary: in-memory frames *are* the storage.
+                background_flusher: false,
+                page_checksums: false,
+            }),
+        };
+        // The heap is attached first; on a reopen its single page sweep
+        // yields the inventory recovery consumes — the protected set for
+        // the tree's repair, the live-record list for GC, and the
+        // empty-page candidates — without re-reading the store once per
+        // question.
         let (heap, inventory) =
             RecordHeap::attach_with_config(Arc::clone(&store), Db::heap_config(&cfg))?;
         let heap = Arc::new(heap);
-        let protected: HashSet<PageId> = inventory.pages.iter().copied().collect();
         let mut tcfg = cfg.tree.clone();
         tcfg.external_pages = Some(heap.pages_handle());
-        let (tree, stats) = BLinkTree::open_or_recover_protected(
-            store,
-            tcfg,
-            blink_durable::prime_page(),
-            &protected,
-        )?;
-        let mut recovery = KvRecovery {
-            tree_repaired: stats.repaired,
-            wal_records_replayed: ds.recovery().replayed,
-            ..KvRecovery::default()
+        let (tree, recovery) = match &durable {
+            Some(ds) if store.live_pages() > 0 => {
+                let protected: HashSet<PageId> = inventory.pages.iter().copied().collect();
+                let (tree, stats) = BLinkTree::open_or_recover_protected(
+                    store,
+                    tcfg,
+                    blink_durable::prime_page(),
+                    &protected,
+                )?;
+                let mut recovery = KvRecovery {
+                    tree_repaired: stats.repaired,
+                    wal_records_replayed: ds.recovery().replayed,
+                    ..KvRecovery::default()
+                };
+                Self::reconcile(&tree, &heap, &inventory, &mut recovery)?;
+                (tree, Some(recovery))
+            }
+            _ => {
+                let tree = BLinkTree::create(store, tcfg)?;
+                debug_assert!(
+                    durable.is_none() || tree.prime_page() == blink_durable::prime_page()
+                );
+                (tree, None)
+            }
         };
-        Self::reconcile(&tree, &heap, &inventory, &mut recovery)?;
         Ok(Db {
             tree,
             heap,
-            durable: Some(ds),
-            recovery: Some(recovery),
+            durable,
+            recovery,
             read_sessions: Mutex::new(Vec::new()),
-            op_hists: OpHists::new(cfg.metrics),
+            op_hists: OpHists::default(),
         })
     }
 
@@ -257,7 +240,7 @@ impl Db {
     /// the value bytes from the record page's pinned frame for exactly the
     /// duration of the call.
     pub fn get_with<R>(&self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
-        let t0 = self.op_hists.start();
+        let t0 = Instant::now();
         let mut session = self
             .lock_sessions()
             .pop()
@@ -430,7 +413,7 @@ impl<'db> DbSession<'db> {
         // crossed the flusher's high watermark, wait (bounded) for a
         // drain pass rather than letting a write burst outrun the disk.
         db.store().throttle_dirty();
-        let t0 = db.op_hists.start();
+        let t0 = Instant::now();
         let r = match db.durable.as_ref() {
             // A put can log several WAL records (heap page plus one or more
             // index pages); defer the fsync-policy commit to the end of the
@@ -505,7 +488,7 @@ impl<'db> DbSession<'db> {
     /// a concurrent overwrite races the fetch (only the last run's result
     /// is returned).
     pub fn get_with<R>(&mut self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
-        let t0 = self.db.op_hists.start();
+        let t0 = Instant::now();
         let r = get_with_session(self.db, &mut self.session, key, f);
         OpHists::finish(&self.db.op_hists.get, t0);
         r
@@ -518,7 +501,7 @@ impl<'db> DbSession<'db> {
         let db = self.db;
         // Same pre-latch backpressure as `put`.
         db.store().throttle_dirty();
-        let t0 = db.op_hists.start();
+        let t0 = Instant::now();
         let r = match db.durable.as_ref() {
             // Same one-commit-per-op batching as `put`: the index delete
             // and the record free both log records.

@@ -21,45 +21,19 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Per-op latency recorders owned by [`crate::Db`], shared by every
-/// session. Recording is two relaxed atomic adds per op; when disabled
-/// ([`crate::DbConfig::metrics`] = false) the ops skip even the clock
-/// reads, which is the baseline `exp16_contention` measures overhead
-/// against.
-#[derive(Debug)]
+/// session: two clock reads and two relaxed atomic adds per op.
+#[derive(Debug, Default)]
 pub(crate) struct OpHists {
-    enabled: bool,
     pub(crate) put: WaitHist,
     pub(crate) get: WaitHist,
     pub(crate) delete: WaitHist,
 }
 
 impl OpHists {
-    pub(crate) fn new(enabled: bool) -> OpHists {
-        OpHists {
-            enabled,
-            put: WaitHist::new(),
-            get: WaitHist::new(),
-            delete: WaitHist::new(),
-        }
-    }
-
-    /// Starts an op timer (`None` when metrics are off — the disabled path
-    /// costs one branch, no clock read).
+    /// Records the op that started at `t0` into `hist`.
     #[inline]
-    pub(crate) fn start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Finishes an op timer into `hist`.
-    #[inline]
-    pub(crate) fn finish(hist: &WaitHist, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            hist.record(t0.elapsed().as_nanos() as u64);
-        }
+    pub(crate) fn finish(hist: &WaitHist, t0: Instant) {
+        hist.record(t0.elapsed().as_nanos() as u64);
     }
 }
 

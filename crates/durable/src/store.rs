@@ -66,23 +66,11 @@ pub struct DurableConfig {
     /// point, and dirty frames reach `pages.db` on eviction, `sync` or
     /// checkpoint.
     pub pool_frames: usize,
-    /// Background write-back: a flusher thread drains dirty frames to
-    /// `pages.db` in clock-hand order between low/high watermarks, so
-    /// foreground evictions find clean victims. `false` keeps all
-    /// write-back on the eviction/sync path.
-    pub background_flusher: bool,
     /// Serve backend page reads from a read-only `mmap` of `pages.db`
     /// (zero syscalls on the pool-miss read path) instead of `pread`.
     /// Defaults from the `BLINK_MMAP=1` environment variable so the whole
     /// test suite can run against the mapped backend.
     pub mmap_backend: bool,
-    /// Store-owned per-page CRC32 over `pages.db` images: stamped into
-    /// the reserved header on every backend write, verified on every
-    /// pool-miss read. A mismatch (torn write, bit rot) surfaces as
-    /// `StoreError::ChecksumMismatch` instead of silently corrupt data;
-    /// recovery repairs stamped pages from the WAL base+delta chain. On
-    /// by default; `false` is the exp13 overhead-ablation arm.
-    pub page_checksums: bool,
 }
 
 impl DurableConfig {
@@ -94,9 +82,7 @@ impl DurableConfig {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             pool_frames: 1024,
-            background_flusher: true,
             mmap_backend: std::env::var("BLINK_MMAP").is_ok_and(|v| v == "1"),
-            page_checksums: true,
         }
     }
 
@@ -109,13 +95,18 @@ impl DurableConfig {
         }
     }
 
+    /// Every durable store runs a background flusher (dirty frames drain
+    /// to `pages.db` between watermarks, so foreground evictions find
+    /// clean victims) and store-owned per-page CRC32 (stamped on every
+    /// backend write, verified on every pool-miss read, so a torn write
+    /// or bit rot surfaces as `StoreError::ChecksumMismatch`).
     fn store_config(&self) -> StoreConfig {
         StoreConfig {
             page_size: self.page_size,
             io_delay: None,
             pool_frames: self.pool_frames,
-            background_flusher: self.background_flusher,
-            page_checksums: self.page_checksums,
+            background_flusher: true,
+            page_checksums: true,
         }
     }
 
@@ -317,7 +308,12 @@ impl DurableStore {
         // stamped LSN**: the page file may already hold the effects of
         // any prefix of the log (the buffer pool writes back on eviction),
         // and the per-page LSN is what keeps re-applying deltas over that
-        // state idempotent.
+        // state idempotent. Replayed images must reach `pages.db` exactly
+        // as the live write path would have written them: a logged image
+        // carries whatever (stale) CRC the frame held, so it is re-stamped
+        // before writing or the repaired page would fail its next verified
+        // read. Alloc's zero image stays unstamped to match the live alloc
+        // path (an all-zero page reads back as unstamped).
         let zero = vec![0u8; cfg.page_size];
         let report = wal::scan(
             &cfg.dir,
@@ -337,18 +333,6 @@ impl DurableStore {
                     allocated.resize(idx + 1, false);
                     backend.grow(idx + 1)?;
                 }
-                // Replayed images must reach `pages.db` exactly as the
-                // live write path would have written them: a logged image
-                // carries whatever (stale) CRC the frame held, so re-stamp
-                // before writing or the repaired page would fail its next
-                // verified read. Alloc's zero image is left unstamped to
-                // match the live alloc path (an all-zero page reads back
-                // as unstamped).
-                let stamp = |data: &mut [u8]| {
-                    if cfg.page_checksums {
-                        stamp_page_crc(data);
-                    }
-                };
                 match op {
                     WalOp::Alloc(_) => {
                         allocated[idx] = true;
@@ -359,7 +343,7 @@ impl DurableStore {
                         if data.len() != cfg.page_size {
                             return Err(StoreError::corrupt("wal put with wrong page size"));
                         }
-                        stamp(&mut data);
+                        stamp_page_crc(&mut data);
                         backend.write(idx, &data)?;
                     }
                     WalOp::PutBase(_, mut data) => {
@@ -370,7 +354,7 @@ impl DurableStore {
                         // right after appending; mirror it so the replayed
                         // page file carries the same image.
                         set_page_lsn(&mut data, lsn);
-                        stamp(&mut data);
+                        stamp_page_crc(&mut data);
                         backend.write(idx, &data)?;
                     }
                     WalOp::PutDelta(_, _, ranges) => {
@@ -388,7 +372,7 @@ impl DurableStore {
                                 buf[off..off + bytes.len()].copy_from_slice(bytes);
                             }
                             set_page_lsn(&mut buf, lsn);
-                            stamp(&mut buf);
+                            stamp_page_crc(&mut buf);
                             backend.write(idx, &buf)?;
                         } else {
                             StoreStats::bump(&stats.recovery_deltas_skipped);

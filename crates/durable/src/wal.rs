@@ -420,8 +420,7 @@ impl Wal {
                     Some(g) => g,
                     None => {
                         // A publisher (or a ticket collision) holds the slot:
-                        // attribute the wait where exp16 already looks for
-                        // append serialization.
+                        // attribute the wait to append serialization.
                         let t0 = Instant::now();
                         let g = slot.lock();
                         if timed {

@@ -3,20 +3,16 @@
 //!
 //! The harness drives any [`blink_baselines::ConcurrentIndex`] with the
 //! workloads from `blink-workload`, measures throughput/latency/lock
-//! behaviour, and renders the tables the experiment binaries print. The
-//! [`kv`] module does the same for the full `Db` KV stack, including
-//! streaming scan cursors.
+//! behaviour, and renders the tables the experiment binaries print.
 
 #![forbid(unsafe_code)]
 
 pub mod hist;
-pub mod kv;
 pub mod linearize;
 pub mod runner;
 pub mod table;
 
 pub use hist::Histogram;
-pub use kv::{run_kv, KvMix, KvRunConfig, KvRunResult};
 pub use linearize::{check_history, Event, EventResult};
 pub use runner::{run_recorded, run_workload, RunConfig, RunResult};
 pub use table::Table;

@@ -277,8 +277,8 @@ store_stats! {
         latch_wait_hist,
         /// Individual heap shard-mutex waits (contended only). Snapshot
         /// deltas give a *windowed* view — each measured interval's own
-        /// distribution — so `exp14` reports tail contention, not just the
-        /// running sum.
+        /// distribution — so a measured window reports tail contention,
+        /// not just the running sum.
         heap_wait_hist,
         /// Individual WAL append-mutex waits (contended only).
         wal_append_wait_hist,

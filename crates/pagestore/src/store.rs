@@ -2315,7 +2315,7 @@ mod pool_tests {
 
     #[test]
     fn a_pool_of_no_frames_takes_the_exhausted_arm_for_every_access() {
-        // What exp10/exp12 read off a `pool_frames: 0` store: no hits,
+        // What exp10 reads off a `pool_frames: 0` store: no hits,
         // every get a miss and a bypass, every backend access delayed.
         let delay = Duration::from_micros(200);
         let store = PageStore::new(StoreConfig {

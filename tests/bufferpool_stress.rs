@@ -10,13 +10,19 @@
 //!   repeated pattern byte, so any mixed content is a tear;
 //! * dirty victims hit the WAL before the backend — write-ahead order is
 //!   checked by an instrumented backend/journal pair counting, per page,
-//!   log records vs. backend writes.
+//!   log records vs. backend writes;
+//! * a whole tree churned by eight threads on 16 frames: no op fails and
+//!   the tree verifies.
 
+use blink_baselines::ConcurrentIndex;
+use blink_harness::runner::{run_workload, RunConfig};
 use blink_pagestore::{
     Journal, MemBackend, Page, PageBackend, PageId, PageStore, Result, StoreConfig, StoreStats,
     WriteIntent,
 };
+use blink_workload::{KeyDist, Mix};
 use parking_lot::Mutex;
+use sagiv_blink::{BLinkTree, TreeConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -325,4 +331,38 @@ fn dirty_victims_hit_the_wal_before_the_backend() {
         0,
         "every backend write must be covered by a prior WAL record"
     );
+}
+
+// ----------------------------------------------------------------------
+// A whole tree on a pool far smaller than its page set.
+// ----------------------------------------------------------------------
+
+/// Eight threads of zipfian insert/delete/search churn over a tree whose
+/// pages outnumber the frames many times: every op succeeds, the pool
+/// really evicts and writes back dirty victims, and the tree verifies.
+#[test]
+fn concurrent_tree_churn_on_a_tiny_pool_has_no_errors() {
+    let store = PageStore::new(StoreConfig {
+        pool_frames: 16,
+        ..StoreConfig::with_page_size(512)
+    });
+    let tree = BLinkTree::create(store, TreeConfig::with_k(8)).unwrap();
+    let index: Arc<dyn ConcurrentIndex> = Arc::clone(&tree) as _;
+    let r = run_workload(
+        &index,
+        &RunConfig {
+            threads: 8,
+            ops_per_thread: if quick() { 500 } else { 2_000 },
+            key_space: 20_000,
+            dist: KeyDist::Zipf { theta: 0.99 },
+            mix: Mix::CHURN,
+            preload: 4_000,
+            seed: 12,
+            ..RunConfig::default()
+        },
+    );
+    assert_eq!(r.errors, 0);
+    assert!(r.store_delta.frames_evicted > 0, "16 frames must evict");
+    assert!(r.store_delta.dirty_writebacks > 0);
+    tree.verify(false).unwrap().assert_ok();
 }

@@ -130,21 +130,6 @@ fn db_metrics_delta_windows_op_histograms() {
     assert!(d.put.percentile(99.0) >= d.put.percentile(50.0));
 }
 
-#[test]
-fn metrics_off_records_nothing() {
-    let db = Db::open(DbConfig::in_memory().with_k(8).with_metrics(false)).unwrap();
-    let mut s = db.session();
-    for i in 0..100u64 {
-        s.put(i, b"dark").unwrap();
-        s.get(i).unwrap();
-    }
-    let m = db.metrics();
-    assert_eq!(m.put.count(), 0);
-    assert_eq!(m.get.count(), 0);
-    // Layer-level telemetry stays on regardless: the store still counted.
-    assert!(m.store.puts > 0, "store counters must not be gated off");
-}
-
 // ----------------------------------------------------------------------
 // Deterministic latch contention.
 // ----------------------------------------------------------------------
