@@ -27,14 +27,19 @@ fn self_test() -> ExitCode {
     let src = std::fs::read_to_string(&fixture)
         .unwrap_or_else(|e| panic!("read {}: {e}", fixture.display()));
     // The fixture impersonates an allowlisted pagestore file so every rule
-    // (including the unsafe SAFETY-comment one) is exercised at once.
-    let found = lint::lint_source("crates/pagestore/src/store.rs", &src);
+    // (including the unsafe SAFETY-comment one) is exercised at once, and
+    // then wal.rs for the rules keyed to the log.
+    let found: Vec<_> = ["crates/pagestore/src/store.rs", "crates/durable/src/wal.rs"]
+        .into_iter()
+        .flat_map(|label| lint::lint_source(label, &src))
+        .collect();
     // (rule, text its message must name — wrapper-only has one seeded
     // violation per family that is not a plain lock).
     let expected = [
         ("wrapper-only", ".allocated.lock("),
         ("wrapper-only", ".pool.claim("),
         ("wrapper-only", "backend_write_page("),
+        ("wrapper-only", "sync_data("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

@@ -136,11 +136,13 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["lock_inner"],
         use_instead: "Wal::lock_inner (WalAppend)",
     },
+    // One commit fsync: besides the segment-header sync in `open` and the
+    // outgoing-segment sync in `rotate`, only the pipeline leader fsyncs.
     WrapperRule {
         file: "wal.rs",
-        needles: &[".flushed.lock(", ".flushed.try_lock("],
-        allowed_fns: &["lock_flushed"],
-        use_instead: "Wal::lock_flushed (CommitWindow)",
+        needles: &["sync_data("],
+        allowed_fns: &["open", "rotate", "run_leader"],
+        use_instead: "Wal::commit_pipelined (the one commit fsync, in run_leader)",
     },
     WrapperRule {
         file: "wal.rs",

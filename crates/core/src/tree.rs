@@ -230,8 +230,10 @@ impl BLinkTree {
         TreeCounters::bump(&self.counters.link_follows);
     }
 
-    /// The compression queue length (0 when fully compressed or when
-    /// `enqueue_on_underflow` is off).
+    /// The compression queue length (0 when fully compressed or when the
+    /// underflow policy is [`UnderflowPolicy::Ignore`]).
+    ///
+    /// [`UnderflowPolicy::Ignore`]: crate::UnderflowPolicy::Ignore
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }

@@ -1,7 +1,7 @@
 //! Database configuration.
 
 use blink_durable::FsyncPolicy;
-use sagiv_blink::TreeConfig;
+use sagiv_blink::{TreeConfig, UnderflowPolicy};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -21,7 +21,11 @@ pub struct DbConfig {
     pub page_size: usize,
     /// Index tuning (`k`, underflow policy, restart bounds, …). The
     /// `external_pages` hook is managed by `Db` — any value set here is
-    /// overwritten.
+    /// overwritten. The underflow policy defaults to
+    /// [`UnderflowPolicy::Ignore`]: `Db` runs no compressor, so queueing
+    /// underflowing leaves would be work nobody consumes. To compress,
+    /// pick `Enqueue` or `Inline` and drive a `CompressorPool` over
+    /// [`crate::Db::tree`].
     pub tree: TreeConfig,
     /// Commit durability policy (durable stores only).
     pub fsync: FsyncPolicy,
@@ -42,7 +46,10 @@ impl DbConfig {
         DbConfig {
             dir: None,
             page_size: 4096,
-            tree: TreeConfig::default(),
+            tree: TreeConfig {
+                underflow_policy: UnderflowPolicy::Ignore,
+                ..TreeConfig::default()
+            },
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             pool_frames: 1024,
@@ -51,7 +58,8 @@ impl DbConfig {
     }
 
     /// A durable database in `dir` (created on first open, recovered on
-    /// every later one). Defaults: 4 KiB pages, fsync on every commit.
+    /// every later one). Defaults: 4 KiB pages, every commit waits for a
+    /// covering fsync.
     pub fn durable(dir: impl Into<PathBuf>) -> DbConfig {
         DbConfig {
             dir: Some(dir.into()),
@@ -59,12 +67,13 @@ impl DbConfig {
         }
     }
 
-    /// Same as [`DbConfig::durable`] with group commit in `window`.
-    pub fn durable_group_commit(dir: impl Into<PathBuf>, window: Duration) -> DbConfig {
-        DbConfig {
-            fsync: FsyncPolicy::Group { window },
-            ..DbConfig::durable(dir)
-        }
+    /// The same as [`DbConfig::durable`]; `window` is not used. Durable
+    /// commits batch in the fsync pipeline with no timer, so there is no
+    /// window to set. This exists only because the frozen `benchmark/`
+    /// package calls it; use [`DbConfig::durable`] everywhere else. It is
+    /// deleted at the next benchmark rebaseline.
+    pub fn durable_group_commit(dir: impl Into<PathBuf>, _window: Duration) -> DbConfig {
+        DbConfig::durable(dir)
     }
 
     /// Sets the index order `k` (every node holds `k..=2k` pairs).

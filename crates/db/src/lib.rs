@@ -99,6 +99,24 @@ mod tests {
     }
 
     #[test]
+    fn delete_heavy_run_feeds_no_compression_queue() {
+        // `Db` runs no compressor, so its deletes must not queue
+        // underflowing leaves for one.
+        let db = mem_db(4);
+        let mut s = db.session();
+        for i in 0..2_000u64 {
+            s.put(i, &[7u8; 32]).unwrap();
+        }
+        for i in (0..2_000u64).filter(|i| i % 4 != 0) {
+            assert!(s.delete(i).unwrap());
+        }
+        assert_eq!(s.count().unwrap(), 500);
+        assert_eq!(db.tree().queue_len(), 0);
+        assert_eq!(db.tree().counters().snapshot().enqueues, 0);
+        db.verify().unwrap().assert_ok();
+    }
+
+    #[test]
     fn overwrite_frees_or_reuses_the_old_record() {
         let db = mem_db(4);
         let mut s = db.session();

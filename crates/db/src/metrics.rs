@@ -125,14 +125,12 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             out,
-            "wal: records={} bytes={} fsyncs={} fsync_total={} \
-             group_commits={} solo_commits={}",
+            "wal: records={} bytes={} fsyncs={} fsync_time={} group_commits={}",
             self.store.wal_records,
             self.store.wal_bytes,
             self.store.wal_fsyncs,
             fmt_ns(self.store.wal_fsync_ns),
             self.store.wal_group_commits,
-            self.store.wal_group_solo_commits,
         );
         out
     }

@@ -8,8 +8,8 @@
 //!
 //! * [`wal`] — an append-only log of page-level mutations (alloc / free /
 //!   full-image put) in checksummed segments, with [`FsyncPolicy`]
-//!   controlling commit durability (per-record fsync, group commit, or
-//!   OS-buffered).
+//!   controlling commit durability (a pipelined group fsync per commit,
+//!   or OS-buffered).
 //! * [`backend::FileBackend`] — the page file behind
 //!   [`blink_pagestore::PageBackend`], read with `pread` and written with
 //!   `pwrite` (the one page-file backend; `MmapBackend` is an alias).

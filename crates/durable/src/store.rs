@@ -44,7 +44,6 @@ use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 const META_MAGIC: u32 = 0x4244_5552; // "BDUR"
 const META_VERSION: u32 = 1;
@@ -69,7 +68,8 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// Defaults: 4 KiB pages, 8 MiB segments, fsync on every commit.
+    /// Defaults: 4 KiB pages, 8 MiB segments, every commit waits for a
+    /// covering fsync.
     pub fn new(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
@@ -77,15 +77,6 @@ impl DurableConfig {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             pool_frames: 1024,
-        }
-    }
-
-    /// Same, with group commit in a `window` (a good throughput default:
-    /// `Duration::from_micros(500)`).
-    pub fn with_group_commit(dir: impl Into<PathBuf>, window: Duration) -> DurableConfig {
-        DurableConfig {
-            fsync: FsyncPolicy::Group { window },
-            ..DurableConfig::new(dir)
         }
     }
 
@@ -545,7 +536,7 @@ impl DurableStore {
     /// is staged immediately (the commit point for crash semantics) but
     /// the fsync-policy commit runs **once** at scope exit instead of per
     /// record — a multi-record operation (a KV put touching heap + index
-    /// pages) pays one commit-window wait, not several. The deferred
+    /// pages) pays one commit wait, not several. The deferred
     /// commit's error is returned alongside `f`'s output; it surfaces even
     /// when `f` itself failed.
     pub fn with_deferred_commit<T>(&self, f: impl FnOnce() -> T) -> (T, Result<()>) {

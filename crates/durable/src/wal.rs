@@ -1,5 +1,5 @@
-//! The write-ahead log: append-only segments, per-record checksums, group
-//! commit.
+//! The write-ahead log: append-only segments, per-record checksums,
+//! pipelined group commit.
 //!
 //! ## On-disk format
 //!
@@ -44,19 +44,19 @@
 //! *publishes* the staged records into the segment file in dense LSN
 //! order and makes them *durable* according to the [`FsyncPolicy`]:
 //!
-//! * [`Always`](FsyncPolicy::Always) — fsync before returning (safest,
-//!   one fsync per record unless concurrent commits batch behind the same
-//!   sync).
-//! * [`Group`](FsyncPolicy::Group) — pipelined group commit: join the
-//!   filling batch; one leader fsyncs batch N on a cloned fd with no lock
-//!   held while batch N+1 fills behind it, and every committer waits only
-//!   on its own batch's gate. A self-elected leader with company first
-//!   waits up to `window` (less when observed arrivals and fsync times
-//!   say waiting cannot pay) for the batch to fill. The batch size is
-//!   reported in `StoreStats::wal_group_commit_records`.
-//! * [`Never`](FsyncPolicy::Never) — leave it to the OS (fastest, no
-//!   durability promise on power loss; still crash-consistent thanks to
-//!   record checksums).
+//! * [`Always`](FsyncPolicy::Always) — return only after an fsync that
+//!   covers the commit's LSN. Every such commit rides one pipeline: join
+//!   the filling batch; one leader fsyncs batch N on a cloned fd with no
+//!   lock held while batch N+1 fills behind it, and every committer waits
+//!   only on its own batch's gate. Nobody waits on a timer — the running
+//!   fsync *is* the batching window. Mean batch size is
+//!   `StoreStats::wal_group_commit_records ÷ wal_group_commits`.
+//! * [`Never`](FsyncPolicy::Never) — publish to the file and leave the
+//!   fsync to the OS (fastest, no durability promise on power loss; still
+//!   crash-consistent thanks to record checksums).
+//!
+//! [`Journal::sync`] is a pipeline commit at the last appended LSN under
+//! either policy, so a log loaded at `Never` is made durable by one sync.
 
 use crate::crc::Crc32;
 use crate::fault::{FaultInjector, FaultSite};
@@ -69,7 +69,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub(crate) const SEG_MAGIC: u32 = 0x4257_414C; // "BWAL"
 /// Format version stamped into new segment headers (v2 = delta records).
@@ -89,11 +89,10 @@ const OP_PUT_DELTA: u8 = 5;
 /// When does a commit reach stable storage?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync on every commit.
+    /// A commit returns only after an fsync that covers its LSN
+    /// (concurrent commits share one pipelined fsync).
     Always,
-    /// Group commit: batch concurrent commits inside a waiting window.
-    Group { window: Duration },
-    /// Never fsync explicitly; the OS writes back when it pleases.
+    /// Never fsync on commit; the OS writes back when it pleases.
     Never,
 }
 
@@ -215,81 +214,15 @@ thread_local! {
     static DEFERRED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// EWMA state sizing the group-commit window from observed behavior: when
-/// record arrivals are sparser than an fsync is long, batching cannot win
-/// and the window collapses to zero; when they are dense, the window is
-/// clamped to about two fsyncs — past that the batch is already as full as
-/// the arrival rate allows and extra waiting is pure latency.
-#[derive(Debug)]
-struct CommitTuner {
-    epoch: Instant,
-    /// Nanoseconds since `epoch` of the last record arrival (0 = none).
-    last_arrival_ns: AtomicU64,
-    /// EWMA of inter-arrival gaps, ns (α = 1/8; racy updates are fine —
-    /// this only steers a heuristic).
-    arrival_ewma_ns: AtomicU64,
-    /// EWMA of fsync durations, ns.
-    fsync_ewma_ns: AtomicU64,
-}
-
-impl CommitTuner {
-    fn new() -> CommitTuner {
-        CommitTuner {
-            epoch: Instant::now(),
-            last_arrival_ns: AtomicU64::new(0),
-            arrival_ewma_ns: AtomicU64::new(0),
-            fsync_ewma_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn ewma_update(cell: &AtomicU64, sample: u64) {
-        let prev = cell.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            sample
-        } else {
-            prev - prev / 8 + sample / 8
-        };
-        cell.store(next.max(1), Ordering::Relaxed);
-    }
-
-    fn note_arrival(&self) {
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let last = self.last_arrival_ns.swap(now, Ordering::Relaxed);
-        if last != 0 && now > last {
-            CommitTuner::ewma_update(&self.arrival_ewma_ns, now - last);
-        }
-    }
-
-    fn note_fsync(&self, ns: u64) {
-        CommitTuner::ewma_update(&self.fsync_ewma_ns, ns);
-    }
-
-    /// The window a grouped committer should actually wait, given the
-    /// configured cap.
-    fn effective_window(&self, configured: Duration) -> Duration {
-        let arrival = self.arrival_ewma_ns.load(Ordering::Relaxed);
-        let fsync = self.fsync_ewma_ns.load(Ordering::Relaxed);
-        if arrival == 0 || fsync == 0 {
-            return configured; // not enough signal yet
-        }
-        if arrival > fsync {
-            // Arrivals are sparser than an fsync: by the time a batch-mate
-            // shows up we could have fsynced — don't wait.
-            Duration::ZERO
-        } else {
-            configured.min(Duration::from_nanos(fsync.saturating_mul(2)))
-        }
-    }
-}
-
 /// Completion state of one in-flight pipelined batch.
 #[derive(Debug)]
 struct BatchGate {
-    /// The batch's covering fsync finished (successfully or not).
-    done: bool,
-    /// The fsync attempt failed: waiters must re-drive durability through
-    /// [`Wal::sync_to`] so every committer sees a real error.
-    failed: bool,
+    /// `Some` once the batch's covering fsync finished: `Ok`, or the
+    /// leader's error, which every committer of the batch returns. Nothing
+    /// re-drives a failed batch: its publish already drained the records
+    /// from the staging slots, and a failed fsync may have dropped the
+    /// pages it was writing, so no retry could honestly cover them.
+    outcome: Option<Result<()>>,
     /// Leadership hand-off: the previous leader finished its batch and
     /// left the baton here. The first waiter to observe the token takes
     /// it and cuts this (its own) batch — the batch that filled while the
@@ -309,8 +242,7 @@ impl BatchCell {
     fn new() -> BatchCell {
         BatchCell {
             gate: Mutex::new(BatchGate {
-                done: false,
-                failed: false,
+                outcome: None,
                 lead_token: false,
             }),
             cv: Condvar::new(),
@@ -326,7 +258,8 @@ struct PipelineCtl {
     /// Committers who joined `filling` and will wait on its gate.
     filling_waiters: u64,
     leader_running: bool,
-    /// Highest LSN a pipeline fsync has made durable.
+    /// Highest LSN known durable — the log's one durable horizon, and the
+    /// ledger `wal_group_commits`/`wal_group_commit_records` count against.
     durable_lsn: u64,
 }
 
@@ -357,18 +290,8 @@ pub struct Wal {
     /// Per-thread staging slots every append goes through (see
     /// [`StagingState`]).
     staging: StagingState,
-    /// Sizes the group-commit window from observed arrivals and fsyncs.
-    tuner: CommitTuner,
-    /// Pipelined group commit (`FsyncPolicy::Group` only).
+    /// Pipelined group commit: every fsync-backed commit and every sync.
     pipeline: PipelineState,
-    /// Highest LSN known durable.
-    flushed: Mutex<u64>,
-    /// Committers currently inside [`Wal::commit`] under the Group policy.
-    /// A committer that finds itself alone skips the batching window and
-    /// cuts its batch immediately (PostgreSQL-style self-tuning: on an
-    /// idle system there is nobody to batch with, so waiting only adds
-    /// latency).
-    committers: AtomicU64,
     /// The store's health latch, bound by the durable store after the
     /// page store is constructed (they share one instance). A failed WAL
     /// fsync poisons it — sticky: every later append or commit fails with
@@ -380,12 +303,11 @@ pub struct Wal {
 
 impl Wal {
     /// Acquires the append mutex, timing only the contended path into the
-    /// append-wait histogram. Under `FsyncPolicy::Always` this mutex is
-    /// held across the commit fsync ([`Wal::sync_to`]), so with concurrent
-    /// writers its waits are the write path's dominant serialization.
-    /// The only place `Wal::inner` is locked: every acquisition registers
-    /// with the latch auditor as `WalAppend` (staging slots and the commit
-    /// window may nest inside it, nothing else).
+    /// append-wait histogram. No commit fsync runs under it (the pipeline
+    /// leader syncs a cloned fd); only a rotation's outgoing-segment sync
+    /// does. The only place `Wal::inner` is locked: every acquisition
+    /// registers with the latch auditor as `WalAppend` (staging slots may
+    /// nest inside it, nothing else).
     fn lock_inner(&self) -> Audited<MutexGuard<'_, WalInner>> {
         audit::audited(
             LockClass::WalAppend,
@@ -431,16 +353,6 @@ impl Wal {
                     }
                 }
             },
-        )
-    }
-
-    /// The only place the durable horizon (`Wal::flushed`) is locked:
-    /// registers as `CommitWindow` (a leaf).
-    fn lock_flushed(&self) -> Audited<MutexGuard<'_, u64>> {
-        audit::audited(
-            LockClass::CommitWindow,
-            &self.flushed as *const Mutex<u64> as usize,
-            || self.flushed.lock(),
         )
     }
 
@@ -510,7 +422,6 @@ impl Wal {
                 .map_err(|e| io_err("seek wal segment", e))?;
             len
         };
-        let durable_lsn = next_lsn.saturating_sub(1);
         Ok(Wal {
             dir: dir.to_path_buf(),
             policy,
@@ -528,17 +439,14 @@ impl Wal {
                 next_lsn: AtomicU64::new(next_lsn),
                 staged_bytes: AtomicU64::new(0),
             },
-            tuner: CommitTuner::new(),
             pipeline: PipelineState {
                 ctl: Mutex::new(PipelineCtl {
                     filling: Arc::new(BatchCell::new()),
                     filling_waiters: 0,
                     leader_running: false,
-                    durable_lsn,
+                    durable_lsn: next_lsn.saturating_sub(1),
                 }),
             },
-            flushed: Mutex::new(durable_lsn),
-            committers: AtomicU64::new(0),
             health: OnceLock::new(),
         })
     }
@@ -597,7 +505,6 @@ impl Wal {
         // ends at the failed fsync, and anything appended after it could
         // never be honestly acknowledged.
         self.check_poisoned()?;
-        self.tuner.note_arrival();
         let st = &self.staging;
         let slot = &st.slots[staging_slot_index(st.slots.len())];
         let mut entries = self.lock_slot(slot, true);
@@ -778,117 +685,68 @@ impl Wal {
             // the file: otherwise an acknowledged `Ok` could evaporate on
             // a crash the checksummed tail would otherwise survive.
             FsyncPolicy::Never => self.publish(),
-            FsyncPolicy::Always => self.sync_to(lsn),
-            FsyncPolicy::Group { window } => {
-                // Self-tuning: only batch when at least one other
-                // committer is in flight to share the fsync with. A solo
-                // committer on an idle system cuts its batch immediately —
-                // any batching wait would be pure added latency. Even the
-                // solo commit goes through the leader machinery (skipping
-                // the cut-steering wait): its fsync then runs on a cloned
-                // fd with no lock held, so later arrivals keep staging and
-                // publishing underneath it.
-                if self.committers.fetch_add(1, Ordering::AcqRel) == 0 {
-                    StoreStats::bump(&self.stats.wal_group_solo_commits);
-                }
-                let r = self.commit_pipelined(lsn, window);
-                self.committers.fetch_sub(1, Ordering::AcqRel);
-                r
-            }
+            FsyncPolicy::Always => self.commit_pipelined(lsn),
         }
     }
 
-    /// The tuner-adjusted batching window (the configured cap while the
-    /// tuner has no signal yet).
-    fn steered_window(&self, configured: Duration) -> Duration {
-        let w = self.tuner.effective_window(configured);
-        if w != configured {
-            StoreStats::bump(&self.stats.wal_commit_window_adapted);
-        }
-        w
-    }
-
-    /// A Group commit. Join the filling batch; if no leader is driving,
-    /// become one. A committer returns only after its own batch's gate
-    /// reports a completed fsync covering its LSN — never on a mere
-    /// notification that *some* fsync ran.
-    fn commit_pipelined(&self, lsn: u64, window: Duration) -> Result<()> {
+    /// The one fsync-backed commit (every `Always` commit and every
+    /// [`Journal::sync`]). Join the filling batch; if no leader is
+    /// driving, become one and cut it at once. Nobody waits on a timer:
+    /// while a leader's fsync runs, later committers fill the next batch,
+    /// so the pipeline batches on its own. A committer returns only the
+    /// outcome its own batch's gate reports for an fsync covering its LSN
+    /// — never a mere notification that *some* fsync ran.
+    fn commit_pipelined(&self, lsn: u64) -> Result<()> {
         let t0 = Instant::now();
-        {
-            // A checkpoint/`sync()` fsync may already cover us.
-            let flushed = self.lock_flushed();
-            if *flushed >= lsn {
-                return Ok(());
-            }
-        }
         let (cell, lead) = {
             let mut ctl = self.lock_ctl();
             if ctl.durable_lsn >= lsn {
                 return Ok(());
             }
             ctl.filling_waiters += 1;
-            let cell = Arc::clone(&ctl.filling);
             let lead = !ctl.leader_running;
-            if lead {
-                ctl.leader_running = true;
-            }
-            (cell, lead)
+            ctl.leader_running = true;
+            (Arc::clone(&ctl.filling), lead)
         };
         if lead {
-            // Errors surface through the gate too (failed=true), so
-            // waiters of this batch are never stranded; the leader's own
-            // error is re-checked below like everyone else's.
-            let _ = self.run_leader(false, window);
+            self.run_leader(false);
         }
-        let failed = loop {
+        let outcome = loop {
             let mut gate = self.lock_gate(&cell);
-            while !gate.done && !gate.lead_token {
+            while gate.outcome.is_none() && !gate.lead_token {
                 cell.cv.wait(gate.guard_mut());
             }
-            if gate.done {
-                break gate.failed;
+            if let Some(outcome) = &gate.outcome {
+                break outcome.clone();
             }
             // The previous leader handed off: this batch filled while its
             // fsync ran, and we cut it now.
             gate.lead_token = false;
             drop(gate);
-            let _ = self.run_leader(true, window);
+            self.run_leader(true);
         };
         self.stats
             .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
-        if failed {
-            // Re-drive durability on the slow path so every committer of
-            // a failed batch reports the real error.
-            return self.sync_to(lsn);
-        }
-        Ok(())
+        outcome
     }
 
     /// One leadership stint: cut the filling batch, fsync it on a cloned
-    /// fd (no lock held across the sync), publish the new durable horizon
-    /// and wake the batch. If the next batch already has waiters, leave
-    /// the leadership token in its gate — that batch filled during this
-    /// fsync, which is the pipeline overlap `wal_pipeline_depth` counts.
-    fn run_leader(&self, handoff: bool, window: Duration) -> Result<()> {
+    /// fd (no lock held across the sync), advance the durable horizon and
+    /// post the outcome to the batch's gate. If the next batch already has
+    /// waiters, leave the leadership token in its gate — that batch filled
+    /// during this fsync, which is the pipeline overlap
+    /// `wal_pipeline_depth` counts.
+    fn run_leader(&self, handoff: bool) {
         if handoff {
             let mut ctl = self.lock_ctl();
             if ctl.leader_running {
                 // A freshly-arrived committer self-elected before we woke:
                 // it will cut our batch; go back to waiting.
-                return Ok(());
+                return;
             }
             ctl.leader_running = true;
             drop(ctl);
             StoreStats::bump(&self.stats.wal_pipeline_depth);
-        } else if self.committers.load(Ordering::Acquire) > 1 {
-            // A self-elected leader has no fsync running ahead of it to
-            // fill its batch, so the tuner steers the cut point instead:
-            // give dense arrivals one window to pile in before cutting.
-            // (A solo committer skips the wait — nobody to batch with.)
-            let wait = self.steered_window(window);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
         }
         let cell = {
             let mut ctl = self.lock_ctl();
@@ -912,6 +770,9 @@ impl Wal {
                     .try_clone()
                     .map_err(|e| io_err("clone wal segment fd", e))?;
             }
+            // Once an fsync has failed, no later fsync is trusted to cover
+            // the gap (the dirty pages may be gone).
+            self.check_poisoned()?;
             self.fault.check()?;
             if let Err(e) = self.fault.plan_outcome(FaultSite::WalFsync).pass_or_fail() {
                 return Err(self.poison(e));
@@ -920,93 +781,35 @@ impl Wal {
             self.fault.fsync_delay();
             file.sync_data()
                 .map_err(|e| self.poison(io_err("wal fsync", e)))?;
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.stats.record_fsync(ns);
-            self.tuner.note_fsync(ns);
+            self.stats.record_fsync(t0.elapsed().as_nanos() as u64);
             Ok(end)
         })();
-        let (next_cell, err) = {
+        let next_cell = {
             let mut ctl = self.lock_ctl();
-            let err = match &synced {
-                Ok(end) => {
-                    if *end > ctl.durable_lsn {
-                        ctl.durable_lsn = *end;
-                    }
-                    None
+            if let Ok(end) = synced {
+                if end > ctl.durable_lsn {
+                    StoreStats::bump(&self.stats.wal_group_commits);
+                    StoreStats::add(&self.stats.wal_group_commit_records, end - ctl.durable_lsn);
+                    ctl.durable_lsn = end;
                 }
-                Err(e) => Some(e.clone()),
-            };
-            ctl.leader_running = false;
-            let next = (ctl.filling_waiters > 0).then(|| Arc::clone(&ctl.filling));
-            (next, err)
-        };
-        if let Ok(end) = synced {
-            // Keep `sync_to`'s view coherent: it short-circuits on
-            // `flushed`, checkpoints read it, and the batch-size counters
-            // stay exact by always accounting against this one ledger
-            // (never against `durable_lsn` too).
-            let mut flushed = self.lock_flushed();
-            if *flushed < end {
-                StoreStats::bump(&self.stats.wal_group_commits);
-                StoreStats::add(&self.stats.wal_group_commit_records, end - *flushed);
-                *flushed = end;
             }
-        }
+            ctl.leader_running = false;
+            (ctl.filling_waiters > 0).then(|| Arc::clone(&ctl.filling))
+        };
         {
             let mut gate = self.lock_gate(&cell);
-            gate.done = true;
-            gate.failed = err.is_some();
+            gate.outcome = Some(synced.map(drop));
             cell.cv.notify_all();
         }
         if let Some(next) = next_cell {
             // Hand the baton to the batch that filled during our fsync
             // (even on error: its waiters must self-rescue, not hang).
             let mut gate = self.lock_gate(&next);
-            if !gate.done {
+            if gate.outcome.is_none() {
                 gate.lead_token = true;
                 next.cv.notify_all();
             }
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// fsyncs everything appended so far if `lsn` is not yet durable.
-    /// Publishes any staged records first — this is the single chokepoint
-    /// where a leader's fsync covers every waiter's staged record.
-    fn sync_to(&self, lsn: u64) -> Result<()> {
-        let mut inner = self.lock_inner();
-        self.publish_locked(&mut inner)?;
-        let mut flushed = self.lock_flushed();
-        if *flushed >= lsn {
-            return Ok(());
-        }
-        // Once an fsync has failed, no later fsync is trusted to cover
-        // the gap (the dirty pages may be gone). This check also catches
-        // the pipelined path's failed-batch re-drive: every committer of
-        // a failed batch lands here and reports `Poisoned` instead of
-        // silently retrying the sync.
-        self.check_poisoned()?;
-        self.fault.check()?;
-        if let Err(e) = self.fault.plan_outcome(FaultSite::WalFsync).pass_or_fail() {
-            return Err(self.poison(e));
-        }
-        let t0 = Instant::now();
-        self.fault.fsync_delay();
-        inner
-            .file
-            .sync_data()
-            .map_err(|e| self.poison(io_err("wal fsync", e)))?;
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.stats.record_fsync(ns);
-        self.tuner.note_fsync(ns);
-        let target = inner.next_lsn - 1;
-        StoreStats::bump(&self.stats.wal_group_commits);
-        StoreStats::add(&self.stats.wal_group_commit_records, target - *flushed);
-        *flushed = target;
-        Ok(())
     }
 }
 
@@ -1055,12 +858,10 @@ impl Journal for Wal {
         self.publish()
     }
 
+    /// A pipeline commit at the last appended LSN under either policy: a
+    /// log loaded at `Never` still becomes durable here.
     fn sync(&self) -> Result<()> {
-        let last = self.appended_lsn();
-        if last == 0 {
-            return Ok(());
-        }
-        self.sync_to(last)
+        self.commit_pipelined(self.appended_lsn())
     }
 }
 
@@ -1249,7 +1050,9 @@ pub fn scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("blink-wal-{name}-{}", std::process::id()));
@@ -1553,148 +1356,59 @@ mod tests {
     }
 
     #[test]
-    fn commit_tuner_sizes_the_window_from_observed_signal() {
-        let cap = Duration::from_micros(500);
-        let t = CommitTuner::new();
-        // No signal yet: trust the configured cap.
-        assert_eq!(t.effective_window(cap), cap);
-
-        // Arrivals sparser than an fsync: batching cannot win, the window
-        // collapses to zero.
-        t.arrival_ewma_ns.store(2_000_000, Ordering::Relaxed);
-        t.fsync_ewma_ns.store(100_000, Ordering::Relaxed);
-        assert_eq!(t.effective_window(cap), Duration::ZERO);
-
-        // Dense arrivals: the window is clamped to about two fsyncs...
-        t.arrival_ewma_ns.store(10_000, Ordering::Relaxed);
-        assert_eq!(t.effective_window(cap), Duration::from_nanos(200_000));
-        // ...but never stretched past the configured cap.
-        t.fsync_ewma_ns.store(10_000_000, Ordering::Relaxed);
-        assert_eq!(t.effective_window(cap), cap);
-    }
-
-    #[test]
-    fn commit_tuner_ewma_tracks_samples() {
-        // First sample seeds the average; later ones move it by 1/8 per
-        // step, so a run of identical samples converges on that value.
-        let cell = AtomicU64::new(0);
-        CommitTuner::ewma_update(&cell, 800);
-        assert_eq!(cell.load(Ordering::Relaxed), 800);
-        for _ in 0..200 {
-            CommitTuner::ewma_update(&cell, 80);
-        }
-        let settled = cell.load(Ordering::Relaxed);
-        assert!(
-            (70..=90).contains(&settled),
-            "EWMA should converge near the steady sample, got {settled}"
-        );
-    }
-
-    #[test]
-    fn adaptive_solo_committer_shrinks_the_window() {
-        // A lone writer never waits the window (nobody to batch with), and
-        // its sparse arrivals teach the tuner that batching cannot win: the
-        // window a leader with company would wait collapses, and the
-        // adapted-window counter fires.
-        let dir = tmpdir("adaptive");
-        let stats = Arc::new(StoreStats::default());
-        let cap = Duration::from_millis(250);
-        let w = Wal::open(
-            &dir,
-            FsyncPolicy::Group { window: cap },
-            1 << 20,
-            1,
-            1,
-            Arc::new(FaultInjector::new()),
-            Arc::clone(&stats),
-        )
-        .unwrap();
-        let t0 = Instant::now();
-        for i in 0..4 {
-            w.log_put(pid(1 + i), &[1; 8]).unwrap();
-        }
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "a lone writer must not wait out the 250ms cap (took {:?})",
-            t0.elapsed()
-        );
-        // Seed the tuner: arrivals far sparser than fsyncs.
-        w.tuner.arrival_ewma_ns.store(5_000_000, Ordering::Relaxed);
-        w.tuner.fsync_ewma_ns.store(50_000, Ordering::Relaxed);
-        assert_eq!(w.steered_window(cap), Duration::ZERO);
-        assert!(
-            stats.snapshot().wal_commit_window_adapted >= 1,
-            "tuner with clear signal must adapt the window"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn solo_group_committer_skips_the_batching_window() {
-        let dir = tmpdir("solo");
-        let stats = Arc::new(StoreStats::default());
-        let w = Wal::open(
-            &dir,
-            FsyncPolicy::Group {
-                // A window long enough that waiting it out would dominate
-                // the measured time many times over.
-                window: Duration::from_millis(250),
-            },
-            1 << 20,
-            1,
-            1,
-            Arc::new(FaultInjector::new()),
-            Arc::clone(&stats),
-        )
-        .unwrap();
-        let t0 = Instant::now();
-        w.log_put(pid(1), &[1; 8]).unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "a solo committer must not wait out the group window (took {:?})",
-            t0.elapsed()
-        );
-        assert!(stats.snapshot().wal_group_solo_commits >= 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn group_commit_batches_concurrent_committers() {
+        // No timer gathers a batch: committers that arrive while an fsync
+        // runs share the next one. A precursor's dilated fsync holds the
+        // pipeline until all four writers have staged their first record,
+        // so at least that batch is shared whatever the scheduler does.
         let dir = tmpdir("group");
         let stats = Arc::new(StoreStats::default());
+        let fault = Arc::new(FaultInjector::new());
         let w = Arc::new(
             Wal::open(
                 &dir,
-                FsyncPolicy::Group {
-                    window: Duration::from_millis(5),
-                },
+                FsyncPolicy::Always,
                 1 << 20,
                 1,
                 1,
-                Arc::new(FaultInjector::new()),
+                Arc::clone(&fault),
                 Arc::clone(&stats),
             )
             .unwrap(),
         );
+        fault.set_fsync_delay(Duration::from_millis(200));
+        let published = w.appended_lsn() + 1;
+        let precursor = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.log_put(pid(1), &[1; 8]))
+        };
+        wait_until(10, "the precursor's publish", || {
+            w.lock_inner().next_lsn > published
+        });
         let mut handles = vec![];
         for t in 0..4 {
             let w = Arc::clone(&w);
             handles.push(std::thread::spawn(move || {
                 for i in 0..25u32 {
-                    w.log_put(pid(1 + t * 100 + i), &[0; 8]).unwrap();
+                    w.log_put(pid(2 + t * 100 + i), &[0; 8]).unwrap();
                 }
             }));
         }
+        wait_until(10, "four committers in one batch", || {
+            w.lock_ctl().filling_waiters == 4
+        });
+        fault.set_fsync_delay(Duration::ZERO);
+        precursor.join().unwrap().unwrap();
         for h in handles {
             h.join().unwrap();
         }
         let snap = stats.snapshot();
         assert!(
-            snap.wal_fsyncs < 100,
-            "group commit must batch: {} fsyncs for 100 records",
+            snap.wal_fsyncs < 101,
+            "group commit must batch: {} fsyncs for 101 records",
             snap.wal_fsyncs
         );
-        assert_eq!(snap.wal_group_commit_records, 100);
+        assert_eq!(snap.wal_group_commit_records, 101);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1704,16 +1418,16 @@ mod tests {
         // syncs: every record must still become durable exactly once in
         // the accounting, the log must scan clean and contiguous, and at
         // least one leadership hand-off (a batch that filled during a
-        // running fsync) must be observed.
+        // running fsync) must be observed. That batches share fsyncs is
+        // pinned deterministically by
+        // `group_commit_batches_concurrent_committers`.
         let dir = tmpdir("pipeline");
         let stats = Arc::new(StoreStats::default());
         let fault = Arc::new(FaultInjector::new());
         let w = Arc::new(
             Wal::open(
                 &dir,
-                FsyncPolicy::Group {
-                    window: Duration::from_micros(500),
-                },
+                FsyncPolicy::Always,
                 1 << 20,
                 1,
                 1,
@@ -1753,11 +1467,6 @@ mod tests {
             "every record durable, none double-counted"
         );
         assert!(
-            snap.wal_fsyncs < total,
-            "pipelined commit must batch: {} fsyncs for {total} records",
-            snap.wal_fsyncs
-        );
-        assert!(
             snap.wal_pipeline_depth >= 1,
             "a 2ms fsync with 4 writers must overlap at least one batch fill"
         );
@@ -1781,9 +1490,7 @@ mod tests {
         let w = Arc::new(
             Wal::open(
                 &dir,
-                FsyncPolicy::Group {
-                    window: Duration::from_micros(500),
-                },
+                FsyncPolicy::Always,
                 1 << 20,
                 1,
                 1,
@@ -1804,6 +1511,106 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap(), "post-trip commits must fail");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Polls `cond` until it holds; panics after `secs` seconds.
+    fn wait_until(secs: u64, what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_commit_whose_covering_fsync_failed_never_returns_ok() {
+        // A standalone log has no health latch, so nothing poisons: only
+        // the failed batch's own outcome stands between its committers and
+        // a false acknowledgement — a retried fsync that happens to pass
+        // must not be reported in its place.
+        let dir = tmpdir("fsyncfail");
+        let fault = Arc::new(FaultInjector::new());
+        let w = Arc::new(
+            Wal::open(
+                &dir,
+                FsyncPolicy::Always,
+                1 << 20,
+                1,
+                1,
+                Arc::clone(&fault),
+                Arc::new(StoreStats::default()),
+            )
+            .unwrap(),
+        );
+
+        // One committer: it leads the batch whose fsync fails.
+        fault.set_plan(FaultPlan::new().fail_nth(FaultSite::WalFsync, 1, FaultKind::Transient));
+        assert!(
+            w.log_put(pid(1), &[1; 8]).is_err(),
+            "a failed fsync acknowledged"
+        );
+        w.log_put(pid(2), &[1; 8]).unwrap(); // the fault was transient
+
+        // Three committers share one failed batch: a precursor's dilated
+        // fsync (which passes) holds the pipeline while all three stage
+        // after its publish and join the next batch, whose fsync fails.
+        fault.set_plan(FaultPlan::new().fail_nth(FaultSite::WalFsync, 2, FaultKind::Transient));
+        fault.set_fsync_delay(Duration::from_millis(500));
+        let published = w.appended_lsn() + 1;
+        let precursor = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.log_put(pid(3), &[2; 8]))
+        };
+        wait_until(10, "the precursor's publish", || {
+            w.lock_inner().next_lsn > published
+        });
+        let sharers: Vec<_> = (0..3u32)
+            .map(|t| {
+                let w = Arc::clone(&w);
+                std::thread::spawn(move || w.log_put(pid(10 + t), &[3; 8]))
+            })
+            .collect();
+        wait_until(10, "three committers in one batch", || {
+            w.lock_ctl().filling_waiters == 3
+        });
+        fault.set_fsync_delay(Duration::ZERO);
+        precursor.join().unwrap().unwrap();
+        for h in sharers {
+            assert!(
+                h.join().unwrap().is_err(),
+                "every committer of the failed batch must get its error"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_on_a_never_log_fsyncs_once_and_covers_every_record() {
+        let dir = tmpdir("neversync");
+        let stats = Arc::new(StoreStats::default());
+        let w = Wal::open(
+            &dir,
+            FsyncPolicy::Never,
+            1 << 20,
+            1,
+            1,
+            Arc::new(FaultInjector::new()),
+            Arc::clone(&stats),
+        )
+        .unwrap();
+        for i in 1..=5u32 {
+            w.log_put(pid(i), &[4; 8]).unwrap();
+        }
+        let before = stats.snapshot();
+        assert_eq!(before.wal_fsyncs, 0, "Never commits do not fsync");
+        w.sync().unwrap();
+        let after = stats.snapshot();
+        assert_eq!(after.wal_fsyncs, 1);
+        assert_eq!(after.wal_group_commits, 1);
+        assert_eq!(after.wal_group_commit_records, 5);
+        w.sync().unwrap();
+        assert_eq!(stats.snapshot().wal_fsyncs, 1, "nothing new to cover");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

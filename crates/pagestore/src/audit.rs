@@ -66,38 +66,36 @@ pub enum LockClass {
     /// A per-thread WAL staging slot. Leaf-ish: `stage` holds only its own
     /// slot; the publish leader drains all slots under the append mutex.
     WalSlot = 6,
-    /// The group-commit window (`Wal::flushed` + its condvar).
-    CommitWindow = 7,
     /// The store's slot-table `RwLock` (`PageStore::slots`).
-    SlotsMap = 8,
+    SlotsMap = 7,
     /// The store's free-list mutex (`PageStore::free`).
-    FreeList = 9,
+    FreeList = 8,
     /// A buffer-pool shard mutex. A pure leaf: no I/O and no other lock is
     /// ever taken while one is held.
-    PoolShard = 10,
+    PoolShard = 9,
     /// The record heap's recycle queue (adoption candidates).
-    HeapRecycle = 11,
+    HeapRecycle = 10,
     /// The `Db` read-session pool.
-    SessionPool = 12,
+    SessionPool = 11,
     /// A pipelined-commit batch: the pipeline control mutex (`Wal`'s
-    /// leader/durable-LSN state) and each in-flight batch's completion
-    /// gate share this class. Entered from the same sites as
-    /// `CommitWindow`; the leader must never hold the control mutex while
-    /// taking a batch gate (same-class nesting is forbidden).
-    WalBatch = 13,
+    /// leader/durable-LSN state, the log's one durable horizon) and each
+    /// in-flight batch's completion gate share this class. The leader
+    /// must never hold the control mutex while taking a batch gate
+    /// (same-class nesting is forbidden).
+    WalBatch = 12,
     /// The background flusher's control mutex (watermark state + shutdown
     /// flag). A pure leaf: foreground throttling and flusher drains take
     /// it with nothing else held.
-    FlusherQueue = 14,
+    FlusherQueue = 13,
     /// The store-health error latch ([`crate::health::StoreHealth`]): the
     /// mutex holding the first poison/flusher error. A pure leaf — the
     /// lock-free poisoned/flagged fast path means it is only taken to
     /// record or consume the latched error, never with anything held.
-    HealthLatch = 15,
+    HealthLatch = 14,
 }
 
 #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-const NCLASSES: usize = 16;
+const NCLASSES: usize = 15;
 
 /// The protocol whitelist: may a thread holding `from` acquire `to`?
 /// Same-class pairs are governed separately (see `reentrant`); this table
@@ -105,8 +103,8 @@ const NCLASSES: usize = 16;
 pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
     use LockClass::*;
     // The health latch is the universal leaf: poisoning fires from the
-    // deepest I/O sites (a failed fsync under the append mutex and the
-    // commit window, a flusher write-back, a root-split rollback), so
+    // deepest I/O sites (a failed rotation fsync under the append mutex,
+    // a failed commit fsync, a flusher write-back, a root-split rollback), so
     // every class may acquire it — and it takes nothing while held (the
     // arm below keeps its own row all-false).
     if matches!(to, HealthLatch) {
@@ -126,7 +124,6 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
                 | SlotLatch
                 | WalAppend
                 | WalSlot
-                | CommitWindow
                 | WalBatch
                 | SlotsMap
                 | FreeList
@@ -138,24 +135,20 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // mutexes may be taken below it.
         FrameLatch => matches!(
             to,
-            SlotLatch | WalAppend | WalSlot | CommitWindow | WalBatch | SlotsMap | PoolShard
+            SlotLatch | WalAppend | WalSlot | WalBatch | SlotsMap | PoolShard
         ),
         // Under a slot latch: journal appends (append mutex, staging
-        // slots, the commit window / pipeline batches) and pool-shard
-        // checks (`is_mapped`/`still_flushing`).
-        SlotLatch => matches!(
-            to,
-            WalAppend | WalSlot | CommitWindow | WalBatch | PoolShard
-        ),
-        // The publish leader drains staging slots and `sync_to` enters the
-        // commit window, both under the append mutex.
-        WalAppend => matches!(to, WalSlot | CommitWindow),
+        // slots, pipeline batches) and pool-shard checks
+        // (`is_mapped`/`still_flushing`).
+        SlotLatch => matches!(to, WalAppend | WalSlot | WalBatch | PoolShard),
+        // The publish leader drains staging slots under the append mutex.
+        WalAppend => matches!(to, WalSlot),
         // Leaves: nothing may be acquired while one of these is held.
         // `WalBatch` is deliberately a leaf with same-class nesting
         // forbidden: the pipeline leader reads the batch cell out of the
         // control mutex, drops it, and only then touches the cell's gate.
-        WalSlot | CommitWindow | WalBatch | SlotsMap | FreeList | PoolShard | HeapRecycle
-        | SessionPool | FlusherQueue | HealthLatch => false,
+        WalSlot | WalBatch | SlotsMap | FreeList | PoolShard | HeapRecycle | SessionPool
+        | FlusherQueue | HealthLatch => false,
     }
 }
 
@@ -303,7 +296,6 @@ mod imp {
             "SlotLatch",
             "WalAppend",
             "WalSlot",
-            "CommitWindow",
             "SlotsMap",
             "FreeList",
             "PoolShard",
@@ -807,7 +799,6 @@ mod tests {
             LockClass::SlotLatch,
             LockClass::WalAppend,
             LockClass::WalSlot,
-            LockClass::CommitWindow,
             LockClass::SlotsMap,
             LockClass::FreeList,
             LockClass::PoolShard,

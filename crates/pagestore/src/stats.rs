@@ -15,7 +15,7 @@
 //! Wait *histograms* ([`WaitHist`]) accompany the wait-sum counters on
 //! every synchronization point of the write path (buffer-pool shard
 //! mutexes, frame latches, paper locks, rw locks, heap shard allocators,
-//! WAL append mutex, group-commit windows, fsyncs). Sums hide tails;
+//! WAL append mutex, commit waits, fsyncs). Sums hide tails;
 //! snapshot deltas over the histograms give each measured interval its own
 //! p50/p99.
 
@@ -175,9 +175,6 @@ store_stats! {
         /// Tracked writes that fell back to a full image because the
         /// coalesced delta would have exceeded the size cutoff.
         wal_delta_fallback_large,
-        /// Group commits that skipped the batching window because no other
-        /// committer was in flight (the self-tuning fast path).
-        wal_group_solo_commits,
         /// Delta records recovery skipped because the on-disk page already
         /// carried an LSN at or past the record's (idempotent replay).
         recovery_deltas_skipped,
@@ -194,11 +191,12 @@ store_stats! {
         wal_append_contended,
         /// Total nanoseconds spent waiting for the WAL append mutex.
         wal_append_wait_ns,
-        /// Group commits that entered the batching window (non-solo).
+        /// Commits that joined an fsync batch because their LSN was not yet
+        /// durable.
         wal_commit_waits,
-        /// Total nanoseconds group committers spent in the batching window
-        /// (waiting for a covering fsync, plus their own fsync if nobody
-        /// else's arrived).
+        /// Total nanoseconds those commits spent between joining a batch
+        /// and its covering fsync completing (their own fsync when they
+        /// led the batch).
         wal_commit_wait_ns,
         /// WAL records replayed by recovery when the store was opened.
         recovery_replayed,
@@ -227,10 +225,6 @@ store_stats! {
         /// Records covered by those publishes; divide by `wal_publishes`
         /// for the mean stitch batch size.
         wal_publish_records,
-        /// Group-commit windows whose wait was resized by the adaptive
-        /// tuner (shortened for sparse arrivals, stretched toward the
-        /// fsync cost for dense ones).
-        wal_commit_window_adapted,
         /// Upper-level index descents served by an optimistic (latch-free)
         /// frame snapshot that validated clean.
         optimistic_reads,
@@ -282,7 +276,7 @@ store_stats! {
         heap_wait_hist,
         /// Individual WAL append-mutex waits (contended only).
         wal_append_wait_hist,
-        /// Individual group-commit window waits (entry to durable).
+        /// Individual commit waits (batch joined to covering fsync done).
         wal_commit_wait_hist,
         /// Individual WAL fsync durations.
         fsync_hist,
@@ -352,7 +346,7 @@ impl StoreStats {
         self.wal_append_wait_hist.record(ns);
     }
 
-    /// Records one group-commit window wait (entry to durable).
+    /// Records one commit wait (batch joined to covering fsync done).
     pub fn record_wal_commit_wait(&self, ns: u64) {
         StoreStats::bump(&self.wal_commit_waits);
         StoreStats::add(&self.wal_commit_wait_ns, ns);

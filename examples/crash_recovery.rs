@@ -11,19 +11,13 @@
 //! the directory: the WAL replays, the Fig. 2 repair rebuilds the index
 //! levels from the leaf chain, and every committed key is back.
 
-use blink_durable::{create_tree, open_tree, DurableConfig, FsyncPolicy};
+use blink_durable::{create_tree, open_tree, DurableConfig};
 use sagiv_blink::{TreeConfig, UnderflowPolicy};
-use std::time::Duration;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("blink-crash-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = || DurableConfig {
-        fsync: FsyncPolicy::Group {
-            window: Duration::from_micros(200),
-        },
-        ..DurableConfig::new(&dir)
-    };
+    let cfg = || DurableConfig::new(&dir);
     let tree_cfg = || TreeConfig::with_k_and_policy(8, UnderflowPolicy::Inline);
 
     println!("== phase 1: build a durable tree, then crash it ==\n");

@@ -8,10 +8,15 @@
 //!
 //! Run with: `cargo run --release --example range_scan`
 
+use sagiv_blink_repro::blink::UnderflowPolicy;
 use sagiv_blink_repro::db::{Db, DbConfig};
 
 fn main() {
-    let db = Db::open(DbConfig::in_memory().with_k(16)).expect("open db");
+    // The retention step below compresses the index, so queue underflowing
+    // leaves for it (a `Db` ignores underflow by default).
+    let mut cfg = DbConfig::in_memory().with_k(16);
+    cfg.tree.underflow_policy = UnderflowPolicy::Enqueue;
+    let db = Db::open(cfg).expect("open db");
     let mut session = db.session();
 
     // Store 50k event records, keyed by timestamp.

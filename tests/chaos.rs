@@ -26,7 +26,6 @@ use sagiv_blink_repro::pagestore::StoreError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 const KEYS: u64 = 48;
 
@@ -523,7 +522,7 @@ fn fsync_failure_is_sticky_and_poisons_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Poisoning under the pipelined group commit: one failed batch fsync
+/// Poisoning under the pipelined commit: one failed batch fsync
 /// fans out to every committer in the batch and to every thread that
 /// commits afterwards, and each thread's acknowledged prefix survives
 /// reopen.
@@ -531,7 +530,7 @@ fn fsync_failure_is_sticky_and_poisons_the_store() {
 fn failed_pipeline_batch_fans_out_to_all_committers() {
     let dir = tmpdir("pipeline-poison");
     const WRITERS: u64 = 3;
-    let mut c = DbConfig::durable_group_commit(&dir, Duration::from_micros(200)).with_k(4);
+    let mut c = DbConfig::durable(&dir).with_k(4);
     c.page_size = 1024;
     c.pool_frames = 32;
     let acked: Vec<Vec<u64>>;

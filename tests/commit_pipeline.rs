@@ -23,7 +23,7 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 fn cfg(dir: &PathBuf) -> DbConfig {
-    let mut c = DbConfig::durable_group_commit(dir, Duration::from_micros(500)).with_k(4);
+    let mut c = DbConfig::durable(dir).with_k(4);
     c.page_size = 1024;
     c.segment_bytes = 256 << 10;
     c

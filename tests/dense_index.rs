@@ -3,7 +3,7 @@
 //! record with key value v" — under concurrent writers and a compression
 //! pool. No caller-managed heap, no raw `RecordId`s.
 
-use sagiv_blink_repro::blink::CompressorPool;
+use sagiv_blink_repro::blink::{CompressorPool, UnderflowPolicy};
 use sagiv_blink_repro::db::{Db, DbConfig, PutOutcome};
 use std::sync::Arc;
 
@@ -38,7 +38,11 @@ fn records_round_trip_through_the_index() {
 
 #[test]
 fn concurrent_writers_own_records() {
-    let db = Arc::new(db());
+    // `Db` ignores underflow by default; this test drives compression, so
+    // it opts the index into queueing underflowing leaves.
+    let mut cfg = DbConfig::in_memory().with_k(4);
+    cfg.tree.underflow_policy = UnderflowPolicy::Enqueue;
+    let db = Arc::new(Db::open(cfg).unwrap());
     let pool = CompressorPool::spawn(db.tree(), 1);
     std::thread::scope(|scope| {
         for w in 0..4u64 {
@@ -66,6 +70,9 @@ fn concurrent_writers_own_records() {
     let mut s = db.session();
     let tree = db.tree();
     tree.compress_drain(s.inner(), 1_000_000).unwrap();
+    let c = tree.counters().snapshot();
+    assert!(c.enqueues > 0, "the deletes fed the compression queue");
+    assert!(c.merges + c.redistributes > 0, "the queue was compressed");
     tree.reclaim().unwrap();
     let rep = db.verify().unwrap();
     rep.assert_ok();
