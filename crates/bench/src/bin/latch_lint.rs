@@ -38,6 +38,7 @@ fn self_test() -> ExitCode {
     let expected = [
         ("wrapper-only", ".allocated.lock("),
         ("wrapper-only", ".pool.claim("),
+        ("wrapper-only", "frame_hinted("),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
         ("no-std-sync", ""),

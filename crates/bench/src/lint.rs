@@ -86,25 +86,33 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     },
     WrapperRule {
         file: "store.rs",
-        needles: &[".slots.read(", ".slots.write("],
-        allowed_fns: &["slots_read", "slots_write"],
-        use_instead: "PageStore::slots_read / slots_write (SlotsMap)",
-    },
-    WrapperRule {
-        file: "store.rs",
         needles: &[".free.lock(", ".free.try_lock("],
         allowed_fns: &["lock_free"],
         use_instead: "PageStore::lock_free (FreeList)",
     },
     // Not locks, but the same shape of rule: the page-access core of
-    // store.rs is one claim loop and three backend writers, and a new call
-    // site of either would be a second copy to keep in step by hand.
+    // store.rs is one claim loop, one unpinned lookup and three backend
+    // writers, and a new call site of any would be a second copy to keep
+    // in step by hand.
     WrapperRule {
         file: "store.rs",
         needles: &[".pool.claim("],
-        // …plus the one test helper that stages a half-finished claim.
-        allowed_fns: &["claim_frame", "sweep_racing_a_miss_claim"],
+        // …plus the tests that stage a half-finished claim or a pin.
+        allowed_fns: &[
+            "claim_frame",
+            "sweep_racing_a_miss_claim",
+            "hinted_read_never_serves_an_unmapped_frame",
+        ],
         use_instead: "PageStore::claim_frame (the frame funnel, via read / write_page)",
+    },
+    // The only frame lookup that takes no pin: a frame found this way can
+    // be repurposed mid-read, so only the seqlock-and-owner validation in
+    // `read_unlatched` may use it.
+    WrapperRule {
+        file: "store.rs",
+        needles: &["frame_hinted("],
+        allowed_fns: &["read_unlatched"],
+        use_instead: "PageStore::read_unlatched (validates the unpinned frame)",
     },
     WrapperRule {
         file: "store.rs",

@@ -37,6 +37,7 @@ fn fixture_trips_every_rule() {
     for (rule, what) in [
         ("wrapper-only", ".allocated.lock("),
         ("wrapper-only", ".pool.claim("),
+        ("wrapper-only", "frame_hinted("),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
         ("no-std-sync", ""),

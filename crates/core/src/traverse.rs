@@ -15,12 +15,18 @@
 //! Restarts are counted on the session and bounded by
 //! `TreeConfig::max_restarts`.
 //!
-//! Every node a traversal examines comes through `try_read_node`, which
-//! since PR 2 decodes from a pinned buffer-pool frame guard rather than an
-//! owned page copy: the §2.2 "private snapshot" a process reasons over is
-//! the decoded [`Node`], and the guard (plus its pin) is gone before the
-//! traversal takes another step — so holding no locks also means holding
-//! no pins across waits.
+//! Every node a traversal examines — the prime block at descent start,
+//! every index level and the leaves — comes through one optimistic read
+//! (`try_read_node_optimistic`, `read_prime`): a private copy taken out of
+//! the page's buffer-pool frame with no pin and no latch, validated by the
+//! frame's seqlock and revalidated before the traversal acts on it. The
+//! §2.2 "private snapshot" a process reasons over is the decoded [`Node`];
+//! Sagiv's readers "do not use any lock and can read a node even if it is
+//! locked by an updater", and here they write nothing another process
+//! reads. Only when no snapshot can be taken (page not resident, writer
+//! mid-mutation) does a read fall back to a pinned, latched frame guard,
+//! which is gone before the traversal takes another step. Writers' locked
+//! re-reads (`lock_covering`) stay latched, under the paper lock.
 
 use crate::counters::TreeCounters;
 use crate::error::{Result, TreeError};
@@ -170,16 +176,8 @@ impl BLinkTree {
         expected_level: u8,
     ) -> Result<Option<Node>> {
         // Merge chains are short (one hop in steady state); bound defensively.
-        // Root/branch levels read optimistically (seqlock-validated, no
-        // frame latch); leaves always take the latched path.
-        let optimistic = expected_level > 0;
         for _ in 0..64 {
-            let read = if optimistic {
-                self.try_read_node_optimistic(*current)?
-            } else {
-                self.try_read_node(*current)?
-            };
-            let Some(node) = read else {
+            let Some(node) = self.try_read_node_optimistic(*current)? else {
                 return Ok(None);
             };
             if node.level != expected_level {

@@ -13,8 +13,8 @@ use crate::error::{Result, TreeError};
 use crate::node::Node;
 use crate::prime::PrimeBlock;
 use blink_pagestore::{
-    DeferredFreeList, LogicalClock, PageId, PageStore, Session, SessionRegistry, StoreError,
-    WriteIntent,
+    DeferredFreeList, LogicalClock, PageId, PageStamp, PageStore, Session, SessionRegistry,
+    StoreError, WriteIntent,
 };
 use std::sync::Arc;
 
@@ -29,7 +29,8 @@ pub enum InsertOutcome {
 }
 
 /// Test-only hook fired between an optimistic node snapshot and its
-/// revalidation (see `BLinkTree::try_read_node_optimistic`): lets a test
+/// revalidation (see `BLinkTree::try_read_node_optimistic`; prime-block
+/// snapshots do not fire it): lets a test
 /// place a concurrent split deterministically inside the validation
 /// window. Fires at most once per arming, then disarms itself. The
 /// `AtomicBool` gate keeps the cost on the hot path to one relaxed load.
@@ -292,31 +293,39 @@ impl BLinkTree {
         }
     }
 
-    /// Optimistic (version-coupled) variant of
-    /// [`BLinkTree::try_read_node`] for root/branch descent steps: copies
-    /// the page out of its buffer-pool frame **without taking the frame
-    /// latch** (validated by the frame's seqlock), decodes the private
-    /// copy, then revalidates the version stamp before letting the
-    /// descent act on the node. A failed revalidation — a writer began
-    /// mutating the page since the snapshot — returns `Ok(None)`, which
-    /// traversals answer with a restart, exactly like a wrong-node read.
-    /// Unavailable fast paths (page not resident, writer mid-mutation)
-    /// fall back to the latched read.
-    pub(crate) fn try_read_node_optimistic(&self, pid: PageId) -> Result<Option<Node>> {
+    /// Snapshots `pid` out of its buffer-pool frame **without a pin or a
+    /// latch** ([`PageStore::read_unlatched`]) into a thread-local buffer
+    /// and decodes that private copy with `decode`. `Ok(None)` when the
+    /// fast path is unavailable (page not resident, writer mid-mutation).
+    /// The caller must check the stamp with [`PageStore::stamp_valid`]
+    /// before acting on the decoded value.
+    fn read_snapshot<T>(
+        &self,
+        pid: PageId,
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> std::result::Result<Option<(PageStamp, T)>, StoreError> {
         thread_local! {
             static OPT_BUF: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
-        let got = OPT_BUF.with(|b| {
+        OPT_BUF.with(|b| {
             let mut buf = b.borrow_mut();
             buf.resize(self.store.page_size(), 0);
-            match self.store.read_unlatched(pid, &mut buf) {
-                Ok(Some(stamp)) => Ok(Some((stamp, Node::decode(&buf)))),
-                Ok(None) => Ok(None),
-                Err(e) => Err(e),
-            }
-        });
-        match got {
+            let stamp = self.store.read_unlatched(pid, &mut buf)?;
+            Ok(stamp.map(|stamp| (stamp, decode(&buf))))
+        })
+    }
+
+    /// The traversal read: an optimistic (version-coupled) variant of
+    /// [`BLinkTree::try_read_node`] used at every level, leaves included.
+    /// Decodes a latch-free private copy, then revalidates the version
+    /// stamp before letting the traversal act on the node. A failed
+    /// revalidation — a writer began mutating the page since the snapshot
+    /// — returns `Ok(None)`, which traversals answer with a restart,
+    /// exactly like a wrong-node read. Unavailable fast paths (page not
+    /// resident, writer mid-mutation) fall back to the latched read.
+    pub(crate) fn try_read_node_optimistic(&self, pid: PageId) -> Result<Option<Node>> {
+        match self.read_snapshot(pid, Node::decode) {
             Ok(Some((stamp, decoded))) => {
                 self.optimistic_hook.fire();
                 if !self.store.stamp_valid(pid, &stamp) {
@@ -343,8 +352,15 @@ impl BLinkTree {
         Ok(())
     }
 
-    /// Reads the prime block.
+    /// Reads the prime block: optimistically, like every traversal read
+    /// (it starts every descent), falling back to the latched read when
+    /// the snapshot is unavailable or a root change invalidated it.
     pub(crate) fn read_prime(&self) -> Result<PrimeBlock> {
+        if let Ok(Some((stamp, decoded))) = self.read_snapshot(self.prime_pid, PrimeBlock::decode) {
+            if self.store.stamp_valid(self.prime_pid, &stamp) {
+                return decoded;
+            }
+        }
         PrimeBlock::decode(&self.store.read(self.prime_pid)?)
     }
 

@@ -66,36 +66,35 @@ pub enum LockClass {
     /// A per-thread WAL staging slot. Leaf-ish: `stage` holds only its own
     /// slot; the publish leader drains all slots under the append mutex.
     WalSlot = 6,
-    /// The store's slot-table `RwLock` (`PageStore::slots`).
-    SlotsMap = 7,
-    /// The store's free-list mutex (`PageStore::free`).
-    FreeList = 8,
+    /// The store's free-list mutex (`PageStore::free`); page-slot table
+    /// growth is serialized under it too.
+    FreeList = 7,
     /// A buffer-pool shard mutex. A pure leaf: no I/O and no other lock is
     /// ever taken while one is held.
-    PoolShard = 9,
+    PoolShard = 8,
     /// The record heap's recycle queue (adoption candidates).
-    HeapRecycle = 10,
+    HeapRecycle = 9,
     /// The `Db` read-session pool.
-    SessionPool = 11,
+    SessionPool = 10,
     /// A pipelined-commit batch: the pipeline control mutex (`Wal`'s
     /// leader/durable-LSN state, the log's one durable horizon) and each
     /// in-flight batch's completion gate share this class. The leader
     /// must never hold the control mutex while taking a batch gate
     /// (same-class nesting is forbidden).
-    WalBatch = 12,
+    WalBatch = 11,
     /// The background flusher's control mutex (watermark state + shutdown
     /// flag). A pure leaf: foreground throttling and flusher drains take
     /// it with nothing else held.
-    FlusherQueue = 13,
+    FlusherQueue = 12,
     /// The store-health error latch ([`crate::health::StoreHealth`]): the
     /// mutex holding the first poison/flusher error. A pure leaf — the
     /// lock-free poisoned/flagged fast path means it is only taken to
     /// record or consume the latched error, never with anything held.
-    HealthLatch = 14,
+    HealthLatch = 13,
 }
 
 #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-const NCLASSES: usize = 15;
+const NCLASSES: usize = 14;
 
 /// The protocol whitelist: may a thread holding `from` acquire `to`?
 /// Same-class pairs are governed separately (see `reentrant`); this table
@@ -117,7 +116,7 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // never each other.
         PaperLock | RwPage => !matches!(to, PaperLock | RwPage | HeapShard | SessionPool),
         // A heap shard is held across place(): frame write → slot latch →
-        // WAL, plus alloc (free list / slots map) and adoption (recycle).
+        // WAL, plus alloc (free list) and adoption (recycle).
         HeapShard => matches!(
             to,
             FrameLatch
@@ -125,18 +124,13 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
                 | WalAppend
                 | WalSlot
                 | WalBatch
-                | SlotsMap
                 | FreeList
                 | PoolShard
                 | HeapRecycle
         ),
         // Frame latch → slot latch → journal/backend is the store's
-        // documented order; `slot()` (SlotsMap) and the pool's shard
-        // mutexes may be taken below it.
-        FrameLatch => matches!(
-            to,
-            SlotLatch | WalAppend | WalSlot | WalBatch | SlotsMap | PoolShard
-        ),
+        // documented order; the pool's shard mutexes may be taken below it.
+        FrameLatch => matches!(to, SlotLatch | WalAppend | WalSlot | WalBatch | PoolShard),
         // Under a slot latch: journal appends (append mutex, staging
         // slots, pipeline batches) and pool-shard checks
         // (`is_mapped`/`still_flushing`).
@@ -147,8 +141,8 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // `WalBatch` is deliberately a leaf with same-class nesting
         // forbidden: the pipeline leader reads the batch cell out of the
         // control mutex, drops it, and only then touches the cell's gate.
-        WalSlot | WalBatch | SlotsMap | FreeList | PoolShard | HeapRecycle | SessionPool
-        | FlusherQueue | HealthLatch => false,
+        WalSlot | WalBatch | FreeList | PoolShard | HeapRecycle | SessionPool | FlusherQueue
+        | HealthLatch => false,
     }
 }
 
@@ -296,7 +290,6 @@ mod imp {
             "SlotLatch",
             "WalAppend",
             "WalSlot",
-            "SlotsMap",
             "FreeList",
             "PoolShard",
             "HeapRecycle",
@@ -799,7 +792,6 @@ mod tests {
             LockClass::SlotLatch,
             LockClass::WalAppend,
             LockClass::WalSlot,
-            LockClass::SlotsMap,
             LockClass::FreeList,
             LockClass::PoolShard,
             LockClass::HeapRecycle,

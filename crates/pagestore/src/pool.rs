@@ -27,6 +27,16 @@
 //!   (write-ahead order), so the write-back itself needs no logging.
 //! * All pinning happens under a shard mutex; unpinning is a plain atomic
 //!   decrement, so dropping a guard never takes a lock.
+//! * Optimistic reads pin nothing: `BufferPool::frame_hinted` looks the
+//!   page up in a direct-mapped `pid → frame` **hint** (written under the
+//!   shard mutex whenever a mapping is made or hit) and the store validates
+//!   the copy against the frame's seqlock *and* its `owner`. A frame can be
+//!   repurposed under such a reader, so `owner` must never name a page
+//!   whose bytes the frame does not hold: every unmap clears it — the
+//!   clean-victim claim, `BufferPool::discard`, an aborted claim, a victim
+//!   freed mid-restore — and a refill clears it when its seqlock window
+//!   opens and publishes the new page (under the shard mutex, in
+//!   `BufferPool::complete_miss`) before the window closes.
 //!
 //! ## Locking
 //!
@@ -46,8 +56,11 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Or
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One page-sized buffer plus its concurrency state.
+/// One page-sized buffer plus its concurrency state. Cache-line aligned so
+/// a latched access to one frame never writes the line an optimistic
+/// reader of its neighbour is reading.
 #[derive(Debug)]
+#[repr(align(64))]
 pub(crate) struct Frame {
     /// The page bytes. Readers hold the read latch for the lifetime of a
     /// guard; loads, write guards and eviction flushes hold the write latch.
@@ -63,9 +76,10 @@ pub(crate) struct Frame {
     /// optimistic readers can copy from it without holding `data`'s latch
     /// (validity is established after the copy by re-checking `version`).
     data_addr: usize,
-    /// Raw id of the page whose bytes are valid in `data` (0 = none yet).
-    /// Published with `Release` after a successful load/overwrite; a pinner
-    /// validates it after acquiring the latch and retries on mismatch.
+    /// Raw id of the page whose bytes are valid in `data` (0 = none).
+    /// Published with `Release` inside the refill's seqlock window; a
+    /// pinner validates it after acquiring the latch and retries on
+    /// mismatch, an unpinned reader after its copy.
     pub(crate) owner: AtomicU32,
     /// Guards (and in-flight loaders) referring to this frame. A pinned
     /// frame is never chosen as an eviction victim.
@@ -107,6 +121,22 @@ impl Frame {
         PageId::from_raw(self.owner.load(Ordering::Acquire))
     }
 
+    /// Marks the frame as naming no page. Call wherever its mapping goes
+    /// away without a latched refill, so an unpinned reader holding a
+    /// stale hint cannot take the leftover bytes for the page's.
+    pub(crate) fn disown(&self) {
+        self.owner.store(0, Ordering::Release);
+    }
+
+    /// Sets the CLOCK reference bit for a read that took no pin. Loads
+    /// first and stores only when the bit is clear, so readers of a hot
+    /// page do not keep writing its frame's cache line.
+    pub(crate) fn touch(&self) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+
     /// Marks the frame unstable (even → odd). Call with the write latch
     /// held, before the first byte of the frame changes.
     ///
@@ -143,9 +173,10 @@ impl Frame {
     /// bytes.
     ///
     /// Safety of the unlatched copy: the buffer never moves (`data_addr`
-    /// is captured before the `RwLock` wraps the box), reads of bytes
-    /// racing a writer are fine for `u8` copies through raw pointers, and
-    /// any torn result is discarded by the version re-check.
+    /// is captured before the `RwLock` wraps the box) and lives as long as
+    /// the pool, reads of bytes racing a writer are fine for `u8` copies
+    /// through raw pointers, and any torn result is discarded by the
+    /// version re-check. The caller need not pin the frame.
     pub(crate) fn snapshot_unlatched(&self, buf: &mut [u8]) -> Option<u64> {
         let v1 = self.version.load(Ordering::Acquire);
         if !v1.is_multiple_of(2) {
@@ -154,10 +185,13 @@ impl Frame {
         // SAFETY: `data_addr` points at this frame's heap buffer, which is
         // allocated once in `Frame::new`, is never reallocated or freed
         // while the frame (and thus `self`) is alive, and is at least
-        // `page_size ≥ buf.len()` bytes. A writer may be mutating the
-        // buffer concurrently, but byte-sized reads through raw pointers
-        // cannot fault, and any torn copy is discarded by the version
-        // re-check below (and again by the caller's `version_is`).
+        // `page_size ≥ buf.len()` bytes. The caller may hold no pin: the
+        // frame can then be evicted and refilled for another page during
+        // the copy, but frames live as long as the pool, so the buffer is
+        // still this one. A writer may be mutating it concurrently, but
+        // byte-sized reads through raw pointers cannot fault, and any torn
+        // copy is discarded by the version re-check below (and again by
+        // the caller's `version_is`).
         unsafe {
             std::ptr::copy_nonoverlapping(self.data_addr as *const u8, buf.as_mut_ptr(), buf.len());
         }
@@ -223,7 +257,7 @@ pub(crate) enum Claim<'a> {
     Exhausted,
 }
 
-/// A frame pinned by a sweep snapshot (`pin_dirty*`, `pin_resident_all`):
+/// A frame pinned by a sweep snapshot (`pin_dirty*`, `pin_all_resident`):
 /// the frame, the page the pool had it resident for, and its index in
 /// that page's shard (what [`BufferPool::still_flushing`] takes).
 pub(crate) type Pinned<'a> = (&'a Frame, PageId, usize);
@@ -240,6 +274,12 @@ pub(crate) struct BufferPool {
     /// so the gauge stays exact. The flusher's watermarks and the
     /// clean-store fast path in `PageStore::flush` read it lock-free.
     dirty_gauge: AtomicUsize,
+    /// Direct-mapped `pid → frame` hint for unpinned reads: slot
+    /// `pid & (len - 1)` holds `1 + shard + nshards × index` of the frame
+    /// the page was last mapped to or hit in (0 = none). Written only under
+    /// the page's shard mutex; a colliding page simply overwrites it. A
+    /// hint is only a guess: the reader validates `owner` after its copy.
+    hint: Box<[AtomicU32]>,
 }
 
 impl BufferPool {
@@ -263,11 +303,14 @@ impl BufferPool {
                 }),
             });
         }
+        // Four slots per frame keep collisions rare while every page fits.
+        let hint_len = (frames * 4).next_power_of_two();
         BufferPool {
             shards: shards.into_boxed_slice(),
             capacity: frames,
             stats,
             dirty_gauge: AtomicUsize::new(0),
+            hint: (0..hint_len).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -322,6 +365,36 @@ impl BufferPool {
         &self.shards[pid.to_raw() as usize % self.shards.len()]
     }
 
+    fn hint_slot(&self, pid: PageId) -> &AtomicU32 {
+        &self.hint[pid.to_raw() as usize & (self.hint.len() - 1)]
+    }
+
+    /// Points `pid`'s hint at frame `i` of its shard. Call under that
+    /// shard's mutex; stores only when the hint differs. `Relaxed`: the
+    /// hint publishes nothing — frames exist from construction, and the
+    /// reader validates whatever it finds through the frame's `version`
+    /// and `owner` (both `Acquire`).
+    fn set_hint(&self, pid: PageId, i: usize) {
+        let n = self.shards.len();
+        let code = (1 + pid.to_raw() as usize % n + n * i) as u32;
+        let slot = self.hint_slot(pid);
+        if slot.load(Ordering::Relaxed) != code {
+            slot.store(code, Ordering::Relaxed);
+        }
+    }
+
+    /// The frame `pid` was last mapped to or hit in, **unpinned and
+    /// unvalidated** — the lookup behind `PageStore::read_unlatched`, and
+    /// the only one that takes neither a pin nor a shard mutex. The frame
+    /// may hold another page, or none, by the time the caller looks; the
+    /// caller must copy under the seqlock and then check `owner`.
+    pub(crate) fn frame_hinted(&self, pid: PageId) -> Option<&Frame> {
+        let code = self.hint_slot(pid).load(Ordering::Relaxed) as usize;
+        let g = code.checked_sub(1)?;
+        let n = self.shards.len();
+        Some(&self.shards[g % n].frames[g / n])
+    }
+
     /// Looks `pid` up, pinning on a hit, or reserves a frame for it
     /// (possibly choosing a victim). See [`Claim`].
     pub(crate) fn claim(&self, pid: PageId) -> Claim<'_> {
@@ -331,11 +404,14 @@ impl BufferPool {
             let f = &shard.frames[i];
             f.pins.fetch_add(1, Ordering::AcqRel);
             f.referenced.store(true, Ordering::Relaxed);
+            // A colliding page may have taken the hint since.
+            self.set_hint(pid, i);
             return Claim::Hit(f);
         }
         if let Some(i) = st.free.pop() {
             st.meta[i].resident = Some(pid);
             st.map.insert(pid, i);
+            self.set_hint(pid, i);
             let f = &shard.frames[i];
             f.pins.fetch_add(1, Ordering::AcqRel);
             f.referenced.store(true, Ordering::Relaxed);
@@ -365,6 +441,7 @@ impl BufferPool {
                 // Discarded (freed-page) frame: reusable without eviction.
                 st.meta[i].resident = Some(pid);
                 st.map.insert(pid, i);
+                self.set_hint(pid, i);
                 f.pins.fetch_add(1, Ordering::AcqRel);
                 f.referenced.store(true, Ordering::Relaxed);
                 self.clear_dirty(f);
@@ -380,15 +457,18 @@ impl BufferPool {
             }
             // Victim. Dirty: keep the old mapping alive until the caller has
             // flushed it (readers of `old` must not fall through to a stale
-            // backend). Clean: the backend is current, unmap immediately.
+            // backend); the refill disowns the frame when it starts. Clean:
+            // the backend is current, unmap (and disown) immediately.
             let dirty = f.dirty.load(Ordering::Acquire);
             if dirty {
                 st.meta[i].flushing = Some(old);
             } else {
                 st.map.remove(&old);
+                f.disown();
             }
             st.meta[i].resident = Some(pid);
             st.map.insert(pid, i);
+            self.set_hint(pid, i);
             f.pins.fetch_add(1, Ordering::AcqRel);
             f.referenced.store(true, Ordering::Relaxed);
             return Claim::Miss {
@@ -401,10 +481,15 @@ impl BufferPool {
         Claim::Exhausted
     }
 
-    /// Finishes a miss: drops the flushed-out victim's mapping. Returns
-    /// `false` when `pid`'s reservation was discarded while loading (the
-    /// page was freed concurrently) — the caller's guard stays valid (it
-    /// holds a pin) but the frame is an orphan that the clock will reclaim.
+    /// Finishes a miss: drops the flushed-out victim's mapping and, if
+    /// `pid` is still mapped here, publishes it as the frame's `owner`.
+    /// Call under the frame's write latch with the seqlock window still
+    /// open, so an unpinned reader that sees the closed window sees the
+    /// owner too; publishing under the shard mutex orders it against a
+    /// concurrent [`BufferPool::discard`]. Returns `false` when `pid`'s
+    /// reservation was discarded while loading (the page was freed
+    /// concurrently) — the caller's guard stays valid (it holds a pin) but
+    /// the frame is an ownerless orphan that the clock will reclaim.
     pub(crate) fn complete_miss(&self, pid: PageId, idx: usize) -> bool {
         let shard = self.shard(pid);
         let mut st = self.lock_shard(shard);
@@ -413,7 +498,13 @@ impl BufferPool {
                 st.map.remove(&old);
             }
         }
-        st.map.get(&pid) == Some(&idx)
+        let mapped = st.map.get(&pid) == Some(&idx);
+        if mapped {
+            shard.frames[idx]
+                .owner
+                .store(pid.to_raw(), Ordering::Release);
+        }
+        mapped
     }
 
     /// Rolls a miss back (load or first write failed): unmaps the
@@ -441,7 +532,7 @@ impl BufferPool {
         }
         let f = &shard.frames[idx];
         self.clear_dirty(f);
-        f.owner.store(0, Ordering::Release);
+        f.disown();
         f.unpin();
     }
 
@@ -481,15 +572,17 @@ impl BufferPool {
             _ => {
                 st.meta[idx].resident = None;
                 self.clear_dirty(&shard.frames[idx]);
+                shard.frames[idx].disown();
             }
         }
         shard.frames[idx].unpin();
     }
 
-    /// Drops `pid`'s frame on free: unmaps it and clears `dirty` so the
-    /// stale bytes are never written back. Outstanding guards keep reading
-    /// their pinned frame (the paper's "private snapshot" semantics); the
-    /// clock reclaims the frame once the last pin drops.
+    /// Drops `pid`'s frame on free: unmaps and disowns it and clears
+    /// `dirty` so the stale bytes are never written back. Outstanding
+    /// guards keep reading their pinned frame (the paper's "private
+    /// snapshot" semantics); the clock reclaims the frame once the last pin
+    /// drops.
     pub(crate) fn discard(&self, pid: PageId) {
         if self.capacity == 0 {
             return;
@@ -501,35 +594,15 @@ impl BufferPool {
                 st.map.remove(&pid);
                 st.meta[i].resident = None;
                 self.clear_dirty(&shard.frames[i]);
+                shard.frames[i].disown();
             } else if st.meta[i].flushing == Some(pid) {
                 // Mid-eviction of a page that was just freed: drop the stale
                 // mapping now; the evictor's flush skips unallocated pages.
                 st.map.remove(&pid);
                 st.meta[i].flushing = None;
+                shard.frames[i].disown();
             }
         }
-    }
-
-    /// Pins `pid`'s frame **only if it is already resident** — the
-    /// optimistic-read fast path. Never loads, never evicts, never blocks
-    /// on anything but the shard mutex. Returns `None` on a pool miss (the
-    /// caller falls back to the latched [`BufferPool::claim`] path).
-    pub(crate) fn pin_resident(&self, pid: PageId) -> Option<&Frame> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let shard = self.shard(pid);
-        let st = self.lock_shard(shard);
-        let &i = st.map.get(&pid)?;
-        if st.meta[i].resident != Some(pid) {
-            // Mapped only as a flushing victim: the frame now belongs to a
-            // different page.
-            return None;
-        }
-        let f = &shard.frames[i];
-        f.pins.fetch_add(1, Ordering::AcqRel);
-        f.referenced.store(true, Ordering::Relaxed);
-        Some(f)
     }
 
     /// True when `pid` currently has a frame (used by bypass paths to
@@ -598,7 +671,7 @@ impl BufferPool {
     /// append until after the dirty bit is set), so a dirty-only snapshot
     /// taken here could miss a write whose record predates the checkpoint
     /// cut. The caller re-checks `dirty` under the latch.
-    pub(crate) fn pin_resident_all(&self) -> Vec<Pinned<'_>> {
+    pub(crate) fn pin_all_resident(&self) -> Vec<Pinned<'_>> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let st = self.lock_shard(shard);

@@ -66,14 +66,24 @@ impl SessionStats {
     }
 }
 
+/// One session's published operation start time, alone on its cache line:
+/// the session stores it twice per operation, and only
+/// [`SessionRegistry::min_active_start`] reads it from other threads.
+#[derive(Debug)]
+#[repr(align(64))]
+struct StartStamp(AtomicU64);
+
 /// Tracks every live session's current operation start time.
 ///
 /// `min_active_start()` is the reclamation horizon of §5.3 (combined by the
 /// tree with the minimum timestamp of queued compression stacks, §5.4).
+/// Each session publishes its start in its own padded stamp; the registry
+/// mutex is taken only to open or close a session and to compute the
+/// horizon, never by an operation's `begin_op`/`end_op`.
 #[derive(Debug)]
 pub struct SessionRegistry {
     clock: Arc<LogicalClock>,
-    active: Mutex<HashMap<u64, Timestamp>>,
+    active: Mutex<HashMap<u64, Arc<StartStamp>>>,
     next_id: AtomicU64,
 }
 
@@ -89,11 +99,13 @@ impl SessionRegistry {
     /// Opens a new session (a worker's identity). The session starts idle.
     pub fn open(self: &Arc<SessionRegistry>) -> Session {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.active.lock().insert(id, IDLE);
+        let published = Arc::new(StartStamp(AtomicU64::new(IDLE)));
+        self.active.lock().insert(id, Arc::clone(&published));
         Session {
             id,
             registry: Arc::clone(self),
             start: IDLE,
+            published,
             held: Vec::with_capacity(4),
             stats: SessionStats::default(),
         }
@@ -108,18 +120,17 @@ impl SessionRegistry {
     /// every session is between operations). Deleted nodes stamped strictly
     /// before this may be reclaimed, as far as reader visibility goes.
     pub fn min_active_start(&self) -> Timestamp {
-        self.active.lock().values().copied().min().unwrap_or(IDLE)
+        self.active
+            .lock()
+            .values()
+            .map(|s| s.0.load(Ordering::SeqCst))
+            .min()
+            .unwrap_or(IDLE)
     }
 
     /// Number of sessions currently open (for diagnostics).
     pub fn session_count(&self) -> usize {
         self.active.lock().len()
-    }
-
-    fn set_start(&self, id: u64, t: Timestamp) {
-        if let Some(slot) = self.active.lock().get_mut(&id) {
-            *slot = t;
-        }
     }
 
     fn close(&self, id: u64) {
@@ -133,6 +144,8 @@ pub struct Session {
     id: u64,
     registry: Arc<SessionRegistry>,
     start: Timestamp,
+    /// Where `start` is published for the §5.3 horizon.
+    published: Arc<StartStamp>,
     held: Vec<PageId>,
     stats: SessionStats,
 }
@@ -146,8 +159,7 @@ impl Session {
     /// Marks the start of a logical operation; returns its start timestamp.
     pub fn begin_op(&mut self) -> Timestamp {
         let t = self.registry.clock.tick();
-        self.start = t;
-        self.registry.set_start(self.id, t);
+        self.publish_start(t);
         self.stats.ops += 1;
         t
     }
@@ -160,8 +172,15 @@ impl Session {
             "logical operation ended while holding locks: {:?}",
             self.held
         );
-        self.start = IDLE;
-        self.registry.set_start(self.id, IDLE);
+        self.publish_start(IDLE);
+    }
+
+    /// Sets the running operation's start stamp and publishes it. `SeqCst`
+    /// pairs with the horizon's `SeqCst` loads, so every stamp sits in one
+    /// total order with them, as it did under the registry mutex.
+    fn publish_start(&mut self, t: Timestamp) {
+        self.start = t;
+        self.published.0.store(t, Ordering::SeqCst);
     }
 
     /// Start timestamp of the operation in flight ([`IDLE`] when idle).
@@ -175,8 +194,7 @@ impl Session {
     /// worker does not hold back the reclamation horizon.
     pub fn refresh_stamp(&mut self) -> Timestamp {
         let t = self.registry.clock.tick();
-        self.start = t;
-        self.registry.set_start(self.id, t);
+        self.publish_start(t);
         t
     }
 

@@ -2,8 +2,10 @@
 //!
 //! The paper's claims are stated in terms of locks obtained, lock waiting,
 //! and extra page reads (link follows, restarts). These counters are the raw
-//! material for experiments E1/E4/E5; they are plain relaxed atomics so they
-//! perturb the measured protocols as little as possible.
+//! material for experiments E1/E4/E5; they are relaxed atomics so they
+//! perturb the measured protocols as little as possible — and each one is a
+//! [`Counter`] striped over cache-padded per-thread cells, so two threads
+//! bumping `gets` never write the same cache line (reads sum the stripes).
 //!
 //! Every field is declared exactly once, inside the `store_stats!`
 //! invocation at the bottom of this file: the macro generates the atomic
@@ -20,7 +22,54 @@
 //! p50/p99.
 
 use crate::hist::{HistSnapshot, WaitHist};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Stripes per [`Counter`]. Threads are dealt stripes round-robin, so up to
+/// this many concurrently running threads bump disjoint cache lines.
+const STRIPES: usize = 16;
+
+/// One cache line holding one stripe of a [`Counter`].
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// A store-wide event counter striped across per-thread cache lines:
+/// [`StoreStats::bump`]/[`StoreStats::add`] touch only the calling thread's
+/// stripe, and [`Counter::get`] (what snapshots read) sums them all.
+#[derive(Default)]
+pub struct Counter {
+    stripes: [Stripe; STRIPES],
+}
+
+impl Counter {
+    /// The calling thread's stripe index, dealt on its first bump.
+    fn stripe() -> usize {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        }
+        MINE.with(|s| *s)
+    }
+
+    fn add(&self, v: u64) {
+        self.stripes[Counter::stripe()]
+            .0
+            .fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// The counter's value: the (wrapping) sum of every stripe.
+    pub fn get(&self) -> u64 {
+        self.stripes
+            .iter()
+            .fold(0, |sum, s| sum.wrapping_add(s.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.get())
+    }
+}
 
 macro_rules! store_stats {
     (
@@ -34,7 +83,7 @@ macro_rules! store_stats {
         /// Counters maintained by a [`crate::PageStore`].
         #[derive(Debug, Default)]
         pub struct StoreStats {
-            $( $(#[$cattr])* pub $cname: AtomicU64, )*
+            $( $(#[$cattr])* pub $cname: Counter, )*
             $( $(#[$hattr])* pub $hname: WaitHist, )*
         }
 
@@ -58,13 +107,13 @@ macro_rules! store_stats {
             /// Copies every counter and histogram.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    $( $cname: self.$cname.load(Ordering::Relaxed), )*
+                    $( $cname: self.$cname.get(), )*
                     $( $hname: self.$hname.snapshot(), )*
                 }
             }
 
             /// Looks a scalar counter up by name (tests, generic emitters).
-            pub fn counter_ref(&self, name: &str) -> Option<&AtomicU64> {
+            pub fn counter_ref(&self, name: &str) -> Option<&Counter> {
                 match name {
                     $( stringify!($cname) => Some(&self.$cname), )*
                     _ => None,
@@ -138,8 +187,8 @@ store_stats! {
         rw_wait_ns,
         /// Buffer-pool read hits: `read`/`get` served from a resident frame
         /// (no backend access, no page copy). Writes are not counted here,
-        /// so `cache_hits + cache_misses == gets` and `hit_rate` is the
-        /// read hit rate.
+        /// so `cache_hits + cache_misses + optimistic_reads == gets` and
+        /// `hit_rate` is the latched reads' hit rate.
         cache_hits,
         /// Buffer-pool read misses: reads that had to load from (or, when
         /// every frame was pinned, bypass to) the backend.
@@ -225,8 +274,9 @@ store_stats! {
         /// Records covered by those publishes; divide by `wal_publishes`
         /// for the mean stitch batch size.
         wal_publish_records,
-        /// Upper-level index descents served by an optimistic (latch-free)
-        /// frame snapshot that validated clean.
+        /// Page reads served by an optimistic frame snapshot (no pin, no
+        /// latch) that validated clean: every traversal read of a resident
+        /// page, prime block and leaves included.
         optimistic_reads,
         /// Optimistic snapshot attempts that fell back to the latched read
         /// path (non-resident page, writer in the window, owner moved).
@@ -294,13 +344,13 @@ store_stats! {
 impl StoreStats {
     /// Adds 1 to a counter (public so journal implementations in other
     /// crates can maintain the WAL counters on a shared `StoreStats`).
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub fn bump(counter: &Counter) {
+        counter.add(1);
     }
 
     /// Adds `v` to a counter.
-    pub fn add(counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
+    pub fn add(counter: &Counter, v: u64) {
+        counter.add(v);
     }
 
     /// Records one contended paper-lock acquisition that waited `ns`.

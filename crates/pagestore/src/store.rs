@@ -49,7 +49,20 @@
 //! The `latch-audit` feature checks this order (and the frame-latch level
 //! rule) at runtime — see [`crate::audit`]; every lock site below goes
 //! through an audited wrapper (`latch_read`/`latch_write`, `Slot::latch`,
-//! `slots_read`/`slots_write`, `lock_free`).
+//! `lock_free`). The slot table itself takes no lock: it is append-only
+//! and chunked, so a lookup hands out a `&Slot` that lives as long as the
+//! store.
+//!
+//! ## Reads that write nothing shared
+//!
+//! [`PageStore::read_unlatched`] serves a resident page without a pin, a
+//! shard mutex, a frame latch or a slot latch: it finds the frame through
+//! the pool's `pid → frame` hint, copies under the frame's seqlock, and
+//! accepts the copy only if the version was even and unchanged and the
+//! frame's `owner` still names the page afterwards (the pool's unmaps and
+//! refills keep `owner` honest — see [`crate::pool`]); the freed check is
+//! the slot's lock-free `live` mirror. Its counters are per-thread stripes
+//! ([`crate::stats::Counter`]).
 //!
 //! An optional per-access delay (`StoreConfig::io_delay`) simulates the
 //! latency of a real disk/SSD block access on every **backend** access
@@ -68,9 +81,9 @@ use crate::page::{Page, PageId};
 use crate::pool::{BufferPool, Claim, Frame, Pinned};
 use crate::session::Session;
 use crate::stats::StoreStats;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::Deref;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -226,6 +239,9 @@ impl PaperLock {
 #[derive(Debug)]
 struct Slot {
     allocated: Mutex<bool>,
+    /// Lock-free mirror of `allocated` for the unlatched read path;
+    /// written only under the latch, by [`Slot::set_allocated`].
+    live: AtomicBool,
     lock: PaperLock,
     /// Checkpoint epoch of the page's last full-image WAL record (a put or
     /// an alloc — both let replay rebuild the page from scratch). A delta
@@ -240,12 +256,26 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(allocated: bool) -> Arc<Slot> {
-        Arc::new(Slot {
-            allocated: Mutex::new(allocated),
+    fn new() -> Slot {
+        Slot {
+            allocated: Mutex::new(false),
+            live: AtomicBool::new(false),
             lock: PaperLock::new(),
             base_epoch: AtomicU64::new(0),
-        })
+        }
+    }
+
+    /// Flips the allocation flag and its mirror; `allocated` is this
+    /// slot's held latch.
+    fn set_allocated(&self, allocated: &mut bool, to: bool) {
+        *allocated = to;
+        self.live.store(to, Ordering::Release);
+    }
+
+    /// The allocation flag as of the last latched change, without the
+    /// latch.
+    fn is_live(&self) -> bool {
+        self.live.load(Ordering::Acquire)
     }
 
     /// The only place `Slot::allocated` is locked: every acquisition
@@ -255,6 +285,72 @@ impl Slot {
         audit::audited(LockClass::SlotLatch, self as *const Slot as usize, || {
             self.allocated.lock()
         })
+    }
+}
+
+/// Slots in the slot table's first chunk; chunk `k` holds
+/// `SLOT_CHUNK << k` slots, so [`SLOT_CHUNKS`] chunks cover every `u32`
+/// page id.
+const SLOT_CHUNK: usize = 512;
+const SLOT_CHUNKS: usize = 24;
+
+/// The page-slot table: append-only and chunked, so a lookup is two atomic
+/// loads that never wait and a `&Slot` stays valid for the store's
+/// lifetime (chunks are never moved or freed). Appends must be serialized
+/// by the caller — [`PageStore::alloc`] appends under the free-list mutex.
+struct SlotTable {
+    chunks: [OnceLock<Box<[Slot]>>; SLOT_CHUNKS],
+    /// Slots published so far; `len` is stored only after its slot exists.
+    len: AtomicUsize,
+}
+
+impl SlotTable {
+    fn new() -> SlotTable {
+        SlotTable {
+            chunks: [const { OnceLock::new() }; SLOT_CHUNKS],
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// (chunk, offset) of slot `idx`: chunk `k` starts at
+    /// `SLOT_CHUNK × (2^k − 1)`.
+    fn locate(idx: usize) -> (usize, usize) {
+        let q = idx / SLOT_CHUNK + 1;
+        let k = (usize::BITS - 1 - q.leading_zeros()) as usize;
+        (k, idx - SLOT_CHUNK * ((1 << k) - 1))
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    fn get(&self, idx: usize) -> Option<&Slot> {
+        if idx >= self.len() {
+            return None;
+        }
+        let (k, off) = SlotTable::locate(idx);
+        self.chunks[k].get().map(|chunk| &chunk[off])
+    }
+
+    /// Publishes one more (unallocated) slot and returns its index.
+    fn push(&self) -> usize {
+        let idx = self.len.load(Ordering::Relaxed);
+        let (k, _) = SlotTable::locate(idx);
+        self.chunks[k].get_or_init(|| (0..SLOT_CHUNK << k).map(|_| Slot::new()).collect());
+        self.len.store(idx + 1, Ordering::Release);
+        idx
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        (0..self.len()).filter_map(|i| self.get(i))
+    }
+}
+
+impl std::fmt::Debug for SlotTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotTable")
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -327,7 +423,8 @@ impl Drop for PageRef<'_> {
 /// snapshot is still current before acting on it.
 #[derive(Debug, Clone, Copy)]
 pub struct PageStamp {
-    /// `*const Frame` as usize; frames live as long as the store.
+    /// `*const Frame` as usize; the frame was never pinned, but frames
+    /// live as long as the store.
     frame: usize,
     /// The even seqlock version the snapshot validated against.
     version: u64,
@@ -383,7 +480,7 @@ pub struct PageWrite<'a> {
     store: &'a PageStore,
     pid: PageId,
     /// The page's slot, looked up once by `write_page`; commit latches it.
-    slot: Arc<Slot>,
+    slot: &'a Slot,
     /// Byte ranges dirtied through the tracked-write API (`off`, `len`).
     /// Commit coalesces them into a delta record when the gates in
     /// [`PageStore::log_page_write`] pass.
@@ -519,7 +616,7 @@ impl PageWrite<'_> {
                     if !*allocated {
                         Err(StoreError::PageFreed(pid))
                     } else {
-                        store.log_page_write(pid, &self.slot, &fw.guard, tracked)
+                        store.log_page_write(pid, self.slot, &fw.guard, tracked)
                     }
                 };
                 let lsn = match logged {
@@ -532,16 +629,14 @@ impl PageWrite<'_> {
                 if let Some(lsn) = lsn {
                     set_page_lsn(&mut fw.guard, lsn);
                 }
-                fw.frame.end_write();
-                store.pool.mark_dirty(fw.frame);
-                // Publishes a fresh frame; a resident one already says `pid`.
-                fw.frame
-                    .owner
-                    .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-                drop(fw.guard);
+                // Publishes a fresh frame inside the window; a resident one
+                // already says `pid`.
                 if let Some(idx) = fw.fresh {
                     store.pool.complete_miss(pid, idx);
                 }
+                fw.frame.end_write();
+                store.pool.mark_dirty(fw.frame);
+                drop(fw.guard);
                 fw.frame.unpin();
                 Ok(())
             }
@@ -552,7 +647,7 @@ impl PageWrite<'_> {
             // tracked. (Delta logging therefore needs the buffer pool;
             // `pool_frames: 0` stores log full images only.)
             WriteInner::Owned(page) => {
-                if store.write_bypass(pid, &self.slot, page.bytes())? {
+                if store.write_bypass(pid, self.slot, page.bytes())? {
                     return Ok(());
                 }
                 // A loader mapped the page since `write_page` found the
@@ -581,7 +676,7 @@ pub struct PageStore {
     cfg: StoreConfig,
     backend: Box<dyn PageBackend>,
     journal: Option<Arc<dyn Journal>>,
-    slots: RwLock<Vec<Arc<Slot>>>,
+    slots: SlotTable,
     free: Mutex<Vec<PageId>>,
     pool: BufferPool,
     stats: Arc<StoreStats>,
@@ -641,12 +736,15 @@ impl PageStore {
             ));
         }
         backend.grow(allocated.len())?;
-        let mut slots = Vec::with_capacity(allocated.len());
+        let slots = SlotTable::new();
         let mut free = Vec::new();
-        for (i, &is_alloc) in allocated.iter().enumerate() {
-            slots.push(Slot::new(is_alloc));
-            if !is_alloc {
-                free.push(PageId::from_index(i));
+        for &is_alloc in allocated {
+            let idx = slots.push();
+            if is_alloc {
+                let slot = slots.get(idx).expect("slot was just pushed");
+                slot.set_allocated(&mut slot.latch(), true);
+            } else {
+                free.push(PageId::from_index(idx));
             }
         }
         let store = Arc::new(PageStore {
@@ -655,7 +753,7 @@ impl PageStore {
             cfg,
             backend,
             journal,
-            slots: RwLock::new(slots),
+            slots,
             free: Mutex::new(free),
             stats,
             health: Arc::new(StoreHealth::new()),
@@ -696,26 +794,6 @@ impl PageStore {
             self.stats.record_latch_wait(t0.elapsed().as_nanos() as u64);
             g
         })
-    }
-
-    /// The only readers of the slot table: registers as `SlotsMap` (a leaf
-    /// — callers clone the `Arc<Slot>` out and drop the guard before
-    /// touching any other lock).
-    fn slots_read(&self) -> Audited<RwLockReadGuard<'_, Vec<Arc<Slot>>>> {
-        audit::audited(
-            LockClass::SlotsMap,
-            self as *const PageStore as usize,
-            || self.slots.read(),
-        )
-    }
-
-    /// The only writer of the slot table (the alloc growth path).
-    fn slots_write(&self) -> Audited<RwLockWriteGuard<'_, Vec<Arc<Slot>>>> {
-        audit::audited(
-            LockClass::SlotsMap,
-            self as *const PageStore as usize,
-            || self.slots.write(),
-        )
     }
 
     /// The only place the free list is locked: registers as `FreeList` (a
@@ -828,12 +906,12 @@ impl PageStore {
             j.sync()?;
         }
         self.publish_journal()?;
-        let (_, errs) = self.sweep(self.pool.pin_resident_all());
+        let (_, errs) = self.sweep(self.pool.pin_all_resident());
         if let Some(e) = errs.into_iter().next() {
             return Err(e);
         }
         // Bypass-writer barrier (wait 2 above).
-        for slot in self.slot_handles() {
+        for slot in self.slots.iter() {
             drop(slot.latch());
         }
         self.backend.sync()
@@ -955,7 +1033,7 @@ impl PageStore {
 
     /// Total slots ever allocated (live + free-listed).
     pub fn capacity(&self) -> usize {
-        self.slots_read().len()
+        self.slots.len()
     }
 
     /// Pages currently allocated (not on the free list).
@@ -966,7 +1044,7 @@ impl PageStore {
     /// Ids of all currently allocated pages, ascending. For recovery
     /// (garbage collection, checkpointing) on a quiesced store.
     pub fn allocated_pages(&self) -> Vec<PageId> {
-        self.slot_handles()
+        self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| *s.latch())
@@ -982,17 +1060,9 @@ impl PageStore {
         }
     }
 
-    /// Every slot, cloned out of the table: the slot table is a leaf in
-    /// the lock order, so no slot latch may be taken while it is held.
-    fn slot_handles(&self) -> Vec<Arc<Slot>> {
-        self.slots_read().iter().cloned().collect()
-    }
-
-    fn slot(&self, pid: PageId) -> Result<Arc<Slot>> {
-        let slots = self.slots_read();
-        slots
+    fn slot(&self, pid: PageId) -> Result<&Slot> {
+        self.slots
             .get(pid.index())
-            .cloned()
             .ok_or(StoreError::OutOfBounds(pid))
     }
 
@@ -1195,55 +1265,49 @@ impl PageStore {
     /// on a journal or backend error the page stays free.
     pub fn alloc(&self) -> Result<PageId> {
         self.check_health()?;
-        // NB: pop in its own statement — the guard must not live into the
-        // body, which re-locks `free` on the journal-error path.
-        let reused = self.lock_free().pop();
-        if let Some(pid) = reused {
-            let slot = self.slot(pid).expect("free-listed page must exist");
-            let mut allocated = slot.latch();
-            debug_assert!(!*allocated, "page on free list was allocated");
-            let epoch_before = self.epoch.load(std::sync::atomic::Ordering::Acquire);
-            let r = self
-                .log(|j| j.log_alloc(pid))
-                .and_then(|()| self.publish_journal())
-                // Unstamped zero fill: an all-zero page passes checksum
-                // verification by the "never written" rule, and fresh
-                // allocations must read back as all zeros.
-                .and_then(|()| self.retry_io(|| self.backend.write(pid.index(), &self.zero)));
-            if let Err(e) = r {
-                drop(allocated);
-                self.lock_free().push(pid);
-                return Err(e);
+        // Pop a freed page, or grow: the table publishes the new slot
+        // unallocated, so it is invisible to every page access until the
+        // flag flips below. NB: the guard must not live into the body,
+        // which re-locks `free` on the error path.
+        let (pid, grown) = {
+            let mut free = self.lock_free();
+            match free.pop() {
+                Some(pid) => (pid, false),
+                None => {
+                    let idx = self.slots.len();
+                    self.backend.grow(idx + 1)?;
+                    (PageId::from_index(self.slots.push()), true)
+                }
             }
-            // The alloc record zeroes the page on replay — a valid base
-            // for delta records in this epoch.
-            self.note_base(&slot, epoch_before);
-            // Publish only after the backend slot is zeroed: a pool loader
-            // waiting on this latch must observe the zeroed image.
-            *allocated = true;
-            StoreStats::bump(&self.stats.allocs);
-            return Ok(pid);
-        }
-        // Growth path: publish the slot first, then journal *outside* the
-        // slots write lock — a WAL commit can block on an fsync or a whole
-        // group-commit window, and every get/put needs slots.read(). The
-        // pid is invisible to other threads until returned, so logging
-        // after publication cannot reorder same-page records.
-        let pid = {
-            let mut slots = self.slots_write();
-            let idx = slots.len();
-            self.backend.grow(idx + 1)?;
-            slots.push(Slot::new(true));
-            PageId::from_index(idx)
         };
-        let slot = self.slot(pid).expect("slot was just published");
-        let epoch_before = self.epoch.load(std::sync::atomic::Ordering::Acquire);
-        if let Err(e) = self.log(|j| j.log_alloc(pid)) {
-            *slot.latch() = false;
+        let slot = self
+            .slot(pid)
+            .expect("free-listed or grown page must exist");
+        let mut allocated = slot.latch();
+        debug_assert!(!*allocated, "page on free list was allocated");
+        let epoch_before = self.epoch.load(Ordering::Acquire);
+        let r = self.log(|j| j.log_alloc(pid)).and_then(|()| {
+            if grown {
+                // `grow` handed the backend slot over zeroed.
+                return Ok(());
+            }
+            // Unstamped zero fill: an all-zero page passes checksum
+            // verification by the "never written" rule, and fresh
+            // allocations must read back as all zeros.
+            self.publish_journal()?;
+            self.retry_io(|| self.backend.write(pid.index(), &self.zero))
+        });
+        if let Err(e) = r {
+            drop(allocated);
             self.lock_free().push(pid);
             return Err(e);
         }
-        self.note_base(&slot, epoch_before);
+        // The alloc record zeroes the page on replay — a valid base for
+        // delta records in this epoch.
+        self.note_base(slot, epoch_before);
+        // Publish only after the backend slot is zeroed: a pool loader
+        // waiting on this latch must observe the zeroed image.
+        slot.set_allocated(&mut allocated, true);
         StoreStats::bump(&self.stats.allocs);
         Ok(pid)
     }
@@ -1263,7 +1327,7 @@ impl PageStore {
                 return Err(StoreError::PageFreed(pid));
             }
             self.log(|j| j.log_free(pid))?;
-            *allocated = false;
+            slot.set_allocated(&mut allocated, false);
         }
         StoreStats::bump(&self.stats.frees);
         // Drop the frame (and its dirty bit: freed bytes are never written
@@ -1280,7 +1344,7 @@ impl PageStore {
         self.check_health()?;
         let slot = self.slot(pid)?;
         StoreStats::bump(&self.stats.gets);
-        let inner = match self.claim_frame(pid, &slot, None)? {
+        let inner = match self.claim_frame(pid, slot, None)? {
             Claimed::Frame {
                 frame,
                 latch: Latch::Shared(guard),
@@ -1367,12 +1431,9 @@ impl PageStore {
                         Some(_) => (frame, Latch::Exclusive(guard), Some(idx)),
                         None => {
                             StoreStats::bump(&self.stats.cache_misses);
+                            self.pool.complete_miss(pid, idx); // publishes `owner`
                             frame.end_write();
-                            frame
-                                .owner
-                                .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
                             drop(guard);
-                            self.pool.complete_miss(pid, idx);
                             // Our pin keeps the frame ours; a put may slip in
                             // between latch drops, but then the guard just
                             // sees newer bytes.
@@ -1421,40 +1482,41 @@ impl PageStore {
     }
 
     /// Optimistic latch-free read: copies `pid`'s image out of its resident
-    /// frame **without taking the frame latch**, validating the copy with
-    /// the frame's seqlock. On success `buf` holds a consistent snapshot
-    /// and the returned [`PageStamp`] lets the caller revalidate later
-    /// (via [`PageStore::stamp_valid`]) that no writer has touched the
-    /// page since — the version-coupling step of an optimistic descent.
+    /// frame **without a pin, a shard mutex, a frame latch or a slot
+    /// latch**, validating the copy with the frame's seqlock. On success
+    /// `buf` holds a consistent snapshot and the returned [`PageStamp`]
+    /// lets the caller revalidate later (via [`PageStore::stamp_valid`])
+    /// that no writer has touched the page since — the version-coupling
+    /// step of an optimistic descent. The only shared lines it writes are
+    /// the frame's CLOCK bit, and only when the clock hand cleared it.
     ///
-    /// Returns `Ok(None)` whenever the fast path cannot be taken safely
-    /// (page not resident, frame mid-mutation or repurposed, pool
-    /// disabled); the caller falls back to a latched [`PageStore::read`].
+    /// The frame comes from the pool's `pid → frame` hint and may have been
+    /// repurposed, so the copy counts only if the version was even and
+    /// unchanged across it and `owner` names `pid` afterwards. Returns
+    /// `Ok(None)` whenever the fast path cannot be taken safely (no hint,
+    /// frame mid-mutation or holding another page, pool disabled); the
+    /// caller falls back to a latched [`PageStore::read`], which maps the
+    /// page and refreshes the hint.
     pub fn read_unlatched(&self, pid: PageId, buf: &mut [u8]) -> Result<Option<PageStamp>> {
         debug_assert_eq!(buf.len(), self.cfg.page_size);
-        let Some(frame) = self.pool.pin_resident(pid) else {
+        let slot = self.slot(pid)?;
+        let snapshot = self.pool.frame_hinted(pid).and_then(|frame| {
+            let version = frame.snapshot_unlatched(buf)?;
+            frame.owned_by(pid).then_some((frame, version))
+        });
+        let Some((frame, version)) = snapshot else {
             StoreStats::bump(&self.stats.optimistic_read_fallbacks);
             return Ok(None);
         };
-        // While pinned the frame cannot be repurposed, so `owner` is
-        // stable; the seqlock validates the bytes themselves.
-        let version = match frame.snapshot_unlatched(buf) {
-            Some(v) if frame.owned_by(pid) => Some(v),
-            _ => None,
-        };
-        let addr = frame as *const Frame as usize;
-        frame.unpin();
-        let Some(version) = version else {
-            StoreStats::bump(&self.stats.optimistic_read_fallbacks);
-            return Ok(None);
-        };
-        // A freed page's frame is discarded before the pid can be
-        // reallocated; surface the free instead of serving garbage.
-        if !*self.slot(pid)?.latch() {
+        // `free` clears the flag before it disowns the frame: a page freed
+        // after the owner check surfaces as freed, not as its last image.
+        if !slot.is_live() {
             return Err(StoreError::PageFreed(pid));
         }
+        frame.touch();
         StoreStats::bump(&self.stats.gets);
         StoreStats::bump(&self.stats.optimistic_reads);
+        let addr = frame.audit_addr();
         audit::note_snapshot(addr);
         Ok(Some(PageStamp {
             frame: addr,
@@ -1468,15 +1530,17 @@ impl PageStore {
     pub fn stamp_valid(&self, pid: PageId, stamp: &PageStamp) -> bool {
         audit::note_revalidate(stamp.frame);
         // SAFETY: `stamp.frame` was produced by `read_unlatched` from a
-        // `&Frame` borrowed out of this store's buffer pool. Frames are
-        // allocated once at pool construction into a `Box<[Frame]>` that
-        // is never resized, moved, or freed while the `PageStore` lives,
-        // and `PageStamp` borrows the store (`read_unlatched(&self)` /
-        // `stamp_valid(&self)`), so the pointer cannot outlive the frames.
-        // Eviction does not invalidate it either: a frame is *repurposed*,
-        // never deallocated, and every repurposing brackets the refill
-        // with `begin_write`/`end_write`, bumping the seqlock version so
-        // the `version_is` check below rejects the stale stamp.
+        // `&Frame` borrowed out of this store's buffer pool. That frame was
+        // never pinned, and it need not be: frames are allocated once at
+        // pool construction into a `Box<[Frame]>` that is never resized,
+        // moved, or freed while the `PageStore` lives, and `PageStamp`
+        // borrows the store (`read_unlatched(&self)` / `stamp_valid(&self)`),
+        // so the pointer cannot outlive the frames. Eviction does not
+        // invalidate it either: a frame is *repurposed*, never deallocated,
+        // and every repurposing either brackets the refill with
+        // `begin_write`/`end_write`, bumping the seqlock version so the
+        // `version_is` check below rejects the stale stamp, or disowns the
+        // frame, which fails the `owned_by` check.
         let frame = unsafe { &*(stamp.frame as *const Frame) };
         frame.version_is(stamp.version) && frame.owned_by(pid)
     }
@@ -1509,6 +1573,9 @@ impl PageStore {
             }
         }
         frame.begin_write();
+        // Whatever page the frame held is leaving it: from here until
+        // `complete_miss` publishes `pid`, it names no page.
+        frame.disown();
         let r = {
             let allocated = slot.latch();
             if !*allocated {
@@ -1603,7 +1670,7 @@ impl PageStore {
         self.check_health()?;
         let slot = self.slot(pid)?;
         let overwrite = intent == WriteIntent::Overwrite;
-        let inner = match self.claim_frame(pid, &slot, Some(intent))? {
+        let inner = match self.claim_frame(pid, slot, Some(intent))? {
             Claimed::Frame {
                 frame,
                 latch: Latch::Exclusive(mut guard),
@@ -2309,13 +2376,10 @@ mod pool_tests {
         });
         // The reader resumes and loads b's own image.
         let slot = store.slot(b).unwrap();
-        let guard = store.fill_frame(b, &slot, frame, idx, flush, None).unwrap();
-        frame.end_write();
-        frame
-            .owner
-            .store(b.to_raw(), std::sync::atomic::Ordering::Release);
-        drop(guard);
+        let guard = store.fill_frame(b, slot, frame, idx, flush, None).unwrap();
         store.pool.complete_miss(b, idx);
+        frame.end_write();
+        drop(guard);
         frame.unpin();
         assert!(store.get(b).unwrap().bytes().iter().all(|&x| x == 0xB2));
         assert!(store.get(a).unwrap().bytes().iter().all(|&x| x == 0xA1));
@@ -2337,6 +2401,78 @@ mod pool_tests {
         let [a, b] = sweep_racing_a_miss_claim(|s| s.flush_for_checkpoint());
         assert!(a.iter().all(|&x| x == 0xA1), "victim write-back skipped");
         assert!(b.iter().all(|&x| x == 0xB2));
+    }
+
+    /// An unpinned read of `pid` must serve `fill`-filled bytes or nothing.
+    #[track_caller]
+    fn assert_unlatched_read_is_current_or_none(store: &PageStore, pid: PageId, fill: u8) {
+        let mut buf = vec![0u8; store.page_size()];
+        if let Some(stamp) = store.read_unlatched(pid, &mut buf).unwrap() {
+            assert!(store.stamp_valid(pid, &stamp));
+            assert!(
+                buf.iter().all(|&x| x == fill),
+                "unpinned read served a frame that no longer holds the page"
+            );
+        }
+    }
+
+    #[test]
+    fn hinted_read_never_serves_an_unmapped_frame() {
+        // (a) A clean page leaves its frame, and its next write lands in
+        // another frame. The hint can still lead to the old frame: here a
+        // page sharing `a`'s hint slot (2 frames → 8 slots: 1 and 9)
+        // re-points it with a hit. The clean-victim claim must have
+        // disowned the frame, whose bytes are `a`'s old image.
+        let store = PageStore::new(StoreConfig {
+            page_size: 64,
+            io_delay: None,
+            pool_frames: 2,
+        });
+        let pids: Vec<_> = (0..9).map(|_| store.alloc().unwrap()).collect();
+        let (a, b, d) = (pids[0], pids[1], pids[8]);
+        let mut p = Page::zeroed(64);
+        p.bytes_mut().fill(0xA1);
+        store.put(a, &p).unwrap();
+        store.put(b, &p).unwrap();
+        store.sync().unwrap(); // both frames clean
+        let Claim::Miss {
+            idx, flush: None, ..
+        } = store.pool.claim(d)
+        else {
+            panic!("d must evict clean a");
+        };
+        p.bytes_mut().fill(0xA2);
+        store.put(a, &p).unwrap(); // evicts b: a's new frame
+        match store.pool.claim(d) {
+            Claim::Hit(f) => f.unpin(), // hint slot → d's frame (a's old)
+            _ => panic!("d is mapped"),
+        }
+        assert_unlatched_read_is_current_or_none(&store, a, 0xA2);
+        store.pool.abort_miss(d, idx);
+        assert!(store.get(a).unwrap().bytes().iter().all(|&x| x == 0xA2));
+
+        // (b) A freed page is reallocated and overwritten while its old
+        // frame is pinned, so the new image goes to the backend and the
+        // hint still names the old frame: `discard` must have disowned it.
+        let store = PageStore::new(StoreConfig {
+            page_size: 64,
+            io_delay: None,
+            pool_frames: 1,
+        });
+        let a = store.alloc().unwrap();
+        p.bytes_mut().fill(0xA1);
+        store.put(a, &p).unwrap();
+        let Claim::Hit(frame) = store.pool.claim(a) else {
+            panic!("a is resident");
+        };
+        store.free(a).unwrap();
+        assert_eq!(store.alloc().unwrap(), a);
+        p.bytes_mut().fill(0xA2);
+        store.put(a, &p).unwrap(); // every frame pinned: bypass
+        assert_eq!(store.stats().snapshot().pool_bypasses, 1);
+        assert_unlatched_read_is_current_or_none(&store, a, 0xA2);
+        frame.unpin();
+        assert!(store.get(a).unwrap().bytes().iter().all(|&x| x == 0xA2));
     }
 
     #[test]

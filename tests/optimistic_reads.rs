@@ -1,7 +1,8 @@
-//! Optimistic-descent tests: root/branch levels are read without the
-//! frame latch (seqlock-validated private copies) and **revalidated before
-//! the descent acts on them** — a node rewritten between the version read
-//! and the revalidation must force a restart, never a torn decode.
+//! Optimistic-descent tests: every traversal read — prime block, index
+//! levels, leaves — is a seqlock-validated private copy taken without a
+//! pin or a frame latch, and is **revalidated before the descent acts on
+//! it** — a node rewritten between the version read and the revalidation
+//! must force a restart, never a torn decode.
 
 use sagiv_blink_repro::blink::{BLinkTree, TreeConfig};
 use sagiv_blink_repro::db::{Db, DbConfig};
@@ -64,6 +65,38 @@ fn split_between_version_read_and_revalidate_restarts_the_descent() {
         stats.optimistic_reads > 0,
         "descents must use the fast path"
     );
+}
+
+/// On a resident tree a search is optimistic end to end: the prime block
+/// and one node per level, each read without a pin or a latch.
+#[test]
+fn resident_search_takes_no_pin_or_latch() {
+    let tree = optimistic_tree(4);
+    let mut s = tree.session();
+    for i in 0..2_000u64 {
+        tree.insert(&mut s, i, i * 3).unwrap();
+    }
+    // Warm-up: every page is resident (the default pool holds them all).
+    for i in 0..2_000u64 {
+        assert_eq!(tree.search(&mut s, i).unwrap(), Some(i * 3));
+    }
+    let height = u64::from(tree.height().unwrap());
+    assert!(height >= 3, "the descent must cross index levels");
+    const N: u64 = 500;
+    let before = tree.store().stats().snapshot();
+    for i in 0..N {
+        let key = (i * 7) % 2_000;
+        assert_eq!(tree.search(&mut s, key).unwrap(), Some(key * 3));
+    }
+    let d = tree.store().stats().snapshot().delta(&before);
+    assert_eq!(d.pins, 0, "a resident search must not pin");
+    assert_eq!(d.cache_hits + d.cache_misses, 0, "no latched page read");
+    assert_eq!(
+        d.optimistic_reads,
+        N * (height + 1),
+        "prime + one per level"
+    );
+    assert_eq!(d.optimistic_read_fallbacks, 0);
 }
 
 /// Optimistic descents stay correct under concurrent writers: every value
