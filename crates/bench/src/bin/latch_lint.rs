@@ -41,6 +41,7 @@ fn self_test() -> ExitCode {
         ("wrapper-only", "frame_hinted("),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
+        ("wrapper-only", ".write_all("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

@@ -152,11 +152,14 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["open", "rotate", "run_leader"],
         use_instead: "Wal::commit_pipelined (the one commit fsync, in run_leader)",
     },
+    // One append path: besides the segment headers written by `open` and
+    // `rotate`, only `append_record` writes to a segment. (The tests forge
+    // segments with `std::fs::write`, which this needle does not match.)
     WrapperRule {
         file: "wal.rs",
-        needles: &["slot.lock(", "slot.try_lock("],
-        allowed_fns: &["lock_slot"],
-        use_instead: "Wal::lock_slot (WalSlot)",
+        needles: &[".write_all("],
+        allowed_fns: &["open", "rotate", "append_record"],
+        use_instead: "Wal::append_record (the one write-through append)",
     },
     WrapperRule {
         file: "wal.rs",

@@ -40,6 +40,7 @@ fn fixture_trips_every_rule() {
         ("wrapper-only", "frame_hinted("),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
+        ("wrapper-only", ".write_all("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

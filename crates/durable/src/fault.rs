@@ -52,7 +52,9 @@ use std::time::Duration;
 /// Where in the I/O stack a [`PlannedFault`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// A WAL record append (before bytes reach the segment file).
+    /// A WAL record append (the segment-file write). A torn append
+    /// writes the record's first `k` bytes and **poisons** the store:
+    /// nothing may follow a torn record.
     WalAppend = 0,
     /// A WAL segment fsync — the commit point. A planned fault here is
     /// indistinguishable from a real `fsync` failure and **poisons** the
@@ -109,7 +111,7 @@ pub enum FaultOutcome {
 
 impl FaultOutcome {
     /// Collapses the outcome to pass/fail for sites with no buffer to
-    /// tear or flip (WAL appends and fsyncs): `Proceed` passes, anything
+    /// tear or flip (WAL fsyncs): `Proceed` passes, anything
     /// else fails loudly.
     pub fn pass_or_fail(self) -> Result<()> {
         match self {

@@ -533,12 +533,12 @@ impl DurableStore {
     }
 
     /// Runs `f` with WAL commit deferral: every record the scope appends
-    /// is staged immediately (the commit point for crash semantics) but
-    /// the fsync-policy commit runs **once** at scope exit instead of per
-    /// record — a multi-record operation (a KV put touching heap + index
-    /// pages) pays one commit wait, not several. The deferred
-    /// commit's error is returned alongside `f`'s output; it surfaces even
-    /// when `f` itself failed.
+    /// is written to the segment file immediately (the commit point for
+    /// crash semantics) but the fsync-policy commit runs **once** at scope
+    /// exit instead of per record — a multi-record operation (a KV put
+    /// touching heap + index pages) pays one commit wait, not several. The
+    /// deferred commit's error is returned alongside `f`'s output; it
+    /// surfaces even when `f` itself failed.
     pub fn with_deferred_commit<T>(&self, f: impl FnOnce() -> T) -> (T, Result<()>) {
         self.wal.deferred_scope(f)
     }
@@ -646,6 +646,42 @@ mod tests {
             "state is exactly as of the last durable record"
         );
         assert_eq!(store.live_pages(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_wal_append_poisons_and_reopen_replays_the_prefix() {
+        use crate::fault::{FaultKind, FaultPlan};
+        let dir = tmpdir("tornappend");
+        let a;
+        {
+            let ds = DurableStore::create(cfg(&dir)).unwrap();
+            let store = ds.store();
+            a = store.alloc().unwrap(); // record 1
+            let mut p = Page::zeroed(128);
+            p.bytes_mut().fill(1);
+            store.put(a, &p).unwrap(); // record 2
+            p.bytes_mut().fill(2);
+            store.put(a, &p).unwrap(); // record 3
+
+            // The next append writes 10 bytes of its record, then fails.
+            ds.fault().set_plan(FaultPlan::new().fail_nth(
+                FaultSite::WalAppend,
+                1,
+                FaultKind::TornWrite(10),
+            ));
+            p.bytes_mut().fill(3);
+            assert_eq!(store.put(a, &p), Err(StoreError::Poisoned));
+            ds.fault().clear_plan();
+            // Nothing may follow the torn record: appends and commits alike.
+            assert_eq!(store.put(a, &p), Err(StoreError::Poisoned));
+            assert_eq!(store.alloc(), Err(StoreError::Poisoned));
+            assert_eq!(ds.sync(), Err(StoreError::Poisoned));
+        }
+        let ds = DurableStore::open(cfg(&dir)).unwrap();
+        assert_eq!(ds.recovery().replayed, 3);
+        assert!(ds.recovery().torn_tail, "the torn record is discarded");
+        assert_eq!(ds.store().get(a).unwrap().bytes()[0], 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,9 +40,14 @@
 //!
 //! ## Commit
 //!
-//! A writer *stages* a record in a per-thread slot; a committer
-//! *publishes* the staged records into the segment file in dense LSN
-//! order and makes them *durable* according to the [`FsyncPolicy`]:
+//! An append writes through: under the append mutex it takes the next
+//! LSN and `write(2)`s the encoded record into the segment file, so every
+//! accepted record is in the file (the page cache, not yet fsynced) when
+//! `log_*` returns and the log is dense by construction. A page write
+//! that follows its record can therefore never overtake it — write-ahead
+//! order needs no barrier. No fsync runs under the append mutex. A
+//! commit then makes the record *durable* according to the
+//! [`FsyncPolicy`]:
 //!
 //! * [`Always`](FsyncPolicy::Always) — return only after an fsync that
 //!   covers the commit's LSN. Every such commit rides one pipeline: join
@@ -51,15 +56,16 @@
 //!   only on its own batch's gate. Nobody waits on a timer — the running
 //!   fsync *is* the batching window. Mean batch size is
 //!   `StoreStats::wal_group_commit_records ÷ wal_group_commits`.
-//! * [`Never`](FsyncPolicy::Never) — publish to the file and leave the
-//!   fsync to the OS (fastest, no durability promise on power loss; still
-//!   crash-consistent thanks to record checksums).
+//! * [`Never`](FsyncPolicy::Never) — nothing more: the record is already
+//!   in the file and the fsync is left to the OS (fastest, no durability
+//!   promise on power loss; still crash-consistent thanks to record
+//!   checksums).
 //!
 //! [`Journal::sync`] is a pipeline commit at the last appended LSN under
 //! either policy, so a log loaded at `Never` is made durable by one sync.
 
 use crate::crc::Crc32;
-use crate::fault::{FaultInjector, FaultSite};
+use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use blink_pagestore::audit::{self, Audited, LockClass};
 use blink_pagestore::{DeltaRange, Journal, PageId, Result, StoreError, StoreHealth, StoreStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -67,7 +73,6 @@ use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -128,7 +133,12 @@ fn segment_header(seq: u64) -> [u8; SEG_HEADER as usize] {
     h
 }
 
-fn encode_record(lsn: u64, op: u8, pid: PageId, data: &[u8]) -> Vec<u8> {
+/// The record header's LSN bytes (the CRC covers the payload only).
+const LSN_FIELD: std::ops::Range<usize> = 8..16;
+
+/// Encodes one record with its LSN field zeroed: the appender fills in
+/// [`LSN_FIELD`] once it holds the append mutex.
+fn encode_record(op: u8, pid: PageId, data: &[u8]) -> Vec<u8> {
     let payload_len = 5 + data.len();
     let mut buf = Vec::with_capacity(REC_HEADER + payload_len);
     buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
@@ -137,13 +147,16 @@ fn encode_record(lsn: u64, op: u8, pid: PageId, data: &[u8]) -> Vec<u8> {
     crc.update(&pid.to_raw().to_le_bytes());
     crc.update(data);
     buf.extend_from_slice(&crc.finish().to_le_bytes());
-    buf.extend_from_slice(&lsn.to_le_bytes());
+    buf.extend_from_slice(&0u64.to_le_bytes());
     buf.push(op);
     buf.extend_from_slice(&pid.to_raw().to_le_bytes());
     buf.extend_from_slice(data);
     buf
 }
 
+/// The append side of the log, guarded by the append mutex: the segment
+/// being written, its length, and the LSN the next record takes. Every
+/// record below `next_lsn` is in a segment file.
 #[derive(Debug)]
 struct WalInner {
     file: File,
@@ -152,65 +165,12 @@ struct WalInner {
     next_lsn: u64,
 }
 
-/// The contents of one staging slot: encoded records tagged with their
-/// claimed LSNs.
-type StagedEntries = Vec<(u64, Vec<u8>)>;
-
-/// One staging slot.
-type StagingSlot = Mutex<StagedEntries>;
-
-/// Per-thread staging slots (striped by a thread ticket). Between them and
-/// the append mutex sits the staging protocol:
-///
-/// * A writer locks **its own slot only**, passes the fault gate, claims an
-///   LSN from the shared counter *while holding the slot lock*, encodes the
-///   record, and pushes `(lsn, bytes)` — no append-mutex acquisition.
-/// * A publisher (any committer, or a writer crossing the staged-bytes
-///   threshold) locks the append mutex, loads a cut `C` from the LSN
-///   counter, then locks every slot and drains entries with `lsn < C`.
-///   Because LSNs are claimed under slot locks, any `lsn < C` is visible in
-///   some slot by the time its lock is acquired — the sorted batch is
-///   provably dense — and one contiguous `write_all` per segment stitches
-///   it into the file.
-#[derive(Debug)]
-struct StagingState {
-    slots: Box<[StagingSlot]>,
-    /// Next LSN to hand out (the allocation counter; `WalInner::next_lsn`
-    /// becomes "first LSN not yet written to the file").
-    next_lsn: AtomicU64,
-    /// Bytes staged but not yet published (publish back-pressure).
-    staged_bytes: AtomicU64,
-}
-
-/// Staging slots per log. More than any plausible writer count on the
-/// reference host; collisions only cost a short slot-mutex wait.
-const STAGING_SLOTS: usize = 16;
-/// Staged bytes that trigger an eager publish even without a commit, so an
-/// fsync-less workload (`FsyncPolicy::Never` inside a deferred scope)
-/// cannot grow the slots without bound.
-const STAGING_PUBLISH_BYTES: u64 = 256 * 1024;
-
-fn staging_slot_index(n: usize) -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static TICKET: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    TICKET.with(|t| {
-        let mut v = t.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed);
-            t.set(v);
-        }
-        v % n
-    })
-}
-
 thread_local! {
-    /// Active deferred-commit scope: `Some(max staged LSN so far)` while a
-    /// [`Wal::deferred_scope`] is running on this thread (0 = nothing
-    /// staged yet), `None` otherwise. Lets one logical operation that logs
-    /// several records (heap write + index repoint) pay for one commit
-    /// instead of one per record.
+    /// Active deferred-commit scope: `Some(max appended LSN so far)` while
+    /// a [`Wal::deferred_scope`] is running on this thread (0 = nothing
+    /// appended yet), `None` otherwise. Lets one logical operation that
+    /// logs several records (heap write + index repoint) pay for one
+    /// commit instead of one per record.
     static DEFERRED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
@@ -219,9 +179,8 @@ thread_local! {
 struct BatchGate {
     /// `Some` once the batch's covering fsync finished: `Ok`, or the
     /// leader's error, which every committer of the batch returns. Nothing
-    /// re-drives a failed batch: its publish already drained the records
-    /// from the staging slots, and a failed fsync may have dropped the
-    /// pages it was writing, so no retry could honestly cover them.
+    /// re-drives a failed batch: a failed fsync may have dropped the pages
+    /// it was writing, so no retry could honestly cover them.
     outcome: Option<Result<()>>,
     /// Leadership hand-off: the previous leader finished its batch and
     /// left the baton here. The first waiter to observe the token takes
@@ -267,7 +226,7 @@ struct PipelineCtl {
 ///
 /// The double-buffer invariant: at most one batch is *syncing* (its
 /// leader holds no lock across the fsync — it syncs a cloned fd) while
-/// the next batch *fills* in the staging slots. Committers wait only on
+/// the next batch *fills* behind it. Committers wait only on
 /// their own batch's gate, so a batch-N committer is never penalized by
 /// batch N+1's fsync. The control mutex and every gate register with the
 /// latch auditor as `WalBatch`, a leaf class with same-class nesting
@@ -287,27 +246,25 @@ pub struct Wal {
     fault: Arc<FaultInjector>,
     stats: Arc<StoreStats>,
     inner: Mutex<WalInner>,
-    /// Per-thread staging slots every append goes through (see
-    /// [`StagingState`]).
-    staging: StagingState,
     /// Pipelined group commit: every fsync-backed commit and every sync.
     pipeline: PipelineState,
     /// The store's health latch, bound by the durable store after the
     /// page store is constructed (they share one instance). A failed WAL
-    /// fsync poisons it — sticky: every later append or commit fails with
-    /// [`StoreError::Poisoned`] until a clean reopen re-establishes the
-    /// durable prefix. Unbound (standalone `Wal` in tests), failures
-    /// surface but nothing latches.
+    /// fsync or segment write poisons it — sticky: every later append or
+    /// commit fails with [`StoreError::Poisoned`] until a clean reopen
+    /// re-establishes the durable prefix. Unbound (standalone `Wal` in
+    /// tests), failures surface but nothing latches.
     health: OnceLock<Arc<StoreHealth>>,
 }
 
 impl Wal {
     /// Acquires the append mutex, timing only the contended path into the
-    /// append-wait histogram. No commit fsync runs under it (the pipeline
-    /// leader syncs a cloned fd); only a rotation's outgoing-segment sync
-    /// does. The only place `Wal::inner` is locked: every acquisition
-    /// registers with the latch auditor as `WalAppend` (staging slots may
-    /// nest inside it, nothing else).
+    /// append-wait histogram. It is held for one record's `write(2)`; no
+    /// commit fsync runs under it (the pipeline leader syncs a cloned fd),
+    /// only a rotation's outgoing-segment sync does. The only place
+    /// `Wal::inner` is locked: every acquisition registers with the latch
+    /// auditor as `WalAppend`, a leaf (nothing but the health latch is
+    /// taken under it).
     fn lock_inner(&self) -> Audited<MutexGuard<'_, WalInner>> {
         audit::audited(
             LockClass::WalAppend,
@@ -321,37 +278,6 @@ impl Wal {
                 self.stats
                     .record_wal_append_wait(t0.elapsed().as_nanos() as u64);
                 g
-            },
-        )
-    }
-
-    /// The only place a staging slot is locked: registers as `WalSlot`.
-    /// `timed` selects the staging path's contended-wait attribution (the
-    /// publish leader's drain loop under the append mutex stays untimed,
-    /// exactly as before the auditor).
-    fn lock_slot<'a>(
-        &self,
-        slot: &'a StagingSlot,
-        timed: bool,
-    ) -> Audited<MutexGuard<'a, StagedEntries>> {
-        audit::audited(
-            LockClass::WalSlot,
-            slot as *const StagingSlot as usize,
-            || {
-                match slot.try_lock() {
-                    Some(g) => g,
-                    None => {
-                        // A publisher (or a ticket collision) holds the slot:
-                        // attribute the wait to append serialization.
-                        let t0 = Instant::now();
-                        let g = slot.lock();
-                        if timed {
-                            self.stats
-                                .record_wal_append_wait(t0.elapsed().as_nanos() as u64);
-                        }
-                        g
-                    }
-                }
             },
         )
     }
@@ -378,9 +304,8 @@ impl Wal {
 
     /// Opens the log for appending: continues segment `seg_seq` at
     /// `seg_len` bytes (creating it if absent) with the next record taking
-    /// `next_lsn`. Recovery computes these from a [`scan`]. The staging
-    /// LSN counter and the pipeline's durable horizon are seeded from
-    /// `next_lsn`.
+    /// `next_lsn`. Recovery computes these from a [`scan`]. The pipeline's
+    /// durable horizon is seeded from `next_lsn`.
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
@@ -434,11 +359,6 @@ impl Wal {
                 seg_len,
                 next_lsn,
             }),
-            staging: StagingState {
-                slots: (0..STAGING_SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
-                next_lsn: AtomicU64::new(next_lsn),
-                staged_bytes: AtomicU64::new(0),
-            },
             pipeline: PipelineState {
                 ctl: Mutex::new(PipelineCtl {
                     filling: Arc::new(BatchCell::new()),
@@ -451,15 +371,15 @@ impl Wal {
         })
     }
 
-    /// Binds the store's health latch so WAL fsync failures poison the
-    /// whole store, not just the one commit. Idempotent; the first binding
-    /// wins.
+    /// Binds the store's health latch so WAL fsync and segment-write
+    /// failures poison the whole store, not just the one commit.
+    /// Idempotent; the first binding wins.
     pub fn bind_health(&self, health: Arc<StoreHealth>) {
         let _ = self.health.set(health);
     }
 
-    /// Fails with [`StoreError::Poisoned`] once a WAL fsync has failed
-    /// (no-op when no health latch is bound).
+    /// Fails with [`StoreError::Poisoned`] once a WAL fsync or segment
+    /// write has failed (no-op when no health latch is bound).
     fn check_poisoned(&self) -> Result<()> {
         match self.health.get() {
             Some(h) => h.check_poisoned(),
@@ -469,7 +389,9 @@ impl Wal {
 
     /// Latches `cause` as the store's poison (sticky — an fsync that
     /// failed may or may not have persisted anything, so no later fsync
-    /// can be trusted to repair it) and returns the error to surface:
+    /// can be trusted to repair it; a segment write that failed may have
+    /// left a torn record nothing may be appended after) and returns the
+    /// error to surface:
     /// `Poisoned` with the cause latched for attribution, or the bare
     /// cause when no health latch is bound.
     fn poison(&self, cause: StoreError) -> StoreError {
@@ -486,7 +408,7 @@ impl Wal {
 
     /// LSN of the most recently appended record (0 = none yet).
     pub fn appended_lsn(&self) -> u64 {
-        self.staging.next_lsn.load(Ordering::Acquire) - 1
+        self.lock_inner().next_lsn - 1
     }
 
     /// Sequence number of the segment currently being appended.
@@ -494,111 +416,57 @@ impl Wal {
         self.lock_inner().seg_seq
     }
 
-    /// Stages one record in this thread's slot — no append-mutex
-    /// acquisition — and returns its LSN. The record is not yet in the
-    /// file, let alone durable: pair with [`Wal::commit`]. The fault gate
-    /// runs *before* the LSN is claimed so a rejected record consumes no
-    /// LSN — crash-point matrices still observe exact record-boundary
-    /// prefixes.
+    /// Appends one record and returns its LSN, all under the append
+    /// mutex: pass the poison check and the fault gate, take the next LSN,
+    /// rotate if the record would overflow the segment, and write the
+    /// record through. It is in the segment file when this returns, but
+    /// not yet durable: pair with [`Wal::commit`]. The fault gate runs
+    /// *before* the LSN is taken so a rejected record consumes no LSN —
+    /// crash-point matrices still observe exact record-boundary prefixes.
     fn append_record(&self, op: u8, pid: PageId, data: &[u8]) -> Result<u64> {
-        // A poisoned store accepts no new records: the durable prefix
-        // ends at the failed fsync, and anything appended after it could
-        // never be honestly acknowledged.
-        self.check_poisoned()?;
-        let st = &self.staging;
-        let slot = &st.slots[staging_slot_index(st.slots.len())];
-        let mut entries = self.lock_slot(slot, true);
-        self.fault.on_wal_record()?;
-        self.fault
-            .plan_outcome(FaultSite::WalAppend)
-            .pass_or_fail()?;
-        let lsn = st.next_lsn.fetch_add(1, Ordering::AcqRel);
-        let buf = encode_record(lsn, op, pid, data);
+        // Encode (copy + CRC) before taking the mutex; only the LSN field
+        // waits for it.
+        let mut buf = encode_record(op, pid, data);
         let len = buf.len() as u64;
-        entries.push((lsn, buf));
-        // Account the bytes while still holding the slot lock: a publisher
-        // cannot drain this entry (and `fetch_sub` its bytes) until it takes
-        // the slot, so the gauge never goes below zero.
-        let total = st.staged_bytes.fetch_add(len, Ordering::AcqRel) + len;
-        drop(entries);
-        StoreStats::add(&self.stats.wal_bytes, len);
-        StoreStats::bump(&self.stats.wal_staged_records);
-        if total >= STAGING_PUBLISH_BYTES {
-            self.publish()?;
-        }
-        Ok(lsn)
-    }
-
-    /// Writes every fully-staged record into the segment file. Does
-    /// **not** fsync.
-    pub(crate) fn publish(&self) -> Result<()> {
         let mut inner = self.lock_inner();
-        self.publish_locked(&mut inner)
-    }
-
-    /// The leader half of staging: under the append mutex, cut the LSN
-    /// counter, drain every slot below the cut, stitch into LSN order, and
-    /// write the batch with at most one `write_all` per segment.
-    fn publish_locked(&self, inner: &mut WalInner) -> Result<()> {
-        let st = &self.staging;
-        let cut = st.next_lsn.load(Ordering::Acquire);
-        if inner.next_lsn >= cut {
-            return Ok(());
+        // A poisoned store accepts no new records: the durable prefix
+        // ends at the failed fsync or torn append, and anything appended
+        // after it could never be honestly acknowledged. Checked under
+        // the mutex, so no append can slip in behind a failing one.
+        self.check_poisoned()?;
+        self.fault.on_wal_record()?;
+        let torn = match self.fault.plan_outcome(FaultSite::WalAppend) {
+            FaultOutcome::Proceed => None,
+            FaultOutcome::Fail(e) => return Err(e),
+            FaultOutcome::Torn(k) => Some(k),
+            FaultOutcome::FlipBit(_) => unreachable!("bit flips never target writes"),
+        };
+        let lsn = inner.next_lsn;
+        buf[LSN_FIELD].copy_from_slice(&lsn.to_le_bytes());
+        if inner.seg_len + len > self.segment_bytes && inner.seg_len > SEG_HEADER {
+            self.rotate(&mut inner)?;
         }
-        let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-        for slot in st.slots.iter() {
-            let mut entries = self.lock_slot(slot, false);
-            let mut i = 0;
-            while i < entries.len() {
-                if entries[i].0 < cut {
-                    batch.push(entries.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
+        if let Some(k) = torn {
+            // Persist a prefix, then fail, like a crash mid-`write(2)`.
+            let _ = inner.file.write_all(&buf[..k.min(buf.len())]);
+            return Err(self.poison(StoreError::Io("injected torn wal append".to_string())));
         }
-        batch.sort_unstable_by_key(|&(lsn, _)| lsn);
-        for (k, &(lsn, _)) in batch.iter().enumerate() {
-            if lsn != inner.next_lsn + k as u64 {
-                return Err(StoreError::corrupt("staged WAL batch has an LSN gap"));
-            }
-        }
-        let mut pending: Vec<u8> = Vec::new();
-        let mut written = 0u64;
-        for (_, bytes) in &batch {
-            let projected = inner.seg_len + pending.len() as u64 + bytes.len() as u64;
-            if projected > self.segment_bytes && inner.seg_len + pending.len() as u64 > SEG_HEADER {
-                if !pending.is_empty() {
-                    inner
-                        .file
-                        .write_all(&pending)
-                        .map_err(|e| io_err("publish staged wal batch", e))?;
-                    inner.seg_len += pending.len() as u64;
-                    pending.clear();
-                }
-                self.rotate(inner)?;
-            }
-            pending.extend_from_slice(bytes);
-            written += bytes.len() as u64;
-        }
-        if !pending.is_empty() {
-            inner
-                .file
-                .write_all(&pending)
-                .map_err(|e| io_err("publish staged wal batch", e))?;
-            inner.seg_len += pending.len() as u64;
-        }
-        inner.next_lsn = cut;
-        st.staged_bytes.fetch_sub(written, Ordering::AcqRel);
-        StoreStats::bump(&self.stats.wal_publishes);
-        StoreStats::add(&self.stats.wal_publish_records, batch.len() as u64);
-        Ok(())
+        // A failed write may leave a torn record in the file: poison, so
+        // nothing is ever appended after it.
+        inner
+            .file
+            .write_all(&buf)
+            .map_err(|e| self.poison(io_err("append wal record", e)))?;
+        inner.seg_len += len;
+        inner.next_lsn = lsn + 1;
+        StoreStats::add(&self.stats.wal_bytes, len);
+        Ok(lsn)
     }
 
     /// Runs `f` with per-record commits deferred: the records `f` logs on
     /// this thread are committed **once**, after `f` returns — even when
-    /// `f` fails, so a staged record acknowledged `Ok` always reaches the
-    /// file. Returns `f`'s output plus the outcome of that final commit.
+    /// `f` fails, so every record acknowledged `Ok` is covered by a
+    /// commit. Returns `f`'s output plus the outcome of that final commit.
     /// If `f` unwinds, the scope is closed without committing (the caller
     /// never got an `Ok` to rely on) and later commits on this thread run
     /// normally.
@@ -614,13 +482,9 @@ impl Wal {
         }
         let restore = Restore(DEFERRED.with(|d| d.replace(Some(0))));
         let out = f();
-        let staged = DEFERRED.with(|d| d.get()).unwrap_or(0);
+        let last = DEFERRED.with(|d| d.get()).unwrap_or(0);
         drop(restore);
-        let fin = if staged != 0 {
-            self.commit(staged)
-        } else {
-            Ok(())
-        };
+        let fin = if last != 0 { self.commit(last) } else { Ok(()) };
         (out, fin)
     }
 
@@ -673,18 +537,15 @@ impl Wal {
     /// once the checkpoint metadata is durable.
     pub fn rotate_for_checkpoint(&self) -> Result<(u64, u64)> {
         let mut inner = self.lock_inner();
-        self.publish_locked(&mut inner)?;
         self.rotate(&mut inner)?;
         Ok((inner.seg_seq, inner.next_lsn))
     }
 
-    /// Makes `lsn` durable per the policy.
+    /// Makes `lsn` durable per the policy. At `Never` the record is
+    /// already in the file, which is all that policy promises.
     fn commit(&self, lsn: u64) -> Result<()> {
         match self.policy {
-            // No durability promise, but a staged record must still reach
-            // the file: otherwise an acknowledged `Ok` could evaporate on
-            // a crash the checksummed tail would otherwise survive.
-            FsyncPolicy::Never => self.publish(),
+            FsyncPolicy::Never => Ok(()),
             FsyncPolicy::Always => self.commit_pipelined(lsn),
         }
     }
@@ -756,20 +617,18 @@ impl Wal {
             cell
         };
         let synced = (|| -> Result<u64> {
-            let file;
-            let end;
-            {
-                let mut inner = self.lock_inner();
-                self.publish_locked(&mut inner)?;
-                end = inner.next_lsn - 1;
-                // Rotation fsyncs the outgoing segment before switching,
-                // so syncing the current file's clone covers every record
-                // up to `end` regardless of segment boundaries.
-                file = inner
+            // Every record below `next_lsn` is in the file. Rotation fsyncs
+            // the outgoing segment before switching, so syncing the current
+            // file's clone covers every record up to `end` regardless of
+            // segment boundaries.
+            let (file, end) = {
+                let inner = self.lock_inner();
+                let file = inner
                     .file
                     .try_clone()
                     .map_err(|e| io_err("clone wal segment fd", e))?;
-            }
+                (file, inner.next_lsn - 1)
+            };
             // Once an fsync has failed, no later fsync is trusted to cover
             // the gap (the dirty pages may be gone).
             self.check_poisoned()?;
@@ -852,10 +711,6 @@ impl Journal for Wal {
         let lsn = self.append_record(OP_PUT_DELTA, pid, &body)?;
         self.finish(lsn)?;
         Ok(lsn)
-    }
-
-    fn ensure_published(&self) -> Result<()> {
-        self.publish()
     }
 
     /// A pipeline commit at the last appended LSN under either policy: a
@@ -1102,6 +957,41 @@ mod tests {
                 (3, WalOp::Free(pid(1))),
             ]
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_is_in_the_segment_when_log_returns() {
+        // Write-through: no commit, no sync, and still every accepted
+        // record is in the segment file — the write-ahead order a page
+        // write-back relies on needs no barrier.
+        let dir = tmpdir("writethrough");
+        let stats = Arc::new(StoreStats::default());
+        let w = Wal::open(
+            &dir,
+            FsyncPolicy::Always,
+            1 << 20,
+            1,
+            1,
+            Arc::new(FaultInjector::new()),
+            Arc::clone(&stats),
+        )
+        .unwrap();
+        let (seen, fin) = w.deferred_scope(|| {
+            for i in 1..=3u32 {
+                w.log_put(pid(i), &[i as u8; 8]).unwrap();
+            }
+            let mut lsns = Vec::new();
+            scan(&dir, 1, 1, 64, |lsn, _| {
+                lsns.push(lsn);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(stats.snapshot().wal_fsyncs, 0, "no commit ran yet");
+            lsns
+        });
+        fin.unwrap();
+        assert_eq!(seen, vec![1, 2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1359,7 +1249,7 @@ mod tests {
     fn group_commit_batches_concurrent_committers() {
         // No timer gathers a batch: committers that arrive while an fsync
         // runs share the next one. A precursor's dilated fsync holds the
-        // pipeline until all four writers have staged their first record,
+        // pipeline until all four writers have appended their first record,
         // so at least that batch is shared whatever the scheduler does.
         let dir = tmpdir("group");
         let stats = Arc::new(StoreStats::default());
@@ -1377,14 +1267,11 @@ mod tests {
             .unwrap(),
         );
         fault.set_fsync_delay(Duration::from_millis(200));
-        let published = w.appended_lsn() + 1;
         let precursor = {
             let w = Arc::clone(&w);
             std::thread::spawn(move || w.log_put(pid(1), &[1; 8]))
         };
-        wait_until(10, "the precursor's publish", || {
-            w.lock_inner().next_lsn > published
-        });
+        wait_until(10, "the precursor's batch cut", || lone_leader_cut(&w));
         let mut handles = vec![];
         for t in 0..4 {
             let w = Arc::clone(&w);
@@ -1523,6 +1410,13 @@ mod tests {
         }
     }
 
+    /// True once a lone committer leads and has cut its batch: a leader
+    /// is running and nobody has joined the fresh filling batch yet.
+    fn lone_leader_cut(w: &Wal) -> bool {
+        let ctl = w.lock_ctl();
+        ctl.leader_running && ctl.filling_waiters == 0
+    }
+
     #[test]
     fn a_commit_whose_covering_fsync_failed_never_returns_ok() {
         // A standalone log has no health latch, so nothing poisons: only
@@ -1553,18 +1447,15 @@ mod tests {
         w.log_put(pid(2), &[1; 8]).unwrap(); // the fault was transient
 
         // Three committers share one failed batch: a precursor's dilated
-        // fsync (which passes) holds the pipeline while all three stage
-        // after its publish and join the next batch, whose fsync fails.
+        // fsync (which passes) holds the pipeline while all three append
+        // after its cut and join the next batch, whose fsync fails.
         fault.set_plan(FaultPlan::new().fail_nth(FaultSite::WalFsync, 2, FaultKind::Transient));
         fault.set_fsync_delay(Duration::from_millis(500));
-        let published = w.appended_lsn() + 1;
         let precursor = {
             let w = Arc::clone(&w);
             std::thread::spawn(move || w.log_put(pid(3), &[2; 8]))
         };
-        wait_until(10, "the precursor's publish", || {
-            w.lock_inner().next_lsn > published
-        });
+        wait_until(10, "the precursor's batch cut", || lone_leader_cut(&w));
         let sharers: Vec<_> = (0..3u32)
             .map(|t| {
                 let w = Arc::clone(&w);

@@ -3,7 +3,7 @@
 //! The paper's correctness argument is a latch-discipline argument:
 //! overtaking is safe only because latches are coupled top-down /
 //! left-to-right and never held across the wrong boundaries (§4's proof
-//! walks the lock schedule, not the data structure). After the WAL staging,
+//! walks the lock schedule, not the data structure). After the WAL,
 //! buffer pool and record heap landed, the codebase holds five distinct
 //! lock families plus a hand-rolled seqlock — this module machine-checks
 //! that the protocol the paper proves is the protocol the code follows.
@@ -18,7 +18,7 @@
 //! * a **whitelist of legal edges** ([`edge_allowed`]) encoding the
 //!   protocol: paper locks outermost, heap shard before frame latches,
 //!   frame latches before slot latches, slot latches before the WAL,
-//!   append mutex before staging slots, pool shards as pure leaves;
+//!   the WAL append mutex and pool shards as pure leaves;
 //! * the **frame-level rule**: a thread holding a frame latch for a node
 //!   of level `L` may only acquire frame latches at level `≤ L` — strictly
 //!   below is the top-down coupling, equality is the paper's left-to-right
@@ -61,40 +61,38 @@ pub enum LockClass {
     /// A page's `Slot::allocated` mutex: serializes loads, write-backs,
     /// bypasses and journal appends of one page.
     SlotLatch = 4,
-    /// The WAL append mutex (`Wal::inner`): segment file + LSN cursor.
+    /// The WAL append mutex (`Wal::inner`): segment file + LSN cursor,
+    /// held across one record's write. A leaf.
     WalAppend = 5,
-    /// A per-thread WAL staging slot. Leaf-ish: `stage` holds only its own
-    /// slot; the publish leader drains all slots under the append mutex.
-    WalSlot = 6,
     /// The store's free-list mutex (`PageStore::free`); page-slot table
     /// growth is serialized under it too.
-    FreeList = 7,
+    FreeList = 6,
     /// A buffer-pool shard mutex. A pure leaf: no I/O and no other lock is
     /// ever taken while one is held.
-    PoolShard = 8,
+    PoolShard = 7,
     /// The record heap's recycle queue (adoption candidates).
-    HeapRecycle = 9,
+    HeapRecycle = 8,
     /// The `Db` read-session pool.
-    SessionPool = 10,
+    SessionPool = 9,
     /// A pipelined-commit batch: the pipeline control mutex (`Wal`'s
     /// leader/durable-LSN state, the log's one durable horizon) and each
     /// in-flight batch's completion gate share this class. The leader
     /// must never hold the control mutex while taking a batch gate
     /// (same-class nesting is forbidden).
-    WalBatch = 11,
+    WalBatch = 10,
     /// The background flusher's control mutex (watermark state + shutdown
     /// flag). A pure leaf: foreground throttling and flusher drains take
     /// it with nothing else held.
-    FlusherQueue = 12,
+    FlusherQueue = 11,
     /// The store-health error latch ([`crate::health::StoreHealth`]): the
     /// mutex holding the first poison/flusher error. A pure leaf — the
     /// lock-free poisoned/flagged fast path means it is only taken to
     /// record or consume the latched error, never with anything held.
-    HealthLatch = 13,
+    HealthLatch = 12,
 }
 
 #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-const NCLASSES: usize = 14;
+const NCLASSES: usize = 13;
 
 /// The protocol whitelist: may a thread holding `from` acquire `to`?
 /// Same-class pairs are governed separately (see `reentrant`); this table
@@ -119,29 +117,19 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // WAL, plus alloc (free list) and adoption (recycle).
         HeapShard => matches!(
             to,
-            FrameLatch
-                | SlotLatch
-                | WalAppend
-                | WalSlot
-                | WalBatch
-                | FreeList
-                | PoolShard
-                | HeapRecycle
+            FrameLatch | SlotLatch | WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle
         ),
         // Frame latch → slot latch → journal/backend is the store's
         // documented order; the pool's shard mutexes may be taken below it.
-        FrameLatch => matches!(to, SlotLatch | WalAppend | WalSlot | WalBatch | PoolShard),
-        // Under a slot latch: journal appends (append mutex, staging
-        // slots, pipeline batches) and pool-shard checks
-        // (`is_mapped`/`still_flushing`).
-        SlotLatch => matches!(to, WalAppend | WalSlot | WalBatch | PoolShard),
-        // The publish leader drains staging slots under the append mutex.
-        WalAppend => matches!(to, WalSlot),
+        FrameLatch => matches!(to, SlotLatch | WalAppend | WalBatch | PoolShard),
+        // Under a slot latch: journal appends (append mutex, pipeline
+        // batches) and pool-shard checks (`is_mapped`/`still_flushing`).
+        SlotLatch => matches!(to, WalAppend | WalBatch | PoolShard),
         // Leaves: nothing may be acquired while one of these is held.
         // `WalBatch` is deliberately a leaf with same-class nesting
         // forbidden: the pipeline leader reads the batch cell out of the
         // control mutex, drops it, and only then touches the cell's gate.
-        WalSlot | WalBatch | FreeList | PoolShard | HeapRecycle | SessionPool | FlusherQueue
+        WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle | SessionPool | FlusherQueue
         | HealthLatch => false,
     }
 }
@@ -289,7 +277,6 @@ mod imp {
             "FrameLatch",
             "SlotLatch",
             "WalAppend",
-            "WalSlot",
             "FreeList",
             "PoolShard",
             "HeapRecycle",
@@ -690,9 +677,7 @@ mod tests {
         let b = acquire(LockClass::FrameLatch, 0x20);
         let c = acquire(LockClass::SlotLatch, 0x30);
         let d = acquire(LockClass::WalAppend, 0x40);
-        let e = acquire(LockClass::WalSlot, 0x50);
-        assert_eq!(held_count(), 5);
-        drop(e);
+        assert_eq!(held_count(), 4);
         drop(d);
         drop(c);
         drop(b);
@@ -791,7 +776,6 @@ mod tests {
             LockClass::FrameLatch,
             LockClass::SlotLatch,
             LockClass::WalAppend,
-            LockClass::WalSlot,
             LockClass::FreeList,
             LockClass::PoolShard,
             LockClass::HeapRecycle,

@@ -10,7 +10,8 @@
 //! the store: every later commit, sync and checkpoint fails with
 //! [`StoreError::Poisoned`] until the process reopens the directory and
 //! recovery re-establishes a trusted durable prefix from what actually
-//! reached the log.
+//! reached the log. A failed WAL segment write poisons the same way: it
+//! may have left a torn record, and nothing may be appended after one.
 //!
 //! ## The error latch
 //!

@@ -67,15 +67,10 @@ pub trait Journal: Send + Sync + fmt::Debug {
         ))
     }
 
-    /// Write-ahead barrier before a **backend page write**: every record
-    /// this journal has accepted so far must be in the log file (not
-    /// necessarily fsynced) when this returns. Journals that buffer
-    /// accepted records outside the log (`blink-durable`'s WAL stages
-    /// them per thread) publish them here; the default is a no-op for
-    /// journals whose `log_*` calls write through. The store calls this before dirty-frame write-back,
-    /// flush barriers, pool-bypass writes, and before zeroing a reused
-    /// page — the four places backend bytes could otherwise overtake
-    /// their own log records.
+    /// A no-op the store no longer calls: every `log_*` call writes its
+    /// record through to the log file before returning, so write-ahead
+    /// order needs no barrier. Kept only because the frozen benchmark's
+    /// `bench-trace` calls it; delete it at the next benchmark rebaseline.
     fn ensure_published(&self) -> Result<()> {
         Ok(())
     }

@@ -265,15 +265,6 @@ store_stats! {
         heap_shard_contended,
         /// Total nanoseconds heap inserts spent waiting for a shard mutex.
         heap_shard_wait_ns,
-        /// WAL records serialized into per-thread staging slots (staging
-        /// mode only) — the appends that skipped the append mutex.
-        wal_staged_records,
-        /// Staged-batch publishes: a leader stitched the staging slots into
-        /// LSN order and issued one contiguous segment write.
-        wal_publishes,
-        /// Records covered by those publishes; divide by `wal_publishes`
-        /// for the mean stitch batch size.
-        wal_publish_records,
         /// Page reads served by an optimistic frame snapshot (no pin, no
         /// latch) that validated clean: every traversal read of a resident
         /// page, prime block and leaves included.

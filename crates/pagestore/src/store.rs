@@ -850,13 +850,11 @@ impl PageStore {
     }
 
     /// Writes every dirty frame back to the backend. The WAL record for a
-    /// dirty frame was appended when it was written, so write-ahead order
-    /// holds; callers that need the log durable first (checkpoint) sync the
-    /// journal before calling this — [`PageStore::sync`] does.
+    /// dirty frame was appended (into the log file) when it was written,
+    /// so write-ahead order holds; callers that need the log durable first
+    /// (checkpoint) sync the journal before calling this —
+    /// [`PageStore::sync`] does.
     pub fn flush(&self) -> Result<()> {
-        // Write-ahead barrier: a staged journal must have every accepted
-        // record in the log file before any frame bytes reach the backend.
-        self.publish_journal()?;
         // Clean-store fast path: when the background flusher (or a prior
         // flush) already drained everything, skip the all-shards sweep.
         // The gauge is exact, so a zero here means no frame has its dirty
@@ -895,8 +893,8 @@ impl PageStore {
     ///    inside one slot-latch critical section, so tapping every
     ///    allocated slot's latch waits those out; their backend writes are
     ///    then covered by the final `backend.sync`.
-    /// 3. The journal is synced and published first, preserving write-ahead
-    ///    order for everything this barrier writes back.
+    /// 3. The journal is synced first, making durable the record of
+    ///    everything this barrier writes back.
     ///
     /// Writes that begin *during* the barrier may or may not be included —
     /// that is the fuzziness; recovery replays their records from the live
@@ -905,7 +903,6 @@ impl PageStore {
         if let Some(j) = &self.journal {
             j.sync()?;
         }
-        self.publish_journal()?;
         let (_, errs) = self.sweep(self.pool.pin_all_resident());
         if let Some(e) = errs.into_iter().next() {
             return Err(e);
@@ -939,12 +936,7 @@ impl PageStore {
             return false;
         }
         StoreStats::bump(&self.stats.flusher_wakeups);
-        // Write-ahead barrier, same as `flush`; on a journal error the
-        // frames stay dirty.
-        let (wrote, errs) = match self.publish_journal() {
-            Ok(()) => self.sweep(self.pool.pin_dirty_batch(count - low)),
-            Err(e) => (0, vec![e]),
-        };
+        let (wrote, errs) = self.sweep(self.pool.pin_dirty_batch(count - low));
         StoreStats::add(&self.stats.flusher_pages_written, wrote);
         // A background failure has nobody to return to: latch it so the
         // next foreground op fails loudly instead of the store limping
@@ -1143,17 +1135,6 @@ impl PageStore {
         Ok(())
     }
 
-    /// Write-ahead barrier before a backend page write (see
-    /// [`Journal::ensure_published`]): forces a staging journal to land
-    /// every accepted record in the log file first. No-op for unstaged
-    /// journals and journal-less stores.
-    fn publish_journal(&self) -> Result<()> {
-        match &self.journal {
-            Some(j) => j.ensure_published(),
-            None => Ok(()),
-        }
-    }
-
     /// Starts a new checkpoint epoch: the next journaled write of every
     /// page logs a full image before any delta, so replay from the new
     /// checkpoint never meets a delta without a base under it. Called by
@@ -1294,7 +1275,6 @@ impl PageStore {
             // Unstamped zero fill: an all-zero page passes checksum
             // verification by the "never written" rule, and fresh
             // allocations must read back as all zeros.
-            self.publish_journal()?;
             self.retry_io(|| self.backend.write(pid.index(), &self.zero))
         });
         if let Err(e) = r {
@@ -1613,7 +1593,6 @@ impl PageStore {
         if !(*allocated && self.pool.still_flushing(old, idx)) {
             return Ok(false);
         }
-        self.publish_journal()?;
         self.simulate_io();
         self.backend_write_page(old, bytes)?;
         StoreStats::bump(&self.stats.dirty_writebacks);
@@ -1652,7 +1631,6 @@ impl PageStore {
             return Ok(false);
         }
         self.log_page_write(pid, slot, data, None)?;
-        self.publish_journal()?;
         self.simulate_io();
         self.backend_write_page(pid, data)?;
         StoreStats::bump(&self.stats.pool_bypasses);

@@ -188,9 +188,9 @@ fn db_metrics_smoke_populates_every_layer() {
     cfg.fsync = FsyncPolicy::Always;
     let db = Arc::new(Db::open(cfg).unwrap());
 
-    // Fsync-per-commit makes WAL appends hold the append mutex across the
-    // fsync, so concurrent writers pile up on it; one heap shard does the
-    // same for record allocation. Batches repeat until both layers have
+    // Four writers share one WAL append mutex (held for each record's
+    // write, never across an fsync) and one heap shard, so both
+    // occasionally contend. Batches repeat until both layers have
     // observably contended (bounded — zero contention across this many
     // rounds would mean the instrumentation is broken).
     let mut rounds = 0;

@@ -1,6 +1,8 @@
-//! Property tests for the staged WAL pipeline: **per-thread staging →
-//! leader stitch → one contiguous segment write** must be indistinguishable
-//! from appending every record in program order.
+//! Property tests for the WAL write path under concurrent writers: records
+//! written through by many threads under the append mutex must replay
+//! exactly like every thread's records appended in program order. (The
+//! file and test names date from a per-thread staging design the
+//! write-through append replaced; the guarantees are the same.)
 //!
 //! Two guarantees are exercised:
 //!
@@ -9,7 +11,7 @@
 //!    script folded over a zero page) crashes without a final flush and
 //!    recovers from its log alone. Every page image must match the folded
 //!    script byte for byte (outside the store-reserved LSN + CRC region).
-//! 2. **Dense, monotone LSNs.** The stitched log is scanned record by
+//! 2. **Dense, monotone LSNs.** The log is scanned record by
 //!    record: `wal::scan` rejects any record whose LSN is not exactly the
 //!    successor of the previous one, so `replayed == records logged` with
 //!    `torn == false` *is* the density proof — including across a crash at
@@ -42,10 +44,10 @@ fn cfg(dir: &PathBuf) -> DurableConfig {
     DurableConfig {
         page_size: PAGE,
         fsync: FsyncPolicy::Never,
-        // Small segments so staged batches cross rotation boundaries.
+        // Small segments so concurrent appends cross rotation boundaries.
         segment_bytes: 8 << 10,
         // Fewer frames than pages: evictions force write-backs, which must
-        // hit the publish barrier before touching the page file.
+        // never reach the page file ahead of their own records.
         pool_frames: 4,
         ..DurableConfig::new(dir)
     }
@@ -171,14 +173,14 @@ fn run(dir: &PathBuf, scripts: &[Vec<Op>]) -> Vec<Vec<u8>> {
         });
         logged = store.stats().snapshot().wal_records;
         // Crash: drop without sync — dirty frames never reach pages.db,
-        // recovery must rebuild every page from the stitched log.
+        // recovery must rebuild every page from the log.
     }
     // Density proof: the scan rejects any record whose LSN is not the
     // exact successor, so accepting all `logged` records with no torn
-    // tail means the stitched log is dense and monotone.
+    // tail means the log is dense and monotone.
     let first_seg = wal::list_segments(dir).unwrap()[0];
     let report = wal::scan(dir, first_seg, 1, PAGE + 64, |_, _| Ok(())).unwrap();
-    assert!(!report.torn, "stitched log has a torn or reordered region");
+    assert!(!report.torn, "log has a torn or reordered region");
     assert_eq!(report.replayed, logged, "log lost or duplicated records");
 
     let ds = DurableStore::open(cfg(dir)).unwrap();
@@ -192,7 +194,7 @@ fn run_case(scripts: &[Vec<Op>]) {
     assert_eq!(
         run(&dir, scripts),
         expected_images(scripts),
-        "staged replay diverged from the scripts' program order"
+        "replay diverged from the scripts' program order"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -208,8 +210,8 @@ proptest! {
     }
 }
 
-/// Deterministic seam coverage: staged deltas and full images from three
-/// threads, with mid-run syncs, so the stitched batch spans flushed and
+/// Deterministic seam coverage: deltas and full images from three
+/// threads, with mid-run syncs, so the log spans flushed and
 /// unflushed prefixes plus at least one segment rotation.
 #[test]
 fn staged_multithread_run_with_midrun_syncs_recovers_exactly() {
@@ -236,7 +238,7 @@ fn staged_multithread_run_with_midrun_syncs_recovers_exactly() {
     run_case(&scripts);
 }
 
-/// Crash at **every** record boundary of a fixed multi-thread staged run:
+/// Crash at **every** record boundary of a fixed multi-thread run:
 /// the fault gate rejects the (n+1)-th record before it claims an LSN, so
 /// the surviving log must always be a dense prefix of exactly n workload
 /// records — recovery replays them all and the store stays writable.
@@ -328,7 +330,7 @@ fn crash_at_every_record_boundary_leaves_a_dense_staged_prefix() {
         // exactly the pre-workload records plus `n` workload records.
         let first_seg = wal::list_segments(&dir).unwrap()[0];
         let report = wal::scan(&dir, first_seg, 1, PAGE + 64, |_, _| Ok(())).unwrap();
-        assert!(!report.torn, "boundary {n}: torn staged prefix");
+        assert!(!report.torn, "boundary {n}: torn prefix");
         assert_eq!(
             report.replayed,
             pre + n,
