@@ -28,11 +28,15 @@ fn self_test() -> ExitCode {
         .unwrap_or_else(|e| panic!("read {}: {e}", fixture.display()));
     // The fixture impersonates an allowlisted pagestore file so every rule
     // (including the unsafe SAFETY-comment one) is exercised at once, and
-    // then wal.rs for the rules keyed to the log.
-    let found: Vec<_> = ["crates/pagestore/src/store.rs", "crates/durable/src/wal.rs"]
-        .into_iter()
-        .flat_map(|label| lint::lint_source(label, &src))
-        .collect();
+    // then wal.rs and heap.rs for the rules keyed to the log and the heap.
+    let found: Vec<_> = [
+        "crates/pagestore/src/store.rs",
+        "crates/durable/src/wal.rs",
+        "crates/pagestore/src/heap.rs",
+    ]
+    .into_iter()
+    .flat_map(|label| lint::lint_source(label, &src))
+    .collect();
     // (rule, text its message must name — wrapper-only has one seeded
     // violation per family that is not a plain lock).
     let expected = [
@@ -42,6 +46,7 @@ fn self_test() -> ExitCode {
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
+        ("wrapper-only", "allocated_pages("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

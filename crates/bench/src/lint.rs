@@ -138,6 +138,14 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["lock_recycle"],
         use_instead: "RecordHeap::lock_recycle (HeapRecycle)",
     },
+    // One whole-store pass over the heap: `attach` and `live_records` both
+    // ride `sweep`, so a second pass re-reading every page cannot return.
+    WrapperRule {
+        file: "heap.rs",
+        needles: &["allocated_pages("],
+        allowed_fns: &["sweep"],
+        use_instead: "RecordHeap::sweep (the one whole-store pass)",
+    },
     WrapperRule {
         file: "wal.rs",
         needles: &[".inner.lock(", ".inner.try_lock("],
@@ -581,6 +589,21 @@ mod tests {
         let ok = lint_source(
             "crates/pagestore/src/health.rs",
             "fn lock_latched(&self) {\n    let g = self.latched.lock();\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn heap_whole_store_pass_is_pinned_to_sweep() {
+        let v = lint_source(
+            "crates/pagestore/src/heap.rs",
+            "fn heap_pages(&self) {\n    let all = self.store.allocated_pages();\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "wrapper-only");
+        let ok = lint_source(
+            "crates/pagestore/src/heap.rs",
+            "fn sweep(&self) {\n    for pid in self.store.allocated_pages() {}\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

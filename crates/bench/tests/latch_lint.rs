@@ -30,10 +30,14 @@ fn workspace_is_clean() {
 fn fixture_trips_every_rule() {
     let fixture = workspace_root().join("crates/bench/tests/fixtures/lint_bad.rs.txt");
     let src = std::fs::read_to_string(&fixture).expect("read fixture");
-    let found: Vec<_> = ["crates/pagestore/src/store.rs", "crates/durable/src/wal.rs"]
-        .into_iter()
-        .flat_map(|label| lint::lint_source(label, &src))
-        .collect();
+    let found: Vec<_> = [
+        "crates/pagestore/src/store.rs",
+        "crates/durable/src/wal.rs",
+        "crates/pagestore/src/heap.rs",
+    ]
+    .into_iter()
+    .flat_map(|label| lint::lint_source(label, &src))
+    .collect();
     for (rule, what) in [
         ("wrapper-only", ".allocated.lock("),
         ("wrapper-only", ".pool.claim("),
@@ -41,6 +45,7 @@ fn fixture_trips_every_rule() {
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
+        ("wrapper-only", "allocated_pages("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

@@ -33,11 +33,6 @@ pub struct DbConfig {
     pub segment_bytes: u64,
     /// Buffer-pool frames over the shared store.
     pub pool_frames: usize,
-    /// Record-heap insertion shards (independent open pages, one mutex
-    /// each; thread identity picks the shard, so concurrent `put`s of new
-    /// records never contend on one allocator). `0` means auto — one shard
-    /// per available CPU, capped at 16.
-    pub heap_shards: usize,
 }
 
 impl DbConfig {
@@ -53,7 +48,6 @@ impl DbConfig {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             pool_frames: 1024,
-            heap_shards: 0,
         }
     }
 
@@ -79,12 +73,6 @@ impl DbConfig {
     /// Sets the index order `k` (every node holds `k..=2k` pairs).
     pub fn with_k(mut self, k: usize) -> DbConfig {
         self.tree.k = k;
-        self
-    }
-
-    /// Sets the number of record-heap insertion shards (`0` = auto).
-    pub fn with_heap_shards(mut self, shards: usize) -> DbConfig {
-        self.heap_shards = shards;
         self
     }
 }

@@ -6,7 +6,7 @@ use crate::scan::DbScan;
 use blink_durable::{DurableConfig, DurableStore};
 use blink_pagestore::audit::{self, Audited, LockClass};
 use blink_pagestore::{
-    HeapConfig, PageId, PageStore, RecordHeap, RecordId, Session, StoreConfig, StoreError,
+    HeapInventory, PageId, PageStore, RecordHeap, RecordId, Session, StoreConfig, StoreError,
 };
 use parking_lot::{Mutex, MutexGuard};
 use sagiv_blink::{BLinkTree, Result, TreeError, VerifyReport};
@@ -29,7 +29,7 @@ pub enum PutOutcome {
     Replaced,
 }
 
-/// What [`Db::open`] did to reconcile index and heap after a crash.
+/// What [`Db::open`] did to reconcile index and heap on a durable reopen.
 #[derive(Debug, Clone, Default)]
 pub struct KvRecovery {
     /// Structural tree repair ran (see [`sagiv_blink::RecoveryStats`]).
@@ -39,7 +39,8 @@ pub struct KvRecovery {
     /// Heap records that no leaf referenced (an in-flight `put`'s new
     /// record, or a `delete`/overwrite whose free never committed) — freed.
     pub orphan_records_freed: usize,
-    /// Heap pages left with no live records — released.
+    /// Heap pages the heap's attach found with no live records — released
+    /// ([`HeapInventory::empty_pages_released`]).
     pub empty_heap_pages_freed: usize,
 }
 
@@ -75,22 +76,17 @@ pub struct Db {
 const READ_SESSION_POOL: usize = 32;
 
 impl Db {
-    fn heap_config(cfg: &DbConfig) -> HeapConfig {
-        if cfg.heap_shards == 0 {
-            HeapConfig::default()
-        } else {
-            HeapConfig::with_shards(cfg.heap_shards)
-        }
-    }
-
     /// Opens (or creates) a database per `cfg`.
     ///
-    /// Durable configurations replay the WAL, run the tree's structural
-    /// repair if the shutdown was dirty (heap pages — identified by their
-    /// magic — are shielded from the tree's orphan collection), and then
-    /// reconcile index against heap: every leaf's `RecordId` must resolve
-    /// (else the store is corrupt), and every live record some leaf does
-    /// *not* reference is freed.
+    /// Durable configurations replay the WAL and attach the heap, whose one
+    /// sweep reads each page once: it lists the heap pages and live records
+    /// and releases empty heap pages. The tree then opens — its structural
+    /// repair runs if the shutdown was dirty, with the heap pages shielded
+    /// from its orphan collection — and index and heap are reconciled by
+    /// set membership, reading no record: every leaf's `RecordId` must be
+    /// in the sweep's live set (else the store is corrupt), and every live
+    /// record no leaf references is freed. A page that fails its checksum
+    /// fails the open.
     ///
     /// A store with no allocated pages holds no tree yet and gets a fresh
     /// one: an in-memory store, a new directory, or a directory whose
@@ -128,11 +124,9 @@ impl Db {
         };
         // The heap is attached first; on a reopen its single page sweep
         // yields the inventory recovery consumes — the protected set for
-        // the tree's repair, the live-record list for GC, and the
-        // empty-page candidates — without re-reading the store once per
-        // question.
-        let (heap, inventory) =
-            RecordHeap::attach_with_config(Arc::clone(&store), Db::heap_config(&cfg))?;
+        // the tree's repair and the live set for reconciliation — without
+        // re-reading the store once per question.
+        let (heap, inventory) = RecordHeap::attach(Arc::clone(&store))?;
         let heap = Arc::new(heap);
         let mut tcfg = cfg.tree.clone();
         tcfg.external_pages = Some(heap.pages_handle());
@@ -148,6 +142,7 @@ impl Db {
                 let mut recovery = KvRecovery {
                     tree_repaired: stats.repaired,
                     wal_records_replayed: ds.recovery().replayed,
+                    empty_heap_pages_freed: inventory.empty_pages_released,
                     ..KvRecovery::default()
                 };
                 Self::reconcile(&tree, &heap, &inventory, &mut recovery)?;
@@ -171,44 +166,36 @@ impl Db {
         })
     }
 
-    /// Post-crash index/heap reconciliation (quiesced store). Write-ahead
-    /// ordering guarantees a leaf's record id always has its record in the
-    /// durable prefix (the heap write precedes the index write in every
-    /// `put`), so a dangling id is corruption, not a crash artifact; the
-    /// other direction — records no leaf references — is the normal
-    /// crash residue and is garbage-collected here.
+    /// Index/heap reconciliation on a reopen (quiesced store), by set
+    /// membership against the attach's inventory — no record is read.
+    /// Write-ahead ordering guarantees a leaf's record id always has its
+    /// record in the durable prefix (the heap write precedes the index
+    /// write in every `put`), so an id outside the live set is corruption,
+    /// not a crash artifact; the other direction — records no leaf
+    /// references — is the normal crash residue and is freed here, in page
+    /// order.
     fn reconcile(
         tree: &Arc<BLinkTree>,
         heap: &Arc<RecordHeap>,
-        inventory: &blink_pagestore::HeapInventory,
+        inventory: &HeapInventory,
         out: &mut KvRecovery,
     ) -> Result<()> {
+        let mut unreferenced: HashSet<RecordId> = inventory.records.iter().copied().collect();
         let mut session = tree.session();
-        let mut referenced: HashSet<RecordId> = HashSet::new();
         for pair in tree.scan(&mut session, 0, u64::MAX) {
             let (_, raw) = pair?;
             let rid = RecordId::from_raw(raw)
                 .ok_or(TreeError::Corrupt("leaf holds an invalid record id"))?;
-            match heap.read_with(rid, |_| ()) {
-                Ok(()) => {}
-                // Only a *missing* record is the dangling-id verdict; any
-                // other failure (backend I/O, …) propagates as itself.
-                Err(StoreError::RecordMissing(_)) => {
-                    return Err(TreeError::Corrupt("leaf holds a dangling record id"))
-                }
-                Err(e) => return Err(e.into()),
+            if !unreferenced.remove(&rid) {
+                return Err(TreeError::Corrupt("leaf holds a dangling record id"));
             }
-            referenced.insert(rid);
         }
         for &rid in &inventory.records {
-            if !referenced.contains(&rid) {
+            if unreferenced.contains(&rid) {
                 heap.free(rid)?;
                 out.orphan_records_freed += 1;
             }
         }
-        // Orphan frees auto-release pages they empty; what is left is the
-        // set that was already empty at attach time.
-        out.empty_heap_pages_freed = heap.release_if_empty(&inventory.empty_pages)?;
         Ok(())
     }
 

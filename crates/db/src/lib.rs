@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn overwrite_churn_reuses_slots_without_growing_the_heap() {
-        let db = Db::open(DbConfig::in_memory().with_k(4).with_heap_shards(2)).unwrap();
+        let db = Db::open(DbConfig::in_memory().with_k(4)).unwrap();
         let mut s = db.session();
         for i in 0..400u64 {
             s.put(i, &[1u8; 64]).unwrap();

@@ -2,19 +2,38 @@
 //! (or crashes) before the tree exists must not brick the directory, and
 //! the store's journal-derived choices hold for a default `DbConfig`: a
 //! durable store runs the background flusher and stamps and verifies
-//! per-page CRC32, an in-memory one runs no flusher.
+//! per-page CRC32, an in-memory one runs no flusher. A clean reopen reads
+//! each heap page once, and a heap page that fails its checksum fails the
+//! open instead of being collected.
 
 use blink_db::{Db, DbConfig};
 use blink_durable::{DurableConfig, DurableStore, FsyncPolicy};
 use blink_pagestore::StoreError;
 use sagiv_blink::TreeError;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blink-db-open-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// XORs the byte at file offset `at` of `dir/pages.db` with 0xFF (twice
+/// restores it).
+fn flip_page_file_byte(dir: &Path, at: u64) {
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join("pages.db"))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    file.seek(SeekFrom::Start(at)).unwrap();
+    file.read_exact(&mut byte).unwrap();
+    byte[0] ^= 0xFF;
+    file.seek(SeekFrom::Start(at)).unwrap();
+    file.write_all(&byte).unwrap();
+    file.sync_all().unwrap();
 }
 
 /// Puts, reopens and reads back one key: the directory is a working `Db`.
@@ -88,20 +107,7 @@ fn durable_defaults_flush_in_background_and_checksum_pages() {
         db.sync().unwrap();
     }
     // Flip the last byte of the prime page (page 1, file offset 0).
-    let page_size = cfg().page_size;
-    let mut file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(dir.join("pages.db"))
-        .unwrap();
-    let mut byte = [0u8; 1];
-    file.seek(SeekFrom::Start(page_size as u64 - 1)).unwrap();
-    file.read_exact(&mut byte).unwrap();
-    byte[0] ^= 0xFF;
-    file.seek(SeekFrom::Start(page_size as u64 - 1)).unwrap();
-    file.write_all(&byte).unwrap();
-    file.sync_all().unwrap();
-    drop(file);
+    flip_page_file_byte(&dir, cfg().page_size as u64 - 1);
 
     let err = Db::open(cfg())
         .and_then(|db| {
@@ -133,4 +139,93 @@ fn durable_defaults_flush_in_background_and_checksum_pages() {
         snap.flusher_pages_written, 0,
         "an in-memory store runs no background flusher"
     );
+}
+
+#[test]
+fn a_corrupt_heap_page_fails_the_open_and_frees_nothing() {
+    const KEYS: u64 = 2_000;
+    let dir = tmpdir("corrupt-heap");
+    let cfg = || {
+        let mut c = DbConfig::durable(&dir);
+        c.fsync = FsyncPolicy::Never;
+        c.pool_frames = 16;
+        c
+    };
+    let value = |k: u64| vec![k as u8; 100];
+    let heap_page;
+    {
+        let db = Db::open(cfg()).unwrap();
+        let mut s = db.session();
+        for k in 0..KEYS {
+            s.put(k, &value(k)).unwrap();
+        }
+        // The page holding key 0's record (a `RecordId`'s high 32 bits).
+        let raw = db.tree().search(s.inner(), 0).unwrap().unwrap();
+        heap_page = (raw >> 32) as u32;
+        drop(s);
+        db.checkpoint().unwrap();
+        db.sync().unwrap();
+    }
+    // Page n sits at file offset (n - 1) * page_size; flip a byte inside it.
+    let page_size = cfg().page_size as u64;
+    let at = (u64::from(heap_page) - 1) * page_size + page_size / 2;
+    flip_page_file_byte(&dir, at);
+    let err = Db::open(cfg()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TreeError::Store(StoreError::ChecksumMismatch { page }) if page.to_raw() == heap_page
+        ),
+        "a heap page failing its checksum must fail the open, got {err}"
+    );
+
+    // The failed open freed nothing: with the byte restored, every record
+    // is still there.
+    flip_page_file_byte(&dir, at);
+    let db = Db::open(cfg()).unwrap();
+    let mut s = db.session();
+    for k in 0..KEYS {
+        assert_eq!(s.get(k).unwrap(), Some(value(k)), "key {k}");
+    }
+    drop(s);
+    db.verify().unwrap().assert_ok();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn clean_reopen_reads_each_heap_page_once() {
+    const KEYS: u64 = 20_000;
+    let dir = tmpdir("one-sweep");
+    let cfg = || {
+        let mut c = DbConfig::durable(&dir);
+        c.fsync = FsyncPolicy::Never;
+        c.pool_frames = 64;
+        c
+    };
+    {
+        let db = Db::open(cfg()).unwrap();
+        let mut s = db.session();
+        for i in 0..KEYS {
+            // An odd multiplier permutes the keys, so key order and heap
+            // order disagree: reading records in leaf order would miss.
+            s.put(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), &[i as u8; 400])
+                .unwrap();
+        }
+        drop(s);
+        db.checkpoint().unwrap();
+        db.sync().unwrap();
+    }
+    let db = Db::open(cfg()).unwrap();
+    let reads = db.store().stats().snapshot().cache_misses;
+    let pages = db.store().live_pages() as u64;
+    assert!(
+        reads < 2 * pages,
+        "a clean reopen made {reads} page reads for {pages} allocated pages"
+    );
+    let rec = db.recovery().unwrap();
+    assert_eq!(rec.orphan_records_freed, 0);
+    assert_eq!(db.heap().live_record_count(), KEYS);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -235,26 +235,38 @@ pub fn is_heap_page(b: &[u8]) -> bool {
         && free_off <= b.len() - nslots * SLOT
 }
 
+/// The data extent `(off, len, cap)` of the live slot whose directory entry
+/// sits at `so` on page `pid`, checked to lie inside the page.
+fn slot_extent(b: &[u8], so: usize, pid: PageId) -> Result<(usize, usize, usize)> {
+    let off = read_u16(b, so) as usize;
+    let cap = read_u16(b, so + 2) as usize;
+    let len = read_u16(b, so + 4) as usize;
+    if off + cap > b.len() || len > cap {
+        return Err(StoreError::corrupt_at("record extends past page end", pid));
+    }
+    Ok((off, len, cap))
+}
+
 /// Number of freed (tombstoned) slots on a sane heap page.
 fn freed_slots(b: &[u8]) -> u16 {
     read_u16(b, 2) - read_u16(b, 0)
 }
 
-/// A one-sweep inventory of the heap inside a store, from
-/// [`RecordHeap::attach_with_inventory`]: which pages are heap pages,
-/// every live record, and the pages holding none. Recovery consumes this
-/// instead of re-scanning the store once per question.
+/// What [`RecordHeap::attach`]'s one sweep found in a store: the heap pages
+/// it kept, every live record, and how many empty heap pages it released.
+/// Recovery answers every question from this — the protected-page set,
+/// "does this leaf's id name a live record", the orphan list — instead of
+/// re-reading the store.
 #[derive(Debug, Default, Clone)]
 pub struct HeapInventory {
-    /// Every heap page (by magic).
+    /// Every heap page (by magic) still allocated after the attach.
     pub pages: Vec<PageId>,
-    /// Every live record, page order.
+    /// Every live record, page order. Each one's extent was checked to lie
+    /// inside its page, so [`RecordHeap::read_with`] can serve it.
     pub records: Vec<RecordId>,
-    /// Heap pages with zero live records (crash leftovers).
-    pub empty_pages: Vec<PageId>,
-    /// Heap pages with at least one live record and at least one freed
-    /// slot — re-enrolled into the allocation pool at attach.
-    pub reusable_pages: Vec<PageId>,
+    /// Heap pages with zero live records (crash leftovers) that the attach
+    /// released.
+    pub empty_pages_released: usize,
 }
 
 /// One insertion shard: its own open page behind its own mutex, so
@@ -337,111 +349,85 @@ impl RecordHeap {
         }
     }
 
-    /// Re-attaches to a store that may already hold heap pages (a durable
-    /// reopen): counts them and seeds the generation counter past every
-    /// stored generation, so reincarnated pages can never collide with ids
-    /// minted before the restart. Call on a quiesced store.
-    pub fn attach(store: Arc<PageStore>) -> Result<RecordHeap> {
-        Ok(RecordHeap::attach_with_inventory(store)?.0)
-    }
-
-    /// [`RecordHeap::attach`], also returning a one-sweep [`HeapInventory`]
-    /// so recovery (protected-page set, record GC, empty-page release) does
-    /// not have to re-read the whole store once per question.
-    pub fn attach_with_inventory(store: Arc<PageStore>) -> Result<(RecordHeap, HeapInventory)> {
-        RecordHeap::attach_with_config(store, HeapConfig::default())
-    }
-
-    /// [`RecordHeap::attach_with_inventory`] with an explicit config.
-    ///
-    /// Besides counting pages and reseeding the generation counter, this
-    /// normalizes every page's allocator state: whatever a crash left
-    /// behind (`OPEN` pages of shards that no longer exist, `QUEUED` pages
-    /// of a queue that lived in memory), pages restart `DETACHED`, and
-    /// those with live records *and* freed slots are re-enrolled into the
-    /// recycle queue so their holes stay allocatable.
-    pub fn attach_with_config(
-        store: Arc<PageStore>,
-        cfg: HeapConfig,
-    ) -> Result<(RecordHeap, HeapInventory)> {
-        let heap = RecordHeap::with_config(store, cfg);
-        let (inv, max_gen) = heap.sweep()?;
+    /// The one way onto a store that may already hold heap pages (a durable
+    /// reopen; call on a quiesced store). One `sweep` reads each allocated
+    /// page once and hands back the [`HeapInventory`] recovery consumes.
+    /// On the way it restarts the allocator, whose page states name shards
+    /// and a queue that died with the process (`OPEN`, `QUEUED`): empty
+    /// heap pages go back to the store, pages with live records *and* freed
+    /// slots are re-enrolled into the recycle queue so their holes stay
+    /// allocatable, and the rest restart `DETACHED`. The generation counter
+    /// is reseeded past every stored generation, so reincarnated pages can
+    /// never collide with ids minted before the restart.
+    pub fn attach(store: Arc<PageStore>) -> Result<(RecordHeap, HeapInventory)> {
+        let heap = RecordHeap::new(store);
+        let (inv, max_gen) = heap.sweep(true)?;
         heap.pages.store(inv.pages.len(), Ordering::Relaxed);
         heap.live.store(inv.records.len() as u64, Ordering::Relaxed);
         heap.gen.store(max_gen, Ordering::Relaxed);
-        // Normalize allocator states (quiesced store; one journaled write
-        // per page that needs it — typically a handful of crash leftovers).
-        let mut requeue = Vec::new();
-        for &pid in &inv.pages {
-            let mut w = heap.store.write_page(pid, WriteIntent::Update)?;
-            let (sane, reusable, state) = {
-                let b = w.bytes();
+        Ok((heap, inv))
+    }
+
+    /// The single whole-store enumeration: one read per allocated page,
+    /// collecting heap pages, live records (each extent checked to lie
+    /// inside its page) and the maximum stored generation (page *and* slot
+    /// generations — freed slots' too, since stale ids carrying them may
+    /// still be in flight somewhere). A page that cannot be read fails the
+    /// sweep: skipping it would drop its records from the inventory and
+    /// leave the page to recovery's orphan collection.
+    ///
+    /// With `restart` ([`RecordHeap::attach`] only) it also settles each
+    /// heap page right after reading it, while the page is still resident:
+    /// an empty one is released, the allocator state (bytes 10..12) is
+    /// written back only where it differs from the one a restart wants,
+    /// and a page with holes is queued.
+    fn sweep(&self, restart: bool) -> Result<(HeapInventory, u32)> {
+        let mut inv = HeapInventory::default();
+        let mut max_gen = 0u32;
+        for pid in self.store.allocated_pages() {
+            let first = inv.records.len();
+            let (nslots, state) = {
+                let page = self.store.read(pid)?;
+                let b = page.bytes();
                 if !is_heap_page(b) {
-                    (false, false, 0)
-                } else {
-                    (
-                        true,
-                        read_u16(b, 0) > 0 && freed_slots(b) > 0,
-                        read_u16(b, 10),
-                    )
+                    continue;
                 }
+                max_gen = max_gen.max(u32::from(read_u16(b, 8)));
+                let nslots = read_u16(b, 2);
+                for slot in 0..nslots {
+                    let so = slot_off(b.len(), slot);
+                    let gen = read_u16(b, so + 6);
+                    max_gen = max_gen.max(u32::from(gen));
+                    if read_u16(b, so + 4) != FREED {
+                        slot_extent(b, so, pid)?;
+                        inv.records.push(RecordId::new(pid, gen, slot));
+                    }
+                }
+                (usize::from(nslots), read_u16(b, 10))
             };
-            if !sane {
-                continue; // raced nothing; sheer paranoia
+            let live = inv.records.len() - first;
+            if restart && live == 0 {
+                self.store.free(pid)?;
+                StoreStats::bump(&self.store.stats().heap_pages_released);
+                inv.empty_pages_released += 1;
+                continue;
             }
-            let want = if reusable {
+            inv.pages.push(pid);
+            if !restart {
+                continue;
+            }
+            let want = if nslots > live {
                 STATE_QUEUED
             } else {
                 STATE_DETACHED
             };
             if state != want {
+                let mut w = self.store.write_page(pid, WriteIntent::Update)?;
                 put_u16(&mut w, 10, want);
                 w.commit()?;
             }
-            if reusable {
-                // Deferred past the loop so the recycle queue (a leaf lock
-                // class) is never taken while `w`'s frame latch is held.
-                requeue.push(pid);
-            }
-        }
-        let mut rq = heap.lock_recycle();
-        rq.extend(requeue);
-        drop(rq);
-        Ok((heap, inv))
-    }
-
-    /// The single whole-store enumeration everything else derives from:
-    /// one read per allocated page, collecting heap pages, live records,
-    /// empty/reusable pages and the maximum stored generation (page *and*
-    /// slot generations — freed slots' too, since stale ids carrying them
-    /// may still be in flight somewhere).
-    fn sweep(&self) -> Result<(HeapInventory, u32)> {
-        let mut inv = HeapInventory::default();
-        let mut max_gen = 0u32;
-        for pid in self.store.allocated_pages() {
-            let Ok(page) = self.store.read(pid) else {
-                continue;
-            };
-            let b = page.bytes();
-            if !is_heap_page(b) {
-                continue;
-            }
-            inv.pages.push(pid);
-            max_gen = max_gen.max(u32::from(read_u16(b, 8)));
-            let live = read_u16(b, 0);
-            if live == 0 {
-                inv.empty_pages.push(pid);
-            } else if freed_slots(b) > 0 {
-                inv.reusable_pages.push(pid);
-            }
-            let nslots = read_u16(b, 2);
-            for slot in 0..nslots {
-                let so = slot_off(b.len(), slot);
-                let gen = read_u16(b, so + 6);
-                max_gen = max_gen.max(u32::from(gen));
-                if read_u16(b, so + 4) != FREED {
-                    inv.records.push(RecordId::new(pid, gen, slot));
-                }
+            if want == STATE_QUEUED {
+                self.lock_recycle().push_back(pid);
             }
         }
         Ok((inv, max_gen))
@@ -770,20 +756,10 @@ impl RecordHeap {
             return Err(StoreError::RecordMissing(rid.to_raw()));
         }
         let so = slot_off(b.len(), rid.slot());
-        let len = read_u16(b, so + 4);
-        if len == FREED || read_u16(b, so + 6) != rid.gen() {
+        if read_u16(b, so + 4) == FREED || read_u16(b, so + 6) != rid.gen() {
             return Err(StoreError::RecordMissing(rid.to_raw()));
         }
-        let off = read_u16(b, so) as usize;
-        let cap = read_u16(b, so + 2) as usize;
-        let len = len as usize;
-        if off + cap > b.len() || len > cap {
-            return Err(StoreError::corrupt_at(
-                "record extends past page end",
-                rid.page(),
-            ));
-        }
-        Ok((off, len, cap))
+        slot_extent(b, so, rid.page())
     }
 
     fn map_page_err(rid: RecordId) -> impl FnOnce(StoreError) -> StoreError {
@@ -899,59 +875,10 @@ impl RecordHeap {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Whole-heap enumeration (recovery / GC; quiesced stores only).
-    // ------------------------------------------------------------------
-
-    /// Ids of all heap pages in the store (pages carrying [`HEAP_MAGIC`]).
-    /// Recovery uses this to shield heap pages from the tree's orphan
-    /// collection. Call on a quiesced store.
-    pub fn heap_pages(&self) -> Result<Vec<PageId>> {
-        Ok(self.sweep()?.0.pages)
-    }
-
-    /// Every live record in the heap. Call on a quiesced store.
+    /// Every live record in the heap — the ground truth `Db::verify` checks
+    /// the live-record gauge against. Call on a quiesced store.
     pub fn live_records(&self) -> Result<Vec<RecordId>> {
-        Ok(self.sweep()?.0.records)
-    }
-
-    /// Releases heap pages holding no live records (crash leftovers: a page
-    /// initialized, or emptied by GC, whose release never made it to the
-    /// log). Returns how many were freed. Call on a quiesced store.
-    pub fn release_empty_pages(&self) -> Result<usize> {
-        let (inv, _) = self.sweep()?;
-        self.release_if_empty(&inv.empty_pages)
-    }
-
-    /// Releases those of `candidates` that are **detached** heap pages
-    /// currently holding no live records (a stale candidate list is safe:
-    /// each page is re-validated against its current image first).
-    ///
-    /// Only `DETACHED` pages are eligible, which is what makes the
-    /// check-then-free window race-free: an `OPEN` page is its shard's to
-    /// retire, and a `QUEUED` page may only be released by the adopter
-    /// that pops its (single) queue entry — freeing one here could race
-    /// that adopter into double-freeing a page the store has already
-    /// re-allocated. Empty pages left `QUEUED` by churn are reclaimed by
-    /// the next adopter to reach them, or normalized to `DETACHED` by the
-    /// next [`RecordHeap::attach`] (which is what recovery calls before
-    /// using this).
-    pub fn release_if_empty(&self, candidates: &[PageId]) -> Result<usize> {
-        let mut freed = 0usize;
-        for &pid in candidates {
-            let release = {
-                let Ok(page) = self.store.read(pid) else {
-                    continue;
-                };
-                let b = page.bytes();
-                is_heap_page(b) && read_u16(b, 0) == 0 && read_u16(b, 10) == STATE_DETACHED
-            };
-            if release {
-                self.release_page(pid)?;
-                freed += 1;
-            }
-        }
-        Ok(freed)
+        Ok(self.sweep(false)?.0.records)
     }
 }
 
@@ -1207,7 +1134,7 @@ mod tests {
             let _ = h.insert(&vec![8; max]).unwrap();
             gen_a = a.gen();
         }
-        let h2 = RecordHeap::attach(Arc::clone(&store)).unwrap();
+        let (h2, _) = RecordHeap::attach(Arc::clone(&store)).unwrap();
         assert_eq!(h2.page_count(), 2);
         assert_eq!(h2.live_record_count(), 2);
         assert_eq!(h2.read(a).unwrap(), vec![7; max]);
@@ -1226,8 +1153,9 @@ mod tests {
             hole = h.insert(&[2u8; 60]).unwrap();
             h.free(hole).unwrap();
         }
-        let (h2, inv) = RecordHeap::attach_with_inventory(Arc::clone(&store)).unwrap();
-        assert_eq!(inv.reusable_pages, vec![keep.page()]);
+        let (h2, inv) = RecordHeap::attach(Arc::clone(&store)).unwrap();
+        assert_eq!(inv.pages, vec![keep.page()]);
+        assert_eq!(inv.empty_pages_released, 0);
         assert_eq!(h2.queued_page_count(), 1);
         // The hole is allocatable right after attach (the open shard page
         // is fresh... no — there is none: the first insert adopts).
@@ -1255,17 +1183,25 @@ mod tests {
 
     #[test]
     fn release_empty_pages_frees_crash_leftovers() {
-        let h = heap(128);
-        let max = h.max_record_len();
-        let a = h.insert(&vec![1; max]).unwrap(); // page 1 full
-        let b = h.insert(&vec![2; max]).unwrap(); // page 2 = open page
-        h.free(a).ok();
-        let _ = b;
-        // Whatever is left empty and not open gets released.
-        let before = h.store().live_pages();
-        let freed = h.release_empty_pages().unwrap();
-        assert_eq!(h.store().live_pages(), before - freed);
-        assert_eq!(h.page_count(), h.store().live_pages());
+        let store = PageStore::new(StoreConfig::with_page_size(128));
+        let (max, keep);
+        {
+            let h = RecordHeap::new(Arc::clone(&store));
+            max = h.max_record_len();
+            // Page 1 fills; page 2 becomes the open page. An open page is
+            // its shard's to retire, so freeing its last record leaves it
+            // allocated and empty — what a crash leaves.
+            keep = h.insert(&vec![1; max]).unwrap();
+            let gone = h.insert(&vec![2; max]).unwrap();
+            h.free(gone).unwrap();
+        }
+        assert_eq!(store.live_pages(), 2);
+        let (h, inv) = RecordHeap::attach(Arc::clone(&store)).unwrap();
+        assert_eq!(inv.empty_pages_released, 1);
+        assert_eq!(inv.pages, vec![keep.page()]);
+        assert_eq!(store.live_pages(), 1);
+        assert_eq!(h.page_count(), 1);
+        assert_eq!(h.read(keep).unwrap(), vec![1; max]);
     }
 
     #[test]
@@ -1311,16 +1247,28 @@ mod tests {
             let _c = h.insert(&vec![3; max / 2]).unwrap();
             h.free(a).ok();
         }
-        let (h, inv) = RecordHeap::attach_with_inventory(store).unwrap();
-        assert_eq!(inv.pages, h.heap_pages().unwrap());
+        let (h, inv) = RecordHeap::attach(Arc::clone(&store)).unwrap();
         assert_eq!(inv.records, h.live_records().unwrap());
-        for pid in &inv.empty_pages {
-            assert!(inv.pages.contains(pid));
+        assert_eq!(inv.records.len(), 2);
+        assert_eq!(inv.pages.len(), h.page_count());
+        assert_eq!(h.page_count(), store.live_pages());
+        for rid in &inv.records {
+            assert!(inv.pages.contains(&rid.page()));
         }
-        assert_eq!(
-            h.release_if_empty(&inv.empty_pages).unwrap(),
-            inv.empty_pages.len()
-        );
+    }
+
+    #[test]
+    fn attach_rejects_a_record_extending_past_its_page() {
+        let store = PageStore::new(StoreConfig::with_page_size(128));
+        let rid = RecordHeap::new(Arc::clone(&store)).insert(b"x").unwrap();
+        // Corrupt the slot's capacity so its extent runs off the page.
+        let mut w = store.write_page(rid.page(), WriteIntent::Update).unwrap();
+        put_u16(&mut w, slot_off(128, rid.slot()) + 2, 200);
+        w.commit().unwrap();
+        assert!(matches!(
+            RecordHeap::attach(store),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -171,10 +171,10 @@ fn sharded_churn_does_not_leak_pages() {
     assert_eq!(heap.page_count(), store.live_pages());
     // Live release only touches DETACHED empties (OPEN belongs to a shard,
     // QUEUED to the recycle queue); a fresh attach — the recovery path —
-    // normalizes every state and can then reclaim all of them.
+    // owns every page and reclaims all of them.
     drop(heap);
-    let heap = RecordHeap::attach(Arc::clone(&store)).unwrap();
-    assert_eq!(heap.release_empty_pages().unwrap(), leftover);
+    let (heap, inv) = RecordHeap::attach(Arc::clone(&store)).unwrap();
+    assert_eq!(inv.empty_pages_released, leftover);
     assert_eq!(store.live_pages(), 0);
     assert_eq!(heap.page_count(), 0);
 }

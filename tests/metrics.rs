@@ -184,23 +184,25 @@ fn held_page_write_records_latch_wait() {
 #[test]
 fn db_metrics_smoke_populates_every_layer() {
     let dir = tmpdir("smoke");
-    let mut cfg = DbConfig::durable(&dir).with_k(8).with_heap_shards(1);
+    let mut cfg = DbConfig::durable(&dir).with_k(8);
     cfg.fsync = FsyncPolicy::Always;
     let db = Arc::new(Db::open(cfg).unwrap());
 
-    // Four writers share one WAL append mutex (held for each record's
-    // write, never across an fsync) and one heap shard, so both
-    // occasionally contend. Batches repeat until both layers have
+    // Twice as many writers as heap shards share one WAL append mutex
+    // (held for each record's write, never across an fsync) and the
+    // shards, so every round some two writers share a shard and both
+    // layers occasionally contend. Batches repeat until both layers have
     // observably contended (bounded — zero contention across this many
     // rounds would mean the instrumentation is broken).
+    let writers = 2 * db.heap().shard_count() as u64;
     let mut rounds = 0;
     loop {
         std::thread::scope(|scope| {
-            for t in 0..4u64 {
+            for t in 0..writers {
                 let db = Arc::clone(&db);
                 scope.spawn(move || {
                     let mut s = db.session();
-                    let base = rounds * 10_000 + t * 1_000;
+                    let base = (rounds * writers + t) * 1_000;
                     for i in 0..150u64 {
                         s.put(base + i, &[t as u8; 48]).unwrap();
                         if i % 3 == 0 {
@@ -239,11 +241,11 @@ fn db_metrics_smoke_populates_every_layer() {
     );
     assert!(
         m.store.hist("wal_append_wait_hist").unwrap().count() > 0,
-        "4 fsyncing writers never contended the WAL append mutex in {rounds} rounds"
+        "{writers} fsyncing writers never contended the WAL append mutex in {rounds} rounds"
     );
     assert!(
         m.store.hist("heap_wait_hist").unwrap().count() > 0,
-        "4 writers never contended the single heap shard in {rounds} rounds"
+        "{writers} writers never contended a heap shard in {rounds} rounds"
     );
     // Report and JSON render without panicking and carry the data.
     let report = m.report();
