@@ -42,7 +42,10 @@ fn self_test() -> ExitCode {
     let expected = [
         ("wrapper-only", ".allocated.lock("),
         ("wrapper-only", ".pool.claim("),
-        ("wrapper-only", "frame_hinted("),
+        (
+            "wrapper-only",
+            "frame_hinted(` outside [\"probe_unlatched\"]",
+        ),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),

@@ -106,13 +106,13 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "PageStore::claim_frame (the frame funnel, via read / write_page)",
     },
     // The only frame lookup that takes no pin: a frame found this way can
-    // be repurposed mid-read, so only the seqlock-and-owner validation in
-    // `read_unlatched` may use it.
+    // be repurposed mid-read, so only the owner-and-seqlock validation in
+    // `probe_unlatched` may use it.
     WrapperRule {
         file: "store.rs",
         needles: &["frame_hinted("],
-        allowed_fns: &["read_unlatched"],
-        use_instead: "PageStore::read_unlatched (validates the unpinned frame)",
+        allowed_fns: &["probe_unlatched"],
+        use_instead: "PageStore::probe_unlatched (validates the unpinned frame)",
     },
     WrapperRule {
         file: "store.rs",
@@ -604,6 +604,21 @@ mod tests {
         let ok = lint_source(
             "crates/pagestore/src/heap.rs",
             "fn sweep(&self) {\n    for pid in self.store.allocated_pages() {}\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn unpinned_frame_lookup_is_pinned_to_probe_unlatched() {
+        let v = lint_source(
+            "crates/pagestore/src/store.rs",
+            "fn read_unlatched(&self) {\n    let f = self.pool.frame_hinted(pid);\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("go through PageStore::probe_unlatched"));
+        let ok = lint_source(
+            "crates/pagestore/src/store.rs",
+            "fn probe_unlatched(&self) {\n    let f = self.pool.frame_hinted(pid);\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

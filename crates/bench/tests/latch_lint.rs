@@ -41,7 +41,10 @@ fn fixture_trips_every_rule() {
     for (rule, what) in [
         ("wrapper-only", ".allocated.lock("),
         ("wrapper-only", ".pool.claim("),
-        ("wrapper-only", "frame_hinted("),
+        (
+            "wrapper-only",
+            "frame_hinted(` outside [\"probe_unlatched\"]",
+        ),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),

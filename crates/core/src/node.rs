@@ -27,7 +27,7 @@
 
 use crate::error::{Result, TreeError};
 use crate::key::{Bound, Key};
-use blink_pagestore::{Page, PageId};
+use blink_pagestore::{Page, PageId, PageProbe};
 
 /// Magic tag of a node page. Bumped from `0xB185` when the header moved
 /// its payload fields off bytes 12..24 — the page store's reserved region
@@ -412,52 +412,187 @@ impl Node {
     /// guard — both deref to `[u8]`). Fails on structural corruption (bad
     /// magic, bad tags, counts that exceed the page).
     pub fn decode(b: &[u8]) -> Result<Node> {
-        if b.len() < HEADER_LEN {
+        Node::decode_probe(&PageProbe::new(b))
+    }
+
+    /// [`Node::decode`] over a [`PageProbe`]: reads the header and the
+    /// `count` pairs in place, nothing past them. Over an unlatched frame
+    /// the result counts only once the probe validates.
+    pub fn decode_probe(p: &PageProbe<'_>) -> Result<Node> {
+        let h = Header::parse(p)?;
+        let entries = (0..h.count)
+            .map(|i| {
+                let off = HEADER_LEN + i * PAIR_LEN;
+                (p.u64(off), p.u64(off + 8))
+            })
+            .collect();
+        Ok(Node {
+            kind: h.kind,
+            is_root: h.is_root,
+            deleted: h.deleted,
+            level: h.level,
+            low: h.low,
+            high: h.high,
+            link: h.link,
+            merge_target: h.merge_target,
+            p0: h.p0,
+            entries,
+        })
+    }
+
+    /// The paper's `next(A, v)` read **in place**: parses the header (with
+    /// [`Node::decode`]'s structural checks) and binary-searches the pair
+    /// array where it lies, touching a 48-byte header and ~log₂(pairs)
+    /// keys instead of decoding the page. A leaf also yields `v`'s value.
+    /// A deleted node routes nowhere: only its merge pointer matters.
+    /// Never panics, whatever the bytes; what it reads from an unlatched
+    /// frame counts only once the probe validates.
+    pub fn route(p: &PageProbe<'_>, v: Key) -> Result<Route> {
+        let h = Header::parse(p)?;
+        let mut route = Route {
+            deleted: h.deleted,
+            level: h.level,
+            low: h.low,
+            merge_target: h.merge_target,
+            next: Next::Here,
+            value: None,
+        };
+        if h.deleted {
+            return Ok(route);
+        }
+        if Bound::Key(v) > h.high {
+            let link = h
+                .link
+                .ok_or(TreeError::Corrupt("finite high value without a link"))?;
+            route.next = Next::Link(link);
+            return Ok(route);
+        }
+        let key = |i: usize| p.u64(HEADER_LEN + i * PAIR_LEN);
+        let val = |i: usize| p.u64(HEADER_LEN + i * PAIR_LEN + 8);
+        // `child_index`: the first pair whose key is not below `v`.
+        let (mut lo, mut hi) = (0, h.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if key(mid) < v {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        match h.kind {
+            NodeKind::Leaf => route.value = (lo < h.count && key(lo) == v).then(|| val(lo)),
+            NodeKind::Internal => {
+                let child = match lo {
+                    0 => h.p0,
+                    j => PageId::from_raw(val(j - 1) as u32),
+                };
+                let child = child.ok_or(TreeError::Corrupt("internal node routes to nil"))?;
+                route.next = Next::Child(child);
+            }
+        }
+        Ok(route)
+    }
+
+    /// What [`Node::route`] must conclude, read off the decoded node with
+    /// `next` and `leaf_get` (the oracle its tests compare against).
+    #[cfg(test)]
+    pub(crate) fn route_of(&self, v: Key) -> Route {
+        let next = if self.deleted {
+            Next::Here
+        } else {
+            self.next(v)
+        };
+        Route {
+            deleted: self.deleted,
+            level: self.level,
+            low: self.low,
+            merge_target: self.merge_target,
+            next,
+            value: match (self.deleted, next) {
+                (false, Next::Here) => self.leaf_get(v),
+                _ => None,
+            },
+        }
+    }
+}
+
+/// A node's fixed header, parsed in one place for [`Node::decode_probe`]
+/// and [`Node::route`] so the structural checks are written once.
+struct Header {
+    kind: NodeKind,
+    is_root: bool,
+    deleted: bool,
+    level: u8,
+    count: usize,
+    low: Bound,
+    high: Bound,
+    link: Option<PageId>,
+    merge_target: Option<PageId>,
+    p0: Option<PageId>,
+}
+
+impl Header {
+    /// Parses and checks the header: magic, bound tags, a pair count that
+    /// fits the page, and a p₀ for an internal node with pairs.
+    fn parse(p: &PageProbe<'_>) -> Result<Header> {
+        if p.page_size() < HEADER_LEN {
             return Err(TreeError::Corrupt("page shorter than node header"));
         }
-        if u16::from_le_bytes([b[0], b[1]]) != MAGIC {
+        if p.u16(0) != MAGIC {
             return Err(TreeError::Corrupt("bad node magic"));
         }
-        let flags = b[2];
+        let flags = p.u8(2);
         let kind = if flags & 1 != 0 {
             NodeKind::Leaf
         } else {
             NodeKind::Internal
         };
-        let level = b[3];
-        let count = u16::from_le_bytes([b[4], b[5]]) as usize;
-        if count > max_pairs_for_page(b.len()) {
+        let count = p.u16(4) as usize;
+        if count > max_pairs_for_page(p.page_size()) {
             return Err(TreeError::Corrupt("pair count exceeds page capacity"));
         }
-        let low = Bound::decode(b[6], u64::from_le_bytes(b[24..32].try_into().unwrap()))
-            .ok_or(TreeError::Corrupt("bad low-bound tag"))?;
-        let high = Bound::decode(b[7], u64::from_le_bytes(b[32..40].try_into().unwrap()))
-            .ok_or(TreeError::Corrupt("bad high-bound tag"))?;
-        let link = PageId::from_raw(u32::from_le_bytes(b[8..12].try_into().unwrap()));
-        let merge_target = PageId::from_raw(u32::from_le_bytes(b[40..44].try_into().unwrap()));
-        let p0 = PageId::from_raw(u32::from_le_bytes(b[44..48].try_into().unwrap()));
+        let low =
+            Bound::decode(p.u8(6), p.u64(24)).ok_or(TreeError::Corrupt("bad low-bound tag"))?;
+        let high =
+            Bound::decode(p.u8(7), p.u64(32)).ok_or(TreeError::Corrupt("bad high-bound tag"))?;
+        let p0 = PageId::from_raw(p.u32(44));
         if kind == NodeKind::Internal && p0.is_none() && count > 0 {
             return Err(TreeError::Corrupt("internal node with pairs but no p0"));
         }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HEADER_LEN + i * PAIR_LEN;
-            let key = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
-            let val = u64::from_le_bytes(b[off + 8..off + 16].try_into().unwrap());
-            entries.push((key, val));
-        }
-        Ok(Node {
+        Ok(Header {
             kind,
             is_root: flags & 2 != 0,
             deleted: flags & 4 != 0,
-            level,
+            level: p.u8(3),
+            count,
             low,
             high,
-            link,
-            merge_target,
+            link: PageId::from_raw(p.u32(8)),
+            merge_target: PageId::from_raw(p.u32(40)),
             p0,
-            entries,
         })
+    }
+}
+
+/// Where [`Node::route`] sends a traversal looking for `v`, plus what the
+/// §5.2 checks need: the deletion bit and merge pointer, the level, and
+/// the low value (`wrong_node`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    pub deleted: bool,
+    pub level: u8,
+    pub low: Bound,
+    pub merge_target: Option<PageId>,
+    /// `next(A, v)`; `Here` for a deleted node, which routes nowhere.
+    pub next: Next,
+    /// `v`'s value, when the node is a leaf that holds it.
+    pub value: Option<u64>,
+}
+
+impl Route {
+    /// [`Node::wrong_node`] on the routed node.
+    pub fn wrong_node(&self, v: Key) -> bool {
+        Bound::Key(v) <= self.low
     }
 }
 
@@ -987,6 +1122,62 @@ mod proptests {
                     prop_assert_eq!(got, all);
                 }
             }
+        }
+
+        /// Routing in place over the encoded page agrees with routing the
+        /// decoded node (`next` + `leaf_get`), for leaves and internal
+        /// nodes, live and deleted, at keys, between them and outside the
+        /// bounds.
+        #[test]
+        fn route_in_place_matches_the_decoded_node(
+            keys in proptest::collection::btree_set(1_000u64..2_000, 0..40),
+            (leaf, deleted) in (any::<bool>(), any::<bool>()),
+            (low, high) in (0u8..3, 0u8..3),
+            probes in proptest::collection::vec(0u64..3_000, 1..16),
+        ) {
+            let mut n = if leaf { Node::new_leaf() } else { Node::new_internal(2) };
+            n.low = match low { 0 => Bound::NegInf, l => Bound::Key(500 + u64::from(l) * 100) };
+            n.high = match high { 0 => Bound::PosInf, h => Bound::Key(2_000 + u64::from(h) * 100) };
+            n.link = (high != 0).then(|| pid(77));
+            n.entries = keys.iter().enumerate().map(|(i, &k)| (k, i as u64 + 10)).collect();
+            if !leaf {
+                n.p0 = Some(pid(5));
+            }
+            if deleted {
+                // What a merge leaves behind (`rearrange`).
+                n.deleted = true;
+                n.merge_target = Some(pid(3));
+                n.entries.clear();
+                n.p0 = None;
+                n.link = None;
+            }
+            let page = n.encode(4096);
+            prop_assert_eq!(&Node::decode(&page).unwrap(), &n);
+            let probe = PageProbe::new(&page);
+            let at = keys.iter().flat_map(|&k| [k - 1, k, k + 1]);
+            for v in at.chain(probes).chain([0, u64::MAX]) {
+                prop_assert_eq!(Node::route(&probe, v).unwrap(), n.route_of(v));
+            }
+        }
+
+        /// Bytes that pass the magic check but are otherwise random — what
+        /// a torn frame can look like — never make `route` panic.
+        #[test]
+        fn route_over_random_bytes_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            v in any::<u64>(),
+        ) {
+            let mut bytes = bytes;
+            if bytes.len() >= HEADER_LEN {
+                // Pass the header checks often enough to reach the search.
+                bytes[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+                let count = u16::from_le_bytes([bytes[4], bytes[5]]) as usize
+                    % (max_pairs_for_page(bytes.len()) + 1);
+                bytes[4..6].copy_from_slice(&(count as u16).to_le_bytes());
+                bytes[6] %= 3;
+                bytes[7] %= 3;
+            }
+            let _ = Node::route(&PageProbe::new(&bytes), v);
         }
     }
 }

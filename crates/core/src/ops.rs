@@ -40,16 +40,17 @@ impl BLinkTree {
         let mut budget = Budget::new(self.cfg.max_restarts);
         let mut d = self.descend(session, v, 0, false, &mut budget)?;
         loop {
-            // `moveright`: follow links until the leaf where v belongs.
-            match d.node.next(v) {
-                Next::Here => return Ok(d.node.leaf_get(v)),
+            // `moveright`: follow links until the leaf where v belongs,
+            // whose route carries v's value.
+            match d.node.next {
+                Next::Here => return Ok(d.node.value),
                 Next::Link(l) => {
                     self.note_link(session);
                     let mut cur = l;
-                    match self.step_node(session, &mut cur, 0)? {
-                        Some(n) if !n.wrong_node(v) => {
+                    match self.step_node(session, &mut cur, 0, |pid| self.try_route(pid, v))? {
+                        Some(r) if !r.wrong_node(v) => {
                             d.pid = cur;
-                            d.node = n;
+                            d.node = r;
                         }
                         _ => {
                             budget.restart(session, &self.counters)?;

@@ -12,7 +12,7 @@
 //! own; reads are latch-atomic `get`s.
 
 use crate::error::{Result, TreeError};
-use blink_pagestore::{Page, PageId};
+use blink_pagestore::{Page, PageId, PageProbe};
 
 /// Magic tag of the prime block page. Bumped from `0xB186` when the
 /// header grew to clear the page store's reserved region (per-page LSN +
@@ -105,25 +105,29 @@ impl PrimeBlock {
 
     /// Deserializes a page image (owned page or borrowed guard).
     pub fn decode(b: &[u8]) -> Result<PrimeBlock> {
-        if b.len() < HDR {
+        PrimeBlock::decode_probe(&PageProbe::new(b))
+    }
+
+    /// [`PrimeBlock::decode`] over a [`PageProbe`]: reads the header and
+    /// the `height` leftmost pointers in place, nothing past them.
+    pub fn decode_probe(p: &PageProbe<'_>) -> Result<PrimeBlock> {
+        if p.page_size() < HDR {
             return Err(TreeError::Corrupt("page shorter than prime header"));
         }
-        if u16::from_le_bytes([b[0], b[1]]) != MAGIC {
+        if p.u16(0) != MAGIC {
             return Err(TreeError::Corrupt("bad prime-block magic"));
         }
-        let height = u32::from_le_bytes(b[4..8].try_into().unwrap());
-        if height == 0 || height as usize > max_levels(b.len()) {
+        let height = p.u32(4);
+        if height == 0 || height as usize > max_levels(p.page_size()) {
             return Err(TreeError::Corrupt("implausible tree height"));
         }
-        let root = PageId::from_raw(u32::from_le_bytes(b[8..12].try_into().unwrap()))
-            .ok_or(TreeError::Corrupt("nil root pointer"))?;
-        let mut leftmost = Vec::with_capacity(height as usize);
-        for i in 0..height as usize {
-            let off = HDR + i * 4;
-            let pid = PageId::from_raw(u32::from_le_bytes(b[off..off + 4].try_into().unwrap()))
-                .ok_or(TreeError::Corrupt("nil leftmost pointer"))?;
-            leftmost.push(pid);
-        }
+        let root = PageId::from_raw(p.u32(8)).ok_or(TreeError::Corrupt("nil root pointer"))?;
+        let leftmost = (0..height as usize)
+            .map(|i| {
+                PageId::from_raw(p.u32(HDR + i * 4))
+                    .ok_or(TreeError::Corrupt("nil leftmost pointer"))
+            })
+            .collect::<Result<_>>()?;
         Ok(PrimeBlock {
             height,
             root,

@@ -2,8 +2,8 @@
 //!
 //! PR 3 redesigned `range(lo, hi) -> Vec` into [`Scan`], a cursor that
 //! walks the leaf chain **incrementally**: it visits one leaf at a time,
-//! borrows its page through the buffer pool for just long enough to decode
-//! it (re-latching per leaf — pins are never held between `next` calls),
+//! reads it whole out of the buffer pool (optimistically, like every
+//! traversal read; pins are never held between `next` calls),
 //! buffers at most one leaf's worth of matching pairs, and then follows the
 //! link. A 50k-key scan therefore costs O(2k) transient memory instead of
 //! materializing 50k pairs, and never blocks writers.
@@ -106,53 +106,41 @@ impl Scan {
     fn fill_inner(&mut self, tree: &BLinkTree, session: &mut Session) -> Result<()> {
         // Reach a node at the leaf level: over the previous leaf's link
         // when possible, else by descending from the root at the cursor.
-        let mut d = match self.next_link.take() {
-            Some(link) => {
-                tree.note_link(session);
-                let mut cur = link;
-                match tree.step_node(session, &mut cur, 0)? {
-                    Some(node) => (cur, node),
-                    None => {
-                        self.budget.restart(session, &tree.counters)?;
-                        let d = tree.descend(session, self.cursor, 0, false, &mut self.budget)?;
-                        (d.pid, d.node)
-                    }
-                }
-            }
-            None => {
-                let d = tree.descend(session, self.cursor, 0, false, &mut self.budget)?;
-                (d.pid, d.node)
-            }
-        };
-        // moveright until the node covers the cursor (§5.2: a wrong node —
-        // data moved left past us — forces a restart).
+        // The leaf is read whole — the pairs are what a scan is after.
+        let mut hop = self.next_link.take();
         loop {
-            if d.1.wrong_node(self.cursor) {
-                self.budget.restart(session, &tree.counters)?;
-                let nd = tree.descend(session, self.cursor, 0, false, &mut self.budget)?;
-                d = (nd.pid, nd.node);
-                continue;
-            }
-            match d.1.next(self.cursor) {
-                Next::Here => break,
-                Next::Link(l) => {
+            let leaf = match hop.take() {
+                Some(link) => {
                     tree.note_link(session);
-                    let mut cur = l;
-                    match tree.step_node(session, &mut cur, 0)? {
-                        Some(node) => d = (cur, node),
-                        None => {
-                            self.budget.restart(session, &tree.counters)?;
-                            let nd =
-                                tree.descend(session, self.cursor, 0, false, &mut self.budget)?;
-                            d = (nd.pid, nd.node);
-                        }
-                    }
+                    let mut cur = link;
+                    tree.step_node(session, &mut cur, 0, |pid| {
+                        tree.try_read_node_optimistic(pid)
+                    })?
                 }
+                // Route in place down to the leaf, then read it whole.
+                None => Some(
+                    tree.descend_with(session, self.cursor, 0, false, &mut self.budget, |pid| {
+                        tree.try_read_node_optimistic(pid)
+                    })?
+                    .node,
+                ),
+            };
+            // moveright until the node covers the cursor (§5.2: a wrong
+            // node — data moved left past us — forces a restart, as does
+            // an unreadable one).
+            let Some(node) = leaf.filter(|node| !node.wrong_node(self.cursor)) else {
+                self.budget.restart(session, &tree.counters)?;
+                continue;
+            };
+            match node.next(self.cursor) {
+                Next::Here => {
+                    self.harvest(&node);
+                    return Ok(());
+                }
+                Next::Link(l) => hop = Some(l),
                 Next::Child(_) => unreachable!("level-0 node routed to a child"),
             }
         }
-        self.harvest(&d.1);
-        Ok(())
     }
 
     /// Copies the covering leaf's in-range pairs and advances the cursor.

@@ -17,21 +17,25 @@
 //!
 //! Every node a traversal examines — the prime block at descent start,
 //! every index level and the leaves — comes through one optimistic read
-//! (`try_read_node_optimistic`, `read_prime`): a private copy taken out of
-//! the page's buffer-pool frame with no pin and no latch, validated by the
-//! frame's seqlock and revalidated before the traversal acts on it. The
-//! §2.2 "private snapshot" a process reasons over is the decoded [`Node`];
-//! Sagiv's readers "do not use any lock and can read a node even if it is
-//! locked by an updater", and here they write nothing another process
-//! reads. Only when no snapshot can be taken (page not resident, writer
-//! mid-mutation) does a read fall back to a pinned, latched frame guard,
-//! which is gone before the traversal takes another step. Writers' locked
-//! re-reads (`lock_covering`) stay latched, under the paper lock.
+//! (`read_optimistic`, `read_prime`): a probe of the page in place in its
+//! buffer-pool frame with no pin and no latch, validated by the frame's
+//! seqlock and revalidated before the traversal acts on it. A descent
+//! step reads only what it routes on — [`Node::route`]: the header and a
+//! binary search over the pairs, giving the child or link to follow and
+//! what the §5.2 checks need — so the §2.2 "private snapshot" a process
+//! reasons over is that [`Route`]. Only a scan's harvested leaf is read
+//! whole, as a [`Node`]. Sagiv's readers "do not use any lock and can read
+//! a node even if it is locked by an updater", and here they write nothing
+//! another process reads. Only when no probe can be taken (page not
+//! resident, writer mid-mutation) does a read fall back to a pinned,
+//! latched frame guard, which is gone before the traversal takes another
+//! step. Writers' locked re-reads (`lock_covering`) stay latched, under
+//! the paper lock.
 
 use crate::counters::TreeCounters;
 use crate::error::{Result, TreeError};
 use crate::key::{Bound, Key};
-use crate::node::{Next, Node};
+use crate::node::{Next, Node, Route};
 use crate::tree::BLinkTree;
 use blink_pagestore::{PageId, Session};
 
@@ -65,16 +69,56 @@ impl Budget {
     }
 }
 
-/// Result of a descent: the first node reached at the target level (an
-/// unlocked snapshot) and, when requested, the stack of nodes through which
-/// the descent passed (`movedown-and-stack`).
+/// Result of a descent: the first node reached at the target level (read
+/// unlocked: its route toward the key, or the whole node for a scan) and,
+/// when requested, the stack of nodes through which the descent passed
+/// (`movedown-and-stack`).
 #[derive(Debug)]
-pub(crate) struct Descent {
+pub(crate) struct Descent<R = Route> {
     pub pid: PageId,
-    pub node: Node,
+    pub node: R,
     /// One pointer per level above `target_level`, top of tree first; the
     /// last element is the node at `target_level + 1` we descended through.
     pub stack: Vec<PageId>,
+}
+
+/// What [`BLinkTree::step_node`] checks of a node it read: a [`Route`] at
+/// every descent level, the whole [`Node`] for a scan's harvested leaf.
+pub(crate) trait Stepped {
+    fn level(&self) -> u8;
+    fn deleted(&self) -> bool;
+    fn merge_target(&self) -> Option<PageId>;
+    fn wrong_node(&self, v: Key) -> bool;
+}
+
+impl Stepped for Route {
+    fn level(&self) -> u8 {
+        self.level
+    }
+    fn deleted(&self) -> bool {
+        self.deleted
+    }
+    fn merge_target(&self) -> Option<PageId> {
+        self.merge_target
+    }
+    fn wrong_node(&self, v: Key) -> bool {
+        Route::wrong_node(self, v)
+    }
+}
+
+impl Stepped for Node {
+    fn level(&self) -> u8 {
+        self.level
+    }
+    fn deleted(&self) -> bool {
+        self.deleted
+    }
+    fn merge_target(&self) -> Option<PageId> {
+        self.merge_target
+    }
+    fn wrong_node(&self, v: Key) -> bool {
+        Node::wrong_node(self, v)
+    }
 }
 
 impl BLinkTree {
@@ -119,6 +163,23 @@ impl BLinkTree {
         with_stack: bool,
         budget: &mut Budget,
     ) -> Result<Descent> {
+        self.descend_with(session, v, target_level, with_stack, budget, |pid| {
+            self.try_route(pid, v)
+        })
+    }
+
+    /// [`BLinkTree::descend`], reading the node it lands on with
+    /// `read_target` instead of routing it: a scan reads its first leaf
+    /// whole, once.
+    pub(crate) fn descend_with<R: Stepped>(
+        &self,
+        session: &mut Session,
+        v: Key,
+        target_level: u8,
+        with_stack: bool,
+        budget: &mut Budget,
+        read_target: impl Fn(PageId) -> Result<Option<R>>,
+    ) -> Result<Descent<R>> {
         'restart: loop {
             let prime = self.read_prime()?;
             if prime.height <= u32::from(target_level) {
@@ -131,22 +192,30 @@ impl BLinkTree {
             let mut expected_level = (prime.height - 1) as u8;
             let mut stack = Vec::new();
             loop {
-                let Some(node) = self.step_node(session, &mut current, expected_level)? else {
-                    budget.restart(session, &self.counters)?;
-                    continue 'restart;
-                };
-                if node.wrong_node(v) {
-                    budget.restart(session, &self.counters)?;
-                    continue 'restart;
-                }
                 if expected_level == target_level {
+                    let Some(node) = self
+                        .step_node(session, &mut current, expected_level, &read_target)?
+                        .filter(|n| !n.wrong_node(v))
+                    else {
+                        budget.restart(session, &self.counters)?;
+                        continue 'restart;
+                    };
                     return Ok(Descent {
                         pid: current,
                         node,
                         stack,
                     });
                 }
-                match node.next(v) {
+                let Some(route) = self
+                    .step_node(session, &mut current, expected_level, |pid| {
+                        self.try_route(pid, v)
+                    })?
+                    .filter(|r| !r.wrong_node(v))
+                else {
+                    budget.restart(session, &self.counters)?;
+                    continue 'restart;
+                };
+                match route.next {
                     Next::Link(l) => {
                         self.note_link(session);
                         current = l;
@@ -164,27 +233,28 @@ impl BLinkTree {
         }
     }
 
-    /// Reads the node at `*current`, following merge pointers of deleted
-    /// nodes (updating `*current` as it goes). Returns `None` — meaning the
-    /// caller must restart — when the page is unreadable, the node is not
-    /// at the expected level (freed and reallocated), or a merge chain
-    /// dead-ends.
-    pub(crate) fn step_node(
+    /// Reads the node at `*current` with `read` (a route, or the whole
+    /// node), following merge pointers of deleted nodes (updating
+    /// `*current` as it goes). Returns `None` — meaning the caller must
+    /// restart — when the page is unreadable, the node is not at the
+    /// expected level (freed and reallocated), or a merge chain dead-ends.
+    pub(crate) fn step_node<R: Stepped>(
         &self,
         session: &mut Session,
         current: &mut PageId,
         expected_level: u8,
-    ) -> Result<Option<Node>> {
+        read: impl Fn(PageId) -> Result<Option<R>>,
+    ) -> Result<Option<R>> {
         // Merge chains are short (one hop in steady state); bound defensively.
         for _ in 0..64 {
-            let Some(node) = self.try_read_node_optimistic(*current)? else {
+            let Some(node) = read(*current)? else {
                 return Ok(None);
             };
-            if node.level != expected_level {
+            if node.level() != expected_level {
                 return Ok(None);
             }
-            if node.deleted {
-                match node.merge_target {
+            if node.deleted() {
+                match node.merge_target() {
                     Some(t) => {
                         session.note_merge_pointer();
                         *current = t;
@@ -314,8 +384,11 @@ mod tests {
             assert_eq!(u32::from(n.level), prime.height - 1 - i as u32);
         }
         // The landing node is a leaf covering the key.
-        assert!(d.node.is_leaf());
-        assert!(crate::key::Bound::contains(d.node.low, d.node.high, 250));
+        let leaf = t.read_node(d.pid).unwrap();
+        assert!(leaf.is_leaf());
+        assert!(crate::key::Bound::contains(leaf.low, leaf.high, 250));
+        assert_eq!(d.node.next, Next::Here);
+        assert_eq!(d.node.value, Some(250), "the leaf route carries the value");
     }
 
     #[test]
@@ -329,8 +402,9 @@ mod tests {
         let mut b = Budget::new(100);
         for level in 0..t.height().unwrap() as u8 {
             let d = t.descend(&mut s, 999, level, false, &mut b).unwrap();
-            assert_eq!(d.node.level, level);
-            assert!(crate::key::Bound::contains(d.node.low, d.node.high, 999));
+            let node = t.read_node(d.pid).unwrap();
+            assert_eq!((d.node.level, node.level), (level, level));
+            assert!(crate::key::Bound::contains(node.low, node.high, 999));
         }
         s.end_op();
     }
@@ -379,7 +453,9 @@ mod tests {
                     found_deleted = true;
                     let mut cur = probe;
                     s.begin_op();
-                    let stepped = t.step_node(&mut s, &mut cur, 0).unwrap();
+                    let stepped = t
+                        .step_node(&mut s, &mut cur, 0, |pid| t.try_read_node_optimistic(pid))
+                        .unwrap();
                     s.end_op();
                     let n2 = stepped.expect("merge chain must resolve");
                     assert!(!n2.deleted);

@@ -10,10 +10,11 @@ use crate::compress::queue::CompressionQueue;
 use crate::config::TreeConfig;
 use crate::counters::TreeCounters;
 use crate::error::{Result, TreeError};
-use crate::node::Node;
+use crate::key::Key;
+use crate::node::{Node, Route};
 use crate::prime::PrimeBlock;
 use blink_pagestore::{
-    DeferredFreeList, LogicalClock, PageId, PageStamp, PageStore, Session, SessionRegistry,
+    DeferredFreeList, LogicalClock, PageId, PageProbe, PageStore, Session, SessionRegistry,
     StoreError, WriteIntent,
 };
 use std::sync::Arc;
@@ -28,9 +29,9 @@ pub enum InsertOutcome {
     Duplicate,
 }
 
-/// Test-only hook fired between an optimistic node snapshot and its
-/// revalidation (see `BLinkTree::try_read_node_optimistic`; prime-block
-/// snapshots do not fire it): lets a test
+/// Test-only hook fired between an optimistic node probe and its
+/// revalidation (see `BLinkTree::read_optimistic`; prime-block probes do
+/// not fire it): lets a test
 /// place a concurrent split deterministically inside the validation
 /// window. Fires at most once per arming, then disarms itself. The
 /// `AtomicBool` gate keeps the cost on the hot path to one relaxed load.
@@ -56,7 +57,7 @@ impl OptimisticTestHook {
             if let Some(mut f) = self.f.lock().take() {
                 // The closure plays a *different* process interleaved onto
                 // this thread mid-validation-window; park the thread-local
-                // snapshot-discipline state for its duration.
+                // probe-discipline state for its duration.
                 let _pause = blink_pagestore::audit::pause_snapshot_audit();
                 f();
             }
@@ -293,54 +294,56 @@ impl BLinkTree {
         }
     }
 
-    /// Snapshots `pid` out of its buffer-pool frame **without a pin or a
-    /// latch** ([`PageStore::read_unlatched`]) into a thread-local buffer
-    /// and decodes that private copy with `decode`. `Ok(None)` when the
-    /// fast path is unavailable (page not resident, writer mid-mutation).
-    /// The caller must check the stamp with [`PageStore::stamp_valid`]
-    /// before acting on the decoded value.
-    fn read_snapshot<T>(
+    /// The traversal read: `read` runs over `pid`'s bytes **in place**,
+    /// in its buffer-pool frame, without a pin or a latch
+    /// ([`PageStore::probe_unlatched`]), and the stamp is revalidated
+    /// before the traversal acts on the result. A failed revalidation — a
+    /// writer began mutating the page since the probe — returns
+    /// `Ok(None)`, which traversals answer with a restart, exactly like a
+    /// wrong-node read. Unavailable fast paths (page not resident, writer
+    /// mid-mutation) fall back to running `read` over a latched read.
+    fn read_optimistic<T>(
         &self,
         pid: PageId,
-        decode: impl FnOnce(&[u8]) -> T,
-    ) -> std::result::Result<Option<(PageStamp, T)>, StoreError> {
-        thread_local! {
-            static OPT_BUF: std::cell::RefCell<Vec<u8>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        OPT_BUF.with(|b| {
-            let mut buf = b.borrow_mut();
-            buf.resize(self.store.page_size(), 0);
-            let stamp = self.store.read_unlatched(pid, &mut buf)?;
-            Ok(stamp.map(|stamp| (stamp, decode(&buf))))
-        })
-    }
-
-    /// The traversal read: an optimistic (version-coupled) variant of
-    /// [`BLinkTree::try_read_node`] used at every level, leaves included.
-    /// Decodes a latch-free private copy, then revalidates the version
-    /// stamp before letting the traversal act on the node. A failed
-    /// revalidation — a writer began mutating the page since the snapshot
-    /// — returns `Ok(None)`, which traversals answer with a restart,
-    /// exactly like a wrong-node read. Unavailable fast paths (page not
-    /// resident, writer mid-mutation) fall back to the latched read.
-    pub(crate) fn try_read_node_optimistic(&self, pid: PageId) -> Result<Option<Node>> {
-        match self.read_snapshot(pid, Node::decode) {
-            Ok(Some((stamp, decoded))) => {
+        read: impl Fn(&PageProbe<'_>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        let gone = |e: StoreError| match e {
+            StoreError::PageFreed(_) | StoreError::OutOfBounds(_) => Ok(None),
+            e => Err(TreeError::from(e)),
+        };
+        let r = match self.store.probe_unlatched(pid, &read) {
+            Ok(Some((stamp, r))) => {
                 self.optimistic_hook.fire();
                 if !self.store.stamp_valid(pid, &stamp) {
                     return Ok(None);
                 }
-                match decoded {
-                    Ok(n) => Ok(Some(n)),
-                    Err(TreeError::Corrupt(_)) => Ok(None),
-                    Err(e) => Err(e),
-                }
+                r
             }
-            Ok(None) => self.try_read_node(pid),
-            Err(StoreError::PageFreed(_)) | Err(StoreError::OutOfBounds(_)) => Ok(None),
-            Err(e) => Err(e.into()),
+            Ok(None) => match self.store.read(pid) {
+                Ok(guard) => read(&PageProbe::new(&guard)),
+                Err(e) => return gone(e),
+            },
+            Err(e) => return gone(e),
+        };
+        match r {
+            Ok(v) => Ok(Some(v)),
+            Err(TreeError::Corrupt(_)) => Ok(None),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Routes `v` through the node at `pid` ([`Node::route`]) — what every
+    /// descent level reads: the header and a binary search over the pairs,
+    /// in place. `Ok(None)` asks for a restart.
+    pub(crate) fn try_route(&self, pid: PageId, v: Key) -> Result<Option<Route>> {
+        self.read_optimistic(pid, |p| Node::route(p, v))
+    }
+
+    /// Reads the whole node at `pid` the optimistic way — for a scan's
+    /// harvested leaf, the one traversal read that needs every pair.
+    /// `Ok(None)` asks for a restart.
+    pub(crate) fn try_read_node_optimistic(&self, pid: PageId) -> Result<Option<Node>> {
+        self.read_optimistic(pid, Node::decode_probe)
     }
 
     /// Encodes and writes a node (one indivisible, journaled `put`),
@@ -354,9 +357,12 @@ impl BLinkTree {
 
     /// Reads the prime block: optimistically, like every traversal read
     /// (it starts every descent), falling back to the latched read when
-    /// the snapshot is unavailable or a root change invalidated it.
+    /// the probe is unavailable or a root change invalidated it.
     pub(crate) fn read_prime(&self) -> Result<PrimeBlock> {
-        if let Ok(Some((stamp, decoded))) = self.read_snapshot(self.prime_pid, PrimeBlock::decode) {
+        let probed = self
+            .store
+            .probe_unlatched(self.prime_pid, PrimeBlock::decode_probe);
+        if let Ok(Some((stamp, decoded))) = probed {
             if self.store.stamp_valid(self.prime_pid, &stamp) {
                 return decoded;
             }

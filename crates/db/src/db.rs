@@ -220,9 +220,8 @@ impl Db {
         self.get_with(key, |b| b.to_vec())
     }
 
-    /// Session-less zero-copy read: like [`DbSession::get_with`], borrowing
-    /// the value bytes from the record page's pinned frame for exactly the
-    /// duration of the call.
+    /// Session-less read through `f`: like [`DbSession::get_with`], `f`
+    /// sees the value bytes for exactly the duration of the call.
     pub fn get_with<R>(&self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
         let t0 = Instant::now();
         let mut session = self
@@ -473,11 +472,12 @@ impl<'db> DbSession<'db> {
         self.get_with(key, |b| b.to_vec())
     }
 
-    /// Fetches the value under `key` through `f` without copying it: the
-    /// bytes are borrowed from the record page's pinned buffer-pool frame
-    /// for exactly the duration of the call. `f` may run more than once if
-    /// a concurrent overwrite races the fetch (only the last run's result
-    /// is returned).
+    /// Fetches the value under `key` through `f`, which sees the bytes for
+    /// exactly the duration of the call: a validated private copy of just
+    /// the record, taken without a pin or a latch when its page is
+    /// resident ([`RecordHeap::read_with`]), else a borrow of the page's
+    /// pinned, latched frame. `f` may run more than once if a concurrent
+    /// overwrite races the fetch (only the last run's result is returned).
     pub fn get_with<R>(&mut self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
         let t0 = Instant::now();
         let r = get_with_session(self.db, &mut self.session, key, f);

@@ -24,7 +24,7 @@
 //!   below is the top-down coupling, equality is the paper's left-to-right
 //!   overtaking exception (link chases along one level);
 //! * **seqlock discipline**: `Frame::begin_write` only under that frame's
-//!   write latch, and every `snapshot_unlatched` revalidated before the
+//!   write latch, and every `probe_unlatched` revalidated before the
 //!   thread takes another optimistic snapshot.
 //!
 //! A violation panics with the offending acquisition, the full held stack,
@@ -541,7 +541,7 @@ mod imp {
         });
     }
 
-    /// Notes a successful `snapshot_unlatched`: at most one unvalidated
+    /// Notes a successful `probe_unlatched`: at most one unvalidated
     /// optimistic snapshot may exist per thread, so every snapshot is
     /// revalidated (stamp-checked) before the next one is taken.
     pub fn note_snapshot(frame_addr: usize) {
@@ -551,7 +551,7 @@ mod imp {
                 let msg = format!(
                     "optimistic snapshot of frame {frame_addr:#x} taken while the \
                      snapshot of frame {prev:#x} was never revalidated \
-                     (every snapshot_unlatched must be stamp-checked before use)"
+                     (every probe_unlatched must be stamp-checked before use)"
                 );
                 violation(&st.held, &msg, None);
             }

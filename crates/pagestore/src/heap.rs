@@ -101,9 +101,11 @@
 use crate::audit::{self, Audited, LockClass};
 use crate::error::{Result, StoreError};
 use crate::page::{Page, PageId};
+use crate::pool::PageProbe;
 use crate::stats::StoreStats;
 use crate::store::{PageStore, WriteIntent};
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -223,25 +225,32 @@ fn slot_off(page_size: usize, slot: u16) -> usize {
 
 /// Whether a page image is a (structurally sane) heap page.
 pub fn is_heap_page(b: &[u8]) -> bool {
-    if b.len() < HDR + SLOT || read_u16(b, 6) != HEAP_MAGIC {
-        return false;
+    heap_slots(&PageProbe::new(b)).is_some()
+}
+
+/// The slot-directory length of a structurally sane heap page, `None` for
+/// any other page. Reads only the first 8 header bytes.
+fn heap_slots(p: &PageProbe<'_>) -> Option<u16> {
+    if p.page_size() < HDR + SLOT || p.u16(6) != HEAP_MAGIC {
+        return None;
     }
-    let live = read_u16(b, 0) as usize;
-    let nslots = read_u16(b, 2) as usize;
-    let free_off = read_u16(b, 4) as usize;
-    live <= nslots
-        && HDR + nslots * SLOT <= b.len()
+    let live = p.u16(0) as usize;
+    let nslots = p.u16(2) as usize;
+    let free_off = p.u16(4) as usize;
+    (live <= nslots
+        && HDR + nslots * SLOT <= p.page_size()
         && free_off >= HDR
-        && free_off <= b.len() - nslots * SLOT
+        && free_off <= p.page_size() - nslots * SLOT)
+        .then_some(nslots as u16)
 }
 
 /// The data extent `(off, len, cap)` of the live slot whose directory entry
 /// sits at `so` on page `pid`, checked to lie inside the page.
-fn slot_extent(b: &[u8], so: usize, pid: PageId) -> Result<(usize, usize, usize)> {
-    let off = read_u16(b, so) as usize;
-    let cap = read_u16(b, so + 2) as usize;
-    let len = read_u16(b, so + 4) as usize;
-    if off + cap > b.len() || len > cap {
+fn slot_extent(p: &PageProbe<'_>, so: usize, pid: PageId) -> Result<(usize, usize, usize)> {
+    let off = p.u16(so) as usize;
+    let cap = p.u16(so + 2) as usize;
+    let len = p.u16(so + 4) as usize;
+    if off + cap > p.page_size() || len > cap {
         return Err(StoreError::corrupt_at("record extends past page end", pid));
     }
     Ok((off, len, cap))
@@ -399,7 +408,7 @@ impl RecordHeap {
                     let gen = read_u16(b, so + 6);
                     max_gen = max_gen.max(u32::from(gen));
                     if read_u16(b, so + 4) != FREED {
-                        slot_extent(b, so, pid)?;
+                        slot_extent(&PageProbe::new(b), so, pid)?;
                         inv.records.push(RecordId::new(pid, gen, slot));
                     }
                 }
@@ -747,19 +756,21 @@ impl RecordHeap {
         Ok(())
     }
 
-    /// Validates `rid` against a page image and returns `(off, len, cap)`
-    /// of the record's bytes. Any mismatch — not a heap page (freed +
-    /// reallocated to the index), freed slot, wrong generation (slot or
-    /// page reused since), out-of-range slot — is `RecordMissing`.
-    fn slot_entry(b: &[u8], rid: RecordId) -> Result<(usize, usize, usize)> {
-        if !is_heap_page(b) || rid.slot() >= read_u16(b, 2) {
+    /// Validates `rid` against a page and returns `(off, len, cap)` of the
+    /// record's bytes — the one check every record access applies, latched
+    /// or probed. Any mismatch — not a heap page (freed + reallocated to
+    /// the index), freed slot, wrong generation (slot or page reused
+    /// since), out-of-range slot — is `RecordMissing`. Reads the header
+    /// words and the slot's directory entry, nothing else.
+    fn slot_entry(p: &PageProbe<'_>, rid: RecordId) -> Result<(usize, usize, usize)> {
+        if heap_slots(p).is_none_or(|nslots| rid.slot() >= nslots) {
             return Err(StoreError::RecordMissing(rid.to_raw()));
         }
-        let so = slot_off(b.len(), rid.slot());
-        if read_u16(b, so + 4) == FREED || read_u16(b, so + 6) != rid.gen() {
+        let so = slot_off(p.page_size(), rid.slot());
+        if p.u16(so + 4) == FREED || p.u16(so + 6) != rid.gen() {
             return Err(StoreError::RecordMissing(rid.to_raw()));
         }
-        slot_extent(b, so, rid.page())
+        slot_extent(p, so, rid.page())
     }
 
     fn map_page_err(rid: RecordId) -> impl FnOnce(StoreError) -> StoreError {
@@ -771,18 +782,54 @@ impl RecordHeap {
         }
     }
 
-    /// Reads a record through `f` without copying it: the bytes are
-    /// borrowed straight from the page's pinned buffer-pool frame (the
-    /// PR 2 [`crate::PageRef`] guard), which stays pinned for exactly the
-    /// duration of the call. Latch-only — never blocked by writers of
-    /// other pages.
+    /// Reads a record through `f`, which sees a private, validated copy of
+    /// the record's bytes. The copy is taken in the page's resident frame
+    /// without a pin or a latch ([`PageStore::probe_unlatched`]): the probe
+    /// applies `slot_entry`'s checks to the header words and the slot
+    /// entry, copies only the record's bytes into a thread-local buffer,
+    /// and counts only if the frame's seqlock validates it. When no copy
+    /// can be taken (page not resident, a writer mid-update) the read falls
+    /// back to a latched one, and `f` borrows the bytes from the pinned
+    /// frame for the duration of the call. `f` may itself read records.
     pub fn read_with<R>(&self, rid: RecordId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        thread_local! {
+            static RECORD: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+        }
+        let pid = rid.page();
+        // Taken, not borrowed: a nested read inside `f` finds an empty
+        // buffer of its own.
+        let mut buf = RECORD.take();
+        let probed = self.store.probe_unlatched(pid, |p| {
+            let (off, len, _) = Self::slot_entry(p, rid)?;
+            #[cfg(test)]
+            tests::in_probe_window();
+            buf.clear();
+            buf.resize(len, 0);
+            p.copy(off, &mut buf);
+            Ok(())
+        });
+        let r = match probed {
+            Err(e) => Err(Self::map_page_err(rid)(e)),
+            // Revalidated like every probe (the latch auditor holds each
+            // thread to it) before `f` sees the copy.
+            Ok(Some((stamp, found))) if self.store.stamp_valid(pid, &stamp) => {
+                found.map(|()| f(&buf))
+            }
+            Ok(_) => self.read_latched(rid, f),
+        };
+        RECORD.set(buf);
+        r
+    }
+
+    /// [`RecordHeap::read_with`]'s fallback: `f` borrows the record's bytes
+    /// from the page's pinned, read-latched frame.
+    fn read_latched<R>(&self, rid: RecordId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let page = self
             .store
             .read(rid.page())
             .map_err(Self::map_page_err(rid))?;
         let b = page.bytes();
-        let (off, len, _) = Self::slot_entry(b, rid)?;
+        let (off, len, _) = Self::slot_entry(&PageProbe::new(b), rid)?;
         Ok(f(&b[off..off + len]))
     }
 
@@ -812,7 +859,7 @@ impl RecordHeap {
                 .write_page(rid.page(), WriteIntent::Update)
                 .map_err(Self::map_page_err(rid))?;
             let page_size = w.len();
-            match Self::slot_entry(w.bytes(), rid) {
+            match Self::slot_entry(&PageProbe::new(w.bytes()), rid) {
                 Ok((off, _, cap)) if data.len() <= cap => {
                     w.write_at(off, data);
                     put_u16(
@@ -846,7 +893,7 @@ impl RecordHeap {
             .map_err(Self::map_page_err(rid))?;
         let (live, state) = {
             let b = w.bytes();
-            Self::slot_entry(b, rid)?;
+            Self::slot_entry(&PageProbe::new(b), rid)?;
             (read_u16(b, 0) - 1, read_u16(b, 10))
         };
         if live == 0 && state == STATE_DETACHED {
@@ -886,9 +933,71 @@ impl RecordHeap {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
+    use std::cell::RefCell;
 
     fn heap(page_size: usize) -> RecordHeap {
         RecordHeap::new(PageStore::new(StoreConfig::with_page_size(page_size)))
+    }
+
+    thread_local! {
+        static PROBE_WINDOW: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    /// Runs (once) whatever a test armed, inside `read_with`'s probe:
+    /// after the slot entry passed its checks, before the record's bytes
+    /// are copied and the probe is validated.
+    pub(super) fn in_probe_window() {
+        if let Some(f) = PROBE_WINDOW.with(|w| w.borrow_mut().take()) {
+            f();
+        }
+    }
+
+    #[test]
+    fn slot_reused_inside_the_probe_window_reads_missing_not_the_new_bytes() {
+        // The old id's slot entry passes every check, then — before its
+        // bytes are copied — the record is freed and a same-size insert
+        // takes over the slot and its extent. The copy would now hold the
+        // new record's bytes under the old id; the seqlock must void it.
+        let h = Arc::new(heap(256));
+        let old = h.insert(&[1u8; 40]).unwrap();
+        let new = Arc::new(std::sync::OnceLock::new());
+        let (h2, new2) = (Arc::clone(&h), Arc::clone(&new));
+        PROBE_WINDOW.with(|w| {
+            *w.borrow_mut() = Some(Box::new(move || {
+                h2.free(old).unwrap();
+                new2.set(h2.insert(&[2u8; 40]).unwrap()).unwrap();
+            }))
+        });
+        let before = h.store().stats().snapshot();
+        let r = h.read_with(old, |b| b.to_vec());
+        assert!(
+            matches!(r, Err(StoreError::RecordMissing(_))),
+            "old id read {r:?}"
+        );
+        let new = *new.get().expect("the window hook ran");
+        assert_eq!((new.page(), new.slot()), (old.page(), old.slot()));
+        let d = h.store().stats().snapshot().delta(&before);
+        assert_eq!(d.optimistic_read_fallbacks, 1, "the voided probe fell back");
+        assert_eq!(h.read(new).unwrap(), vec![2u8; 40]);
+    }
+
+    #[test]
+    fn resident_read_takes_no_pin_or_latch_and_reenters() {
+        let h = heap(256);
+        let a = h.insert(b"outer record").unwrap();
+        let b = h.insert(b"inner").unwrap();
+        let before = h.store().stats().snapshot();
+        // `f` reads another record from inside the read; both copies stay
+        // intact.
+        let (outer, inner) = h
+            .read_with(a, |x| (x.to_vec(), h.read(b).unwrap()))
+            .unwrap();
+        assert_eq!(
+            (&outer[..], &inner[..]),
+            (&b"outer record"[..], &b"inner"[..])
+        );
+        let d = h.store().stats().snapshot().delta(&before);
+        assert_eq!((d.pins, d.cache_hits, d.optimistic_reads), (0, 0, 2));
     }
 
     #[test]

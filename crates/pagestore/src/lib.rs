@@ -65,6 +65,7 @@ pub use page::{
     page_lsn, set_page_lsn, stamp_page_crc, verify_page_crc, Page, PageId, PAGE_CRC_LEN,
     PAGE_CRC_OFFSET, PAGE_LSN_LEN, PAGE_LSN_OFFSET, PAGE_RESERVED_END,
 };
+pub use pool::PageProbe;
 pub use reclaim::DeferredFreeList;
 pub use session::{Session, SessionRegistry, SessionStats};
 pub use stats::{StatsSnapshot, StoreStats};

@@ -30,7 +30,7 @@
 //! * Optimistic reads pin nothing: `BufferPool::frame_hinted` looks the
 //!   page up in a direct-mapped `pid → frame` **hint** (written under the
 //!   shard mutex whenever a mapping is made or hit) and the store validates
-//!   the copy against the frame's seqlock *and* its `owner`. A frame can be
+//!   the probe against the frame's seqlock *and* its `owner`. A frame can be
 //!   repurposed under such a reader, so `owner` must never name a page
 //!   whose bytes the frame does not hold: every unmap clears it — the
 //!   clean-victim claim, `BufferPool::discard`, an aborted claim, a victim
@@ -69,13 +69,16 @@ pub(crate) struct Frame {
     /// a mutation is in progress. Every path that changes the frame's bytes
     /// or its page mapping brackets the change with [`Frame::begin_write`] /
     /// [`Frame::end_write`] while holding the write latch; an optimistic
-    /// reader snapshots the bytes between two even, equal loads.
+    /// reader probes the bytes between two even, equal loads.
     version: AtomicU64,
     /// The heap address of the page buffer, captured at construction. The
     /// boxed slice never moves or reallocates for the frame's lifetime, so
     /// optimistic readers can copy from it without holding `data`'s latch
     /// (validity is established after the copy by re-checking `version`).
     data_addr: usize,
+    /// Length of that buffer: the page size. (`u32` keeps a frame's
+    /// fields in one cache line; see the size assertion below.)
+    data_len: u32,
     /// Raw id of the page whose bytes are valid in `data` (0 = none).
     /// Published with `Release` inside the refill's seqlock window; a
     /// pinner validates it after acquiring the latch and retries on
@@ -90,6 +93,10 @@ pub(crate) struct Frame {
     referenced: AtomicBool,
 }
 
+// A frame's concurrency state fits one cache line: a larger `Frame`
+// would double every frame's footprint (`repr(align(64))`).
+const _: () = assert!(std::mem::size_of::<Frame>() == 64);
+
 impl Frame {
     fn new(page_size: usize) -> Frame {
         let data: Box<[u8]> = vec![0u8; page_size].into_boxed_slice();
@@ -98,6 +105,7 @@ impl Frame {
             data: RwLock::new(data),
             version: AtomicU64::new(0),
             data_addr,
+            data_len: u32::try_from(page_size).expect("page size fits in u32"),
             owner: AtomicU32::new(0),
             pins: AtomicU32::new(0),
             dirty: AtomicBool::new(false),
@@ -165,42 +173,31 @@ impl Frame {
         self as *const Frame as usize
     }
 
-    /// Attempts a latch-free snapshot of the frame's bytes into `buf`.
-    /// Returns the (even) version the snapshot is tagged with, or `None`
-    /// when a writer held the frame mid-copy. The caller must still
-    /// validate the surrounding page state (owner, allocation) *and*
-    /// re-check the version via [`Frame::version_is`] after consuming the
-    /// bytes.
-    ///
-    /// Safety of the unlatched copy: the buffer never moves (`data_addr`
-    /// is captured before the `RwLock` wraps the box) and lives as long as
-    /// the pool, reads of bytes racing a writer are fine for `u8` copies
-    /// through raw pointers, and any torn result is discarded by the
-    /// version re-check. The caller need not pin the frame.
-    pub(crate) fn snapshot_unlatched(&self, buf: &mut [u8]) -> Option<u64> {
+    /// Runs `f` over the frame's bytes **in place**, without a latch or a
+    /// pin, and returns the (even) version it ran at with `f`'s result —
+    /// or `None` when the version was odd before `f` ran or changed by
+    /// the time it returned, in which case whatever `f` computed must be
+    /// thrown away. `f` sees the bytes only through a [`PageProbe`], whose
+    /// range-checked accessors cannot fault or panic on torn bytes. The
+    /// caller must still check `owner` (the frame may have been
+    /// repurposed) and, before acting on the result later, re-check the
+    /// version via [`Frame::version_is`].
+    pub(crate) fn probe_unlatched<T>(
+        &self,
+        f: impl FnOnce(&PageProbe<'_>) -> T,
+    ) -> Option<(u64, T)> {
         let v1 = self.version.load(Ordering::Acquire);
         if !v1.is_multiple_of(2) {
             return None;
         }
-        // SAFETY: `data_addr` points at this frame's heap buffer, which is
-        // allocated once in `Frame::new`, is never reallocated or freed
-        // while the frame (and thus `self`) is alive, and is at least
-        // `page_size ≥ buf.len()` bytes. The caller may hold no pin: the
-        // frame can then be evicted and refilled for another page during
-        // the copy, but frames live as long as the pool, so the buffer is
-        // still this one. A writer may be mutating it concurrently, but
-        // byte-sized reads through raw pointers cannot fault, and any torn
-        // copy is discarded by the version re-check below (and again by
-        // the caller's `version_is`).
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.data_addr as *const u8, buf.as_mut_ptr(), buf.len());
-        }
+        let probe = PageProbe {
+            ptr: self.data_addr as *const u8,
+            len: self.data_len as usize,
+            _frame: std::marker::PhantomData,
+        };
+        let out = f(&probe);
         fence(Ordering::Acquire);
-        if self.version.load(Ordering::Relaxed) == v1 {
-            Some(v1)
-        } else {
-            None
-        }
+        (self.version.load(Ordering::Relaxed) == v1).then_some((v1, out))
     }
 
     /// True when the frame's version still equals `v` (and is therefore
@@ -208,6 +205,92 @@ impl Frame {
     pub(crate) fn version_is(&self, v: u64) -> bool {
         fence(Ordering::Acquire);
         self.version.load(Ordering::Relaxed) == v
+    }
+}
+
+/// A read-only view of one page's bytes that may be changing under it:
+/// a resident frame read without a latch ([`crate::PageStore::probe_unlatched`]),
+/// or any byte slice ([`PageProbe::new`], for latched guards and tests).
+///
+/// Every accessor is range-checked against the page size, so bytes torn by
+/// a concurrent writer can yield garbage values but never a fault or a
+/// panic; a read that would leave the page yields zeros. What a probe
+/// computes over a frame counts only after the seqlock validation that
+/// follows it.
+#[derive(Debug)]
+pub struct PageProbe<'a> {
+    ptr: *const u8,
+    len: usize,
+    _frame: std::marker::PhantomData<&'a [u8]>,
+}
+
+impl<'a> PageProbe<'a> {
+    /// A probe over stable bytes, e.g. a latched page guard.
+    pub fn new(bytes: &'a [u8]) -> PageProbe<'a> {
+        PageProbe {
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+            _frame: std::marker::PhantomData,
+        }
+    }
+
+    /// The page size: every accessor's range check.
+    pub fn page_size(&self) -> usize {
+        self.len
+    }
+
+    /// Copies `dst.len()` bytes starting at `off` into `dst`. Returns false
+    /// (and zero-fills `dst`) when the range leaves the page. This is the
+    /// probe's one racy access: every other accessor goes through it.
+    #[inline]
+    pub fn copy(&self, off: usize, dst: &mut [u8]) -> bool {
+        if off.checked_add(dst.len()).is_none_or(|end| end > self.len) {
+            dst.fill(0);
+            return false;
+        }
+        // SAFETY: `off + dst.len() <= self.len` was checked above, and
+        // `ptr..ptr + len` is either a borrowed slice (`PageProbe::new`)
+        // or a frame's page buffer, which is allocated once in
+        // `Frame::new`, never reallocated or freed while the pool lives,
+        // and outlives the probe (`'a` borrows the frame). A writer may be
+        // mutating a frame's bytes concurrently: plain byte copies through
+        // raw pointers cannot fault, and the seqlock check that follows
+        // every unlatched probe discards a result computed from torn bytes.
+        unsafe {
+            std::ptr::copy_nonoverlapping(self.ptr.add(off), dst.as_mut_ptr(), dst.len());
+        }
+        true
+    }
+
+    /// The byte at `off` (0 past the end).
+    #[inline]
+    pub fn u8(&self, off: usize) -> u8 {
+        self.array::<1>(off)[0]
+    }
+
+    /// The little-endian `u16` at `off` (0 past the end).
+    #[inline]
+    pub fn u16(&self, off: usize) -> u16 {
+        u16::from_le_bytes(self.array(off))
+    }
+
+    /// The little-endian `u32` at `off` (0 past the end).
+    #[inline]
+    pub fn u32(&self, off: usize) -> u32 {
+        u32::from_le_bytes(self.array(off))
+    }
+
+    /// The little-endian `u64` at `off` (0 past the end).
+    #[inline]
+    pub fn u64(&self, off: usize) -> u64 {
+        u64::from_le_bytes(self.array(off))
+    }
+
+    #[inline]
+    fn array<const N: usize>(&self, off: usize) -> [u8; N] {
+        let mut b = [0u8; N];
+        self.copy(off, &mut b);
+        b
     }
 }
 
@@ -278,7 +361,7 @@ pub(crate) struct BufferPool {
     /// `pid & (len - 1)` holds `1 + shard + nshards × index` of the frame
     /// the page was last mapped to or hit in (0 = none). Written only under
     /// the page's shard mutex; a colliding page simply overwrites it. A
-    /// hint is only a guess: the reader validates `owner` after its copy.
+    /// hint is only a guess: the reader validates `owner` around its probe.
     hint: Box<[AtomicU32]>,
 }
 
@@ -384,10 +467,10 @@ impl BufferPool {
     }
 
     /// The frame `pid` was last mapped to or hit in, **unpinned and
-    /// unvalidated** — the lookup behind `PageStore::read_unlatched`, and
+    /// unvalidated** — the lookup behind `PageStore::probe_unlatched`, and
     /// the only one that takes neither a pin nor a shard mutex. The frame
     /// may hold another page, or none, by the time the caller looks; the
-    /// caller must copy under the seqlock and then check `owner`.
+    /// caller must probe under the seqlock and then check `owner`.
     pub(crate) fn frame_hinted(&self, pid: PageId) -> Option<&Frame> {
         let code = self.hint_slot(pid).load(Ordering::Relaxed) as usize;
         let g = code.checked_sub(1)?;

@@ -55,14 +55,16 @@
 //!
 //! ## Reads that write nothing shared
 //!
-//! [`PageStore::read_unlatched`] serves a resident page without a pin, a
+//! [`PageStore::probe_unlatched`] serves a resident page without a pin, a
 //! shard mutex, a frame latch or a slot latch: it finds the frame through
-//! the pool's `pid → frame` hint, copies under the frame's seqlock, and
-//! accepts the copy only if the version was even and unchanged and the
-//! frame's `owner` still names the page afterwards (the pool's unmaps and
-//! refills keep `owner` honest — see [`crate::pool`]); the freed check is
-//! the slot's lock-free `live` mirror. Its counters are per-thread stripes
-//! ([`crate::stats::Counter`]).
+//! the pool's `pid → frame` hint, checks that the frame's `owner` names
+//! the page, runs the caller's closure over the bytes in place (a
+//! range-checked [`PageProbe`], so a reader touches only the bytes it
+//! routes on), and accepts the result only if the seqlock version was even
+//! and unchanged and `owner` still names the page afterwards (the pool's
+//! unmaps and refills keep `owner` honest — see [`crate::pool`]); the freed
+//! check is the slot's lock-free `live` mirror. Its counters are
+//! per-thread stripes ([`crate::stats::Counter`]).
 //!
 //! An optional per-access delay (`StoreConfig::io_delay`) simulates the
 //! latency of a real disk/SSD block access on every **backend** access
@@ -78,7 +80,7 @@ use crate::journal::Journal;
 use crate::page::{page_lsn, set_page_lsn, PAGE_LSN_LEN, PAGE_LSN_OFFSET, PAGE_RESERVED_END};
 use crate::page::{stamp_page_crc, verify_page_crc};
 use crate::page::{Page, PageId};
-use crate::pool::{BufferPool, Claim, Frame, Pinned};
+use crate::pool::{BufferPool, Claim, Frame, PageProbe, Pinned};
 use crate::session::Session;
 use crate::stats::StoreStats;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
@@ -417,10 +419,10 @@ impl Drop for PageRef<'_> {
     }
 }
 
-/// Token returned by [`PageStore::read_unlatched`]: identifies the frame
-/// that served the optimistic snapshot and the seqlock version it was
-/// validated at. Pass back to [`PageStore::stamp_valid`] to check that the
-/// snapshot is still current before acting on it.
+/// Token returned by [`PageStore::probe_unlatched`]: identifies the frame
+/// that served the optimistic probe and the seqlock version it was
+/// validated at. Pass back to [`PageStore::stamp_valid`] to check that what
+/// the probe read is still current before acting on it.
 #[derive(Debug, Clone, Copy)]
 pub struct PageStamp {
     /// `*const Frame` as usize; the frame was never pinned, but frames
@@ -1461,30 +1463,43 @@ impl PageStore {
         Ok(self.read(pid)?.to_page())
     }
 
-    /// Optimistic latch-free read: copies `pid`'s image out of its resident
-    /// frame **without a pin, a shard mutex, a frame latch or a slot
-    /// latch**, validating the copy with the frame's seqlock. On success
-    /// `buf` holds a consistent snapshot and the returned [`PageStamp`]
-    /// lets the caller revalidate later (via [`PageStore::stamp_valid`])
-    /// that no writer has touched the page since — the version-coupling
-    /// step of an optimistic descent. The only shared lines it writes are
-    /// the frame's CLOCK bit, and only when the clock hand cleared it.
+    /// Optimistic latch-free read: runs `f` over `pid`'s bytes **in place**
+    /// in its resident frame, through a [`PageProbe`], **without a pin, a
+    /// shard mutex, a frame latch or a slot latch**, and validates the run
+    /// with the frame's seqlock. On success `f`'s result was computed from
+    /// a consistent image of the page, and the returned [`PageStamp`] lets
+    /// the caller revalidate later (via [`PageStore::stamp_valid`]) that no
+    /// writer has touched the page since — the version-coupling step of an
+    /// optimistic descent. `f` should read only what it needs: a route's
+    /// header and a few keys, a record's slot entry and bytes. The only
+    /// shared lines the read writes are the frame's CLOCK bit, and only
+    /// when the clock hand cleared it.
     ///
-    /// The frame comes from the pool's `pid → frame` hint and may have been
-    /// repurposed, so the copy counts only if the version was even and
-    /// unchanged across it and `owner` names `pid` afterwards. Returns
-    /// `Ok(None)` whenever the fast path cannot be taken safely (no hint,
-    /// frame mid-mutation or holding another page, pool disabled); the
-    /// caller falls back to a latched [`PageStore::read`], which maps the
-    /// page and refreshes the hint.
-    pub fn read_unlatched(&self, pid: PageId, buf: &mut [u8]) -> Result<Option<PageStamp>> {
-        debug_assert_eq!(buf.len(), self.cfg.page_size);
+    /// The frame comes from the pool's `pid → frame` hint and may hold
+    /// another page, so `owner` is checked before `f` runs (a pool miss
+    /// does not run `f` over a stranger's bytes) and again after it, and
+    /// the result counts only if the seqlock version was even and
+    /// unchanged across the run. Returns `Ok(None)` whenever the fast path
+    /// cannot be taken safely (no hint, frame mid-mutation or holding
+    /// another page, pool disabled); the caller falls back to a latched
+    /// [`PageStore::read`], which maps the page and refreshes the hint.
+    /// `f` takes no latch, so it may itself read or write pages; a write
+    /// to this page inside the run fails the validation.
+    pub fn probe_unlatched<T>(
+        &self,
+        pid: PageId,
+        f: impl FnOnce(&PageProbe<'_>) -> T,
+    ) -> Result<Option<(PageStamp, T)>> {
         let slot = self.slot(pid)?;
-        let snapshot = self.pool.frame_hinted(pid).and_then(|frame| {
-            let version = frame.snapshot_unlatched(buf)?;
-            frame.owned_by(pid).then_some((frame, version))
-        });
-        let Some((frame, version)) = snapshot else {
+        let probed = self
+            .pool
+            .frame_hinted(pid)
+            .filter(|frame| frame.owned_by(pid))
+            .and_then(|frame| {
+                let (version, out) = frame.probe_unlatched(f)?;
+                frame.owned_by(pid).then_some((frame, version, out))
+            });
+        let Some((frame, version, out)) = probed else {
             StoreStats::bump(&self.stats.optimistic_read_fallbacks);
             return Ok(None);
         };
@@ -1498,23 +1513,26 @@ impl PageStore {
         StoreStats::bump(&self.stats.optimistic_reads);
         let addr = frame.audit_addr();
         audit::note_snapshot(addr);
-        Ok(Some(PageStamp {
-            frame: addr,
-            version,
-        }))
+        Ok(Some((
+            PageStamp {
+                frame: addr,
+                version,
+            },
+            out,
+        )))
     }
 
-    /// Revalidates an earlier [`PageStore::read_unlatched`]: true iff the
+    /// Revalidates an earlier [`PageStore::probe_unlatched`]: true iff the
     /// frame still holds `pid`'s image at the stamped version, i.e. no
     /// writer has begun mutating the page since the snapshot was taken.
     pub fn stamp_valid(&self, pid: PageId, stamp: &PageStamp) -> bool {
         audit::note_revalidate(stamp.frame);
-        // SAFETY: `stamp.frame` was produced by `read_unlatched` from a
+        // SAFETY: `stamp.frame` was produced by `probe_unlatched` from a
         // `&Frame` borrowed out of this store's buffer pool. That frame was
         // never pinned, and it need not be: frames are allocated once at
         // pool construction into a `Box<[Frame]>` that is never resized,
         // moved, or freed while the `PageStore` lives, and `PageStamp`
-        // borrows the store (`read_unlatched(&self)` / `stamp_valid(&self)`),
+        // borrows the store (`probe_unlatched(&self)` / `stamp_valid(&self)`),
         // so the pointer cannot outlive the frames. Eviction does not
         // invalidate it either: a frame is *repurposed*, never deallocated,
         // and every repurposing either brackets the refill with
@@ -2381,17 +2399,79 @@ mod pool_tests {
         assert!(b.iter().all(|&x| x == 0xB2));
     }
 
-    /// An unpinned read of `pid` must serve `fill`-filled bytes or nothing.
+    /// An unpinned read of `pid` must serve `fill`-filled bytes or nothing,
+    /// and must not even run its closure over a frame that holds another
+    /// page (or none).
     #[track_caller]
     fn assert_unlatched_read_is_current_or_none(store: &PageStore, pid: PageId, fill: u8) {
         let mut buf = vec![0u8; store.page_size()];
-        if let Some(stamp) = store.read_unlatched(pid, &mut buf).unwrap() {
-            assert!(store.stamp_valid(pid, &stamp));
-            assert!(
-                buf.iter().all(|&x| x == fill),
-                "unpinned read served a frame that no longer holds the page"
-            );
+        let mut ran = false;
+        let probed = store
+            .probe_unlatched(pid, |p| {
+                ran = true;
+                p.copy(0, &mut buf)
+            })
+            .unwrap();
+        match probed {
+            Some((stamp, copied)) => {
+                assert!(copied && store.stamp_valid(pid, &stamp));
+                assert!(
+                    buf.iter().all(|&x| x == fill),
+                    "unpinned read served a frame that no longer holds the page"
+                );
+            }
+            None => assert!(!ran, "probe ran over a frame that does not hold the page"),
         }
+    }
+
+    #[test]
+    fn a_probe_that_writes_its_page_inside_the_window_returns_none() {
+        // The probe holds no latch, so its closure may write the very page
+        // it is reading from this thread; the seqlock must reject the run.
+        let store = PageStore::new(StoreConfig::with_page_size(64));
+        let a = store.alloc().unwrap();
+        let mut p = Page::zeroed(64);
+        p.bytes_mut().fill(0xA1);
+        store.put(a, &p).unwrap();
+        let before = store.stats().snapshot();
+        let probed = store
+            .probe_unlatched(a, |probe| {
+                let seen = probe.u8(0);
+                p.bytes_mut().fill(0xA2);
+                store.put(a, &p).unwrap();
+                seen
+            })
+            .unwrap();
+        assert!(
+            probed.is_none(),
+            "a write inside the window must void the probe"
+        );
+        let d = store.stats().snapshot().delta(&before);
+        assert_eq!((d.optimistic_reads, d.optimistic_read_fallbacks), (0, 1));
+        // Outside the window the same probe succeeds and sees the write.
+        let (stamp, seen) = store
+            .probe_unlatched(a, |probe| probe.u8(63))
+            .unwrap()
+            .unwrap();
+        assert!(store.stamp_valid(a, &stamp));
+        assert_eq!(seen, 0xA2);
+    }
+
+    #[test]
+    fn probe_accessors_never_leave_the_page() {
+        let bytes: Vec<u8> = (0..16).collect();
+        let p = PageProbe::new(&bytes);
+        assert_eq!(
+            p.u64(8),
+            u64::from_le_bytes(bytes[8..16].try_into().unwrap())
+        );
+        assert_eq!((p.u64(9), p.u32(13), p.u16(15), p.u8(16)), (0, 0, 0, 0));
+        assert_eq!(p.u64(usize::MAX), 0, "offset overflow is out of range");
+        let mut dst = [0xFFu8; 4];
+        assert!(!p.copy(14, &mut dst));
+        assert_eq!(dst, [0; 4], "a refused copy zero-fills");
+        assert!(p.copy(12, &mut dst));
+        assert_eq!(dst, [12, 13, 14, 15]);
     }
 
     #[test]
@@ -2426,6 +2506,9 @@ mod pool_tests {
             _ => panic!("d is mapped"),
         }
         assert_unlatched_read_is_current_or_none(&store, a, 0xA2);
+        // `d`'s own hint names its frame, but the load never published
+        // `owner`: the probe must not run over the frame at all.
+        assert_unlatched_read_is_current_or_none(&store, d, 0);
         store.pool.abort_miss(d, idx);
         assert!(store.get(a).unwrap().bytes().iter().all(|&x| x == 0xA2));
 

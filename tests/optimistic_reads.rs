@@ -1,8 +1,9 @@
 //! Optimistic-descent tests: every traversal read — prime block, index
-//! levels, leaves — is a seqlock-validated private copy taken without a
-//! pin or a frame latch, and is **revalidated before the descent acts on
-//! it** — a node rewritten between the version read and the revalidation
-//! must force a restart, never a torn decode.
+//! levels, leaves — and a `Db` get's record read is a seqlock-validated
+//! probe of the frame in place, taken without a pin or a frame latch, and
+//! is **revalidated before the reader acts on it** — a node rewritten
+//! between the version read and the revalidation must force a restart,
+//! never a torn route.
 
 use sagiv_blink_repro::blink::{BLinkTree, TreeConfig};
 use sagiv_blink_repro::db::{Db, DbConfig};
@@ -95,6 +96,39 @@ fn resident_search_takes_no_pin_or_latch() {
         d.optimistic_reads,
         N * (height + 1),
         "prime + one per level"
+    );
+    assert_eq!(d.optimistic_read_fallbacks, 0);
+}
+
+/// A whole resident `DbSession::get` is optimistic: the prime block, one
+/// route per tree level and the record read, each in place in its frame
+/// without a pin or a latch.
+#[test]
+fn resident_db_get_takes_no_pin_or_latch() {
+    let db = Db::open(DbConfig::in_memory().with_k(4)).unwrap();
+    let mut s = db.session();
+    for i in 0..2_000u64 {
+        s.put(i, &(i * 3).to_le_bytes()).unwrap();
+    }
+    // Warm-up: every page is resident (the default pool holds them all).
+    for i in 0..2_000u64 {
+        assert_eq!(s.get(i).unwrap(), Some((i * 3).to_le_bytes().to_vec()));
+    }
+    let height = u64::from(db.tree().height().unwrap());
+    assert!(height >= 3, "the descent must cross index levels");
+    const N: u64 = 500;
+    let before = db.store().stats().snapshot();
+    for i in 0..N {
+        let key = (i * 7) % 2_000;
+        assert_eq!(s.get(key).unwrap(), Some((key * 3).to_le_bytes().to_vec()));
+    }
+    let d = db.store().stats().snapshot().delta(&before);
+    assert_eq!(d.pins, 0, "a resident get must not pin");
+    assert_eq!(d.cache_hits + d.cache_misses, 0, "no latched page read");
+    assert_eq!(
+        d.optimistic_reads,
+        N * (height + 2),
+        "prime + one per level + the record"
     );
     assert_eq!(d.optimistic_read_fallbacks, 0);
 }
