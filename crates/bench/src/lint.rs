@@ -6,7 +6,7 @@
 //! acquired through its single audited wrapper function, so a new call
 //! site cannot bypass registration; `std::sync` primitives (which the
 //! auditor cannot see) are banned in favor of the vendored `parking_lot`;
-//! `unsafe` stays confined to the two allowlisted pagestore files and
+//! `unsafe` stays confined to the three allowlisted pagestore files and
 //! always carries a `// SAFETY:` justification; and `StoreStats` fields
 //! are declared only inside the `store_stats!` macro so snapshot/delta
 //! can never silently miss one.
@@ -200,8 +200,13 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     },
 ];
 
-/// Files allowed to contain `unsafe` blocks (each still needs `// SAFETY:`).
-const UNSAFE_ALLOWLIST: &[&str] = &["pool.rs", "store.rs"];
+/// Files allowed to contain `unsafe` blocks (each still needs `// SAFETY:`):
+/// the frame pool and store in `crates/pagestore`, and its `crc.rs` (the
+/// carry-less-multiply CRC path). Entries match on basename, so the
+/// same-named `durable/src/store.rs` and `durable/src/crc.rs` also pass
+/// this rule; they stay free of `unsafe` through their crate's
+/// `#![forbid(unsafe_code)]`.
+const UNSAFE_ALLOWLIST: &[&str] = &["pool.rs", "store.rs", "crc.rs"];
 
 /// How many raw lines above an `unsafe` the `// SAFETY:` justification may
 /// *start* when there is no contiguous comment block directly above (the
@@ -633,6 +638,19 @@ mod tests {
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "unsafe-allowlist");
+    }
+
+    #[test]
+    fn crc_unsafe_needs_a_safety_comment() {
+        let bare = "fn f() {\n    unsafe { g() }\n}\n";
+        let v = lint_source("crates/pagestore/src/crc.rs", bare);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "unsafe-safety-comment");
+        let ok = lint_source(
+            "crates/pagestore/src/crc.rs",
+            "fn f() {\n    // SAFETY: the feature was detected.\n    unsafe { g() }\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
     }
 
     #[test]

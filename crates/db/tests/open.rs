@@ -4,7 +4,8 @@
 //! durable store runs the background flusher and stamps and verifies
 //! per-page CRC32, an in-memory one runs no flusher. A clean reopen reads
 //! each heap page once, and a heap page that fails its checksum fails the
-//! open instead of being collected.
+//! open instead of being collected — also when a torn write lost only the
+//! sector holding its (zeroed) CRC field.
 
 use blink_db::{Db, DbConfig};
 use blink_durable::{DurableConfig, DurableStore, FsyncPolicy};
@@ -190,6 +191,60 @@ fn a_corrupt_heap_page_fails_the_open_and_frees_nothing() {
     drop(s);
     db.verify().unwrap().assert_ok();
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_page_whose_first_sector_was_lost_fails_its_checksum() {
+    const KEYS: u64 = 2_000;
+    let dir = tmpdir("lost-sector");
+    let cfg = || {
+        let mut c = DbConfig::durable(&dir);
+        c.fsync = FsyncPolicy::Never;
+        c.pool_frames = 16;
+        c
+    };
+    let heap_page;
+    {
+        let db = Db::open(cfg()).unwrap();
+        let mut s = db.session();
+        for k in 0..KEYS {
+            s.put(k, &[0x5A; 100]).unwrap();
+        }
+        let raw = db.tree().search(s.inner(), 0).unwrap().unwrap();
+        heap_page = (raw >> 32) as u32;
+        drop(s);
+        db.checkpoint().unwrap();
+        db.sync().unwrap();
+    }
+    // A torn write that persisted every sector of a stamped page but the
+    // first: its LSN and CRC fields read back as zero, the rest does not.
+    let page_size = cfg().page_size as u64;
+    {
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("pages.db"))
+            .unwrap();
+        let at = (u64::from(heap_page) - 1) * page_size;
+        std::os::unix::fs::FileExt::write_all_at(&file, &[0u8; 512], at).unwrap();
+        file.sync_all().unwrap();
+    }
+    let err = Db::open(cfg())
+        .and_then(|db| {
+            let mut s = db.session();
+            for k in 0..KEYS {
+                s.get(k)?;
+            }
+            Ok(())
+        })
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TreeError::Store(StoreError::ChecksumMismatch { page }) if page.to_raw() == heap_page
+        ),
+        "a zeroed CRC field over a non-zero page must fail its checksum, got {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -934,6 +934,20 @@ mod tests {
     }
 
     #[test]
+    fn encoded_record_crc_golden() {
+        // Pins the checksum of one encoded put record (a 4 KiB image) to
+        // the value the bytewise CRC wrote, so old logs still verify.
+        let page: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(131) ^ (i >> 5)) as u8)
+            .collect();
+        let rec = encode_record(OP_PUT, pid(7), &page);
+        assert_eq!(
+            u32::from_le_bytes(rec[4..8].try_into().unwrap()),
+            0x0031_A043
+        );
+    }
+
+    #[test]
     fn append_scan_roundtrip() {
         let dir = tmpdir("roundtrip");
         let w = wal(&dir, FsyncPolicy::Always, 1 << 20);

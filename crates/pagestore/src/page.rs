@@ -41,8 +41,9 @@ pub const PAGE_RESERVED_END: usize = PAGE_CRC_OFFSET + PAGE_CRC_LEN;
 
 /// A stored checksum of `0` means "never stamped" — the natural state of a
 /// freshly grown (all-zero) backend page that was never written back.
-/// Verification accepts it; a computed CRC that happens to be 0 is remapped
-/// to this sentinel so a stamped page never reads as unstamped.
+/// Verification accepts it only on an all-zero image; a computed CRC that
+/// happens to be 0 is remapped to this sentinel so a stamped page never
+/// reads as unstamped.
 const CRC_UNSTAMPED: u32 = 0;
 const CRC_ZERO_SENTINEL: u32 = 0xFFFF_FFFF;
 
@@ -66,15 +67,21 @@ pub fn stamp_page_crc(bytes: &mut [u8]) {
 }
 
 /// Verifies a page image read back from a backend: true when the stored
-/// checksum matches the contents, or when the page was never stamped
-/// (stored CRC of 0 — e.g. a grown-but-never-written page of zeroes).
+/// checksum matches the contents, or when the page was never stamped — a
+/// stored CRC of 0 on an image that is zero throughout (a grown, allocated
+/// or replayed-alloc page nobody wrote back). A zero CRC field over any
+/// other bytes is a torn write that lost the sector holding the field and
+/// fails like any other mismatch.
 pub fn verify_page_crc(bytes: &[u8]) -> bool {
     let stored = u32::from_le_bytes(
         bytes[PAGE_CRC_OFFSET..PAGE_RESERVED_END]
             .try_into()
             .expect("page shorter than its CRC field"),
     );
-    stored == CRC_UNSTAMPED || stored == page_crc(bytes)
+    if stored == CRC_UNSTAMPED {
+        return bytes.iter().all(|&b| b == 0);
+    }
+    stored == page_crc(bytes)
 }
 
 /// Reads the per-page LSN of a page image (see [`PAGE_LSN_OFFSET`]).
@@ -267,8 +274,8 @@ mod tests {
         p[0] = 0xB1;
         p[40] = 0x07;
         assert!(
-            verify_page_crc(&p),
-            "unstamped (zero) CRC field must be accepted"
+            !verify_page_crc(&p),
+            "a zero CRC field over non-zero bytes is a torn write, not unstamped"
         );
         stamp_page_crc(&mut p);
         assert!(verify_page_crc(&p));
