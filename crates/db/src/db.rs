@@ -36,6 +36,9 @@ pub struct KvRecovery {
     pub tree_repaired: bool,
     /// WAL records replayed by the store layer.
     pub wal_records_replayed: u64,
+    /// Page writes that replay made
+    /// ([`blink_durable::RecoveryInfo::pages_rewritten`]).
+    pub pages_rewritten: u64,
     /// Heap records that no leaf referenced (an in-flight `put`'s new
     /// record, or a `delete`/overwrite whose free never committed) — freed.
     pub orphan_records_freed: usize,
@@ -142,6 +145,7 @@ impl Db {
                 let mut recovery = KvRecovery {
                     tree_repaired: stats.repaired,
                     wal_records_replayed: ds.recovery().replayed,
+                    pages_rewritten: ds.recovery().pages_rewritten,
                     empty_heap_pages_freed: inventory.empty_pages_released,
                     ..KvRecovery::default()
                 };

@@ -17,9 +17,13 @@
 //! position to replay. Recovery therefore is:
 //!
 //! 1. load the free map from `meta`;
-//! 2. replay every valid WAL record in order — allocs re-zero pages, puts
-//!    rewrite full page images (fixing any torn page-file writes), frees
-//!    update the map;
+//! 2. replay every valid WAL record in order into a map of page images —
+//!    allocs re-zero pages, full images (v1 puts, v2 bases) replace them
+//!    (fixing any torn page-file writes), deltas patch them when newer
+//!    than the page's stamped LSN, frees update the free map. The map
+//!    holds at most `pool_frames` pages; when it is full, and once at the
+//!    end, it is flushed in page-id order, so each page of a batch is read
+//!    at most once, stamped once and written once;
 //! 3. truncate the torn tail (if any) and continue appending after it.
 //!
 //! The result is exactly the state after the last durable record — with a
@@ -37,9 +41,11 @@ use crate::crc::crc32;
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use crate::wal::{self, io_err, FsyncPolicy, ScanReport, Wal, WalOp};
 use blink_pagestore::{
-    page_lsn, set_page_lsn, stamp_page_crc, Journal, PageBackend, PageStore, Result, StoreConfig,
-    StoreError, StoreStats,
+    page_lsn, set_page_lsn, stamp_page_crc, Journal, PageBackend, PageId, PageStore, Result,
+    StoreConfig, StoreError, StoreStats,
 };
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -115,6 +121,9 @@ pub struct CheckpointToken {
 pub struct RecoveryInfo {
     /// WAL records replayed.
     pub replayed: u64,
+    /// Page writes replay made: each page a batch touched is written
+    /// once (see [`DurableStore::open`]).
+    pub pages_rewritten: u64,
     /// True when a torn tail (half-written record) was discarded.
     pub torn_tail: bool,
     /// Pages allocated after replay.
@@ -220,6 +229,230 @@ fn write_meta_atomic(
         .map_err(|e| io_err("sync store directory", e))
 }
 
+/// The page-file slot a replayed record names, growing the file (and the
+/// allocation map) when the record lies past its end.
+fn replayed_index(
+    op: &WalOp,
+    allocated: &mut Vec<bool>,
+    backend: &dyn PageBackend,
+) -> Result<usize> {
+    let pid = match op {
+        WalOp::Alloc(pid)
+        | WalOp::Free(pid)
+        | WalOp::Put(pid, _)
+        | WalOp::PutBase(pid, _)
+        | WalOp::PutDelta(pid, _, _) => *pid,
+    };
+    let idx = (pid.to_raw() - 1) as usize;
+    if idx >= allocated.len() {
+        allocated.resize(idx + 1, false);
+        backend.grow(idx + 1)?;
+    }
+    Ok(idx)
+}
+
+/// Applies a delta record at `lsn` to `page` iff the record is newer than
+/// the page's stamped LSN, stamping `lsn`. Returns whether it applied.
+fn apply_delta(page: &mut [u8], pid: PageId, lsn: u64, ranges: &[(u16, Vec<u8>)]) -> Result<bool> {
+    if lsn <= page_lsn(page) {
+        return Ok(false);
+    }
+    for (off, bytes) in ranges {
+        let off = *off as usize;
+        if off + bytes.len() > page.len() {
+            return Err(StoreError::corrupt_at("wal delta range past page end", pid));
+        }
+        page[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+    set_page_lsn(page, lsn);
+    Ok(true)
+}
+
+/// A full image as the live write path leaves it: the page size checked,
+/// a v2 base's LSN stamped (the live store stamps it into the frame right
+/// after appending).
+fn replayed_image(data: &mut [u8], page_size: usize, base_lsn: Option<u64>) -> Result<()> {
+    if data.len() != page_size {
+        return Err(StoreError::corrupt("wal put with wrong page size"));
+    }
+    if let Some(lsn) = base_lsn {
+        set_page_lsn(data, lsn);
+    }
+    Ok(())
+}
+
+/// How a held page reaches the page file when its batch is flushed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flush {
+    /// Read from the page file for a delta the LSN gate skipped: the file
+    /// already holds these bytes.
+    Unchanged,
+    /// An alloc's zero image: written unstamped, as the live alloc path
+    /// leaves it (an all-zero page verifies as never stamped).
+    Unstamped,
+    /// Any other image: CRC-stamped, then written.
+    Stamped,
+}
+
+/// The page images [`replay`] holds: at most `batch` of them, written out
+/// in page-id order when the map is full and at the end.
+struct Replay<'a> {
+    backend: &'a dyn PageBackend,
+    batch: usize,
+    held: BTreeMap<usize, (Vec<u8>, Flush)>,
+    /// Page writes made ([`RecoveryInfo::pages_rewritten`]).
+    rewritten: u64,
+}
+
+impl Replay<'_> {
+    /// Makes room for one more page when `idx` is not held yet.
+    fn room_for(&mut self, idx: usize) -> Result<()> {
+        if self.held.len() >= self.batch && !self.held.contains_key(&idx) {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Replaces `idx`'s image outright (an alloc or a full image).
+    fn set(&mut self, idx: usize, image: Vec<u8>, flush: Flush) -> Result<()> {
+        self.room_for(idx)?;
+        self.held.insert(idx, (image, flush));
+        Ok(())
+    }
+
+    /// `idx`'s current image, read from the page file if not held.
+    fn get(&mut self, idx: usize) -> Result<&mut (Vec<u8>, Flush)> {
+        self.room_for(idx)?;
+        match self.held.entry(idx) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let mut page = vec![0u8; self.backend.page_size()];
+                self.backend.read(idx, &mut page)?;
+                Ok(e.insert((page, Flush::Unchanged)))
+            }
+        }
+    }
+
+    /// Writes every held page that changed, in page-id order, and empties
+    /// the map.
+    fn flush(&mut self) -> Result<()> {
+        for (idx, (mut page, flush)) in std::mem::take(&mut self.held) {
+            match flush {
+                Flush::Unchanged => continue,
+                Flush::Unstamped => {}
+                Flush::Stamped => stamp_page_crc(&mut page),
+            }
+            self.backend.write(idx, &page)?;
+            self.rewritten += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Replays every valid WAL record from the checkpoint position `start`
+/// (segment, LSN) onto `backend` and `allocated`, at most `batch` pages
+/// at a time. Returns the scan report and the number of page writes.
+///
+/// Full images (v1 puts, v2 bases, allocs) replace the page outright —
+/// which also repairs torn page-file writes, since the first record for
+/// any page dirtied after the checkpoint is always a full image. Delta
+/// records apply **iff newer than the page's stamped LSN**: the page file
+/// may already hold the effects of any prefix of the log (the buffer pool
+/// writes back on eviction), and the per-page LSN is what keeps
+/// re-applying deltas over that state idempotent — also when a crash
+/// stops replay between two batch flushes. Replayed images reach
+/// `pages.db` exactly as the live write path would have written them: a
+/// logged image carries whatever (stale) CRC the frame held, so it is
+/// re-stamped, while an alloc's zero image stays unstamped.
+fn replay(
+    cfg: &DurableConfig,
+    start: (u64, u64),
+    backend: &dyn PageBackend,
+    allocated: &mut Vec<bool>,
+    stats: &StoreStats,
+    batch: usize,
+) -> Result<(ScanReport, u64)> {
+    let mut pages = Replay {
+        backend,
+        batch,
+        held: BTreeMap::new(),
+        rewritten: 0,
+    };
+    let report = wal::scan(&cfg.dir, start.0, start.1, cfg.page_size + 8, |lsn, op| {
+        let idx = replayed_index(&op, allocated, backend)?;
+        match op {
+            WalOp::Alloc(_) => {
+                allocated[idx] = true;
+                pages.set(idx, vec![0u8; cfg.page_size], Flush::Unstamped)?;
+            }
+            WalOp::Free(_) => allocated[idx] = false,
+            WalOp::Put(_, mut data) => {
+                replayed_image(&mut data, cfg.page_size, None)?;
+                pages.set(idx, data, Flush::Stamped)?;
+            }
+            WalOp::PutBase(_, mut data) => {
+                replayed_image(&mut data, cfg.page_size, Some(lsn))?;
+                pages.set(idx, data, Flush::Stamped)?;
+            }
+            WalOp::PutDelta(pid, _, ranges) => {
+                let (page, flush) = pages.get(idx)?;
+                if apply_delta(page, pid, lsn, &ranges)? {
+                    *flush = Flush::Stamped;
+                } else {
+                    StoreStats::bump(&stats.recovery_deltas_skipped);
+                }
+            }
+        }
+        Ok(())
+    })?;
+    pages.flush()?;
+    Ok((report, pages.rewritten))
+}
+
+/// The per-record replay [`replay`] replaced: every record reads and
+/// writes its page in the page file. Kept as the test oracle page-once
+/// replay must match byte for byte.
+#[cfg(test)]
+fn replay_per_record(
+    cfg: &DurableConfig,
+    start: (u64, u64),
+    backend: &dyn PageBackend,
+    allocated: &mut Vec<bool>,
+    stats: &StoreStats,
+) -> Result<ScanReport> {
+    wal::scan(&cfg.dir, start.0, start.1, cfg.page_size + 8, |lsn, op| {
+        let idx = replayed_index(&op, allocated, backend)?;
+        match op {
+            WalOp::Alloc(_) => {
+                allocated[idx] = true;
+                backend.write(idx, &vec![0u8; cfg.page_size])?;
+            }
+            WalOp::Free(_) => allocated[idx] = false,
+            WalOp::Put(_, mut data) => {
+                replayed_image(&mut data, cfg.page_size, None)?;
+                stamp_page_crc(&mut data);
+                backend.write(idx, &data)?;
+            }
+            WalOp::PutBase(_, mut data) => {
+                replayed_image(&mut data, cfg.page_size, Some(lsn))?;
+                stamp_page_crc(&mut data);
+                backend.write(idx, &data)?;
+            }
+            WalOp::PutDelta(pid, _, ranges) => {
+                let mut page = vec![0u8; cfg.page_size];
+                backend.read(idx, &mut page)?;
+                if apply_delta(&mut page, pid, lsn, &ranges)? {
+                    stamp_page_crc(&mut page);
+                    backend.write(idx, &page)?;
+                } else {
+                    StoreStats::bump(&stats.recovery_deltas_skipped);
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
 /// A crash-recoverable page store in a directory (see module docs).
 #[derive(Debug)]
 pub struct DurableStore {
@@ -272,87 +505,13 @@ impl DurableStore {
         let mut allocated = meta.allocated;
         backend.grow(allocated.len())?;
 
-        // Replay: every valid record, in order, over the page file. Full
-        // images (v1 puts, v2 bases, allocs) rewrite the page outright —
-        // which also repairs torn page-file writes, since the first
-        // record for any page dirtied after the checkpoint is always a
-        // full image. Delta records apply **iff newer than the page's
-        // stamped LSN**: the page file may already hold the effects of
-        // any prefix of the log (the buffer pool writes back on eviction),
-        // and the per-page LSN is what keeps re-applying deltas over that
-        // state idempotent. Replayed images must reach `pages.db` exactly
-        // as the live write path would have written them: a logged image
-        // carries whatever (stale) CRC the frame held, so it is re-stamped
-        // before writing or the repaired page would fail its next verified
-        // read. Alloc's zero image stays unstamped to match the live alloc
-        // path (an all-zero page reads back as unstamped).
-        let zero = vec![0u8; cfg.page_size];
-        let report = wal::scan(
-            &cfg.dir,
-            meta.wal_start_seq,
-            meta.wal_start_lsn,
-            cfg.page_size + 8,
-            |lsn, op| {
-                let pid = match &op {
-                    WalOp::Alloc(pid)
-                    | WalOp::Free(pid)
-                    | WalOp::Put(pid, _)
-                    | WalOp::PutBase(pid, _)
-                    | WalOp::PutDelta(pid, _, _) => *pid,
-                };
-                let idx = (pid.to_raw() - 1) as usize;
-                if idx >= allocated.len() {
-                    allocated.resize(idx + 1, false);
-                    backend.grow(idx + 1)?;
-                }
-                match op {
-                    WalOp::Alloc(_) => {
-                        allocated[idx] = true;
-                        backend.write(idx, &zero)?;
-                    }
-                    WalOp::Free(_) => allocated[idx] = false,
-                    WalOp::Put(_, mut data) => {
-                        if data.len() != cfg.page_size {
-                            return Err(StoreError::corrupt("wal put with wrong page size"));
-                        }
-                        stamp_page_crc(&mut data);
-                        backend.write(idx, &data)?;
-                    }
-                    WalOp::PutBase(_, mut data) => {
-                        if data.len() != cfg.page_size {
-                            return Err(StoreError::corrupt("wal put with wrong page size"));
-                        }
-                        // The live store stamped this LSN into the frame
-                        // right after appending; mirror it so the replayed
-                        // page file carries the same image.
-                        set_page_lsn(&mut data, lsn);
-                        stamp_page_crc(&mut data);
-                        backend.write(idx, &data)?;
-                    }
-                    WalOp::PutDelta(_, _, ranges) => {
-                        let mut buf = vec![0u8; cfg.page_size];
-                        backend.read(idx, &mut buf)?;
-                        if lsn > page_lsn(&buf) {
-                            for (off, bytes) in &ranges {
-                                let off = *off as usize;
-                                if off + bytes.len() > cfg.page_size {
-                                    return Err(StoreError::corrupt_at(
-                                        "wal delta range past page end",
-                                        pid,
-                                    ));
-                                }
-                                buf[off..off + bytes.len()].copy_from_slice(bytes);
-                            }
-                            set_page_lsn(&mut buf, lsn);
-                            stamp_page_crc(&mut buf);
-                            backend.write(idx, &buf)?;
-                        } else {
-                            StoreStats::bump(&stats.recovery_deltas_skipped);
-                        }
-                    }
-                }
-                Ok(())
-            },
+        let (report, pages_rewritten) = replay(
+            &cfg,
+            (meta.wal_start_seq, meta.wal_start_lsn),
+            backend.as_ref(),
+            &mut allocated,
+            &stats,
+            cfg.pool_frames.max(1),
         )?;
         StoreStats::add(&stats.recovery_replayed, report.replayed);
 
@@ -380,6 +539,7 @@ impl DurableStore {
         wal.bind_health(store.health());
         let recovery = RecoveryInfo {
             replayed: report.replayed,
+            pages_rewritten,
             torn_tail: report.torn,
             live_pages: store.live_pages(),
             capacity: store.capacity(),
@@ -832,6 +992,249 @@ mod tests {
 
     fn pid_raw(n: u32) -> PageId {
         PageId::from_raw(n).unwrap()
+    }
+
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Leaves a crashed directory whose WAL holds allocs, frees, a
+    /// re-alloc, v1 images, v2 bases (fresh frames and re-bases) and
+    /// deltas (tracked and untracked), part of it already written back —
+    /// so replay meets stale pages and current ones. Its tail is the
+    /// state `delta_replay_gates_on_the_page_lsn` builds: two deltas for a
+    /// page with no base after the cut, the first already in the page
+    /// file, so the LSN gate skips one.
+    fn crashed_mixed_log(dir: &Path) {
+        use blink_pagestore::WriteIntent;
+        let cfg = DurableConfig {
+            pool_frames: 3,
+            ..cfg(dir)
+        };
+        let ds = DurableStore::create(cfg).unwrap();
+        let store = ds.store();
+        let pids: Vec<PageId> = (0..6).map(|_| store.alloc().unwrap()).collect();
+        let quiet = store.alloc().unwrap();
+        tracked_write(store, quiet, 40, 0xEE);
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..400u32 {
+            // Write-backs make replay meet pages newer than some records.
+            if step % 37 == 36 {
+                ds.sync().unwrap();
+            }
+            if step == 150 {
+                ds.checkpoint().unwrap();
+            }
+            let pid = pids[next(&mut rng) as usize % pids.len()];
+            let fill = next(&mut rng) as u8;
+            match next(&mut rng) % 8 {
+                0 => {
+                    // v1 image: caller bytes in the reserved field.
+                    let mut p = Page::zeroed(128);
+                    p.bytes_mut().fill(fill | 1);
+                    store.put(pid, &p).unwrap();
+                }
+                1 | 2 => {
+                    // Untracked re-encode: reserved field left zero.
+                    let mut w = store.write_page(pid, WriteIntent::Overwrite).unwrap();
+                    let b = w.bytes_mut();
+                    b[..12].fill(fill);
+                    b[24..24 + (fill as usize % 100)].fill(fill ^ 0x55);
+                    w.commit().unwrap();
+                }
+                3 => {
+                    // Free and re-allocate (LIFO free list: the same page).
+                    store.free(pid).unwrap();
+                    assert_eq!(store.alloc().unwrap(), pid);
+                }
+                _ => tracked_write(store, pid, 24 + fill as usize % 96, fill),
+            }
+        }
+        // Crash: drop without sync.
+        drop(ds);
+        let meta = decode_meta(&std::fs::read(dir.join("meta")).unwrap()).unwrap();
+        let tail = wal::scan(dir, meta.wal_start_seq, meta.wal_start_lsn, 136, |_, _| {
+            Ok(())
+        })
+        .unwrap();
+        let w = Wal::open(
+            dir,
+            FsyncPolicy::Never,
+            1 << 20,
+            tail.last_seg_seq,
+            tail.next_lsn,
+            Arc::new(FaultInjector::new()),
+            Arc::new(StoreStats::default()),
+        )
+        .unwrap();
+        let lsn = w.log_put_delta(quiet, 0, &[(60, &[0xAB; 4])]).unwrap();
+        w.log_put_delta(quiet, lsn, &[(70, &[0xCD; 4])]).unwrap();
+        drop(w);
+        use std::os::unix::fs::FileExt;
+        let f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join("pages.db"))
+            .unwrap();
+        let at = u64::from(quiet.to_raw() - 1) * 128;
+        let mut page = vec![0u8; 128];
+        f.read_exact_at(&mut page, at).unwrap();
+        page[60..64].fill(0xAB);
+        set_page_lsn(&mut page, lsn);
+        stamp_page_crc(&mut page);
+        f.write_all_at(&page, at).unwrap();
+    }
+
+    fn copy_dir(from: &Path, to: &Path) {
+        let _ = std::fs::remove_dir_all(to);
+        std::fs::create_dir_all(to).unwrap();
+        for e in std::fs::read_dir(from).unwrap() {
+            let e = e.unwrap();
+            std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+        }
+    }
+
+    /// What [`replay_dir`] left: the page file, the allocation map, the
+    /// page writes (page-once replay only) and the deltas the LSN gate
+    /// skipped.
+    type Replayed = (Vec<u8>, Vec<bool>, u64, u64);
+
+    /// Replays `dir` in place, page-once with `batch` or (`None`) per
+    /// record.
+    fn replay_dir(dir: &Path, batch: Option<usize>) -> Replayed {
+        let cfg = cfg(dir);
+        let meta = decode_meta(&std::fs::read(cfg.meta_path()).unwrap()).unwrap();
+        let backend =
+            FileBackend::open(&cfg.pages_path(), 128, Arc::new(FaultInjector::new())).unwrap();
+        let mut allocated = meta.allocated;
+        backend.grow(allocated.len()).unwrap();
+        let start = (meta.wal_start_seq, meta.wal_start_lsn);
+        let stats = StoreStats::default();
+        let rewritten = match batch {
+            Some(b) => {
+                replay(&cfg, start, &backend, &mut allocated, &stats, b)
+                    .unwrap()
+                    .1
+            }
+            None => {
+                replay_per_record(&cfg, start, &backend, &mut allocated, &stats).unwrap();
+                0
+            }
+        };
+        backend.sync().unwrap();
+        drop(backend);
+        (
+            std::fs::read(cfg.pages_path()).unwrap(),
+            allocated,
+            rewritten,
+            stats.snapshot().recovery_deltas_skipped,
+        )
+    }
+
+    #[test]
+    fn page_once_replay_writes_what_per_record_replay_writes() {
+        let dir = tmpdir("pageonce");
+        crashed_mixed_log(&dir);
+        let scratch = tmpdir("pageonce-copy");
+        copy_dir(&dir, &scratch);
+        let meta = decode_meta(&std::fs::read(dir.join("meta")).unwrap()).unwrap();
+        let mut kinds = [0u32; 5];
+        wal::scan(
+            &dir,
+            meta.wal_start_seq,
+            meta.wal_start_lsn,
+            136,
+            |_, op| {
+                kinds[match op {
+                    WalOp::Alloc(_) => 0,
+                    WalOp::Free(_) => 1,
+                    WalOp::Put(..) => 2,
+                    WalOp::PutBase(..) => 3,
+                    WalOp::PutDelta(..) => 4,
+                }] += 1;
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert!(kinds.iter().all(|&n| n > 0), "record kinds {kinds:?}");
+        let (oracle, oracle_alloc, _, oracle_skipped) = replay_dir(&scratch, None);
+        assert!(oracle_skipped > 0, "no delta met a newer page");
+        for batch in [1, 2, 1024] {
+            copy_dir(&dir, &scratch);
+            let (pages, alloc, rewritten, skipped) = replay_dir(&scratch, Some(batch));
+            assert!(pages == oracle, "batch {batch}: page file differs");
+            assert_eq!(alloc, oracle_alloc, "batch {batch}: free map differs");
+            assert_eq!(skipped, oracle_skipped, "batch {batch}: LSN gate differs");
+            assert!(rewritten > 0);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    #[test]
+    fn replay_interrupted_between_batches_converges() {
+        // A crash between two batch flushes leaves some pages replayed and
+        // the rest as they were. Model every such state (and more): rewind
+        // a random subset of replayed pages to their pre-replay bytes, then
+        // replay again.
+        let dir = tmpdir("pageonce-crash");
+        crashed_mixed_log(&dir);
+        let before = std::fs::read(dir.join("pages.db")).unwrap();
+        let scratch = tmpdir("pageonce-crash-copy");
+        copy_dir(&dir, &scratch);
+        let (oracle, ..) = replay_dir(&scratch, None);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..8 {
+            copy_dir(&dir, &scratch);
+            let (mut pages, ..) = replay_dir(&scratch, Some(2));
+            for (i, page) in pages.chunks_mut(128).enumerate() {
+                if (i + 1) * 128 <= before.len() && next(&mut rng).is_multiple_of(2) {
+                    page.copy_from_slice(&before[i * 128..(i + 1) * 128]);
+                }
+            }
+            std::fs::write(scratch.join("pages.db"), &pages).unwrap();
+            let batch = [1, 2, 1024][round % 3];
+            let (again, ..) = replay_dir(&scratch, Some(batch));
+            assert!(again == oracle, "round {round}: second replay diverged");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    #[test]
+    fn recovery_reports_one_write_per_touched_page() {
+        let dir = tmpdir("rewritten");
+        crashed_mixed_log(&dir);
+        let meta = decode_meta(&std::fs::read(dir.join("meta")).unwrap()).unwrap();
+        let mut touched = std::collections::HashSet::new();
+        wal::scan(
+            &dir,
+            meta.wal_start_seq,
+            meta.wal_start_lsn,
+            136,
+            |_, op| {
+                match op {
+                    WalOp::Free(_) => {}
+                    WalOp::Alloc(pid)
+                    | WalOp::Put(pid, _)
+                    | WalOp::PutBase(pid, _)
+                    | WalOp::PutDelta(pid, _, _) => {
+                        touched.insert(pid);
+                    }
+                }
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert!(!touched.is_empty());
+        // The default pool holds every page: one batch.
+        let ds = DurableStore::open(cfg(&dir)).unwrap();
+        assert_eq!(ds.recovery().pages_rewritten, touched.len() as u64);
+        drop(ds);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

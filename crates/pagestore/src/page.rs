@@ -3,18 +3,23 @@
 use std::fmt;
 use std::num::NonZeroU32;
 
-/// Byte offset of the **per-page LSN** field inside pages written through
-/// the tracked-range API ([`crate::PageWrite::write_at`] /
-/// [`crate::PageWrite::tracked_mut`]).
+/// Byte offset of the **per-page LSN** field.
 ///
-/// Callers that opt into tracked (delta-loggable) writes promise that
-/// bytes `PAGE_LSN_OFFSET .. PAGE_LSN_OFFSET + PAGE_LSN_LEN` of their page
-/// layout are reserved for the store: after a tracked commit the store
-/// stamps the committed WAL record's LSN there, and recovery applies a
-/// delta record to a page iff `record.lsn > page_lsn(page)` — which is
-/// what makes delta replay idempotent against write-back races. Heap pages
-/// ([`crate::heap`]) reserve the field in their header, right after the
-/// magic/generation words.
+/// Bytes `PAGE_LSN_OFFSET .. PAGE_LSN_OFFSET + PAGE_LSN_LEN` of every
+/// page layout belong to the store: after a commit that logs a v2 record
+/// (a base or a delta) the store stamps the record's LSN there, and
+/// recovery applies a delta record to a page iff
+/// `record.lsn > page_lsn(page)` — which is what makes delta replay
+/// idempotent against write-back races. A tracked writer
+/// ([`crate::PageWrite::write_at`] / [`crate::PageWrite::tracked_mut`])
+/// never writes the field. A whole-page writer
+/// ([`crate::PageWrite::bytes_mut`]) leaves it as it found it or zeroes
+/// it, as the tree's node and prime-block encoders and the heap's page
+/// initializer do; the commit then restores the prior LSN and logs only
+/// the changed bytes. A writer that puts its own bytes there gets a v1
+/// full image, which anchors no delta. Heap pages ([`crate::heap`])
+/// keep the field in their header, right after the magic/generation
+/// words.
 pub const PAGE_LSN_OFFSET: usize = 12;
 
 /// Width of the per-page LSN field ([`PAGE_LSN_OFFSET`]).
@@ -36,7 +41,9 @@ pub const PAGE_CRC_LEN: usize = 4;
 /// End of the store-reserved page region. Every page layout (tree node,
 /// prime block, heap page) keeps bytes
 /// `PAGE_LSN_OFFSET..PAGE_RESERVED_END` zero in its encoder and never
-/// interprets them; the store stamps the LSN and CRC there.
+/// interprets them; the store stamps the LSN and CRC there, and an
+/// untracked commit compares the rest of the page with its prior image
+/// (see [`PAGE_LSN_OFFSET`]).
 pub const PAGE_RESERVED_END: usize = PAGE_CRC_OFFSET + PAGE_CRC_LEN;
 
 /// A stored checksum of `0` means "never stamped" — the natural state of a

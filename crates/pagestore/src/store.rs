@@ -167,6 +167,51 @@ fn coalesce_ranges(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
     out
 }
 
+/// The store-reserved page field: the page LSN and the CRC.
+const RESERVED: std::ops::Range<usize> = PAGE_LSN_OFFSET..PAGE_RESERVED_END;
+
+/// The byte ranges (`off`, `len`) where `new` differs from `old`, found by
+/// comparing 8-byte words: ascending, disjoint and word-granular (adjacent
+/// changed words form one range), empty when the images are equal, and
+/// never inside the store-reserved field [`RESERVED`] — bytes 8..12 form a
+/// 4-byte word of their own. Copying each range of `new` over `old`
+/// reproduces `new` outside that field. This is how an untracked commit
+/// ([`PageWrite::bytes_mut`]) finds what it changed.
+fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<(u32, u32)> {
+    // Equal blocks are skipped with one slice compare each: most of a
+    // node's page is the unused tail past its last pair.
+    const BLOCK: usize = 256;
+    debug_assert_eq!(old.len(), new.len());
+    let len = new.len();
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    let mut note = |off: usize, w: usize| match out.last_mut() {
+        Some((o, l)) if (*o + *l) as usize == off => *l += w as u32,
+        _ => out.push((off as u32, w as u32)),
+    };
+    let word = |b: &[u8]| u64::from_ne_bytes(b.try_into().expect("an 8-byte chunk"));
+    for (lo, hi) in [(0, RESERVED.start.min(len)), (RESERVED.end.min(len), len)] {
+        let mut off = lo;
+        while off < hi {
+            let end = (off + BLOCK).min(hi);
+            let (a, b) = (&old[off..end], &new[off..end]);
+            if a != b {
+                for (k, (x, y)) in a.chunks(8).zip(b.chunks(8)).enumerate() {
+                    let differs = if x.len() == 8 {
+                        word(x) != word(y)
+                    } else {
+                        x != y
+                    };
+                    if differs {
+                        note(off + 8 * k, x.len());
+                    }
+                }
+            }
+            off = end;
+        }
+    }
+    out
+}
+
 /// The paper's lock: exclusive among lockers, invisible to readers.
 #[derive(Debug)]
 struct PaperLock {
@@ -442,6 +487,21 @@ pub enum WriteIntent {
     Update,
 }
 
+/// What a committed write hands [`PageStore::log_page_write`].
+#[derive(Clone, Copy)]
+enum Edit<'r> {
+    /// The writer may have put its own bytes into the reserved field
+    /// ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]): a v1 image, replayed
+    /// verbatim.
+    Image,
+    /// The reserved field is the store's, but there is no prior image to
+    /// compare with (a freshly claimed frame): a v2 base.
+    Base,
+    /// Exactly these byte ranges changed — tracked by the writer or found
+    /// by [`diff_ranges`]: a v2 delta when the gates pass, else a v2 base.
+    Ranges(&'r [(u32, u32)]),
+}
+
 /// A frame latch in either mode.
 enum Latch<'a> {
     Shared(Audited<RwLockReadGuard<'a, Box<[u8]>>>),
@@ -474,9 +534,10 @@ enum Claimed<'a> {
 /// Exclusive in-place write access to a page, from [`PageStore::write_page`].
 ///
 /// The guard holds the frame's write latch, so the mutation is invisible
-/// until [`PageWrite::commit`], which logs the full image to the journal
-/// (write-ahead) and then publishes by marking the frame dirty. Dropping
-/// without committing rolls the page back to its prior contents.
+/// until [`PageWrite::commit`], which logs the change to the journal
+/// (write-ahead; see [`PageWrite::commit`] for which record) and then
+/// publishes by marking the frame dirty. Dropping without committing rolls
+/// the page back to its prior contents.
 #[derive(Debug)]
 pub struct PageWrite<'a> {
     store: &'a PageStore,
@@ -488,7 +549,8 @@ pub struct PageWrite<'a> {
     /// [`PageStore::log_page_write`] pass.
     ranges: Vec<(u32, u32)>,
     /// Set once [`PageWrite::bytes_mut`] handed out the whole page: the
-    /// ranges are no longer exhaustive, so commit logs a full image.
+    /// ranges are no longer exhaustive, so commit compares the page with
+    /// its prior image instead (see [`PageWrite::commit`]).
     untracked: bool,
     /// `None` once commit consumed the state (Drop is then a no-op).
     inner: Option<WriteInner<'a>>,
@@ -534,10 +596,15 @@ impl FrameWrite<'_> {
 
 impl PageWrite<'_> {
     /// Mutable access to the page image being written. Taking the whole
-    /// page marks the write **untracked**: commit logs a full image.
-    /// Callers that dirty only a few byte ranges should use
-    /// [`PageWrite::write_at`] / [`PageWrite::tracked_mut`] instead so the
-    /// commit can log a small delta record.
+    /// page marks the write **untracked**: commit finds the changed bytes
+    /// itself, by comparing the page with its prior image, and logs them
+    /// as a delta when the writer left the store-reserved field
+    /// ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]) as it found it or
+    /// zeroed it — every page encoder does. A writer that puts its own
+    /// bytes there gets a full image (see [`PageWrite::commit`]). Callers
+    /// that know which few ranges they dirty can still use
+    /// [`PageWrite::write_at`] / [`PageWrite::tracked_mut`] and save the
+    /// comparison.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         self.untracked = true;
         self.raw_mut()
@@ -599,10 +666,24 @@ impl PageWrite<'_> {
         self.bytes().is_empty()
     }
 
-    /// Commits the new image: journal first (one WAL record — a coalesced
-    /// delta when every mutation was tracked and the gates pass, else a
-    /// full image; either way the commit point), then publish. On error
-    /// the page is left unchanged.
+    /// Commits the new image: journal first (one WAL record, the commit
+    /// point), then publish. On error the page is left unchanged.
+    ///
+    /// The record, in a store whose journal speaks v2:
+    ///
+    /// * tracked writes log their coalesced ranges;
+    /// * an untracked write over a resident frame restores the reserved
+    ///   field from the prior image (so re-encoding a node keeps its page
+    ///   LSN) and logs the ranges where the two images differ;
+    /// * an untracked write over a freshly claimed frame has no prior
+    ///   image and logs a v2 base;
+    /// * an untracked write that put its own bytes into the reserved field
+    ///   logs a v1 image, which can anchor no delta.
+    ///
+    /// Ranges become a delta record when the gates in
+    /// `PageStore::log_page_write` pass (fresh base in this checkpoint
+    /// epoch, at most half a page), else a v2 base. Without a pool frame
+    /// (the bypass) every write logs a v1 image.
     pub fn commit(self) -> Result<()> {
         StoreStats::bump(&self.store.stats.puts);
         self.publish()
@@ -612,13 +693,31 @@ impl PageWrite<'_> {
         let (store, pid) = (self.store, self.pid);
         match self.inner.take().expect("live guard") {
             WriteInner::Frame(mut fw) => {
-                let tracked = (!self.untracked).then_some(&self.ranges[..]);
+                // Under the frame latch, before the slot latch.
+                let diffed;
+                let edit = if !self.untracked {
+                    Edit::Ranges(&self.ranges)
+                } else if !store.speaks_v2() {
+                    Edit::Image
+                } else {
+                    let reserved = &fw.guard[RESERVED];
+                    let zeroed = reserved.iter().all(|&b| b == 0);
+                    match &fw.undo {
+                        Some(undo) if zeroed || reserved == &undo[RESERVED] => {
+                            fw.guard[RESERVED].copy_from_slice(&undo[RESERVED]);
+                            diffed = diff_ranges(undo, &fw.guard);
+                            Edit::Ranges(&diffed)
+                        }
+                        None if zeroed => Edit::Base,
+                        _ => Edit::Image,
+                    }
+                };
                 let logged = {
                     let allocated = self.slot.latch();
                     if !*allocated {
                         Err(StoreError::PageFreed(pid))
                     } else {
-                        store.log_page_write(pid, self.slot, &fw.guard, tracked)
+                        store.log_page_write(pid, self.slot, &fw.guard, edit)
                     }
                 };
                 let lsn = match logged {
@@ -1168,19 +1267,32 @@ impl PageStore {
             .store(tag, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// Whether committed writes can log v2 records (bases and deltas): the
+    /// journal speaks v2, and the page size fits the delta encoding —
+    /// offsets are u16 and the page needs room for its LSN field, so very
+    /// small and very large pages stay on v1.
+    fn speaks_v2(&self) -> bool {
+        self.journal.as_ref().is_some_and(|j| j.supports_deltas())
+            && self.cfg.page_size <= 1 << 16
+            && self.cfg.page_size >= PAGE_LSN_OFFSET + PAGE_LSN_LEN
+    }
+
     /// Journals one committed page write — the heart of the delta-record
     /// path. Caller holds the frame's write latch and the slot's
     /// `allocated` latch; `bytes` is the post-write image.
     ///
-    /// Tracked writes (`ranges: Some`) are logged as a coalesced v2
+    /// Changed ranges ([`Edit::Ranges`]) are logged as a coalesced v2
     /// **delta record** when every gate passes:
     ///
-    /// * the journal speaks v2;
+    /// * the journal speaks v2 ([`PageStore::speaks_v2`]);
     /// * the page has a base record in the current checkpoint epoch
     ///   (first touch after a checkpoint or open logs a full image, which
     ///   bounds recovery and repairs torn page-file writes);
     /// * the encoded delta stays under half a page (beyond that the full
     ///   image is cheaper to replay and barely bigger to log).
+    ///
+    /// Otherwise they log a v2 base, as [`Edit::Base`] does; [`Edit::Image`]
+    /// (and anything on a v1 journal) logs a v1 image.
     ///
     /// Returns the LSN to stamp into the page's [`PAGE_LSN_OFFSET`] field
     /// (`None` for v1 records, which carry no page LSN).
@@ -1189,29 +1301,34 @@ impl PageStore {
         pid: PageId,
         slot: &Slot,
         bytes: &[u8],
-        ranges: Option<&[(u32, u32)]>,
+        edit: Edit<'_>,
     ) -> Result<Option<u64>> {
         let Some(j) = &self.journal else {
             return Ok(None);
         };
-        // Delta records encode offsets as u16 and need room for the page
-        // LSN field, so very small and very large pages stay on v1.
-        let v2 = j.supports_deltas()
-            && self.cfg.page_size <= 1 << 16
-            && self.cfg.page_size >= PAGE_LSN_OFFSET + PAGE_LSN_LEN;
-        let lsn = match ranges {
-            Some(ranges) if v2 => {
-                let coalesced = coalesce_ranges(ranges);
-                let encoded: usize = 15 + coalesced.iter().map(|&(_, len)| 4 + len).sum::<usize>();
+        let lsn = match edit {
+            Edit::Ranges(_) | Edit::Base if self.speaks_v2() => {
                 let epoch_now = self.epoch.load(std::sync::atomic::Ordering::Acquire);
-                let fresh_base =
-                    slot.base_epoch.load(std::sync::atomic::Ordering::Relaxed) == epoch_now;
-                if !fresh_base {
-                    StoreStats::bump(&self.stats.wal_delta_fallback_first_touch);
-                } else if encoded > self.cfg.page_size / 2 {
-                    StoreStats::bump(&self.stats.wal_delta_fallback_large);
-                }
-                if fresh_base && encoded <= self.cfg.page_size / 2 {
+                let delta = match edit {
+                    Edit::Ranges(ranges) => {
+                        let coalesced = coalesce_ranges(ranges);
+                        let encoded: usize =
+                            15 + coalesced.iter().map(|&(_, len)| 4 + len).sum::<usize>();
+                        let fresh_base =
+                            slot.base_epoch.load(std::sync::atomic::Ordering::Relaxed) == epoch_now;
+                        if !fresh_base {
+                            StoreStats::bump(&self.stats.wal_delta_fallback_first_touch);
+                            None
+                        } else if encoded > self.cfg.page_size / 2 {
+                            StoreStats::bump(&self.stats.wal_delta_fallback_large);
+                            None
+                        } else {
+                            Some(coalesced)
+                        }
+                    }
+                    _ => None,
+                };
+                if let Some(coalesced) = delta {
                     let slices: Vec<(u16, &[u8])> = coalesced
                         .iter()
                         .map(|&(off, len)| (off as u16, &bytes[off..off + len]))
@@ -1232,8 +1349,8 @@ impl PageStore {
                 // A v1 image is replayed verbatim — including whatever the
                 // caller's bytes put in the reserved LSN field, which for
                 // an arbitrary page is garbage the delta gate must never
-                // trust. Drop the base: the next tracked write re-bases
-                // with a v2 record that stamps the field properly.
+                // trust. Drop the base: the next write re-bases with a v2
+                // record that stamps the field properly.
                 slot.base_epoch
                     .store(0, std::sync::atomic::Ordering::Relaxed);
                 None
@@ -1648,7 +1765,7 @@ impl PageStore {
         if self.pool.is_mapped(pid) {
             return Ok(false);
         }
-        self.log_page_write(pid, slot, data, None)?;
+        self.log_page_write(pid, slot, data, Edit::Image)?;
         self.simulate_io();
         self.backend_write_page(pid, data)?;
         StoreStats::bump(&self.stats.pool_bypasses);
@@ -1672,8 +1789,9 @@ impl PageStore {
                 latch: Latch::Exclusive(mut guard),
                 fresh,
             } => {
-                // A resident frame is mutated in place, so rollback needs
-                // its prior image; a fresh one arrives loaded or zeroed.
+                // A resident frame is mutated in place, so rollback (and an
+                // untracked commit's diff) needs its prior image; a fresh
+                // one arrives loaded or zeroed.
                 let mut undo = None;
                 if fresh.is_none() {
                     undo = Some(guard.to_vec().into_boxed_slice());
@@ -1696,8 +1814,8 @@ impl PageStore {
             pid,
             slot,
             ranges: Vec::new(),
-            // Overwrite pre-zeroed every byte outside the tracker: only a
-            // full image can log it.
+            // Overwrite pre-zeroed every byte outside the tracker, so the
+            // ranges cannot say what changed: commit compares images.
             untracked: overwrite,
             inner: Some(inner),
         })
@@ -2843,6 +2961,50 @@ mod journal_tests {
     }
 
     #[test]
+    fn untracked_rewrites_log_the_bytes_they_change() {
+        let (store, j) = delta_journaled(256);
+        let a = store.alloc().unwrap();
+        // A freshly claimed frame has no prior image: a v2 base, which
+        // stamps the page LSN like any v2 record.
+        let mut w = store.write_page(a, WriteIntent::Overwrite).unwrap();
+        w.bytes_mut()[..12].fill(1);
+        w.bytes_mut()[24..].fill(2);
+        w.commit().unwrap();
+        assert_eq!(j.bases.load(Ordering::Relaxed), 1);
+        assert_eq!(j.puts_v1.load(Ordering::Relaxed), 0);
+        let base_lsn = page_lsn_of(&store.read(a).unwrap());
+        assert!(base_lsn > 0);
+        // A re-encode of the resident frame (reserved field zero) logs
+        // only the changed words, and the page LSN chain continues.
+        let mut w = store.write_page(a, WriteIntent::Overwrite).unwrap();
+        w.bytes_mut()[..12].fill(1);
+        w.bytes_mut()[24..].fill(2);
+        w.bytes_mut()[100] = 9;
+        w.commit().unwrap();
+        {
+            let deltas = j.deltas.lock();
+            assert_eq!(deltas.len(), 1);
+            let (_, page_lsn, ranges) = &deltas[0];
+            assert_eq!(*page_lsn, base_lsn, "the prior LSN survived the re-encode");
+            assert_eq!(ranges, &vec![(96u16, vec![2, 2, 2, 2, 9, 2, 2, 2])]);
+        }
+        assert!(page_lsn_of(&store.read(a).unwrap()) > base_lsn);
+        // An update that leaves the field as it was diffs the same way.
+        let mut w = store.write_page(a, WriteIntent::Update).unwrap();
+        w.bytes_mut()[8] = 3;
+        w.commit().unwrap();
+        assert_eq!(j.deltas.lock()[1].2, vec![(8u16, vec![3, 1, 1, 1])]);
+        // Caller bytes in the field: a v1 image.
+        let mut w = store.write_page(a, WriteIntent::Update).unwrap();
+        w.bytes_mut()[13] ^= 0xFF;
+        w.commit().unwrap();
+        assert_eq!(j.puts_v1.load(Ordering::Relaxed), 1);
+        assert_eq!(j.deltas.lock().len(), 2);
+        let snap = store.stats().snapshot();
+        assert_eq!((snap.wal_put_deltas, snap.wal_put_full_images), (2, 2));
+    }
+
+    #[test]
     fn journal_failure_aborts_mutations_without_state_change() {
         let (store, j) = journaled();
         let a = store.alloc().unwrap();
@@ -2867,5 +3029,164 @@ mod journal_tests {
         j.fail.store(false, Ordering::Relaxed);
         store.free(a).unwrap();
         assert_eq!(store.alloc().unwrap(), a);
+    }
+}
+
+/// `diff_ranges` against its contract. Single-threaded and allocation-light,
+/// so the Miri CI step runs it too (`store::diff_tests`).
+#[cfg(test)]
+mod diff_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Checks every clause of `diff_ranges`'s contract on one pair.
+    fn check(old: &[u8], new: &[u8]) {
+        let ranges = diff_ranges(old, new);
+        let mut prev_end = 0usize;
+        for (i, &(off, len)) in ranges.iter().enumerate() {
+            let (off, len) = (off as usize, len as usize);
+            assert!(len > 0, "empty range {i}");
+            assert!(i == 0 || off > prev_end, "ranges unsorted or touching");
+            assert!(off + len <= new.len(), "range past the page end");
+            assert!(
+                off + len <= RESERVED.start || off >= RESERVED.end,
+                "range {off}+{len} touches the reserved field"
+            );
+            prev_end = off + len;
+        }
+        let mut patched = old.to_vec();
+        for &(off, len) in &ranges {
+            let (off, len) = (off as usize, len as usize);
+            patched[off..off + len].copy_from_slice(&new[off..off + len]);
+        }
+        patched[RESERVED].copy_from_slice(&new[RESERVED]);
+        assert_eq!(patched, new, "ranges do not reproduce the new image");
+        let mut masked = new.to_vec();
+        masked[RESERVED].copy_from_slice(&old[RESERVED]);
+        assert_eq!(
+            ranges.is_empty(),
+            masked == old,
+            "ranges must be empty exactly when the images agree outside the reserved field"
+        );
+    }
+
+    /// A node-like image: header words, `pairs` 8-byte pairs from byte 24,
+    /// a zero tail.
+    fn node_image(rng: &mut u64, page: usize, pairs: usize) -> Vec<u8> {
+        let mut p = vec![0u8; page];
+        for b in p[..PAGE_LSN_OFFSET].iter_mut() {
+            *b = next(rng) as u8;
+        }
+        for b in p[PAGE_RESERVED_END..PAGE_RESERVED_END + 8 * pairs].iter_mut() {
+            *b = next(rng) as u8;
+        }
+        p
+    }
+
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn diff_is_exact_on_the_edge_cases() {
+        let old = vec![0u8; 4096];
+        // Equal images, equal but for the reserved field.
+        check(&old, &old);
+        let mut new = old.clone();
+        new[RESERVED].fill(0xAB);
+        check(&old, &new);
+        assert!(diff_ranges(&old, &new).is_empty());
+        // Bytes 8..12 share a word with the LSN field: the range stops at 12.
+        new[9] = 1;
+        assert_eq!(diff_ranges(&old, &new), vec![(8, 4)]);
+        // First byte after the reserved field, and the last page byte.
+        new[24] = 2;
+        new[4095] = 3;
+        assert_eq!(diff_ranges(&old, &new), vec![(8, 4), (24, 8), (4088, 8)]);
+        check(&old, &new);
+        // Adjacent changed words merge into one range.
+        let mut new = old.clone();
+        new[100..140].fill(7);
+        assert_eq!(diff_ranges(&old, &new), vec![(96, 48)]);
+        // A page that is not a multiple of 8 (tail word of 4 bytes).
+        let (a, mut b) = (vec![1u8; 60], vec![1u8; 60]);
+        b[58] = 0;
+        assert_eq!(diff_ranges(&a, &b), vec![(56, 4)]);
+        check(&a, &b);
+    }
+
+    #[test]
+    fn inserting_a_pair_logs_only_the_shifted_tail() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let old = node_image(&mut rng, 4096, 100);
+        let mut new = old.clone();
+        // Insert one pair at index 60: pairs 60..100 move up by 8 bytes,
+        // the count in the header changes.
+        let at = PAGE_RESERVED_END + 8 * 60;
+        let end = PAGE_RESERVED_END + 8 * 100;
+        new.copy_within(at..end, at + 8);
+        new[at..at + 8].copy_from_slice(&[0xEE; 8]);
+        new[4] ^= 1;
+        new[RESERVED].fill(0); // a re-encode leaves the field zero
+        let ranges = diff_ranges(&old, &new);
+        let logged: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
+        assert!(logged <= 8 + (end + 8 - at), "logged {logged} bytes");
+        check(&old, &new);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(miri) { 8 } else { 256 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn applying_the_ranges_to_old_reproduces_new(
+            seed in any::<u64>(),
+            kind in 0u64..5,
+            size in prop_oneof![4 => Just(4096usize), 1 => 25usize..600],
+        ) {
+            let mut rng = seed | 1;
+            let pairs = (size - PAGE_RESERVED_END) / 8;
+            let used = next(&mut rng) as usize % (pairs + 1);
+            let old = node_image(&mut rng, size, used);
+            let mut new = old.clone();
+            match kind {
+                // Equal images.
+                0 => {}
+                // Scattered byte edits anywhere, the reserved field included.
+                1 => {
+                    for _ in 0..1 + next(&mut rng) % 12 {
+                        let at = next(&mut rng) as usize % size;
+                        new[at] = next(&mut rng) as u8;
+                    }
+                }
+                // A pair array shifted by a few bytes either way.
+                2 => {
+                    let a = PAGE_RESERVED_END + next(&mut rng) as usize % (size - PAGE_RESERVED_END);
+                    let b = a + next(&mut rng) as usize % (size - a + 1);
+                    let by = next(&mut rng) as usize % 17;
+                    if next(&mut rng).is_multiple_of(2) {
+                        new.copy_within(a..b - by.min(b - a), a + by.min(b - a));
+                    } else {
+                        new.copy_within(a + by.min(b - a)..b, a);
+                    }
+                }
+                // Edits at bytes 8..12 and the first words after the field.
+                3 => {
+                    new[8 + next(&mut rng) as usize % 4] ^= 0x5A;
+                    let at = PAGE_RESERVED_END + next(&mut rng) as usize % 16;
+                    if at < size {
+                        new[at] ^= 0xA5;
+                    }
+                }
+                // A whole re-encode: a fresh random image.
+                _ => new = node_image(&mut rng, size, pairs),
+            }
+            check(&old, &new);
+        }
     }
 }

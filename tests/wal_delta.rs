@@ -6,6 +6,10 @@
 //!
 //! * tracked multi-range commits (the delta path, with coalescing),
 //! * untracked full-image puts (v1 records, which reset the delta base),
+//! * untracked whole-page rewrites that leave the reserved field zero, on
+//!   a resident frame (the store diffs them into a delta) and on a freshly
+//!   claimed one (a v2 base), and one that writes caller bytes into the
+//!   reserved field (a v1 image),
 //! * `sync` (flushes frames, so the page file holds a *newer* prefix than
 //!   the unflushed tail — the state the per-page LSN gate exists for), and
 //! * `checkpoint` (epoch rotation: forces a re-base and truncates the log)
@@ -17,7 +21,9 @@
 
 use proptest::prelude::*;
 use sagiv_blink_repro::durable::{DurableConfig, DurableStore, FsyncPolicy};
-use sagiv_blink_repro::pagestore::{Page, WriteIntent, PAGE_LSN_OFFSET, PAGE_RESERVED_END};
+use sagiv_blink_repro::pagestore::{
+    page_lsn, Page, PageId, PageStore, WriteIntent, PAGE_LSN_OFFSET, PAGE_RESERVED_END,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,6 +59,12 @@ enum Op {
     Tracked(Vec<(usize, usize, u8)>),
     /// Untracked full-image put (v1 record; fills with a pattern).
     Full(u8),
+    /// `bytes_mut` re-encode of the resident frame, reserved field zero.
+    Rewrite(u8),
+    /// The same after evicting the page: a freshly claimed frame.
+    RewriteFresh(u8),
+    /// `bytes_mut` update that writes caller bytes into the reserved field.
+    RewriteReserved(u8),
     /// Flush frames to the page file (no log truncation).
     Sync,
     /// Checkpoint: epoch rotation + log truncation.
@@ -75,9 +87,44 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         8 => proptest::collection::vec(range_strategy(), 1..4).prop_map(Op::Tracked),
         2 => (0u8..255).prop_map(Op::Full),
+        3 => (0u8..255).prop_map(Op::Rewrite),
+        2 => (0u8..255).prop_map(Op::RewriteFresh),
+        1 => (0u8..255).prop_map(Op::RewriteReserved),
         1 => Just(Op::Sync),
         1 => Just(Op::Checkpoint),
     ]
+}
+
+/// A node-like image: a pattern everywhere but the reserved field, which
+/// an encoder leaves zero.
+fn encoded(seed: u8) -> Vec<u8> {
+    let mut p: Vec<u8> = (0..PAGE).map(|j| seed.wrapping_mul(j as u8)).collect();
+    p[PAGE_LSN_OFFSET..PAGE_RESERVED_END].fill(0);
+    p
+}
+
+/// Rewrites `pid` through `bytes_mut` with an encoder's image and checks
+/// that the commit logged a v2 record (which stamps the page LSN).
+fn rewrite(store: &PageStore, pid: PageId, model: &mut [u8], seed: u8) {
+    let image = encoded(seed);
+    let mut w = store.write_page(pid, WriteIntent::Overwrite).unwrap();
+    w.bytes_mut().copy_from_slice(&image);
+    w.commit().unwrap();
+    model.copy_from_slice(&image);
+    assert!(page_lsn(&store.get(pid).unwrap()) > 0, "not a v2 record");
+}
+
+/// Reads spare pages until two in a row missed: with two frames, those two
+/// are then the only resident pages.
+fn evict_all_but_spares(store: &PageStore, spares: &[PageId]) {
+    let misses = || store.stats().snapshot().cache_misses;
+    let (mut streak, mut i) = (0, 0);
+    while streak < 2 {
+        let before = misses();
+        drop(store.read(spares[i % spares.len()]).unwrap());
+        streak = if misses() > before { streak + 1 } else { 0 };
+        i += 1;
+    }
 }
 
 fn run_case(ops: &[Op]) {
@@ -90,6 +137,7 @@ fn run_case(ops: &[Op]) {
         pid = store.alloc().unwrap();
         // A second page keeps the 2-frame pool honest (evictions possible).
         let other = store.alloc().unwrap();
+        let spares: Vec<PageId> = (0..3).map(|_| store.alloc().unwrap()).collect();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 Op::Tracked(ranges) => {
@@ -107,6 +155,22 @@ fn run_case(ops: &[Op]) {
                     }
                     store.put(pid, &p).unwrap();
                     model.copy_from_slice(p.bytes());
+                }
+                Op::Rewrite(seed) => rewrite(store, pid, &mut model, *seed),
+                Op::RewriteFresh(seed) => {
+                    evict_all_but_spares(store, &spares);
+                    let misses = store.stats().snapshot().cache_misses;
+                    rewrite(store, pid, &mut model, *seed);
+                    // The write claimed the frame; only the check's read hit.
+                    assert_eq!(store.stats().snapshot().cache_misses, misses);
+                }
+                Op::RewriteReserved(seed) => {
+                    let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+                    for (j, b) in w.bytes_mut().iter_mut().enumerate() {
+                        *b = seed ^ (j as u8) ^ 0x80;
+                    }
+                    model.copy_from_slice(w.bytes());
+                    w.commit().unwrap();
                 }
                 Op::Sync => ds.sync().unwrap(),
                 Op::Checkpoint => ds.checkpoint().unwrap(),
