@@ -481,7 +481,11 @@ pub struct PageStamp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteIntent {
     /// The caller rewrites every byte (e.g. re-encoding a node); the
-    /// current contents need not be loaded on a pool miss.
+    /// current contents need not be loaded on a pool miss. The write is
+    /// untracked: over a resident frame the commit logs only the bytes
+    /// that differ from the prior image, while a miss zero-fills a fresh
+    /// frame, which has no prior image and logs a full one (see
+    /// [`PageWrite::commit`]).
     Overwrite,
     /// Read-modify-write: the buffer starts as the page's current contents.
     Update,
