@@ -47,6 +47,7 @@ fn self_test() -> ExitCode {
             "frame_hinted(` outside [\"probe_unlatched\"]",
         ),
         ("wrapper-only", "backend_write_page("),
+        ("wrapper-only", ".log_put_base("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
         ("wrapper-only", "allocated_pages("),

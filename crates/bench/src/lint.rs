@@ -126,6 +126,19 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "PageStore::write_back_frame (sweeps) / write_back_victim (eviction) / \
                       write_bypass (no frame)",
     },
+    // One way to log a page write: only `log_page_write` picks and appends
+    // the record (a base or a delta against the prior image).
+    WrapperRule {
+        file: "store.rs",
+        needles: &[".log_put(", ".log_put_base(", ".log_put_delta("],
+        // …plus the durable store's tests that forge a crashed log's tail.
+        allowed_fns: &[
+            "log_page_write",
+            "delta_replay_gates_on_the_page_lsn",
+            "crashed_mixed_log",
+        ],
+        use_instead: "PageStore::log_page_write (the one page-write record)",
+    },
     WrapperRule {
         file: "heap.rs",
         needles: &[".open.lock(", ".open.try_lock("],
@@ -203,9 +216,8 @@ const WRAPPER_RULES: &[WrapperRule] = &[
 /// Files allowed to contain `unsafe` blocks (each still needs `// SAFETY:`):
 /// the frame pool and store in `crates/pagestore`, and its `crc.rs` (the
 /// carry-less-multiply CRC path). Entries match on basename, so the
-/// same-named `durable/src/store.rs` and `durable/src/crc.rs` also pass
-/// this rule; they stay free of `unsafe` through their crate's
-/// `#![forbid(unsafe_code)]`.
+/// same-named `durable/src/store.rs` also passes this rule; it stays free
+/// of `unsafe` through its crate's `#![forbid(unsafe_code)]`.
 const UNSAFE_ALLOWLIST: &[&str] = &["pool.rs", "store.rs", "crc.rs"];
 
 /// How many raw lines above an `unsafe` the `// SAFETY:` justification may

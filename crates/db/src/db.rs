@@ -70,7 +70,7 @@ pub struct Db {
     /// [`Db::get_with`] read helpers, so read fan-out does not force
     /// callers to thread a [`DbSession`] through every call site.
     read_sessions: Mutex<Vec<Session>>,
-    /// End-to-end per-op latency histograms ([`DbConfig::metrics`]).
+    /// End-to-end per-op latency histograms ([`Db::metrics`]).
     pub(crate) op_hists: OpHists,
 }
 

@@ -7,7 +7,8 @@
 //! supplies that missing storage layer:
 //!
 //! * [`wal`] — an append-only log of page-level mutations (alloc / free /
-//!   full-image put) in checksummed segments, with [`FsyncPolicy`]
+//!   page write, logged as a full-image base or as a delta of the bytes
+//!   it changed) in checksummed segments, with [`FsyncPolicy`]
 //!   controlling commit durability (a pipelined group fsync per commit,
 //!   or OS-buffered).
 //! * [`backend::FileBackend`] — the page file behind
@@ -57,7 +58,6 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod crc;
 pub mod fault;
 pub mod store;
 pub mod wal;

@@ -37,9 +37,9 @@
 //! correctness argument.
 
 use crate::backend::FileBackend;
-use crate::crc::crc32;
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use crate::wal::{self, io_err, FsyncPolicy, ScanReport, Wal, WalOp};
+use blink_pagestore::crc::crc32;
 use blink_pagestore::{
     page_lsn, set_page_lsn, stamp_page_crc, Journal, PageBackend, PageId, PageStore, Result,
     StoreConfig, StoreError, StoreStats,
@@ -464,8 +464,11 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Initializes a fresh store directory. Fails if one already exists.
+    /// Initializes a fresh store directory. Fails if one already exists,
+    /// or with [`StoreError::Config`] if the log cannot carry pages of
+    /// `cfg.page_size` (see [`StoreConfig::check_journaled`]).
     pub fn create(cfg: DurableConfig) -> Result<DurableStore> {
+        cfg.store_config().check_journaled()?;
         std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err("create store dir", e))?;
         if cfg.meta_path().exists() {
             return Err(StoreError::Config("store directory already initialized"));
@@ -486,6 +489,7 @@ impl DurableStore {
 
     /// Opens an existing store directory, replaying the WAL (recovery).
     pub fn open(cfg: DurableConfig) -> Result<DurableStore> {
+        cfg.store_config().check_journaled()?;
         let mut meta_bytes = Vec::new();
         File::open(cfg.meta_path())
             .and_then(|mut f| f.read_to_end(&mut meta_bytes))
@@ -763,6 +767,28 @@ mod tests {
     }
 
     #[test]
+    fn page_sizes_the_log_cannot_carry_are_rejected() {
+        // Below 24 B there is no room for the LSN and CRC field; above
+        // 64 KiB delta offsets overflow their `u16`.
+        let dir = tmpdir("badpsize");
+        for page_size in [16, 128 << 10] {
+            let bad = DurableConfig {
+                page_size,
+                ..cfg(&dir)
+            };
+            assert!(matches!(
+                DurableStore::create(bad.clone()),
+                Err(StoreError::Config(_))
+            ));
+            assert!(!dir.exists(), "a rejected create leaves no directory");
+            assert!(matches!(
+                DurableStore::open(bad),
+                Err(StoreError::Config(_))
+            ));
+        }
+    }
+
+    #[test]
     fn page_size_mismatch_is_rejected() {
         let dir = tmpdir("psize");
         drop(DurableStore::create(cfg(&dir)).unwrap());
@@ -1002,12 +1028,13 @@ mod tests {
     }
 
     /// Leaves a crashed directory whose WAL holds allocs, frees, a
-    /// re-alloc, v1 images, v2 bases (fresh frames and re-bases) and
-    /// deltas (tracked and untracked), part of it already written back —
-    /// so replay meets stale pages and current ones. Its tail is the
-    /// state `delta_replay_gates_on_the_page_lsn` builds: two deltas for a
-    /// page with no base after the cut, the first already in the page
-    /// file, so the LSN gate skips one.
+    /// re-alloc, v2 bases (fresh frames and re-bases) and deltas (field
+    /// writes and re-encodes), part of it already written back — so replay
+    /// meets stale pages and current ones. Its tail holds a v1 image, as
+    /// older stores wrote them, and the state
+    /// `delta_replay_gates_on_the_page_lsn` builds: two deltas for a page
+    /// with no base after the cut, the first already in the page file, so
+    /// the LSN gate skips one.
     fn crashed_mixed_log(dir: &Path) {
         use blink_pagestore::WriteIntent;
         let cfg = DurableConfig {
@@ -1032,7 +1059,7 @@ mod tests {
             let fill = next(&mut rng) as u8;
             match next(&mut rng) % 8 {
                 0 => {
-                    // v1 image: caller bytes in the reserved field.
+                    // A whole-page put, caller bytes in the reserved field.
                     let mut p = Page::zeroed(128);
                     p.bytes_mut().fill(fill | 1);
                     store.put(pid, &p).unwrap();
@@ -1070,6 +1097,7 @@ mod tests {
             Arc::new(StoreStats::default()),
         )
         .unwrap();
+        w.log_put_v1(pids[0], &[0x5A; 128]).unwrap();
         let lsn = w.log_put_delta(quiet, 0, &[(60, &[0xAB; 4])]).unwrap();
         w.log_put_delta(quiet, lsn, &[(70, &[0xCD; 4])]).unwrap();
         drop(w);

@@ -18,7 +18,8 @@
 //!
 //! * `1` alloc — empty body; replay zeroes the page.
 //! * `2` free — empty body.
-//! * `3` put — full page image; replay writes it verbatim.
+//! * `3` put — full page image; replay writes it verbatim. Only older
+//!   stores wrote it: every page write now logs a `4` or a `5`.
 //!
 //! Ops — v2 (PR 5, the delta family; segments are written as format
 //! version 2 but readers accept both, so a log can mix versions across a
@@ -64,9 +65,9 @@
 //! [`Journal::sync`] is a pipeline commit at the last appended LSN under
 //! either policy, so a log loaded at `Never` is made durable by one sync.
 
-use crate::crc::Crc32;
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use blink_pagestore::audit::{self, Audited, LockClass};
+use blink_pagestore::crc::Crc32;
 use blink_pagestore::{DeltaRange, Journal, PageId, Result, StoreError, StoreHealth, StoreStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
@@ -106,7 +107,8 @@ pub enum FsyncPolicy {
 pub enum WalOp {
     Alloc(PageId),
     Free(PageId),
-    /// v1 full image: replayed verbatim.
+    /// v1 full image, replayed verbatim. No store writes it any more;
+    /// replay still reads it so that older logs open.
     Put(PageId, Vec<u8>),
     /// v2 full image of an LSN-stamped page: replay writes the image and
     /// stamps the record's LSN into the page's reserved field.
@@ -683,15 +685,6 @@ impl Journal for Wal {
         self.finish(lsn)
     }
 
-    fn log_put(&self, pid: PageId, data: &[u8]) -> Result<()> {
-        let lsn = self.append_record(OP_PUT, pid, data)?;
-        self.finish(lsn)
-    }
-
-    fn supports_deltas(&self) -> bool {
-        true
-    }
-
     fn log_put_base(&self, pid: PageId, data: &[u8]) -> Result<u64> {
         let lsn = self.append_record(OP_PUT_BASE, pid, data)?;
         self.finish(lsn)?;
@@ -903,6 +896,16 @@ pub fn scan(
 }
 
 #[cfg(test)]
+impl Wal {
+    /// Appends a v1 full image, as older stores wrote them, so tests can
+    /// build the logs replay must still read.
+    pub(crate) fn log_put_v1(&self, pid: PageId, data: &[u8]) -> Result<()> {
+        let lsn = self.append_record(OP_PUT, pid, data)?;
+        self.finish(lsn)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
@@ -952,7 +955,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let w = wal(&dir, FsyncPolicy::Always, 1 << 20);
         w.log_alloc(pid(1)).unwrap();
-        w.log_put(pid(1), &[7u8; 32]).unwrap();
+        w.log_put_v1(pid(1), &[7u8; 32]).unwrap();
         w.log_free(pid(1)).unwrap();
         let mut ops = Vec::new();
         let report = scan(&dir, 1, 1, 64, |lsn, op| {
@@ -993,7 +996,7 @@ mod tests {
         .unwrap();
         let (seen, fin) = w.deferred_scope(|| {
             for i in 1..=3u32 {
-                w.log_put(pid(i), &[i as u8; 8]).unwrap();
+                w.log_put_base(pid(i), &[i as u8; 8]).unwrap();
             }
             let mut lsns = Vec::new();
             scan(&dir, 1, 1, 64, |lsn, _| {
@@ -1015,7 +1018,7 @@ mod tests {
         // Tiny segments: every few records rotate.
         let w = wal(&dir, FsyncPolicy::Never, 256);
         for i in 1..=50u32 {
-            w.log_put(pid(i), &[i as u8; 16]).unwrap();
+            w.log_put_base(pid(i), &[i as u8; 16]).unwrap();
         }
         assert!(w.current_segment() > 1, "should have rotated");
         let mut n = 0;
@@ -1037,7 +1040,7 @@ mod tests {
         {
             let w = wal(&dir, FsyncPolicy::Always, 1 << 20);
             for i in 1..=10u32 {
-                w.log_put(pid(i), &[0xAB; 8]).unwrap();
+                w.log_put_base(pid(i), &[0xAB; 8]).unwrap();
             }
         }
         // Truncate the single segment mid-record.
@@ -1063,7 +1066,7 @@ mod tests {
         {
             let w = wal(&dir, FsyncPolicy::Always, 1 << 20);
             for i in 1..=5u32 {
-                w.log_put(pid(i), &[i as u8; 8]).unwrap();
+                w.log_put_base(pid(i), &[i as u8; 8]).unwrap();
             }
         }
         // Flip a byte inside record 3's payload.
@@ -1150,7 +1153,7 @@ mod tests {
         fault.crash_after_wal_records(7);
         let mut ok = 0;
         for i in 1..=20u32 {
-            if w.log_put(pid(i), &[1; 4]).is_ok() {
+            if w.log_put_base(pid(i), &[1; 4]).is_ok() {
                 ok += 1;
             }
         }
@@ -1208,7 +1211,7 @@ mod tests {
         let dir = tmpdir("mixedver");
         {
             let w = wal(&dir, FsyncPolicy::Always, 1 << 20);
-            w.log_put(pid(1), &[7; 8]).unwrap();
+            w.log_put_v1(pid(1), &[7; 8]).unwrap();
         }
         // Rewrite segment 1's header as format version 1 (its records are
         // v1-only, so this is exactly what an old writer produced).
@@ -1283,7 +1286,7 @@ mod tests {
         fault.set_fsync_delay(Duration::from_millis(200));
         let precursor = {
             let w = Arc::clone(&w);
-            std::thread::spawn(move || w.log_put(pid(1), &[1; 8]))
+            std::thread::spawn(move || w.log_put_base(pid(1), &[1; 8]))
         };
         wait_until(10, "the precursor's batch cut", || lone_leader_cut(&w));
         let mut handles = vec![];
@@ -1291,7 +1294,7 @@ mod tests {
             let w = Arc::clone(&w);
             handles.push(std::thread::spawn(move || {
                 for i in 0..25u32 {
-                    w.log_put(pid(2 + t * 100 + i), &[0; 8]).unwrap();
+                    w.log_put_base(pid(2 + t * 100 + i), &[0; 8]).unwrap();
                 }
             }));
         }
@@ -1348,7 +1351,7 @@ mod tests {
                 let w = Arc::clone(&w);
                 handles.push(std::thread::spawn(move || {
                     for i in 0..25u32 {
-                        w.log_put(pid(1 + rounds * 1_000 + t * 100 + i), &[0; 8])
+                        w.log_put_base(pid(1 + rounds * 1_000 + t * 100 + i), &[0; 8])
                             .unwrap();
                     }
                 }));
@@ -1400,13 +1403,13 @@ mod tests {
             )
             .unwrap(),
         );
-        w.log_put(pid(1), &[1; 8]).unwrap();
+        w.log_put_base(pid(1), &[1; 8]).unwrap();
         fault.crash_after_wal_records(0);
         let mut handles = vec![];
         for t in 0..3 {
             let w = Arc::clone(&w);
             handles.push(std::thread::spawn(move || {
-                w.log_put(pid(10 + t), &[2; 8]).is_err()
+                w.log_put_base(pid(10 + t), &[2; 8]).is_err()
             }));
         }
         for h in handles {
@@ -1455,10 +1458,10 @@ mod tests {
         // One committer: it leads the batch whose fsync fails.
         fault.set_plan(FaultPlan::new().fail_nth(FaultSite::WalFsync, 1, FaultKind::Transient));
         assert!(
-            w.log_put(pid(1), &[1; 8]).is_err(),
+            w.log_put_base(pid(1), &[1; 8]).is_err(),
             "a failed fsync acknowledged"
         );
-        w.log_put(pid(2), &[1; 8]).unwrap(); // the fault was transient
+        w.log_put_base(pid(2), &[1; 8]).unwrap(); // the fault was transient
 
         // Three committers share one failed batch: a precursor's dilated
         // fsync (which passes) holds the pipeline while all three append
@@ -1467,13 +1470,13 @@ mod tests {
         fault.set_fsync_delay(Duration::from_millis(500));
         let precursor = {
             let w = Arc::clone(&w);
-            std::thread::spawn(move || w.log_put(pid(3), &[2; 8]))
+            std::thread::spawn(move || w.log_put_base(pid(3), &[2; 8]))
         };
         wait_until(10, "the precursor's batch cut", || lone_leader_cut(&w));
         let sharers: Vec<_> = (0..3u32)
             .map(|t| {
                 let w = Arc::clone(&w);
-                std::thread::spawn(move || w.log_put(pid(10 + t), &[3; 8]))
+                std::thread::spawn(move || w.log_put_base(pid(10 + t), &[3; 8]))
             })
             .collect();
         wait_until(10, "three committers in one batch", || {
@@ -1505,7 +1508,7 @@ mod tests {
         )
         .unwrap();
         for i in 1..=5u32 {
-            w.log_put(pid(i), &[4; 8]).unwrap();
+            w.log_put_base(pid(i), &[4; 8]).unwrap();
         }
         let before = stats.snapshot();
         assert_eq!(before.wal_fsyncs, 0, "Never commits do not fsync");
@@ -1541,7 +1544,7 @@ mod tests {
         }));
         assert!(unwound.is_err());
         let before = stats.snapshot().wal_fsyncs;
-        w.log_put(pid(1), &[1; 8]).unwrap();
+        w.log_put_base(pid(1), &[1; 8]).unwrap();
         assert!(
             stats.snapshot().wal_fsyncs > before,
             "a commit after the unwound scope must fsync, not be absorbed"

@@ -58,11 +58,11 @@
 //!        so the next tenant can mint a strictly newer one)
 //! ```
 //!
-//! Every mutation below goes through the store's **tracked-range write
-//! API** ([`crate::PageWrite::write_at`]): a record insert dirties only
-//! its data extent, one slot-directory entry and a few header words, so
-//! the WAL sees a coalesced delta record of tens of bytes instead of a
-//! full page image — the PR 5 write-amplification fix.
+//! Every mutation below writes only the fields it changes
+//! ([`crate::PageWrite::write_at`]): a record insert dirties only its data
+//! extent, one slot-directory entry and a few header words, so the commit's
+//! diff against the prior image logs a delta record of tens of bytes
+//! instead of a full page image.
 //!
 //! The freed marker is the same `0xFFFF` tombstone PR 3 used, moved from
 //! `off` to `len` so a tombstoned slot still remembers *where* and *how

@@ -16,12 +16,18 @@ use crate::error::Result;
 use crate::page::PageId;
 use std::fmt;
 
-/// One dirtied byte range of a tracked page write, as handed to
+/// One changed byte range of a page write, as handed to
 /// [`Journal::log_put_delta`]: the offset inside the page and the new
 /// bytes of that range.
 pub type DeltaRange<'a> = (u16, &'a [u8]);
 
 /// Receiver for page-level mutations, in commit order.
+///
+/// A page write logs one of two records, both chosen by the store: a
+/// **base** (the full image) or a **delta** (the ranges that changed since
+/// the image the write started from). Either returns its LSN, which the
+/// store stamps into the page's reserved field
+/// ([`crate::page::PAGE_LSN_OFFSET`]), and replay stamps it the same way.
 pub trait Journal: Send + Sync + fmt::Debug {
     /// A page was allocated (zero-filled). Replay must zero the page.
     fn log_alloc(&self, pid: PageId) -> Result<()>;
@@ -29,42 +35,31 @@ pub trait Journal: Send + Sync + fmt::Debug {
     /// A page was returned to the free list.
     fn log_free(&self, pid: PageId) -> Result<()>;
 
-    /// A page was overwritten with `data` (a full page image).
-    fn log_put(&self, pid: PageId, data: &[u8]) -> Result<()>;
+    /// A page was overwritten with `data` (a full page image). Returns the
+    /// record's LSN so the store can stamp it into the live page; replay
+    /// stamps it the same way, keeping the on-disk LSN exactly "LSN of the
+    /// last record whose effects this page holds".
+    fn log_put_base(&self, pid: PageId, data: &[u8]) -> Result<u64>;
 
-    /// Whether this journal understands the v2 record family
-    /// ([`Journal::log_put_base`] / [`Journal::log_put_delta`]). A store
-    /// only routes tracked page writes through the v2 methods when this
-    /// returns `true`; the default (`false`) keeps v1-only journals (tests,
-    /// probes) on the plain [`Journal::log_put`] path.
+    /// A page was mutated only inside `ranges` (ascending,
+    /// non-overlapping). `page_lsn` is the page's LSN *before* this write
+    /// (diagnostic; replay gates on the record's own LSN). Returns the
+    /// record's LSN for stamping, like [`Journal::log_put_base`].
+    fn log_put_delta(&self, pid: PageId, page_lsn: u64, ranges: &[DeltaRange<'_>]) -> Result<u64>;
+
+    /// Logs `data` as a base ([`Journal::log_put_base`]), dropping its
+    /// LSN. The store never calls it; kept only because the frozen
+    /// benchmark's `bench-trace` names it. Delete it at the next benchmark
+    /// rebaseline.
+    fn log_put(&self, pid: PageId, data: &[u8]) -> Result<()> {
+        self.log_put_base(pid, data).map(drop)
+    }
+
+    /// Always `true`: every journal logs bases and deltas. The store never
+    /// asks; kept only because the frozen benchmark's `bench-trace` does.
+    /// Delete it at the next benchmark rebaseline.
     fn supports_deltas(&self) -> bool {
-        false
-    }
-
-    /// v2: a tracked page was overwritten with `data` (a full page image)
-    /// and the page reserves a per-page LSN field
-    /// ([`crate::page::PAGE_LSN_OFFSET`]). Returns the record's LSN so the
-    /// store can stamp it into the live page; replay stamps it the same
-    /// way, keeping the on-disk LSN exactly "LSN of the last record whose
-    /// effects this page holds".
-    fn log_put_base(&self, pid: PageId, data: &[u8]) -> Result<u64> {
-        self.log_put(pid, data).map(|()| 0)
-    }
-
-    /// v2: a tracked page was mutated only inside `ranges` (coalesced,
-    /// ascending, non-overlapping). `page_lsn` is the page's LSN *before*
-    /// this write (diagnostic; replay gates on the record's own LSN).
-    /// Returns the record's LSN for stamping, like
-    /// [`Journal::log_put_base`].
-    ///
-    /// Only called when [`Journal::supports_deltas`] is `true`; the
-    /// default errs so a misconfigured journal fails loudly instead of
-    /// silently dropping bytes.
-    fn log_put_delta(&self, pid: PageId, page_lsn: u64, ranges: &[DeltaRange<'_>]) -> Result<u64> {
-        let _ = (pid, page_lsn, ranges);
-        Err(crate::error::StoreError::Config(
-            "journal does not support delta records",
-        ))
+        true
     }
 
     /// A no-op the store no longer calls: every `log_*` call writes its

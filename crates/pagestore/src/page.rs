@@ -6,20 +6,17 @@ use std::num::NonZeroU32;
 /// Byte offset of the **per-page LSN** field.
 ///
 /// Bytes `PAGE_LSN_OFFSET .. PAGE_LSN_OFFSET + PAGE_LSN_LEN` of every
-/// page layout belong to the store: after a commit that logs a v2 record
-/// (a base or a delta) the store stamps the record's LSN there, and
+/// page layout belong to the store: every journaled commit logs a v2
+/// record (a base or a delta) and stamps the record's LSN there, and
 /// recovery applies a delta record to a page iff
 /// `record.lsn > page_lsn(page)` — which is what makes delta replay
-/// idempotent against write-back races. A tracked writer
-/// ([`crate::PageWrite::write_at`] / [`crate::PageWrite::tracked_mut`])
-/// never writes the field. A whole-page writer
-/// ([`crate::PageWrite::bytes_mut`]) leaves it as it found it or zeroes
-/// it, as the tree's node and prime-block encoders and the heap's page
-/// initializer do; the commit then restores the prior LSN and logs only
-/// the changed bytes. A writer that puts its own bytes there gets a v1
-/// full image, which anchors no delta. Heap pages ([`crate::heap`])
-/// keep the field in their header, right after the magic/generation
-/// words.
+/// idempotent against write-back races. In a journaled store a commit
+/// restores the whole reserved field (up to [`PAGE_RESERVED_END`]) from
+/// the image the write started from, or zeroes it when there is none,
+/// before it logs anything: whatever a writer puts there never survives.
+/// Encoders keep it zero (the tree's node and prime-block encoders, the
+/// heap's page initializer). Heap pages ([`crate::heap`]) keep the field
+/// in their header, right after the magic/generation words.
 pub const PAGE_LSN_OFFSET: usize = 12;
 
 /// Width of the per-page LSN field ([`PAGE_LSN_OFFSET`]).
@@ -41,9 +38,10 @@ pub const PAGE_CRC_LEN: usize = 4;
 /// End of the store-reserved page region. Every page layout (tree node,
 /// prime block, heap page) keeps bytes
 /// `PAGE_LSN_OFFSET..PAGE_RESERVED_END` zero in its encoder and never
-/// interprets them; the store stamps the LSN and CRC there, and an
-/// untracked commit compares the rest of the page with its prior image
-/// (see [`PAGE_LSN_OFFSET`]).
+/// interprets them; the store stamps the LSN and CRC there, and a commit
+/// compares the rest of the page with its prior image (see
+/// [`PAGE_LSN_OFFSET`]). It is also the smallest page a journaled store
+/// accepts.
 pub const PAGE_RESERVED_END: usize = PAGE_CRC_OFFSET + PAGE_CRC_LEN;
 
 /// A stored checksum of `0` means "never stamped" — the natural state of a

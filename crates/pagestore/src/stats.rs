@@ -214,15 +214,16 @@ store_stats! {
         /// Bytes appended to the WAL (record headers + payloads) — the
         /// write-amplification numerator.
         wal_bytes,
-        /// Tracked page writes logged as v2 delta records.
+        /// Page writes logged as v2 delta records.
         wal_put_deltas,
-        /// Page writes logged as full images (v1 puts and v2 base records).
+        /// Page writes logged as full images (v2 base records).
         wal_put_full_images,
-        /// Tracked writes that fell back to a full image because the page
-        /// had no base record yet in the current checkpoint epoch.
+        /// Writes with a prior image that fell back to a full image
+        /// because the page had no base record yet in the current
+        /// checkpoint epoch.
         wal_delta_fallback_first_touch,
-        /// Tracked writes that fell back to a full image because the
-        /// coalesced delta would have exceeded the size cutoff.
+        /// Writes with a prior image that fell back to a full image
+        /// because the delta would have exceeded the size cutoff.
         wal_delta_fallback_large,
         /// Delta records recovery skipped because the on-disk page already
         /// carried an LSN at or past the record's (idempotent replay).

@@ -77,7 +77,7 @@ use crate::backend::{MemBackend, PageBackend};
 use crate::error::{Result, StoreError};
 use crate::health::StoreHealth;
 use crate::journal::Journal;
-use crate::page::{page_lsn, set_page_lsn, PAGE_LSN_LEN, PAGE_LSN_OFFSET, PAGE_RESERVED_END};
+use crate::page::{page_lsn, set_page_lsn, PAGE_LSN_OFFSET, PAGE_RESERVED_END};
 use crate::page::{stamp_page_crc, verify_page_crc};
 use crate::page::{Page, PageId};
 use crate::pool::{BufferPool, Claim, Frame, PageProbe, Pinned};
@@ -125,14 +125,31 @@ impl StoreConfig {
             ..StoreConfig::default()
         }
     }
+
+    /// Checks that a journaled store can log pages of this size: at least
+    /// [`PAGE_RESERVED_END`] bytes (the LSN and CRC field) and at most
+    /// 64 KiB (delta offsets and the heap's slot offsets are `u16`).
+    pub fn check_journaled(&self) -> Result<()> {
+        if (PAGE_RESERVED_END..=MAX_JOURNALED_PAGE).contains(&self.page_size) {
+            Ok(())
+        } else {
+            Err(StoreError::Config(
+                "a journaled store needs a page size of 24 B to 64 KiB",
+            ))
+        }
+    }
 }
 
-/// Bridging distance for delta coalescing: two tracked ranges closer than
-/// this merge into one span. A bridged gap logs its (unchanged) bytes
-/// once, but saves a 4-byte range header and keeps replay sequential —
-/// heap writes (record bytes + a slot-directory entry + header words)
-/// typically collapse to 2–3 spans.
+/// Bridging distance for delta ranges: two changed spans closer than this
+/// merge into one range. A bridged gap logs its (unchanged) bytes once,
+/// but saves a 4-byte range header and keeps replay sequential — a heap
+/// write (record bytes + a slot-directory entry + header words) typically
+/// collapses to 2–3 ranges.
 const MERGE_GAP: usize = 16;
+
+/// Largest page a journaled store accepts: delta offsets and the heap's
+/// slot offsets are `u16`.
+const MAX_JOURNALED_PAGE: usize = 1 << 16;
 
 /// Backoff schedule for transient backend I/O errors: up to three retries
 /// after the initial attempt, sleeping 50µs, 200µs, 800µs between them.
@@ -144,52 +161,31 @@ const IO_RETRY_BACKOFF: [Duration; 3] = [
     Duration::from_micros(800),
 ];
 
-/// Merges tracked dirty ranges into ascending, non-overlapping spans
-/// (bridging gaps up to [`MERGE_GAP`]).
-fn coalesce_ranges(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
-    let mut sorted: Vec<(usize, usize)> = ranges
-        .iter()
-        .filter(|&&(_, len)| len > 0)
-        .map(|&(off, len)| (off as usize, len as usize))
-        .collect();
-    sorted.sort_unstable();
-    let mut out: Vec<(usize, usize)> = Vec::with_capacity(sorted.len());
-    for (off, len) in sorted {
-        if let Some(last) = out.last_mut() {
-            let last_end = last.0 + last.1;
-            if off <= last_end + MERGE_GAP {
-                last.1 = (off + len).max(last_end) - last.0;
-                continue;
-            }
-        }
-        out.push((off, len));
-    }
-    out
-}
-
 /// The store-reserved page field: the page LSN and the CRC.
 const RESERVED: std::ops::Range<usize> = PAGE_LSN_OFFSET..PAGE_RESERVED_END;
 
 /// The byte ranges (`off`, `len`) where `new` differs from `old`, found by
-/// comparing 8-byte words: ascending, disjoint and word-granular (adjacent
-/// changed words form one range), empty when the images are equal, and
-/// never inside the store-reserved field [`RESERVED`] — bytes 8..12 form a
-/// 4-byte word of their own. Copying each range of `new` over `old`
-/// reproduces `new` outside that field. This is how an untracked commit
-/// ([`PageWrite::bytes_mut`]) finds what it changed.
-fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<(u32, u32)> {
+/// comparing 8-byte words: ascending, disjoint, empty when the images are
+/// equal, and never inside the store-reserved field [`RESERVED`] — bytes
+/// 8..12 form a 4-byte word of their own. Changed words at most
+/// [`MERGE_GAP`] bytes apart on the same side of that field share one
+/// range, and each range starts and ends on a changed byte. Copying each
+/// range of `new` over `old` reproduces `new` outside the field. This is
+/// how a commit finds what it changed.
+fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
     // Equal blocks are skipped with one slice compare each: most of a
     // node's page is the unused tail past its last pair.
     const BLOCK: usize = 256;
     debug_assert_eq!(old.len(), new.len());
     let len = new.len();
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    let mut note = |off: usize, w: usize| match out.last_mut() {
-        Some((o, l)) if (*o + *l) as usize == off => *l += w as u32,
-        _ => out.push((off as u32, w as u32)),
-    };
+    let mut out: Vec<(usize, usize)> = Vec::new();
     let word = |b: &[u8]| u64::from_ne_bytes(b.try_into().expect("an 8-byte chunk"));
     for (lo, hi) in [(0, RESERVED.start.min(len)), (RESERVED.end.min(len), len)] {
+        // Bridges only to a range of this side of the reserved field.
+        let mut note = |off: usize, w: usize| match out.last_mut() {
+            Some((o, l)) if *o >= lo && off <= *o + *l + MERGE_GAP => *l = off + w - *o,
+            _ => out.push((off, w)),
+        };
         let mut off = lo;
         while off < hi {
             let end = (off + BLOCK).min(hi);
@@ -208,6 +204,15 @@ fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<(u32, u32)> {
             }
             off = end;
         }
+    }
+    // Trim each range's end words to the bytes that changed.
+    let same = |&(a, b): &(&u8, &u8)| a == b;
+    for (off, len) in &mut out {
+        let (a, b) = (&old[*off..*off + *len], &new[*off..*off + *len]);
+        let lead = a.iter().zip(b).take_while(same).count();
+        let trail = a.iter().rev().zip(b.iter().rev()).take_while(same).count();
+        *off += lead;
+        *len -= lead + trail;
     }
     out
 }
@@ -290,7 +295,7 @@ struct Slot {
     /// written only under the latch, by [`Slot::set_allocated`].
     live: AtomicBool,
     lock: PaperLock,
-    /// Checkpoint epoch of the page's last full-image WAL record (a put or
+    /// Checkpoint epoch of the page's last full-image WAL record (a base or
     /// an alloc — both let replay rebuild the page from scratch). A delta
     /// record is only legal while this equals the store's current epoch:
     /// the first write after a checkpoint (or after open) must log a full
@@ -481,29 +486,13 @@ pub struct PageStamp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteIntent {
     /// The caller rewrites every byte (e.g. re-encoding a node); the
-    /// current contents need not be loaded on a pool miss. The write is
-    /// untracked: over a resident frame the commit logs only the bytes
-    /// that differ from the prior image, while a miss zero-fills a fresh
-    /// frame, which has no prior image and logs a full one (see
-    /// [`PageWrite::commit`]).
+    /// current contents need not be loaded on a pool miss. Over a resident
+    /// frame the commit logs only the bytes that differ from the prior
+    /// image, while a miss zero-fills a fresh frame, which has no prior
+    /// image and logs a full one (see [`PageWrite::commit`]).
     Overwrite,
     /// Read-modify-write: the buffer starts as the page's current contents.
     Update,
-}
-
-/// What a committed write hands [`PageStore::log_page_write`].
-#[derive(Clone, Copy)]
-enum Edit<'r> {
-    /// The writer may have put its own bytes into the reserved field
-    /// ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]): a v1 image, replayed
-    /// verbatim.
-    Image,
-    /// The reserved field is the store's, but there is no prior image to
-    /// compare with (a freshly claimed frame): a v2 base.
-    Base,
-    /// Exactly these byte ranges changed — tracked by the writer or found
-    /// by [`diff_ranges`]: a v2 delta when the gates pass, else a v2 base.
-    Ranges(&'r [(u32, u32)]),
 }
 
 /// A frame latch in either mode.
@@ -548,14 +537,6 @@ pub struct PageWrite<'a> {
     pid: PageId,
     /// The page's slot, looked up once by `write_page`; commit latches it.
     slot: &'a Slot,
-    /// Byte ranges dirtied through the tracked-write API (`off`, `len`).
-    /// Commit coalesces them into a delta record when the gates in
-    /// [`PageStore::log_page_write`] pass.
-    ranges: Vec<(u32, u32)>,
-    /// Set once [`PageWrite::bytes_mut`] handed out the whole page: the
-    /// ranges are no longer exhaustive, so commit compares the page with
-    /// its prior image instead (see [`PageWrite::commit`]).
-    untracked: bool,
     /// `None` once commit consumed the state (Drop is then a no-op).
     inner: Option<WriteInner<'a>>,
 }
@@ -575,9 +556,12 @@ struct FrameWrite<'a> {
     guard: Audited<RwLockWriteGuard<'a, Box<[u8]>>>,
     /// `Some(idx)`: the frame was claimed for this write and is not yet
     /// published — commit completes the miss, rollback aborts it (the
-    /// backend still holds the prior contents, so there is no undo copy).
+    /// backend still holds the prior contents).
     fresh: Option<usize>,
-    /// Prior image of a resident frame, restored on rollback.
+    /// The image the write started from, which commit diffs against: a
+    /// resident frame's prior bytes (also restored on rollback) or, in a
+    /// journaled store, the image an [`WriteIntent::Update`] miss just
+    /// loaded. `None` for an [`WriteIntent::Overwrite`] miss.
     undo: Option<Box<[u8]>>,
 }
 
@@ -599,57 +583,19 @@ impl FrameWrite<'_> {
 }
 
 impl PageWrite<'_> {
-    /// Mutable access to the page image being written. Taking the whole
-    /// page marks the write **untracked**: commit finds the changed bytes
-    /// itself, by comparing the page with its prior image, and logs them
-    /// as a delta when the writer left the store-reserved field
-    /// ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]) as it found it or
-    /// zeroed it — every page encoder does. A writer that puts its own
-    /// bytes there gets a full image (see [`PageWrite::commit`]). Callers
-    /// that know which few ranges they dirty can still use
-    /// [`PageWrite::write_at`] / [`PageWrite::tracked_mut`] and save the
-    /// comparison.
+    /// Mutable access to the page image being written. In a journaled
+    /// store the reserved field ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`])
+    /// is the store's: commit overwrites whatever the writer put there.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.untracked = true;
-        self.raw_mut()
-    }
-
-    fn raw_mut(&mut self) -> &mut [u8] {
         match self.inner.as_mut().expect("live guard") {
             WriteInner::Frame(fw) => &mut fw.guard,
             WriteInner::Owned(p) => p.bytes_mut(),
         }
     }
 
-    /// Mutable access to exactly `len` bytes at `off`, **recording the
-    /// range**: a commit whose every mutation went through this API can be
-    /// journaled as a coalesced delta record instead of a full page image.
-    ///
-    /// Tracked callers promise their page layout reserves
-    /// [`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`] for the store's
-    /// per-page LSN and checksum (heap pages do, in their header); a
-    /// tracked range must not overlap it.
-    pub fn tracked_mut(&mut self, off: usize, len: usize) -> &mut [u8] {
-        self.note_range(off, len);
-        &mut self.raw_mut()[off..off + len]
-    }
-
-    /// Writes `data` at `off` through the tracked-range API (see
-    /// [`PageWrite::tracked_mut`]).
+    /// Copies `data` into the page at `off`.
     pub fn write_at(&mut self, off: usize, data: &[u8]) {
-        self.tracked_mut(off, data.len()).copy_from_slice(data);
-    }
-
-    fn note_range(&mut self, off: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        debug_assert!(off + len <= self.len(), "tracked write past page end");
-        debug_assert!(
-            off + len <= PAGE_LSN_OFFSET || off >= PAGE_RESERVED_END,
-            "tracked write overlaps the reserved page header (LSN + CRC)"
-        );
-        self.ranges.push((off as u32, len as u32));
+        self.bytes_mut()[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Read access to the (in-progress) image.
@@ -673,21 +619,16 @@ impl PageWrite<'_> {
     /// Commits the new image: journal first (one WAL record, the commit
     /// point), then publish. On error the page is left unchanged.
     ///
-    /// The record, in a store whose journal speaks v2:
-    ///
-    /// * tracked writes log their coalesced ranges;
-    /// * an untracked write over a resident frame restores the reserved
-    ///   field from the prior image (so re-encoding a node keeps its page
-    ///   LSN) and logs the ranges where the two images differ;
-    /// * an untracked write over a freshly claimed frame has no prior
-    ///   image and logs a v2 base;
-    /// * an untracked write that put its own bytes into the reserved field
-    ///   logs a v1 image, which can anchor no delta.
-    ///
-    /// Ranges become a delta record when the gates in
-    /// `PageStore::log_page_write` pass (fresh base in this checkpoint
-    /// epoch, at most half a page), else a v2 base. Without a pool frame
-    /// (the bypass) every write logs a v1 image.
+    /// In a journaled store the record is chosen one way, by
+    /// `PageStore::log_page_write`: commit restores the reserved field from
+    /// the image the write started from (or zeroes it when there is none),
+    /// then logs the bytes that differ from that image as a v2 delta. It
+    /// logs a v2 base instead when there is no prior image (an
+    /// [`WriteIntent::Overwrite`] miss, or the bypass when no pool frame
+    /// can be had), when the page has no base in this checkpoint epoch, or
+    /// when the delta would outgrow half a page. Either record's LSN is
+    /// stamped into the page. A store without a journal logs and compares
+    /// nothing.
     pub fn commit(self) -> Result<()> {
         StoreStats::bump(&self.store.stats.puts);
         self.publish()
@@ -697,42 +638,17 @@ impl PageWrite<'_> {
         let (store, pid) = (self.store, self.pid);
         match self.inner.take().expect("live guard") {
             WriteInner::Frame(mut fw) => {
-                // Under the frame latch, before the slot latch.
-                let diffed;
-                let edit = if !self.untracked {
-                    Edit::Ranges(&self.ranges)
-                } else if !store.speaks_v2() {
-                    Edit::Image
-                } else {
-                    let reserved = &fw.guard[RESERVED];
-                    let zeroed = reserved.iter().all(|&b| b == 0);
-                    match &fw.undo {
-                        Some(undo) if zeroed || reserved == &undo[RESERVED] => {
-                            fw.guard[RESERVED].copy_from_slice(&undo[RESERVED]);
-                            diffed = diff_ranges(undo, &fw.guard);
-                            Edit::Ranges(&diffed)
-                        }
-                        None if zeroed => Edit::Base,
-                        _ => Edit::Image,
-                    }
-                };
                 let logged = {
                     let allocated = self.slot.latch();
                     if !*allocated {
                         Err(StoreError::PageFreed(pid))
                     } else {
-                        store.log_page_write(pid, self.slot, &fw.guard, edit)
+                        store.log_page_write(pid, self.slot, fw.undo.as_deref(), &mut fw.guard)
                     }
                 };
-                let lsn = match logged {
-                    Ok(lsn) => lsn,
-                    Err(e) => {
-                        fw.rollback(store, pid);
-                        return Err(e);
-                    }
-                };
-                if let Some(lsn) = lsn {
-                    set_page_lsn(&mut fw.guard, lsn);
+                if let Err(e) = logged {
+                    fw.rollback(store, pid);
+                    return Err(e);
                 }
                 // Publishes a fresh frame inside the window; a resident one
                 // already says `pid`.
@@ -748,11 +664,9 @@ impl PageWrite<'_> {
             // A private buffer is not covered by a frame write latch, so
             // two same-page bypass writers can interleave — last-writer-
             // wins is only sound for whole images, never for merged delta
-            // chains: `write_bypass` logs a full image whatever was
-            // tracked. (Delta logging therefore needs the buffer pool;
-            // `pool_frames: 0` stores log full images only.)
-            WriteInner::Owned(page) => {
-                if store.write_bypass(pid, self.slot, page.bytes())? {
+            // chains: `write_bypass` logs a base, with no prior image.
+            WriteInner::Owned(mut page) => {
+                if store.write_bypass(pid, self.slot, page.bytes_mut())? {
                     return Ok(());
                 }
                 // A loader mapped the page since `write_page` found the
@@ -828,6 +742,9 @@ impl PageStore {
     ///
     /// A journal-less store keeps its pages in memory: it has no backend
     /// writes to hide and nothing that can rot, so it runs neither.
+    ///
+    /// A journaled store rejects page sizes its log cannot carry with
+    /// [`StoreError::Config`] (see [`StoreConfig::check_journaled`]).
     pub fn with_parts(
         cfg: StoreConfig,
         backend: Box<dyn PageBackend>,
@@ -839,6 +756,9 @@ impl PageStore {
             return Err(StoreError::Config(
                 "backend page size disagrees with config",
             ));
+        }
+        if journal.is_some() {
+            cfg.check_journaled()?;
         }
         backend.grow(allocated.len())?;
         let slots = SlotTable::new();
@@ -1271,97 +1191,70 @@ impl PageStore {
             .store(tag, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Whether committed writes can log v2 records (bases and deltas): the
-    /// journal speaks v2, and the page size fits the delta encoding —
-    /// offsets are u16 and the page needs room for its LSN field, so very
-    /// small and very large pages stay on v1.
-    fn speaks_v2(&self) -> bool {
-        self.journal.as_ref().is_some_and(|j| j.supports_deltas())
-            && self.cfg.page_size <= 1 << 16
-            && self.cfg.page_size >= PAGE_LSN_OFFSET + PAGE_LSN_LEN
-    }
-
-    /// Journals one committed page write — the heart of the delta-record
-    /// path. Caller holds the frame's write latch and the slot's
-    /// `allocated` latch; `bytes` is the post-write image.
+    /// Journals one committed page write and stamps the record's LSN into
+    /// `new` — the one place a page write picks its WAL record. Caller
+    /// holds the frame's write latch (or owns the bypass copy) and the
+    /// slot's `allocated` latch; `prior` is the image the write started
+    /// from, `None` when there is none.
     ///
-    /// Changed ranges ([`Edit::Ranges`]) are logged as a coalesced v2
-    /// **delta record** when every gate passes:
+    /// The reserved field ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]) is
+    /// the store's: it is restored from `prior`, or zeroed, before anything
+    /// is logged. The write then logs the bytes that differ from `prior` as
+    /// a v2 **delta record** when every gate passes:
     ///
-    /// * the journal speaks v2 ([`PageStore::speaks_v2`]);
+    /// * there is a prior image to compare with;
     /// * the page has a base record in the current checkpoint epoch
     ///   (first touch after a checkpoint or open logs a full image, which
     ///   bounds recovery and repairs torn page-file writes);
     /// * the encoded delta stays under half a page (beyond that the full
     ///   image is cheaper to replay and barely bigger to log).
     ///
-    /// Otherwise they log a v2 base, as [`Edit::Base`] does; [`Edit::Image`]
-    /// (and anything on a v1 journal) logs a v1 image.
-    ///
-    /// Returns the LSN to stamp into the page's [`PAGE_LSN_OFFSET`] field
-    /// (`None` for v1 records, which carry no page LSN).
+    /// Otherwise it logs a v2 base. Without a journal it does nothing.
     fn log_page_write(
         &self,
         pid: PageId,
         slot: &Slot,
-        bytes: &[u8],
-        edit: Edit<'_>,
-    ) -> Result<Option<u64>> {
+        prior: Option<&[u8]>,
+        new: &mut [u8],
+    ) -> Result<()> {
         let Some(j) = &self.journal else {
-            return Ok(None);
+            return Ok(());
         };
-        let lsn = match edit {
-            Edit::Ranges(_) | Edit::Base if self.speaks_v2() => {
-                let epoch_now = self.epoch.load(std::sync::atomic::Ordering::Acquire);
-                let delta = match edit {
-                    Edit::Ranges(ranges) => {
-                        let coalesced = coalesce_ranges(ranges);
-                        let encoded: usize =
-                            15 + coalesced.iter().map(|&(_, len)| 4 + len).sum::<usize>();
-                        let fresh_base =
-                            slot.base_epoch.load(std::sync::atomic::Ordering::Relaxed) == epoch_now;
-                        if !fresh_base {
-                            StoreStats::bump(&self.stats.wal_delta_fallback_first_touch);
-                            None
-                        } else if encoded > self.cfg.page_size / 2 {
-                            StoreStats::bump(&self.stats.wal_delta_fallback_large);
-                            None
-                        } else {
-                            Some(coalesced)
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some(coalesced) = delta {
-                    let slices: Vec<(u16, &[u8])> = coalesced
-                        .iter()
-                        .map(|&(off, len)| (off as u16, &bytes[off..off + len]))
-                        .collect();
-                    let lsn = j.log_put_delta(pid, page_lsn(bytes), &slices)?;
-                    StoreStats::bump(&self.stats.wal_put_deltas);
-                    Some(lsn)
-                } else {
-                    let lsn = j.log_put_base(pid, bytes)?;
-                    StoreStats::bump(&self.stats.wal_put_full_images);
-                    self.note_base(slot, epoch_now);
-                    Some(lsn)
-                }
+        match prior {
+            Some(prior) => new[RESERVED].copy_from_slice(&prior[RESERVED]),
+            None => new[RESERVED].fill(0),
+        }
+        let epoch_now = self.epoch.load(Ordering::Acquire);
+        let delta = prior.and_then(|prior| {
+            if slot.base_epoch.load(Ordering::Relaxed) != epoch_now {
+                StoreStats::bump(&self.stats.wal_delta_fallback_first_touch);
+                return None;
             }
-            _ => {
-                j.log_put(pid, bytes)?;
-                StoreStats::bump(&self.stats.wal_put_full_images);
-                // A v1 image is replayed verbatim — including whatever the
-                // caller's bytes put in the reserved LSN field, which for
-                // an arbitrary page is garbage the delta gate must never
-                // trust. Drop the base: the next write re-bases with a v2
-                // record that stamps the field properly.
-                slot.base_epoch
-                    .store(0, std::sync::atomic::Ordering::Relaxed);
-                None
+            let ranges = diff_ranges(prior, new);
+            let encoded: usize = 15 + ranges.iter().map(|&(_, len)| 4 + len).sum::<usize>();
+            if encoded > self.cfg.page_size / 2 {
+                StoreStats::bump(&self.stats.wal_delta_fallback_large);
+                return None;
             }
+            Some(ranges)
+        });
+        let lsn = if let Some(ranges) = delta {
+            let slices: Vec<(u16, &[u8])> = ranges
+                .iter()
+                .map(|&(off, len)| (off as u16, &new[off..off + len]))
+                .collect();
+            let lsn = j.log_put_delta(pid, page_lsn(new), &slices)?;
+            StoreStats::bump(&self.stats.wal_put_deltas);
+            lsn
+        } else {
+            let lsn = j.log_put_base(pid, new)?;
+            StoreStats::bump(&self.stats.wal_put_full_images);
+            self.note_base(slot, epoch_now);
+            lsn
         };
         StoreStats::bump(&self.stats.wal_records);
-        Ok(lsn)
+        set_page_lsn(new, lsn);
+        Ok(())
     }
 
     /// Allocates a zeroed page and returns its id. With a journal attached
@@ -1740,9 +1633,9 @@ impl PageStore {
 
     /// §2.2 `put(A, x)`: overwrites the page with the buffer's contents —
     /// [`PageStore::write_page`] with [`WriteIntent::Overwrite`], a copy,
-    /// and a commit. With a journal attached the full page image is logged
-    /// (and committed per the fsync policy) before anything becomes
-    /// visible — write-ahead order. The new image lands in the page's
+    /// and a commit. With a journal attached the commit's record (a delta
+    /// against a resident frame, else a base; see [`PageWrite::commit`])
+    /// is logged before anything becomes visible — write-ahead order. The new image lands in the page's
     /// frame (write-back); it reaches the backend on eviction or
     /// [`PageStore::sync`].
     pub fn put(&self, pid: PageId, page: &Page) -> Result<()> {
@@ -1757,11 +1650,12 @@ impl PageStore {
         w.commit()
     }
 
-    /// The bypass writer: logs a full image and writes it straight to the
-    /// backend, all under the slot latch. Returns `Ok(false)` when a
-    /// racing loader mapped the page (the caller must write through the
-    /// frame so readers of the frame see the new image).
-    fn write_bypass(&self, pid: PageId, slot: &Slot, data: &[u8]) -> Result<bool> {
+    /// The bypass writer: logs a base (stamping its LSN into `data`) and
+    /// writes the image straight to the backend, all under the slot latch.
+    /// Returns `Ok(false)` when a racing loader mapped the page (the caller
+    /// must write through the frame so readers of the frame see the new
+    /// image); `data` is then untouched.
+    fn write_bypass(&self, pid: PageId, slot: &Slot, data: &mut [u8]) -> Result<bool> {
         let allocated = slot.latch();
         if !*allocated {
             return Err(StoreError::PageFreed(pid));
@@ -1769,7 +1663,7 @@ impl PageStore {
         if self.pool.is_mapped(pid) {
             return Ok(false);
         }
-        self.log_page_write(pid, slot, data, Edit::Image)?;
+        self.log_page_write(pid, slot, None, data)?;
         self.simulate_io();
         self.backend_write_page(pid, data)?;
         StoreStats::bump(&self.stats.pool_bypasses);
@@ -1793,15 +1687,15 @@ impl PageStore {
                 latch: Latch::Exclusive(mut guard),
                 fresh,
             } => {
-                // A resident frame is mutated in place, so rollback (and an
-                // untracked commit's diff) needs its prior image; a fresh
-                // one arrives loaded or zeroed.
-                let mut undo = None;
-                if fresh.is_none() {
-                    undo = Some(guard.to_vec().into_boxed_slice());
-                    if overwrite {
-                        guard.fill(0);
-                    }
+                // A resident frame is mutated in place, so rollback needs
+                // its prior image, and so does a journaled commit's diff —
+                // which an `Update` miss takes from the image it just
+                // loaded. An `Overwrite` miss arrives zeroed, with none.
+                let resident = fresh.is_none();
+                let undo = (resident || (self.journal.is_some() && !overwrite))
+                    .then(|| guard.to_vec().into_boxed_slice());
+                if resident && overwrite {
+                    guard.fill(0);
                 }
                 WriteInner::Frame(FrameWrite {
                     frame,
@@ -1817,10 +1711,6 @@ impl PageStore {
             store: self,
             pid,
             slot,
-            ranges: Vec::new(),
-            // Overwrite pre-zeroed every byte outside the tracker, so the
-            // ranges cannot say what changed: commit compares images.
-            untracked: overwrite,
             inner: Some(inner),
         })
     }
@@ -2717,6 +2607,7 @@ mod journal_tests {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// Records calls; can be switched to failing to model a dead journal.
+    /// `puts` counts page writes, bases and deltas alike.
     #[derive(Debug, Default)]
     struct MockJournal {
         allocs: AtomicU64,
@@ -2746,10 +2637,18 @@ mod journal_tests {
             self.frees.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
-        fn log_put(&self, _pid: PageId, _data: &[u8]) -> Result<()> {
+        fn log_put_base(&self, _pid: PageId, _data: &[u8]) -> Result<u64> {
             self.check()?;
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            Ok(())
+            Ok(self.puts.fetch_add(1, Ordering::Relaxed) + 1)
+        }
+        fn log_put_delta(
+            &self,
+            _pid: PageId,
+            _page_lsn: u64,
+            _ranges: &[crate::journal::DeltaRange<'_>],
+        ) -> Result<u64> {
+            self.check()?;
+            Ok(self.puts.fetch_add(1, Ordering::Relaxed) + 1)
         }
         fn sync(&self) -> Result<()> {
             self.check()
@@ -2796,18 +2695,20 @@ mod journal_tests {
         w.bytes_mut().fill(6);
         drop(w);
         assert_eq!(j.puts.load(Ordering::Relaxed), 1);
-        assert!(store.get(a).unwrap().bytes().iter().all(|&b| b == 5));
+        // Outside the store's reserved field, which holds the LSN.
+        let page = store.get(a).unwrap();
+        assert!(page.bytes()[..RESERVED.start].iter().all(|&b| b == 5));
+        assert!(page.bytes()[RESERVED.end..].iter().all(|&b| b == 5));
     }
 
     /// One recorded delta append: (pid, page_lsn, ranges).
     type LoggedDelta = (u32, u64, Vec<(u16, Vec<u8>)>);
 
-    /// v2-capable mock: records every delta append (pid, page_lsn, ranges)
+    /// Records every delta append (pid, page_lsn, ranges), counts bases,
     /// and hands out increasing LSNs.
     #[derive(Debug, Default)]
     struct DeltaMockJournal {
         next_lsn: AtomicU64,
-        puts_v1: AtomicU64,
         bases: AtomicU64,
         deltas: Mutex<Vec<LoggedDelta>>,
     }
@@ -2820,14 +2721,6 @@ mod journal_tests {
         fn log_free(&self, _pid: PageId) -> Result<()> {
             self.next_lsn.fetch_add(1, Ordering::Relaxed);
             Ok(())
-        }
-        fn log_put(&self, _pid: PageId, _data: &[u8]) -> Result<()> {
-            self.next_lsn.fetch_add(1, Ordering::Relaxed);
-            self.puts_v1.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-        fn supports_deltas(&self) -> bool {
-            true
         }
         fn log_put_base(&self, _pid: PageId, _data: &[u8]) -> Result<u64> {
             self.bases.fetch_add(1, Ordering::Relaxed);
@@ -2870,11 +2763,11 @@ mod journal_tests {
         let a = store.alloc().unwrap(); // alloc is this epoch's base
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.write_at(40, &[1, 2, 3, 4]);
-        w.write_at(46, &[9; 2]); // gap of 2 -> coalesces with the first
+        w.write_at(46, &[9; 2]); // the same word as the first
         w.write_at(200, &[7; 8]);
         w.commit().unwrap();
         let deltas = j.deltas.lock();
-        assert_eq!(deltas.len(), 1, "one tracked commit, one delta record");
+        assert_eq!(deltas.len(), 1, "one commit, one delta record");
         let (pid, page_lsn, ranges) = &deltas[0];
         assert_eq!(*pid, a.to_raw());
         assert_eq!(*page_lsn, 0, "fresh page had no LSN yet");
@@ -2884,7 +2777,7 @@ mod journal_tests {
                 .map(|(o, b)| (*o, b.len()))
                 .collect::<Vec<_>>(),
             vec![(40, 8), (200, 8)],
-            "adjacent ranges coalesce; distant ones stay separate"
+            "changed words share a range; distant ones stay separate"
         );
         assert_eq!(&ranges[0].1[..4], &[1, 2, 3, 4]);
         drop(deltas);
@@ -2908,7 +2801,7 @@ mod journal_tests {
         w.write_at(40, &[1; 4]);
         w.commit().unwrap();
         assert_eq!(j.deltas.lock().len(), 1);
-        // Checkpoint: the next tracked write must re-base.
+        // Checkpoint: the next write must re-base.
         store.advance_checkpoint_epoch();
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.write_at(40, &[2; 4]);
@@ -2927,15 +2820,16 @@ mod journal_tests {
     #[test]
     fn large_tracked_writes_fall_back_to_full_images() {
         let (store, j) = delta_journaled(256);
-        let a = store.alloc().unwrap(); // base via alloc
-                                        // A tracked write dirtying most of the page: full-image fallback.
+        // The alloc is the page's base; a write changing most of the page
+        // falls back to a full image.
+        let a = store.alloc().unwrap();
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.write_at(24, &[6; 200]);
         w.commit().unwrap();
         assert!(j.deltas.lock().is_empty());
         assert_eq!(j.bases.load(Ordering::Relaxed), 1);
         assert_eq!(store.stats().snapshot().wal_delta_fallback_large, 1);
-        // A small tracked write now rides on that base as a delta.
+        // A small write now rides on that base as a delta.
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.write_at(24, &[7; 4]);
         w.commit().unwrap();
@@ -2944,24 +2838,32 @@ mod journal_tests {
 
     #[test]
     fn untracked_images_cannot_anchor_deltas() {
-        // A v1 full image replays verbatim — its bytes at the reserved
-        // LSN offset are caller data, not an LSN — so the write after it
-        // must re-base with a v2 record before deltas resume.
+        // A writer's bytes in the reserved field never reach the log or
+        // the page: the field is the store's, so a whole-page write of
+        // caller bytes still logs a v2 base with the field zeroed and
+        // stamps its LSN, and deltas continue on it.
         let (store, j) = delta_journaled(256);
         let a = store.alloc().unwrap();
         let mut w = store.write_page(a, WriteIntent::Overwrite).unwrap();
-        w.bytes_mut().fill(5); // puts 0x0505.. in the LSN field
+        w.bytes_mut().fill(5); // puts 0x0505.. in the LSN and CRC field
         w.commit().unwrap();
-        assert_eq!(j.puts_v1.load(Ordering::Relaxed), 1);
+        assert_eq!(j.bases.load(Ordering::Relaxed), 1);
+        let base_lsn = page_lsn_of(&store.read(a).unwrap());
+        assert_eq!(base_lsn, j.next_lsn.load(Ordering::Relaxed));
+        assert_eq!(
+            store.read(a).unwrap()[RESERVED.end - 4..RESERVED.end],
+            [0; 4]
+        );
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.write_at(40, &[6; 4]);
         w.commit().unwrap();
-        assert!(j.deltas.lock().is_empty(), "no delta on a garbage field");
-        assert_eq!(j.bases.load(Ordering::Relaxed), 1);
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.write_at(40, &[7; 4]);
         w.commit().unwrap();
-        assert_eq!(j.deltas.lock().len(), 1, "deltas resume on the v2 base");
+        let deltas = j.deltas.lock();
+        assert_eq!(deltas.len(), 2, "deltas continue on the base");
+        assert_eq!(deltas[0].1, base_lsn, "the delta chains on the stamped LSN");
+        assert_eq!(j.bases.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -2975,7 +2877,6 @@ mod journal_tests {
         w.bytes_mut()[24..].fill(2);
         w.commit().unwrap();
         assert_eq!(j.bases.load(Ordering::Relaxed), 1);
-        assert_eq!(j.puts_v1.load(Ordering::Relaxed), 0);
         let base_lsn = page_lsn_of(&store.read(a).unwrap());
         assert!(base_lsn > 0);
         // A re-encode of the resident frame (reserved field zero) logs
@@ -2990,22 +2891,47 @@ mod journal_tests {
             assert_eq!(deltas.len(), 1);
             let (_, page_lsn, ranges) = &deltas[0];
             assert_eq!(*page_lsn, base_lsn, "the prior LSN survived the re-encode");
-            assert_eq!(ranges, &vec![(96u16, vec![2, 2, 2, 2, 9, 2, 2, 2])]);
+            assert_eq!(ranges, &vec![(100u16, vec![9])]);
         }
         assert!(page_lsn_of(&store.read(a).unwrap()) > base_lsn);
         // An update that leaves the field as it was diffs the same way.
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.bytes_mut()[8] = 3;
         w.commit().unwrap();
-        assert_eq!(j.deltas.lock()[1].2, vec![(8u16, vec![3, 1, 1, 1])]);
-        // Caller bytes in the field: a v1 image.
+        assert_eq!(j.deltas.lock()[1].2, vec![(8u16, vec![3])]);
+        // Caller bytes in the field do not survive: the commit restores
+        // it, finds nothing else changed and logs an empty delta, whose
+        // LSN is what the field then holds.
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.bytes_mut()[13] ^= 0xFF;
         w.commit().unwrap();
-        assert_eq!(j.puts_v1.load(Ordering::Relaxed), 1);
-        assert_eq!(j.deltas.lock().len(), 2);
+        assert_eq!(j.deltas.lock()[2].2, vec![]);
+        let last_lsn = j.next_lsn.load(Ordering::Relaxed);
+        assert_eq!(page_lsn_of(&store.read(a).unwrap()), last_lsn);
         let snap = store.stats().snapshot();
-        assert_eq!((snap.wal_put_deltas, snap.wal_put_full_images), (2, 2));
+        assert_eq!((snap.wal_put_deltas, snap.wal_put_full_images), (3, 1));
+    }
+
+    #[test]
+    fn journaled_stores_reject_page_sizes_the_log_cannot_carry() {
+        let build = |page_size: usize, journal: Option<Arc<dyn Journal>>| {
+            PageStore::with_parts(
+                StoreConfig::with_page_size(page_size),
+                Box::new(crate::backend::MemBackend::new(page_size)),
+                journal,
+                Arc::new(StoreStats::default()),
+                &[],
+            )
+        };
+        for page_size in [16, 128 << 10] {
+            let j = Arc::new(MockJournal::default()) as Arc<dyn Journal>;
+            assert!(matches!(
+                build(page_size, Some(j)),
+                Err(StoreError::Config(_))
+            ));
+            // Without a journal nothing is logged or stamped.
+            assert!(build(page_size, None).is_ok());
+        }
     }
 
     #[test]
@@ -3048,8 +2974,11 @@ mod diff_tests {
         let ranges = diff_ranges(old, new);
         let mut prev_end = 0usize;
         for (i, &(off, len)) in ranges.iter().enumerate() {
-            let (off, len) = (off as usize, len as usize);
             assert!(len > 0, "empty range {i}");
+            assert!(
+                old[off] != new[off] && old[off + len - 1] != new[off + len - 1],
+                "range {off}+{len} does not start and end on a changed byte"
+            );
             assert!(i == 0 || off > prev_end, "ranges unsorted or touching");
             assert!(off + len <= new.len(), "range past the page end");
             assert!(
@@ -3060,7 +2989,6 @@ mod diff_tests {
         }
         let mut patched = old.to_vec();
         for &(off, len) in &ranges {
-            let (off, len) = (off as usize, len as usize);
             patched[off..off + len].copy_from_slice(&new[off..off + len]);
         }
         patched[RESERVED].copy_from_slice(&new[RESERVED]);
@@ -3105,20 +3033,26 @@ mod diff_tests {
         assert!(diff_ranges(&old, &new).is_empty());
         // Bytes 8..12 share a word with the LSN field: the range stops at 12.
         new[9] = 1;
-        assert_eq!(diff_ranges(&old, &new), vec![(8, 4)]);
+        new[11] = 1;
+        assert_eq!(diff_ranges(&old, &new), vec![(9, 3)]);
         // First byte after the reserved field, and the last page byte.
         new[24] = 2;
         new[4095] = 3;
-        assert_eq!(diff_ranges(&old, &new), vec![(8, 4), (24, 8), (4088, 8)]);
+        assert_eq!(diff_ranges(&old, &new), vec![(9, 3), (24, 1), (4095, 1)]);
         check(&old, &new);
-        // Adjacent changed words merge into one range.
+        // Changed words merge into one range when at most `MERGE_GAP`
+        // bytes apart; farther ones stay apart.
         let mut new = old.clone();
         new[100..140].fill(7);
-        assert_eq!(diff_ranges(&old, &new), vec![(96, 48)]);
+        assert_eq!(diff_ranges(&old, &new), vec![(100, 40)]);
+        new[160] = 7;
+        assert_eq!(diff_ranges(&old, &new), vec![(100, 61)]);
+        new[200] = 7;
+        assert_eq!(diff_ranges(&old, &new), vec![(100, 61), (200, 1)]);
         // A page that is not a multiple of 8 (tail word of 4 bytes).
         let (a, mut b) = (vec![1u8; 60], vec![1u8; 60]);
         b[58] = 0;
-        assert_eq!(diff_ranges(&a, &b), vec![(56, 4)]);
+        assert_eq!(diff_ranges(&a, &b), vec![(58, 1)]);
         check(&a, &b);
     }
 
@@ -3136,7 +3070,7 @@ mod diff_tests {
         new[4] ^= 1;
         new[RESERVED].fill(0); // a re-encode leaves the field zero
         let ranges = diff_ranges(&old, &new);
-        let logged: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
+        let logged: usize = ranges.iter().map(|&(_, len)| len).sum();
         assert!(logged <= 8 + (end + 8 - at), "logged {logged} bytes");
         check(&old, &new);
     }

@@ -17,8 +17,8 @@
 use blink_baselines::ConcurrentIndex;
 use blink_harness::runner::{run_workload, RunConfig};
 use blink_pagestore::{
-    Journal, MemBackend, Page, PageBackend, PageId, PageStore, Result, StoreConfig, StoreStats,
-    WriteIntent,
+    DeltaRange, Journal, MemBackend, Page, PageBackend, PageId, PageStore, Result, StoreConfig,
+    StoreStats, WriteIntent,
 };
 use blink_workload::{KeyDist, Mix};
 use parking_lot::Mutex;
@@ -196,8 +196,12 @@ struct WalOrderProbe {
 }
 
 impl WalOrderProbe {
-    fn note_log(&self, pid: PageId) {
-        *self.logged.lock().entry(pid.to_raw()).or_insert(0) += 1;
+    /// Counts a record for `pid`; returns the records logged so far, which
+    /// serves as the record's LSN.
+    fn note_log(&self, pid: PageId) -> u64 {
+        let mut logged = self.logged.lock();
+        *logged.entry(pid.to_raw()).or_insert(0) += 1;
+        logged.values().sum()
     }
 
     fn note_backend_write(&self, index: usize) {
@@ -226,9 +230,11 @@ impl Journal for ProbedJournal {
     fn log_free(&self, _pid: PageId) -> Result<()> {
         Ok(())
     }
-    fn log_put(&self, pid: PageId, _data: &[u8]) -> Result<()> {
-        self.0.note_log(pid);
-        Ok(())
+    fn log_put_base(&self, pid: PageId, _data: &[u8]) -> Result<u64> {
+        Ok(self.0.note_log(pid))
+    }
+    fn log_put_delta(&self, pid: PageId, _lsn: u64, _ranges: &[DeltaRange<'_>]) -> Result<u64> {
+        Ok(self.0.note_log(pid))
     }
     fn sync(&self) -> Result<()> {
         Ok(())

@@ -1,15 +1,16 @@
-//! Property test for the PR 5 delta-WAL pipeline: **tracked-range writes →
-//! delta coalescing → crash → LSN-gated replay** must reproduce the exact
-//! page image, byte for byte.
+//! Property test for the delta WAL: **page writes → diff against the prior
+//! image → crash → LSN-gated replay** must reproduce the exact page image,
+//! byte for byte.
 //!
 //! Each case drives a random interleaving of
 //!
-//! * tracked multi-range commits (the delta path, with coalescing),
-//! * untracked full-image puts (v1 records, which reset the delta base),
-//! * untracked whole-page rewrites that leave the reserved field zero, on
-//!   a resident frame (the store diffs them into a delta) and on a freshly
-//!   claimed one (a v2 base), and one that writes caller bytes into the
-//!   reserved field (a v1 image),
+//! * multi-range field writes (`write_at`; the commit diffs them into a
+//!   delta),
+//! * whole-page puts of caller bytes, reserved field included (a delta or
+//!   a base; the store keeps the field),
+//! * whole-page rewrites that leave the reserved field zero, on a resident
+//!   frame (a delta) and on a freshly claimed one (a v2 base), and one
+//!   that writes caller bytes into the reserved field (a delta again),
 //! * `sync` (flushes frames, so the page file holds a *newer* prefix than
 //!   the unflushed tail — the state the per-page LSN gate exists for), and
 //! * `checkpoint` (epoch rotation: forces a re-base and truncates the log)
@@ -17,7 +18,9 @@
 //! against a plain `Vec<u8>` model, then drops the store *without* a final
 //! flush (the crash) and reopens it. Recovery replays whatever mix of
 //! bases and deltas the case produced; the page must equal the model
-//! everywhere outside the store-reserved region (LSN + CRC).
+//! everywhere outside the store-reserved region (LSN + CRC). Every case
+//! runs with two pool frames and with none; without frames every write is
+//! a bypass that logs a base.
 
 use proptest::prelude::*;
 use sagiv_blink_repro::durable::{DurableConfig, DurableStore, FsyncPolicy};
@@ -40,14 +43,15 @@ fn tmpdir() -> PathBuf {
     dir
 }
 
-fn cfg(dir: &PathBuf) -> DurableConfig {
+/// Two frames over two pages: write-backs happen on sync only, which is
+/// exactly the flushed-prefix state the gate must handle. No frames: every
+/// write goes straight to the page file.
+fn cfg(dir: &PathBuf, pool_frames: usize) -> DurableConfig {
     DurableConfig {
         page_size: PAGE,
         fsync: FsyncPolicy::Never,
         segment_bytes: 32 << 10,
-        // Two frames over two pages: write-backs happen on sync only,
-        // which is exactly the flushed-prefix state the gate must handle.
-        pool_frames: 2,
+        pool_frames,
         ..DurableConfig::new(dir)
     }
 }
@@ -55,9 +59,9 @@ fn cfg(dir: &PathBuf) -> DurableConfig {
 /// One scripted step against one page.
 #[derive(Debug, Clone)]
 enum Op {
-    /// One tracked commit of up to three (off, len, fill) ranges.
+    /// One commit of up to three (off, len, fill) `write_at` ranges.
     Tracked(Vec<(usize, usize, u8)>),
-    /// Untracked full-image put (v1 record; fills with a pattern).
+    /// `PageStore::put` of a pattern over the whole page.
     Full(u8),
     /// `bytes_mut` re-encode of the resident frame, reserved field zero.
     Rewrite(u8),
@@ -71,8 +75,8 @@ enum Op {
     Checkpoint,
 }
 
-/// A range that avoids the store-reserved region (LSN + CRC; tracked
-/// callers promise that — the heap reserves it in its header).
+/// A range that avoids the store-reserved region (LSN + CRC; the heap
+/// keeps it in its header and never writes it).
 fn range_strategy() -> impl Strategy<Value = (usize, usize, u8)> {
     (0u64..u64::MAX).prop_map(|x| {
         let fill = (x >> 48) as u8;
@@ -103,15 +107,22 @@ fn encoded(seed: u8) -> Vec<u8> {
     p
 }
 
-/// Rewrites `pid` through `bytes_mut` with an encoder's image and checks
-/// that the commit logged a v2 record (which stamps the page LSN).
+/// Rewrites `pid` through `bytes_mut` with an encoder's image.
 fn rewrite(store: &PageStore, pid: PageId, model: &mut [u8], seed: u8) {
     let image = encoded(seed);
     let mut w = store.write_page(pid, WriteIntent::Overwrite).unwrap();
     w.bytes_mut().copy_from_slice(&image);
     w.commit().unwrap();
     model.copy_from_slice(&image);
-    assert!(page_lsn(&store.get(pid).unwrap()) > 0, "not a v2 record");
+}
+
+/// Checks that the store's last record was a v2 record for `pid`: the
+/// commit stamped that record's LSN into the page. A fresh store's LSNs
+/// count its records from 1.
+fn assert_v2(store: &PageStore, pid: PageId) {
+    let lsn = page_lsn(&store.get(pid).unwrap());
+    let last = store.stats().snapshot().wal_records;
+    assert_eq!(lsn, last, "the page does not hold its commit's LSN");
 }
 
 /// Reads spare pages until two in a row missed: with two frames, those two
@@ -127,12 +138,12 @@ fn evict_all_but_spares(store: &PageStore, spares: &[PageId]) {
     }
 }
 
-fn run_case(ops: &[Op]) {
+fn run_case(ops: &[Op], pool_frames: usize) {
     let dir = tmpdir();
     let mut model = vec![0u8; PAGE];
     let pid;
     {
-        let ds = DurableStore::create(cfg(&dir)).unwrap();
+        let ds = DurableStore::create(cfg(&dir, pool_frames)).unwrap();
         let store = ds.store();
         pid = store.alloc().unwrap();
         // A second page keeps the 2-frame pool honest (evictions possible).
@@ -155,14 +166,23 @@ fn run_case(ops: &[Op]) {
                     }
                     store.put(pid, &p).unwrap();
                     model.copy_from_slice(p.bytes());
+                    assert_v2(store, pid);
                 }
-                Op::Rewrite(seed) => rewrite(store, pid, &mut model, *seed),
+                Op::Rewrite(seed) => {
+                    rewrite(store, pid, &mut model, *seed);
+                    assert_v2(store, pid);
+                }
                 Op::RewriteFresh(seed) => {
                     evict_all_but_spares(store, &spares);
                     let misses = store.stats().snapshot().cache_misses;
                     rewrite(store, pid, &mut model, *seed);
-                    // The write claimed the frame; only the check's read hit.
-                    assert_eq!(store.stats().snapshot().cache_misses, misses);
+                    // The write claimed the frame, without a read. With no
+                    // frames there is nothing to claim: the check's read
+                    // below misses too.
+                    if pool_frames > 0 {
+                        assert_eq!(store.stats().snapshot().cache_misses, misses);
+                    }
+                    assert_v2(store, pid);
                 }
                 Op::RewriteReserved(seed) => {
                     let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
@@ -171,6 +191,7 @@ fn run_case(ops: &[Op]) {
                     }
                     model.copy_from_slice(w.bytes());
                     w.commit().unwrap();
+                    assert_v2(store, pid);
                 }
                 Op::Sync => ds.sync().unwrap(),
                 Op::Checkpoint => ds.checkpoint().unwrap(),
@@ -182,14 +203,18 @@ fn run_case(ops: &[Op]) {
                 w.commit().unwrap();
             }
         }
+        if pool_frames == 0 {
+            let s = store.stats().snapshot();
+            assert_eq!(s.wal_put_deltas, 0, "a bypass write logged a delta");
+        }
         // Crash: drop without sync — dirty frames never reach pages.db.
     }
-    let ds = DurableStore::open(cfg(&dir)).unwrap();
+    let ds = DurableStore::open(cfg(&dir, pool_frames)).unwrap();
     let got = ds.store().get(pid).unwrap();
     let mask = |b: &[u8]| {
         let mut v = b.to_vec();
-        // The store owns LSN + CRC; full-image puts of arbitrary bytes get
-        // the CRC re-stamped at write-back, so the region is masked out.
+        // The store owns LSN + CRC and keeps neither from a writer's
+        // bytes, so the region is masked out.
         v[PAGE_LSN_OFFSET..PAGE_RESERVED_END].fill(0);
         v
     };
@@ -209,7 +234,14 @@ proptest! {
     fn delta_coalescing_then_replay_reproduces_the_exact_page_image(
         ops in proptest::collection::vec(op_strategy(), 1..40)
     ) {
-        run_case(&ops);
+        run_case(&ops, 2);
+    }
+
+    #[test]
+    fn with_no_pool_frames_every_write_logs_a_base_that_replays_exactly(
+        ops in proptest::collection::vec(op_strategy(), 1..40)
+    ) {
+        run_case(&ops, 0);
     }
 }
 
@@ -228,5 +260,5 @@ fn flushed_prefix_then_unflushed_deltas_recover_exactly() {
         Op::Full(0x77),
         Op::Tracked(vec![(200, 16, 0x66)]),
     ];
-    run_case(&ops);
+    run_case(&ops, 2);
 }
