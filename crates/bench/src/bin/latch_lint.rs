@@ -48,6 +48,7 @@ fn self_test() -> ExitCode {
         ),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", ".log_put_base("),
+        ("wrapper-only", ".log_put_edits("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
         ("wrapper-only", "allocated_pages("),

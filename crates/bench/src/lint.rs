@@ -127,15 +127,22 @@ const WRAPPER_RULES: &[WrapperRule] = &[
                       write_bypass (no frame)",
     },
     // One way to log a page write: only `log_page_write` picks and appends
-    // the record (a base or a delta against the prior image).
+    // the record (a base, or the edits against the prior image).
     WrapperRule {
         file: "store.rs",
-        needles: &[".log_put(", ".log_put_base(", ".log_put_delta("],
-        // …plus the durable store's tests that forge a crashed log's tail.
+        needles: &[
+            ".log_put(",
+            ".log_put_base(",
+            ".log_put_delta(",
+            ".log_put_edits(",
+        ],
+        // …plus the durable store's tests that forge a crashed log's tail
+        // or an older build's log.
         allowed_fns: &[
             "log_page_write",
             "delta_replay_gates_on_the_page_lsn",
             "crashed_mixed_log",
+            "a_v2_log_continued_in_v3_segments_replays",
         ],
         use_instead: "PageStore::log_page_write (the one page-write record)",
     },
@@ -151,7 +158,7 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["lock_recycle"],
         use_instead: "RecordHeap::lock_recycle (HeapRecycle)",
     },
-    // One whole-store pass over the heap: `attach` and `live_records` both
+    // One whole-store pass over the heap: `survey` and `live_records` both
     // ride `sweep`, so a second pass re-reading every page cannot return.
     WrapperRule {
         file: "heap.rs",

@@ -47,6 +47,7 @@ fn fixture_trips_every_rule() {
         ),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", ".log_put_base("),
+        ("wrapper-only", ".log_put_edits("),
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
         ("wrapper-only", "allocated_pages("),

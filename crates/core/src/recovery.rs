@@ -71,7 +71,10 @@ impl BLinkTree {
     /// Opens a tree, repairing it if the shutdown was dirty.
     ///
     /// Fast path: a clean [`BLinkTree::open`] whose [`BLinkTree::verify`]
-    /// passes returns immediately. Otherwise the structural repair above
+    /// passes returns immediately. A node with more than `2k` pairs means
+    /// `cfg.k` is smaller than the `k` the tree was built with — no crash
+    /// leaves one — so that fails with [`TreeError::Config`] before the
+    /// repair writes anything. Otherwise the structural repair above
     /// runs; the result is re-verified before it is returned. Call on a
     /// quiesced store only (recovery is single-threaded by nature).
     pub fn open_or_recover(
@@ -94,6 +97,11 @@ impl BLinkTree {
     ) -> Result<(Arc<BLinkTree>, RecoveryStats)> {
         if let Ok(tree) = BLinkTree::open(Arc::clone(&store), cfg.clone(), prime_pid) {
             if let Ok(report) = tree.verify(false) {
+                if report.overfull_nodes > 0 {
+                    return Err(TreeError::Config(
+                        "nodes hold more than 2k pairs: reopen with the k the tree was built with",
+                    ));
+                }
                 if report.is_ok() {
                     let stats = RecoveryStats {
                         repaired: false,
@@ -428,6 +436,22 @@ mod tests {
         let (store, prime, cfg) = populated(4, 500);
         let (tree, st) = reopen(&store, &cfg, prime);
         assert!(!st.repaired);
+        assert_contents(&tree, 500);
+    }
+
+    #[test]
+    fn a_smaller_k_is_refused_before_the_repair_writes() {
+        let (store, prime, cfg) = populated(8, 500);
+        let puts = || store.stats().snapshot().puts;
+        let before = puts();
+        let err = BLinkTree::open_or_recover(Arc::clone(&store), TreeConfig::with_k(4), prime)
+            .unwrap_err();
+        assert!(matches!(err, TreeError::Config(_)), "{err:?}");
+        assert_eq!(puts(), before, "the refused open wrote a page");
+        // At the k it was built with, the tree opens clean.
+        let (tree, st) = reopen(&store, &cfg, prime);
+        assert!(!st.repaired);
+        assert_eq!(tree.verify(false).unwrap().overfull_nodes, 0);
         assert_contents(&tree, 500);
     }
 

@@ -41,6 +41,9 @@ pub struct VerifyReport {
     /// Non-root nodes with fewer than `k` pairs (violations only when
     /// minimum fill is being enforced).
     pub underfull_nodes: usize,
+    /// Nodes holding more than `2k` pairs — always violations. A tree
+    /// reopened with a smaller `k` than it was built with has them.
+    pub overfull_nodes: usize,
     /// Mean leaf fill as a fraction of capacity `2k`.
     pub avg_leaf_fill: f64,
     /// Pages owned by a co-resident structure (the record heap's gauge via
@@ -179,6 +182,7 @@ impl BLinkTree {
                     }
                 }
                 if node.pairs() > self.cfg.max_pairs() {
+                    rep.overfull_nodes += 1;
                     rep.errors.push(format!("node {pid} exceeds 2k pairs"));
                 }
             }

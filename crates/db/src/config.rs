@@ -1,7 +1,7 @@
 //! Database configuration.
 
 use blink_durable::FsyncPolicy;
-use sagiv_blink::{TreeConfig, UnderflowPolicy};
+use sagiv_blink::{node, TreeConfig, UnderflowPolicy};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -19,9 +19,20 @@ pub struct DbConfig {
     pub dir: Option<PathBuf>,
     /// Page size for index nodes and heap pages (they share one store).
     pub page_size: usize,
-    /// Index tuning (`k`, underflow policy, restart bounds, …). The
-    /// `external_pages` hook is managed by `Db` — any value set here is
-    /// overwritten. The underflow policy defaults to
+    /// Index tuning (`k`, underflow policy, restart bounds, …).
+    ///
+    /// `k` defaults to half the pairs a 4 KiB page holds (126: `2k` = 252
+    /// of 253), so a full node fills its page, as the paper's node is one
+    /// page (§2.2). At `TreeConfig`'s `k` = 32 a node would use a quarter
+    /// of its page and the index would be a level taller. A smaller
+    /// `page_size` needs [`DbConfig::with_k`]: [`crate::Db::open`] rejects
+    /// a `k` whose `2k` pairs do not fit the page with a typed error
+    /// before it touches the directory. Reopen a durable directory with
+    /// the `k` it was built with: a smaller one fails the open with
+    /// `TreeError::Config` and leaves the files as they were.
+    ///
+    /// The `external_pages` hook is managed by `Db` — any value set here
+    /// is overwritten. The underflow policy defaults to
     /// [`UnderflowPolicy::Ignore`]: `Db` runs no compressor, so queueing
     /// underflowing leaves would be work nobody consumes. To compress,
     /// pick `Enqueue` or `Inline` and drive a `CompressorPool` over
@@ -42,6 +53,7 @@ impl DbConfig {
             dir: None,
             page_size: 4096,
             tree: TreeConfig {
+                k: node::max_pairs_for_page(4096) / 2,
                 underflow_policy: UnderflowPolicy::Ignore,
                 ..TreeConfig::default()
             },

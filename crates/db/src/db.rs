@@ -42,8 +42,8 @@ pub struct KvRecovery {
     /// Heap records that no leaf referenced (an in-flight `put`'s new
     /// record, or a `delete`/overwrite whose free never committed) — freed.
     pub orphan_records_freed: usize,
-    /// Heap pages the heap's attach found with no live records — released
-    /// ([`HeapInventory::empty_pages_released`]).
+    /// Heap pages the heap's survey found with no live records — released
+    /// when it settled ([`HeapInventory::empty_pages_released`]).
     pub empty_heap_pages_freed: usize,
 }
 
@@ -81,15 +81,17 @@ const READ_SESSION_POOL: usize = 32;
 impl Db {
     /// Opens (or creates) a database per `cfg`.
     ///
-    /// Durable configurations replay the WAL and attach the heap, whose one
-    /// sweep reads each page once: it lists the heap pages and live records
-    /// and releases empty heap pages. The tree then opens — its structural
+    /// Durable configurations replay the WAL and survey the heap, whose one
+    /// sweep reads each page once and writes nothing: it lists the heap
+    /// pages and live records. The tree then opens — its structural
     /// repair runs if the shutdown was dirty, with the heap pages shielded
-    /// from its orphan collection — and index and heap are reconciled by
-    /// set membership, reading no record: every leaf's `RecordId` must be
-    /// in the sweep's live set (else the store is corrupt), and every live
-    /// record no leaf references is freed. A page that fails its checksum
-    /// fails the open.
+    /// from its orphan collection, and a `k` smaller than the tree was
+    /// built with fails the open with [`TreeError::Config`] before
+    /// anything is written. The heap then settles (empty heap pages are
+    /// released), and index and heap are reconciled by set membership,
+    /// reading no record: every leaf's `RecordId` must be in the sweep's
+    /// live set (else the store is corrupt), and every live record no leaf
+    /// references is freed. A page that fails its checksum fails the open.
     ///
     /// A store with no allocated pages holds no tree yet and gets a fresh
     /// one: an in-memory store, a new directory, or a directory whose
@@ -125,23 +127,26 @@ impl Db {
                 pool_frames: cfg.pool_frames,
             }),
         };
-        // The heap is attached first; on a reopen its single page sweep
+        // The heap is surveyed first; on a reopen its single page sweep
         // yields the inventory recovery consumes — the protected set for
         // the tree's repair and the live set for reconciliation — without
-        // re-reading the store once per question.
-        let (heap, inventory) = RecordHeap::attach(Arc::clone(&store))?;
+        // re-reading the store once per question. The survey writes
+        // nothing: the heap settles only once the tree has opened, so an
+        // open the tree refuses leaves every file as it was.
+        let (heap, mut inventory) = RecordHeap::survey(Arc::clone(&store))?;
         let heap = Arc::new(heap);
         let mut tcfg = cfg.tree.clone();
         tcfg.external_pages = Some(heap.pages_handle());
         let (tree, recovery) = match &durable {
             Some(ds) if store.live_pages() > 0 => {
-                let protected: HashSet<PageId> = inventory.pages.iter().copied().collect();
+                let protected: HashSet<PageId> = inventory.heap_pages().collect();
                 let (tree, stats) = BLinkTree::open_or_recover_protected(
                     store,
                     tcfg,
                     blink_durable::prime_page(),
                     &protected,
                 )?;
+                heap.settle(&mut inventory)?;
                 let mut recovery = KvRecovery {
                     tree_repaired: stats.repaired,
                     wal_records_replayed: ds.recovery().replayed,
@@ -171,7 +176,7 @@ impl Db {
     }
 
     /// Index/heap reconciliation on a reopen (quiesced store), by set
-    /// membership against the attach's inventory — no record is read.
+    /// membership against the survey's inventory — no record is read.
     /// Write-ahead ordering guarantees a leaf's record id always has its
     /// record in the durable prefix (the heap write precedes the index
     /// write in every `put`), so an id outside the live set is corruption,

@@ -125,10 +125,12 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             out,
-            "wal: records={} deltas={} full_images={} bytes={} fsyncs={} fsync_time={} group_commits={}",
+            "wal: records={} deltas={} full_images={} moves={} bytes={} fsyncs={} fsync_time={} \
+             group_commits={}",
             self.store.wal_records,
             self.store.wal_put_deltas,
             self.store.wal_put_full_images,
+            self.store.wal_put_moves,
             self.store.wal_bytes,
             self.store.wal_fsyncs,
             fmt_ns(self.store.wal_fsync_ns),

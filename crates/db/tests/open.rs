@@ -312,10 +312,14 @@ fn a_durable_load_logs_index_writes_as_deltas_and_reopens_intact() {
         let report = metrics.report();
         let m = metrics.store;
         let wal_line = format!(
-            "wal: records={} deltas={} full_images={} ",
-            m.wal_records, m.wal_put_deltas, m.wal_put_full_images
+            "wal: records={} deltas={} full_images={} moves={} ",
+            m.wal_records, m.wal_put_deltas, m.wal_put_full_images, m.wal_put_moves
         );
         assert!(report.contains(&wal_line), "{report}");
+        // A leaf insert shifts the pairs above it: logged as a move, the
+        // shifted run costs 7 bytes, not its length.
+        assert!(m.wal_put_moves > 0, "no move logged: {report}");
+        assert!(m.wal_bytes < 10 << 20, "{} WAL bytes", m.wal_bytes);
         // Every put rewrites a leaf (and a heap page, tracked): a whole-node
         // rewrite logs only the bytes it changed, so full images come from
         // splits, new pages and first touches, not from every put.
@@ -337,6 +341,56 @@ fn a_durable_load_logs_index_writes_as_deltas_and_reopens_intact() {
     }
     assert_eq!(db.heap().live_record_count(), model.len() as u64);
     db.verify().unwrap().assert_ok();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file of `dir`, by name, with its bytes.
+fn snapshot_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn a_reopen_with_a_smaller_k_is_refused_and_changes_no_file() {
+    const KEYS: u64 = 3_000;
+    let dir = tmpdir("smaller-k");
+    {
+        let db = Db::open(DbConfig::durable(&dir)).unwrap();
+        let mut s = db.session();
+        for k in 0..KEYS {
+            s.put(k * 7, &k.to_le_bytes()).unwrap();
+        }
+        drop(s);
+        db.checkpoint().unwrap();
+    }
+    let before = snapshot_files(&dir);
+    assert!(before.contains_key("pages.db"));
+    assert!(before.keys().any(|n| n.ends_with(".seg")));
+    // The default `k` filled leaves past 2 × 32 pairs: at `k` = 32 they
+    // are overfull, which no crash leaves, so the open is refused before
+    // the repair would rewrite them.
+    let err = Db::open(DbConfig::durable(&dir).with_k(32)).unwrap_err();
+    assert!(matches!(err, TreeError::Config(_)), "got {err}");
+    let after = snapshot_files(&dir);
+    assert!(after == before, "the refused open changed a file");
+    let db = Db::open(DbConfig::durable(&dir)).unwrap();
+    assert!(!db.recovery().unwrap().tree_repaired);
+    let report = db.verify().unwrap();
+    report.assert_ok();
+    assert_eq!(report.overfull_nodes, 0);
+    for k in 0..KEYS {
+        assert_eq!(
+            db.get(k * 7).unwrap().as_deref(),
+            Some(&k.to_le_bytes()[..])
+        );
+    }
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -41,8 +41,8 @@ use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use crate::wal::{self, io_err, FsyncPolicy, ScanReport, Wal, WalOp};
 use blink_pagestore::crc::crc32;
 use blink_pagestore::{
-    page_lsn, set_page_lsn, stamp_page_crc, Journal, PageBackend, PageId, PageStore, Result,
-    StoreConfig, StoreError, StoreStats,
+    page_lsn, set_page_lsn, stamp_page_crc, Journal, PageBackend, PageEdit, PageId, PageStore,
+    Result, StoreConfig, StoreError, StoreStats, PAGE_LSN_OFFSET, PAGE_RESERVED_END,
 };
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -251,18 +251,44 @@ fn replayed_index(
     Ok(idx)
 }
 
-/// Applies a delta record at `lsn` to `page` iff the record is newer than
-/// the page's stamped LSN, stamping `lsn`. Returns whether it applied.
-fn apply_delta(page: &mut [u8], pid: PageId, lsn: u64, ranges: &[(u16, Vec<u8>)]) -> Result<bool> {
+/// Applies a delta record's edits at `lsn` to `page`, in order, iff the
+/// record is newer than the page's stamped LSN, stamping `lsn`. Returns
+/// whether it applied. An edit that reaches past the page end is corrupt,
+/// and so is a move that touches the store-reserved field: no writer logs
+/// one, and replay's bytes there differ from the live page's.
+fn apply_delta(
+    page: &mut [u8],
+    pid: PageId,
+    lsn: u64,
+    edits: &[PageEdit<Vec<u8>>],
+) -> Result<bool> {
     if lsn <= page_lsn(page) {
         return Ok(false);
     }
-    for (off, bytes) in ranges {
-        let off = *off as usize;
-        if off + bytes.len() > page.len() {
-            return Err(StoreError::corrupt_at("wal delta range past page end", pid));
+    for edit in edits {
+        match edit {
+            PageEdit::Bytes(off, bytes) => {
+                let off = *off as usize;
+                if off + bytes.len() > page.len() {
+                    return Err(StoreError::corrupt_at("wal delta range past page end", pid));
+                }
+                page[off..off + bytes.len()].copy_from_slice(bytes);
+            }
+            &PageEdit::Move { dst, src, len } => {
+                let (dst, src, len) = (dst as usize, src as usize, len as usize);
+                let outside = |at: usize| {
+                    at + len <= page.len()
+                        && (at + len <= PAGE_LSN_OFFSET || at >= PAGE_RESERVED_END)
+                };
+                if !outside(dst) || !outside(src) {
+                    return Err(StoreError::corrupt_at(
+                        "wal move past page end or into the reserved field",
+                        pid,
+                    ));
+                }
+                page.copy_within(src..src + len, dst);
+            }
         }
-        page[off..off + bytes.len()].copy_from_slice(bytes);
     }
     set_page_lsn(page, lsn);
     Ok(true)
@@ -1029,9 +1055,10 @@ mod tests {
 
     /// Leaves a crashed directory whose WAL holds allocs, frees, a
     /// re-alloc, v2 bases (fresh frames and re-bases) and deltas (field
-    /// writes and re-encodes), part of it already written back — so replay
-    /// meets stale pages and current ones. Its tail holds a v1 image, as
-    /// older stores wrote them, and the state
+    /// writes, re-encodes, and shifts logged as moves), part of it already
+    /// written back — so replay meets stale pages and current ones. Its
+    /// tail holds a v1 image and a v2 delta, as older stores wrote them,
+    /// and the state
     /// `delta_replay_gates_on_the_page_lsn` builds: two deltas for a page
     /// with no base after the cut, the first already in the page file, so
     /// the LSN gate skips one.
@@ -1069,7 +1096,9 @@ mod tests {
                     let mut w = store.write_page(pid, WriteIntent::Overwrite).unwrap();
                     let b = w.bytes_mut();
                     b[..12].fill(fill);
-                    b[24..24 + (fill as usize % 100)].fill(fill ^ 0x55);
+                    for (i, x) in b[24..24 + (fill as usize % 100)].iter_mut().enumerate() {
+                        *x = fill ^ 0x55 ^ (i as u8).wrapping_mul(29);
+                    }
                     w.commit().unwrap();
                 }
                 3 => {
@@ -1077,6 +1106,7 @@ mod tests {
                     store.free(pid).unwrap();
                     assert_eq!(store.alloc().unwrap(), pid);
                 }
+                4 => shift_write(store, pid, fill),
                 _ => tracked_write(store, pid, 24 + fill as usize % 96, fill),
             }
         }
@@ -1098,7 +1128,7 @@ mod tests {
         )
         .unwrap();
         w.log_put_v1(pids[0], &[0x5A; 128]).unwrap();
-        let lsn = w.log_put_delta(quiet, 0, &[(60, &[0xAB; 4])]).unwrap();
+        let lsn = w.log_put_delta_v2(quiet, 0, &[(60, &[0xAB; 4])]).unwrap();
         w.log_put_delta(quiet, lsn, &[(70, &[0xCD; 4])]).unwrap();
         drop(w);
         use std::os::unix::fs::FileExt;
@@ -1114,6 +1144,25 @@ mod tests {
         set_page_lsn(&mut page, lsn);
         stamp_page_crc(&mut page);
         f.write_all_at(&page, at).unwrap();
+    }
+
+    /// An insert- or remove-shaped write: everything from byte 24 to the
+    /// page end shifted up or down by 1..=32 bytes, the uncovered bytes
+    /// refilled — a run next to the reserved field and one that ends at
+    /// the page end.
+    fn shift_write(store: &Arc<PageStore>, pid: PageId, fill: u8) {
+        use blink_pagestore::WriteIntent;
+        let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+        let b = w.bytes_mut();
+        let (s, end) = (1 + fill as usize % 32, b.len());
+        if fill.is_multiple_of(2) {
+            b.copy_within(24..end - s, 24 + s);
+            b[24..24 + s].fill(fill);
+        } else {
+            b.copy_within(24 + s..end, 24);
+            b[end - s..].fill(fill);
+        }
+        w.commit().unwrap();
     }
 
     fn copy_dir(from: &Path, to: &Path) {
@@ -1169,7 +1218,7 @@ mod tests {
         let scratch = tmpdir("pageonce-copy");
         copy_dir(&dir, &scratch);
         let meta = decode_meta(&std::fs::read(dir.join("meta")).unwrap()).unwrap();
-        let mut kinds = [0u32; 5];
+        let mut kinds = [0u32; 6];
         wal::scan(
             &dir,
             meta.wal_start_seq,
@@ -1181,6 +1230,11 @@ mod tests {
                     WalOp::Free(_) => 1,
                     WalOp::Put(..) => 2,
                     WalOp::PutBase(..) => 3,
+                    WalOp::PutDelta(_, _, edits)
+                        if edits.iter().any(|e| matches!(e, PageEdit::Move { .. })) =>
+                    {
+                        5
+                    }
                     WalOp::PutDelta(..) => 4,
                 }] += 1;
                 Ok(())
@@ -1200,6 +1254,200 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    /// Writes random shifted runs (and whole varied rewrites, syncs and
+    /// checkpoints) to two pages at `pool_frames`, crashes, and checks
+    /// that page-once replay at batches 1, 2 and 1024 and the per-record
+    /// oracle all rebuild the pages the live store held.
+    fn shifted_writes_replay_exactly(seed: u64, steps: usize, pool_frames: usize) {
+        use blink_pagestore::WriteIntent;
+        let dir = tmpdir(&format!("shifts-{pool_frames}"));
+        let cfg = DurableConfig {
+            pool_frames,
+            ..cfg(&dir)
+        };
+        let mut rng = seed | 1;
+        let (pids, live): (Vec<PageId>, Vec<Vec<u8>>) = {
+            let ds = DurableStore::create(cfg).unwrap();
+            let store = ds.store();
+            let pids: Vec<PageId> = (0..2).map(|_| store.alloc().unwrap()).collect();
+            for _ in 0..steps {
+                let pid = pids[next(&mut rng) as usize % 2];
+                let fill = next(&mut rng) as u8;
+                match next(&mut rng) % 8 {
+                    0 => ds.sync().unwrap(),
+                    1 => ds.checkpoint().unwrap(),
+                    2 => {
+                        let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+                        let mut x = next(&mut rng);
+                        for b in w.bytes_mut()[24..].iter_mut() {
+                            *b = next(&mut x) as u8;
+                        }
+                        w.commit().unwrap();
+                    }
+                    _ => shift_write(store, pid, fill),
+                }
+            }
+            let live = pids
+                .iter()
+                .map(|&p| store.get(p).unwrap().bytes().to_vec())
+                .collect();
+            (pids, live)
+            // Crash: drop without sync.
+        };
+        let scratch = tmpdir(&format!("shifts-{pool_frames}-copy"));
+        copy_dir(&dir, &scratch);
+        let (oracle, ..) = replay_dir(&scratch, None);
+        for (pid, want) in pids.iter().zip(&live) {
+            let at = (pid.to_raw() - 1) as usize * 128;
+            let got = &oracle[at..at + 128];
+            assert_eq!(got[..PAGE_LSN_OFFSET], want[..PAGE_LSN_OFFSET], "{pid}");
+            assert_eq!(got[PAGE_RESERVED_END..], want[PAGE_RESERVED_END..], "{pid}");
+        }
+        for batch in [1, 2, 1024] {
+            copy_dir(&dir, &scratch);
+            let (pages, ..) = replay_dir(&scratch, Some(batch));
+            assert!(
+                pages == oracle,
+                "batch {batch}: page file differs from the oracle's"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn shifted_writes_replay_like_the_live_store_and_the_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            steps in 1usize..60,
+        ) {
+            shifted_writes_replay_exactly(seed, steps, 2);
+            shifted_writes_replay_exactly(seed, steps, 0);
+        }
+    }
+
+    #[test]
+    fn a_segment_from_a_newer_build_fails_the_open_and_changes_no_file() {
+        let dir = tmpdir("newer");
+        {
+            let ds = DurableStore::create(cfg(&dir)).unwrap();
+            let pid = ds.store().alloc().unwrap();
+            tracked_write(ds.store(), pid, 40, 7);
+            ds.sync().unwrap();
+        }
+        let seg = wal::segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[4..8].copy_from_slice(&(wal::SEG_VERSION + 1).to_le_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+        let pages = std::fs::read(dir.join("pages.db")).unwrap();
+        let err = DurableStore::open(cfg(&dir)).unwrap_err();
+        assert!(matches!(err, StoreError::Config(_)), "{err:?}");
+        assert_eq!(
+            std::fs::read(&seg).unwrap(),
+            bytes,
+            "the segment was changed"
+        );
+        assert_eq!(std::fs::read(dir.join("pages.db")).unwrap(), pages);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v2_log_continued_in_v3_segments_replays() {
+        let dir = tmpdir("v2v3");
+        drop(DurableStore::create(cfg(&dir)).unwrap());
+        // A version-2 build's segment: an alloc, a base and a v2 delta...
+        let w = Wal::open(
+            &dir,
+            FsyncPolicy::Never,
+            1 << 20,
+            1,
+            1,
+            Arc::new(FaultInjector::new()),
+            Arc::new(StoreStats::default()),
+        )
+        .unwrap();
+        let pid = pid_raw(1);
+        w.log_alloc(pid).unwrap();
+        let mut image: Vec<u8> = (0..128u32).map(|i| (i * 7) as u8).collect();
+        image[PAGE_LSN_OFFSET..PAGE_RESERVED_END].fill(0);
+        let lsn = w.log_put_base(pid, &image).unwrap();
+        let lsn = w.log_put_delta_v2(pid, lsn, &[(30, &[0xAA; 3])]).unwrap();
+        image[30..33].fill(0xAA);
+        // ...then this build's: a rotation and an edit record with a move.
+        w.rotate_for_checkpoint().unwrap();
+        let edits = [
+            PageEdit::Move {
+                dst: 40,
+                src: 24,
+                len: 80,
+            },
+            PageEdit::Bytes(24, &[0xBB; 16][..]),
+        ];
+        w.log_put_edits(pid, lsn, &edits).unwrap();
+        drop(w);
+        image.copy_within(24..104, 40);
+        image[24..40].fill(0xBB);
+        let seg1 = wal::segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&seg1).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&seg1, &bytes).unwrap();
+        let ds = DurableStore::open(cfg(&dir)).unwrap();
+        assert_eq!(ds.recovery().replayed, 4);
+        assert!(!ds.recovery().torn_tail);
+        let got = ds.store().get(pid).unwrap();
+        assert_eq!(got.bytes()[..PAGE_LSN_OFFSET], image[..PAGE_LSN_OFFSET]);
+        assert_eq!(got.bytes()[PAGE_RESERVED_END..], image[PAGE_RESERVED_END..]);
+        assert_eq!(page_lsn(got.bytes()), 4);
+        drop(ds);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_move_or_range_past_the_page_is_corrupt_on_replay() {
+        let pid = pid_raw(1);
+        let mut page = vec![0u8; 128];
+        let bad = [
+            PageEdit::Move {
+                dst: 100,
+                src: 24,
+                len: 29,
+            },
+            PageEdit::Move {
+                dst: 24,
+                src: 120,
+                len: 9,
+            },
+            PageEdit::Move {
+                dst: 24,
+                src: 8,
+                len: 8,
+            },
+            PageEdit::Bytes(127, vec![1, 2]),
+        ];
+        for edit in bad {
+            let err = apply_delta(&mut page, pid, 5, std::slice::from_ref(&edit)).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { .. }),
+                "{edit:?}: {err:?}"
+            );
+        }
+        // At the edges, it applies.
+        let ok = [
+            PageEdit::Move {
+                dst: 99,
+                src: 24,
+                len: 29,
+            },
+            PageEdit::Bytes(126, vec![1, 2]),
+        ];
+        assert!(apply_delta(&mut page, pid, 5, &ok).unwrap());
     }
 
     #[test]

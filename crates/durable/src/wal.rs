@@ -33,7 +33,20 @@
 //!   Replay applies the ranges **iff the record's LSN is newer than the
 //!   on-disk page's LSN field**, then stamps the record's LSN — which
 //!   makes replay idempotent no matter how much of the buffer pool's
-//!   write-back reached the page file before the crash.
+//!   write-back reached the page file before the crash. Only older stores
+//!   wrote it: every delta now logs a `6`.
+//!
+//! Ops — v3 (segments are written as format version 3; readers accept
+//! 1..=3, and refuse a segment of a newer version with a typed error
+//! rather than truncate the log there):
+//!
+//! * `6` put-edits — `page_lsn u64`, `n u16`, then `n` tagged edits,
+//!   applied in order under the same LSN gate as a `5`: tag `0` is
+//!   `off u16, len u16, bytes` (write the bytes), tag `1` is
+//!   `dst u16, src u16, len u16` (a move: `copy_within(src..src + len,
+//!   dst)`, how an insert or a remove that shifts a node's pairs logs the
+//!   shifted run). An edit that reaches past the page end fails replay as
+//!   corrupt.
 //!
 //! A reader accepts the longest prefix of records with valid checksums and
 //! contiguous LSNs and treats everything after the first invalid byte as a
@@ -68,7 +81,7 @@
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use blink_pagestore::audit::{self, Audited, LockClass};
 use blink_pagestore::crc::Crc32;
-use blink_pagestore::{DeltaRange, Journal, PageId, Result, StoreError, StoreHealth, StoreStats};
+use blink_pagestore::{Journal, PageEdit, PageId, Result, StoreError, StoreHealth, StoreStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
@@ -78,8 +91,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 pub(crate) const SEG_MAGIC: u32 = 0x4257_414C; // "BWAL"
-/// Format version stamped into new segment headers (v2 = delta records).
-pub(crate) const SEG_VERSION: u32 = 2;
+/// Format version stamped into new segment headers (v2 = delta records,
+/// v3 = edit records with moves).
+pub(crate) const SEG_VERSION: u32 = 3;
 /// Oldest format version the scanner still accepts (v1 = full images
 /// only); mixed-version logs arise from upgrades mid-log.
 pub(crate) const SEG_MIN_VERSION: u32 = 1;
@@ -91,6 +105,11 @@ const OP_FREE: u8 = 2;
 const OP_PUT: u8 = 3;
 const OP_PUT_BASE: u8 = 4;
 const OP_PUT_DELTA: u8 = 5;
+const OP_PUT_EDIT: u8 = 6;
+
+/// Edit tags inside an `OP_PUT_EDIT` record.
+const EDIT_BYTES: u8 = 0;
+const EDIT_MOVE: u8 = 1;
 
 /// When does a commit reach stable storage?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,10 +132,10 @@ pub enum WalOp {
     /// v2 full image of an LSN-stamped page: replay writes the image and
     /// stamps the record's LSN into the page's reserved field.
     PutBase(PageId, Vec<u8>),
-    /// v2 delta: `(page, page_lsn_before, ranges)` where each range is
-    /// `(offset, new bytes)`. Replay applies the ranges iff the record's
-    /// LSN is newer than the on-disk page's.
-    PutDelta(PageId, u64, Vec<(u16, Vec<u8>)>),
+    /// A delta, v2 ranges or v3 edits: `(page, page_lsn_before, edits)`.
+    /// Replay applies the edits in order iff the record's LSN is newer
+    /// than the on-disk page's.
+    PutDelta(PageId, u64, Vec<PageEdit<Vec<u8>>>),
 }
 
 pub(crate) fn io_err(context: &str, e: std::io::Error) -> StoreError {
@@ -691,17 +710,28 @@ impl Journal for Wal {
         Ok(lsn)
     }
 
-    fn log_put_delta(&self, pid: PageId, page_lsn: u64, ranges: &[DeltaRange<'_>]) -> Result<u64> {
+    fn log_put_edits(&self, pid: PageId, page_lsn: u64, edits: &[PageEdit<&[u8]>]) -> Result<u64> {
         let mut body =
-            Vec::with_capacity(10 + ranges.iter().map(|(_, b)| 4 + b.len()).sum::<usize>());
+            Vec::with_capacity(10 + edits.iter().map(PageEdit::encoded_len).sum::<usize>());
         body.extend_from_slice(&page_lsn.to_le_bytes());
-        body.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
-        for &(off, bytes) in ranges {
-            body.extend_from_slice(&off.to_le_bytes());
-            body.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-            body.extend_from_slice(bytes);
+        body.extend_from_slice(&(edits.len() as u16).to_le_bytes());
+        for edit in edits {
+            match *edit {
+                PageEdit::Bytes(off, bytes) => {
+                    body.push(EDIT_BYTES);
+                    body.extend_from_slice(&off.to_le_bytes());
+                    body.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+                    body.extend_from_slice(bytes);
+                }
+                PageEdit::Move { dst, src, len } => {
+                    body.push(EDIT_MOVE);
+                    for field in [dst, src, len] {
+                        body.extend_from_slice(&field.to_le_bytes());
+                    }
+                }
+            }
         }
-        let lsn = self.append_record(OP_PUT_DELTA, pid, &body)?;
+        let lsn = self.append_record(OP_PUT_EDIT, pid, &body)?;
         self.finish(lsn)?;
         Ok(lsn)
     }
@@ -713,33 +743,54 @@ impl Journal for Wal {
     }
 }
 
-/// Decodes a delta record body (`page_lsn u64, n u16, n × (off u16,
-/// len u16, bytes)`); `None` marks the record malformed (the CRC
-/// survived but the structure is impossible — treat as a torn tail).
-fn decode_delta(pid: PageId, body: &[u8]) -> Option<WalOp> {
-    if body.len() < 10 {
-        return None;
-    }
-    let page_lsn = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    let n = u16::from_le_bytes(body[8..10].try_into().unwrap()) as usize;
-    let mut ranges = Vec::with_capacity(n);
+/// Reads a little-endian `u16` at `at`, if the body holds one.
+fn u16_at(body: &[u8], at: usize) -> Option<u16> {
+    Some(u16::from_le_bytes(body.get(at..at + 2)?.try_into().ok()?))
+}
+
+/// Decodes a delta body — `page_lsn u64, n u16`, then `n` entries, each
+/// read by `entry` from its offset (returning the edit and the offset
+/// after it). `None` marks the record malformed (the CRC survived but the
+/// structure is impossible — treat as a torn tail).
+fn decode_delta(
+    pid: PageId,
+    body: &[u8],
+    entry: impl Fn(&[u8], usize) -> Option<(PageEdit<Vec<u8>>, usize)>,
+) -> Option<WalOp> {
+    let page_lsn = u64::from_le_bytes(body.get(0..8)?.try_into().ok()?);
+    let n = u16_at(body, 8)? as usize;
+    let mut edits = Vec::with_capacity(n.min(body.len()));
     let mut off = 10usize;
     for _ in 0..n {
-        if off + 4 > body.len() {
-            return None;
-        }
-        let start = u16::from_le_bytes(body[off..off + 2].try_into().unwrap());
-        let len = u16::from_le_bytes(body[off + 2..off + 4].try_into().unwrap()) as usize;
-        if off + 4 + len > body.len() {
-            return None;
-        }
-        ranges.push((start, body[off + 4..off + 4 + len].to_vec()));
-        off += 4 + len;
+        let (edit, next) = entry(body, off)?;
+        edits.push(edit);
+        off = next;
     }
-    if off != body.len() {
-        return None;
+    (off == body.len()).then_some(WalOp::PutDelta(pid, page_lsn, edits))
+}
+
+/// A byte range at `at`: `off u16, len u16, bytes`.
+fn decode_bytes(body: &[u8], at: usize) -> Option<(PageEdit<Vec<u8>>, usize)> {
+    let off = u16_at(body, at)?;
+    let len = u16_at(body, at + 2)? as usize;
+    let bytes = body.get(at + 4..at + 4 + len)?;
+    Some((PageEdit::Bytes(off, bytes.to_vec()), at + 4 + len))
+}
+
+/// A tagged v3 edit at `at`: a byte range or a move.
+fn decode_edit(body: &[u8], at: usize) -> Option<(PageEdit<Vec<u8>>, usize)> {
+    match *body.get(at)? {
+        EDIT_BYTES => decode_bytes(body, at + 1),
+        EDIT_MOVE => {
+            let edit = PageEdit::Move {
+                dst: u16_at(body, at + 1)?,
+                src: u16_at(body, at + 3)?,
+                len: u16_at(body, at + 5)?,
+            };
+            Some((edit, at + 7))
+        }
+        _ => None,
     }
-    Some(WalOp::PutDelta(pid, page_lsn, ranges))
 }
 
 fn sync_dir(dir: &Path) -> Result<()> {
@@ -787,10 +838,25 @@ pub fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(seqs)
 }
 
+/// True when `path` starts with a whole header for segment `seq` whose
+/// format version is newer than [`SEG_VERSION`].
+fn newer_format(path: &Path, seq: u64) -> Result<bool> {
+    let mut h = Vec::with_capacity(SEG_HEADER as usize);
+    File::open(path)
+        .and_then(|f| f.take(SEG_HEADER).read_to_end(&mut h))
+        .map_err(|e| io_err("read wal segment header", e))?;
+    Ok(h.len() == SEG_HEADER as usize
+        && h[0..4] == SEG_MAGIC.to_le_bytes()
+        && h[8..16] == seq.to_le_bytes()
+        && u32::from_le_bytes(h[4..8].try_into().unwrap()) > SEG_VERSION)
+}
+
 /// Scans segments `start_seq..` in order, feeding every valid record to
 /// `apply` and stopping at the first invalid byte. `start_lsn` is the LSN
 /// the first record must carry (from the checkpoint metadata);
-/// `max_payload` bounds a plausible record (page size + op header).
+/// `max_payload` bounds a plausible record (page size + op header). A
+/// segment whose header names a newer format version fails the scan with
+/// [`StoreError::Config`] before any record is applied.
 pub fn scan(
     dir: &Path,
     start_seq: u64,
@@ -809,6 +875,15 @@ pub fn scan(
         .into_iter()
         .filter(|&s| s >= start_seq)
         .collect();
+    // A segment a newer build wrote is not torn: refuse the log before
+    // anything is applied, and leave every file as it is.
+    for &seq in &seqs {
+        if newer_format(&segment_path(dir, seq), seq)? {
+            return Err(StoreError::Config(
+                "wal segment has a newer format version than this build reads",
+            ));
+        }
+    }
     let mut expected_lsn = start_lsn;
     for (k, &seq) in seqs.iter().enumerate() {
         if seq != start_seq + k as u64 {
@@ -831,7 +906,8 @@ pub fn scan(
             || !version_ok
             || bytes[8..16] != seq.to_le_bytes()
         {
-            // Unusable header (e.g. its write was lost to a crash): report
+            // Unusable header (short or zeroed, e.g. its write was lost to
+            // a crash, or an older version than any this build knows): report
             // a 0-byte valid prefix so recovery resets the file and the
             // appender writes a fresh header.
             report.last_seg_valid_len = 0;
@@ -865,7 +941,15 @@ pub fn scan(
                 OP_FREE if len == 5 => WalOp::Free(pid),
                 OP_PUT => WalOp::Put(pid, payload[5..].to_vec()),
                 OP_PUT_BASE => WalOp::PutBase(pid, payload[5..].to_vec()),
-                OP_PUT_DELTA => match decode_delta(pid, &payload[5..]) {
+                OP_PUT_DELTA | OP_PUT_EDIT => match decode_delta(
+                    pid,
+                    &payload[5..],
+                    if op == OP_PUT_DELTA {
+                        decode_bytes
+                    } else {
+                        decode_edit
+                    },
+                ) {
                     Some(op) => op,
                     None => {
                         seg_ok = false;
@@ -902,6 +986,26 @@ impl Wal {
     pub(crate) fn log_put_v1(&self, pid: PageId, data: &[u8]) -> Result<()> {
         let lsn = self.append_record(OP_PUT, pid, data)?;
         self.finish(lsn)
+    }
+
+    /// Appends a v2 delta (`OP_PUT_DELTA`, untagged ranges), as version-2
+    /// stores wrote them.
+    pub(crate) fn log_put_delta_v2(
+        &self,
+        pid: PageId,
+        page_lsn: u64,
+        ranges: &[(u16, &[u8])],
+    ) -> Result<u64> {
+        let mut body = page_lsn.to_le_bytes().to_vec();
+        body.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
+        for &(off, bytes) in ranges {
+            body.extend_from_slice(&off.to_le_bytes());
+            body.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+            body.extend_from_slice(bytes);
+        }
+        let lsn = self.append_record(OP_PUT_DELTA, pid, &body)?;
+        self.finish(lsn)?;
+        Ok(lsn)
     }
 }
 
@@ -1196,9 +1300,137 @@ mod tests {
             ops[2],
             (
                 3,
-                WalOp::PutDelta(pid(1), 2, vec![(4, vec![1, 2, 3]), (40, vec![9; 5])])
+                WalOp::PutDelta(
+                    pid(1),
+                    2,
+                    vec![
+                        PageEdit::Bytes(4, vec![1, 2, 3]),
+                        PageEdit::Bytes(40, vec![9; 5])
+                    ]
+                )
             )
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn edit_records_with_moves_roundtrip_through_the_scanner() {
+        let dir = tmpdir("editroundtrip");
+        let w = wal(&dir, FsyncPolicy::Always, 1 << 20);
+        let edits = [
+            PageEdit::Move {
+                dst: 48,
+                src: 32,
+                len: 200,
+            },
+            PageEdit::Bytes(32, &[5u8; 16][..]),
+            PageEdit::Move {
+                dst: 300,
+                src: 301,
+                len: 7,
+            },
+        ];
+        let lsn = w.log_put_edits(pid(2), 9, &edits).unwrap();
+        // An empty record (a write that changed nothing) is legal too.
+        w.log_put_edits(pid(2), lsn, &[]).unwrap();
+        let mut ops = Vec::new();
+        let report = scan(&dir, 1, 1, 128, |_, op| {
+            ops.push(op);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(report.replayed, 2);
+        let owned = vec![
+            PageEdit::Move {
+                dst: 48,
+                src: 32,
+                len: 200,
+            },
+            PageEdit::Bytes(32, vec![5; 16]),
+            PageEdit::Move {
+                dst: 300,
+                src: 301,
+                len: 7,
+            },
+        ];
+        assert_eq!(ops[0], WalOp::PutDelta(pid(2), 9, owned));
+        assert_eq!(ops[1], WalOp::PutDelta(pid(2), lsn, vec![]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The body `log_put_edits` writes for `edits`: the record's bytes
+    /// after its header and its op and page id.
+    fn edit_body(edits: &[PageEdit<&[u8]>]) -> Vec<u8> {
+        let dir = tmpdir("editbody");
+        let w = wal(&dir, FsyncPolicy::Never, 1 << 20);
+        w.log_put_edits(pid(3), 7, edits).unwrap();
+        drop(w);
+        let bytes = std::fs::read(segment_path(&dir, 1)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        bytes[SEG_HEADER as usize + REC_HEADER + 5..].to_vec()
+    }
+
+    #[test]
+    fn malformed_edit_bodies_decode_as_torn_never_panic() {
+        let good = edit_body(&[
+            PageEdit::Bytes(30, &[1, 2, 3][..]),
+            PageEdit::Move {
+                dst: 40,
+                src: 44,
+                len: 60,
+            },
+        ]);
+        assert!(decode_delta(pid(3), &good, decode_edit).is_some());
+        // Every truncation, and one byte too many, is malformed.
+        for cut in 0..good.len() {
+            assert_eq!(
+                decode_delta(pid(3), &good[..cut], decode_edit),
+                None,
+                "cut {cut}"
+            );
+        }
+        let mut long = good.clone();
+        long.push(0);
+        assert_eq!(decode_delta(pid(3), &long, decode_edit), None);
+        // An unknown tag, and a count larger than the entries.
+        let mut bad_tag = good.clone();
+        bad_tag[10] = 7;
+        assert_eq!(decode_delta(pid(3), &bad_tag, decode_edit), None);
+        let mut bad_n = good.clone();
+        bad_n[8] = 3;
+        assert_eq!(decode_delta(pid(3), &bad_n, decode_edit), None);
+        // Random bodies, under both decoders: a result or `None`, never a
+        // panic.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mut body = good.clone();
+            let at = 10 + x as usize % (body.len() - 10);
+            body[at] = (x >> 32) as u8;
+            body.truncate(10 + (x >> 40) as usize % (body.len() - 9));
+            let _ = decode_delta(pid(3), &body, decode_edit);
+            let _ = decode_delta(pid(3), &body, decode_bytes);
+        }
+        // A whole record with a torn entry ends the scan as a torn tail.
+        let dir = tmpdir("tornedit");
+        let w = wal(&dir, FsyncPolicy::Never, 1 << 20);
+        w.log_put_base(pid(3), &[1; 32]).unwrap();
+        drop(w);
+        let mut seg = std::fs::read(segment_path(&dir, 1)).unwrap();
+        let cut = &good[..good.len() - 2];
+        let mut payload = vec![OP_PUT_EDIT];
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        payload.extend_from_slice(cut);
+        seg.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        seg.extend_from_slice(&blink_pagestore::crc::crc32(&payload).to_le_bytes());
+        seg.extend_from_slice(&2u64.to_le_bytes());
+        seg.extend_from_slice(&payload);
+        std::fs::write(segment_path(&dir, 1), &seg).unwrap();
+        let report = scan(&dir, 1, 1, 128, |_, _| Ok(())).unwrap();
+        assert_eq!(report.replayed, 1);
+        assert!(report.torn);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1222,12 +1454,13 @@ mod tests {
         let report = scan(&dir, 1, 1, 64, |_, _| Ok(())).unwrap();
         assert_eq!(report.replayed, 1);
         assert!(!report.torn);
-        // A future format version is still rejected.
+        // A future format version is refused with a typed error, not
+        // taken for a torn header.
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let report = scan(&dir, 1, 1, 64, |_, _| Ok(())).unwrap();
-        assert_eq!(report.replayed, 0);
-        assert!(report.torn);
+        let err = scan(&dir, 1, 1, 64, |_, _| Ok(())).unwrap_err();
+        assert!(matches!(err, StoreError::Config(_)), "{err:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

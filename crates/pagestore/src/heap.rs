@@ -261,21 +261,36 @@ fn freed_slots(b: &[u8]) -> u16 {
     read_u16(b, 2) - read_u16(b, 0)
 }
 
-/// What [`RecordHeap::attach`]'s one sweep found in a store: the heap pages
-/// it kept, every live record, and how many empty heap pages it released.
-/// Recovery answers every question from this — the protected-page set,
-/// "does this leaf's id name a live record", the orphan list — instead of
-/// re-reading the store.
+/// What [`RecordHeap::survey`]'s one sweep found in a store: the heap pages
+/// with live records, every live record, and what [`RecordHeap::settle`]
+/// does to restart the allocator (and then did: how many empty heap pages
+/// it released). Recovery answers every question from this — the
+/// protected-page set, "does this leaf's id name a live record", the
+/// orphan list — instead of re-reading the store.
 #[derive(Debug, Default, Clone)]
 pub struct HeapInventory {
-    /// Every heap page (by magic) still allocated after the attach.
+    /// Every heap page (by magic) with a live record.
     pub pages: Vec<PageId>,
     /// Every live record, page order. Each one's extent was checked to lie
     /// inside its page, so [`RecordHeap::read_with`] can serve it.
     pub records: Vec<RecordId>,
-    /// Heap pages with zero live records (crash leftovers) that the attach
-    /// released.
+    /// Heap pages with zero live records (crash leftovers) that
+    /// [`RecordHeap::settle`] released.
     pub empty_pages_released: usize,
+    /// Heap pages with zero live records, for `settle` to release.
+    empty: Vec<PageId>,
+    /// Heap pages whose allocator state (bytes 10..12) `settle` rewrites.
+    restate: Vec<(PageId, u16)>,
+    /// Heap pages with holes, for `settle` to queue for adoption.
+    queue: Vec<PageId>,
+}
+
+impl HeapInventory {
+    /// Every heap page the survey found, empty ones not yet released
+    /// included: the pages a co-resident index must not collect.
+    pub fn heap_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.pages.iter().chain(&self.empty).copied()
+    }
 }
 
 /// One insertion shard: its own open page behind its own mutex, so
@@ -359,22 +374,52 @@ impl RecordHeap {
     }
 
     /// The one way onto a store that may already hold heap pages (a durable
-    /// reopen; call on a quiesced store). One `sweep` reads each allocated
-    /// page once and hands back the [`HeapInventory`] recovery consumes.
-    /// On the way it restarts the allocator, whose page states name shards
-    /// and a queue that died with the process (`OPEN`, `QUEUED`): empty
-    /// heap pages go back to the store, pages with live records *and* freed
-    /// slots are re-enrolled into the recycle queue so their holes stay
-    /// allocatable, and the rest restart `DETACHED`. The generation counter
-    /// is reseeded past every stored generation, so reincarnated pages can
-    /// never collide with ids minted before the restart.
+    /// reopen; call on a quiesced store): [`RecordHeap::survey`], then
+    /// [`RecordHeap::settle`].
     pub fn attach(store: Arc<PageStore>) -> Result<(RecordHeap, HeapInventory)> {
+        let (heap, mut inv) = RecordHeap::survey(store)?;
+        heap.settle(&mut inv)?;
+        Ok((heap, inv))
+    }
+
+    /// [`RecordHeap::attach`]'s first half, which writes nothing: one
+    /// `sweep` reads each allocated page once and hands back the
+    /// [`HeapInventory`] recovery consumes, with the allocator restart
+    /// [`RecordHeap::settle`] makes. The generation counter is reseeded
+    /// past every stored generation, so reincarnated pages can never
+    /// collide with ids minted before the restart. Until `settle` runs the
+    /// heap's page count includes the empty pages, which are still
+    /// allocated; insert nothing before it.
+    pub fn survey(store: Arc<PageStore>) -> Result<(RecordHeap, HeapInventory)> {
         let heap = RecordHeap::new(store);
         let (inv, max_gen) = heap.sweep(true)?;
-        heap.pages.store(inv.pages.len(), Ordering::Relaxed);
+        heap.pages
+            .store(inv.pages.len() + inv.empty.len(), Ordering::Relaxed);
         heap.live.store(inv.records.len() as u64, Ordering::Relaxed);
         heap.gen.store(max_gen, Ordering::Relaxed);
         Ok((heap, inv))
+    }
+
+    /// Restarts the allocator as `inv`'s survey found it, whose page
+    /// states name shards and a queue that died with the process (`OPEN`,
+    /// `QUEUED`): empty heap pages go back to the store, pages with live
+    /// records *and* freed slots are re-enrolled into the recycle queue so
+    /// their holes stay allocatable, and the rest restart `DETACHED` — a
+    /// state is written only where it differs from the one wanted.
+    pub fn settle(&self, inv: &mut HeapInventory) -> Result<()> {
+        for pid in std::mem::take(&mut inv.empty) {
+            self.store.free(pid)?;
+            self.pages.fetch_sub(1, Ordering::Relaxed);
+            StoreStats::bump(&self.store.stats().heap_pages_released);
+            inv.empty_pages_released += 1;
+        }
+        for (pid, want) in std::mem::take(&mut inv.restate) {
+            let mut w = self.store.write_page(pid, WriteIntent::Update)?;
+            put_u16(&mut w, 10, want);
+            w.commit()?;
+        }
+        self.lock_recycle().extend(std::mem::take(&mut inv.queue));
+        Ok(())
     }
 
     /// The single whole-store enumeration: one read per allocated page,
@@ -385,11 +430,10 @@ impl RecordHeap {
     /// sweep: skipping it would drop its records from the inventory and
     /// leave the page to recovery's orphan collection.
     ///
-    /// With `restart` ([`RecordHeap::attach`] only) it also settles each
-    /// heap page right after reading it, while the page is still resident:
-    /// an empty one is released, the allocator state (bytes 10..12) is
-    /// written back only where it differs from the one a restart wants,
-    /// and a page with holes is queued.
+    /// With `restart` ([`RecordHeap::survey`] only) it also notes what
+    /// [`RecordHeap::settle`] does to each heap page: release an empty
+    /// one, rewrite an allocator state (bytes 10..12) that differs from
+    /// the one a restart wants, queue a page with holes.
     fn sweep(&self, restart: bool) -> Result<(HeapInventory, u32)> {
         let mut inv = HeapInventory::default();
         let mut max_gen = 0u32;
@@ -416,9 +460,7 @@ impl RecordHeap {
             };
             let live = inv.records.len() - first;
             if restart && live == 0 {
-                self.store.free(pid)?;
-                StoreStats::bump(&self.store.stats().heap_pages_released);
-                inv.empty_pages_released += 1;
+                inv.empty.push(pid);
                 continue;
             }
             inv.pages.push(pid);
@@ -431,12 +473,10 @@ impl RecordHeap {
                 STATE_DETACHED
             };
             if state != want {
-                let mut w = self.store.write_page(pid, WriteIntent::Update)?;
-                put_u16(&mut w, 10, want);
-                w.commit()?;
+                inv.restate.push((pid, want));
             }
             if want == STATE_QUEUED {
-                self.lock_recycle().push_back(pid);
+                inv.queue.push(pid);
             }
         }
         Ok((inv, max_gen))

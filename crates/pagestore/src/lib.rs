@@ -60,7 +60,7 @@ pub use error::{Result, StoreError};
 pub use health::StoreHealth;
 pub use heap::{is_heap_page, HeapConfig, HeapInventory, RecordHeap, RecordId, HEAP_MAGIC};
 pub use hist::{fmt_ns, HistSnapshot, WaitHist, HIST_BUCKETS};
-pub use journal::{DeltaRange, Journal};
+pub use journal::{DeltaRange, Journal, PageEdit};
 pub use page::{
     page_lsn, set_page_lsn, stamp_page_crc, verify_page_crc, Page, PageId, PAGE_CRC_LEN,
     PAGE_CRC_OFFSET, PAGE_LSN_LEN, PAGE_LSN_OFFSET, PAGE_RESERVED_END,

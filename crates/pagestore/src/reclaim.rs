@@ -18,11 +18,18 @@ use crate::error::Result;
 use crate::page::PageId;
 use crate::store::PageStore;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Pages awaiting a safe point to be returned to the free list.
 #[derive(Debug, Default)]
 pub struct DeferredFreeList {
     pending: Mutex<Vec<(PageId, Timestamp)>>,
+    /// Pages a running [`DeferredFreeList::reclaim`] took off `pending` and
+    /// has not freed yet. Moved over under the `pending` lock and dropped
+    /// only after each page's free returns, so a
+    /// [`DeferredFreeList::pending_count`] of 0 means every deferred page
+    /// is back in the store.
+    freeing: AtomicUsize,
 }
 
 impl DeferredFreeList {
@@ -36,31 +43,41 @@ impl DeferredFreeList {
     }
 
     /// Frees every pending page whose deletion stamp is `< horizon`.
-    /// Returns the number of pages released.
+    /// Returns the number of pages released. A failed free puts the pages
+    /// not yet freed back on the list, for a later call to retry.
     pub fn reclaim(&self, horizon: Timestamp, store: &PageStore) -> Result<usize> {
         // Collect first, free outside the list lock.
-        let ready: Vec<PageId> = {
+        let ready: Vec<(PageId, Timestamp)> = {
             let mut pending = self.pending.lock();
             let mut ready = Vec::new();
-            pending.retain(|&(pid, stamp)| {
-                if stamp < horizon {
-                    ready.push(pid);
+            pending.retain(|&entry| {
+                if entry.1 < horizon {
+                    ready.push(entry);
                     false
                 } else {
                     true
                 }
             });
+            self.freeing.fetch_add(ready.len(), Ordering::Relaxed);
             ready
         };
-        for pid in &ready {
-            store.free(*pid)?;
+        for (i, &(pid, _)) in ready.iter().enumerate() {
+            if let Err(e) = store.free(pid) {
+                let mut pending = self.pending.lock();
+                pending.extend_from_slice(&ready[i..]);
+                self.freeing.fetch_sub(ready.len() - i, Ordering::Release);
+                return Err(e);
+            }
+            self.freeing.fetch_sub(1, Ordering::Release);
         }
         Ok(ready.len())
     }
 
-    /// Number of pages still awaiting reclamation.
+    /// Number of pages still awaiting reclamation, those a running
+    /// [`DeferredFreeList::reclaim`] is freeing included.
     pub fn pending_count(&self) -> usize {
-        self.pending.lock().len()
+        let pending = self.pending.lock();
+        pending.len() + self.freeing.load(Ordering::Acquire)
     }
 
     /// Earliest deletion stamp among pending pages (`None` if empty).
@@ -112,5 +129,25 @@ mod tests {
         assert!(store.get(pid).is_ok());
         list.reclaim(u64::MAX, &store).unwrap();
         assert!(store.get(pid).is_err());
+    }
+
+    #[test]
+    fn a_failed_free_puts_the_unfreed_pages_back() {
+        let store = PageStore::new(StoreConfig::with_page_size(64));
+        let list = DeferredFreeList::new();
+        let a = store.alloc().unwrap();
+        let b = store.alloc().unwrap();
+        let c = store.alloc().unwrap();
+        list.defer(a, 1);
+        list.defer(b, 2);
+        list.defer(c, 3);
+        // `b` is already free, so its second free fails: `a` stays freed,
+        // `b` and `c` go back on the list and `c` is still allocated.
+        store.free(b).unwrap();
+        assert!(list.reclaim(u64::MAX, &store).is_err());
+        assert!(store.get(a).is_err());
+        assert!(store.get(c).is_ok());
+        assert_eq!(list.pending_count(), 2);
+        assert_eq!(list.min_pending_stamp(), Some(2));
     }
 }

@@ -214,8 +214,11 @@ store_stats! {
         /// Bytes appended to the WAL (record headers + payloads) — the
         /// write-amplification numerator.
         wal_bytes,
-        /// Page writes logged as v2 delta records.
+        /// Page writes logged as delta records.
         wal_put_deltas,
+        /// Move edits inside those delta records: a shifted run of the
+        /// prior image, logged as `(dst, src, len)` instead of its bytes.
+        wal_put_moves,
         /// Page writes logged as full images (v2 base records).
         wal_put_full_images,
         /// Writes with a prior image that fell back to a full image

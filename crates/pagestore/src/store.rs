@@ -76,7 +76,7 @@ use crate::audit::{self, Audited, LockClass};
 use crate::backend::{MemBackend, PageBackend};
 use crate::error::{Result, StoreError};
 use crate::health::StoreHealth;
-use crate::journal::Journal;
+use crate::journal::{Journal, PageEdit};
 use crate::page::{page_lsn, set_page_lsn, PAGE_LSN_OFFSET, PAGE_RESERVED_END};
 use crate::page::{stamp_page_crc, verify_page_crc};
 use crate::page::{Page, PageId};
@@ -215,6 +215,145 @@ fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
         *len -= lead + trail;
     }
     out
+}
+
+/// Shortest diff range tested for a shift: below it a move saves too
+/// little to pay for the search.
+const MIN_SHIFT_RANGE: usize = 64;
+
+/// Largest shift, in bytes, a move is looked for at, in either direction
+/// (a node's pair is 16 bytes).
+const MAX_SHIFT: usize = 32;
+
+/// Fewest bytes a move must cover to replace that many logged bytes.
+const MIN_MOVE: usize = 32;
+
+/// Length of the common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let words = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .take_while(|(x, y)| x == y)
+        .count();
+    let at = 8 * words;
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Length of the common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let words = a
+        .rchunks_exact(8)
+        .zip(b.rchunks_exact(8))
+        .take_while(|(x, y)| x == y)
+        .count();
+    let rest = n - 8 * words;
+    8 * words
+        + a[..rest]
+            .iter()
+            .rev()
+            .zip(b[..rest].iter().rev())
+            .take_while(|(x, y)| x == y)
+            .count()
+}
+
+/// How one diff range is logged when the prior image, shifted, explains
+/// most of it: a move of `len` bytes from `src` to `dst`, and the range's
+/// other bytes as they are.
+#[derive(Clone, Copy)]
+struct Shift {
+    dst: usize,
+    src: usize,
+    len: usize,
+}
+
+/// The longest run of diff range `off..end` that equals the prior image
+/// shifted by 1..=[`MAX_SHIFT`] bytes, in either direction, if it covers
+/// at least [`MIN_MOVE`] bytes. Only a range of at least
+/// [`MIN_SHIFT_RANGE`] bytes past the reserved field is tested.
+///
+/// Replay applies a record's edits in order, so a move must read bytes
+/// that still hold the prior image when it runs: a run shifted up (an
+/// insert) is anchored at the range's end and reads from `floor` on — the
+/// end of the previous range, whose bytes replay has already rewritten —
+/// and a run shifted down (a remove) is anchored at the range's start and
+/// reads the bytes above it, which no earlier edit touched. Neither reads
+/// or writes the reserved field.
+fn find_shift(old: &[u8], new: &[u8], off: usize, end: usize, floor: usize) -> Option<Shift> {
+    if off < RESERVED.end || end - off < MIN_SHIFT_RANGE {
+        return None;
+    }
+    debug_assert!(floor >= RESERVED.end && floor <= off);
+    let mut best: Option<Shift> = None;
+    let mut note = |cand: Shift| {
+        if cand.len >= MIN_MOVE && best.is_none_or(|b| cand.len > b.len) {
+            best = Some(cand);
+        }
+    };
+    for s in 1..=MAX_SHIFT {
+        // Shifted up: new[x] == old[x - s], reading at or above `floor`.
+        let lo = off.max(floor + s);
+        if end >= lo + MIN_MOVE && new[end - 8..end] == old[end - 8 - s..end - s] {
+            let len = common_suffix(&new[lo..end], &old[lo - s..end - s]);
+            note(Shift {
+                dst: end - len,
+                src: end - len - s,
+                len,
+            });
+        }
+        // Shifted down: new[x] == old[x + s], reading inside the page.
+        let hi = end.min(new.len() - s);
+        if hi >= off + MIN_MOVE && new[off..off + 8] == old[off + s..off + s + 8] {
+            let len = common_prefix(&new[off..hi], &old[off + s..hi + s]);
+            note(Shift {
+                dst: off,
+                src: off + s,
+                len,
+            });
+        }
+    }
+    best
+}
+
+/// The edits that turn `old` into `new` outside the reserved field: each
+/// [`diff_ranges`] range logged as its bytes, or, where [`find_shift`]
+/// finds one, as a move followed by the range's remaining bytes. Applied
+/// in order to `old`, they reproduce `new` outside the field.
+fn page_edits<'a>(old: &[u8], new: &'a [u8]) -> Vec<PageEdit<&'a [u8]>> {
+    let mut edits = Vec::new();
+    let mut floor = RESERVED.end;
+    for (off, len) in diff_ranges(old, new) {
+        let end = off + len;
+        match find_shift(old, new, off, end, floor) {
+            Some(m) => {
+                edits.push(PageEdit::Move {
+                    dst: m.dst as u16,
+                    src: m.src as u16,
+                    len: m.len as u16,
+                });
+                // The move is `off..end`'s first or last run; the bytes
+                // it leaves follow it.
+                let rest = if m.dst == off {
+                    m.dst + m.len..end
+                } else {
+                    off..m.dst
+                };
+                if !rest.is_empty() {
+                    edits.push(PageEdit::Bytes(rest.start as u16, &new[rest]));
+                }
+            }
+            None => edits.push(PageEdit::Bytes(off as u16, &new[off..end])),
+        }
+        floor = floor.max(end);
+    }
+    edits
 }
 
 /// The paper's lock: exclusive among lockers, invisible to readers.
@@ -622,8 +761,10 @@ impl PageWrite<'_> {
     /// In a journaled store the record is chosen one way, by
     /// `PageStore::log_page_write`: commit restores the reserved field from
     /// the image the write started from (or zeroes it when there is none),
-    /// then logs the bytes that differ from that image as a v2 delta. It
-    /// logs a v2 base instead when there is no prior image (an
+    /// then logs the edits that turn that image into the new one as a
+    /// delta: the changed byte ranges, and a move for a range that is the
+    /// image shifted (an insert or a remove in a node's pairs). It logs a
+    /// v2 base instead when there is no prior image (an
     /// [`WriteIntent::Overwrite`] miss, or the bypass when no pool frame
     /// can be had), when the page has no base in this checkpoint epoch, or
     /// when the delta would outgrow half a page. Either record's LSN is
@@ -1199,17 +1340,18 @@ impl PageStore {
     ///
     /// The reserved field ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]) is
     /// the store's: it is restored from `prior`, or zeroed, before anything
-    /// is logged. The write then logs the bytes that differ from `prior` as
-    /// a v2 **delta record** when every gate passes:
+    /// is logged. The write then logs the edits that turn `prior` into
+    /// `new` ([`page_edits`]: changed byte ranges, and moves where a range
+    /// is `prior` shifted) as a **delta record** when every gate passes:
     ///
     /// * there is a prior image to compare with;
     /// * the page has a base record in the current checkpoint epoch
     ///   (first touch after a checkpoint or open logs a full image, which
     ///   bounds recovery and repairs torn page-file writes);
-    /// * the encoded delta stays under half a page (beyond that the full
+    /// * the encoded edits stay under half a page (beyond that the full
     ///   image is cheaper to replay and barely bigger to log).
     ///
-    /// Otherwise it logs a v2 base. Without a journal it does nothing.
+    /// Otherwise it logs a base. Without a journal it does nothing.
     fn log_page_write(
         &self,
         pid: PageId,
@@ -1225,29 +1367,31 @@ impl PageStore {
             None => new[RESERVED].fill(0),
         }
         let epoch_now = self.epoch.load(Ordering::Acquire);
+        let new_ro: &[u8] = new;
         let delta = prior.and_then(|prior| {
             if slot.base_epoch.load(Ordering::Relaxed) != epoch_now {
                 StoreStats::bump(&self.stats.wal_delta_fallback_first_touch);
                 return None;
             }
-            let ranges = diff_ranges(prior, new);
-            let encoded: usize = 15 + ranges.iter().map(|&(_, len)| 4 + len).sum::<usize>();
+            let edits = page_edits(prior, new_ro);
+            let encoded: usize = 15 + edits.iter().map(PageEdit::encoded_len).sum::<usize>();
             if encoded > self.cfg.page_size / 2 {
                 StoreStats::bump(&self.stats.wal_delta_fallback_large);
                 return None;
             }
-            Some(ranges)
+            Some(edits)
         });
-        let lsn = if let Some(ranges) = delta {
-            let slices: Vec<(u16, &[u8])> = ranges
-                .iter()
-                .map(|&(off, len)| (off as u16, &new[off..off + len]))
-                .collect();
-            let lsn = j.log_put_delta(pid, page_lsn(new), &slices)?;
+        let lsn = if let Some(edits) = delta {
+            let lsn = j.log_put_edits(pid, page_lsn(new_ro), &edits)?;
             StoreStats::bump(&self.stats.wal_put_deltas);
+            let moves = edits
+                .iter()
+                .filter(|e| matches!(e, PageEdit::Move { .. }))
+                .count();
+            StoreStats::add(&self.stats.wal_put_moves, moves as u64);
             lsn
         } else {
-            let lsn = j.log_put_base(pid, new)?;
+            let lsn = j.log_put_base(pid, new_ro)?;
             StoreStats::bump(&self.stats.wal_put_full_images);
             self.note_base(slot, epoch_now);
             lsn
@@ -2641,11 +2785,11 @@ mod journal_tests {
             self.check()?;
             Ok(self.puts.fetch_add(1, Ordering::Relaxed) + 1)
         }
-        fn log_put_delta(
+        fn log_put_edits(
             &self,
             _pid: PageId,
             _page_lsn: u64,
-            _ranges: &[crate::journal::DeltaRange<'_>],
+            _edits: &[PageEdit<&[u8]>],
         ) -> Result<u64> {
             self.check()?;
             Ok(self.puts.fetch_add(1, Ordering::Relaxed) + 1)
@@ -2701,10 +2845,10 @@ mod journal_tests {
         assert!(page.bytes()[RESERVED.end..].iter().all(|&b| b == 5));
     }
 
-    /// One recorded delta append: (pid, page_lsn, ranges).
-    type LoggedDelta = (u32, u64, Vec<(u16, Vec<u8>)>);
+    /// One recorded delta append: (pid, page_lsn, edits).
+    type LoggedDelta = (u32, u64, Vec<PageEdit<Vec<u8>>>);
 
-    /// Records every delta append (pid, page_lsn, ranges), counts bases,
+    /// Records every delta append (pid, page_lsn, edits), counts bases,
     /// and hands out increasing LSNs.
     #[derive(Debug, Default)]
     struct DeltaMockJournal {
@@ -2726,17 +2870,20 @@ mod journal_tests {
             self.bases.fetch_add(1, Ordering::Relaxed);
             Ok(self.next_lsn.fetch_add(1, Ordering::Relaxed) + 1)
         }
-        fn log_put_delta(
+        fn log_put_edits(
             &self,
             pid: PageId,
             page_lsn: u64,
-            ranges: &[crate::journal::DeltaRange<'_>],
+            edits: &[PageEdit<&[u8]>],
         ) -> Result<u64> {
-            self.deltas.lock().push((
-                pid.to_raw(),
-                page_lsn,
-                ranges.iter().map(|&(o, b)| (o, b.to_vec())).collect(),
-            ));
+            let owned = edits
+                .iter()
+                .map(|e| match *e {
+                    PageEdit::Bytes(off, b) => PageEdit::Bytes(off, b.to_vec()),
+                    PageEdit::Move { dst, src, len } => PageEdit::Move { dst, src, len },
+                })
+                .collect();
+            self.deltas.lock().push((pid.to_raw(), page_lsn, owned));
             Ok(self.next_lsn.fetch_add(1, Ordering::Relaxed) + 1)
         }
         fn sync(&self) -> Result<()> {
@@ -2771,15 +2918,19 @@ mod journal_tests {
         let (pid, page_lsn, ranges) = &deltas[0];
         assert_eq!(*pid, a.to_raw());
         assert_eq!(*page_lsn, 0, "fresh page had no LSN yet");
+        let spans: Vec<(u16, &[u8])> = ranges
+            .iter()
+            .map(|e| match e {
+                PageEdit::Bytes(o, b) => (*o, &b[..]),
+                PageEdit::Move { .. } => panic!("no shift here: {e:?}"),
+            })
+            .collect();
         assert_eq!(
-            ranges
-                .iter()
-                .map(|(o, b)| (*o, b.len()))
-                .collect::<Vec<_>>(),
+            spans.iter().map(|(o, b)| (*o, b.len())).collect::<Vec<_>>(),
             vec![(40, 8), (200, 8)],
             "changed words share a range; distant ones stay separate"
         );
-        assert_eq!(&ranges[0].1[..4], &[1, 2, 3, 4]);
+        assert_eq!(&spans[0].1[..4], &[1, 2, 3, 4]);
         drop(deltas);
         // The record's LSN was stamped into the page's reserved field.
         let g = store.read(a).unwrap();
@@ -2891,14 +3042,14 @@ mod journal_tests {
             assert_eq!(deltas.len(), 1);
             let (_, page_lsn, ranges) = &deltas[0];
             assert_eq!(*page_lsn, base_lsn, "the prior LSN survived the re-encode");
-            assert_eq!(ranges, &vec![(100u16, vec![9])]);
+            assert_eq!(ranges, &vec![PageEdit::Bytes(100, vec![9])]);
         }
         assert!(page_lsn_of(&store.read(a).unwrap()) > base_lsn);
         // An update that leaves the field as it was diffs the same way.
         let mut w = store.write_page(a, WriteIntent::Update).unwrap();
         w.bytes_mut()[8] = 3;
         w.commit().unwrap();
-        assert_eq!(j.deltas.lock()[1].2, vec![(8u16, vec![3])]);
+        assert_eq!(j.deltas.lock()[1].2, vec![PageEdit::Bytes(8, vec![3])]);
         // Caller bytes in the field do not survive: the commit restores
         // it, finds nothing else changed and logs an empty delta, whose
         // LSN is what the field then holds.
@@ -3123,6 +3274,228 @@ mod diff_tests {
                 }
                 // A whole re-encode: a fresh random image.
                 _ => new = node_image(&mut rng, size, pairs),
+            }
+            check(&old, &new);
+        }
+    }
+}
+
+/// `page_edits`'s shift search against its contract: the edits, applied
+/// in order, reproduce the new image; a move stays inside the page and off
+/// the reserved field and reads only bytes no earlier edit rewrote; a
+/// shifted run logs as a move. Single-threaded and allocation-light, so
+/// the Miri CI step runs it too (`store::shift_tests`).
+#[cfg(test)]
+mod shift_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Applies `edits` to a copy of `old` the way replay does, checking
+    /// each move's bounds and that it reads no byte an earlier edit wrote.
+    fn apply(old: &[u8], edits: &[PageEdit<&[u8]>]) -> Vec<u8> {
+        let mut page = old.to_vec();
+        let mut written = vec![false; old.len()];
+        for edit in edits {
+            match *edit {
+                PageEdit::Bytes(off, bytes) => {
+                    let off = off as usize;
+                    page[off..off + bytes.len()].copy_from_slice(bytes);
+                    written[off..off + bytes.len()].fill(true);
+                }
+                PageEdit::Move { dst, src, len } => {
+                    let (dst, src, len) = (dst as usize, src as usize, len as usize);
+                    for at in [dst, src] {
+                        assert!(at + len <= page.len(), "move {edit:?} leaves the page");
+                        assert!(
+                            at >= RESERVED.end || at + len <= RESERVED.start,
+                            "move {edit:?} touches the reserved field"
+                        );
+                    }
+                    assert!(
+                        !written[src..src + len].contains(&true),
+                        "move {edit:?} reads bytes an earlier edit wrote"
+                    );
+                    page.copy_within(src..src + len, dst);
+                    written[dst..dst + len].fill(true);
+                }
+            }
+        }
+        page
+    }
+
+    /// Checks `page_edits(old, new)` and returns (moves, logged bytes).
+    fn check(old: &[u8], new: &[u8]) -> (usize, usize) {
+        let edits = page_edits(old, new);
+        let mut got = apply(old, &edits);
+        got[RESERVED].copy_from_slice(&new[RESERVED]);
+        assert!(
+            got == new,
+            "edits do not reproduce the new image: {edits:?}"
+        );
+        let moves = edits
+            .iter()
+            .filter(|e| matches!(e, PageEdit::Move { .. }))
+            .count();
+        let bytes = edits
+            .iter()
+            .map(|e| match e {
+                PageEdit::Bytes(_, b) => b.len(),
+                PageEdit::Move { .. } => 0,
+            })
+            .sum();
+        (moves, bytes)
+    }
+
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// A page of random bytes outside the reserved field, with `used`
+    /// random bytes from byte 48 (a node's pair array) and zeros after.
+    fn image(rng: &mut u64, page: usize, used: usize) -> Vec<u8> {
+        let mut p = vec![0u8; page];
+        for b in p[..RESERVED.start].iter_mut() {
+            *b = next(rng) as u8;
+        }
+        for b in p[48..48 + used].iter_mut() {
+            *b = next(rng) as u8;
+        }
+        p
+    }
+
+    #[test]
+    fn a_pair_insert_logs_a_move_and_the_new_pair() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let old = image(&mut rng, 4096, 16 * 200);
+        let mut new = old.clone();
+        // Insert a 16-byte pair at index 70 of 200; the count changes.
+        let (at, end) = (48 + 16 * 70, 48 + 16 * 200);
+        new.copy_within(at..end, at + 16);
+        new[at..at + 16].fill(0xEE);
+        new[4] ^= 1;
+        let (moves, bytes) = check(&old, &new);
+        assert_eq!(moves, 1);
+        assert!(bytes <= 1 + 16, "logged {bytes} literal bytes");
+    }
+
+    #[test]
+    fn a_pair_remove_logs_one_move() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let old = image(&mut rng, 4096, 16 * 200);
+        let mut new = old.clone();
+        // Remove the pair at index 3: the tail moves down, the last slot
+        // is zeroed as a re-encode leaves it.
+        let (at, end) = (48 + 16 * 3, 48 + 16 * 200);
+        new.copy_within(at + 16..end, at);
+        new[end - 16..end].fill(0);
+        let (moves, bytes) = check(&old, &new);
+        assert_eq!(moves, 1);
+        assert_eq!(
+            bytes, 0,
+            "the zeroed slot is the old zero tail shifted down"
+        );
+    }
+
+    #[test]
+    fn a_full_node_shifts_up_to_the_page_end() {
+        // 253 pairs fill a 4 KiB page to its last byte; inserting at 0
+        // shifts a run that ends at the page end.
+        let mut rng = 7u64;
+        let old = image(&mut rng, 4096, 16 * 252);
+        let mut new = old.clone();
+        new.copy_within(48..48 + 16 * 252, 64);
+        new[48..64].fill(3);
+        let (moves, bytes) = check(&old, &new);
+        assert_eq!(moves, 1);
+        assert!(bytes <= 16);
+        // And removing the first pair of a full page reads the last byte.
+        let old = image(&mut rng, 4096, 16 * 253);
+        let mut new = old.clone();
+        new.copy_within(64..4096, 48);
+        new[4080..].fill(0);
+        let (moves, _) = check(&old, &new);
+        assert_eq!(moves, 1);
+    }
+
+    #[test]
+    fn a_shift_next_to_the_reserved_field_never_reads_it() {
+        // Content from byte 24 shifted up: the first `s` bytes of the run
+        // would come from the reserved field, so the move starts past it.
+        for s in [1usize, 8, 16, 32] {
+            let mut rng = s as u64 * 31 + 5;
+            let mut old = image(&mut rng, 512, 300);
+            for b in old[RESERVED.end..48].iter_mut() {
+                *b = next(&mut rng) as u8;
+            }
+            let mut new = old.clone();
+            new.copy_within(RESERVED.end..400 - s, RESERVED.end + s);
+            new[RESERVED].fill(0xFF);
+            let (moves, _) = check(&old, &new);
+            assert_eq!(moves, 1, "shift {s}");
+        }
+    }
+
+    #[test]
+    fn unshifted_changes_log_their_bytes() {
+        let old = vec![0u8; 4096];
+        let mut new = old.clone();
+        new[100..300].fill(9);
+        assert_eq!(check(&old, &new), (0, 200));
+        // Too short a range is not searched.
+        let mut rng = 3u64;
+        let old = image(&mut rng, 4096, 40);
+        let mut new = old.clone();
+        new.copy_within(48..48 + 40, 56);
+        assert_eq!(check(&old, &new).0, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(miri) { 8 } else { 256 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn shifted_runs_replay_exactly(
+            seed in any::<u64>(),
+            size in prop_oneof![3 => Just(4096usize), 1 => 64usize..700],
+            shifts in proptest::collection::vec((any::<u64>(), 1usize..33, any::<bool>()), 1..4),
+            scatter in 0usize..4,
+        ) {
+            let mut rng = seed | 1;
+            let used = next(&mut rng) as usize % (size - 48 + 1);
+            let old = image(&mut rng, size, used);
+            let mut new = old.clone();
+            for &(at, s, up) in &shifts {
+                // A run from `a` to `b` (the page end one time in four,
+                // right after the reserved field one time in four)
+                // shifted by `s` bytes, the uncovered bytes refilled.
+                let a = match at % 4 {
+                    0 => RESERVED.end,
+                    _ => RESERVED.end + (at >> 8) as usize % (size - RESERVED.end),
+                };
+                let b = match (at >> 2) % 4 {
+                    0 => size,
+                    _ => a + (at >> 24) as usize % (size - a + 1),
+                };
+                if b - a <= s {
+                    continue;
+                }
+                let fill = (at >> 56) as u8;
+                if up {
+                    new.copy_within(a..b - s, a + s);
+                    new[a..a + s].fill(fill);
+                } else {
+                    new.copy_within(a + s..b, a);
+                    new[b - s..b].fill(fill);
+                }
+            }
+            for _ in 0..scatter {
+                let at = next(&mut rng) as usize % size;
+                new[at] = next(&mut rng) as u8;
             }
             check(&old, &new);
         }

@@ -17,7 +17,7 @@
 use blink_baselines::ConcurrentIndex;
 use blink_harness::runner::{run_workload, RunConfig};
 use blink_pagestore::{
-    DeltaRange, Journal, MemBackend, Page, PageBackend, PageId, PageStore, Result, StoreConfig,
+    Journal, MemBackend, Page, PageBackend, PageEdit, PageId, PageStore, Result, StoreConfig,
     StoreStats, WriteIntent,
 };
 use blink_workload::{KeyDist, Mix};
@@ -233,7 +233,7 @@ impl Journal for ProbedJournal {
     fn log_put_base(&self, pid: PageId, _data: &[u8]) -> Result<u64> {
         Ok(self.0.note_log(pid))
     }
-    fn log_put_delta(&self, pid: PageId, _lsn: u64, _ranges: &[DeltaRange<'_>]) -> Result<u64> {
+    fn log_put_edits(&self, pid: PageId, _lsn: u64, _edits: &[PageEdit<&[u8]>]) -> Result<u64> {
         Ok(self.0.note_log(pid))
     }
     fn sync(&self) -> Result<()> {

@@ -54,30 +54,17 @@ fn op_at(i: u64, key_space: u64) -> Op {
     }
 }
 
-/// Applies ops until one fails (the crash) or the workload ends. Returns
-/// the committed model and the in-flight (failed) key.
-fn run_until_crash(db: &Db, ops: u64, key_space: u64) -> (BTreeMap<u64, Vec<u8>>, Option<u64>) {
+/// Applies `op(i)` for `i` in `0..ops` until one fails (the crash) or the
+/// workload ends. Returns the committed model and the in-flight (failed)
+/// key.
+fn run_until_crash(
+    db: &Db,
+    ops: u64,
+    op: impl Fn(u64) -> Op,
+) -> (BTreeMap<u64, Vec<u8>>, Option<u64>) {
     let mut model = BTreeMap::new();
-    let mut session = db.session();
-    for i in 0..ops {
-        let op = op_at(i, key_space);
-        let (key, result) = match &op {
-            Op::Put(k, v) => (*k, session.put(*k, v).map(|_| ())),
-            Op::Delete(k) => (*k, session.delete(*k).map(|_| ())),
-        };
-        if result.is_err() {
-            return (model, Some(key));
-        }
-        match op {
-            Op::Put(k, v) => {
-                model.insert(k, v);
-            }
-            Op::Delete(k) => {
-                model.remove(&k);
-            }
-        }
-    }
-    (model, None)
+    let inflight = apply_with(&mut db.session(), &mut model, 0..ops, op);
+    (model, inflight)
 }
 
 /// The reopened `Db` must be internally consistent and must contain exactly
@@ -120,7 +107,7 @@ fn crash_point_matrix_over_a_mixed_kv_run() {
     let total_records = {
         let db = Db::open(cfg(&dir)).unwrap();
         let before = db.store().stats().snapshot();
-        let (_, inflight) = run_until_crash(&db, OPS, KEYS);
+        let (_, inflight) = run_until_crash(&db, OPS, |i| op_at(i, KEYS));
         assert_eq!(inflight, None, "fault-free run must not fail");
         let d = db.store().stats().snapshot().delta(&before);
         assert!(
@@ -140,7 +127,7 @@ fn crash_point_matrix_over_a_mixed_kv_run() {
     for n in 0..=total_records {
         let db = Db::open(cfg(&dir)).unwrap();
         db.durable().unwrap().fault().crash_after_wal_records(n);
-        let (model, inflight) = run_until_crash(&db, OPS, KEYS);
+        let (model, inflight) = run_until_crash(&db, OPS, |i| op_at(i, KEYS));
         if n >= total_records {
             assert_eq!(inflight, None);
         } else {
@@ -166,6 +153,98 @@ fn crash_point_matrix_over_a_mixed_kv_run() {
     }
 }
 
+/// Inserts of every key of `0..keys` in a scrambled order, then deletes and
+/// overwrites among them. At the default `k` one leaf takes 252 pairs
+/// before it splits, so most inserts shift the pairs above them up and
+/// every delete shifts them down: the index writes log moves.
+fn filling_op_at(i: u64, keys: u64) -> Op {
+    // 97 is coprime with the key counts used here: `j * 97 % keys` visits
+    // every key once.
+    let key = |j: u64| j * 97 % keys;
+    let mut v = vec![(i % 251) as u8; 16];
+    v[..8].copy_from_slice(&i.to_le_bytes());
+    if i < keys {
+        Op::Put(key(i), v)
+    } else if i.is_multiple_of(2) {
+        Op::Delete(key(i * 7 % keys))
+    } else {
+        Op::Put(key(i * 13 % keys), v)
+    }
+}
+
+/// Copies every file of `from` into a fresh directory `to`.
+fn copy_dir(from: &PathBuf, to: &PathBuf) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap() {
+        let e = e.unwrap();
+        std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+    }
+}
+
+/// The matrix at `DbConfig`'s default `k` and 4 KiB pages, where the
+/// other suites run at `k` = 4: leaves fill their page and split, and
+/// leaf inserts and removes log moves, so the boundaries fall around
+/// move records too. The first `FILL` inserts are written once, into a
+/// checkpointed directory; every run starts from a copy of it, and the
+/// crash falls after every record boundary of the rest: the inserts that
+/// fill the leaf to its page and split it, then deletes and overwrites.
+#[test]
+fn crash_point_matrix_at_the_default_k() {
+    const KEYS: u64 = 280;
+    const FILL: u64 = 200;
+    const OPS: u64 = KEYS + 40;
+    let template = tmpdir("defaultk-template");
+    let dir = tmpdir("defaultk");
+    let cfg = |dir: &PathBuf| {
+        let mut c = DbConfig::durable(dir);
+        c.fsync = FsyncPolicy::Never;
+        c.segment_bytes = 128 << 10;
+        c
+    };
+    let mut filled = BTreeMap::new();
+    {
+        let db = Db::open(cfg(&template)).unwrap();
+        let inflight = apply_with(&mut db.session(), &mut filled, 0..FILL, |i| {
+            filling_op_at(i, KEYS)
+        });
+        assert_eq!(inflight, None);
+        db.checkpoint().unwrap();
+    }
+    let run = |db: &Db| {
+        let mut model = filled.clone();
+        let inflight = apply_with(&mut db.session(), &mut model, FILL..OPS, |i| {
+            filling_op_at(i, KEYS)
+        });
+        (model, inflight)
+    };
+    let total_records = {
+        copy_dir(&template, &dir);
+        let db = Db::open(cfg(&dir)).unwrap();
+        let before = db.store().stats().snapshot();
+        let (_, inflight) = run(&db);
+        assert_eq!(inflight, None, "fault-free run must not fail");
+        let d = db.store().stats().snapshot().delta(&before);
+        assert!(d.wal_put_moves > 50, "too few moves: {}", d.wal_put_moves);
+        assert!(db.verify().unwrap().height >= 2, "no leaf filled and split");
+        d.wal_records
+    };
+
+    for n in 0..=total_records {
+        copy_dir(&template, &dir);
+        let db = Db::open(cfg(&dir)).unwrap();
+        db.durable().unwrap().fault().crash_after_wal_records(n);
+        let (model, inflight) = run(&db);
+        assert_eq!(inflight.is_none(), n >= total_records, "boundary {n}");
+        drop(db);
+
+        let db = Db::open(cfg(&dir)).unwrap();
+        assert_consistent(&db, &model, inflight, KEYS);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&template).unwrap();
+}
+
 /// Delete-then-reinsert churn over a tiny key set with same-size values:
 /// almost every reinsert lands in a slot a delete just tombstoned, so WAL
 /// boundaries fall *between* a slot's free and its reuse. Crashing there
@@ -182,34 +261,6 @@ fn churn_op_at(i: u64, key_space: u64) -> Op {
     }
 }
 
-fn run_churn_until_crash(
-    db: &Db,
-    ops: u64,
-    key_space: u64,
-) -> (BTreeMap<u64, Vec<u8>>, Option<u64>) {
-    let mut model = BTreeMap::new();
-    let mut session = db.session();
-    for i in 0..ops {
-        let op = churn_op_at(i, key_space);
-        let (key, result) = match &op {
-            Op::Put(k, v) => (*k, session.put(*k, v).map(|_| ())),
-            Op::Delete(k) => (*k, session.delete(*k).map(|_| ())),
-        };
-        if result.is_err() {
-            return (model, Some(key));
-        }
-        match op {
-            Op::Put(k, v) => {
-                model.insert(k, v);
-            }
-            Op::Delete(k) => {
-                model.remove(&k);
-            }
-        }
-    }
-    (model, None)
-}
-
 #[test]
 fn crash_matrix_over_slot_reuse_churn() {
     const OPS: u64 = 120;
@@ -221,7 +272,7 @@ fn crash_matrix_over_slot_reuse_churn() {
     let total_records = {
         let db = Db::open(cfg(&dir)).unwrap();
         let before = db.store().stats().snapshot().wal_records;
-        let (_, inflight) = run_churn_until_crash(&db, OPS, KEYS);
+        let (_, inflight) = run_until_crash(&db, OPS, |i| churn_op_at(i, KEYS));
         assert_eq!(inflight, None, "fault-free run must not fail");
         let snap = db.store().stats().snapshot();
         assert!(
@@ -240,7 +291,7 @@ fn crash_matrix_over_slot_reuse_churn() {
     for n in 0..=total_records {
         let db = Db::open(cfg(&dir)).unwrap();
         db.durable().unwrap().fault().crash_after_wal_records(n);
-        let (model, inflight) = run_churn_until_crash(&db, OPS, KEYS);
+        let (model, inflight) = run_until_crash(&db, OPS, |i| churn_op_at(i, KEYS));
         drop(db);
 
         let db = Db::open(cfg(&dir)).unwrap();
@@ -270,7 +321,7 @@ fn crashes_at_arbitrary_boundaries_of_a_large_run() {
     let total_records = {
         let db = Db::open(cfg(&dir)).unwrap();
         let before = db.store().stats().snapshot().wal_records;
-        let (model, inflight) = run_until_crash(&db, OPS, KEYS);
+        let (model, inflight) = run_until_crash(&db, OPS, |i| op_at(i, KEYS));
         assert_eq!(inflight, None);
         assert!(model.len() > 200, "workload must leave a real database");
         db.store().stats().snapshot().wal_records - before
@@ -280,7 +331,7 @@ fn crashes_at_arbitrary_boundaries_of_a_large_run() {
     for &n in &[total_records / 7, total_records / 2, total_records - 2] {
         let db = Db::open(cfg(&dir)).unwrap();
         db.durable().unwrap().fault().crash_after_wal_records(n);
-        let (model, inflight) = run_until_crash(&db, OPS, KEYS);
+        let (model, inflight) = run_until_crash(&db, OPS, |i| op_at(i, KEYS));
         assert!(db.durable().unwrap().fault().tripped());
         drop(db);
 
@@ -366,8 +417,19 @@ fn apply_ops(
     range: std::ops::Range<u64>,
     key_space: u64,
 ) -> Option<u64> {
+    apply_with(session, model, range, |i| op_at(i, key_space))
+}
+
+/// Applies `op(i)` for `i` in `range` on an open session, updating
+/// `model`; returns the in-flight key if an op failed.
+fn apply_with(
+    session: &mut sagiv_blink_repro::db::DbSession<'_>,
+    model: &mut BTreeMap<u64, Vec<u8>>,
+    range: std::ops::Range<u64>,
+    op: impl Fn(u64) -> Op,
+) -> Option<u64> {
     for i in range {
-        let op = op_at(i, key_space);
+        let op = op(i);
         let (key, result) = match &op {
             Op::Put(k, v) => (*k, session.put(*k, v).map(|_| ())),
             Op::Delete(k) => (*k, session.delete(*k).map(|_| ())),

@@ -11,6 +11,10 @@
 //! * whole-page rewrites that leave the reserved field zero, on a resident
 //!   frame (a delta) and on a freshly claimed one (a v2 base), and one
 //!   that writes caller bytes into the reserved field (a delta again),
+//! * insert- and remove-shaped writes: a run shifted up or down by 1..=32
+//!   bytes, the uncovered bytes refilled, at random offsets, next to the
+//!   reserved field and up to the page end (a delta whose shifted run is
+//!   logged as a move),
 //! * `sync` (flushes frames, so the page file holds a *newer* prefix than
 //!   the unflushed tail — the state the per-page LSN gate exists for), and
 //! * `checkpoint` (epoch rotation: forces a re-base and truncates the log)
@@ -18,9 +22,11 @@
 //! against a plain `Vec<u8>` model, then drops the store *without* a final
 //! flush (the crash) and reopens it. Recovery replays whatever mix of
 //! bases and deltas the case produced; the page must equal the model
-//! everywhere outside the store-reserved region (LSN + CRC). Every case
-//! runs with two pool frames and with none; without frames every write is
-//! a bypass that logs a base.
+//! everywhere outside the store-reserved region (LSN + CRC), and so must
+//! the live page before the crash. Every case runs with two pool frames
+//! and with none; without frames every write is a bypass that logs a
+//! base. (The durable crate's own tests hold page-once replay to its
+//! per-record oracle over the same shapes.)
 
 use proptest::prelude::*;
 use sagiv_blink_repro::durable::{DurableConfig, DurableStore, FsyncPolicy};
@@ -69,6 +75,15 @@ enum Op {
     RewriteFresh(u8),
     /// `bytes_mut` update that writes caller bytes into the reserved field.
     RewriteReserved(u8),
+    /// `bytes_mut` update shifting bytes `a..b` up (an insert) or down (a
+    /// remove) by `by` bytes and filling the `by` bytes it uncovers.
+    Shift {
+        a: usize,
+        b: usize,
+        by: usize,
+        up: bool,
+        fill: u8,
+    },
     /// Flush frames to the page file (no log truncation).
     Sync,
     /// Checkpoint: epoch rotation + log truncation.
@@ -87,9 +102,34 @@ fn range_strategy() -> impl Strategy<Value = (usize, usize, u8)> {
     })
 }
 
+/// A shifted run: from the first byte past the reserved field one time in
+/// four, to the page end one time in four, by 1..=32 bytes.
+fn shift_strategy() -> impl Strategy<Value = Op> {
+    (0u64..u64::MAX).prop_map(|x| {
+        let by = 1 + (x % 32) as usize;
+        let lo = PAGE_RESERVED_END;
+        let a = match (x >> 6) % 4 {
+            0 => lo,
+            _ => lo + (x >> 8) as usize % (PAGE - lo - by - 1),
+        };
+        let b = match (x >> 20) % 4 {
+            0 => PAGE,
+            _ => a + by + 1 + (x >> 24) as usize % (PAGE - a - by),
+        };
+        Op::Shift {
+            a,
+            b,
+            by,
+            up: (x >> 5) & 1 == 0,
+            fill: (x >> 56) as u8,
+        }
+    })
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         8 => proptest::collection::vec(range_strategy(), 1..4).prop_map(Op::Tracked),
+        4 => shift_strategy(),
         2 => (0u8..255).prop_map(Op::Full),
         3 => (0u8..255).prop_map(Op::Rewrite),
         2 => (0u8..255).prop_map(Op::RewriteFresh),
@@ -138,10 +178,22 @@ fn evict_all_but_spares(store: &PageStore, spares: &[PageId]) {
     }
 }
 
-fn run_case(ops: &[Op], pool_frames: usize) {
+/// Shifts `a..b` of `page` by `by` bytes and fills the uncovered bytes.
+fn shift(page: &mut [u8], a: usize, b: usize, by: usize, up: bool, fill: u8) {
+    if up {
+        page.copy_within(a..b - by, a + by);
+        page[a..a + by].fill(fill);
+    } else {
+        page.copy_within(a + by..b, a);
+        page[b - by..b].fill(fill);
+    }
+}
+
+/// Runs `ops`, crashes, replays, and returns the moves the case logged.
+fn run_case(ops: &[Op], pool_frames: usize) -> u64 {
     let dir = tmpdir();
     let mut model = vec![0u8; PAGE];
-    let pid;
+    let (pid, moves);
     {
         let ds = DurableStore::create(cfg(&dir, pool_frames)).unwrap();
         let store = ds.store();
@@ -193,6 +245,12 @@ fn run_case(ops: &[Op], pool_frames: usize) {
                     w.commit().unwrap();
                     assert_v2(store, pid);
                 }
+                &Op::Shift { a, b, by, up, fill } => {
+                    let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+                    shift(w.bytes_mut(), a, b, by, up, fill);
+                    w.commit().unwrap();
+                    shift(&mut model, a, b, by, up, fill);
+                }
                 Op::Sync => ds.sync().unwrap(),
                 Op::Checkpoint => ds.checkpoint().unwrap(),
             }
@@ -203,28 +261,36 @@ fn run_case(ops: &[Op], pool_frames: usize) {
                 w.commit().unwrap();
             }
         }
+        let s = store.stats().snapshot();
         if pool_frames == 0 {
-            let s = store.stats().snapshot();
             assert_eq!(s.wal_put_deltas, 0, "a bypass write logged a delta");
         }
+        moves = s.wal_put_moves;
+        assert_eq!(
+            mask(store.get(pid).unwrap().bytes()),
+            mask(&model),
+            "the live page diverged from the model"
+        );
         // Crash: drop without sync — dirty frames never reach pages.db.
     }
     let ds = DurableStore::open(cfg(&dir, pool_frames)).unwrap();
     let got = ds.store().get(pid).unwrap();
-    let mask = |b: &[u8]| {
-        let mut v = b.to_vec();
-        // The store owns LSN + CRC and keeps neither from a writer's
-        // bytes, so the region is masked out.
-        v[PAGE_LSN_OFFSET..PAGE_RESERVED_END].fill(0);
-        v
-    };
-    prop_assert_eq!(
+    assert_eq!(
         mask(got.bytes()),
         mask(&model),
         "replayed page diverged from the model"
     );
     drop(ds);
     let _ = std::fs::remove_dir_all(&dir);
+    moves
+}
+
+/// The page outside the store-reserved region: the store owns LSN + CRC
+/// and keeps neither from a writer's bytes.
+fn mask(b: &[u8]) -> Vec<u8> {
+    let mut v = b.to_vec();
+    v[PAGE_LSN_OFFSET..PAGE_RESERVED_END].fill(0);
+    v
 }
 
 proptest! {
@@ -261,4 +327,34 @@ fn flushed_prefix_then_unflushed_deltas_recover_exactly() {
         Op::Tracked(vec![(200, 16, 0x66)]),
     ];
     run_case(&ops, 2);
+}
+
+/// Inserts and removes over a varied page, at the reserved field's edge
+/// and at the page end: with frames they log moves, without frames bases,
+/// and both replay exactly.
+#[test]
+fn shifted_runs_log_moves_and_replay_exactly() {
+    let shift = |a, b, by, up| Op::Shift {
+        a,
+        b,
+        by,
+        up,
+        fill: 0x3C,
+    };
+    let ops = vec![
+        Op::Rewrite(0x2B),
+        shift(PAGE_RESERVED_END, PAGE, 16, true),
+        shift(PAGE_RESERVED_END, PAGE, 16, false),
+        Op::Sync,
+        shift(100, 240, 1, true),
+        shift(60, PAGE, 32, false),
+        Op::Checkpoint,
+        Op::Tracked(vec![(40, 4, 0x11)]),
+        shift(PAGE_RESERVED_END, 200, 7, false),
+    ];
+    assert!(
+        run_case(&ops, 2) >= 4,
+        "shifted runs were not logged as moves"
+    );
+    assert_eq!(run_case(&ops, 0), 0);
 }
