@@ -46,6 +46,7 @@ fn self_test() -> ExitCode {
             "wrapper-only",
             "frame_hinted(` outside [\"probe_unlatched\"]",
         ),
+        ("wrapper-only", "frames.get("),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", ".log_put_base("),
         ("wrapper-only", ".log_put_edits("),

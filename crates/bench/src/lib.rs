@@ -11,7 +11,7 @@
 pub mod lint;
 
 use blink_baselines::{ConcurrentIndex, LehmanYaoTree, TopDownTree};
-use blink_pagestore::{PageStore, StoreConfig};
+use blink_pagestore::{MemBackend, PageStore, StoreConfig, StoreStats};
 use sagiv_blink::{BLinkTree, TreeConfig, UnderflowPolicy};
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,20 +47,20 @@ pub fn fresh_store() -> Arc<PageStore> {
 /// A fresh page store with a simulated per-access latency and no buffer
 /// pool (every access is a backend access — the literal §2.2 model).
 pub fn fresh_store_io(delay: Duration) -> Arc<PageStore> {
-    PageStore::new(StoreConfig {
-        page_size: 4096,
-        io_delay: Some(delay),
-        pool_frames: 0,
-    })
+    fresh_store_io_cached(delay, 0)
 }
 
-/// Like [`fresh_store_io`], plus a buffer pool of `frames` pinned frames.
+/// Like [`fresh_store_io`], plus a buffer pool of `frames` pinned frames
+/// over the in-memory backend.
 pub fn fresh_store_io_cached(delay: Duration, frames: usize) -> Arc<PageStore> {
-    PageStore::new(StoreConfig {
+    let cfg = StoreConfig {
         page_size: 4096,
         io_delay: Some(delay),
         pool_frames: frames,
-    })
+    };
+    let backend = Box::new(MemBackend::new(cfg.page_size));
+    PageStore::with_parts(cfg, backend, None, Arc::new(StoreStats::default()), &[])
+        .expect("a journal-less store over memory cannot fail to build")
 }
 
 /// Sagiv tree with queue-compression enabled.

@@ -114,6 +114,23 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["probe_unlatched"],
         use_instead: "PageStore::probe_unlatched (validates the unpinned frame)",
     },
+    // A page's own frame in a store without a backend, found without the
+    // pool: the funnel and the unlatched probe read through it, and alloc
+    // and free own and disown it. A fifth lookup would be a second path to
+    // the bytes that skips their checks.
+    WrapperRule {
+        file: "store.rs",
+        needles: &["frames.get("],
+        // …plus the frame-table unit tests' lookup of a page's frame.
+        allowed_fns: &[
+            "claim_frame",
+            "probe_unlatched",
+            "alloc",
+            "free",
+            "frame_of",
+        ],
+        use_instead: "PageStore::claim_frame / probe_unlatched (the frame-table lookups)",
+    },
     WrapperRule {
         file: "store.rs",
         needles: &["backend_write_page("],
@@ -630,6 +647,21 @@ mod tests {
             "fn sweep(&self) {\n    for pid in self.store.allocated_pages() {}\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn frame_table_lookup_is_pinned_to_its_four_users() {
+        let v = lint_source(
+            "crates/pagestore/src/store.rs",
+            "fn peek(&self) {\n    let f = frames.get(pid.index());\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("the frame-table lookups"));
+        for user in ["claim_frame", "probe_unlatched", "alloc", "free"] {
+            let src = format!("fn {user}(&self) {{\n    let f = frames.get(pid.index());\n}}\n");
+            let ok = lint_source("crates/pagestore/src/store.rs", &src);
+            assert!(ok.is_empty(), "{user}: {ok:?}");
+        }
     }
 
     #[test]

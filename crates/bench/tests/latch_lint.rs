@@ -45,6 +45,7 @@ fn fixture_trips_every_rule() {
             "wrapper-only",
             "frame_hinted(` outside [\"probe_unlatched\"]",
         ),
+        ("wrapper-only", "frames.get("),
         ("wrapper-only", "backend_write_page("),
         ("wrapper-only", ".log_put_base("),
         ("wrapper-only", ".log_put_edits("),

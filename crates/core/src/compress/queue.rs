@@ -170,6 +170,13 @@ impl CompressionQueue {
         self.inner.lock().items.len()
     }
 
+    /// Queued items plus popped items not yet finished: the work still
+    /// outstanding.
+    pub fn outstanding(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.items.len() + inner.in_flight.len()
+    }
+
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

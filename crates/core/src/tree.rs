@@ -232,12 +232,14 @@ impl BLinkTree {
         TreeCounters::bump(&self.counters.link_follows);
     }
 
-    /// The compression queue length (0 when fully compressed or when the
-    /// underflow policy is [`UnderflowPolicy::Ignore`]).
+    /// The compression work outstanding: queued items plus items a worker
+    /// has popped and not yet finished, so a quiesce loop that waits for 0
+    /// cannot pass while a worker is mid-item. 0 when fully compressed or
+    /// when the underflow policy is [`UnderflowPolicy::Ignore`].
     ///
     /// [`UnderflowPolicy::Ignore`]: crate::UnderflowPolicy::Ignore
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.outstanding()
     }
 
     /// Pages awaiting deferred reclamation.
@@ -412,6 +414,25 @@ mod tests {
     fn create_rejects_bad_config() {
         let store = PageStore::new(StoreConfig::with_page_size(4096));
         assert!(BLinkTree::create(store, TreeConfig::with_k(0)).is_err());
+    }
+
+    #[test]
+    fn queue_len_counts_an_item_until_its_worker_finishes() {
+        let t = tree(4);
+        t.queue
+            .enqueue_if_absent(crate::compress::queue::QueueItem {
+                pid: t.prime_page(),
+                level: 0,
+                high: crate::key::Bound::PosInf,
+                stack: Vec::new(),
+                stamp: 0,
+                attempts: 0,
+            });
+        assert_eq!(t.queue_len(), 1);
+        let (token, _item) = t.queue.pop().unwrap();
+        assert_eq!(t.queue_len(), 1, "a popped item is still outstanding");
+        t.queue.finish(token);
+        assert_eq!(t.queue_len(), 0);
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub struct DbConfig {
     pub fsync: FsyncPolicy,
     /// WAL segment size before rotation (durable stores only).
     pub segment_bytes: u64,
-    /// Buffer-pool frames over the shared store.
+    /// Buffer-pool frames over a durable store's page file. An in-memory
+    /// store has no pool to size: each page lives in a frame of its own,
+    /// so nothing is evicted, whatever this says.
     pub pool_frames: usize,
 }
 

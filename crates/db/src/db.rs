@@ -119,13 +119,9 @@ impl Db {
         };
         let store = match &durable {
             Some(ds) => Arc::clone(ds.store()),
-            // No journal, so no flusher and no CRC: in-memory frames *are*
-            // the storage.
-            None => PageStore::new(StoreConfig {
-                page_size: cfg.page_size,
-                io_delay: None,
-                pool_frames: cfg.pool_frames,
-            }),
+            // No backend, journal, flusher or CRC: in-memory frames *are*
+            // the storage, one per page, so `pool_frames` does not apply.
+            None => PageStore::new(StoreConfig::with_page_size(cfg.page_size)),
         };
         // The heap is surveyed first; on a reopen its single page sweep
         // yields the inventory recovery consumes — the protected set for

@@ -98,7 +98,7 @@ pub(crate) struct Frame {
 const _: () = assert!(std::mem::size_of::<Frame>() == 64);
 
 impl Frame {
-    fn new(page_size: usize) -> Frame {
+    pub(crate) fn new(page_size: usize) -> Frame {
         let data: Box<[u8]> = vec![0u8; page_size].into_boxed_slice();
         let data_addr = data.as_ptr() as usize;
         Frame {
@@ -111,6 +111,13 @@ impl Frame {
             dirty: AtomicBool::new(false),
             referenced: AtomicBool::new(false),
         }
+    }
+
+    /// Takes one pin on a frame found without the pool (a page's own frame,
+    /// which nothing evicts: the pin only pairs with the guard's unpin).
+    pub(crate) fn pin(&self) -> &Frame {
+        self.pins.fetch_add(1, Ordering::AcqRel);
+        self
     }
 
     /// Releases one pin. Lock-free: guards drop without touching the shard.
@@ -127,6 +134,11 @@ impl Frame {
     /// The page whose bytes are valid in the frame, if any.
     pub(crate) fn owner(&self) -> Option<PageId> {
         PageId::from_raw(self.owner.load(Ordering::Acquire))
+    }
+
+    /// Names `pid` as the page whose bytes the frame holds.
+    pub(crate) fn own(&self, pid: PageId) {
+        self.owner.store(pid.to_raw(), Ordering::Release);
     }
 
     /// Marks the frame as naming no page. Call wherever its mapping goes
@@ -168,7 +180,9 @@ impl Frame {
     }
 
     /// The frame's identity for the latch auditor: its own address (frames
-    /// are allocated once at pool construction and never move).
+    /// never move: a pool's are allocated once at its construction, and a
+    /// store's frame table keeps its frames in chunks that are never moved
+    /// or freed while the store lives).
     pub(crate) fn audit_addr(&self) -> usize {
         self as *const Frame as usize
     }
@@ -251,8 +265,10 @@ impl<'a> PageProbe<'a> {
         // SAFETY: `off + dst.len() <= self.len` was checked above, and
         // `ptr..ptr + len` is either a borrowed slice (`PageProbe::new`)
         // or a frame's page buffer, which is allocated once in
-        // `Frame::new`, never reallocated or freed while the pool lives,
-        // and outlives the probe (`'a` borrows the frame). A writer may be
+        // `Frame::new` and never reallocated or freed while the frame
+        // lives — a pool frame for the pool's life, a table frame (in a
+        // chunk never moved or freed) for the store's — and outlives the
+        // probe (`'a` borrows the frame). A writer may be
         // mutating a frame's bytes concurrently: plain byte copies through
         // raw pointers cannot fault, and the seqlock check that follows
         // every unlatched probe discards a result computed from torn bytes.
@@ -583,9 +599,7 @@ impl BufferPool {
         }
         let mapped = st.map.get(&pid) == Some(&idx);
         if mapped {
-            shard.frames[idx]
-                .owner
-                .store(pid.to_raw(), Ordering::Release);
+            shard.frames[idx].own(pid);
         }
         mapped
     }
@@ -667,9 +681,6 @@ impl BufferPool {
     /// snapshot" semantics); the clock reclaims the frame once the last pin
     /// drops.
     pub(crate) fn discard(&self, pid: PageId) {
-        if self.capacity == 0 {
-            return;
-        }
         let shard = self.shard(pid);
         let mut st = self.lock_shard(shard);
         if let Some(&i) = st.map.get(&pid) {
@@ -691,9 +702,6 @@ impl BufferPool {
     /// True when `pid` currently has a frame (used by bypass paths to
     /// re-check, under the page latch, that no loader raced them).
     pub(crate) fn is_mapped(&self, pid: PageId) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
         self.lock_shard(self.shard(pid)).map.contains_key(&pid)
     }
 
@@ -770,6 +778,7 @@ impl BufferPool {
     }
 
     /// Pages currently resident (tests/diagnostics).
+    #[cfg(test)]
     pub(crate) fn resident(&self) -> usize {
         self.shards
             .iter()

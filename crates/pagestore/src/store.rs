@@ -1,9 +1,9 @@
-//! The page store: §2.2's model of secondary storage over a buffer pool.
+//! The page store: §2.2's model of secondary storage over page frames.
 //!
 //! * `get(x)` returns the contents of the page, `put(A, x)` overwrites it;
 //!   each is indivisible with respect to the other. The hot-path forms are
 //!   [`PageStore::read`], which returns a [`PageRef`] borrowing the bytes
-//!   of a pinned **buffer-pool frame** (a hit performs zero page-sized
+//!   of a pinned **frame** (a hit performs zero page-sized
 //!   copies), and [`PageStore::write_page`], whose [`PageWrite::commit`] is
 //!   the atomic publish. The §2.2 semantics are unchanged: a process
 //!   decodes its node from the guard (a stable snapshot — writers need the
@@ -15,26 +15,39 @@
 //! * Pages are allocated from a free list and freed back to it (freeing is
 //!   normally routed through [`crate::reclaim::DeferredFreeList`]).
 //!
+//! ## Two homes for a page
+//!
+//! A store built by [`PageStore::new`] has no backend: each page gets a
+//! frame of its own when it is first allocated, in an append-only chunked
+//! table indexed by page index, and keeps it for the store's life. The
+//! frame *is* the page, so there is no miss, eviction, dirty bit or
+//! write-back, and the buffer pool has no frames. A freed page keeps its
+//! frame, disowned; a re-alloc zeroes it and owns it again in one seqlock
+//! window. A store built by [`PageStore::with_parts`] keeps its pages in a
+//! backend and caches them in the bounded pool described below. Both find
+//! the frame first and share everything after.
+//!
 //! ## One frame funnel
 //!
 //! Every latched page access goes through `PageStore::claim_frame`, the
-//! only `pool.claim` loop there is: it pins the page's frame, latches it
-//! shared (`read`) or exclusive (`write_page`), revalidates `owner` and
-//! the allocation flag under the latch, and on a miss writes the dirty
-//! victim back and loads (or, for an overwrite, zeroes) the frame. When no
-//! frame can be had — every frame pinned, or `StoreConfig::pool_frames` is
-//! `0` — its `Exhausted` arm is **the bypass**: a private copy read from
-//! the backend under the slot latch, committed by `write_bypass` (log +
-//! backend write in one slot-latch section). Backend page writes have
-//! three callers: `write_back_frame` (shared by `flush`,
-//! `flush_for_checkpoint` and the flusher), `write_back_victim` (eviction,
-//! and a sweep that meets a frame mid-eviction) and `write_bypass`.
-//! `latch_lint` holds both counts where they are.
+//! only `pool.claim` loop there is: it pins the page's frame (its own, or
+//! a pool frame), latches it shared (`read`) or exclusive (`write_page`),
+//! revalidates `owner` and the allocation flag under the latch, and on a
+//! pool miss writes the dirty victim back and loads (or, for an
+//! overwrite, zeroes) the frame. When no pool frame can be had — every
+//! frame pinned, or `StoreConfig::pool_frames` is `0` — its `Exhausted`
+//! arm is **the bypass**: a private copy read from the backend under the
+//! slot latch, committed by `write_bypass` (log + backend write in one
+//! slot-latch section). Backend page writes have three callers:
+//! `write_back_frame` (shared by `flush`, `flush_for_checkpoint` and the
+//! flusher), `write_back_victim` (eviction, and a sweep that meets a frame
+//! mid-eviction) and `write_bypass`. `latch_lint` holds these counts, and
+//! the frame-table lookups, where they are.
 //!
-//! The *bytes* live in a pluggable [`PageBackend`] fronted by the pool:
-//! writes are **write-back** (they land in the frame and reach the backend
-//! on eviction or [`PageStore::sync`]), reads are served from the frame
-//! when resident. When a [`Journal`] is attached, every `alloc`/`free`/
+//! With a backend, the *bytes* live in a pluggable [`PageBackend`] fronted
+//! by the pool: writes are **write-back** (they land in the frame and
+//! reach the backend on eviction or [`PageStore::sync`]), reads are served
+//! from the frame when resident. When a [`Journal`] is attached, every `alloc`/`free`/
 //! committed write is logged **before** it is published — write-ahead
 //! ordering — so a dirty frame's WAL record always precedes its
 //! write-back, and the store stays recoverable from the log plus a
@@ -49,16 +62,17 @@
 //! The `latch-audit` feature checks this order (and the frame-latch level
 //! rule) at runtime — see [`crate::audit`]; every lock site below goes
 //! through an audited wrapper (`latch_read`/`latch_write`, `Slot::latch`,
-//! `lock_free`). The slot table itself takes no lock: it is append-only
-//! and chunked, so a lookup hands out a `&Slot` that lives as long as the
-//! store.
+//! `lock_free`). The slot and frame tables take no lock: they are
+//! append-only and chunked, so a lookup hands out a `&Slot` or `&Frame`
+//! that lives as long as the store.
 //!
 //! ## Reads that write nothing shared
 //!
 //! [`PageStore::probe_unlatched`] serves a resident page without a pin, a
-//! shard mutex, a frame latch or a slot latch: it finds the frame through
-//! the pool's `pid → frame` hint, checks that the frame's `owner` names
-//! the page, runs the caller's closure over the bytes in place (a
+//! shard mutex, a frame latch or a slot latch: it finds the page's own
+//! frame, or its pool frame through the pool's `pid → frame` hint, checks
+//! that the frame's `owner` names the page, runs the caller's closure over
+//! the bytes in place (a
 //! range-checked [`PageProbe`], so a reader touches only the bytes it
 //! routes on), and accepts the result only if the seqlock version was even
 //! and unchanged and `owner` still names the page afterwards (the pool's
@@ -73,7 +87,7 @@
 //! remains observable in experiments. Frame hits skip it.
 
 use crate::audit::{self, Audited, LockClass};
-use crate::backend::{MemBackend, PageBackend};
+use crate::backend::PageBackend;
 use crate::error::{Result, StoreError};
 use crate::health::StoreHealth;
 use crate::journal::{Journal, PageEdit};
@@ -84,6 +98,8 @@ use crate::pool::{BufferPool, Claim, Frame, PageProbe, Pinned};
 use crate::session::Session;
 use crate::stats::StoreStats;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -99,11 +115,15 @@ pub struct StoreConfig {
     pub page_size: usize,
     /// If set, every backend access (pool miss, write-back, bypass)
     /// busy-waits this long while holding the page latch, simulating a
-    /// storage access. Frame hits skip it. `None` for RAM-speed tests.
+    /// storage access. Frame hits skip it, so it applies only to a store
+    /// with a backend. `None` for RAM-speed tests.
     pub io_delay: Option<Duration>,
-    /// Buffer-pool size in frames (CLOCK replacement over pinned frames).
-    /// `0` disables the pool entirely: every access copies through the
-    /// backend, which is the literal §2.2 model.
+    /// Buffer-pool size in frames (CLOCK replacement over pinned frames)
+    /// of a store with a backend ([`PageStore::with_parts`]). `0` disables
+    /// the pool entirely: every access copies through the backend, which
+    /// is the literal §2.2 model. A store without a backend
+    /// ([`PageStore::new`]) gives every page a frame of its own and ignores
+    /// this.
     pub pool_frames: usize,
 }
 
@@ -479,69 +499,106 @@ impl Slot {
     }
 }
 
-/// Slots in the slot table's first chunk; chunk `k` holds
-/// `SLOT_CHUNK << k` slots, so [`SLOT_CHUNKS`] chunks cover every `u32`
-/// page id.
-const SLOT_CHUNK: usize = 512;
-const SLOT_CHUNKS: usize = 24;
+/// Elements in a [`ChunkTable`]'s first chunk; chunk `k` holds
+/// `CHUNK << k` elements, so [`CHUNKS`] chunks cover every `u32` page id.
+const CHUNK: usize = 512;
+const CHUNKS: usize = 24;
 
-/// The page-slot table: append-only and chunked, so a lookup is two atomic
-/// loads that never wait and a `&Slot` stays valid for the store's
-/// lifetime (chunks are never moved or freed). Appends must be serialized
-/// by the caller — [`PageStore::alloc`] appends under the free-list mutex.
-struct SlotTable {
-    chunks: [OnceLock<Box<[Slot]>>; SLOT_CHUNKS],
-    /// Slots published so far; `len` is stored only after its slot exists.
+/// An append-only, chunked table indexed by page index: the store's slots
+/// and, in a store without a backend, its frames. A lookup is two atomic
+/// loads that never wait, and a `&T` stays valid for the table's lifetime:
+/// chunks are never moved or freed while it lives, and each element is
+/// written once, by [`ChunkTable::push`], before `len` publishes it. A
+/// chunk's memory is touched only as its elements are pushed.
+struct ChunkTable<T> {
+    chunks: [OnceLock<Box<[Element<T>]>>; CHUNKS],
+    /// Elements published so far; `len` is stored only after its element
+    /// is written.
     len: AtomicUsize,
 }
 
-impl SlotTable {
-    fn new() -> SlotTable {
-        SlotTable {
-            chunks: [const { OnceLock::new() }; SLOT_CHUNKS],
+/// A [`ChunkTable`] element's storage: written once, in place.
+type Element<T> = UnsafeCell<MaybeUninit<T>>;
+
+// SAFETY: `len` is atomic and a chunk is set once through its `OnceLock`.
+// An element is written only by `push`, before `len` publishes it, and is
+// then only shared as `&T` (hence `T: Sync`) until the table drops it on
+// whichever thread drops the table (hence `T: Send`).
+unsafe impl<T: Send + Sync> Sync for ChunkTable<T> {}
+
+impl<T> ChunkTable<T> {
+    fn new() -> ChunkTable<T> {
+        ChunkTable {
+            chunks: [const { OnceLock::new() }; CHUNKS],
             len: AtomicUsize::new(0),
         }
     }
 
-    /// (chunk, offset) of slot `idx`: chunk `k` starts at
-    /// `SLOT_CHUNK × (2^k − 1)`.
+    /// (chunk, offset) of element `idx`: chunk `k` starts at
+    /// `CHUNK × (2^k − 1)`.
     fn locate(idx: usize) -> (usize, usize) {
-        let q = idx / SLOT_CHUNK + 1;
+        let q = idx / CHUNK + 1;
         let k = (usize::BITS - 1 - q.leading_zeros()) as usize;
-        (k, idx - SLOT_CHUNK * ((1 << k) - 1))
+        (k, idx - CHUNK * ((1 << k) - 1))
     }
 
     fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }
 
-    fn get(&self, idx: usize) -> Option<&Slot> {
+    fn get(&self, idx: usize) -> Option<&T> {
         if idx >= self.len() {
             return None;
         }
-        let (k, off) = SlotTable::locate(idx);
-        self.chunks[k].get().map(|chunk| &chunk[off])
+        let (k, off) = ChunkTable::<T>::locate(idx);
+        let cell = &self.chunks[k].get()?[off];
+        // SAFETY: `idx < len`, and `len` is stored (`Release`, read
+        // `Acquire` above) only after `push` wrote element `idx`, which
+        // nothing writes again while the table lives.
+        Some(unsafe { (*cell.get()).assume_init_ref() })
     }
 
-    /// Publishes one more (unallocated) slot and returns its index.
-    fn push(&self) -> usize {
+    /// Publishes `value` as the next element.
+    ///
+    /// # Safety
+    ///
+    /// The caller must not push concurrently: [`PageStore`] pushes under
+    /// its free-list mutex, or before the store is shared.
+    // SAFETY: the write below relies on exactly that contract.
+    unsafe fn push(&self, value: T) {
         let idx = self.len.load(Ordering::Relaxed);
-        let (k, _) = SlotTable::locate(idx);
-        self.chunks[k].get_or_init(|| (0..SLOT_CHUNK << k).map(|_| Slot::new()).collect());
+        let (k, off) = ChunkTable::<T>::locate(idx);
+        let chunk = self.chunks[k].get_or_init(|| {
+            (0..CHUNK << k)
+                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                .collect()
+        });
+        // SAFETY: readers reach only elements below `len`, and the caller
+        // serializes pushes, so nothing else touches element `idx` now.
+        unsafe { (*chunk[off].get()).write(value) };
         self.len.store(idx + 1, Ordering::Release);
-        idx
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Slot> {
+    fn iter(&self) -> impl Iterator<Item = &T> {
         (0..self.len()).filter_map(|i| self.get(i))
     }
 }
 
-impl std::fmt::Debug for SlotTable {
+impl<T> Drop for ChunkTable<T> {
+    fn drop(&mut self) {
+        for idx in 0..*self.len.get_mut() {
+            let (k, off) = ChunkTable::<T>::locate(idx);
+            let cell = &mut self.chunks[k].get_mut().expect("a pushed element's chunk")[off];
+            // SAFETY: `push` wrote every element below `len`, and
+            // `&mut self` rules out any reader.
+            unsafe { cell.get_mut().assume_init_drop() };
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for ChunkTable<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlotTable")
-            .field("len", &self.len())
-            .finish()
+        write!(f, "ChunkTable {{ len: {} }}", self.len())
     }
 }
 
@@ -797,7 +854,10 @@ impl PageWrite<'_> {
                     store.pool.complete_miss(pid, idx);
                 }
                 fw.frame.end_write();
-                store.pool.mark_dirty(fw.frame);
+                // A page's own frame is its only copy: nothing to write back.
+                if store.backend.is_some() {
+                    store.pool.mark_dirty(fw.frame);
+                }
                 drop(fw.guard);
                 fw.frame.unpin();
                 Ok(())
@@ -829,14 +889,23 @@ impl Drop for PageWrite<'_> {
     }
 }
 
-/// §2.2's model of secondary storage over a pluggable [`PageBackend`],
-/// fronted by a pinned-frame buffer pool.
+/// §2.2's model of secondary storage: pages that live in their frames, or
+/// in a pluggable [`PageBackend`] fronted by a pinned-frame buffer pool.
 #[derive(Debug)]
 pub struct PageStore {
     cfg: StoreConfig,
-    backend: Box<dyn PageBackend>,
+    /// Built by [`PageStore::with_parts`]: the backend holds every page and
+    /// the bounded pool caches them. `None` for [`PageStore::new`].
+    backend: Option<Box<dyn PageBackend>>,
+    /// Built by [`PageStore::new`]: page `i + 1` lives in frame `i` for the
+    /// page's whole life. A freed page keeps its frame, disowned, until
+    /// `alloc` zeroes and owns it again; nothing is evicted or written
+    /// back, and the pool has no frames. Empty in a store with a backend.
+    /// `latch_lint` allows its lookup only in `claim_frame`,
+    /// `probe_unlatched`, `alloc` and `free`.
+    frames: ChunkTable<Frame>,
     journal: Option<Arc<dyn Journal>>,
-    slots: SlotTable,
+    slots: ChunkTable<Slot>,
     free: Mutex<Vec<PageId>>,
     pool: BufferPool,
     stats: Arc<StoreStats>,
@@ -854,14 +923,19 @@ pub struct PageStore {
 }
 
 impl PageStore {
-    /// An in-memory, non-durable store (the original §2.2 slot array).
+    /// An in-memory, non-durable store with no backend: each page's frame
+    /// is allocated with the page and is its only home, so every access
+    /// hits, nothing is evicted and no page is copied into or out of a
+    /// cache. `cfg.pool_frames` and `cfg.io_delay` do not apply (there is
+    /// no pool and no backend access); for a bounded pool over memory, pass
+    /// a [`crate::MemBackend`] to [`PageStore::with_parts`].
     pub fn new(cfg: StoreConfig) -> Arc<PageStore> {
-        let backend = Box::new(MemBackend::new(cfg.page_size));
-        PageStore::with_parts(cfg, backend, None, Arc::new(StoreStats::default()), &[])
-            .expect("in-memory store construction cannot fail")
+        let stats = Arc::new(StoreStats::default());
+        PageStore::assemble(cfg, None, None, stats, &[])
     }
 
-    /// Builds a store over an arbitrary backend, optionally journaled.
+    /// Builds a store over an arbitrary backend, optionally journaled,
+    /// fronted by a buffer pool of `cfg.pool_frames` frames (`0`: none).
     ///
     /// `allocated[i]` seeds the allocation state of page `i + 1` (recovery
     /// passes the state reconstructed from checkpoint + log replay; an empty
@@ -902,22 +976,36 @@ impl PageStore {
             cfg.check_journaled()?;
         }
         backend.grow(allocated.len())?;
-        let slots = SlotTable::new();
+        let backend = Some(backend);
+        Ok(Self::assemble(cfg, backend, journal, stats, allocated))
+    }
+
+    fn assemble(
+        cfg: StoreConfig,
+        backend: Option<Box<dyn PageBackend>>,
+        journal: Option<Arc<dyn Journal>>,
+        stats: Arc<StoreStats>,
+        allocated: &[bool],
+    ) -> Arc<PageStore> {
+        let slots = ChunkTable::new();
         let mut free = Vec::new();
-        for &is_alloc in allocated {
-            let idx = slots.push();
+        for (idx, &is_alloc) in allocated.iter().enumerate() {
+            // SAFETY: the store is not shared yet; nothing else pushes.
+            unsafe { slots.push(Slot::new()) };
+            let slot = slots.get(idx).expect("slot was just pushed");
             if is_alloc {
-                let slot = slots.get(idx).expect("slot was just pushed");
                 slot.set_allocated(&mut slot.latch(), true);
             } else {
                 free.push(PageId::from_index(idx));
             }
         }
+        let frames = backend.as_ref().map_or(0, |_| cfg.pool_frames);
         let store = Arc::new(PageStore {
-            pool: BufferPool::new(cfg.pool_frames, cfg.page_size, Arc::clone(&stats)),
+            pool: BufferPool::new(frames, cfg.page_size, Arc::clone(&stats)),
             zero: vec![0u8; cfg.page_size].into_boxed_slice(),
             cfg,
             backend,
+            frames: ChunkTable::new(),
             journal,
             slots,
             free: Mutex::new(free),
@@ -929,7 +1017,7 @@ impl PageStore {
         if store.journal.is_some() && store.pool.capacity() > 0 {
             let _ = store.flusher.set(crate::flusher::spawn(&store));
         }
-        Ok(store)
+        store
     }
 
     /// Acquires a frame's read latch, timing only the contended path into
@@ -1010,11 +1098,6 @@ impl PageStore {
         }
     }
 
-    /// Pages currently resident in the buffer pool.
-    pub fn pool_resident(&self) -> usize {
-        self.pool.resident()
-    }
-
     /// Writes every dirty frame back to the backend. The WAL record for a
     /// dirty frame was appended (into the log file) when it was written,
     /// so write-ahead order holds; callers that need the log durable first
@@ -1040,7 +1123,7 @@ impl PageStore {
             j.sync()?;
         }
         self.flush()?;
-        self.backend.sync()
+        self.backend.as_ref().map_or(Ok(()), |b| b.sync())
     }
 
     /// The fuzzy checkpoint's writer barrier: after this returns, the
@@ -1077,7 +1160,15 @@ impl PageStore {
         for slot in self.slots.iter() {
             drop(slot.latch());
         }
-        self.backend.sync()
+        self.backend.as_ref().map_or(Ok(()), |b| b.sync())
+    }
+
+    /// The backend behind the pool. Only a miss, a write-back or a bypass
+    /// needs it, and a store without one has none of those.
+    fn backend(&self) -> &dyn PageBackend {
+        self.backend
+            .as_deref()
+            .expect("a store without a backend never misses")
     }
 
     /// Dirty-page count above which the flusher starts draining.
@@ -1268,7 +1359,7 @@ impl PageStore {
     /// [`StoreError::ChecksumMismatch`]. Every pool miss, bypass read and
     /// write-intent load goes through here.
     fn backend_read_page(&self, pid: PageId, buf: &mut [u8]) -> Result<()> {
-        self.retry_io(|| self.backend.read(pid.index(), buf))?;
+        self.retry_io(|| self.backend().read(pid.index(), buf))?;
         if self.journal.is_some() && !verify_page_crc(buf) {
             StoreStats::bump(&self.stats.checksum_failures);
             return Err(StoreError::ChecksumMismatch { page: pid });
@@ -1287,9 +1378,9 @@ impl PageStore {
         if self.journal.is_some() {
             let mut scratch = data.to_vec();
             stamp_page_crc(&mut scratch);
-            self.retry_io(|| self.backend.write(pid.index(), &scratch))
+            self.retry_io(|| self.backend().write(pid.index(), &scratch))
         } else {
-            self.retry_io(|| self.backend.write(pid.index(), data))
+            self.retry_io(|| self.backend().write(pid.index(), data))
         }
     }
 
@@ -1406,37 +1497,54 @@ impl PageStore {
     /// on a journal or backend error the page stays free.
     pub fn alloc(&self) -> Result<PageId> {
         self.check_health()?;
-        // Pop a freed page, or grow: the table publishes the new slot
-        // unallocated, so it is invisible to every page access until the
-        // flag flips below. NB: the guard must not live into the body,
-        // which re-locks `free` on the error path.
+        // Pop a freed page, or grow: the tables publish the new page's
+        // frame (in a store without a backend), then its slot, unallocated,
+        // so the page is invisible to every page access until the flag
+        // flips below. NB: the guard must not live into the body, which
+        // re-locks `free` on the error path.
         let (pid, grown) = {
             let mut free = self.lock_free();
             match free.pop() {
                 Some(pid) => (pid, false),
                 None => {
-                    let idx = self.slots.len();
-                    self.backend.grow(idx + 1)?;
-                    (PageId::from_index(self.slots.push()), true)
+                    let pid = PageId::from_index(self.slots.len());
+                    match &self.backend {
+                        Some(b) => b.grow(pid.index() + 1)?,
+                        // SAFETY: pushes run under the free-list mutex.
+                        None => unsafe { self.frames.push(Frame::new(self.cfg.page_size)) },
+                    }
+                    // SAFETY: as above.
+                    unsafe { self.slots.push(Slot::new()) };
+                    (pid, true)
                 }
             }
         };
         let slot = self
             .slot(pid)
             .expect("free-listed or grown page must exist");
+        if let Some(frame) = self.frames.get(pid.index()) {
+            // A new frame, or the one a freed page kept, disowned: zero and
+            // own it in one seqlock window, so every stamp taken before
+            // fails, and before the slot latch (frame latch → slot latch).
+            let mut bytes = self.latch_write(frame);
+            frame.begin_write();
+            bytes.fill(0);
+            frame.own(pid);
+            frame.end_write();
+        }
         let mut allocated = slot.latch();
         debug_assert!(!*allocated, "page on free list was allocated");
         let epoch_before = self.epoch.load(Ordering::Acquire);
-        let r = self.log(|j| j.log_alloc(pid)).and_then(|()| {
-            if grown {
-                // `grow` handed the backend slot over zeroed.
-                return Ok(());
-            }
-            // Unstamped zero fill: an all-zero page passes checksum
-            // verification by the "never written" rule, and fresh
-            // allocations must read back as all zeros.
-            self.retry_io(|| self.backend.write(pid.index(), &self.zero))
-        });
+        let r = self
+            .log(|j| j.log_alloc(pid))
+            .and_then(|()| match &self.backend {
+                // Unstamped zero fill: an all-zero page passes checksum
+                // verification by the "never written" rule, and fresh
+                // allocations must read back as all zeros. `grow` handed a new
+                // backend slot over zeroed.
+                Some(b) if !grown => self.retry_io(|| b.write(pid.index(), &self.zero)),
+                _ => Ok(()),
+            });
         if let Err(e) = r {
             drop(allocated);
             self.lock_free().push(pid);
@@ -1470,9 +1578,13 @@ impl PageStore {
             slot.set_allocated(&mut allocated, false);
         }
         StoreStats::bump(&self.stats.frees);
-        // Drop the frame (and its dirty bit: freed bytes are never written
-        // back). Outstanding guards keep their pinned snapshot.
-        self.pool.discard(pid);
+        // Disown the page's own frame, or drop its pool frame and dirty bit
+        // (freed bytes are never written back). Outstanding guards keep
+        // their pinned snapshot.
+        match self.frames.get(pid.index()) {
+            Some(frame) => frame.disown(),
+            None => self.pool.discard(pid),
+        }
         self.lock_free().push(pid);
         Ok(())
     }
@@ -1500,7 +1612,8 @@ impl PageStore {
     }
 
     /// The frame funnel, shared by [`PageStore::read`] (`write: None`) and
-    /// [`PageStore::write_page`]. Pins the page's frame and latches it:
+    /// [`PageStore::write_page`]. Pins the page's frame (its own in a store
+    /// without a backend, which always hits) and latches it:
     /// shared for a read (a miss loads the page and publishes the frame),
     /// exclusive with the seqlock window open for a write (a miss loads —
     /// or for [`WriteIntent::Overwrite`] just zeroes — the frame and leaves
@@ -1519,17 +1632,28 @@ impl PageStore {
     ) -> Result<Claimed<'a>> {
         let mut attempt = 0u32;
         loop {
-            let (frame, latch, fresh) = match self.pool.claim(pid) {
+            let claim = match self.frames.get(pid.index()) {
+                Some(frame) => Claim::Hit(frame.pin()),
+                None => self.pool.claim(pid),
+            };
+            let (frame, latch, fresh) = match claim {
                 Claim::Hit(frame) => {
                     StoreStats::bump(&self.stats.pins);
                     let latch = match write {
                         None => Latch::Shared(self.latch_read(frame)),
                         Some(_) => Latch::Exclusive(self.latch_write(frame)),
                     };
+                    if !*slot.latch() {
+                        drop(latch);
+                        frame.unpin();
+                        return Err(StoreError::PageFreed(pid));
+                    }
                     if !frame.owned_by(pid) {
-                        // The frame is mid-load or was repurposed between the
-                        // map lookup and the latch; the responsible party is
-                        // making progress — retry the claim.
+                        // The pool frame is mid-load or was repurposed
+                        // between the map lookup and the latch, or the page
+                        // was freed since the check above (a page's own
+                        // frame is disowned only then); the responsible
+                        // party is making progress — retry the claim.
                         drop(latch);
                         frame.unpin();
                         attempt += 1;
@@ -1539,11 +1663,6 @@ impl PageStore {
                             std::hint::spin_loop();
                         }
                         continue;
-                    }
-                    if !*slot.latch() {
-                        drop(latch);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
                     }
                     audit::classify_frame(frame.audit_addr(), latch.bytes());
                     match write {
@@ -1633,12 +1752,13 @@ impl PageStore {
     /// shared lines the read writes are the frame's CLOCK bit, and only
     /// when the clock hand cleared it.
     ///
-    /// The frame comes from the pool's `pid → frame` hint and may hold
-    /// another page, so `owner` is checked before `f` runs (a pool miss
-    /// does not run `f` over a stranger's bytes) and again after it, and
-    /// the result counts only if the seqlock version was even and
-    /// unchanged across the run. Returns `Ok(None)` whenever the fast path
-    /// cannot be taken safely (no hint, frame mid-mutation or holding
+    /// In a store without a backend the frame is the page's own. Otherwise
+    /// it comes from the pool's `pid → frame` hint and may hold another
+    /// page. Either way `owner` is checked before `f` runs (a pool miss or
+    /// a freed page does not run `f` over a stranger's bytes) and again
+    /// after it, and the result counts only if the seqlock version was even
+    /// and unchanged across the run. Returns `Ok(None)` whenever the fast
+    /// path cannot be taken safely (no hint, frame mid-mutation or holding
     /// another page, pool disabled); the caller falls back to a latched
     /// [`PageStore::read`], which maps the page and refreshes the hint.
     /// `f` takes no latch, so it may itself read or write pages; a write
@@ -1649,14 +1769,14 @@ impl PageStore {
         f: impl FnOnce(&PageProbe<'_>) -> T,
     ) -> Result<Option<(PageStamp, T)>> {
         let slot = self.slot(pid)?;
-        let probed = self
-            .pool
-            .frame_hinted(pid)
-            .filter(|frame| frame.owned_by(pid))
-            .and_then(|frame| {
-                let (version, out) = frame.probe_unlatched(f)?;
-                frame.owned_by(pid).then_some((frame, version, out))
-            });
+        let frame = self
+            .frames
+            .get(pid.index())
+            .or_else(|| self.pool.frame_hinted(pid));
+        let probed = frame.filter(|frame| frame.owned_by(pid)).and_then(|frame| {
+            let (version, out) = frame.probe_unlatched(f)?;
+            frame.owned_by(pid).then_some((frame, version, out))
+        });
         let Some((frame, version, out)) = probed else {
             StoreStats::bump(&self.stats.optimistic_read_fallbacks);
             return Ok(None);
@@ -1686,19 +1806,25 @@ impl PageStore {
     pub fn stamp_valid(&self, pid: PageId, stamp: &PageStamp) -> bool {
         audit::note_revalidate(stamp.frame);
         // SAFETY: `stamp.frame` was produced by `probe_unlatched` from a
-        // `&Frame` borrowed out of this store's buffer pool. That frame was
-        // never pinned, and it need not be: frames are allocated once at
-        // pool construction into a `Box<[Frame]>` that is never resized,
-        // moved, or freed while the `PageStore` lives, and `PageStamp`
-        // borrows the store (`probe_unlatched(&self)` / `stamp_valid(&self)`),
-        // so the pointer cannot outlive the frames. Eviction does not
-        // invalidate it either: a frame is *repurposed*, never deallocated,
-        // and every repurposing either brackets the refill with
-        // `begin_write`/`end_write`, bumping the seqlock version so the
-        // `version_is` check below rejects the stale stamp, or disowns the
-        // frame, which fails the `owned_by` check.
+        // `&Frame` borrowed out of this store's frame table or buffer pool.
+        // That frame was never pinned, and it need not be: a table frame
+        // lives in a chunk that is never moved or freed while the store
+        // lives, and pool frames are allocated once at pool construction
+        // into a `Box<[Frame]>` that is never resized, moved or freed while
+        // the `PageStore` lives; `PageStamp` borrows the store
+        // (`probe_unlatched(&self)` / `stamp_valid(&self)`), so the pointer
+        // cannot outlive the frames. A free, a re-alloc or an eviction does
+        // not invalidate it either: a frame is *repurposed*, never
+        // deallocated, and every repurposing either brackets the refill
+        // (or a re-alloc's zeroing) with `begin_write`/`end_write`, bumping
+        // the seqlock version so the `version_is` check below rejects the
+        // stale stamp, or disowns the frame, which fails the `owned_by`
+        // check.
         let frame = unsafe { &*(stamp.frame as *const Frame) };
-        frame.version_is(stamp.version) && frame.owned_by(pid)
+        // `owner` first: a re-alloc or a refill names the page again only
+        // inside its seqlock window, so a reader that sees the page named
+        // again also sees the version that window bumped.
+        frame.owned_by(pid) && frame.version_is(stamp.version)
     }
 
     /// Populates a freshly claimed frame under its write latch: writes the
@@ -1925,9 +2051,17 @@ impl Drop for PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemBackend;
     use crate::clock::LogicalClock;
     use crate::session::SessionRegistry;
     use std::sync::Arc;
+
+    /// A store with a bounded pool of `cfg.pool_frames` frames over a
+    /// [`MemBackend`]: misses, evictions, write-backs and bypasses.
+    pub(super) fn pooled(cfg: StoreConfig) -> Arc<PageStore> {
+        let backend = Box::new(MemBackend::new(cfg.page_size));
+        PageStore::with_parts(cfg, backend, None, Arc::new(StoreStats::default()), &[]).unwrap()
+    }
 
     fn setup() -> (Arc<PageStore>, Arc<SessionRegistry>) {
         let store = PageStore::new(StoreConfig::with_page_size(128));
@@ -1966,7 +2100,7 @@ mod tests {
         let g2 = store.read(pid).unwrap();
         assert_eq!(store.stats().snapshot().cache_hits - before.cache_hits, 1);
         drop(g2);
-        assert!(store.pool_resident() >= 1);
+        assert_eq!(store.live_pages(), 1);
     }
 
     #[test]
@@ -2055,7 +2189,7 @@ mod tests {
 
     #[test]
     fn with_parts_seeds_allocation_state() {
-        let backend = Box::new(crate::backend::MemBackend::new(128));
+        let backend = Box::new(MemBackend::new(128));
         let store = PageStore::with_parts(
             StoreConfig::with_page_size(128),
             backend,
@@ -2075,7 +2209,7 @@ mod tests {
 
     #[test]
     fn with_parts_rejects_mismatched_page_size() {
-        let backend = Box::new(crate::backend::MemBackend::new(64));
+        let backend = Box::new(MemBackend::new(64));
         assert!(PageStore::with_parts(
             StoreConfig::with_page_size(128),
             backend,
@@ -2168,7 +2302,7 @@ mod tests {
 
     #[test]
     fn io_delay_is_applied_without_a_pool() {
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: Some(Duration::from_micros(200)),
             pool_frames: 0,
@@ -2227,12 +2361,14 @@ mod tests {
 
 #[cfg(test)]
 mod pool_tests {
+    use super::tests::pooled;
     use super::*;
+    use crate::backend::MemBackend;
 
     #[test]
     #[cfg_attr(miri, ignore = "asserts a wall-clock upper bound")]
     fn pool_hits_skip_the_io_delay() {
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: Some(Duration::from_micros(300)),
             pool_frames: 8,
@@ -2260,7 +2396,7 @@ mod pool_tests {
 
     #[test]
     fn writes_are_write_back_and_flushed_on_sync() {
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
@@ -2289,7 +2425,7 @@ mod pool_tests {
     #[test]
     fn eviction_flushes_dirty_victims() {
         // One frame: every new page displaces the previous one.
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 1,
@@ -2311,7 +2447,7 @@ mod pool_tests {
 
     #[test]
     fn pinned_frames_force_bypass_not_eviction() {
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 2,
@@ -2337,7 +2473,7 @@ mod pool_tests {
 
     #[test]
     fn freed_pages_leave_the_pool() {
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
@@ -2523,7 +2659,7 @@ mod pool_tests {
         sweep(&store).unwrap();
         let backend = [a, b].map(|pid| {
             let mut buf = vec![0u8; 64];
-            store.backend.read(pid.index(), &mut buf).unwrap();
+            store.backend().read(pid.index(), &mut buf).unwrap();
             buf
         });
         // The reader resumes and loads b's own image.
@@ -2584,7 +2720,7 @@ mod pool_tests {
     fn a_probe_that_writes_its_page_inside_the_window_returns_none() {
         // The probe holds no latch, so its closure may write the very page
         // it is reading from this thread; the seqlock must reject the run.
-        let store = PageStore::new(StoreConfig::with_page_size(64));
+        let store = pooled(StoreConfig::with_page_size(64));
         let a = store.alloc().unwrap();
         let mut p = Page::zeroed(64);
         p.bytes_mut().fill(0xA1);
@@ -2637,7 +2773,7 @@ mod pool_tests {
         // page sharing `a`'s hint slot (2 frames → 8 slots: 1 and 9)
         // re-points it with a hit. The clean-victim claim must have
         // disowned the frame, whose bytes are `a`'s old image.
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 2,
@@ -2671,7 +2807,7 @@ mod pool_tests {
         // (b) A freed page is reallocated and overwritten while its old
         // frame is pinned, so the new image goes to the backend and the
         // hint still names the old frame: `discard` must have disowned it.
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 1,
@@ -2697,7 +2833,7 @@ mod pool_tests {
         // What exp10 reads off a `pool_frames: 0` store: no hits,
         // every get a miss and a bypass, every backend access delayed.
         let delay = Duration::from_micros(200);
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: Some(delay),
             pool_frames: 0,
@@ -2721,12 +2857,12 @@ mod pool_tests {
         assert_eq!((s.cache_hits, s.cache_misses), (0, 6));
         assert_eq!(s.pool_bypasses, 6 + 2);
         assert_eq!((s.pins, s.dirty_writebacks), (0, 0));
-        assert_eq!(store.pool_resident(), 0);
+        assert_eq!(store.pool.resident(), 0);
     }
 
     #[test]
     fn hits_and_misses_account_for_every_read() {
-        let store = PageStore::new(StoreConfig {
+        let store = pooled(StoreConfig {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
@@ -2748,6 +2884,7 @@ mod pool_tests {
 #[cfg(test)]
 mod journal_tests {
     use super::*;
+    use crate::backend::MemBackend;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// Records calls; can be switched to failing to model a dead journal.
@@ -2803,7 +2940,7 @@ mod journal_tests {
         let j = Arc::new(MockJournal::default());
         let store = PageStore::with_parts(
             StoreConfig::with_page_size(64),
-            Box::new(crate::backend::MemBackend::new(64)),
+            Box::new(MemBackend::new(64)),
             Some(Arc::clone(&j) as Arc<dyn Journal>),
             Arc::new(StoreStats::default()),
             &[],
@@ -2895,7 +3032,7 @@ mod journal_tests {
         let j = Arc::new(DeltaMockJournal::default());
         let store = PageStore::with_parts(
             StoreConfig::with_page_size(page_size),
-            Box::new(crate::backend::MemBackend::new(page_size)),
+            Box::new(MemBackend::new(page_size)),
             Some(Arc::clone(&j) as Arc<dyn Journal>),
             Arc::new(StoreStats::default()),
             &[],
@@ -3068,7 +3205,7 @@ mod journal_tests {
         let build = |page_size: usize, journal: Option<Arc<dyn Journal>>| {
             PageStore::with_parts(
                 StoreConfig::with_page_size(page_size),
-                Box::new(crate::backend::MemBackend::new(page_size)),
+                Box::new(MemBackend::new(page_size)),
                 journal,
                 Arc::new(StoreStats::default()),
                 &[],
@@ -3110,6 +3247,101 @@ mod journal_tests {
         j.fail.store(false, Ordering::Relaxed);
         store.free(a).unwrap();
         assert_eq!(store.alloc().unwrap(), a);
+    }
+}
+
+/// The frame table of a store without a backend, single-threaded, so the
+/// Miri CI step runs it too (`store::frame_table_tests`).
+#[cfg(test)]
+mod frame_table_tests {
+    use super::*;
+
+    /// The page's own frame, as the funnel finds it.
+    fn frame_of(store: &PageStore, pid: PageId) -> &Frame {
+        store
+            .frames
+            .get(pid.index())
+            .expect("a store without a backend")
+    }
+
+    #[test]
+    fn locate_walks_the_doubling_chunks() {
+        let at = ChunkTable::<Slot>::locate;
+        assert_eq!((at(0), at(511)), ((0, 0), (0, 511)));
+        assert_eq!((at(512), at(1535)), ((1, 0), (1, 1023)));
+        assert_eq!((at(1536), at(3583)), ((2, 0), (2, 2047)));
+        assert_eq!(at(3584), (3, 0));
+        // The last chunk ends past the largest page index.
+        let last = CHUNK * ((1 << CHUNKS) - 1) - 1;
+        assert_eq!(at(last), (CHUNKS - 1, (CHUNK << (CHUNKS - 1)) - 1));
+        assert!(last >= u32::MAX as usize - 1);
+    }
+
+    #[test]
+    fn a_table_drops_exactly_what_it_pushed() {
+        let token = Arc::new(());
+        let table = ChunkTable::new();
+        for _ in 0..CHUNK + 3 {
+            // SAFETY: this thread is the table's only user.
+            unsafe { table.push(Arc::clone(&token)) };
+        }
+        assert_eq!(table.len(), CHUNK + 3);
+        assert!(table.get(CHUNK + 2).is_some() && table.get(CHUNK + 3).is_none());
+        assert_eq!(table.iter().count(), CHUNK + 3);
+        assert_eq!(Arc::strong_count(&token), CHUNK + 4);
+        drop(table);
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn frames_grow_with_the_pages_across_chunks() {
+        let store = PageStore::new(StoreConfig::with_page_size(64));
+        let pids: Vec<_> = (0..CHUNK * 3 + 1).map(|_| store.alloc().unwrap()).collect();
+        for (i, &pid) in pids.iter().enumerate() {
+            let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+            w.write_at(24, &(i as u32).to_le_bytes());
+            w.commit().unwrap();
+        }
+        for (i, &pid) in pids.iter().enumerate() {
+            assert_eq!(store.read(pid).unwrap()[24..28], (i as u32).to_le_bytes());
+            // Frames never move: a later chunk does not disturb earlier ones.
+            assert_eq!(frame_of(&store, pid).owner(), Some(pid));
+        }
+        let s = store.stats().snapshot();
+        assert_eq!((s.cache_hits, s.cache_misses), (pids.len() as u64, 0));
+        assert_eq!((s.frames_evicted, s.dirty_writebacks), (0, 0));
+        assert_eq!(store.pool.capacity(), 0);
+        assert_eq!(store.live_pages(), pids.len());
+        store.sync().unwrap();
+    }
+
+    #[test]
+    fn a_freed_page_keeps_its_frame_and_comes_back_zeroed() {
+        let store = PageStore::new(StoreConfig::with_page_size(64));
+        let a = store.alloc().unwrap();
+        let mut w = store.write_page(a, WriteIntent::Overwrite).unwrap();
+        w.bytes_mut().fill(0xA1);
+        w.commit().unwrap();
+        let frame: *const Frame = frame_of(&store, a);
+        let (stamp, seen) = store.probe_unlatched(a, |p| p.u8(63)).unwrap().unwrap();
+        assert_eq!(seen, 0xA1);
+        store.free(a).unwrap();
+        assert!(!store.stamp_valid(a, &stamp), "a free must void the stamp");
+        assert_eq!(frame_of(&store, a).owner(), None, "disowned");
+        assert_eq!(store.get(a), Err(StoreError::PageFreed(a)));
+        assert!(matches!(store.probe_unlatched(a, |_| ()), Ok(None)));
+        assert!(store.write_page(a, WriteIntent::Update).is_err());
+        // Reuse: the same frame, zeroed, and the old stamp stays void.
+        assert_eq!(store.alloc().unwrap(), a);
+        assert!(std::ptr::eq(frame, frame_of(&store, a)));
+        assert!(
+            !store.stamp_valid(a, &stamp),
+            "a re-alloc must void the stamp"
+        );
+        assert!(store.get(a).unwrap().bytes().iter().all(|&b| b == 0));
+        let (fresh, seen) = store.probe_unlatched(a, |p| p.u8(63)).unwrap().unwrap();
+        assert!(seen == 0 && store.stamp_valid(a, &fresh));
+        assert_eq!(store.live_pages(), 1);
     }
 }
 

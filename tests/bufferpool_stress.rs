@@ -32,6 +32,14 @@ fn quick() -> bool {
     std::env::var("QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
+/// A store whose pool of `cfg.pool_frames` frames caches a [`MemBackend`]
+/// (a store built by `PageStore::new` gives every page a frame of its own
+/// and never evicts).
+fn pooled(cfg: StoreConfig) -> Arc<PageStore> {
+    let backend = Box::new(MemBackend::new(cfg.page_size));
+    PageStore::with_parts(cfg, backend, None, Arc::new(StoreStats::default()), &[]).unwrap()
+}
+
 fn patterned(page_size: usize, tag: u8) -> Page {
     let mut p = Page::zeroed(page_size);
     p.bytes_mut().fill(tag);
@@ -44,7 +52,7 @@ fn patterned(page_size: usize, tag: u8) -> Page {
 #[test]
 fn guards_never_observe_torn_pages_under_eviction_pressure() {
     let page_size = 512;
-    let store = PageStore::new(StoreConfig {
+    let store = pooled(StoreConfig {
         page_size,
         io_delay: None,
         pool_frames: 8,
@@ -106,7 +114,7 @@ fn guards_never_observe_torn_pages_under_eviction_pressure() {
 #[test]
 fn pinned_frames_are_never_evicted() {
     let page_size = 256;
-    let store = PageStore::new(StoreConfig {
+    let store = pooled(StoreConfig {
         page_size,
         io_delay: None,
         pool_frames: 4,
@@ -157,7 +165,7 @@ fn pinned_frames_are_never_evicted() {
 /// than deadlocking or evicting a pinned frame.
 #[test]
 fn exhausted_pool_bypasses_instead_of_evicting() {
-    let store = PageStore::new(StoreConfig {
+    let store = pooled(StoreConfig {
         page_size: 128,
         io_delay: None,
         pool_frames: 2,
@@ -340,7 +348,7 @@ fn dirty_victims_hit_the_wal_before_the_backend() {
 /// really evicts and writes back dirty victims, and the tree verifies.
 #[test]
 fn concurrent_tree_churn_on_a_tiny_pool_has_no_errors() {
-    let store = PageStore::new(StoreConfig {
+    let store = pooled(StoreConfig {
         pool_frames: 16,
         ..StoreConfig::with_page_size(512)
     });

@@ -7,7 +7,7 @@
 
 use sagiv_blink_repro::blink::{BLinkTree, TreeConfig};
 use sagiv_blink_repro::db::{Db, DbConfig};
-use sagiv_blink_repro::pagestore::{PageStore, StoreConfig};
+use sagiv_blink_repro::pagestore::{PageId, PageStore, StoreConfig, WriteIntent};
 use std::sync::Arc;
 
 fn optimistic_tree(k: usize) -> Arc<BLinkTree> {
@@ -192,4 +192,123 @@ fn db_defaults_use_optimistic_descents() {
         m.store.optimistic_reads > 0,
         "Db must use the optimistic fast path"
     );
+}
+
+/// Page `pid`'s pattern: its raw id in every 4-byte word, so a probe that
+/// mixes two images, or two pages, sees two different words.
+fn pattern_of(pid: PageId, page_size: usize) -> Vec<u8> {
+    pid.to_raw().to_le_bytes().repeat(page_size / 4)
+}
+
+/// Writes `pid`'s pattern over a page just allocated, which must read as
+/// all zeros.
+fn fill_fresh(store: &PageStore, pid: PageId) {
+    let page = store.get(pid).unwrap();
+    assert!(
+        page.bytes().iter().all(|&b| b == 0),
+        "{pid:?} was (re)allocated with stale bytes"
+    );
+    let mut w = store.write_page(pid, WriteIntent::Overwrite).unwrap();
+    w.bytes_mut()
+        .copy_from_slice(&pattern_of(pid, store.page_size()));
+    w.commit().unwrap();
+}
+
+/// A store without a backend grows its frame table while readers probe it
+/// unlatched: two allocators grow it past the chunk boundaries at 512,
+/// 1 536 and 3 584 pages, a churner frees and re-allocates pages of its
+/// own, and readers probe and revalidate pages that already exist. An
+/// accepted probe must see one whole image of its own page (its pattern,
+/// or the zeros of a page not written yet), a stamp taken before a free or
+/// a re-alloc must fail, and every (re)allocated page must read as zeros.
+#[test]
+fn frame_table_growth_under_unlatched_readers() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const PAGE: usize = 64;
+    const TARGET: usize = 4_000;
+    let store = PageStore::new(StoreConfig::with_page_size(PAGE));
+    let done = Arc::new(AtomicBool::new(false));
+    let accepted = Arc::new(AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        for r in 0..2u64 {
+            let (store, done, accepted) = (&store, &done, &accepted);
+            scope.spawn(move || {
+                let mut x = r + 1;
+                let mut words = [0u8; PAGE];
+                while !done.load(Ordering::Relaxed) {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let have = store.capacity();
+                    if have == 0 {
+                        continue;
+                    }
+                    let pid = PageId::from_raw(1 + (x >> 33) as u32 % have as u32).unwrap();
+                    let Ok(Some((stamp, true))) =
+                        store.probe_unlatched(pid, |p| p.copy(0, &mut words))
+                    else {
+                        continue;
+                    };
+                    let own = pattern_of(pid, PAGE);
+                    assert!(
+                        words[..] == own[..] || words.iter().all(|&b| b == 0),
+                        "an accepted probe of {pid:?} saw a torn or foreign image"
+                    );
+                    // Revalidated before the next probe (the auditor's
+                    // rule); either answer is legal while others write.
+                    let _ = store.stamp_valid(pid, &stamp);
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let churner = {
+            let (store, done) = (&store, &done);
+            scope.spawn(move || {
+                let mut mine: Vec<PageId> = (0..32).map(|_| store.alloc().unwrap()).collect();
+                for &pid in &mine {
+                    fill_fresh(store, pid);
+                }
+                let mut rounds = 0u64;
+                while !done.load(Ordering::Relaxed) || rounds < 200 {
+                    let slot = rounds as usize % mine.len();
+                    let pid = mine[slot];
+                    let (stamp, ()) = store.probe_unlatched(pid, |_| ()).unwrap().unwrap();
+                    assert!(store.stamp_valid(pid, &stamp));
+                    store.free(pid).unwrap();
+                    assert!(!store.stamp_valid(pid, &stamp), "a free must void a stamp");
+                    let again = store.alloc().unwrap();
+                    assert!(
+                        !store.stamp_valid(pid, &stamp),
+                        "a re-alloc must void a stamp"
+                    );
+                    fill_fresh(store, again);
+                    mine[slot] = again;
+                    rounds += 1;
+                }
+                rounds
+            })
+        };
+        let growers: Vec<_> = (0..2)
+            .map(|_| {
+                let store = &store;
+                scope.spawn(move || {
+                    while store.capacity() < TARGET {
+                        let pid = store.alloc().unwrap();
+                        fill_fresh(store, pid);
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        for g in growers {
+            g.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        assert!(churner.join().unwrap() >= 200);
+    });
+    assert!(store.capacity() >= TARGET, "the table crossed 3 584 pages");
+    assert!(
+        accepted.load(Ordering::Relaxed) > 0,
+        "no probe was accepted"
+    );
+    let s = store.stats().snapshot();
+    assert_eq!((s.cache_misses, s.frames_evicted), (0, 0));
 }
