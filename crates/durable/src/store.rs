@@ -91,7 +91,6 @@ impl DurableConfig {
     fn store_config(&self) -> StoreConfig {
         StoreConfig {
             page_size: self.page_size,
-            io_delay: None,
             pool_frames: self.pool_frames,
         }
     }

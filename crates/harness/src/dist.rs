@@ -9,7 +9,7 @@ pub enum KeyDist {
     /// Every key equally likely.
     Uniform,
     /// YCSB-style zipfian with skew `theta` in (0, 1); ~0.99 is the YCSB
-    /// default. Ranks are scrambled (multiplicative hash) so the hot keys
+    /// default. Ranks are scrambled (a splitmix64 hash) so the hot keys
     /// are spread across the key space rather than clustered at 0.
     Zipf { theta: f64 },
     /// Monotonically increasing keys (bulk-load / right-edge growth; the
@@ -121,16 +121,20 @@ impl KeyPicker {
                     1 + ((self.n as f64) * (z.eta * u - z.eta + 1.0).powf(z.alpha)) as u64
                 };
                 let rank = rank.min(self.n) - 1; // 0-based
-                                                 // Scramble so rank 0 (the hottest) is not key 0.
                 scramble(rank) % self.n
             }
         }
     }
 }
 
-/// Fibonacci-hash scramble (stable across runs).
-fn scramble(x: u64) -> u64 {
-    x.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// Spreads zipf ranks over the key space (stable across runs): the
+/// splitmix64 finalizer of `rank + 1`. The finalizer maps 0 to 0, so the
+/// `+ 1` keeps rank 0 (the hottest) off key 0, the tree's left edge.
+fn scramble(rank: u64) -> u64 {
+    let mut z = rank.wrapping_add(1);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -171,6 +175,17 @@ mod tests {
         // Hottest key far above uniform expectation (10), long tail present.
         assert!(max > 2_000, "zipf not skewed enough: max={max}");
         assert!(distinct > 1_000, "zipf has no tail: distinct={distinct}");
+    }
+
+    #[test]
+    fn zipf_hottest_key_is_not_the_left_edge() {
+        let mut p = KeyPicker::new(10_000, KeyDist::Zipf { theta: 0.99 }, 7);
+        let mut counts: HashMap<u64, u32> = HashMap::new();
+        for _ in 0..100_000 {
+            *counts.entry(p.next_key()).or_default() += 1;
+        }
+        let (hottest, _) = counts.iter().max_by_key(|(_, c)| **c).unwrap();
+        assert_ne!(*hottest, 0, "rank 0 must not land on key 0");
     }
 
     #[test]

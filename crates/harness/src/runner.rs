@@ -2,10 +2,10 @@
 
 use crate::hist::Histogram;
 use crate::linearize::{Event, EventResult};
+use crate::workload::{KeyDist, Mix, OpGenerator, OpKind};
 use blink_baselines::ConcurrentIndex;
 use blink_pagestore::stats::StatsSnapshot;
 use blink_pagestore::SessionStats;
-use blink_workload::{KeyDist, Mix, OpGenerator, OpKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};

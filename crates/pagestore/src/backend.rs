@@ -5,7 +5,8 @@
 //! implementations exist:
 //!
 //! * [`MemBackend`] — the original in-memory slot array (RAM-speed tests,
-//!   experiments);
+//!   experiments), optionally a simulated device that spins a fixed
+//!   latency on every page read and write;
 //! * `FileBackend` in the `blink-durable` crate — a page file on disk, used
 //!   together with a write-ahead log for crash durability.
 //!
@@ -18,6 +19,7 @@
 use crate::error::Result;
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// A store of fixed-size page slots addressed by index.
 pub trait PageBackend: Send + Sync + fmt::Debug {
@@ -44,14 +46,34 @@ pub trait PageBackend: Send + Sync + fmt::Debug {
 /// The in-memory backend: a growable array of page buffers.
 pub struct MemBackend {
     page_size: usize,
+    latency: Duration,
     pages: RwLock<Vec<Mutex<Box<[u8]>>>>,
 }
 
 impl MemBackend {
     pub fn new(page_size: usize) -> MemBackend {
+        MemBackend::with_latency(page_size, Duration::ZERO)
+    }
+
+    /// A simulated device: every page `read` and `write` busy-waits
+    /// `latency` first, the cost of a real disk/SSD block access. The
+    /// store calls both under the page's latch, so the time a process
+    /// holds locks across I/O — what the paper's lock-count argument is
+    /// about — stays observable in experiments.
+    pub fn with_latency(page_size: usize, latency: Duration) -> MemBackend {
         MemBackend {
             page_size,
+            latency,
             pages: RwLock::new(Vec::new()),
+        }
+    }
+
+    fn access(&self) {
+        if !self.latency.is_zero() {
+            let t0 = Instant::now();
+            while t0.elapsed() < self.latency {
+                std::hint::spin_loop();
+            }
         }
     }
 }
@@ -83,12 +105,14 @@ impl PageBackend for MemBackend {
     }
 
     fn read(&self, index: usize, buf: &mut [u8]) -> Result<()> {
+        self.access();
         let pages = self.pages.read();
         buf.copy_from_slice(&pages[index].lock());
         Ok(())
     }
 
     fn write(&self, index: usize, data: &[u8]) -> Result<()> {
+        self.access();
         let pages = self.pages.read();
         pages[index].lock().copy_from_slice(data);
         Ok(())

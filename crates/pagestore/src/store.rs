@@ -80,11 +80,10 @@
 //! check is the slot's lock-free `live` mirror. Its counters are
 //! per-thread stripes ([`crate::stats::Counter`]).
 //!
-//! An optional per-access delay (`StoreConfig::io_delay`) simulates the
-//! latency of a real disk/SSD block access on every **backend** access
-//! (misses, write-backs, bypasses), so that the relative cost of holding
-//! locks across I/O — the effect the paper's lock-count argument is about —
-//! remains observable in experiments. Frame hits skip it.
+//! Every backend access (misses, write-backs, bypasses, alloc's zero-fill)
+//! runs under the page's latch, so a backend that costs real time — a
+//! latency [`crate::MemBackend::with_latency`] simulates — makes the cost
+//! of holding locks across I/O observable. Frame hits skip the backend.
 
 use crate::audit::{self, Audited, LockClass};
 use crate::backend::PageBackend;
@@ -113,11 +112,6 @@ use std::time::{Duration, Instant};
 pub struct StoreConfig {
     /// Size of every page in bytes.
     pub page_size: usize,
-    /// If set, every backend access (pool miss, write-back, bypass)
-    /// busy-waits this long while holding the page latch, simulating a
-    /// storage access. Frame hits skip it, so it applies only to a store
-    /// with a backend. `None` for RAM-speed tests.
-    pub io_delay: Option<Duration>,
     /// Buffer-pool size in frames (CLOCK replacement over pinned frames)
     /// of a store with a backend ([`PageStore::with_parts`]). `0` disables
     /// the pool entirely: every access copies through the backend, which
@@ -131,7 +125,6 @@ impl Default for StoreConfig {
     fn default() -> StoreConfig {
         StoreConfig {
             page_size: 4096,
-            io_delay: None,
             pool_frames: 1024,
         }
     }
@@ -926,12 +919,11 @@ impl PageStore {
     /// An in-memory, non-durable store with no backend: each page's frame
     /// is allocated with the page and is its only home, so every access
     /// hits, nothing is evicted and no page is copied into or out of a
-    /// cache. `cfg.pool_frames` and `cfg.io_delay` do not apply (there is
-    /// no pool and no backend access); for a bounded pool over memory, pass
-    /// a [`crate::MemBackend`] to [`PageStore::with_parts`].
+    /// cache. `cfg.pool_frames` does not apply (there is no pool); for a
+    /// bounded pool over memory, pass a [`crate::MemBackend`] to
+    /// [`PageStore::with_parts`].
     pub fn new(cfg: StoreConfig) -> Arc<PageStore> {
-        let stats = Arc::new(StoreStats::default());
-        PageStore::assemble(cfg, None, None, stats, &[])
+        PageStore::assemble(cfg, None, None, Arc::new(StoreStats::default()), &[])
     }
 
     /// Builds a store over an arbitrary backend, optionally journaled,
@@ -1251,7 +1243,6 @@ impl PageStore {
         if !(*allocated && self.pool.clear_dirty(frame)) {
             return Ok(false);
         }
-        self.simulate_io();
         if let Err(e) = self.backend_write_page(pid, &guard) {
             // The frame bytes are the only up-to-date copy; re-dirty so a
             // later sweep retries the write-back.
@@ -1313,15 +1304,6 @@ impl PageStore {
         self.slots
             .get(pid.index())
             .ok_or(StoreError::OutOfBounds(pid))
-    }
-
-    fn simulate_io(&self) {
-        if let Some(d) = self.cfg.io_delay {
-            let t0 = Instant::now();
-            while t0.elapsed() < d {
-                std::hint::spin_loop();
-            }
-        }
     }
 
     /// Retries a backend page access on transient I/O errors with bounded
@@ -1716,7 +1698,6 @@ impl PageStore {
                         continue;
                     }
                     if write != Some(WriteIntent::Overwrite) {
-                        self.simulate_io();
                         self.backend_read_page(pid, page.bytes_mut())?;
                     }
                     if write.is_none() {
@@ -1866,7 +1847,6 @@ impl PageStore {
                 guard.fill(0);
                 Ok(())
             } else {
-                self.simulate_io();
                 self.backend_read_page(pid, &mut guard)
             }
         };
@@ -1895,7 +1875,6 @@ impl PageStore {
         if !(*allocated && self.pool.still_flushing(old, idx)) {
             return Ok(false);
         }
-        self.simulate_io();
         self.backend_write_page(old, bytes)?;
         StoreStats::bump(&self.stats.dirty_writebacks);
         Ok(true)
@@ -1934,7 +1913,6 @@ impl PageStore {
             return Ok(false);
         }
         self.log_page_write(pid, slot, None, data)?;
-        self.simulate_io();
         self.backend_write_page(pid, data)?;
         StoreStats::bump(&self.stats.pool_bypasses);
         Ok(true)
@@ -2059,7 +2037,13 @@ mod tests {
     /// A store with a bounded pool of `cfg.pool_frames` frames over a
     /// [`MemBackend`]: misses, evictions, write-backs and bypasses.
     pub(super) fn pooled(cfg: StoreConfig) -> Arc<PageStore> {
-        let backend = Box::new(MemBackend::new(cfg.page_size));
+        pooled_with_latency(cfg, Duration::ZERO)
+    }
+
+    /// [`pooled`] over a simulated device that spins `latency` on every
+    /// backend read and write.
+    pub(super) fn pooled_with_latency(cfg: StoreConfig, latency: Duration) -> Arc<PageStore> {
+        let backend = Box::new(MemBackend::with_latency(cfg.page_size, latency));
         PageStore::with_parts(cfg, backend, None, Arc::new(StoreStats::default()), &[]).unwrap()
     }
 
@@ -2302,11 +2286,13 @@ mod tests {
 
     #[test]
     fn io_delay_is_applied_without_a_pool() {
-        let store = pooled(StoreConfig {
-            page_size: 64,
-            io_delay: Some(Duration::from_micros(200)),
-            pool_frames: 0,
-        });
+        let store = pooled_with_latency(
+            StoreConfig {
+                page_size: 64,
+                pool_frames: 0,
+            },
+            Duration::from_micros(200),
+        );
         let pid = store.alloc().unwrap();
         let t0 = Instant::now();
         for _ in 0..10 {
@@ -2361,18 +2347,20 @@ mod tests {
 
 #[cfg(test)]
 mod pool_tests {
-    use super::tests::pooled;
+    use super::tests::{pooled, pooled_with_latency};
     use super::*;
     use crate::backend::MemBackend;
 
     #[test]
     #[cfg_attr(miri, ignore = "asserts a wall-clock upper bound")]
     fn pool_hits_skip_the_io_delay() {
-        let store = pooled(StoreConfig {
-            page_size: 64,
-            io_delay: Some(Duration::from_micros(300)),
-            pool_frames: 8,
-        });
+        let store = pooled_with_latency(
+            StoreConfig {
+                page_size: 64,
+                pool_frames: 8,
+            },
+            Duration::from_micros(300),
+        );
         let pid = store.alloc().unwrap();
         // First get: miss (pays the delay and loads the frame); the rest hit.
         store.get(pid).unwrap();
@@ -2398,7 +2386,6 @@ mod pool_tests {
     fn writes_are_write_back_and_flushed_on_sync() {
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 4,
         });
         let pid = store.alloc().unwrap();
@@ -2427,7 +2414,6 @@ mod pool_tests {
         // One frame: every new page displaces the previous one.
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 1,
         });
         let a = store.alloc().unwrap();
@@ -2449,7 +2435,6 @@ mod pool_tests {
     fn pinned_frames_force_bypass_not_eviction() {
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 2,
         });
         let a = store.alloc().unwrap();
@@ -2475,7 +2460,6 @@ mod pool_tests {
     fn freed_pages_leave_the_pool() {
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 4,
         });
         let pid = store.alloc().unwrap();
@@ -2534,7 +2518,6 @@ mod pool_tests {
         let store = PageStore::with_parts(
             StoreConfig {
                 page_size: 64,
-                io_delay: None,
                 pool_frames: 1,
             },
             backend,
@@ -2573,7 +2556,6 @@ mod pool_tests {
         let store = PageStore::with_parts(
             StoreConfig {
                 page_size: 64,
-                io_delay: None,
                 pool_frames,
             },
             backend,
@@ -2775,7 +2757,6 @@ mod pool_tests {
         // disowned the frame, whose bytes are `a`'s old image.
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 2,
         });
         let pids: Vec<_> = (0..9).map(|_| store.alloc().unwrap()).collect();
@@ -2809,7 +2790,6 @@ mod pool_tests {
         // hint still names the old frame: `discard` must have disowned it.
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 1,
         });
         let a = store.alloc().unwrap();
@@ -2833,11 +2813,13 @@ mod pool_tests {
         // What exp10 reads off a `pool_frames: 0` store: no hits,
         // every get a miss and a bypass, every backend access delayed.
         let delay = Duration::from_micros(200);
-        let store = pooled(StoreConfig {
-            page_size: 64,
-            io_delay: Some(delay),
-            pool_frames: 0,
-        });
+        let store = pooled_with_latency(
+            StoreConfig {
+                page_size: 64,
+                pool_frames: 0,
+            },
+            delay,
+        );
         let pid = store.alloc().unwrap();
         let t0 = Instant::now();
         let mut p = Page::zeroed(64);
@@ -2864,7 +2846,6 @@ mod pool_tests {
     fn hits_and_misses_account_for_every_read() {
         let store = pooled(StoreConfig {
             page_size: 64,
-            io_delay: None,
             pool_frames: 4,
         });
         let pids: Vec<_> = (0..8).map(|_| store.alloc().unwrap()).collect();

@@ -9,13 +9,13 @@
 //! * [`blink_pagestore`] — storage/locking substrate (§2.2 model)
 //! * [`blink_durable`] — WAL, file-backed pages, crash recovery
 //! * [`blink_baselines`] — Lehman–Yao and top-down baselines
-//! * [`blink_workload`] — workload generators
-//! * [`blink_harness`] — experiment harness and linearizability checker
+//! * [`blink_harness`] — workload generators, experiment harness and
+//!   linearizability checker
 
 pub use blink_baselines as baselines;
 pub use blink_db as db;
 pub use blink_durable as durable;
 pub use blink_harness as harness;
+pub use blink_harness::workload;
 pub use blink_pagestore as pagestore;
-pub use blink_workload as workload;
 pub use sagiv_blink as blink;

@@ -3,8 +3,8 @@
 //! partitioned workloads.
 
 use blink_baselines::{ConcurrentIndex, LehmanYaoTree, TopDownTree};
+use blink_harness::workload::{KeyDist, Mix, OpGenerator, OpKind};
 use blink_pagestore::{PageStore, StoreConfig};
-use blink_workload::{KeyDist, Mix, OpGenerator, OpKind};
 use sagiv_blink::{BLinkTree, TreeConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;

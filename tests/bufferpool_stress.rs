@@ -16,11 +16,11 @@
 
 use blink_baselines::ConcurrentIndex;
 use blink_harness::runner::{run_workload, RunConfig};
+use blink_harness::workload::{KeyDist, Mix};
 use blink_pagestore::{
     Journal, MemBackend, Page, PageBackend, PageEdit, PageId, PageStore, Result, StoreConfig,
     StoreStats, WriteIntent,
 };
-use blink_workload::{KeyDist, Mix};
 use parking_lot::Mutex;
 use sagiv_blink::{BLinkTree, TreeConfig};
 use std::collections::HashMap;
@@ -54,7 +54,6 @@ fn guards_never_observe_torn_pages_under_eviction_pressure() {
     let page_size = 512;
     let store = pooled(StoreConfig {
         page_size,
-        io_delay: None,
         pool_frames: 8,
     });
     let pages: Vec<PageId> = (0..64).map(|_| store.alloc().unwrap()).collect();
@@ -116,7 +115,6 @@ fn pinned_frames_are_never_evicted() {
     let page_size = 256;
     let store = pooled(StoreConfig {
         page_size,
-        io_delay: None,
         pool_frames: 4,
     });
     let hot = store.alloc().unwrap();
@@ -167,7 +165,6 @@ fn pinned_frames_are_never_evicted() {
 fn exhausted_pool_bypasses_instead_of_evicting() {
     let store = pooled(StoreConfig {
         page_size: 128,
-        io_delay: None,
         pool_frames: 2,
     });
     let a = store.alloc().unwrap();
@@ -285,7 +282,6 @@ fn dirty_victims_hit_the_wal_before_the_backend() {
     let store = PageStore::with_parts(
         StoreConfig {
             page_size,
-            io_delay: None,
             pool_frames: 4,
         },
         Box::new(ProbedBackend {

@@ -5,8 +5,8 @@
 use blink_baselines::{ConcurrentIndex, LehmanYaoTree, TopDownTree};
 use blink_harness::linearize::check_history;
 use blink_harness::runner::{preload_keys, run_recorded, RunConfig};
+use blink_harness::workload::{KeyDist, Mix};
 use blink_pagestore::{PageStore, StoreConfig};
-use blink_workload::{KeyDist, Mix};
 use sagiv_blink::{BLinkTree, CompressorPool, TreeConfig};
 use std::sync::Arc;
 
