@@ -30,7 +30,7 @@ fn self_test() -> ExitCode {
     // (including the unsafe SAFETY-comment one) is exercised at once, and
     // then wal.rs and heap.rs for the rules keyed to the log and the heap.
     let found: Vec<_> = [
-        "crates/pagestore/src/store.rs",
+        "crates/pagestore/src/store/mod.rs",
         "crates/durable/src/wal.rs",
         "crates/pagestore/src/heap.rs",
     ]

@@ -6,7 +6,7 @@
 //! acquired through its single audited wrapper function, so a new call
 //! site cannot bypass registration; `std::sync` primitives (which the
 //! auditor cannot see) are banned in favor of the vendored `parking_lot`;
-//! `unsafe` stays confined to the three allowlisted pagestore files and
+//! `unsafe` stays confined to the allowlisted pagestore files and
 //! always carries a `// SAFETY:` justification; and `StoreStats` fields
 //! are declared only inside the `store_stats!` macro so snapshot/delta
 //! can never silently miss one.
@@ -48,8 +48,10 @@ impl fmt::Display for Violation {
 /// A lock family that must only be acquired inside its audited wrapper
 /// (or a routine that must only be called from its one funnel).
 struct WrapperRule {
-    /// File basename the rule applies to.
-    file: &'static str,
+    /// Where the rule applies: crate-relative paths
+    /// (`pagestore/src/pool.rs`), or directories (ending in `/`) whose
+    /// every file it polices.
+    paths: &'static [&'static str],
     /// Whitespace-free needles that constitute a raw acquisition.
     needles: &'static [&'static str],
     /// Functions allowed to contain the raw acquisition (the wrappers).
@@ -58,17 +60,21 @@ struct WrapperRule {
     use_instead: &'static str,
 }
 
+/// The page store's directory: its rules police every file in it, so a
+/// function moved between its files keeps its rules.
+const STORE: &str = "pagestore/src/store/";
+
 /// The named lock families and their single audited wrappers. Keep in
 /// sync with the `LockClass` taxonomy in `blink_pagestore::audit`.
 const WRAPPER_RULES: &[WrapperRule] = &[
     WrapperRule {
-        file: "pool.rs",
+        paths: &["pagestore/src/pool.rs"],
         needles: &[".state.lock(", ".state.try_lock("],
         allowed_fns: &["lock_shard"],
         use_instead: "BufferPool::lock_shard (PoolShard)",
     },
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &[
             ".data.read(",
             ".data.write(",
@@ -79,23 +85,23 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "PageStore::latch_read / latch_write (FrameLatch)",
     },
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &[".allocated.lock(", ".allocated.try_lock("],
         allowed_fns: &["latch"],
         use_instead: "Slot::latch (SlotLatch)",
     },
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &[".free.lock(", ".free.try_lock("],
         allowed_fns: &["lock_free"],
         use_instead: "PageStore::lock_free (FreeList)",
     },
     // Not locks, but the same shape of rule: the page-access core of
-    // store.rs is one claim loop, one unpinned lookup and three backend
+    // the page store is one claim loop, one unpinned lookup and three backend
     // writers, and a new call site of any would be a second copy to keep
     // in step by hand.
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &[".pool.claim("],
         // …plus the tests that stage a half-finished claim or a pin.
         allowed_fns: &[
@@ -109,7 +115,7 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     // be repurposed mid-read, so only the owner-and-seqlock validation in
     // `probe_unlatched` may use it.
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &["frame_hinted("],
         allowed_fns: &["probe_unlatched"],
         use_instead: "PageStore::probe_unlatched (validates the unpinned frame)",
@@ -119,7 +125,7 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     // and free own and disown it. A fifth lookup would be a second path to
     // the bytes that skips their checks.
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &["frames.get("],
         // …plus the frame-table unit tests' lookup of a page's frame.
         allowed_fns: &[
@@ -132,7 +138,7 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "PageStore::claim_frame / probe_unlatched (the frame-table lookups)",
     },
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE],
         needles: &["backend_write_page("],
         allowed_fns: &[
             "backend_write_page",
@@ -146,7 +152,7 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     // One way to log a page write: only `log_page_write` picks and appends
     // the record (a base, or the edits against the prior image).
     WrapperRule {
-        file: "store.rs",
+        paths: &[STORE, "durable/src/store.rs"],
         needles: &[
             ".log_put(",
             ".log_put_base(",
@@ -164,13 +170,13 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "PageStore::log_page_write (the one page-write record)",
     },
     WrapperRule {
-        file: "heap.rs",
+        paths: &["pagestore/src/heap.rs"],
         needles: &[".open.lock(", ".open.try_lock("],
         allowed_fns: &["lock_open"],
         use_instead: "RecordHeap::lock_open (HeapShard)",
     },
     WrapperRule {
-        file: "heap.rs",
+        paths: &["pagestore/src/heap.rs"],
         needles: &[".recycle.lock(", ".recycle.try_lock("],
         allowed_fns: &["lock_recycle"],
         use_instead: "RecordHeap::lock_recycle (HeapRecycle)",
@@ -178,13 +184,13 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     // One whole-store pass over the heap: `survey` and `live_records` both
     // ride `sweep`, so a second pass re-reading every page cannot return.
     WrapperRule {
-        file: "heap.rs",
+        paths: &["pagestore/src/heap.rs"],
         needles: &["allocated_pages("],
         allowed_fns: &["sweep"],
         use_instead: "RecordHeap::sweep (the one whole-store pass)",
     },
     WrapperRule {
-        file: "wal.rs",
+        paths: &["durable/src/wal.rs"],
         needles: &[".inner.lock(", ".inner.try_lock("],
         allowed_fns: &["lock_inner"],
         use_instead: "Wal::lock_inner (WalAppend)",
@@ -192,7 +198,7 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     // One commit fsync: besides the segment-header sync in `open` and the
     // outgoing-segment sync in `rotate`, only the pipeline leader fsyncs.
     WrapperRule {
-        file: "wal.rs",
+        paths: &["durable/src/wal.rs"],
         needles: &["sync_data("],
         allowed_fns: &["open", "rotate", "run_leader"],
         use_instead: "Wal::commit_pipelined (the one commit fsync, in run_leader)",
@@ -201,13 +207,13 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     // `rotate`, only `append_record` writes to a segment. (The tests forge
     // segments with `std::fs::write`, which this needle does not match.)
     WrapperRule {
-        file: "wal.rs",
+        paths: &["durable/src/wal.rs"],
         needles: &[".write_all("],
         allowed_fns: &["open", "rotate", "append_record"],
         use_instead: "Wal::append_record (the one write-through append)",
     },
     WrapperRule {
-        file: "wal.rs",
+        paths: &["durable/src/wal.rs"],
         needles: &[
             ".ctl.lock(",
             ".ctl.try_lock(",
@@ -218,31 +224,36 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "Wal::lock_ctl / lock_gate (WalBatch)",
     },
     WrapperRule {
-        file: "flusher.rs",
+        paths: &[STORE],
         needles: &[".ctl.lock(", ".ctl.try_lock("],
         allowed_fns: &["lock_ctl"],
         use_instead: "FlusherShared::lock_ctl (FlusherQueue)",
     },
     WrapperRule {
-        file: "db.rs",
+        paths: &["db/src/db.rs"],
         needles: &[".read_sessions.lock(", ".read_sessions.try_lock("],
         allowed_fns: &["lock_sessions"],
         use_instead: "Db::lock_sessions (SessionPool)",
     },
     WrapperRule {
-        file: "health.rs",
+        paths: &["pagestore/src/health.rs"],
         needles: &[".latched.lock(", ".latched.try_lock("],
         allowed_fns: &["lock_latched"],
         use_instead: "StoreHealth::lock_latched (HealthLatch)",
     },
 ];
 
-/// Files allowed to contain `unsafe` blocks (each still needs `// SAFETY:`):
-/// the frame pool and store in `crates/pagestore`, and its `crc.rs` (the
-/// carry-less-multiply CRC path). Entries match on basename, so the
-/// same-named `durable/src/store.rs` also passes this rule; it stays free
-/// of `unsafe` through its crate's `#![forbid(unsafe_code)]`.
-const UNSAFE_ALLOWLIST: &[&str] = &["pool.rs", "store.rs", "crc.rs"];
+/// Files allowed to contain `unsafe` blocks (each still needs `// SAFETY:`),
+/// by crate-relative path: exactly the pagestore files that hold one — the
+/// frame pool, the page store's chunked table and its two users, and the
+/// carry-less-multiply CRC path.
+const UNSAFE_ALLOWLIST: &[&str] = &[
+    "pagestore/src/pool.rs",
+    "pagestore/src/store/mod.rs",
+    "pagestore/src/store/table.rs",
+    "pagestore/src/store/funnel.rs",
+    "pagestore/src/crc.rs",
+];
 
 /// How many raw lines above an `unsafe` the `// SAFETY:` justification may
 /// *start* when there is no contiguous comment block directly above (the
@@ -263,17 +274,33 @@ struct ScanState {
     in_store_stats_macro: Option<usize>,
 }
 
+/// Whether the crate-relative `path` is `key`, or lies under `key` when
+/// that names a directory (ends in `/`).
+fn path_matches(key: &str, path: &str) -> bool {
+    path == key || (key.ends_with('/') && path.starts_with(key))
+}
+
 /// Lints one file's source. `path_label` should be the repo-relative path
-/// (its basename selects which rules apply); it is echoed into findings.
+/// (its crate-relative part selects which rules apply); it is echoed into
+/// findings.
 pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
-    let base = path_label.rsplit('/').next().unwrap_or(path_label);
-    let is_stats = base == "stats.rs";
+    let path = path_label.strip_prefix("crates/").unwrap_or(path_label);
+    let is_stats = path == "pagestore/src/stats.rs";
     let mut st = ScanState::default();
     let mut out = Vec::new();
     let raw_lines: Vec<&str> = src.lines().collect();
 
     for (idx, raw) in raw_lines.iter().enumerate() {
         let lineno = idx + 1;
+        let mut flag = |rule: &'static str, msg: String| {
+            let file = path_label.to_string();
+            out.push(Violation {
+                file,
+                line: lineno,
+                rule,
+                msg,
+            });
+        };
         let code = strip_line(raw, &mut st.in_block_comment);
         let flat: String = code.chars().filter(|c| !c.is_whitespace()).collect();
 
@@ -291,20 +318,17 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
         let current_fn = st.fn_stack.last().map(|(n, _)| n.as_str());
 
         // Rule: wrapper-only lock sites.
-        for rule in WRAPPER_RULES.iter().filter(|r| r.file == base) {
+        let rules = WRAPPER_RULES.iter();
+        for rule in rules.filter(|r| r.paths.iter().any(|k| path_matches(k, path))) {
             for needle in rule.needles {
                 if flat.contains(needle)
                     && !current_fn.is_some_and(|f| rule.allowed_fns.contains(&f))
                 {
-                    out.push(Violation {
-                        file: path_label.to_string(),
-                        line: lineno,
-                        rule: "wrapper-only",
-                        msg: format!(
-                            "raw `{}` outside {:?}; go through {}",
-                            needle, rule.allowed_fns, rule.use_instead
-                        ),
-                    });
+                    let (fns, instead) = (rule.allowed_fns, rule.use_instead);
+                    flag(
+                        "wrapper-only",
+                        format!("raw `{needle}` outside {fns:?}; go through {instead}"),
+                    );
                 }
             }
         }
@@ -317,53 +341,43 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
             let hit = flat.contains(direct.as_str())
                 || (flat.contains("std::sync::{") && brace_import_has(&flat, prim));
             if hit {
-                out.push(Violation {
-                    file: path_label.to_string(),
-                    line: lineno,
-                    rule: "no-std-sync",
-                    msg: format!(
+                flag(
+                    "no-std-sync",
+                    format!(
                         "std::sync::{prim} bypasses the latch auditor; use the \
                          vendored parking_lot::{prim}"
                     ),
-                });
+                );
             }
         }
 
         // Rule: unsafe confinement + SAFETY comments.
         if has_word(&code, "unsafe") {
-            if !UNSAFE_ALLOWLIST.contains(&base) {
-                out.push(Violation {
-                    file: path_label.to_string(),
-                    line: lineno,
-                    rule: "unsafe-allowlist",
-                    msg: format!("`unsafe` outside the allowlisted files {UNSAFE_ALLOWLIST:?}"),
-                });
-            } else {
-                if !safety_justified(&raw_lines, idx) {
-                    out.push(Violation {
-                        file: path_label.to_string(),
-                        line: lineno,
-                        rule: "unsafe-safety-comment",
-                        msg: format!(
-                            "`unsafe` without a `// SAFETY:` comment within \
-                             {SAFETY_WINDOW} lines above"
-                        ),
-                    });
-                }
+            if !UNSAFE_ALLOWLIST.contains(&path) {
+                flag(
+                    "unsafe-allowlist",
+                    format!("`unsafe` outside the allowlisted files {UNSAFE_ALLOWLIST:?}"),
+                );
+            } else if !safety_justified(&raw_lines, idx) {
+                flag(
+                    "unsafe-safety-comment",
+                    format!(
+                        "`unsafe` without a `// SAFETY:` comment within \
+                         {SAFETY_WINDOW} lines above"
+                    ),
+                );
             }
         }
 
         // Rule: StoreStats fields are declared only via store_stats!.
         if flat.contains("structStoreStats") && !(is_stats && st.in_store_stats_macro.is_some()) {
-            out.push(Violation {
-                file: path_label.to_string(),
-                line: lineno,
-                rule: "store-stats-macro",
-                msg: "StoreStats may only be declared by the store_stats! macro \
-                      in stats.rs (by-name access and snapshot/delta are \
-                      generated from the same field list)"
+            flag(
+                "store-stats-macro",
+                "StoreStats may only be declared by the store_stats! macro \
+                 in stats.rs (by-name access and snapshot/delta are \
+                 generated from the same field list)"
                     .to_string(),
-            });
+            );
         }
 
         // Depth bookkeeping (after matching: decls and their bodies count).
@@ -607,13 +621,13 @@ mod tests {
         assert!(ok.is_empty(), "{ok:?}");
         // …and the flusher's control mutex (FlusherQueue).
         let v = lint_source(
-            "crates/pagestore/src/flusher.rs",
+            "crates/pagestore/src/store/writeback.rs",
             "fn kick(&self) {\n    let g = self.ctl.lock();\n}\n",
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "wrapper-only");
         let ok = lint_source(
-            "crates/pagestore/src/flusher.rs",
+            "crates/pagestore/src/store/writeback.rs",
             "fn lock_ctl(&self) {\n    let g = self.ctl.lock();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
@@ -652,14 +666,14 @@ mod tests {
     #[test]
     fn frame_table_lookup_is_pinned_to_its_four_users() {
         let v = lint_source(
-            "crates/pagestore/src/store.rs",
+            "crates/pagestore/src/store/mod.rs",
             "fn peek(&self) {\n    let f = frames.get(pid.index());\n}\n",
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].msg.contains("the frame-table lookups"));
         for user in ["claim_frame", "probe_unlatched", "alloc", "free"] {
             let src = format!("fn {user}(&self) {{\n    let f = frames.get(pid.index());\n}}\n");
-            let ok = lint_source("crates/pagestore/src/store.rs", &src);
+            let ok = lint_source("crates/pagestore/src/store/mod.rs", &src);
             assert!(ok.is_empty(), "{user}: {ok:?}");
         }
     }
@@ -667,14 +681,32 @@ mod tests {
     #[test]
     fn unpinned_frame_lookup_is_pinned_to_probe_unlatched() {
         let v = lint_source(
-            "crates/pagestore/src/store.rs",
+            "crates/pagestore/src/store/funnel.rs",
             "fn read_unlatched(&self) {\n    let f = self.pool.frame_hinted(pid);\n}\n",
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].msg.contains("go through PageStore::probe_unlatched"));
         let ok = lint_source(
-            "crates/pagestore/src/store.rs",
+            "crates/pagestore/src/store/funnel.rs",
             "fn probe_unlatched(&self) {\n    let f = self.pool.frame_hinted(pid);\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn store_rules_police_every_file_of_the_store() {
+        // A frame latch taken raw in a store file other than `mod.rs`
+        // (where the wrappers live) trips.
+        let v = lint_source(
+            "crates/pagestore/src/store/page_log.rs",
+            "fn peek(&self) {\n    let g = frame.data.read();\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("latch_read / latch_write"));
+        // A file of the same name elsewhere is not the store's.
+        let ok = lint_source(
+            "crates/harness/src/table.rs",
+            "fn peek(&self) {\n    let g = frame.data.read();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

@@ -31,7 +31,7 @@ fn fixture_trips_every_rule() {
     let fixture = workspace_root().join("crates/bench/tests/fixtures/lint_bad.rs.txt");
     let src = std::fs::read_to_string(&fixture).expect("read fixture");
     let found: Vec<_> = [
-        "crates/pagestore/src/store.rs",
+        "crates/pagestore/src/store/mod.rs",
         "crates/durable/src/wal.rs",
         "crates/pagestore/src/heap.rs",
     ]

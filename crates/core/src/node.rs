@@ -150,11 +150,6 @@ impl Node {
         self.entries.len()
     }
 
-    /// Fig. 5's *safe* test: fewer than 2k pairs.
-    pub fn is_safe(&self, max_pairs: usize) -> bool {
-        self.entries.len() < max_pairs
-    }
-
     pub fn is_leaf(&self) -> bool {
         self.kind == NodeKind::Leaf
     }

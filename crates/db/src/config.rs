@@ -1,6 +1,6 @@
 //! Database configuration.
 
-use blink_durable::FsyncPolicy;
+use blink_durable::{DurableConfig, FsyncPolicy};
 use sagiv_blink::{node, TreeConfig, UnderflowPolicy};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -50,24 +50,27 @@ pub struct DbConfig {
 
 impl DbConfig {
     /// An in-memory database: no WAL, no files, `open` never recovers.
+    /// The store fields take [`DurableConfig::new`]'s defaults, so a
+    /// [`DbConfig::durable`] opens the store that `DurableConfig` would.
     pub fn in_memory() -> DbConfig {
+        let d = DurableConfig::new(PathBuf::new());
         DbConfig {
             dir: None,
-            page_size: 4096,
+            page_size: d.page_size,
             tree: TreeConfig {
-                k: node::max_pairs_for_page(4096) / 2,
+                k: node::max_pairs_for_page(d.page_size) / 2,
                 underflow_policy: UnderflowPolicy::Ignore,
                 ..TreeConfig::default()
             },
-            fsync: FsyncPolicy::Always,
-            segment_bytes: 8 << 20,
-            pool_frames: 1024,
+            fsync: d.fsync,
+            segment_bytes: d.segment_bytes,
+            pool_frames: d.pool_frames,
         }
     }
 
     /// A durable database in `dir` (created on first open, recovered on
-    /// every later one). Defaults: 4 KiB pages, every commit waits for a
-    /// covering fsync.
+    /// every later one), with [`DurableConfig::new`]'s defaults: 4 KiB
+    /// pages, every commit waits for a covering fsync.
     pub fn durable(dir: impl Into<PathBuf>) -> DbConfig {
         DbConfig {
             dir: Some(dir.into()),
@@ -88,5 +91,21 @@ impl DbConfig {
     pub fn with_k(mut self, k: usize) -> DbConfig {
         self.tree.k = k;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn durable_defaults_are_the_durable_stores() {
+        let dir = PathBuf::from("db-dir");
+        let (db, d) = (DbConfig::durable(&dir), DurableConfig::new(&dir));
+        assert_eq!(db.dir.as_ref(), Some(&d.dir));
+        assert_eq!(db.page_size, d.page_size);
+        assert_eq!(db.fsync, d.fsync);
+        assert_eq!(db.segment_bytes, d.segment_bytes);
+        assert_eq!(db.pool_frames, d.pool_frames);
     }
 }

@@ -5,7 +5,7 @@
 //! per-page CRC32, an in-memory one runs no flusher. A clean reopen reads
 //! each heap page once, and a heap page that fails its checksum fails the
 //! open instead of being collected — also when a torn write lost only the
-//! sector holding its (zeroed) CRC field.
+//! sector holding its (zeroed) CRC field. A clean reopen logs nothing.
 
 use blink_db::{Db, DbConfig};
 use blink_durable::{DurableConfig, DurableStore, FsyncPolicy};
@@ -393,5 +393,49 @@ fn a_reopen_with_a_smaller_k_is_refused_and_changes_no_file() {
         );
     }
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Total bytes of `dir`'s WAL segments.
+fn wal_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("wal-") && name.ends_with(".seg")
+        })
+        .map(|e| e.metadata().unwrap().len())
+        .sum()
+}
+
+#[test]
+fn a_clean_reopen_logs_no_heap_page() {
+    const KEYS: u64 = 3_000;
+    let dir = tmpdir("clean-reopen");
+    {
+        let db = Db::open(DbConfig::durable(&dir)).unwrap();
+        let mut s = db.session();
+        for k in 0..KEYS {
+            s.put(k * 7, &[k as u8; 100]).unwrap();
+        }
+        drop(s);
+        db.checkpoint().unwrap();
+    }
+    let before = wal_bytes(&dir);
+    assert!(before > 0);
+    for _ in 0..2 {
+        let db = Db::open(DbConfig::durable(&dir)).unwrap();
+        // The shard's open page, which still holds records, is a shard's
+        // open page again, and its state was not rewritten.
+        assert_eq!(db.heap().open_page_count(), 1);
+        assert_eq!(db.heap().live_record_count(), KEYS);
+        drop(db);
+        assert_eq!(
+            wal_bytes(&dir),
+            before,
+            "a reopen with no user write logged"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

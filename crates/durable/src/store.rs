@@ -74,15 +74,16 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// Defaults: 4 KiB pages, 8 MiB segments, every commit waits for a
-    /// covering fsync.
+    /// Defaults: [`StoreConfig::default`]'s page size (4 KiB) and pool,
+    /// 8 MiB segments, every commit waits for a covering fsync.
     pub fn new(dir: impl Into<PathBuf>) -> DurableConfig {
+        let store = StoreConfig::default();
         DurableConfig {
             dir: dir.into(),
-            page_size: 4096,
+            page_size: store.page_size,
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
-            pool_frames: 1024,
+            pool_frames: store.pool_frames,
         }
     }
 

@@ -84,11 +84,6 @@ impl KeyPicker {
         }
     }
 
-    /// Size of the key space.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
-
     /// Draws the next key.
     pub fn next_key(&mut self) -> u64 {
         match &self.dist {

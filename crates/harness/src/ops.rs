@@ -73,14 +73,6 @@ impl Mix {
             "mix must sum to 100"
         );
     }
-
-    /// Short label for tables.
-    pub fn label(&self) -> String {
-        format!(
-            "{}s/{}i/{}d",
-            self.search_pct, self.insert_pct, self.delete_pct
-        )
-    }
 }
 
 /// A seeded stream of operations.
@@ -115,11 +107,6 @@ impl OpGenerator {
             kind,
             key: self.picker.next_key(),
         }
-    }
-
-    /// Generates a batch of `n` operations.
-    pub fn batch(&mut self, n: usize) -> Vec<Op> {
-        (0..n).map(|_| self.next_op()).collect()
     }
 }
 
@@ -162,7 +149,16 @@ mod tests {
             Mix::CHURN,
         ] {
             m.check();
-            assert!(!m.label().is_empty());
+            // A kind with a zero share is never drawn.
+            let g = OpGenerator::new(100, KeyDist::Uniform, m, 3);
+            for op in g.take(1_000) {
+                let pct = match op.kind {
+                    OpKind::Search => m.search_pct,
+                    OpKind::Insert => m.insert_pct,
+                    OpKind::Delete => m.delete_pct,
+                };
+                assert!(pct > 0, "{m:?} drew {:?}", op.kind);
+            }
         }
     }
 
@@ -179,10 +175,13 @@ mod tests {
 
     #[test]
     fn deterministic_stream() {
-        let a: Vec<Op> = OpGenerator::new(100, KeyDist::Uniform, Mix::BALANCED, 9).batch(50);
-        let b: Vec<Op> = OpGenerator::new(100, KeyDist::Uniform, Mix::BALANCED, 9).batch(50);
+        let stream = |seed| -> Vec<Op> {
+            OpGenerator::new(100, KeyDist::Uniform, Mix::BALANCED, seed)
+                .take(50)
+                .collect()
+        };
+        let (a, b, c) = (stream(9), stream(9), stream(10));
         assert_eq!(a, b);
-        let c: Vec<Op> = OpGenerator::new(100, KeyDist::Uniform, Mix::BALANCED, 10).batch(50);
         assert_ne!(a, c, "different seeds should differ");
     }
 

@@ -60,17 +60,6 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// Formats a float with thousands-friendly precision for tables.
-pub fn fmt_f64(v: f64) -> String {
-    if v >= 1000.0 {
-        format!("{v:.0}")
-    } else if v >= 10.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 /// Formats nanoseconds human-readably.
 pub fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -114,8 +103,5 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.50us");
         assert_eq!(fmt_ns(2_500_000), "2.50ms");
         assert_eq!(fmt_ns(3_000_000_000), "3.00s");
-        assert_eq!(fmt_f64(1234.6), "1235");
-        assert_eq!(fmt_f64(12.34), "12.3");
-        assert_eq!(fmt_f64(1.234), "1.234");
     }
 }

@@ -283,6 +283,9 @@ pub struct HeapInventory {
     restate: Vec<(PageId, u16)>,
     /// Heap pages with holes, for `settle` to queue for adoption.
     queue: Vec<PageId>,
+    /// `OPEN` pages with live records, at most one per shard, for `settle`
+    /// to hand back to the shards as their open pages.
+    open: Vec<PageId>,
 }
 
 impl HeapInventory {
@@ -402,10 +405,12 @@ impl RecordHeap {
 
     /// Restarts the allocator as `inv`'s survey found it, whose page
     /// states name shards and a queue that died with the process (`OPEN`,
-    /// `QUEUED`): empty heap pages go back to the store, pages with live
-    /// records *and* freed slots are re-enrolled into the recycle queue so
-    /// their holes stay allocatable, and the rest restart `DETACHED` — a
-    /// state is written only where it differs from the one wanted.
+    /// `QUEUED`): empty heap pages go back to the store, an `OPEN` page
+    /// with live records becomes a shard's open page again (one per shard,
+    /// unwritten), pages with live records *and* freed slots are
+    /// re-enrolled into the recycle queue so their holes stay allocatable,
+    /// and the rest restart `DETACHED` — a state is written only where it
+    /// differs from the one wanted, so a clean reopen writes no heap page.
     pub fn settle(&self, inv: &mut HeapInventory) -> Result<()> {
         for pid in std::mem::take(&mut inv.empty) {
             self.store.free(pid)?;
@@ -419,6 +424,10 @@ impl RecordHeap {
             w.commit()?;
         }
         self.lock_recycle().extend(std::mem::take(&mut inv.queue));
+        for (shard, pid) in self.shards.iter().zip(std::mem::take(&mut inv.open)) {
+            *self.lock_open(shard) = Some(pid);
+            self.open_gauge.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -432,8 +441,9 @@ impl RecordHeap {
     ///
     /// With `restart` ([`RecordHeap::survey`] only) it also notes what
     /// [`RecordHeap::settle`] does to each heap page: release an empty
-    /// one, rewrite an allocator state (bytes 10..12) that differs from
-    /// the one a restart wants, queue a page with holes.
+    /// one, hand an open one back to a shard while shards are left,
+    /// rewrite an allocator state (bytes 10..12) that differs from the one
+    /// a restart wants, queue a page with holes.
     fn sweep(&self, restart: bool) -> Result<(HeapInventory, u32)> {
         let mut inv = HeapInventory::default();
         let mut max_gen = 0u32;
@@ -465,6 +475,10 @@ impl RecordHeap {
             }
             inv.pages.push(pid);
             if !restart {
+                continue;
+            }
+            if state == STATE_OPEN && inv.open.len() < self.shards.len() {
+                inv.open.push(pid);
                 continue;
             }
             let want = if nslots > live {
@@ -1295,19 +1309,31 @@ mod tests {
     #[test]
     fn attach_reenrolls_pages_with_holes() {
         let store = PageStore::new(StoreConfig::with_page_size(256));
-        let (keep, hole);
+        let (keep, hole, full);
         {
             let h = RecordHeap::new(Arc::clone(&store));
+            // A page holds three: the fourth insert detaches the first page
+            // and opens a second, which the sixth fills.
             keep = h.insert(&[1u8; 60]).unwrap();
             hole = h.insert(&[2u8; 60]).unwrap();
+            let mut last = hole;
+            for _ in 0..4 {
+                last = h.insert(&[2u8; 60]).unwrap();
+            }
+            full = last.page();
+            assert_ne!(full, keep.page());
             h.free(hole).unwrap();
         }
+        let puts = store.stats().snapshot().puts;
         let (h2, inv) = RecordHeap::attach(Arc::clone(&store)).unwrap();
-        assert_eq!(inv.pages, vec![keep.page()]);
+        assert_eq!(inv.pages, vec![keep.page(), full]);
         assert_eq!(inv.empty_pages_released, 0);
-        assert_eq!(h2.queued_page_count(), 1);
-        // The hole is allocatable right after attach (the open shard page
-        // is fresh... no — there is none: the first insert adopts).
+        // The detached page with a hole is queued, the full open page is a
+        // shard's open page again, and attach rewrote neither.
+        assert_eq!((h2.queued_page_count(), h2.open_page_count()), (1, 1));
+        assert_eq!(store.stats().snapshot().puts, puts, "attach wrote a page");
+        // The hole is allocatable right after attach: whichever shard the
+        // insert picks has no room on an open page, so it adopts the hole.
         let c = h2.insert(&[3u8; 60]).unwrap();
         assert_eq!(c.page(), hole.page());
         assert_eq!(c.slot(), hole.slot());

@@ -41,7 +41,6 @@ pub mod backend;
 pub mod clock;
 pub mod crc;
 pub mod error;
-pub(crate) mod flusher;
 pub mod health;
 pub mod heap;
 pub mod hist;

@@ -27,23 +27,6 @@
 //! backend and caches them in the bounded pool described below. Both find
 //! the frame first and share everything after.
 //!
-//! ## One frame funnel
-//!
-//! Every latched page access goes through `PageStore::claim_frame`, the
-//! only `pool.claim` loop there is: it pins the page's frame (its own, or
-//! a pool frame), latches it shared (`read`) or exclusive (`write_page`),
-//! revalidates `owner` and the allocation flag under the latch, and on a
-//! pool miss writes the dirty victim back and loads (or, for an
-//! overwrite, zeroes) the frame. When no pool frame can be had — every
-//! frame pinned, or `StoreConfig::pool_frames` is `0` — its `Exhausted`
-//! arm is **the bypass**: a private copy read from the backend under the
-//! slot latch, committed by `write_bypass` (log + backend write in one
-//! slot-latch section). Backend page writes have three callers:
-//! `write_back_frame` (shared by `flush`, `flush_for_checkpoint` and the
-//! flusher), `write_back_victim` (eviction, and a sweep that meets a frame
-//! mid-eviction) and `write_bypass`. `latch_lint` holds these counts, and
-//! the frame-table lookups, where they are.
-//!
 //! With a backend, the *bytes* live in a pluggable [`PageBackend`] fronted
 //! by the pool: writes are **write-back** (they land in the frame and
 //! reach the backend on eviction or [`PageStore::sync`]), reads are served
@@ -60,49 +43,49 @@
 //! I/O for a page happens under that page's slot latch, which serializes
 //! loads, write-backs, bypass accesses and alloc-zeroing of the same page.
 //! The `latch-audit` feature checks this order (and the frame-latch level
-//! rule) at runtime — see [`crate::audit`]; every lock site below goes
-//! through an audited wrapper (`latch_read`/`latch_write`, `Slot::latch`,
-//! `lock_free`). The slot and frame tables take no lock: they are
-//! append-only and chunked, so a lookup hands out a `&Slot` or `&Frame`
-//! that lives as long as the store.
+//! rule) at runtime — see [`crate::audit`]; every lock site in this
+//! module goes through an audited wrapper (`latch_read`/`latch_write`,
+//! `Slot::latch`, `lock_free`, the flusher's `lock_ctl`). The slot and
+//! frame tables take no lock: they are append-only and chunked, so a
+//! lookup hands out a `&Slot` or `&Frame` that lives as long as the store.
 //!
-//! ## Reads that write nothing shared
+//! ## Files
 //!
-//! [`PageStore::probe_unlatched`] serves a resident page without a pin, a
-//! shard mutex, a frame latch or a slot latch: it finds the page's own
-//! frame, or its pool frame through the pool's `pid → frame` hint, checks
-//! that the frame's `owner` names the page, runs the caller's closure over
-//! the bytes in place (a
-//! range-checked [`PageProbe`], so a reader touches only the bytes it
-//! routes on), and accepts the result only if the seqlock version was even
-//! and unchanged and `owner` still names the page afterwards (the pool's
-//! unmaps and refills keep `owner` honest — see [`crate::pool`]); the freed
-//! check is the slot's lock-free `live` mirror. Its counters are
-//! per-thread stripes ([`crate::stats::Counter`]).
+//! Each file holds one layer, named by the prefix its time is charged to
+//! in the per-layer ledger (`BENCHMARK.json`'s `per_layer` metrics, which
+//! `bash benchmark/run.sh --trace 1` reports). `mod.rs` and the page
+//! table are lookups inside every layer's operations and have none:
 //!
-//! Every backend access (misses, write-backs, bypasses, alloc's zero-fill)
-//! runs under the page's latch, so a backend that costs real time — a
-//! latency [`crate::MemBackend::with_latency`] simulates — makes the cost
-//! of holding locks across I/O observable. Frame hits skip the backend.
+//! | file | holds | ledger |
+//! |---|---|---|
+//! | `mod.rs` | [`PageStore`], its constructors, `alloc`/`free`, accessors | — |
+//! | `table.rs` | the page table: `Slot` and `ChunkTable` | — |
+//! | `funnel.rs` | the frame funnel, the bypass, [`PageRef`]/[`PageWrite`] | `pool.*` |
+//! | `page_log.rs` | which WAL record a page write logs; checkpoint epochs | `wal.*` |
+//! | `lock.rs` | the paper's `lock`/`unlock` | `core.lock_wait*` |
+//! | `writeback.rs` | backend I/O, flush, checkpoint barrier, the flusher | `flusher.*`, `backend.*` |
+
+mod funnel;
+mod lock;
+mod page_log;
+mod table;
+mod writeback;
+
+pub use funnel::{PageRef, PageStamp, PageWrite, WriteIntent};
 
 use crate::audit::{self, Audited, LockClass};
 use crate::backend::PageBackend;
 use crate::error::{Result, StoreError};
 use crate::health::StoreHealth;
-use crate::journal::{Journal, PageEdit};
-use crate::page::{page_lsn, set_page_lsn, PAGE_LSN_OFFSET, PAGE_RESERVED_END};
-use crate::page::{stamp_page_crc, verify_page_crc};
-use crate::page::{Page, PageId};
-use crate::pool::{BufferPool, Claim, Frame, PageProbe, Pinned};
-use crate::session::Session;
+use crate::journal::Journal;
+use crate::page::{PageId, PAGE_RESERVED_END};
+use crate::pool::{BufferPool, Frame};
 use crate::stats::StoreStats;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::{Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+use table::{ChunkTable, Slot};
 
 /// Configuration for a [`PageStore`]: sizing only. What a store *does*
 /// follows from its parts — a journaled store (the durable one) also runs
@@ -153,734 +136,9 @@ impl StoreConfig {
     }
 }
 
-/// Bridging distance for delta ranges: two changed spans closer than this
-/// merge into one range. A bridged gap logs its (unchanged) bytes once,
-/// but saves a 4-byte range header and keeps replay sequential — a heap
-/// write (record bytes + a slot-directory entry + header words) typically
-/// collapses to 2–3 ranges.
-const MERGE_GAP: usize = 16;
-
 /// Largest page a journaled store accepts: delta offsets and the heap's
 /// slot offsets are `u16`.
 const MAX_JOURNALED_PAGE: usize = 1 << 16;
-
-/// Backoff schedule for transient backend I/O errors: up to three retries
-/// after the initial attempt, sleeping 50µs, 200µs, 800µs between them.
-/// Short enough that a foreground op under a latch stalls for ~1ms worst
-/// case; long enough to ride out a momentary EINTR/EAGAIN-class hiccup.
-const IO_RETRY_BACKOFF: [Duration; 3] = [
-    Duration::from_micros(50),
-    Duration::from_micros(200),
-    Duration::from_micros(800),
-];
-
-/// The store-reserved page field: the page LSN and the CRC.
-const RESERVED: std::ops::Range<usize> = PAGE_LSN_OFFSET..PAGE_RESERVED_END;
-
-/// The byte ranges (`off`, `len`) where `new` differs from `old`, found by
-/// comparing 8-byte words: ascending, disjoint, empty when the images are
-/// equal, and never inside the store-reserved field [`RESERVED`] — bytes
-/// 8..12 form a 4-byte word of their own. Changed words at most
-/// [`MERGE_GAP`] bytes apart on the same side of that field share one
-/// range, and each range starts and ends on a changed byte. Copying each
-/// range of `new` over `old` reproduces `new` outside the field. This is
-/// how a commit finds what it changed.
-fn diff_ranges(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
-    // Equal blocks are skipped with one slice compare each: most of a
-    // node's page is the unused tail past its last pair.
-    const BLOCK: usize = 256;
-    debug_assert_eq!(old.len(), new.len());
-    let len = new.len();
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    let word = |b: &[u8]| u64::from_ne_bytes(b.try_into().expect("an 8-byte chunk"));
-    for (lo, hi) in [(0, RESERVED.start.min(len)), (RESERVED.end.min(len), len)] {
-        // Bridges only to a range of this side of the reserved field.
-        let mut note = |off: usize, w: usize| match out.last_mut() {
-            Some((o, l)) if *o >= lo && off <= *o + *l + MERGE_GAP => *l = off + w - *o,
-            _ => out.push((off, w)),
-        };
-        let mut off = lo;
-        while off < hi {
-            let end = (off + BLOCK).min(hi);
-            let (a, b) = (&old[off..end], &new[off..end]);
-            if a != b {
-                for (k, (x, y)) in a.chunks(8).zip(b.chunks(8)).enumerate() {
-                    let differs = if x.len() == 8 {
-                        word(x) != word(y)
-                    } else {
-                        x != y
-                    };
-                    if differs {
-                        note(off + 8 * k, x.len());
-                    }
-                }
-            }
-            off = end;
-        }
-    }
-    // Trim each range's end words to the bytes that changed.
-    let same = |&(a, b): &(&u8, &u8)| a == b;
-    for (off, len) in &mut out {
-        let (a, b) = (&old[*off..*off + *len], &new[*off..*off + *len]);
-        let lead = a.iter().zip(b).take_while(same).count();
-        let trail = a.iter().rev().zip(b.iter().rev()).take_while(same).count();
-        *off += lead;
-        *len -= lead + trail;
-    }
-    out
-}
-
-/// Shortest diff range tested for a shift: below it a move saves too
-/// little to pay for the search.
-const MIN_SHIFT_RANGE: usize = 64;
-
-/// Largest shift, in bytes, a move is looked for at, in either direction
-/// (a node's pair is 16 bytes).
-const MAX_SHIFT: usize = 32;
-
-/// Fewest bytes a move must cover to replace that many logged bytes.
-const MIN_MOVE: usize = 32;
-
-/// Length of the common prefix of `a` and `b`.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let words = a
-        .chunks_exact(8)
-        .zip(b.chunks_exact(8))
-        .take_while(|(x, y)| x == y)
-        .count();
-    let at = 8 * words;
-    at + a[at..]
-        .iter()
-        .zip(&b[at..])
-        .take_while(|(x, y)| x == y)
-        .count()
-}
-
-/// Length of the common suffix of `a` and `b`.
-fn common_suffix(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
-    let words = a
-        .rchunks_exact(8)
-        .zip(b.rchunks_exact(8))
-        .take_while(|(x, y)| x == y)
-        .count();
-    let rest = n - 8 * words;
-    8 * words
-        + a[..rest]
-            .iter()
-            .rev()
-            .zip(b[..rest].iter().rev())
-            .take_while(|(x, y)| x == y)
-            .count()
-}
-
-/// How one diff range is logged when the prior image, shifted, explains
-/// most of it: a move of `len` bytes from `src` to `dst`, and the range's
-/// other bytes as they are.
-#[derive(Clone, Copy)]
-struct Shift {
-    dst: usize,
-    src: usize,
-    len: usize,
-}
-
-/// The longest run of diff range `off..end` that equals the prior image
-/// shifted by 1..=[`MAX_SHIFT`] bytes, in either direction, if it covers
-/// at least [`MIN_MOVE`] bytes. Only a range of at least
-/// [`MIN_SHIFT_RANGE`] bytes past the reserved field is tested.
-///
-/// Replay applies a record's edits in order, so a move must read bytes
-/// that still hold the prior image when it runs: a run shifted up (an
-/// insert) is anchored at the range's end and reads from `floor` on — the
-/// end of the previous range, whose bytes replay has already rewritten —
-/// and a run shifted down (a remove) is anchored at the range's start and
-/// reads the bytes above it, which no earlier edit touched. Neither reads
-/// or writes the reserved field.
-fn find_shift(old: &[u8], new: &[u8], off: usize, end: usize, floor: usize) -> Option<Shift> {
-    if off < RESERVED.end || end - off < MIN_SHIFT_RANGE {
-        return None;
-    }
-    debug_assert!(floor >= RESERVED.end && floor <= off);
-    let mut best: Option<Shift> = None;
-    let mut note = |cand: Shift| {
-        if cand.len >= MIN_MOVE && best.is_none_or(|b| cand.len > b.len) {
-            best = Some(cand);
-        }
-    };
-    for s in 1..=MAX_SHIFT {
-        // Shifted up: new[x] == old[x - s], reading at or above `floor`.
-        let lo = off.max(floor + s);
-        if end >= lo + MIN_MOVE && new[end - 8..end] == old[end - 8 - s..end - s] {
-            let len = common_suffix(&new[lo..end], &old[lo - s..end - s]);
-            note(Shift {
-                dst: end - len,
-                src: end - len - s,
-                len,
-            });
-        }
-        // Shifted down: new[x] == old[x + s], reading inside the page.
-        let hi = end.min(new.len() - s);
-        if hi >= off + MIN_MOVE && new[off..off + 8] == old[off + s..off + s + 8] {
-            let len = common_prefix(&new[off..hi], &old[off + s..hi + s]);
-            note(Shift {
-                dst: off,
-                src: off + s,
-                len,
-            });
-        }
-    }
-    best
-}
-
-/// The edits that turn `old` into `new` outside the reserved field: each
-/// [`diff_ranges`] range logged as its bytes, or, where [`find_shift`]
-/// finds one, as a move followed by the range's remaining bytes. Applied
-/// in order to `old`, they reproduce `new` outside the field.
-fn page_edits<'a>(old: &[u8], new: &'a [u8]) -> Vec<PageEdit<&'a [u8]>> {
-    let mut edits = Vec::new();
-    let mut floor = RESERVED.end;
-    for (off, len) in diff_ranges(old, new) {
-        let end = off + len;
-        match find_shift(old, new, off, end, floor) {
-            Some(m) => {
-                edits.push(PageEdit::Move {
-                    dst: m.dst as u16,
-                    src: m.src as u16,
-                    len: m.len as u16,
-                });
-                // The move is `off..end`'s first or last run; the bytes
-                // it leaves follow it.
-                let rest = if m.dst == off {
-                    m.dst + m.len..end
-                } else {
-                    off..m.dst
-                };
-                if !rest.is_empty() {
-                    edits.push(PageEdit::Bytes(rest.start as u16, &new[rest]));
-                }
-            }
-            None => edits.push(PageEdit::Bytes(off as u16, &new[off..end])),
-        }
-        floor = floor.max(end);
-    }
-    edits
-}
-
-/// The paper's lock: exclusive among lockers, invisible to readers.
-#[derive(Debug)]
-struct PaperLock {
-    owner: Mutex<Option<u64>>,
-    cv: Condvar,
-}
-
-impl PaperLock {
-    fn new() -> PaperLock {
-        PaperLock {
-            owner: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Acquires the lock for `sid`, waiting while another session owns it:
-    /// forever with no `deadline`, else until it passes (a deadline of
-    /// "now" never waits — `try_lock`). Returns the nanoseconds spent
-    /// waiting (0 when uncontended), or `None` when the deadline won.
-    fn acquire(&self, sid: u64, deadline: Option<Instant>) -> Option<u64> {
-        let mut owner = self.owner.lock();
-        // Only the unbounded wait would deadlock on itself.
-        assert!(
-            deadline.is_some() || *owner != Some(sid),
-            "session {sid} attempted recursive lock"
-        );
-        let mut wait_ns = 0;
-        if owner.is_some() {
-            let t0 = Instant::now();
-            while owner.is_some() {
-                match deadline {
-                    None => self.cv.wait(&mut owner),
-                    Some(d) => {
-                        if self.cv.wait_until(&mut owner, d).timed_out() {
-                            return None;
-                        }
-                    }
-                }
-            }
-            wait_ns = t0.elapsed().as_nanos() as u64;
-        }
-        *owner = Some(sid);
-        drop(owner);
-        // Paper locks are not RAII (the protocols release them in different
-        // scopes), so the auditor registration is manual and `unlock`
-        // undoes it. The internal `owner` mutex is an implementation detail
-        // (held only for the handful of instructions around the state
-        // change) and is deliberately not a `LockClass` of its own.
-        audit::acquire_manual(LockClass::PaperLock, self as *const PaperLock as usize);
-        Some(wait_ns)
-    }
-
-    fn unlock(&self, sid: u64) {
-        let mut owner = self.owner.lock();
-        assert_eq!(
-            *owner,
-            Some(sid),
-            "unlock by session {sid} which is not the owner ({:?})",
-            *owner
-        );
-        *owner = None;
-        drop(owner);
-        audit::release_manual(LockClass::PaperLock, self as *const PaperLock as usize);
-        self.cv.notify_one();
-    }
-}
-
-/// Per-page bookkeeping: the §2.2 slot latch (doubling as the allocation
-/// flag holder) and the paper lock. Every backend access for the page is
-/// made while holding the `allocated` mutex, which is what keeps loads,
-/// write-backs and bypass accesses of one page mutually indivisible.
-#[derive(Debug)]
-struct Slot {
-    allocated: Mutex<bool>,
-    /// Lock-free mirror of `allocated` for the unlatched read path;
-    /// written only under the latch, by [`Slot::set_allocated`].
-    live: AtomicBool,
-    lock: PaperLock,
-    /// Checkpoint epoch of the page's last full-image WAL record (a base or
-    /// an alloc — both let replay rebuild the page from scratch). A delta
-    /// record is only legal while this equals the store's current epoch:
-    /// the first write after a checkpoint (or after open) must log a full
-    /// image so recovery always finds a base to apply deltas over — which
-    /// is also what repairs torn page-file writes without full images on
-    /// every put. `0` means "no base yet". Read and written under the
-    /// slot's `allocated` latch (the same latch every journal append for
-    /// the page holds).
-    base_epoch: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            allocated: Mutex::new(false),
-            live: AtomicBool::new(false),
-            lock: PaperLock::new(),
-            base_epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Flips the allocation flag and its mirror; `allocated` is this
-    /// slot's held latch.
-    fn set_allocated(&self, allocated: &mut bool, to: bool) {
-        *allocated = to;
-        self.live.store(to, Ordering::Release);
-    }
-
-    /// The allocation flag as of the last latched change, without the
-    /// latch.
-    fn is_live(&self) -> bool {
-        self.live.load(Ordering::Acquire)
-    }
-
-    /// The only place `Slot::allocated` is locked: every acquisition
-    /// registers with the latch auditor as a `SlotLatch` (legal under a
-    /// frame latch; journal appends and pool-shard checks may nest inside).
-    fn latch(&self) -> Audited<MutexGuard<'_, bool>> {
-        audit::audited(LockClass::SlotLatch, self as *const Slot as usize, || {
-            self.allocated.lock()
-        })
-    }
-}
-
-/// Elements in a [`ChunkTable`]'s first chunk; chunk `k` holds
-/// `CHUNK << k` elements, so [`CHUNKS`] chunks cover every `u32` page id.
-const CHUNK: usize = 512;
-const CHUNKS: usize = 24;
-
-/// An append-only, chunked table indexed by page index: the store's slots
-/// and, in a store without a backend, its frames. A lookup is two atomic
-/// loads that never wait, and a `&T` stays valid for the table's lifetime:
-/// chunks are never moved or freed while it lives, and each element is
-/// written once, by [`ChunkTable::push`], before `len` publishes it. A
-/// chunk's memory is touched only as its elements are pushed.
-struct ChunkTable<T> {
-    chunks: [OnceLock<Box<[Element<T>]>>; CHUNKS],
-    /// Elements published so far; `len` is stored only after its element
-    /// is written.
-    len: AtomicUsize,
-}
-
-/// A [`ChunkTable`] element's storage: written once, in place.
-type Element<T> = UnsafeCell<MaybeUninit<T>>;
-
-// SAFETY: `len` is atomic and a chunk is set once through its `OnceLock`.
-// An element is written only by `push`, before `len` publishes it, and is
-// then only shared as `&T` (hence `T: Sync`) until the table drops it on
-// whichever thread drops the table (hence `T: Send`).
-unsafe impl<T: Send + Sync> Sync for ChunkTable<T> {}
-
-impl<T> ChunkTable<T> {
-    fn new() -> ChunkTable<T> {
-        ChunkTable {
-            chunks: [const { OnceLock::new() }; CHUNKS],
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// (chunk, offset) of element `idx`: chunk `k` starts at
-    /// `CHUNK × (2^k − 1)`.
-    fn locate(idx: usize) -> (usize, usize) {
-        let q = idx / CHUNK + 1;
-        let k = (usize::BITS - 1 - q.leading_zeros()) as usize;
-        (k, idx - CHUNK * ((1 << k) - 1))
-    }
-
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    fn get(&self, idx: usize) -> Option<&T> {
-        if idx >= self.len() {
-            return None;
-        }
-        let (k, off) = ChunkTable::<T>::locate(idx);
-        let cell = &self.chunks[k].get()?[off];
-        // SAFETY: `idx < len`, and `len` is stored (`Release`, read
-        // `Acquire` above) only after `push` wrote element `idx`, which
-        // nothing writes again while the table lives.
-        Some(unsafe { (*cell.get()).assume_init_ref() })
-    }
-
-    /// Publishes `value` as the next element.
-    ///
-    /// # Safety
-    ///
-    /// The caller must not push concurrently: [`PageStore`] pushes under
-    /// its free-list mutex, or before the store is shared.
-    // SAFETY: the write below relies on exactly that contract.
-    unsafe fn push(&self, value: T) {
-        let idx = self.len.load(Ordering::Relaxed);
-        let (k, off) = ChunkTable::<T>::locate(idx);
-        let chunk = self.chunks[k].get_or_init(|| {
-            (0..CHUNK << k)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect()
-        });
-        // SAFETY: readers reach only elements below `len`, and the caller
-        // serializes pushes, so nothing else touches element `idx` now.
-        unsafe { (*chunk[off].get()).write(value) };
-        self.len.store(idx + 1, Ordering::Release);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        (0..self.len()).filter_map(|i| self.get(i))
-    }
-}
-
-impl<T> Drop for ChunkTable<T> {
-    fn drop(&mut self) {
-        for idx in 0..*self.len.get_mut() {
-            let (k, off) = ChunkTable::<T>::locate(idx);
-            let cell = &mut self.chunks[k].get_mut().expect("a pushed element's chunk")[off];
-            // SAFETY: `push` wrote every element below `len`, and
-            // `&mut self` rules out any reader.
-            unsafe { cell.get_mut().assume_init_drop() };
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for ChunkTable<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ChunkTable {{ len: {} }}", self.len())
-    }
-}
-
-/// Zero-copy read access to a page, as returned by [`PageStore::read`].
-///
-/// On a pool hit this borrows the pinned frame's bytes under the frame's
-/// read latch — the §2.2 "private copy" without the copy: the view is
-/// immutable for the guard's lifetime (writers need the write latch), and
-/// the pin keeps the frame from being evicted or reused. When the pool is
-/// full of pinned frames (or disabled), the guard owns a private copy
-/// instead; callers cannot tell the difference.
-#[derive(Debug)]
-pub struct PageRef<'a> {
-    inner: RefInner<'a>,
-}
-
-#[derive(Debug)]
-enum RefInner<'a> {
-    Frame {
-        frame: &'a Frame,
-        guard: Option<Audited<RwLockReadGuard<'a, Box<[u8]>>>>,
-    },
-    Owned(Page),
-}
-
-impl PageRef<'_> {
-    /// The page bytes.
-    pub fn bytes(&self) -> &[u8] {
-        match &self.inner {
-            RefInner::Frame { guard, .. } => guard.as_ref().expect("live guard"),
-            RefInner::Owned(p) => p.bytes(),
-        }
-    }
-
-    /// Page length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes().len()
-    }
-
-    /// Never true for store pages.
-    pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
-    }
-
-    /// Copies into an owned [`Page`] (the explicit §2.2 `get`).
-    pub fn to_page(&self) -> Page {
-        Page::copy_of(self.bytes())
-    }
-}
-
-impl Deref for PageRef<'_> {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.bytes()
-    }
-}
-
-impl Drop for PageRef<'_> {
-    fn drop(&mut self) {
-        if let RefInner::Frame { frame, guard } = &mut self.inner {
-            drop(guard.take());
-            frame.unpin();
-        }
-    }
-}
-
-/// Token returned by [`PageStore::probe_unlatched`]: identifies the frame
-/// that served the optimistic probe and the seqlock version it was
-/// validated at. Pass back to [`PageStore::stamp_valid`] to check that what
-/// the probe read is still current before acting on it.
-#[derive(Debug, Clone, Copy)]
-pub struct PageStamp {
-    /// `*const Frame` as usize; the frame was never pinned, but frames
-    /// live as long as the store.
-    frame: usize,
-    /// The even seqlock version the snapshot validated against.
-    version: u64,
-}
-
-/// How [`PageStore::write_page`] should initialize the write buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteIntent {
-    /// The caller rewrites every byte (e.g. re-encoding a node); the
-    /// current contents need not be loaded on a pool miss. Over a resident
-    /// frame the commit logs only the bytes that differ from the prior
-    /// image, while a miss zero-fills a fresh frame, which has no prior
-    /// image and logs a full one (see [`PageWrite::commit`]).
-    Overwrite,
-    /// Read-modify-write: the buffer starts as the page's current contents.
-    Update,
-}
-
-/// A frame latch in either mode.
-enum Latch<'a> {
-    Shared(Audited<RwLockReadGuard<'a, Box<[u8]>>>),
-    Exclusive(Audited<RwLockWriteGuard<'a, Box<[u8]>>>),
-}
-
-impl Latch<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Latch::Shared(g) => g,
-            Latch::Exclusive(g) => g,
-        }
-    }
-}
-
-/// What the frame funnel ([`PageStore::claim_frame`]) hands back.
-enum Claimed<'a> {
-    /// The page's frame, pinned (the caller owns the pin) and latched.
-    Frame {
-        frame: &'a Frame,
-        latch: Latch<'a>,
-        /// Claimed for this write, unpublished: see [`FrameWrite::fresh`].
-        fresh: Option<usize>,
-    },
-    /// No frame could be had: a private copy of the page (all zeros for
-    /// [`WriteIntent::Overwrite`]).
-    Bypass(Page),
-}
-
-/// Exclusive in-place write access to a page, from [`PageStore::write_page`].
-///
-/// The guard holds the frame's write latch, so the mutation is invisible
-/// until [`PageWrite::commit`], which logs the change to the journal
-/// (write-ahead; see [`PageWrite::commit`] for which record) and then
-/// publishes by marking the frame dirty. Dropping without committing rolls
-/// the page back to its prior contents.
-#[derive(Debug)]
-pub struct PageWrite<'a> {
-    store: &'a PageStore,
-    pid: PageId,
-    /// The page's slot, looked up once by `write_page`; commit latches it.
-    slot: &'a Slot,
-    /// `None` once commit consumed the state (Drop is then a no-op).
-    inner: Option<WriteInner<'a>>,
-}
-
-#[derive(Debug)]
-enum WriteInner<'a> {
-    /// A pinned frame under its write latch with the seqlock window open
-    /// (commit/rollback closes it); bytes are mutated in place.
-    Frame(FrameWrite<'a>),
-    /// Pool exhausted/disabled: private staging buffer, applied on commit.
-    Owned(Page),
-}
-
-#[derive(Debug)]
-struct FrameWrite<'a> {
-    frame: &'a Frame,
-    guard: Audited<RwLockWriteGuard<'a, Box<[u8]>>>,
-    /// `Some(idx)`: the frame was claimed for this write and is not yet
-    /// published — commit completes the miss, rollback aborts it (the
-    /// backend still holds the prior contents).
-    fresh: Option<usize>,
-    /// The image the write started from, which commit diffs against: a
-    /// resident frame's prior bytes (also restored on rollback) or, in a
-    /// journaled store, the image an [`WriteIntent::Update`] miss just
-    /// loaded. `None` for an [`WriteIntent::Overwrite`] miss.
-    undo: Option<Box<[u8]>>,
-}
-
-impl FrameWrite<'_> {
-    /// Abandons the write: a resident frame gets its prior image back, a
-    /// fresh one is handed back to the pool unpublished. Releases the pin.
-    fn rollback(mut self, store: &PageStore, pid: PageId) {
-        if let Some(undo) = &self.undo {
-            self.guard.copy_from_slice(undo);
-        }
-        self.frame.end_write();
-        match self.fresh {
-            // Under the latch: see `BufferPool::abort_miss`.
-            Some(idx) => store.pool.abort_miss(pid, idx), // unpins
-            None => self.frame.unpin(),
-        }
-        drop(self.guard);
-    }
-}
-
-impl PageWrite<'_> {
-    /// Mutable access to the page image being written. In a journaled
-    /// store the reserved field ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`])
-    /// is the store's: commit overwrites whatever the writer put there.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        match self.inner.as_mut().expect("live guard") {
-            WriteInner::Frame(fw) => &mut fw.guard,
-            WriteInner::Owned(p) => p.bytes_mut(),
-        }
-    }
-
-    /// Copies `data` into the page at `off`.
-    pub fn write_at(&mut self, off: usize, data: &[u8]) {
-        self.bytes_mut()[off..off + data.len()].copy_from_slice(data);
-    }
-
-    /// Read access to the (in-progress) image.
-    pub fn bytes(&self) -> &[u8] {
-        match self.inner.as_ref().expect("live guard") {
-            WriteInner::Frame(fw) => &fw.guard,
-            WriteInner::Owned(p) => p.bytes(),
-        }
-    }
-
-    /// Page length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes().len()
-    }
-
-    /// Never true for store pages.
-    pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
-    }
-
-    /// Commits the new image: journal first (one WAL record, the commit
-    /// point), then publish. On error the page is left unchanged.
-    ///
-    /// In a journaled store the record is chosen one way, by
-    /// `PageStore::log_page_write`: commit restores the reserved field from
-    /// the image the write started from (or zeroes it when there is none),
-    /// then logs the edits that turn that image into the new one as a
-    /// delta: the changed byte ranges, and a move for a range that is the
-    /// image shifted (an insert or a remove in a node's pairs). It logs a
-    /// v2 base instead when there is no prior image (an
-    /// [`WriteIntent::Overwrite`] miss, or the bypass when no pool frame
-    /// can be had), when the page has no base in this checkpoint epoch, or
-    /// when the delta would outgrow half a page. Either record's LSN is
-    /// stamped into the page. A store without a journal logs and compares
-    /// nothing.
-    pub fn commit(self) -> Result<()> {
-        StoreStats::bump(&self.store.stats.puts);
-        self.publish()
-    }
-
-    fn publish(mut self) -> Result<()> {
-        let (store, pid) = (self.store, self.pid);
-        match self.inner.take().expect("live guard") {
-            WriteInner::Frame(mut fw) => {
-                let logged = {
-                    let allocated = self.slot.latch();
-                    if !*allocated {
-                        Err(StoreError::PageFreed(pid))
-                    } else {
-                        store.log_page_write(pid, self.slot, fw.undo.as_deref(), &mut fw.guard)
-                    }
-                };
-                if let Err(e) = logged {
-                    fw.rollback(store, pid);
-                    return Err(e);
-                }
-                // Publishes a fresh frame inside the window; a resident one
-                // already says `pid`.
-                if let Some(idx) = fw.fresh {
-                    store.pool.complete_miss(pid, idx);
-                }
-                fw.frame.end_write();
-                // A page's own frame is its only copy: nothing to write back.
-                if store.backend.is_some() {
-                    store.pool.mark_dirty(fw.frame);
-                }
-                drop(fw.guard);
-                fw.frame.unpin();
-                Ok(())
-            }
-            // A private buffer is not covered by a frame write latch, so
-            // two same-page bypass writers can interleave — last-writer-
-            // wins is only sound for whole images, never for merged delta
-            // chains: `write_bypass` logs a base, with no prior image.
-            WriteInner::Owned(mut page) => {
-                if store.write_bypass(pid, self.slot, page.bytes_mut())? {
-                    return Ok(());
-                }
-                // A loader mapped the page since `write_page` found the
-                // pool exhausted; readers of that frame must see the new
-                // image, so it goes through the frame.
-                let mut w = store.write_page(pid, WriteIntent::Overwrite)?;
-                w.bytes_mut().copy_from_slice(page.bytes());
-                w.publish()
-            }
-        }
-    }
-}
-
-impl Drop for PageWrite<'_> {
-    fn drop(&mut self) {
-        if let Some(WriteInner::Frame(fw)) = self.inner.take() {
-            fw.rollback(self.store, self.pid);
-        }
-    }
-}
 
 /// §2.2's model of secondary storage: pages that live in their frames, or
 /// in a pluggable [`PageBackend`] fronted by a pinned-frame buffer pool.
@@ -910,9 +168,9 @@ pub struct PageStore {
     /// [`PageStore::advance_checkpoint_epoch`]). A page whose
     /// `Slot::base_epoch` lags this must log a full image before any delta.
     epoch: AtomicU64,
-    /// The background write-back thread (see [`crate::flusher`]), spawned
+    /// The background write-back thread (see `writeback.rs`), spawned
     /// after the `Arc` exists for a journaled store with a pool.
-    flusher: OnceLock<crate::flusher::FlusherHandle>,
+    flusher: OnceLock<writeback::FlusherHandle>,
 }
 
 impl PageStore {
@@ -983,7 +241,7 @@ impl PageStore {
         let mut free = Vec::new();
         for (idx, &is_alloc) in allocated.iter().enumerate() {
             // SAFETY: the store is not shared yet; nothing else pushes.
-            unsafe { slots.push(Slot::new()) };
+            unsafe { slots.push(Slot::default()) };
             let slot = slots.get(idx).expect("slot was just pushed");
             if is_alloc {
                 slot.set_allocated(&mut slot.latch(), true);
@@ -1007,7 +265,7 @@ impl PageStore {
             flusher: OnceLock::new(),
         });
         if store.journal.is_some() && store.pool.capacity() > 0 {
-            let _ = store.flusher.set(crate::flusher::spawn(&store));
+            let _ = store.flusher.set(writeback::spawn(&store));
         }
         store
     }
@@ -1090,187 +348,6 @@ impl PageStore {
         }
     }
 
-    /// Writes every dirty frame back to the backend. The WAL record for a
-    /// dirty frame was appended (into the log file) when it was written,
-    /// so write-ahead order holds; callers that need the log durable first
-    /// (checkpoint) sync the journal before calling this —
-    /// [`PageStore::sync`] does.
-    pub fn flush(&self) -> Result<()> {
-        // Clean-store fast path: when the background flusher (or a prior
-        // flush) already drained everything, skip the all-shards sweep.
-        // The gauge is exact, so a zero here means no frame has its dirty
-        // bit set — there is nothing a sweep could find.
-        if self.pool.dirty_count() == 0 {
-            return Ok(());
-        }
-        let (_, errs) = self.sweep(self.pool.pin_dirty());
-        errs.into_iter().next().map_or(Ok(()), Err)
-    }
-
-    /// Flushes the journal (regardless of fsync policy), writes all dirty
-    /// frames back, and syncs the backend. A clean-shutdown/checkpoint
-    /// barrier; cheap for in-memory stores.
-    pub fn sync(&self) -> Result<()> {
-        if let Some(j) = &self.journal {
-            j.sync()?;
-        }
-        self.flush()?;
-        self.backend.as_ref().map_or(Ok(()), |b| b.sync())
-    }
-
-    /// The fuzzy checkpoint's writer barrier: after this returns, the
-    /// backend durably holds the effect of **every page write whose WAL
-    /// record was appended before the call began** — even writes that were
-    /// still mid-commit on other threads — without quiescing the store.
-    ///
-    /// Three waits compose the guarantee:
-    ///
-    /// 1. **Frame writers.** A committing frame writer holds the frame's
-    ///    *write* latch from before its WAL append until after the dirty
-    ///    bit is set. Acquiring the *read* latch of every resident frame
-    ///    therefore waits out all in-flight frame commits; any pre-existing
-    ///    append's dirty bit is then visible and swept here.
-    /// 2. **Bypass writers** (`write_bypass`) append and write the backend
-    ///    inside one slot-latch critical section, so tapping every
-    ///    allocated slot's latch waits those out; their backend writes are
-    ///    then covered by the final `backend.sync`.
-    /// 3. The journal is synced first, making durable the record of
-    ///    everything this barrier writes back.
-    ///
-    /// Writes that begin *during* the barrier may or may not be included —
-    /// that is the fuzziness; recovery replays their records from the live
-    /// WAL suffix, gated by each page's stamped LSN.
-    pub fn flush_for_checkpoint(&self) -> Result<()> {
-        if let Some(j) = &self.journal {
-            j.sync()?;
-        }
-        let (_, errs) = self.sweep(self.pool.pin_all_resident());
-        if let Some(e) = errs.into_iter().next() {
-            return Err(e);
-        }
-        // Bypass-writer barrier (wait 2 above).
-        for slot in self.slots.iter() {
-            drop(slot.latch());
-        }
-        self.backend.as_ref().map_or(Ok(()), |b| b.sync())
-    }
-
-    /// The backend behind the pool. Only a miss, a write-back or a bypass
-    /// needs it, and a store without one has none of those.
-    fn backend(&self) -> &dyn PageBackend {
-        self.backend
-            .as_deref()
-            .expect("a store without a backend never misses")
-    }
-
-    /// Dirty-page count above which the flusher starts draining.
-    fn flusher_low_watermark(&self) -> usize {
-        (self.pool.capacity() / 8).max(4)
-    }
-
-    /// Dirty-page count above which writers stall (bounded) for the
-    /// flusher — backpressure so a write burst cannot fill the pool with
-    /// dirty frames faster than the backend absorbs them.
-    fn flusher_high_watermark(&self) -> usize {
-        (self.pool.capacity() / 2).max(8)
-    }
-
-    /// One background write-back pass (called from the flusher thread):
-    /// drains dirty frames in clock-hand order down to the low watermark.
-    /// Returns whether any page was written.
-    pub(crate) fn flusher_pass(&self) -> bool {
-        let count = self.pool.dirty_count();
-        let low = self.flusher_low_watermark();
-        if count <= low {
-            return false;
-        }
-        StoreStats::bump(&self.stats.flusher_wakeups);
-        let (wrote, errs) = self.sweep(self.pool.pin_dirty_batch(count - low));
-        StoreStats::add(&self.stats.flusher_pages_written, wrote);
-        // A background failure has nobody to return to: latch it so the
-        // next foreground op fails loudly instead of the store limping
-        // along with an undrainable pool.
-        for e in errs {
-            StoreStats::bump(&self.stats.flusher_errors);
-            self.health.flag(e);
-        }
-        wrote > 0
-    }
-
-    /// The one write-back sweep behind [`PageStore::flush`],
-    /// [`PageStore::flush_for_checkpoint`] and the flusher: writes every
-    /// pinned frame back (a failure does not stop the sweep) and unpins
-    /// it. Returns the pages written and the failures, in sweep order.
-    fn sweep(&self, pinned: Vec<Pinned<'_>>) -> (u64, Vec<StoreError>) {
-        let (mut wrote, mut errs) = (0, Vec::new());
-        for (frame, pid, idx) in pinned {
-            match self.write_back_frame(frame, pid, idx) {
-                Ok(did_write) => wrote += u64::from(did_write),
-                Err(e) => errs.push(e),
-            }
-            frame.unpin();
-        }
-        (wrote, errs)
-    }
-
-    /// Writes one pinned frame back under its read latch, if it still
-    /// holds dirty bytes of the allocated page `pid`.
-    ///
-    /// The sweep can race a miss claim: `pool.claim` re-labels a dirty
-    /// victim frame for the new page `pid` before the claimant has latched
-    /// it, so the frame still holds the *victim's* bytes, whose write-back
-    /// the claimant owes. They must never land in `pid`'s slot, nor be
-    /// skipped (a checkpoint returning first would let `checkpoint_end`
-    /// drop the WAL holding the victim's records), so the sweep writes
-    /// them to the victim's own slot; the claimant's later write of the
-    /// same bytes is harmless. This relies on every path that changes a
-    /// claimed frame's bytes setting `owner` (or rolling the claim back)
-    /// before it releases the write latch: under `guard`, an `owner` that
-    /// is still `flushing` names the bytes in the frame.
-    fn write_back_frame(&self, frame: &Frame, pid: PageId, idx: usize) -> Result<bool> {
-        let guard = self.latch_read(frame);
-        if !frame.owned_by(pid) {
-            return match frame.owner() {
-                Some(victim) => self.write_back_victim(victim, idx, &guard),
-                None => Ok(false),
-            };
-        }
-        let slot = self.slot(pid)?;
-        let allocated = slot.latch();
-        // Claim the dirty bit before writing: a concurrent put needs the
-        // frame's write latch (blocked by `guard`), so nothing can
-        // re-dirty the bytes mid-write.
-        if !(*allocated && self.pool.clear_dirty(frame)) {
-            return Ok(false);
-        }
-        if let Err(e) = self.backend_write_page(pid, &guard) {
-            // The frame bytes are the only up-to-date copy; re-dirty so a
-            // later sweep retries the write-back.
-            self.pool.mark_dirty(frame);
-            return Err(e);
-        }
-        StoreStats::bump(&self.stats.dirty_writebacks);
-        Ok(true)
-    }
-
-    /// Foreground backpressure: when the dirty-page gauge is above the
-    /// high watermark, kick the flusher and wait (briefly, bounded) for it
-    /// to drain below. A no-op unless this store runs a background
-    /// flusher. Call before starting a write.
-    pub fn throttle_dirty(&self) {
-        let Some(h) = self.flusher.get() else {
-            return;
-        };
-        let high = self.flusher_high_watermark();
-        if self.pool.dirty_count() < high {
-            return;
-        }
-        let t0 = Instant::now();
-        h.kick_and_wait(|| self.pool.dirty_count() < high);
-        self.stats
-            .record_flusher_backpressure(t0.elapsed().as_nanos() as u64);
-    }
-
     /// Total slots ever allocated (live + free-listed).
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -1294,10 +371,7 @@ impl PageStore {
 
     /// Whether `pid` names a currently allocated page.
     pub fn is_allocated(&self, pid: PageId) -> bool {
-        match self.slot(pid) {
-            Ok(slot) => *slot.latch(),
-            Err(_) => false,
-        }
+        self.slot(pid).is_ok_and(|slot| *slot.latch())
     }
 
     fn slot(&self, pid: PageId) -> Result<&Slot> {
@@ -1306,171 +380,11 @@ impl PageStore {
             .ok_or(StoreError::OutOfBounds(pid))
     }
 
-    /// Retries a backend page access on transient I/O errors with bounded
-    /// exponential backoff (the schedule in [`IO_RETRY_BACKOFF`]). Only
-    /// `StoreError::Io` is retried — a checksum mismatch or typed state
-    /// error re-running the op could at best hide and at worst repeat.
-    /// Success after a retry bumps `io_retries`; exhausting the schedule
-    /// bumps `io_giveups` and returns the last error. Either way the
-    /// nanoseconds slept are recorded in `io_retry_backoff_hist`.
-    fn retry_io(&self, mut op: impl FnMut() -> Result<()>) -> Result<()> {
-        let mut r = op();
-        if !matches!(r, Err(StoreError::Io(_))) {
-            return r;
-        }
-        let mut waited_ns = 0u64;
-        for backoff in IO_RETRY_BACKOFF {
-            std::thread::sleep(backoff);
-            waited_ns += backoff.as_nanos() as u64;
-            r = op();
-            match r {
-                Err(StoreError::Io(_)) => continue,
-                _ => {
-                    self.stats.record_io_retry(waited_ns, false);
-                    return r;
-                }
-            }
-        }
-        self.stats.record_io_retry(waited_ns, true);
-        r
-    }
-
-    /// The single funnel for backend page reads: retries transient errors
-    /// and (in a journaled store) verifies the page's stored CRC, turning
-    /// torn writes and bit rot into a typed
-    /// [`StoreError::ChecksumMismatch`]. Every pool miss, bypass read and
-    /// write-intent load goes through here.
-    fn backend_read_page(&self, pid: PageId, buf: &mut [u8]) -> Result<()> {
-        self.retry_io(|| self.backend().read(pid.index(), buf))?;
-        if self.journal.is_some() && !verify_page_crc(buf) {
-            StoreStats::bump(&self.stats.checksum_failures);
-            return Err(StoreError::ChecksumMismatch { page: pid });
-        }
-        Ok(())
-    }
-
-    /// The single funnel for backend page writes: in a journaled store
-    /// the CRC is stamped into a scratch copy (frames and caller buffers
-    /// never carry a live checksum — the stored CRC is purely a
-    /// backend-image property), and transient errors are retried. Every
-    /// write-back, bypass write and checkpoint sweep goes through here;
-    /// alloc's zero-fill skips it deliberately (an all-zero page verifies
-    /// as unstamped).
-    fn backend_write_page(&self, pid: PageId, data: &[u8]) -> Result<()> {
-        if self.journal.is_some() {
-            let mut scratch = data.to_vec();
-            stamp_page_crc(&mut scratch);
-            self.retry_io(|| self.backend().write(pid.index(), &scratch))
-        } else {
-            self.retry_io(|| self.backend().write(pid.index(), data))
-        }
-    }
-
     fn log(&self, f: impl FnOnce(&dyn Journal) -> Result<()>) -> Result<()> {
         if let Some(j) = &self.journal {
             f(j.as_ref())?;
             StoreStats::bump(&self.stats.wal_records);
         }
-        Ok(())
-    }
-
-    /// Starts a new checkpoint epoch: the next journaled write of every
-    /// page logs a full image before any delta, so replay from the new
-    /// checkpoint never meets a delta without a base under it. Called by
-    /// the durable layer's checkpoint — twice per *fuzzy* checkpoint,
-    /// bracketing the WAL cut (see `DurableStore::checkpoint_begin` for
-    /// why the double advance makes the cut exact under concurrency).
-    ///
-    /// `Release` pairs with the `Acquire` epoch load in base logging: a
-    /// writer that observes the post-cut epoch value is guaranteed to
-    /// observe the WAL's advanced LSN counter too, so its record's LSN
-    /// lands at or after the cut.
-    pub fn advance_checkpoint_epoch(&self) {
-        self.epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Marks `slot` as holding a full-image base record — but only when no
-    /// checkpoint-epoch advance spanned the append (`epoch_before` is the
-    /// value loaded before the record was logged). An advance mid-append
-    /// means the record's LSN may fall below a concurrent checkpoint's WAL
-    /// cut while the tag claims the new epoch; tagging 0 (never-fresh)
-    /// instead just costs one extra full image on the page's next write.
-    /// Call after a successful full-image or alloc append, under the
-    /// slot's `allocated` latch.
-    fn note_base(&self, slot: &Slot, epoch_before: u64) {
-        let now = self.epoch.load(std::sync::atomic::Ordering::Acquire);
-        let tag = if now == epoch_before { now } else { 0 };
-        slot.base_epoch
-            .store(tag, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Journals one committed page write and stamps the record's LSN into
-    /// `new` — the one place a page write picks its WAL record. Caller
-    /// holds the frame's write latch (or owns the bypass copy) and the
-    /// slot's `allocated` latch; `prior` is the image the write started
-    /// from, `None` when there is none.
-    ///
-    /// The reserved field ([`PAGE_LSN_OFFSET`]`..`[`PAGE_RESERVED_END`]) is
-    /// the store's: it is restored from `prior`, or zeroed, before anything
-    /// is logged. The write then logs the edits that turn `prior` into
-    /// `new` ([`page_edits`]: changed byte ranges, and moves where a range
-    /// is `prior` shifted) as a **delta record** when every gate passes:
-    ///
-    /// * there is a prior image to compare with;
-    /// * the page has a base record in the current checkpoint epoch
-    ///   (first touch after a checkpoint or open logs a full image, which
-    ///   bounds recovery and repairs torn page-file writes);
-    /// * the encoded edits stay under half a page (beyond that the full
-    ///   image is cheaper to replay and barely bigger to log).
-    ///
-    /// Otherwise it logs a base. Without a journal it does nothing.
-    fn log_page_write(
-        &self,
-        pid: PageId,
-        slot: &Slot,
-        prior: Option<&[u8]>,
-        new: &mut [u8],
-    ) -> Result<()> {
-        let Some(j) = &self.journal else {
-            return Ok(());
-        };
-        match prior {
-            Some(prior) => new[RESERVED].copy_from_slice(&prior[RESERVED]),
-            None => new[RESERVED].fill(0),
-        }
-        let epoch_now = self.epoch.load(Ordering::Acquire);
-        let new_ro: &[u8] = new;
-        let delta = prior.and_then(|prior| {
-            if slot.base_epoch.load(Ordering::Relaxed) != epoch_now {
-                StoreStats::bump(&self.stats.wal_delta_fallback_first_touch);
-                return None;
-            }
-            let edits = page_edits(prior, new_ro);
-            let encoded: usize = 15 + edits.iter().map(PageEdit::encoded_len).sum::<usize>();
-            if encoded > self.cfg.page_size / 2 {
-                StoreStats::bump(&self.stats.wal_delta_fallback_large);
-                return None;
-            }
-            Some(edits)
-        });
-        let lsn = if let Some(edits) = delta {
-            let lsn = j.log_put_edits(pid, page_lsn(new_ro), &edits)?;
-            StoreStats::bump(&self.stats.wal_put_deltas);
-            let moves = edits
-                .iter()
-                .filter(|e| matches!(e, PageEdit::Move { .. }))
-                .count();
-            StoreStats::add(&self.stats.wal_put_moves, moves as u64);
-            lsn
-        } else {
-            let lsn = j.log_put_base(pid, new_ro)?;
-            StoreStats::bump(&self.stats.wal_put_full_images);
-            self.note_base(slot, epoch_now);
-            lsn
-        };
-        StoreStats::bump(&self.stats.wal_records);
-        set_page_lsn(new, lsn);
         Ok(())
     }
 
@@ -1496,7 +410,7 @@ impl PageStore {
                         None => unsafe { self.frames.push(Frame::new(self.cfg.page_size)) },
                     }
                     // SAFETY: as above.
-                    unsafe { self.slots.push(Slot::new()) };
+                    unsafe { self.slots.push(Slot::default()) };
                     (pid, true)
                 }
             }
@@ -1570,460 +484,6 @@ impl PageStore {
         self.lock_free().push(pid);
         Ok(())
     }
-
-    /// §2.2 `get(x)` without the copy: borrows the page's buffer-pool frame
-    /// (pinning it) when resident, loading it on a miss. Falls back to a
-    /// private copy when every frame is pinned or the pool is disabled.
-    pub fn read(&self, pid: PageId) -> Result<PageRef<'_>> {
-        self.check_health()?;
-        let slot = self.slot(pid)?;
-        StoreStats::bump(&self.stats.gets);
-        let inner = match self.claim_frame(pid, slot, None)? {
-            Claimed::Frame {
-                frame,
-                latch: Latch::Shared(guard),
-                ..
-            } => RefInner::Frame {
-                frame,
-                guard: Some(guard),
-            },
-            Claimed::Frame { .. } => unreachable!("a read latches shared"),
-            Claimed::Bypass(page) => RefInner::Owned(page),
-        };
-        Ok(PageRef { inner })
-    }
-
-    /// The frame funnel, shared by [`PageStore::read`] (`write: None`) and
-    /// [`PageStore::write_page`]. Pins the page's frame (its own in a store
-    /// without a backend, which always hits) and latches it:
-    /// shared for a read (a miss loads the page and publishes the frame),
-    /// exclusive with the seqlock window open for a write (a miss loads —
-    /// or for [`WriteIntent::Overwrite`] just zeroes — the frame and leaves
-    /// it unpublished until the commit). Hands out a private copy instead
-    /// when no frame can be had: every frame pinned, or a pool of none
-    /// (`pool_frames: 0`, the literal §2.2 model — the same arm).
-    ///
-    /// Inlined so that `write` is a constant in each caller — `read` keeps
-    /// only the shared-latch arms — as the hit path sits under every `get`.
-    #[inline(always)]
-    fn claim_frame<'a>(
-        &'a self,
-        pid: PageId,
-        slot: &Slot,
-        write: Option<WriteIntent>,
-    ) -> Result<Claimed<'a>> {
-        let mut attempt = 0u32;
-        loop {
-            let claim = match self.frames.get(pid.index()) {
-                Some(frame) => Claim::Hit(frame.pin()),
-                None => self.pool.claim(pid),
-            };
-            let (frame, latch, fresh) = match claim {
-                Claim::Hit(frame) => {
-                    StoreStats::bump(&self.stats.pins);
-                    let latch = match write {
-                        None => Latch::Shared(self.latch_read(frame)),
-                        Some(_) => Latch::Exclusive(self.latch_write(frame)),
-                    };
-                    if !*slot.latch() {
-                        drop(latch);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
-                    }
-                    if !frame.owned_by(pid) {
-                        // The pool frame is mid-load or was repurposed
-                        // between the map lookup and the latch, or the page
-                        // was freed since the check above (a page's own
-                        // frame is disowned only then); the responsible
-                        // party is making progress — retry the claim.
-                        drop(latch);
-                        frame.unpin();
-                        attempt += 1;
-                        if attempt > 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    audit::classify_frame(frame.audit_addr(), latch.bytes());
-                    match write {
-                        None => StoreStats::bump(&self.stats.cache_hits),
-                        // Seqlock window: open before the first byte
-                        // changes; commit/rollback closes it.
-                        Some(_) => frame.begin_write(),
-                    }
-                    (frame, latch, None)
-                }
-                Claim::Miss {
-                    frame,
-                    idx,
-                    flush,
-                    evicted,
-                } => {
-                    StoreStats::bump(&self.stats.pins);
-                    if evicted {
-                        StoreStats::bump(&self.stats.frames_evicted);
-                    }
-                    let guard = self.fill_frame(pid, slot, frame, idx, flush, write)?;
-                    match write {
-                        // Unpublished until commit: the writer keeps the
-                        // latch and the open seqlock window.
-                        Some(_) => (frame, Latch::Exclusive(guard), Some(idx)),
-                        None => {
-                            StoreStats::bump(&self.stats.cache_misses);
-                            self.pool.complete_miss(pid, idx); // publishes `owner`
-                            frame.end_write();
-                            drop(guard);
-                            // Our pin keeps the frame ours; a put may slip in
-                            // between latch drops, but then the guard just
-                            // sees newer bytes.
-                            let guard = self.latch_read(frame);
-                            audit::classify_frame(frame.audit_addr(), &guard);
-                            (frame, Latch::Shared(guard), None)
-                        }
-                    }
-                }
-                Claim::Exhausted => {
-                    // Bypass: a private copy read straight from the backend
-                    // under the slot latch — unless a racing loader mapped
-                    // the page meanwhile (its frame may hold newer bytes
-                    // than the backend, so take the frame route after all).
-                    let mut page = Page::zeroed(self.cfg.page_size);
-                    let allocated = slot.latch();
-                    if !*allocated {
-                        return Err(StoreError::PageFreed(pid));
-                    }
-                    if self.pool.is_mapped(pid) {
-                        continue;
-                    }
-                    if write != Some(WriteIntent::Overwrite) {
-                        self.backend_read_page(pid, page.bytes_mut())?;
-                    }
-                    if write.is_none() {
-                        StoreStats::bump(&self.stats.cache_misses);
-                        StoreStats::bump(&self.stats.pool_bypasses);
-                    }
-                    return Ok(Claimed::Bypass(page));
-                }
-            };
-            return Ok(Claimed::Frame {
-                frame,
-                latch,
-                fresh,
-            });
-        }
-    }
-
-    /// §2.2 `get(x)`: returns a private copy of the page contents. Kept for
-    /// callers that need an owned page; the hot path uses [`PageStore::read`].
-    pub fn get(&self, pid: PageId) -> Result<Page> {
-        Ok(self.read(pid)?.to_page())
-    }
-
-    /// Optimistic latch-free read: runs `f` over `pid`'s bytes **in place**
-    /// in its resident frame, through a [`PageProbe`], **without a pin, a
-    /// shard mutex, a frame latch or a slot latch**, and validates the run
-    /// with the frame's seqlock. On success `f`'s result was computed from
-    /// a consistent image of the page, and the returned [`PageStamp`] lets
-    /// the caller revalidate later (via [`PageStore::stamp_valid`]) that no
-    /// writer has touched the page since — the version-coupling step of an
-    /// optimistic descent. `f` should read only what it needs: a route's
-    /// header and a few keys, a record's slot entry and bytes. The only
-    /// shared lines the read writes are the frame's CLOCK bit, and only
-    /// when the clock hand cleared it.
-    ///
-    /// In a store without a backend the frame is the page's own. Otherwise
-    /// it comes from the pool's `pid → frame` hint and may hold another
-    /// page. Either way `owner` is checked before `f` runs (a pool miss or
-    /// a freed page does not run `f` over a stranger's bytes) and again
-    /// after it, and the result counts only if the seqlock version was even
-    /// and unchanged across the run. Returns `Ok(None)` whenever the fast
-    /// path cannot be taken safely (no hint, frame mid-mutation or holding
-    /// another page, pool disabled); the caller falls back to a latched
-    /// [`PageStore::read`], which maps the page and refreshes the hint.
-    /// `f` takes no latch, so it may itself read or write pages; a write
-    /// to this page inside the run fails the validation.
-    pub fn probe_unlatched<T>(
-        &self,
-        pid: PageId,
-        f: impl FnOnce(&PageProbe<'_>) -> T,
-    ) -> Result<Option<(PageStamp, T)>> {
-        let slot = self.slot(pid)?;
-        let frame = self
-            .frames
-            .get(pid.index())
-            .or_else(|| self.pool.frame_hinted(pid));
-        let probed = frame.filter(|frame| frame.owned_by(pid)).and_then(|frame| {
-            let (version, out) = frame.probe_unlatched(f)?;
-            frame.owned_by(pid).then_some((frame, version, out))
-        });
-        let Some((frame, version, out)) = probed else {
-            StoreStats::bump(&self.stats.optimistic_read_fallbacks);
-            return Ok(None);
-        };
-        // `free` clears the flag before it disowns the frame: a page freed
-        // after the owner check surfaces as freed, not as its last image.
-        if !slot.is_live() {
-            return Err(StoreError::PageFreed(pid));
-        }
-        frame.touch();
-        StoreStats::bump(&self.stats.gets);
-        StoreStats::bump(&self.stats.optimistic_reads);
-        let addr = frame.audit_addr();
-        audit::note_snapshot(addr);
-        Ok(Some((
-            PageStamp {
-                frame: addr,
-                version,
-            },
-            out,
-        )))
-    }
-
-    /// Revalidates an earlier [`PageStore::probe_unlatched`]: true iff the
-    /// frame still holds `pid`'s image at the stamped version, i.e. no
-    /// writer has begun mutating the page since the snapshot was taken.
-    pub fn stamp_valid(&self, pid: PageId, stamp: &PageStamp) -> bool {
-        audit::note_revalidate(stamp.frame);
-        // SAFETY: `stamp.frame` was produced by `probe_unlatched` from a
-        // `&Frame` borrowed out of this store's frame table or buffer pool.
-        // That frame was never pinned, and it need not be: a table frame
-        // lives in a chunk that is never moved or freed while the store
-        // lives, and pool frames are allocated once at pool construction
-        // into a `Box<[Frame]>` that is never resized, moved or freed while
-        // the `PageStore` lives; `PageStamp` borrows the store
-        // (`probe_unlatched(&self)` / `stamp_valid(&self)`), so the pointer
-        // cannot outlive the frames. A free, a re-alloc or an eviction does
-        // not invalidate it either: a frame is *repurposed*, never
-        // deallocated, and every repurposing either brackets the refill
-        // (or a re-alloc's zeroing) with `begin_write`/`end_write`, bumping
-        // the seqlock version so the `version_is` check below rejects the
-        // stale stamp, or disowns the frame, which fails the `owned_by`
-        // check.
-        let frame = unsafe { &*(stamp.frame as *const Frame) };
-        // `owner` first: a re-alloc or a refill names the page again only
-        // inside its seqlock window, so a reader that sees the page named
-        // again also sees the version that window bumped.
-        frame.owned_by(pid) && frame.version_is(stamp.version)
-    }
-
-    /// Populates a freshly claimed frame under its write latch: writes the
-    /// dirty victim back (its WAL record predates its dirty bit —
-    /// write-ahead holds), then, under `pid`'s slot latch, reads the page
-    /// from the backend — or just zeroes the frame when the caller will
-    /// overwrite every byte. Returns with the seqlock window still open
-    /// and `owner` not yet published. Rolls the claim back (and releases
-    /// its pin) itself on every error path.
-    fn fill_frame<'a>(
-        &self,
-        pid: PageId,
-        slot: &Slot,
-        frame: &'a Frame,
-        idx: usize,
-        flush: Option<PageId>,
-        write: Option<WriteIntent>,
-    ) -> Result<Audited<RwLockWriteGuard<'a, Box<[u8]>>>> {
-        let mut guard = self.latch_write(frame);
-        if let Some(old) = flush {
-            if let Err(e) = self.write_back_victim(old, idx, &guard) {
-                // The victim's frame bytes are its only up-to-date copy, so
-                // they must never be dropped on the floor (later reads
-                // would serve stale backend data as `Ok`): reinstate it as
-                // the frame's resident, still-dirty page.
-                self.pool.restore_victim(pid, idx);
-                return Err(e);
-            }
-        }
-        frame.begin_write();
-        // Whatever page the frame held is leaving it: from here until
-        // `complete_miss` publishes `pid`, it names no page.
-        frame.disown();
-        let r = {
-            let allocated = slot.latch();
-            if !*allocated {
-                Err(StoreError::PageFreed(pid))
-            } else if write == Some(WriteIntent::Overwrite) {
-                guard.fill(0);
-                Ok(())
-            } else {
-                self.backend_read_page(pid, &mut guard)
-            }
-        };
-        if let Err(e) = r {
-            frame.end_write();
-            self.pool.abort_miss(pid, idx); // under the latch: see abort_miss
-            return Err(e);
-        }
-        self.pool.clear_dirty(frame);
-        audit::classify_frame(frame.audit_addr(), &guard);
-        Ok(guard)
-    }
-
-    /// Writes an evicted dirty frame's bytes back to the backend — unless
-    /// the page was freed (then the bytes are garbage), or freed *and
-    /// reallocated* (then writing would corrupt the new incarnation). Both
-    /// are detected under `old`'s slot latch: `free` clears the pool's
-    /// `flushing` marker before the page can reach the free list, and both
-    /// `free` and `alloc` need this latch, so `allocated && still_flushing`
-    /// cannot go stale while it is held. Called by the claimant before it
-    /// loads the frame, and by a sweep that meets the frame first; returns
-    /// whether it wrote.
-    fn write_back_victim(&self, old: PageId, idx: usize, bytes: &[u8]) -> Result<bool> {
-        let slot = self.slot(old)?;
-        let allocated = slot.latch();
-        if !(*allocated && self.pool.still_flushing(old, idx)) {
-            return Ok(false);
-        }
-        self.backend_write_page(old, bytes)?;
-        StoreStats::bump(&self.stats.dirty_writebacks);
-        Ok(true)
-    }
-
-    /// §2.2 `put(A, x)`: overwrites the page with the buffer's contents —
-    /// [`PageStore::write_page`] with [`WriteIntent::Overwrite`], a copy,
-    /// and a commit. With a journal attached the commit's record (a delta
-    /// against a resident frame, else a base; see [`PageWrite::commit`])
-    /// is logged before anything becomes visible — write-ahead order. The new image lands in the page's
-    /// frame (write-back); it reaches the backend on eviction or
-    /// [`PageStore::sync`].
-    pub fn put(&self, pid: PageId, page: &Page) -> Result<()> {
-        if page.len() != self.cfg.page_size {
-            return Err(StoreError::PageSizeMismatch {
-                got: page.len(),
-                want: self.cfg.page_size,
-            });
-        }
-        let mut w = self.write_page(pid, WriteIntent::Overwrite)?;
-        w.bytes_mut().copy_from_slice(page.bytes());
-        w.commit()
-    }
-
-    /// The bypass writer: logs a base (stamping its LSN into `data`) and
-    /// writes the image straight to the backend, all under the slot latch.
-    /// Returns `Ok(false)` when a racing loader mapped the page (the caller
-    /// must write through the frame so readers of the frame see the new
-    /// image); `data` is then untouched.
-    fn write_bypass(&self, pid: PageId, slot: &Slot, data: &mut [u8]) -> Result<bool> {
-        let allocated = slot.latch();
-        if !*allocated {
-            return Err(StoreError::PageFreed(pid));
-        }
-        if self.pool.is_mapped(pid) {
-            return Ok(false);
-        }
-        self.log_page_write(pid, slot, None, data)?;
-        self.backend_write_page(pid, data)?;
-        StoreStats::bump(&self.stats.pool_bypasses);
-        Ok(true)
-    }
-
-    /// Opens an in-place write of `pid` and returns a [`PageWrite`] guard.
-    ///
-    /// With [`WriteIntent::Update`] the buffer holds the page's current
-    /// contents; with [`WriteIntent::Overwrite`] the caller promises to
-    /// rewrite every byte (a pool miss then skips the backend read, making
-    /// a node rewrite copy-free end to end). Nothing is visible — and no
-    /// WAL record exists — until [`PageWrite::commit`].
-    pub fn write_page(&self, pid: PageId, intent: WriteIntent) -> Result<PageWrite<'_>> {
-        self.check_health()?;
-        let slot = self.slot(pid)?;
-        let overwrite = intent == WriteIntent::Overwrite;
-        let inner = match self.claim_frame(pid, slot, Some(intent))? {
-            Claimed::Frame {
-                frame,
-                latch: Latch::Exclusive(mut guard),
-                fresh,
-            } => {
-                // A resident frame is mutated in place, so rollback needs
-                // its prior image, and so does a journaled commit's diff —
-                // which an `Update` miss takes from the image it just
-                // loaded. An `Overwrite` miss arrives zeroed, with none.
-                let resident = fresh.is_none();
-                let undo = (resident || (self.journal.is_some() && !overwrite))
-                    .then(|| guard.to_vec().into_boxed_slice());
-                if resident && overwrite {
-                    guard.fill(0);
-                }
-                WriteInner::Frame(FrameWrite {
-                    frame,
-                    guard,
-                    fresh,
-                    undo,
-                })
-            }
-            Claimed::Frame { .. } => unreachable!("a write latches exclusive"),
-            Claimed::Bypass(page) => WriteInner::Owned(page),
-        };
-        Ok(PageWrite {
-            store: self,
-            pid,
-            slot,
-            inner: Some(inner),
-        })
-    }
-
-    /// `lock(x)`: blocks until this session holds the paper lock on `pid`.
-    ///
-    /// Readers are unaffected; only other `lock` calls wait.
-    pub fn lock(&self, pid: PageId, session: &mut Session) {
-        let acquired = self.lock_until(pid, session, None);
-        debug_assert!(acquired, "an unbounded lock wait cannot time out");
-    }
-
-    /// Non-blocking lock attempt.
-    pub fn try_lock(&self, pid: PageId, session: &mut Session) -> bool {
-        self.lock_until(pid, session, Some(Instant::now()))
-    }
-
-    /// Lock with a timeout; used by deadlock-watchdog tests (E7). Returns
-    /// `true` on acquisition.
-    pub fn lock_timeout(&self, pid: PageId, session: &mut Session, timeout: Duration) -> bool {
-        self.lock_until(pid, session, Some(Instant::now() + timeout))
-    }
-
-    fn lock_until(&self, pid: PageId, session: &mut Session, deadline: Option<Instant>) -> bool {
-        let slot = self
-            .slot(pid)
-            .expect("locking a page that was never allocated");
-        let Some(wait_ns) = slot.lock.acquire(session.id(), deadline) else {
-            return false;
-        };
-        StoreStats::bump(&self.stats.lock_acquires);
-        if wait_ns > 0 {
-            self.stats.record_lock_wait(wait_ns);
-        }
-        session.note_lock(pid);
-        true
-    }
-
-    /// `unlock(x)`.
-    pub fn unlock(&self, pid: PageId, session: &mut Session) {
-        let slot = self
-            .slot(pid)
-            .expect("unlocking a page that was never allocated");
-        session.note_unlock(pid);
-        slot.lock.unlock(session.id());
-    }
-
-    /// Releases every lock the session still holds (used by restart paths in
-    /// tests and by panic-safety cleanup in the harness).
-    pub fn unlock_all(&self, session: &mut Session) {
-        while let Some(&pid) = session.held_locks().last() {
-            self.unlock(pid, session);
-        }
-    }
-}
-
-impl Drop for PageStore {
-    fn drop(&mut self) {
-        // Stop the background flusher before the store's fields go away.
-        // `stop` self-detaches when the flusher thread itself is running
-        // this drop (it held the last `Arc` at the end of a pass).
-        if let Some(h) = self.flusher.take() {
-            h.stop();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2031,8 +491,10 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::clock::LogicalClock;
+    use crate::page::Page;
     use crate::session::SessionRegistry;
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// A store with a bounded pool of `cfg.pool_frames` frames over a
     /// [`MemBackend`]: misses, evictions, write-backs and bypasses.
@@ -2350,6 +812,9 @@ mod pool_tests {
     use super::tests::{pooled, pooled_with_latency};
     use super::*;
     use crate::backend::MemBackend;
+    use crate::page::Page;
+    use crate::pool::{Claim, PageProbe};
+    use std::time::Duration;
 
     #[test]
     #[cfg_attr(miri, ignore = "asserts a wall-clock upper bound")]
@@ -2864,8 +1329,11 @@ mod pool_tests {
 
 #[cfg(test)]
 mod journal_tests {
+    use super::page_log::RESERVED;
     use super::*;
     use crate::backend::MemBackend;
+    use crate::journal::PageEdit;
+    use crate::page::Page;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// Records calls; can be switched to failing to model a dead journal.
@@ -3235,6 +1703,7 @@ mod journal_tests {
 /// Miri CI step runs it too (`store::frame_table_tests`).
 #[cfg(test)]
 mod frame_table_tests {
+    use super::table::{CHUNK, CHUNKS};
     use super::*;
 
     /// The page's own frame, as the funnel finds it.
@@ -3330,7 +1799,9 @@ mod frame_table_tests {
 /// so the Miri CI step runs it too (`store::diff_tests`).
 #[cfg(test)]
 mod diff_tests {
+    use super::page_log::{diff_ranges, RESERVED};
     use super::*;
+    use crate::page::PAGE_LSN_OFFSET;
     use proptest::prelude::*;
 
     /// Checks every clause of `diff_ranges`'s contract on one pair.
@@ -3500,7 +1971,8 @@ mod diff_tests {
 /// the Miri CI step runs it too (`store::shift_tests`).
 #[cfg(test)]
 mod shift_tests {
-    use super::*;
+    use super::page_log::{page_edits, RESERVED};
+    use crate::journal::PageEdit;
     use proptest::prelude::*;
 
     /// Applies `edits` to a copy of `old` the way replay does, checking
