@@ -212,17 +212,6 @@ impl Node {
         }
     }
 
-    /// The value immediately preceding `P[j]` — the low value of child
-    /// `P[j]`.
-    pub fn prevval(&self, j: usize) -> Bound {
-        debug_assert_eq!(self.kind, NodeKind::Internal);
-        if j == 0 {
-            self.low
-        } else {
-            Bound::Key(self.entries[j - 1].0)
-        }
-    }
-
     /// Finds `j` with `P[j] == target`, if any.
     pub fn find_pointer(&self, target: PageId) -> Option<usize> {
         (0..self.pointer_count()).find(|&j| self.pointer(j) == target)
@@ -755,9 +744,6 @@ mod tests {
         assert_eq!(n.followval(0), Bound::Key(100));
         assert_eq!(n.followval(1), Bound::Key(200));
         assert_eq!(n.followval(2), Bound::Key(300));
-        assert_eq!(n.prevval(0), Bound::NegInf);
-        assert_eq!(n.prevval(1), Bound::Key(100));
-        assert_eq!(n.prevval(2), Bound::Key(200));
         assert_eq!(n.find_pointer(pid(11)), Some(1));
         assert_eq!(n.find_pointer(pid(99)), None);
         assert_eq!(n.find_pair(pid(11), Bound::Key(200)), Some(1));

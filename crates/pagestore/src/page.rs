@@ -168,22 +168,6 @@ impl Page {
         }
     }
 
-    /// Wraps an existing buffer, validating it against the store's page
-    /// size. Callers that used to pass arbitrary-length buffers (and hit a
-    /// runtime `assert!` deep inside `put`) now get a typed error here.
-    pub fn from_bytes(
-        data: Box<[u8]>,
-        page_size: usize,
-    ) -> std::result::Result<Page, crate::error::StoreError> {
-        if data.len() != page_size {
-            return Err(crate::error::StoreError::PageSizeMismatch {
-                got: data.len(),
-                want: page_size,
-            });
-        }
-        Ok(Page { data })
-    }
-
     /// An owned copy of `bytes` (e.g. of a borrowed page guard).
     pub fn copy_of(bytes: &[u8]) -> Page {
         Page {
@@ -249,18 +233,6 @@ mod tests {
         assert_eq!(PageId::from_raw(0), None);
         assert_eq!(PageId::encode_opt(None), 0);
         assert_eq!(PageId::encode_opt(PageId::from_raw(9)), 9);
-    }
-
-    #[test]
-    fn from_bytes_validates_length() {
-        let ok = Page::from_bytes(vec![1u8; 32].into_boxed_slice(), 32).unwrap();
-        assert_eq!(ok.len(), 32);
-        match Page::from_bytes(vec![1u8; 31].into_boxed_slice(), 32) {
-            Err(crate::error::StoreError::PageSizeMismatch { got: 31, want: 32 }) => {}
-            other => panic!("expected PageSizeMismatch, got {other:?}"),
-        }
-        let copy = Page::copy_of(ok.bytes());
-        assert_eq!(copy, ok);
     }
 
     #[test]

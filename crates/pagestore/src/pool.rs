@@ -1,5 +1,5 @@
-//! The buffer pool: a fixed table of page frames with pin counts and CLOCK
-//! (second-chance) replacement.
+//! The buffer pool: a fixed table of page frames with pin counts and
+//! index-first CLOCK (second-chance) replacement.
 //!
 //! Until PR 2 the "cache" (`ClockCache` — now gone) tracked *residency
 //! only*: it remembered PageIds so a simulated I/O delay could be skipped,
@@ -38,6 +38,25 @@
 //!   opens and publishes the new page (under the shard mutex, in
 //!   `BufferPool::complete_miss`) before the window closes.
 //!
+//! ## Replacement: record frames first
+//!
+//! Every operation reads root to leaf before it touches a record, so the
+//! index pages are the hot set (§2.2: a `get(x)` per node on every
+//! descent). Under plain CLOCK a uniform stream of record misses laps the
+//! pool faster than any one leaf is re-read, so the reference bit cannot
+//! save the leaf and a cold point read misses twice: leaf, then record.
+//! So the frames are of two classes, fixed when a claim completes from the
+//! image it loaded or published: a record frame holds a heap page
+//! ([`crate::heap::is_heap_page`]), an index frame anything else. While a
+//! shard holds an unpinned record frame, the hand runs over record frames
+//! only — each still gets its second chance — and passes index frames
+//! without clearing their reference bits; an index frame becomes a victim
+//! only when the shard has no unpinned record frame, by the plain CLOCK
+//! loop. Dirty record frames stay eligible, as dirty frames always were.
+//! An exact per-shard count of record frames keeps the record pass off
+//! an index-only store. This is 2Q's scan resistance (Johnson & Shasha,
+//! VLDB 1994) with the page class known up front.
+//!
 //! ## Locking
 //!
 //! The pool is sharded by page id to keep the map mutex off the hot path's
@@ -48,6 +67,7 @@
 //! they never wait on anything above them.
 
 use crate::audit::{self, Audited, LockClass};
+use crate::heap::is_heap_page;
 use crate::page::PageId;
 use crate::stats::StoreStats;
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -318,6 +338,10 @@ struct FrameMeta {
     /// The evicted page whose dirty bytes are still being flushed out of
     /// this frame; its map entry stays alive until the flush finishes.
     flushing: Option<PageId>,
+    /// The frame holds a record (heap) page, not an index page. Set when a
+    /// claim completes and cleared when the frame is unmapped; while a
+    /// claim is in flight it still names the victim's class.
+    record: bool,
 }
 
 #[derive(Debug)]
@@ -327,6 +351,29 @@ struct ShardState {
     /// Frames never used since construction (fast path before the clock).
     free: Vec<usize>,
     hand: usize,
+    /// Frames whose `record` flag is set (exact), so that a shard with no
+    /// record frame skips the record pass.
+    records: usize,
+}
+
+impl ShardState {
+    /// Sets frame `i`'s class, keeping `records` exact.
+    fn set_record(&mut self, i: usize, record: bool) {
+        if self.meta[i].record != record {
+            self.meta[i].record = record;
+            if record {
+                self.records += 1;
+            } else {
+                self.records -= 1;
+            }
+        }
+    }
+
+    /// Maps frame `i` to no page: the clock reclaims it without eviction.
+    fn orphan(&mut self, i: usize) {
+        self.meta[i].resident = None;
+        self.set_record(i, false);
+    }
 }
 
 #[derive(Debug)]
@@ -399,6 +446,7 @@ impl BufferPool {
                     meta: vec![FrameMeta::default(); n],
                     free: (0..n).rev().collect(),
                     hand: 0,
+                    records: 0,
                 }),
             });
         }
@@ -508,25 +556,32 @@ impl BufferPool {
             return Claim::Hit(f);
         }
         if let Some(i) = st.free.pop() {
-            st.meta[i].resident = Some(pid);
-            st.map.insert(pid, i);
-            self.set_hint(pid, i);
-            let f = &shard.frames[i];
-            f.pins.fetch_add(1, Ordering::AcqRel);
-            f.referenced.store(true, Ordering::Relaxed);
-            return Claim::Miss {
-                frame: f,
-                idx: i,
-                flush: None,
-                evicted: false,
-            };
+            return self.remap(shard, &mut st, i, pid);
         }
+        // Record frames first; an index frame goes only when the shard
+        // holds no unpinned record frame.
+        if st.records > 0 {
+            if let Some(c) = self.sweep(shard, &mut st, pid, true) {
+                return c;
+            }
+        }
+        self.sweep(shard, &mut st, pid, false)
+            .unwrap_or(Claim::Exhausted)
+    }
+
+    /// One CLOCK sweep for a victim: two full revolutions (the first may
+    /// only be clearing reference bits) before giving up. With
+    /// `records_only` the hand passes over index frames and leaves their
+    /// reference bits alone. A discarded (freed-page) frame is taken in
+    /// either pass: it is reusable without eviction.
+    fn sweep<'a>(
+        &'a self,
+        shard: &'a Shard,
+        st: &mut ShardState,
+        pid: PageId,
+        records_only: bool,
+    ) -> Option<Claim<'a>> {
         let n = shard.frames.len();
-        if n == 0 {
-            return Claim::Exhausted;
-        }
-        // CLOCK sweep: two full revolutions (the first may only be clearing
-        // reference bits) before declaring the pool pinned solid.
         for _ in 0..2 * n {
             let i = st.hand;
             st.hand = (st.hand + 1) % n;
@@ -536,52 +591,60 @@ impl BufferPool {
             if f.pins.load(Ordering::Acquire) != 0 {
                 continue;
             }
-            let Some(old) = st.meta[i].resident else {
-                // Discarded (freed-page) frame: reusable without eviction.
-                st.meta[i].resident = Some(pid);
-                st.map.insert(pid, i);
-                self.set_hint(pid, i);
-                f.pins.fetch_add(1, Ordering::AcqRel);
-                f.referenced.store(true, Ordering::Relaxed);
-                self.clear_dirty(f);
-                return Claim::Miss {
-                    frame: f,
-                    idx: i,
-                    flush: None,
-                    evicted: false,
-                };
-            };
-            if f.referenced.swap(false, Ordering::Relaxed) {
+            let m = st.meta[i];
+            if m.resident.is_some()
+                && ((records_only && !m.record) || f.referenced.swap(false, Ordering::Relaxed))
+            {
                 continue;
             }
-            // Victim. Dirty: keep the old mapping alive until the caller has
-            // flushed it (readers of `old` must not fall through to a stale
-            // backend); the refill disowns the frame when it starts. Clean:
-            // the backend is current, unmap (and disown) immediately.
-            let dirty = f.dirty.load(Ordering::Acquire);
-            if dirty {
-                st.meta[i].flushing = Some(old);
-            } else {
+            return Some(self.remap(shard, st, i, pid));
+        }
+        None
+    }
+
+    /// Reserves unpinned frame `i` for `pid`, evicting its resident page if
+    /// it has one. Dirty victim: keep the old mapping alive until the caller
+    /// has flushed it (readers of `old` must not fall through to a stale
+    /// backend); the refill disowns the frame when it starts. Clean victim:
+    /// the backend is current, unmap (and disown) immediately. The frame
+    /// keeps the victim's class until the claim completes, aborts or
+    /// restores the victim.
+    fn remap<'a>(
+        &'a self,
+        shard: &'a Shard,
+        st: &mut ShardState,
+        i: usize,
+        pid: PageId,
+    ) -> Claim<'a> {
+        let f = &shard.frames[i];
+        let old = st.meta[i].resident;
+        let flush = old.filter(|_| f.dirty.load(Ordering::Acquire));
+        match old {
+            Some(old) if flush.is_some() => st.meta[i].flushing = Some(old),
+            Some(old) => {
                 st.map.remove(&old);
                 f.disown();
             }
-            st.meta[i].resident = Some(pid);
-            st.map.insert(pid, i);
-            self.set_hint(pid, i);
-            f.pins.fetch_add(1, Ordering::AcqRel);
-            f.referenced.store(true, Ordering::Relaxed);
-            return Claim::Miss {
-                frame: f,
-                idx: i,
-                flush: dirty.then_some(old),
-                evicted: true,
-            };
+            None => {
+                self.clear_dirty(f);
+            }
         }
-        Claim::Exhausted
+        st.meta[i].resident = Some(pid);
+        st.map.insert(pid, i);
+        self.set_hint(pid, i);
+        f.pins.fetch_add(1, Ordering::AcqRel);
+        f.referenced.store(true, Ordering::Relaxed);
+        Claim::Miss {
+            frame: f,
+            idx: i,
+            flush,
+            evicted: old.is_some(),
+        }
     }
 
     /// Finishes a miss: drops the flushed-out victim's mapping and, if
-    /// `pid` is still mapped here, publishes it as the frame's `owner`.
+    /// `pid` is still mapped here, publishes it as the frame's `owner` and
+    /// takes its class from `image`, the bytes the frame now holds.
     /// Call under the frame's write latch with the seqlock window still
     /// open, so an unpinned reader that sees the closed window sees the
     /// owner too; publishing under the shard mutex orders it against a
@@ -589,7 +652,7 @@ impl BufferPool {
     /// reservation was discarded while loading (the page was freed
     /// concurrently) — the caller's guard stays valid (it holds a pin) but
     /// the frame is an ownerless orphan that the clock will reclaim.
-    pub(crate) fn complete_miss(&self, pid: PageId, idx: usize) -> bool {
+    pub(crate) fn complete_miss(&self, pid: PageId, idx: usize, image: &[u8]) -> bool {
         let shard = self.shard(pid);
         let mut st = self.lock_shard(shard);
         if let Some(old) = st.meta[idx].flushing.take() {
@@ -599,6 +662,7 @@ impl BufferPool {
         }
         let mapped = st.map.get(&pid) == Some(&idx);
         if mapped {
+            st.set_record(idx, is_heap_page(image));
             shard.frames[idx].own(pid);
         }
         mapped
@@ -625,7 +689,7 @@ impl BufferPool {
             st.map.remove(&pid);
         }
         if st.meta[idx].resident == Some(pid) {
-            st.meta[idx].resident = None;
+            st.orphan(idx);
         }
         let f = &shard.frames[idx];
         self.clear_dirty(f);
@@ -667,7 +731,7 @@ impl BufferPool {
             // Victim freed (discard cleared `flushing`) while we failed:
             // its bytes no longer matter — leave the frame an orphan.
             _ => {
-                st.meta[idx].resident = None;
+                st.orphan(idx);
                 self.clear_dirty(&shard.frames[idx]);
                 shard.frames[idx].disown();
             }
@@ -686,7 +750,7 @@ impl BufferPool {
         if let Some(&i) = st.map.get(&pid) {
             if st.meta[i].resident == Some(pid) {
                 st.map.remove(&pid);
-                st.meta[i].resident = None;
+                st.orphan(i);
                 self.clear_dirty(&shard.frames[i]);
                 shard.frames[i].disown();
             } else if st.meta[i].flushing == Some(pid) {
@@ -727,9 +791,10 @@ impl BufferPool {
 
     /// Pins and returns up to `max` dirty resident frames, visiting each
     /// shard's frames **in clock-hand order** starting at the current hand:
-    /// the flusher cleans the frames the clock will reach soonest, so
-    /// foreground evictions find clean victims and skip the write-back.
-    /// Does not advance the hand — cleaning a frame costs it nothing.
+    /// the flusher cleans the frames the hand passes next, so foreground
+    /// evictions mostly find clean victims and skip the write-back. The
+    /// order does not single out record frames, which the hand takes
+    /// first. Does not advance the hand — cleaning a frame costs it nothing.
     pub(crate) fn pin_dirty_batch(&self, max: usize) -> Vec<Pinned<'_>> {
         let mut out = Vec::new();
         if max == 0 {
@@ -808,7 +873,7 @@ mod tests {
             _ => panic!("fresh pool must miss"),
         };
         f.owner.store(1, Ordering::Release);
-        assert!(p.complete_miss(pid(1), i));
+        assert!(p.complete_miss(pid(1), i, &[]));
         f.unpin();
         match p.claim(pid(1)) {
             Claim::Hit(f2) => {
@@ -828,7 +893,7 @@ mod tests {
             match p.claim(pid(n)) {
                 Claim::Miss { frame, idx, .. } => {
                     frame.owner.store(n, Ordering::Release);
-                    p.complete_miss(pid(n), idx);
+                    p.complete_miss(pid(n), idx, &[]);
                     // pin retained
                 }
                 _ => panic!("miss expected"),
@@ -844,7 +909,7 @@ mod tests {
             Claim::Miss { frame, idx, .. } => {
                 frame.owner.store(1, Ordering::Release);
                 p.mark_dirty(frame);
-                p.complete_miss(pid(1), idx);
+                p.complete_miss(pid(1), idx, &[]);
                 frame.unpin();
                 frame as *const Frame
             }
@@ -864,7 +929,7 @@ mod tests {
                 assert!(std::ptr::eq(frame, f1));
                 // Old mapping still present until the flush completes.
                 assert!(p.is_mapped(pid(1)));
-                assert!(p.complete_miss(pid(2), idx));
+                assert!(p.complete_miss(pid(2), idx, &[]));
                 assert!(!p.is_mapped(pid(1)));
                 frame.unpin();
             }
@@ -896,7 +961,7 @@ mod tests {
             Claim::Miss { frame, idx, .. } => {
                 frame.owner.store(1, Ordering::Release);
                 p.mark_dirty(frame);
-                p.complete_miss(pid(1), idx);
+                p.complete_miss(pid(1), idx, &[]);
                 frame.unpin();
             }
             _ => panic!(),
@@ -934,7 +999,7 @@ mod tests {
             Claim::Miss { frame, idx, .. } => {
                 frame.owner.store(1, Ordering::Release);
                 p.mark_dirty(frame);
-                p.complete_miss(pid(1), idx);
+                p.complete_miss(pid(1), idx, &[]);
                 frame.unpin();
             }
             _ => panic!(),
@@ -964,7 +1029,7 @@ mod tests {
             Claim::Miss { frame, idx, .. } => {
                 frame.owner.store(7, Ordering::Release);
                 p.mark_dirty(frame);
-                p.complete_miss(pid(7), idx);
+                p.complete_miss(pid(7), idx, &[]);
                 frame.unpin();
             }
             _ => panic!(),
@@ -992,7 +1057,7 @@ mod tests {
                     if n != 2 {
                         p.mark_dirty(frame);
                     }
-                    p.complete_miss(pid(n), idx);
+                    p.complete_miss(pid(n), idx, &[]);
                     frame.unpin();
                 }
                 _ => panic!(),
@@ -1005,6 +1070,162 @@ mod tests {
         for (f, _, _) in dirty {
             f.unpin();
         }
+    }
+
+    /// A 32-byte page image: an empty heap page (`record`) or zeros, which
+    /// no heap page is.
+    fn image(record: bool) -> [u8; 32] {
+        let mut b = [0u8; 32];
+        if record {
+            b[4] = 24; // free space starts past the 24-byte header
+            b[6..8].copy_from_slice(&crate::HEAP_MAGIC.to_le_bytes());
+        }
+        b
+    }
+
+    /// Claims `n` into a fresh frame, publishes it with its class and
+    /// unpins it (keeping the pin when `pinned`). Returns the frame index.
+    fn load(p: &BufferPool, n: u32, record: bool, pinned: bool) -> usize {
+        let Claim::Miss { frame, idx, .. } = p.claim(pid(n)) else {
+            panic!("miss expected for {n}");
+        };
+        frame.own(pid(n));
+        assert!(p.complete_miss(pid(n), idx, &image(record)));
+        if !pinned {
+            frame.unpin();
+        }
+        idx
+    }
+
+    /// Each shard's kept record count, checked against a recount of its
+    /// resident record frames (an unmapped frame is never a record frame).
+    fn records(p: &BufferPool) -> usize {
+        p.shards
+            .iter()
+            .map(|s| {
+                let st = p.lock_shard(s);
+                let recount = st
+                    .meta
+                    .iter()
+                    .filter(|m| m.record && m.resident.is_some())
+                    .count();
+                assert_eq!(st.records, recount, "kept count drifted");
+                assert_eq!(st.meta.iter().filter(|m| m.record).count(), recount);
+                st.records
+            })
+            .sum()
+    }
+
+    fn referenced(p: &BufferPool, i: usize) -> bool {
+        p.shards[0].frames[i].referenced.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_record_frame_is_taken_before_any_index_frame() {
+        let p = BufferPool::new(4, 32, Arc::new(StoreStats::default()));
+        let idx: Vec<usize> = [(1, false), (2, true), (3, false), (4, false)]
+            .into_iter()
+            .map(|(n, record)| load(&p, n, record, false))
+            .collect();
+        assert_eq!(records(&p), 1);
+        // Every frame is referenced; the record pass clears only the record
+        // frame's bit, comes round and takes it.
+        match p.claim(pid(5)) {
+            Claim::Miss {
+                idx: i,
+                flush: None,
+                evicted: true,
+                ..
+            } => {
+                assert_eq!(i, idx[1], "the record frame is the victim");
+                assert!(p.complete_miss(pid(5), i, &[]));
+                p.shards[0].frames[i].unpin();
+            }
+            _ => panic!("eviction expected"),
+        }
+        for i in [idx[0], idx[2], idx[3]] {
+            assert!(referenced(&p, i), "the record pass left index bits set");
+        }
+        assert!(!p.is_mapped(pid(2)));
+        assert_eq!(records(&p), 0);
+    }
+
+    #[test]
+    fn an_index_frame_is_taken_only_without_an_unpinned_record_frame() {
+        let p = BufferPool::new(3, 32, Arc::new(StoreStats::default()));
+        let rec = load(&p, 1, true, true);
+        let a = load(&p, 2, false, false);
+        load(&p, 3, false, false);
+        // The one record frame is pinned: plain CLOCK takes an index frame.
+        match p.claim(pid(4)) {
+            Claim::Miss { idx, evicted, .. } => {
+                assert_ne!(idx, rec);
+                assert!(evicted);
+                assert_eq!(idx, a, "plain CLOCK from the hand");
+                assert!(p.complete_miss(pid(4), idx, &image(true)));
+                p.shards[0].frames[idx].unpin();
+            }
+            _ => panic!("eviction expected"),
+        }
+        assert!(p.is_mapped(pid(1)), "the pinned record frame stays");
+        // Page 4 is a record page now: it goes before index page 3.
+        match p.claim(pid(5)) {
+            Claim::Miss { idx, .. } => {
+                assert_eq!(idx, a);
+                p.abort_miss(pid(5), idx);
+            }
+            _ => panic!("eviction expected"),
+        }
+        assert!(p.is_mapped(pid(3)));
+        p.shards[0].frames[rec].unpin();
+        assert_eq!(records(&p), 1);
+    }
+
+    #[test]
+    fn the_record_count_stays_exact_across_unmaps() {
+        let p = BufferPool::new(2, 32, Arc::new(StoreStats::default()));
+        load(&p, 1, true, false);
+        load(&p, 2, true, false);
+        assert_eq!(records(&p), 2);
+        p.discard(pid(1));
+        assert_eq!(records(&p), 1);
+        // The discarded frame is reused without eviction, then aborted.
+        let Claim::Miss {
+            idx,
+            evicted: false,
+            ..
+        } = p.claim(pid(3))
+        else {
+            panic!("the discarded frame must be reused")
+        };
+        p.abort_miss(pid(3), idx);
+        assert_eq!(records(&p), 1);
+        load(&p, 3, false, false);
+        // A claim keeps the victim's class in flight; an abort unmaps it.
+        let Claim::Miss { idx, .. } = p.claim(pid(4)) else {
+            panic!("eviction expected")
+        };
+        assert!(!p.is_mapped(pid(2)), "the clean record page is the victim");
+        assert_eq!(records(&p), 1);
+        p.abort_miss(pid(4), idx);
+        assert_eq!(records(&p), 0);
+        // A failed write-back restores a dirty record victim as a record.
+        let i = load(&p, 2, true, true);
+        p.mark_dirty(&p.shards[0].frames[i]);
+        p.shards[0].frames[i].unpin();
+        let Claim::Miss {
+            idx,
+            flush: Some(_),
+            ..
+        } = p.claim(pid(5))
+        else {
+            panic!("the dirty record page is the victim")
+        };
+        p.restore_victim(pid(5), idx);
+        assert_eq!(records(&p), 1);
+        p.discard(pid(2));
+        assert_eq!(records(&p), 0);
+        assert!(p.is_mapped(pid(3)), "the index page stayed throughout");
     }
 
     #[test]

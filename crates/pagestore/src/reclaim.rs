@@ -79,11 +79,6 @@ impl DeferredFreeList {
         let pending = self.pending.lock();
         pending.len() + self.freeing.load(Ordering::Acquire)
     }
-
-    /// Earliest deletion stamp among pending pages (`None` if empty).
-    pub fn min_pending_stamp(&self) -> Option<Timestamp> {
-        self.pending.lock().iter().map(|&(_, t)| t).min()
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,6 @@ mod tests {
         list.defer(a, 10);
         list.defer(b, 20);
         list.defer(c, 30);
-        assert_eq!(list.min_pending_stamp(), Some(10));
 
         assert_eq!(list.reclaim(5, &store).unwrap(), 0);
         assert_eq!(list.pending_count(), 3);
@@ -148,6 +142,5 @@ mod tests {
         assert!(store.get(a).is_err());
         assert!(store.get(c).is_ok());
         assert_eq!(list.pending_count(), 2);
-        assert_eq!(list.min_pending_stamp(), Some(2));
     }
 }

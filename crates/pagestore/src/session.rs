@@ -128,11 +128,6 @@ impl SessionRegistry {
             .unwrap_or(IDLE)
     }
 
-    /// Number of sessions currently open (for diagnostics).
-    pub fn session_count(&self) -> usize {
-        self.active.lock().len()
-    }
-
     fn close(&self, id: u64) {
         self.active.lock().remove(&id);
     }
@@ -186,16 +181,6 @@ impl Session {
     /// Start timestamp of the operation in flight ([`IDLE`] when idle).
     pub fn start_stamp(&self) -> Timestamp {
         self.start
-    }
-
-    /// Re-stamps the running operation to *now* without counting a new op.
-    ///
-    /// Used by long-lived compression workers between queue items so an idle
-    /// worker does not hold back the reclamation horizon.
-    pub fn refresh_stamp(&mut self) -> Timestamp {
-        let t = self.registry.clock.tick();
-        self.publish_start(t);
-        t
     }
 
     /// The pages this session currently holds paper locks on, in acquisition
@@ -294,10 +279,12 @@ mod tests {
     #[test]
     fn closing_sessions_removes_them() {
         let reg = registry();
-        let s = reg.open();
-        assert_eq!(reg.session_count(), 1);
+        let mut s = reg.open();
+        let t = s.begin_op();
+        assert_eq!(reg.min_active_start(), t);
+        // Dropped mid-operation: the session no longer holds the horizon.
         drop(s);
-        assert_eq!(reg.session_count(), 0);
+        assert_eq!(reg.min_active_start(), IDLE);
     }
 
     #[test]
@@ -326,17 +313,6 @@ mod tests {
         let reg = registry();
         let mut s = reg.open();
         s.note_unlock(PageId::from_raw(5).unwrap());
-    }
-
-    #[test]
-    fn refresh_stamp_moves_horizon_forward() {
-        let reg = registry();
-        let mut s = reg.open();
-        let t0 = s.begin_op();
-        let t1 = s.refresh_stamp();
-        assert!(t1 > t0);
-        assert_eq!(reg.min_active_start(), t1);
-        s.end_op();
     }
 
     #[test]

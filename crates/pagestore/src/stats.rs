@@ -427,17 +427,6 @@ impl StoreStats {
 }
 
 impl StatsSnapshot {
-    /// Approximate percentile of the heap shard-wait distribution in this
-    /// snapshot (window), in nanoseconds. Returns `None` when no waits
-    /// were recorded.
-    pub fn heap_wait_percentile_ns(&self, p: f64) -> Option<u64> {
-        if self.heap_wait_hist.count() == 0 {
-            None
-        } else {
-            Some(self.heap_wait_hist.percentile(p))
-        }
-    }
-
     /// Live pages = allocations minus frees.
     pub fn live_pages(&self) -> u64 {
         self.allocs.saturating_sub(self.frees)
@@ -552,17 +541,17 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.heap_shard_contended, 10);
         assert_eq!(snap.heap_wait_hist.count(), 10);
-        let p50 = snap.heap_wait_percentile_ns(50.0).unwrap();
+        let p50 = snap.heap_wait_hist.percentile(50.0);
         assert!((450..=550).contains(&p50), "p50 ≈ 500ns, got {p50}");
-        let p90 = snap.heap_wait_percentile_ns(90.0).unwrap();
+        let p90 = snap.heap_wait_hist.percentile(90.0);
         assert!((45_000..=55_000).contains(&p90), "p90 ≈ 50µs, got {p90}");
         assert_eq!(
-            snap.heap_wait_percentile_ns(100.0),
-            Some(2_000_000_000),
+            snap.heap_wait_hist.percentile(100.0),
+            2_000_000_000,
             "max is exact"
         );
         // Windowing: a delta over a quiet interval is empty.
         let later = s.snapshot();
-        assert_eq!(later.delta(&snap).heap_wait_percentile_ns(99.0), None);
+        assert_eq!(later.delta(&snap).heap_wait_hist.count(), 0);
     }
 }

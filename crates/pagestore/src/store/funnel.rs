@@ -294,7 +294,7 @@ impl PageWrite<'_> {
                 // Publishes a fresh frame inside the window; a resident one
                 // already says `pid`.
                 if let Some(idx) = fw.fresh {
-                    store.pool.complete_miss(pid, idx);
+                    store.pool.complete_miss(pid, idx, &fw.guard);
                 }
                 fw.frame.end_write();
                 // A page's own frame is its only copy: nothing to write back.
@@ -434,7 +434,8 @@ impl PageStore {
                         Some(_) => (frame, Latch::Exclusive(guard), Some(idx)),
                         None => {
                             StoreStats::bump(&self.stats.cache_misses);
-                            self.pool.complete_miss(pid, idx); // publishes `owner`
+                            // Publishes `owner` and the page's class.
+                            self.pool.complete_miss(pid, idx, &guard);
                             frame.end_write();
                             drop(guard);
                             // Our pin keeps the frame ours; a put may slip in

@@ -1112,7 +1112,7 @@ mod pool_tests {
         // The reader resumes and loads b's own image.
         let slot = store.slot(b).unwrap();
         let guard = store.fill_frame(b, slot, frame, idx, flush, None).unwrap();
-        store.pool.complete_miss(b, idx);
+        store.pool.complete_miss(b, idx, &guard);
         frame.end_write();
         drop(guard);
         frame.unpin();

@@ -12,7 +12,7 @@
 //! `PageStore::throttle_dirty`) and runs one `PageStore::flusher_pass`:
 //! if the pool's exact dirty-page gauge is above a **low watermark**,
 //! dirty frames are written back *in clock-hand order* — the frames the
-//! CLOCK will evict soonest are cleaned first, so the foreground finds
+//! CLOCK hand passes next are cleaned first, so the foreground mostly finds
 //! clean victims. Writers only block above a **high watermark**, and then
 //! only in short bounded waits on the drain condvar (recorded in the
 //! `flusher_backpressure` histogram), so a write burst cannot fill the

@@ -12,9 +12,14 @@
 //!   checked by an instrumented backend/journal pair counting, per page,
 //!   log records vs. backend writes;
 //! * a whole tree churned by eight threads on 16 frames: no op fails and
-//!   the tree verifies.
+//!   the tree verifies;
+//! * a durable `Db`'s records and index churned together on 16 frames, so
+//!   the pool's victim choice alternates between record frames and index
+//!   frames: no op fails, every read sees its own writes, and `Db` verifies.
 
 use blink_baselines::ConcurrentIndex;
+use blink_db::{Db, DbConfig};
+use blink_durable::FsyncPolicy;
 use blink_harness::runner::{run_workload, RunConfig};
 use blink_harness::workload::{KeyDist, Mix};
 use blink_pagestore::{
@@ -367,4 +372,54 @@ fn concurrent_tree_churn_on_a_tiny_pool_has_no_errors() {
     assert!(r.store_delta.frames_evicted > 0, "16 frames must evict");
     assert!(r.store_delta.dirty_writebacks > 0);
     tree.verify(false).unwrap().assert_ok();
+}
+
+/// Four threads put (values of 16–300 B, so records grow, shrink and
+/// move), delete and read their own keys in a durable `Db` whose index and
+/// record pages far outnumber its 16 frames.
+#[test]
+fn heap_and_tree_churn_together_on_a_tiny_pool() {
+    let dir = std::env::temp_dir().join(format!("blink-pool-mixed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = DbConfig::durable(&dir).with_k(4);
+    cfg.page_size = 1024;
+    cfg.fsync = FsyncPolicy::Never;
+    cfg.pool_frames = 16;
+    let db = Arc::new(Db::open(cfg).unwrap());
+    let ops = if quick() { 500 } else { 2_000 };
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                let mut mine: HashMap<u64, Vec<u8>> = HashMap::new();
+                let mut x = t + 1;
+                for _ in 0..ops {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let key = (x >> 33) % 500 * 4 + t;
+                    match (x >> 20) % 4 {
+                        0 | 1 => {
+                            let v = vec![x as u8; 16 + (x >> 40) as usize % 285];
+                            s.put(key, &v).unwrap();
+                            mine.insert(key, v);
+                        }
+                        2 => assert_eq!(s.delete(key).unwrap(), mine.remove(&key).is_some()),
+                        _ => assert_eq!(s.get(key).unwrap().as_ref(), mine.get(&key)),
+                    }
+                }
+                mine.len()
+            })
+        })
+        .collect();
+    let live: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let st = db.store().stats().snapshot();
+    assert!(st.frames_evicted > 0, "16 frames must evict");
+    assert!(
+        db.store().capacity() > 64,
+        "pages must outnumber the frames"
+    );
+    assert_eq!(db.session().count().unwrap(), live);
+    db.verify().unwrap().assert_ok();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
