@@ -1,7 +1,7 @@
 //! Database configuration.
 
 use blink_durable::{DurableConfig, FsyncPolicy};
-use sagiv_blink::{node, TreeConfig, UnderflowPolicy};
+use sagiv_blink::{node, UnderflowPolicy};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -13,16 +13,22 @@ use std::time::Duration;
 /// production defaults and plain public fields for tuning. There are no
 /// behaviour switches: durable stores always run the background flusher
 /// and per-page CRC32 checksums, in-memory stores run neither.
+///
+/// The index takes only `k` and `underflow_policy` from here;
+/// [`crate::Db::open`] runs every other `sagiv_blink::TreeConfig` field at
+/// its default and manages the `external_pages` hook itself.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
     /// Durable store directory; `None` for a purely in-memory database.
     pub dir: Option<PathBuf>,
     /// Page size for index nodes and heap pages (they share one store).
+    /// [`crate::Db::open`] takes 24 B to 64 KiB, for both store kinds: the
+    /// record heap's slot offsets are `u16`.
     pub page_size: usize,
-    /// Index tuning (`k`, underflow policy, restart bounds, …).
+    /// The index order: every node holds `k..=2k` pairs.
     ///
-    /// `k` defaults to half the pairs a 4 KiB page holds (126: `2k` = 252
-    /// of 253), so a full node fills its page, as the paper's node is one
+    /// Defaults to half the pairs a 4 KiB page holds (126: `2k` = 252 of
+    /// 253), so a full node fills its page, as the paper's node is one
     /// page (§2.2). At `TreeConfig`'s `k` = 32 a node would use a quarter
     /// of its page and the index would be a level taller. A smaller
     /// `page_size` needs [`DbConfig::with_k`]: [`crate::Db::open`] rejects
@@ -30,14 +36,13 @@ pub struct DbConfig {
     /// before it touches the directory. Reopen a durable directory with
     /// the `k` it was built with: a smaller one fails the open with
     /// `TreeError::Config` and leaves the files as they were.
-    ///
-    /// The `external_pages` hook is managed by `Db` — any value set here
-    /// is overwritten. The underflow policy defaults to
+    pub k: usize,
+    /// What a delete does to a leaf left under `k` pairs. Defaults to
     /// [`UnderflowPolicy::Ignore`]: `Db` runs no compressor, so queueing
     /// underflowing leaves would be work nobody consumes. To compress,
     /// pick `Enqueue` or `Inline` and drive a `CompressorPool` over
     /// [`crate::Db::tree`].
-    pub tree: TreeConfig,
+    pub underflow_policy: UnderflowPolicy,
     /// Commit durability policy (durable stores only).
     pub fsync: FsyncPolicy,
     /// WAL segment size before rotation (durable stores only).
@@ -57,11 +62,8 @@ impl DbConfig {
         DbConfig {
             dir: None,
             page_size: d.page_size,
-            tree: TreeConfig {
-                k: node::max_pairs_for_page(d.page_size) / 2,
-                underflow_policy: UnderflowPolicy::Ignore,
-                ..TreeConfig::default()
-            },
+            k: node::max_pairs_for_page(d.page_size) / 2,
+            underflow_policy: UnderflowPolicy::Ignore,
             fsync: d.fsync,
             segment_bytes: d.segment_bytes,
             pool_frames: d.pool_frames,
@@ -89,7 +91,7 @@ impl DbConfig {
 
     /// Sets the index order `k` (every node holds `k..=2k` pairs).
     pub fn with_k(mut self, k: usize) -> DbConfig {
-        self.tree.k = k;
+        self.k = k;
         self
     }
 }

@@ -9,7 +9,7 @@ use blink_pagestore::{
     HeapInventory, PageId, PageStore, RecordHeap, RecordId, Session, StoreConfig, StoreError,
 };
 use parking_lot::{Mutex, MutexGuard};
-use sagiv_blink::{BLinkTree, Result, TreeError, VerifyReport};
+use sagiv_blink::{BLinkTree, Result, TreeConfig, TreeError, VerifyReport};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,31 +97,34 @@ impl Db {
     /// one: an in-memory store, a new directory, or a directory whose
     /// first open failed (or crashed) before the tree's first page.
     pub fn open(cfg: DbConfig) -> Result<Db> {
-        // Reject an index that cannot fit the page before the directory is
-        // touched, so a bad first open leaves nothing behind.
-        cfg.tree.validate(cfg.page_size)?;
-        let durable = match &cfg.dir {
+        // The one resolved index config: `DbConfig` chooses `k` and the
+        // underflow policy, everything else runs at its default.
+        let mut tcfg = TreeConfig {
+            k: cfg.k,
+            underflow_policy: cfg.underflow_policy,
+            ..TreeConfig::default()
+        };
+        // Reject a page the heap cannot address or an index that cannot
+        // fit it before the directory is touched, so a bad first open
+        // leaves nothing behind.
+        let scfg = StoreConfig::with_page_size(cfg.page_size);
+        scfg.check_page_size()?;
+        tcfg.validate(cfg.page_size)?;
+        let durable = match cfg.dir {
             None => None,
-            Some(dir) => {
-                let dcfg = DurableConfig {
-                    dir: dir.clone(),
-                    page_size: cfg.page_size,
-                    fsync: cfg.fsync,
-                    segment_bytes: cfg.segment_bytes,
-                    pool_frames: cfg.pool_frames,
-                };
-                Some(Arc::new(if dir.join("meta").exists() {
-                    DurableStore::open(dcfg)?
-                } else {
-                    DurableStore::create(dcfg)?
-                }))
-            }
+            Some(dir) => Some(Arc::new(DurableStore::open(DurableConfig {
+                dir,
+                page_size: cfg.page_size,
+                fsync: cfg.fsync,
+                segment_bytes: cfg.segment_bytes,
+                pool_frames: cfg.pool_frames,
+            })?)),
         };
         let store = match &durable {
             Some(ds) => Arc::clone(ds.store()),
             // No backend, journal, flusher or CRC: in-memory frames *are*
             // the storage, one per page, so `pool_frames` does not apply.
-            None => PageStore::new(StoreConfig::with_page_size(cfg.page_size)),
+            None => PageStore::new(scfg),
         };
         // The heap is surveyed first; on a reopen its single page sweep
         // yields the inventory recovery consumes — the protected set for
@@ -131,7 +134,6 @@ impl Db {
         // open the tree refuses leaves every file as it was.
         let (heap, mut inventory) = RecordHeap::survey(Arc::clone(&store))?;
         let heap = Arc::new(heap);
-        let mut tcfg = cfg.tree.clone();
         tcfg.external_pages = Some(heap.pages_handle());
         let (tree, recovery) = match &durable {
             Some(ds) if store.live_pages() > 0 => {

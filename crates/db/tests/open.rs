@@ -6,13 +6,16 @@
 //! each heap page once, and a heap page that fails its checksum fails the
 //! open instead of being collected — also when a torn write lost only the
 //! sector holding its (zeroed) CRC field. A clean reopen logs nothing.
+//! Pages over 64 KiB are refused for both store kinds, and the index runs
+//! the one tree config `Db::open` resolves, on every open.
 
 use blink_db::{Db, DbConfig};
 use blink_durable::{DurableConfig, DurableStore, FsyncPolicy};
 use blink_pagestore::StoreError;
-use sagiv_blink::TreeError;
+use sagiv_blink::{TreeConfig, TreeError, UnderflowPolicy};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blink-db-open-{name}-{}", std::process::id()));
@@ -63,6 +66,72 @@ fn rejected_config_does_not_touch_the_directory() {
     let dir = tmpdir("untouched");
     assert!(Db::open(DbConfig::durable(&dir).with_k(10_000)).is_err());
     assert!(!dir.exists());
+}
+
+#[test]
+fn pages_over_64_kib_are_refused_for_both_store_kinds() {
+    // The record heap's slot offsets are `u16` in every store, not only a
+    // journaled one: an in-memory `Db` that accepted 128 KiB pages read
+    // record 0 back with another record's bytes.
+    let mut c = DbConfig::in_memory();
+    c.page_size = 1 << 17;
+    let opened = Db::open(c);
+    if let Ok(db) = &opened {
+        let mut s = db.session();
+        for k in 0..8u64 {
+            s.put(k, &[k as u8 + 1; 20_000]).unwrap();
+        }
+        let got = s.get(0).unwrap().unwrap();
+        let wrong = got.iter().filter(|&&b| b != 1).count();
+        assert_eq!(wrong, 0, "record 0 holds another record's bytes");
+    }
+    let err = opened.unwrap_err();
+    assert!(
+        matches!(err, TreeError::Store(StoreError::Config(_))),
+        "got {err}"
+    );
+
+    let dir = tmpdir("big-page");
+    let mut c = DbConfig::durable(&dir);
+    c.page_size = 1 << 17;
+    let err = Db::open(c).unwrap_err();
+    assert!(
+        matches!(err, TreeError::Store(StoreError::Config(_))),
+        "got {err}"
+    );
+    assert!(!dir.exists(), "a refused open left files behind");
+}
+
+/// The index runs `TreeConfig`'s defaults except the two settings
+/// `DbConfig` keeps and the heap's page counter, which `Db::open` sets.
+fn assert_resolved_tree_config(db: &Db, k: usize) {
+    let got = db.tree().config();
+    let handle = got.external_pages.clone().expect("external_pages is set");
+    assert!(Arc::ptr_eq(&handle, &db.heap().pages_handle()));
+    let want = TreeConfig {
+        k,
+        underflow_policy: UnderflowPolicy::Ignore,
+        external_pages: Some(handle),
+        ..TreeConfig::default()
+    };
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}
+
+#[test]
+fn the_resolved_tree_config_does_not_drift() {
+    assert_resolved_tree_config(&Db::open(DbConfig::in_memory()).unwrap(), 126);
+    assert_resolved_tree_config(&Db::open(DbConfig::in_memory().with_k(8)).unwrap(), 8);
+    let dir = tmpdir("resolved");
+    for _ in 0..2 {
+        let db = Db::open(DbConfig::durable(&dir).with_k(8)).unwrap();
+        db.session().put(1, b"one").unwrap();
+        assert_resolved_tree_config(&db, 8);
+    }
+    let db = Db::open(DbConfig::durable(&dir)).unwrap();
+    assert!(db.recovery().is_some(), "the last open was a reopen");
+    assert_resolved_tree_config(&db, 126);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -94,13 +94,45 @@ pub fn create_tree(
 
 /// Opens a durable tree: replays the WAL, validates the prime block, runs
 /// structural repair if the shutdown was dirty, and verifies the result.
+/// A store with no pages yet (a new directory, which
+/// [`DurableStore::open`] initializes) gets a fresh tree.
 pub fn open_tree(
     cfg: DurableConfig,
     tree_cfg: TreeConfig,
 ) -> Result<(Arc<DurableStore>, Arc<BLinkTree>, RecoveryStats), TreeError> {
     let ds = DurableStore::open(cfg)?;
+    if ds.store().live_pages() == 0 {
+        let tree = BLinkTree::create(Arc::clone(ds.store()), tree_cfg)?;
+        return Ok((Arc::new(ds), tree, RecoveryStats::default()));
+    }
     let (tree, mut stats) =
         BLinkTree::open_or_recover(Arc::clone(ds.store()), tree_cfg, prime_page())?;
     stats.wal_records_replayed = ds.recovery().replayed;
     Ok((Arc::new(ds), tree, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn open_tree_starts_a_tree_in_a_new_directory() {
+        let dir = std::env::temp_dir().join(format!("blink-open-new-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let (store, tree, rec) =
+                open_tree(DurableConfig::new(&dir), TreeConfig::with_k(16)).unwrap();
+            assert!(!rec.repaired);
+            let mut s = tree.session();
+            tree.insert(&mut s, 42, 4200).unwrap();
+            store.sync().unwrap();
+        }
+        let (_store, tree, _) =
+            open_tree(DurableConfig::new(&dir), TreeConfig::with_k(16)).unwrap();
+        let mut s = tree.session();
+        assert_eq!(tree.search(&mut s, 42).unwrap(), Some(4200));
+        drop(s);
+        drop(tree);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -490,32 +490,36 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Initializes a fresh store directory. Fails if one already exists,
-    /// or with [`StoreError::Config`] if the log cannot carry pages of
-    /// `cfg.page_size` (see [`StoreConfig::check_journaled`]).
+    /// [`DurableStore::open`] on a directory that holds no store yet;
+    /// fails with [`StoreError::Config`] if it already holds one.
     pub fn create(cfg: DurableConfig) -> Result<DurableStore> {
-        cfg.store_config().check_journaled()?;
-        std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err("create store dir", e))?;
         if cfg.meta_path().exists() {
             return Err(StoreError::Config("store directory already initialized"));
         }
-        write_meta_atomic(
-            &cfg.dir,
-            &cfg.meta_path(),
-            &Meta {
-                page_size: cfg.page_size,
-                wal_start_seq: 1,
-                wal_start_lsn: 1,
-                allocated: Vec::new(),
-            },
-            None,
-        )?;
         DurableStore::open(cfg)
     }
 
-    /// Opens an existing store directory, replaying the WAL (recovery).
+    /// Opens the store in `cfg.dir`, replaying the WAL (recovery). A
+    /// directory that holds no store yet (no `meta`; created if missing)
+    /// is initialized first. Fails with [`StoreError::Config`], before it
+    /// touches the directory, if the log cannot carry pages of
+    /// `cfg.page_size` (see [`StoreConfig::check_page_size`]).
     pub fn open(cfg: DurableConfig) -> Result<DurableStore> {
-        cfg.store_config().check_journaled()?;
+        cfg.store_config().check_page_size()?;
+        if !cfg.meta_path().exists() {
+            std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err("create store dir", e))?;
+            write_meta_atomic(
+                &cfg.dir,
+                &cfg.meta_path(),
+                &Meta {
+                    page_size: cfg.page_size,
+                    wal_start_seq: 1,
+                    wal_start_lsn: 1,
+                    allocated: Vec::new(),
+                },
+                None,
+            )?;
+        }
         let mut meta_bytes = Vec::new();
         File::open(cfg.meta_path())
             .and_then(|mut f| f.read_to_end(&mut meta_bytes))
@@ -785,6 +789,31 @@ mod tests {
     fn create_twice_fails() {
         let dir = tmpdir("twice");
         let _ds = DurableStore::create(cfg(&dir)).unwrap();
+        assert!(matches!(
+            DurableStore::create(cfg(&dir)),
+            Err(StoreError::Config(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_initializes_a_new_directory_and_a_reopen_recovers_it() {
+        let dir = tmpdir("open-new");
+        let a;
+        {
+            let ds = DurableStore::open(cfg(&dir)).unwrap();
+            assert!(dir.join("meta").exists(), "open initialized the directory");
+            assert_eq!(ds.recovery().replayed, 0);
+            a = ds.store().alloc().unwrap();
+            let mut p = Page::zeroed(128);
+            p.bytes_mut().fill(0x5A);
+            ds.store().put(a, &p).unwrap();
+            ds.sync().unwrap();
+        }
+        let ds = DurableStore::open(cfg(&dir)).unwrap();
+        assert_eq!(ds.recovery().replayed, 2); // alloc, put
+        assert_eq!(ds.store().get(a).unwrap().bytes()[5], 0x5A);
+        drop(ds);
         assert!(matches!(
             DurableStore::create(cfg(&dir)),
             Err(StoreError::Config(_))

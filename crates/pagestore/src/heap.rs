@@ -142,35 +142,6 @@ const ADOPT_SCAN: usize = 8;
 /// `0xB188` when the header grew the store's per-page CRC32 (HDR 20 → 24).
 pub const HEAP_MAGIC: u16 = 0xB189;
 
-/// Configuration for a [`RecordHeap`].
-#[derive(Debug, Clone)]
-pub struct HeapConfig {
-    /// Number of independent open-page shards insertion spreads over.
-    /// More shards mean fewer threads share an allocator mutex; each shard
-    /// pins at most one open page. Clamped to at least 1.
-    pub shards: usize,
-}
-
-impl Default for HeapConfig {
-    fn default() -> HeapConfig {
-        HeapConfig {
-            shards: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 16),
-        }
-    }
-}
-
-impl HeapConfig {
-    /// A config with exactly `shards` insertion shards.
-    pub fn with_shards(shards: usize) -> HeapConfig {
-        HeapConfig {
-            shards: shards.max(1),
-        }
-    }
-}
-
 /// Stable address of a record: page id in the high 32 bits, the slot's
 /// generation in bits 16..32, and the slot index in the low 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -355,16 +326,19 @@ enum Placed {
 }
 
 impl RecordHeap {
-    /// Creates a heap over the given store with default sharding (fresh —
-    /// for a store that may already contain heap pages, use
-    /// [`RecordHeap::attach`]).
+    /// Creates a heap over the given store with one insertion shard per
+    /// available core, at most 16 (fresh — for a store that may already
+    /// contain heap pages, use [`RecordHeap::attach`]).
     pub fn new(store: Arc<PageStore>) -> RecordHeap {
-        RecordHeap::with_config(store, HeapConfig::default())
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        RecordHeap::with_shards(store, cores.min(16))
     }
 
-    /// Creates a fresh heap with an explicit [`HeapConfig`].
-    pub fn with_config(store: Arc<PageStore>, cfg: HeapConfig) -> RecordHeap {
-        let shards = cfg.shards.max(1);
+    /// Creates a fresh heap whose inserts spread over `shards` open-page
+    /// shards (at least 1). More shards mean fewer threads share an
+    /// allocator mutex; each shard pins at most one open page.
+    pub fn with_shards(store: Arc<PageStore>, shards: usize) -> RecordHeap {
+        let shards = shards.max(1);
         RecordHeap {
             store,
             shards: (0..shards).map(|_| Shard::default()).collect(),
@@ -1449,9 +1423,9 @@ mod tests {
     #[test]
     fn concurrent_inserts_and_reads() {
         use std::sync::Arc;
-        let h = Arc::new(RecordHeap::with_config(
+        let h = Arc::new(RecordHeap::with_shards(
             PageStore::new(StoreConfig::with_page_size(512)),
-            HeapConfig::with_shards(4),
+            4,
         ));
         let mut handles = vec![];
         for t in 0u8..4 {
@@ -1481,9 +1455,9 @@ mod tests {
         // its own open page(s): two threads never interleave on one page
         // unless rotation hands a page over through the recycle queue
         // (impossible here — nothing is freed).
-        let h = Arc::new(RecordHeap::with_config(
+        let h = Arc::new(RecordHeap::with_shards(
             PageStore::new(StoreConfig::with_page_size(4096)),
-            HeapConfig::with_shards(4),
+            4,
         ));
         let mut handles = vec![];
         for t in 0u8..4 {

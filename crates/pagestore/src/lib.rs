@@ -57,7 +57,7 @@ pub use backend::{MemBackend, PageBackend};
 pub use clock::LogicalClock;
 pub use error::{Result, StoreError};
 pub use health::StoreHealth;
-pub use heap::{is_heap_page, HeapConfig, HeapInventory, RecordHeap, RecordId, HEAP_MAGIC};
+pub use heap::{is_heap_page, HeapInventory, RecordHeap, RecordId, HEAP_MAGIC};
 pub use hist::{fmt_ns, HistSnapshot, WaitHist, HIST_BUCKETS};
 pub use journal::{DeltaRange, Journal, PageEdit};
 pub use page::{

@@ -122,23 +122,23 @@ impl StoreConfig {
         }
     }
 
-    /// Checks that a journaled store can log pages of this size: at least
-    /// [`PAGE_RESERVED_END`] bytes (the LSN and CRC field) and at most
-    /// 64 KiB (delta offsets and the heap's slot offsets are `u16`).
-    pub fn check_journaled(&self) -> Result<()> {
-        if (PAGE_RESERVED_END..=MAX_JOURNALED_PAGE).contains(&self.page_size) {
+    /// Checks that pages of this size can be logged and can hold a record
+    /// heap: at least [`PAGE_RESERVED_END`] bytes (the LSN and CRC field)
+    /// and at most 64 KiB (delta offsets and the heap's slot offsets are
+    /// `u16`). A journaled store requires it, and so does any store that
+    /// holds a [`crate::RecordHeap`], journaled or not.
+    pub fn check_page_size(&self) -> Result<()> {
+        if (PAGE_RESERVED_END..=MAX_PAGE_SIZE).contains(&self.page_size) {
             Ok(())
         } else {
-            Err(StoreError::Config(
-                "a journaled store needs a page size of 24 B to 64 KiB",
-            ))
+            Err(StoreError::Config("page size must be 24 B to 64 KiB"))
         }
     }
 }
 
-/// Largest page a journaled store accepts: delta offsets and the heap's
-/// slot offsets are `u16`.
-const MAX_JOURNALED_PAGE: usize = 1 << 16;
+/// Largest page [`StoreConfig::check_page_size`] accepts: delta offsets
+/// and the heap's slot offsets are `u16`.
+const MAX_PAGE_SIZE: usize = 1 << 16;
 
 /// §2.2's model of secondary storage: pages that live in their frames, or
 /// in a pluggable [`PageBackend`] fronted by a pinned-frame buffer pool.
@@ -209,7 +209,7 @@ impl PageStore {
     /// writes to hide and nothing that can rot, so it runs neither.
     ///
     /// A journaled store rejects page sizes its log cannot carry with
-    /// [`StoreError::Config`] (see [`StoreConfig::check_journaled`]).
+    /// [`StoreError::Config`] (see [`StoreConfig::check_page_size`]).
     pub fn with_parts(
         cfg: StoreConfig,
         backend: Box<dyn PageBackend>,
@@ -223,7 +223,7 @@ impl PageStore {
             ));
         }
         if journal.is_some() {
-            cfg.check_journaled()?;
+            cfg.check_page_size()?;
         }
         backend.grow(allocated.len())?;
         let backend = Some(backend);

@@ -15,7 +15,7 @@ fn main() {
     // The retention step below compresses the index, so queue underflowing
     // leaves for it (a `Db` ignores underflow by default).
     let mut cfg = DbConfig::in_memory().with_k(16);
-    cfg.tree.underflow_policy = UnderflowPolicy::Enqueue;
+    cfg.underflow_policy = UnderflowPolicy::Enqueue;
     let db = Db::open(cfg).expect("open db");
     let mut session = db.session();
 

@@ -41,7 +41,7 @@ fn concurrent_writers_own_records() {
     // `Db` ignores underflow by default; this test drives compression, so
     // it opts the index into queueing underflowing leaves.
     let mut cfg = DbConfig::in_memory().with_k(4);
-    cfg.tree.underflow_policy = UnderflowPolicy::Enqueue;
+    cfg.underflow_policy = UnderflowPolicy::Enqueue;
     let db = Arc::new(Db::open(cfg).unwrap());
     let pool = CompressorPool::spawn(db.tree(), 1);
     std::thread::scope(|scope| {

@@ -13,7 +13,7 @@
 //! * the live-record gauge, the page gauge, and the store's page
 //!   accounting all agree with a ground-truth sweep at quiescence.
 
-use sagiv_blink_repro::pagestore::{HeapConfig, PageStore, RecordHeap, StoreConfig, StoreError};
+use sagiv_blink_repro::pagestore::{PageStore, RecordHeap, StoreConfig, StoreError};
 use std::sync::Arc;
 
 fn quick() -> bool {
@@ -34,10 +34,7 @@ fn concurrent_insert_update_free_across_shards() {
     let threads = 8u64;
     let ops = if quick() { 2_000u64 } else { 6_000 };
     let store = PageStore::new(StoreConfig::with_page_size(1024));
-    let heap = Arc::new(RecordHeap::with_config(
-        Arc::clone(&store),
-        HeapConfig::with_shards(4),
-    ));
+    let heap = Arc::new(RecordHeap::with_shards(Arc::clone(&store), 4));
 
     let results: Vec<_> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -125,10 +122,7 @@ fn sharded_churn_does_not_leak_pages() {
     let rounds = if quick() { 4 } else { 10 };
     let per_round = 500u64;
     let store = PageStore::new(StoreConfig::with_page_size(1024));
-    let heap = Arc::new(RecordHeap::with_config(
-        Arc::clone(&store),
-        HeapConfig::with_shards(4),
-    ));
+    let heap = Arc::new(RecordHeap::with_shards(Arc::clone(&store), 4));
     let mut peak = 0usize;
     for round in 0..rounds {
         let rids: Vec<_> = std::thread::scope(|scope| {
