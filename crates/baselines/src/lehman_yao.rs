@@ -19,7 +19,6 @@ use sagiv_blink::key::Bound;
 use sagiv_blink::node::{Next, Node};
 use sagiv_blink::prime::PrimeBlock;
 use sagiv_blink::{Key, Result, TreeCounters, TreeError};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A concurrent Blink-tree following Lehman & Yao (1981).
@@ -235,7 +234,7 @@ impl LehmanYaoTree {
             let right = node.split(q);
             self.write_node(q, &right)?;
             self.write_node(current, &node)?;
-            self.counters.splits.fetch_add(1, Ordering::Relaxed);
+            TreeCounters::bump(&self.counters.splits);
 
             pair_key = node.high.expect_key("split separator");
             pair_val = u64::from(q.to_raw());
@@ -280,8 +279,8 @@ impl LehmanYaoTree {
         prime.encode_into(w.bytes_mut());
         w.commit()?;
         self.store.unlock(pid, session);
-        self.counters.splits.fetch_add(1, Ordering::Relaxed);
-        self.counters.root_splits.fetch_add(1, Ordering::Relaxed);
+        TreeCounters::bump(&self.counters.splits);
+        TreeCounters::bump(&self.counters.root_splits);
         Ok(())
     }
 

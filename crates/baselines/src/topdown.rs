@@ -25,7 +25,6 @@ use sagiv_blink::key::Bound;
 use sagiv_blink::node::{Node, NodeKind};
 use sagiv_blink::prime::PrimeBlock;
 use sagiv_blink::{Key, Result, TreeCounters, TreeError};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A top-down lock-coupling B-tree (Bayer–Schkolnick style).
@@ -232,8 +231,8 @@ impl TopDownTree {
         self.write_node(r, &root)?;
         prime.push_root(r);
         self.write_prime(prime)?;
-        self.counters.splits.fetch_add(1, Ordering::Relaxed);
-        self.counters.root_splits.fetch_add(1, Ordering::Relaxed);
+        TreeCounters::bump(&self.counters.splits);
+        TreeCounters::bump(&self.counters.root_splits);
         Ok((r, q))
     }
 
@@ -254,7 +253,7 @@ impl TopDownTree {
         self.write_node(q, &right)?;
         self.write_node(child_pid, child)?;
         self.write_node(parent_pid, parent)?;
-        self.counters.splits.fetch_add(1, Ordering::Relaxed);
+        TreeCounters::bump(&self.counters.splits);
         Ok((sep, q))
     }
 
@@ -288,7 +287,7 @@ impl TopDownTree {
             self.write_prime(&prime)?;
             self.store.free(cur)?; // exclusive locks guarantee no readers
             self.locks.unlock_exclusive(cur, session);
-            self.counters.root_collapses.fetch_add(1, Ordering::Relaxed);
+            TreeCounters::bump(&self.counters.root_collapses);
             cur = child;
             node = child_node;
         }
@@ -350,7 +349,7 @@ impl TopDownTree {
                 self.write_node(left_pid, &left)?;
                 self.write_node(parent_pid, parent)?;
                 self.locks.unlock_exclusive(left_pid, session);
-                self.counters.redistributes.fetch_add(1, Ordering::Relaxed);
+                TreeCounters::bump(&self.counters.redistributes);
                 return Ok(child_pid);
             }
             // Merge child into left (left is minimal too).
@@ -359,7 +358,7 @@ impl TopDownTree {
             self.write_node(parent_pid, parent)?;
             self.locks.unlock_exclusive(child_pid, session);
             self.store.free(child_pid)?;
-            self.counters.merges.fetch_add(1, Ordering::Relaxed);
+            TreeCounters::bump(&self.counters.merges);
             return Ok(left_pid); // caller descends into the survivor
         }
         let right_pid = parent.pointer(ci + 1);
@@ -371,7 +370,7 @@ impl TopDownTree {
             self.write_node(right_pid, &right)?;
             self.write_node(parent_pid, parent)?;
             self.locks.unlock_exclusive(right_pid, session);
-            self.counters.redistributes.fetch_add(1, Ordering::Relaxed);
+            TreeCounters::bump(&self.counters.redistributes);
             return Ok(child_pid);
         }
         merge_plain(parent, ci, &mut child, &mut right);
@@ -379,7 +378,7 @@ impl TopDownTree {
         self.write_node(parent_pid, parent)?;
         self.locks.unlock_exclusive(right_pid, session);
         self.store.free(right_pid)?;
-        self.counters.merges.fetch_add(1, Ordering::Relaxed);
+        TreeCounters::bump(&self.counters.merges);
         let _ = v;
         Ok(child_pid)
     }

@@ -110,7 +110,8 @@ pub fn exp7() {
 
     let c = tree.counters().snapshot();
     let snap = tree.store().stats().snapshot();
-    let mean_wait_us = snap.lock_wait_ns as f64 / snap.lock_contended.max(1) as f64 / 1000.0;
+    let waits = &snap.lock_wait_hist;
+    let mean_wait_us = waits.mean() / 1000.0;
     let rows = [
         ("threads (mutators + compressors)", format!("{threads} + 4")),
         ("wall time", format!("{:.1}s", run_for.as_secs_f64())),
@@ -124,7 +125,7 @@ pub fn exp7() {
             format!("{} / {}", c.root_splits, c.root_collapses),
         ),
         ("lock acquisitions", snap.lock_acquires.to_string()),
-        ("contended acquisitions", snap.lock_contended.to_string()),
+        ("contended acquisitions", waits.count().to_string()),
         ("mean contended wait", format!("{mean_wait_us:.1}us")),
         ("longest progress stall observed", format!("{max_stall:?}")),
         ("deadlocks", "0 (watchdog never fired)".into()),

@@ -86,7 +86,8 @@ fn io_runs(k: usize, cfg: &RunConfig, store: impl Fn() -> Arc<PageStore>) -> Vec
         // Nanoseconds spent waiting for (paper or rw) locks, per op —
         // the direct cost of holding locks across page accesses.
         let d = &r.store_delta;
-        let wait = (d.lock_wait_ns + d.rw_wait_ns) as f64 / r.total_ops.max(1) as f64;
+        let wait =
+            (d.lock_wait_hist.sum() + d.rw_wait_hist.sum()) as f64 / r.total_ops.max(1) as f64;
         let hits = d.cache_hits as f64 / (d.cache_hits + d.cache_misses).max(1) as f64;
         [r.ops_per_sec(), wait, hits]
     });

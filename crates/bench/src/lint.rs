@@ -7,9 +7,9 @@
 //! site cannot bypass registration; `std::sync` primitives (which the
 //! auditor cannot see) are banned in favor of the vendored `parking_lot`;
 //! `unsafe` stays confined to the allowlisted pagestore files and
-//! always carries a `// SAFETY:` justification; and `StoreStats` fields
-//! are declared only inside the `store_stats!` macro so snapshot/delta
-//! can never silently miss one.
+//! always carries a `// SAFETY:` justification; and `StoreStats` and
+//! `TreeCounters` fields are declared only through the `store_stats!`
+//! macro so snapshot/delta can never silently miss one.
 //!
 //! It is deliberately hand-rolled (no crate registry in the build
 //! environment): a line scanner with comment, string and char-literal
@@ -369,13 +369,16 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
             }
         }
 
-        // Rule: StoreStats fields are declared only via store_stats!.
-        if flat.contains("structStoreStats") && !(is_stats && st.in_store_stats_macro.is_some()) {
+        // Rule: telemetry structs are declared only via store_stats!.
+        let by_hand = ["structStoreStats", "structTreeCounters"];
+        if by_hand.iter().any(|n| flat.contains(n))
+            && !(is_stats && st.in_store_stats_macro.is_some())
+        {
             flag(
                 "store-stats-macro",
-                "StoreStats may only be declared by the store_stats! macro \
-                 in stats.rs (by-name access and snapshot/delta are \
-                 generated from the same field list)"
+                "StoreStats and TreeCounters may only be declared through \
+                 the store_stats! macro in stats.rs (by-name access and \
+                 snapshot/delta are generated from the same field list)"
                     .to_string(),
             );
         }
@@ -770,6 +773,11 @@ mod tests {
         let v = lint_source(
             "crates/pagestore/src/other.rs",
             "pub struct StoreStats { pub x: u64 }\n",
+        );
+        assert_eq!(v[0].rule, "store-stats-macro");
+        let v = lint_source(
+            "crates/core/src/counters.rs",
+            "pub struct TreeCounters {}\n",
         );
         assert_eq!(v[0].rule, "store-stats-macro");
         let ok = lint_source(

@@ -3,120 +3,59 @@
 //! These complement the per-process [`blink_pagestore::SessionStats`]: the
 //! experiments report both (e.g. E3 tracks merges/redistributes over time,
 //! E4 correlates restarts with compression events).
+//!
+//! Every counter is declared once, by the store's `store_stats!` macro:
+//! it generates [`TreeCounters`] (striped counters, so threads bumping
+//! `link_follows` or `restarts` write disjoint cache lines), the
+//! [`CountersSnapshot`] copy, `delta()` and by-name access
+//! (`COUNTER_NAMES`, `counter()`, `for_each_counter()`). `scan_hops` is
+//! derived: the count of the scan-hop histogram.
 
-use blink_pagestore::WaitHist;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Relaxed atomic counters for structural events.
-#[derive(Debug, Default)]
-pub struct TreeCounters {
-    /// Node splits (insert-into-unsafe).
-    pub splits: AtomicU64,
-    /// Root splits (insert-into-unsafe-root): a new root was created.
-    pub root_splits: AtomicU64,
-    /// Sibling merges performed by compression.
-    pub merges: AtomicU64,
-    /// Sibling redistributions performed by compression.
-    pub redistributes: AtomicU64,
-    /// Levels removed by root collapses.
-    pub root_collapses: AtomicU64,
-    /// Nodes enqueued for compression (deletion underflow or cascades).
-    pub enqueues: AtomicU64,
-    /// Queue items put back for later (§5.4's "put A back on the queue").
-    pub requeues: AtomicU64,
-    /// Queue items discarded because another process is responsible
-    /// (Theorem 2's "the process discards A").
-    pub discards: AtomicU64,
-    /// Bounded waits taken where the paper says "wait for a while"
-    /// (§3.3 prime race, §5.2 pending parent pointer).
-    pub waits: AtomicU64,
-    /// Pages released by deferred reclamation.
-    pub reclaimed: AtomicU64,
-    /// Structural repairs run by [`crate::tree::BLinkTree::open_or_recover`]
-    /// (0 when every shutdown was clean).
-    pub recoveries: AtomicU64,
-    /// Traversal restarts across every session (tree-wide; the per-session
-    /// `SessionStats::restarts` only covers one worker's ops).
-    pub restarts: AtomicU64,
-    /// Link follows across every session (tree-wide counterpart of
-    /// `SessionStats::link_follows` — the paper's "extra page reads").
-    pub link_follows: AtomicU64,
-    /// Scan cursor leaf hops (each [`crate::scan::Scan`] `fill`).
-    pub scan_hops: AtomicU64,
-    /// Latency of each scan leaf hop (link follow or re-descent plus
-    /// harvest). Not part of [`CountersSnapshot`] (which stays `Copy`);
-    /// read it via `counters().scan_hop_hist.snapshot()`.
-    pub scan_hop_hist: WaitHist,
-}
-
-/// Point-in-time copy of [`TreeCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    pub splits: u64,
-    pub root_splits: u64,
-    pub merges: u64,
-    pub redistributes: u64,
-    pub root_collapses: u64,
-    pub enqueues: u64,
-    pub requeues: u64,
-    pub discards: u64,
-    pub waits: u64,
-    pub reclaimed: u64,
-    pub recoveries: u64,
-    pub restarts: u64,
-    pub link_follows: u64,
-    pub scan_hops: u64,
-}
-
-impl TreeCounters {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+blink_pagestore::store_stats! {
+    /// Striped relaxed counters for structural events.
+    stats TreeCounters;
+    /// Point-in-time copy of [`TreeCounters`].
+    snapshot CountersSnapshot;
+    counters {
+        /// Node splits (insert-into-unsafe).
+        splits,
+        /// Root splits (insert-into-unsafe-root): a new root was created.
+        root_splits,
+        /// Sibling merges performed by compression.
+        merges,
+        /// Sibling redistributions performed by compression.
+        redistributes,
+        /// Levels removed by root collapses.
+        root_collapses,
+        /// Nodes enqueued for compression (deletion underflow or cascades).
+        enqueues,
+        /// Queue items put back for later (§5.4's "put A back on the queue").
+        requeues,
+        /// Queue items discarded because another process is responsible
+        /// (Theorem 2's "the process discards A").
+        discards,
+        /// Bounded waits taken where the paper says "wait for a while"
+        /// (§3.3 prime race, §5.2 pending parent pointer).
+        waits,
+        /// Pages released by deferred reclamation.
+        reclaimed,
+        /// Structural repairs run by [`crate::tree::BLinkTree::open_or_recover`]
+        /// (0 when every shutdown was clean).
+        recoveries,
+        /// Traversal restarts across every session (tree-wide; the per-session
+        /// `SessionStats::restarts` only covers one worker's ops).
+        restarts,
+        /// Link follows across every session (tree-wide counterpart of
+        /// `SessionStats::link_follows` — the paper's "extra page reads").
+        link_follows,
     }
-
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    hists {
+        /// Latency of each scan cursor leaf hop (each [`crate::scan::Scan`]
+        /// `fill`: link follow or re-descent plus harvest).
+        scan_hop_hist,
     }
-
-    /// Copies every counter.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            splits: self.splits.load(Ordering::Relaxed),
-            root_splits: self.root_splits.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            redistributes: self.redistributes.load(Ordering::Relaxed),
-            root_collapses: self.root_collapses.load(Ordering::Relaxed),
-            enqueues: self.enqueues.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
-            discards: self.discards.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            reclaimed: self.reclaimed.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            link_follows: self.link_follows.load(Ordering::Relaxed),
-            scan_hops: self.scan_hops.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl CountersSnapshot {
-    /// Element-wise `self - earlier`.
-    pub fn delta(&self, earlier: &CountersSnapshot) -> CountersSnapshot {
-        CountersSnapshot {
-            splits: self.splits - earlier.splits,
-            root_splits: self.root_splits - earlier.root_splits,
-            merges: self.merges - earlier.merges,
-            redistributes: self.redistributes - earlier.redistributes,
-            root_collapses: self.root_collapses - earlier.root_collapses,
-            enqueues: self.enqueues - earlier.enqueues,
-            requeues: self.requeues - earlier.requeues,
-            discards: self.discards - earlier.discards,
-            waits: self.waits - earlier.waits,
-            reclaimed: self.reclaimed - earlier.reclaimed,
-            recoveries: self.recoveries - earlier.recoveries,
-            restarts: self.restarts - earlier.restarts,
-            link_follows: self.link_follows - earlier.link_follows,
-            scan_hops: self.scan_hops - earlier.scan_hops,
-        }
+    derived {
+        scan_hops = scan_hop_hist.count,
     }
 }
 

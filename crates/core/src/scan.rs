@@ -26,7 +26,6 @@
 //! [`BLinkTree::scan`], bundles tree + session into a plain `Iterator` and
 //! brackets the logical operation for §5.3 reclamation.
 
-use crate::counters::TreeCounters;
 use crate::error::Result;
 use crate::key::{Bound, Key};
 use crate::node::{Next, Node};
@@ -96,7 +95,6 @@ impl Scan {
     fn fill(&mut self, tree: &BLinkTree, session: &mut Session) -> Result<()> {
         let t0 = std::time::Instant::now();
         let r = self.fill_inner(tree, session);
-        TreeCounters::bump(&tree.counters.scan_hops);
         tree.counters
             .scan_hop_hist
             .record(t0.elapsed().as_nanos() as u64);

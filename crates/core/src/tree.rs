@@ -116,10 +116,8 @@ impl BLinkTree {
     /// Creates a fresh tree in `store`: a prime block plus one empty leaf
     /// that is the initial root.
     pub fn create(store: Arc<PageStore>, cfg: TreeConfig) -> Result<Arc<BLinkTree>> {
+        // Refuse a bad config before allocating anything.
         cfg.validate(store.page_size())?;
-        register_audit_level_probe();
-        let clock = Arc::new(LogicalClock::new());
-        let registry = SessionRegistry::new(Arc::clone(&clock));
         let prime_pid = store.alloc()?;
         let root = store.alloc()?;
         let mut leaf = Node::new_leaf();
@@ -129,17 +127,7 @@ impl BLinkTree {
             prime_pid,
             &PrimeBlock::initial(root).encode(store.page_size()),
         )?;
-        Ok(Arc::new(BLinkTree {
-            store,
-            cfg,
-            prime_pid,
-            clock,
-            registry,
-            freelist: DeferredFreeList::new(),
-            queue: CompressionQueue::new(),
-            counters: TreeCounters::default(),
-            optimistic_hook: OptimisticTestHook::default(),
-        }))
+        BLinkTree::open_unchecked(store, cfg, prime_pid)
     }
 
     /// Re-opens a tree previously created in `store` (the prime block's
@@ -151,32 +139,20 @@ impl BLinkTree {
         cfg: TreeConfig,
         prime_pid: PageId,
     ) -> Result<Arc<BLinkTree>> {
-        cfg.validate(store.page_size())?;
-        register_audit_level_probe();
-        let prime = PrimeBlock::decode(&store.read(prime_pid)?)?;
-        let root = Node::decode(&store.read(prime.root)?)?;
+        let tree = BLinkTree::open_unchecked(store, cfg, prime_pid)?;
+        let prime = PrimeBlock::decode(&tree.store.read(prime_pid)?)?;
+        let root = Node::decode(&tree.store.read(prime.root)?)?;
         if !root.is_root || root.deleted {
             return Err(TreeError::Corrupt("prime block points to a non-root node"));
         }
         if u32::from(root.level) + 1 != prime.height {
             return Err(TreeError::Corrupt("root level disagrees with prime height"));
         }
-        let clock = Arc::new(LogicalClock::new());
-        let registry = SessionRegistry::new(Arc::clone(&clock));
-        Ok(Arc::new(BLinkTree {
-            store,
-            cfg,
-            prime_pid,
-            clock,
-            registry,
-            freelist: DeferredFreeList::new(),
-            queue: CompressionQueue::new(),
-            counters: TreeCounters::default(),
-            optimistic_hook: OptimisticTestHook::default(),
-        }))
+        Ok(tree)
     }
 
     /// Builds a handle without validating the prime block or root — the
+    /// one constructor: `create` and `open` end here, and the
     /// crash-recovery path ([`BLinkTree::open_or_recover`]) repairs trees
     /// that `open` would rightly reject.
     pub(crate) fn open_unchecked(
@@ -187,13 +163,12 @@ impl BLinkTree {
         cfg.validate(store.page_size())?;
         register_audit_level_probe();
         let clock = Arc::new(LogicalClock::new());
-        let registry = SessionRegistry::new(Arc::clone(&clock));
         Ok(Arc::new(BLinkTree {
             store,
             cfg,
             prime_pid,
+            registry: SessionRegistry::new(Arc::clone(&clock)),
             clock,
-            registry,
             freelist: DeferredFreeList::new(),
             queue: CompressionQueue::new(),
             counters: TreeCounters::default(),

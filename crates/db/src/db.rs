@@ -287,11 +287,9 @@ impl Db {
     /// [`MetricsSnapshot::delta`] to window a measured interval; see
     /// [`MetricsSnapshot::report`] and [`MetricsSnapshot::to_json`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        let counters = self.tree.counters();
         MetricsSnapshot {
             store: self.store().stats().snapshot(),
-            tree: counters.snapshot(),
-            scan_hop: counters.scan_hop_hist.snapshot(),
+            tree: self.tree.counters().snapshot(),
             put: self.op_hists.put.snapshot(),
             get: self.op_hists.get.snapshot(),
             delete: self.op_hists.delete.snapshot(),

@@ -47,11 +47,10 @@ pub struct MetricsSnapshot {
     /// untimed, so `pool_wait_hist.count()` is the number of contended
     /// shard locks, not the number of acquisitions.
     pub store: StatsSnapshot,
-    /// Tree-wide structural counters (splits, restarts, link follows, …).
+    /// Tree-wide structural counters (splits, restarts, link follows, …)
+    /// and the latency of each scan-cursor leaf hop (`scan_hop_hist`: one
+    /// `fill`, link follow or re-descent plus harvest).
     pub tree: CountersSnapshot,
-    /// Latency of each scan-cursor leaf hop (one `fill`: link follow or
-    /// re-descent plus harvest).
-    pub scan_hop: HistSnapshot,
     /// End-to-end `put` latency (index search + heap write + index update
     /// + WAL commit under durable configs).
     pub put: HistSnapshot,
@@ -69,7 +68,7 @@ macro_rules! op_hists {
             ("put", &$self.put),
             ("get", &$self.get),
             ("delete", &$self.delete),
-            ("scan_hop", &$self.scan_hop),
+            ("scan_hop", &$self.tree.scan_hop_hist),
         ]
     };
 }
@@ -81,7 +80,6 @@ impl MetricsSnapshot {
         MetricsSnapshot {
             store: self.store.delta(&earlier.store),
             tree: self.tree.delta(&earlier.tree),
-            scan_hop: self.scan_hop.delta(&earlier.scan_hop),
             put: self.put.delta(&earlier.put),
             get: self.get.delta(&earlier.get),
             delete: self.delete.delta(&earlier.delete),
@@ -107,13 +105,11 @@ impl MetricsSnapshot {
                 fmt_ns(h.sum()),
             );
         }
-        let t = &self.tree;
-        let _ = writeln!(
-            out,
-            "tree: restarts={} link_follows={} splits={} merges={} \
-             redistributes={} scan_hops={}",
-            t.restarts, t.link_follows, t.splits, t.merges, t.redistributes, t.scan_hops,
-        );
+        out.push_str("tree:");
+        self.tree.for_each_counter(|name, v| {
+            let _ = write!(out, " {name}={v}");
+        });
+        out.push('\n');
         let _ = writeln!(
             out,
             "cache: hits={} misses={} hit_rate={:.4} evicted={} writebacks={}",
@@ -132,8 +128,8 @@ impl MetricsSnapshot {
             self.store.wal_put_full_images,
             self.store.wal_put_moves,
             self.store.wal_bytes,
-            self.store.wal_fsyncs,
-            fmt_ns(self.store.wal_fsync_ns),
+            self.store.fsync_hist.count(),
+            fmt_ns(self.store.fsync_hist.sum()),
             self.store.wal_group_commits,
         );
         out
@@ -144,61 +140,42 @@ impl MetricsSnapshot {
     /// Histograms are summarized (`n/sum/min/max/mean/p50/p90/p99`), not
     /// dumped bucket-by-bucket.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        self.store.for_each_counter(|name, v| {
-            let _ = write!(out, "{}\n    \"{name}\": {v}", if first { "" } else { "," });
-            first = false;
-        });
-        out.push_str("\n  },\n  \"hists\": {");
-        for (i, &name) in StatsSnapshot::HIST_NAMES.iter().enumerate() {
+        let (mut store, mut tree) = (Vec::new(), Vec::new());
+        self.store
+            .for_each_counter(|name, v| store.push((name, v.to_string())));
+        self.tree
+            .for_each_counter(|name, v| tree.push((name, v.to_string())));
+        let hists = StatsSnapshot::HIST_NAMES.iter().map(|&name| {
             let h = self.store.hist(name).expect("HIST_NAMES is exhaustive");
-            let _ = write!(
-                out,
-                "{}\n    \"{name}\": {}",
-                if i == 0 { "" } else { "," },
-                hist_json(h)
-            );
-        }
-        out.push_str("\n  },\n  \"tree\": {");
-        let t = &self.tree;
-        for (i, (name, v)) in [
-            ("splits", t.splits),
-            ("root_splits", t.root_splits),
-            ("merges", t.merges),
-            ("redistributes", t.redistributes),
-            ("root_collapses", t.root_collapses),
-            ("enqueues", t.enqueues),
-            ("requeues", t.requeues),
-            ("discards", t.discards),
-            ("waits", t.waits),
-            ("reclaimed", t.reclaimed),
-            ("recoveries", t.recoveries),
-            ("restarts", t.restarts),
-            ("link_follows", t.link_follows),
-            ("scan_hops", t.scan_hops),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let _ = write!(
-                out,
-                "{}\n    \"{name}\": {v}",
-                if i == 0 { "" } else { "," }
-            );
-        }
-        out.push_str("\n  },\n  \"ops\": {");
-        for (i, (name, h)) in op_hists!(self).into_iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{name}\": {}",
-                if i == 0 { "" } else { "," },
-                hist_json(h)
-            );
-        }
-        out.push_str("\n  }\n}\n");
+            (name, hist_json(h))
+        });
+        let mut out = String::from("{");
+        json_object(&mut out, "counters", store);
+        json_object(&mut out, "hists", hists);
+        json_object(&mut out, "tree", tree);
+        json_object(
+            &mut out,
+            "ops",
+            op_hists!(self).map(|(n, h)| (n, hist_json(h))),
+        );
+        out.pop();
+        out.push_str("\n}\n");
         out
     }
+}
+
+/// Appends `"key": {`, one `"name": value` a line, and `},`.
+fn json_object(
+    out: &mut String,
+    key: &str,
+    entries: impl IntoIterator<Item = (&'static str, String)>,
+) {
+    let _ = write!(out, "\n  \"{key}\": {{");
+    for (i, (name, v)) in entries.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\n    \"{name}\": {v}");
+    }
+    out.push_str("\n  },");
 }
 
 /// One histogram as a flat JSON object.

@@ -297,7 +297,8 @@ impl Wal {
                 let t0 = Instant::now();
                 let g = self.inner.lock();
                 self.stats
-                    .record_wal_append_wait(t0.elapsed().as_nanos() as u64);
+                    .wal_append_wait_hist
+                    .record(t0.elapsed().as_nanos() as u64);
                 g
             },
         )
@@ -530,7 +531,7 @@ impl Wal {
             .file
             .sync_data()
             .map_err(|e| self.poison(io_err("sync before rotate", e)))?;
-        self.stats.record_fsync(t0.elapsed().as_nanos() as u64);
+        self.stats.fsync_hist.record(t0.elapsed().as_nanos() as u64);
         let seq = inner.seg_seq + 1;
         let path = segment_path(&self.dir, seq);
         let mut file = OpenOptions::new()
@@ -603,7 +604,8 @@ impl Wal {
             self.run_leader(true);
         };
         self.stats
-            .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
+            .wal_commit_wait_hist
+            .record(t0.elapsed().as_nanos() as u64);
         outcome
     }
 
@@ -656,7 +658,7 @@ impl Wal {
             self.fault.fsync_delay();
             file.sync_data()
                 .map_err(|e| self.poison(io_err("wal fsync", e)))?;
-            self.stats.record_fsync(t0.elapsed().as_nanos() as u64);
+            self.stats.fsync_hist.record(t0.elapsed().as_nanos() as u64);
             Ok(end)
         })();
         let next_cell = {
@@ -1103,7 +1105,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            assert_eq!(stats.snapshot().wal_fsyncs, 0, "no commit ran yet");
+            assert_eq!(stats.snapshot().fsync_hist.count(), 0, "no commit ran yet");
             lsns
         });
         fin.unwrap();
@@ -1547,9 +1549,9 @@ mod tests {
         }
         let snap = stats.snapshot();
         assert!(
-            snap.wal_fsyncs < 101,
+            snap.fsync_hist.count() < 101,
             "group commit must batch: {} fsyncs for 101 records",
-            snap.wal_fsyncs
+            snap.fsync_hist.count()
         );
         assert_eq!(snap.wal_group_commit_records, 101);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1750,14 +1752,18 @@ mod tests {
             w.log_put_base(pid(i), &[4; 8]).unwrap();
         }
         let before = stats.snapshot();
-        assert_eq!(before.wal_fsyncs, 0, "Never commits do not fsync");
+        assert_eq!(before.fsync_hist.count(), 0, "Never commits do not fsync");
         w.sync().unwrap();
         let after = stats.snapshot();
-        assert_eq!(after.wal_fsyncs, 1);
+        assert_eq!(after.fsync_hist.count(), 1);
         assert_eq!(after.wal_group_commits, 1);
         assert_eq!(after.wal_group_commit_records, 5);
         w.sync().unwrap();
-        assert_eq!(stats.snapshot().wal_fsyncs, 1, "nothing new to cover");
+        assert_eq!(
+            stats.snapshot().fsync_hist.count(),
+            1,
+            "nothing new to cover"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1782,10 +1788,10 @@ mod tests {
             w.deferred_scope(|| panic!("body fails mid-scope"))
         }));
         assert!(unwound.is_err());
-        let before = stats.snapshot().wal_fsyncs;
+        let before = stats.snapshot().fsync_hist.count();
         w.log_put_base(pid(1), &[1; 8]).unwrap();
         assert!(
-            stats.snapshot().wal_fsyncs > before,
+            stats.snapshot().fsync_hist.count() > before,
             "a commit after the unwound scope must fsync, not be absorbed"
         );
         std::fs::remove_dir_all(&dir).unwrap();

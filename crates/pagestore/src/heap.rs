@@ -328,18 +328,23 @@ enum Placed {
 impl RecordHeap {
     /// Creates a heap over the given store with one insertion shard per
     /// available core, at most 16 (fresh — for a store that may already
-    /// contain heap pages, use [`RecordHeap::attach`]).
-    pub fn new(store: Arc<PageStore>) -> RecordHeap {
+    /// contain heap pages, use [`RecordHeap::attach`]). Refuses a store
+    /// whose pages the heap cannot address, like
+    /// [`RecordHeap::with_shards`].
+    pub fn new(store: Arc<PageStore>) -> Result<RecordHeap> {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         RecordHeap::with_shards(store, cores.min(16))
     }
 
     /// Creates a fresh heap whose inserts spread over `shards` open-page
     /// shards (at least 1). More shards mean fewer threads share an
-    /// allocator mutex; each shard pins at most one open page.
-    pub fn with_shards(store: Arc<PageStore>, shards: usize) -> RecordHeap {
+    /// allocator mutex; each shard pins at most one open page. A store
+    /// whose pages exceed 64 KiB (slot offsets are `u16`) is refused with
+    /// [`StoreError::Config`] (see [`crate::StoreConfig::check_page_size`]).
+    pub fn with_shards(store: Arc<PageStore>, shards: usize) -> Result<RecordHeap> {
+        store.config().check_page_size()?;
         let shards = shards.max(1);
-        RecordHeap {
+        Ok(RecordHeap {
             store,
             shards: (0..shards).map(|_| Shard::default()).collect(),
             recycle: Mutex::new(std::collections::VecDeque::new()),
@@ -347,7 +352,7 @@ impl RecordHeap {
             live: AtomicU64::new(0),
             open_gauge: AtomicUsize::new(0),
             gen: AtomicU32::new(0),
-        }
+        })
     }
 
     /// The one way onto a store that may already hold heap pages (a durable
@@ -368,7 +373,7 @@ impl RecordHeap {
     /// heap's page count includes the empty pages, which are still
     /// allocated; insert nothing before it.
     pub fn survey(store: Arc<PageStore>) -> Result<(RecordHeap, HeapInventory)> {
-        let heap = RecordHeap::new(store);
+        let heap = RecordHeap::new(store)?;
         let (inv, max_gen) = heap.sweep(true)?;
         heap.pages
             .store(inv.pages.len() + inv.empty.len(), Ordering::Relaxed);
@@ -551,7 +556,8 @@ impl RecordHeap {
                     // windowed snapshot delta shows the tail, not just a sum.
                     self.store
                         .stats()
-                        .record_heap_wait(t0.elapsed().as_nanos() as u64);
+                        .heap_wait_hist
+                        .record(t0.elapsed().as_nanos() as u64);
                     g
                 }
             }
@@ -964,7 +970,7 @@ mod tests {
     use std::cell::RefCell;
 
     fn heap(page_size: usize) -> RecordHeap {
-        RecordHeap::new(PageStore::new(StoreConfig::with_page_size(page_size)))
+        RecordHeap::new(PageStore::new(StoreConfig::with_page_size(page_size))).unwrap()
     }
 
     thread_local! {
@@ -977,6 +983,24 @@ mod tests {
     pub(super) fn in_probe_window() {
         if let Some(f) = PROBE_WINDOW.with(|w| w.borrow_mut().take()) {
             f();
+        }
+    }
+
+    #[test]
+    fn pages_over_64_kib_are_refused() {
+        // Slot offsets are `u16`: a heap over 128 KiB pages used to build,
+        // take 8 inserts of 20 000 B and read record 0 back with 11 072
+        // wrong bytes. Every way to make a heap now refuses such a store.
+        let store = || PageStore::new(StoreConfig::with_page_size(1 << 17));
+        let refused = |r: Result<()>| matches!(r, Err(StoreError::Config(_)));
+        assert!(refused(RecordHeap::new(store()).map(drop)));
+        assert!(refused(RecordHeap::with_shards(store(), 4).map(drop)));
+        assert!(refused(RecordHeap::survey(store()).map(drop)));
+        // 64 KiB pages still hold those records intact.
+        let h = heap(1 << 16);
+        let rids: Vec<_> = (0..8u8).map(|i| h.insert(&[i; 20_000]).unwrap()).collect();
+        for (i, rid) in (0..8u8).zip(rids) {
+            assert_eq!(h.read(rid).unwrap(), [i; 20_000]);
         }
     }
 
@@ -1265,7 +1289,7 @@ mod tests {
         let max;
         let (a, gen_a);
         {
-            let h = RecordHeap::new(Arc::clone(&store));
+            let h = RecordHeap::new(Arc::clone(&store)).unwrap();
             max = h.max_record_len();
             a = h.insert(&vec![7; max]).unwrap();
             let _ = h.insert(&vec![8; max]).unwrap();
@@ -1285,7 +1309,7 @@ mod tests {
         let store = PageStore::new(StoreConfig::with_page_size(256));
         let (keep, hole, full);
         {
-            let h = RecordHeap::new(Arc::clone(&store));
+            let h = RecordHeap::new(Arc::clone(&store)).unwrap();
             // A page holds three: the fourth insert detaches the first page
             // and opens a second, which the sixth fills.
             keep = h.insert(&[1u8; 60]).unwrap();
@@ -1335,7 +1359,7 @@ mod tests {
         let store = PageStore::new(StoreConfig::with_page_size(128));
         let (max, keep);
         {
-            let h = RecordHeap::new(Arc::clone(&store));
+            let h = RecordHeap::new(Arc::clone(&store)).unwrap();
             max = h.max_record_len();
             // Page 1 fills; page 2 becomes the open page. An open page is
             // its shard's to retire, so freeing its last record leaves it
@@ -1389,7 +1413,7 @@ mod tests {
         let store = PageStore::new(StoreConfig::with_page_size(128));
         let max;
         {
-            let h = RecordHeap::new(Arc::clone(&store));
+            let h = RecordHeap::new(Arc::clone(&store)).unwrap();
             max = h.max_record_len();
             let a = h.insert(&vec![1; max]).unwrap();
             let _b = h.insert(&vec![2; max / 2]).unwrap();
@@ -1409,7 +1433,10 @@ mod tests {
     #[test]
     fn attach_rejects_a_record_extending_past_its_page() {
         let store = PageStore::new(StoreConfig::with_page_size(128));
-        let rid = RecordHeap::new(Arc::clone(&store)).insert(b"x").unwrap();
+        let rid = RecordHeap::new(Arc::clone(&store))
+            .unwrap()
+            .insert(b"x")
+            .unwrap();
         // Corrupt the slot's capacity so its extent runs off the page.
         let mut w = store.write_page(rid.page(), WriteIntent::Update).unwrap();
         put_u16(&mut w, slot_off(128, rid.slot()) + 2, 200);
@@ -1423,10 +1450,9 @@ mod tests {
     #[test]
     fn concurrent_inserts_and_reads() {
         use std::sync::Arc;
-        let h = Arc::new(RecordHeap::with_shards(
-            PageStore::new(StoreConfig::with_page_size(512)),
-            4,
-        ));
+        let h = Arc::new(
+            RecordHeap::with_shards(PageStore::new(StoreConfig::with_page_size(512)), 4).unwrap(),
+        );
         let mut handles = vec![];
         for t in 0u8..4 {
             let h = Arc::clone(&h);
@@ -1455,10 +1481,9 @@ mod tests {
         // its own open page(s): two threads never interleave on one page
         // unless rotation hands a page over through the recycle queue
         // (impossible here — nothing is freed).
-        let h = Arc::new(RecordHeap::with_shards(
-            PageStore::new(StoreConfig::with_page_size(4096)),
-            4,
-        ));
+        let h = Arc::new(
+            RecordHeap::with_shards(PageStore::new(StoreConfig::with_page_size(4096)), 4).unwrap(),
+        );
         let mut handles = vec![];
         for t in 0u8..4 {
             let h = Arc::clone(&h);
@@ -1494,7 +1519,7 @@ mod fuzz {
         /// Reading arbitrary record ids from a populated heap never panics.
         #[test]
         fn read_arbitrary_rids_never_panics(raw in any::<u64>(), n_records in 0usize..20) {
-            let h = RecordHeap::new(PageStore::new(StoreConfig::with_page_size(256)));
+            let h = RecordHeap::new(PageStore::new(StoreConfig::with_page_size(256))).unwrap();
             for i in 0..n_records {
                 h.insert(&[i as u8; 16]).unwrap();
             }
@@ -1507,7 +1532,7 @@ mod fuzz {
         /// (now with slot reuse churning under them).
         #[test]
         fn insert_update_free_interleavings(ops in proptest::collection::vec(0u8..3, 1..100)) {
-            let h = RecordHeap::new(PageStore::new(StoreConfig::with_page_size(256)));
+            let h = RecordHeap::new(PageStore::new(StoreConfig::with_page_size(256))).unwrap();
             let mut live: Vec<(RecordId, Vec<u8>)> = Vec::new();
             let mut tag = 0u8;
             for op in ops {

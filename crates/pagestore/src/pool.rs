@@ -403,7 +403,7 @@ pub(crate) enum Claim<'a> {
     Exhausted,
 }
 
-/// A frame pinned by a sweep snapshot (`pin_dirty*`, `pin_all_resident`):
+/// A frame pinned by a sweep snapshot ([`BufferPool::pin_sweep`]):
 /// the frame, the page the pool had it resident for, and its index in
 /// that page's shard (what [`BufferPool::still_flushing`] takes).
 pub(crate) type Pinned<'a> = (&'a Frame, PageId, usize);
@@ -498,7 +498,9 @@ impl BufferPool {
             }
             let t0 = Instant::now();
             let g = shard.state.lock();
-            self.stats.record_pool_wait(t0.elapsed().as_nanos() as u64);
+            self.stats
+                .pool_wait_hist
+                .record(t0.elapsed().as_nanos() as u64);
             g
         })
     }
@@ -769,73 +771,37 @@ impl BufferPool {
         self.lock_shard(self.shard(pid)).map.contains_key(&pid)
     }
 
-    /// Pins and returns every dirty resident frame, for a flush-everything
-    /// barrier (`sync`/checkpoint). The caller writes each frame back under
-    /// its read latch and unpins it.
-    pub(crate) fn pin_dirty(&self) -> Vec<Pinned<'_>> {
+    /// Pins and returns up to `max` resident frames — only the dirty ones
+    /// when `dirty_only` — visiting each shard's frames **in clock-hand
+    /// order** from the current hand. The caller writes each frame back
+    /// under its read latch and unpins it. Does not advance the hand —
+    /// cleaning a frame costs it nothing.
+    ///
+    /// The order makes the flusher clean the frames the hand passes next,
+    /// so foreground evictions mostly find clean victims and skip the
+    /// write-back (record frames, which the hand takes first, are not
+    /// singled out). The fuzzy checkpoint's writer barrier sweeps clean
+    /// frames too: it must *acquire each frame's read latch* to wait out
+    /// in-flight writers (who hold the write latch from before their WAL
+    /// append until after the dirty bit is set), so a dirty-only snapshot
+    /// could miss a write whose record predates the checkpoint cut; it
+    /// re-checks `dirty` under the latch.
+    pub(crate) fn pin_sweep(&self, dirty_only: bool, max: usize) -> Vec<Pinned<'_>> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let st = self.lock_shard(shard);
-            for (i, m) in st.meta.iter().enumerate() {
-                if let Some(pid) = m.resident {
-                    let f = &shard.frames[i];
-                    if f.dirty.load(Ordering::Acquire) {
-                        f.pins.fetch_add(1, Ordering::AcqRel);
-                        out.push((f, pid, i));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Pins and returns up to `max` dirty resident frames, visiting each
-    /// shard's frames **in clock-hand order** starting at the current hand:
-    /// the flusher cleans the frames the hand passes next, so foreground
-    /// evictions mostly find clean victims and skip the write-back. The
-    /// order does not single out record frames, which the hand takes
-    /// first. Does not advance the hand — cleaning a frame costs it nothing.
-    pub(crate) fn pin_dirty_batch(&self, max: usize) -> Vec<Pinned<'_>> {
-        let mut out = Vec::new();
-        if max == 0 {
-            return out;
-        }
         for shard in self.shards.iter() {
             let st = self.lock_shard(shard);
             let n = shard.frames.len();
-            for k in 0..n {
-                let i = (st.hand + k) % n;
-                if let Some(pid) = st.meta[i].resident {
-                    let f = &shard.frames[i];
-                    if f.dirty.load(Ordering::Acquire) {
-                        f.pins.fetch_add(1, Ordering::AcqRel);
-                        out.push((f, pid, i));
-                        if out.len() >= max {
+            for i in (0..n).map(|k| (st.hand + k) % n) {
+                let f = &shard.frames[i];
+                match st.meta[i].resident {
+                    Some(pid) if !dirty_only || f.dirty.load(Ordering::Acquire) => {
+                        if out.len() == max {
                             return out;
                         }
+                        f.pins.fetch_add(1, Ordering::AcqRel);
+                        out.push((f, pid, i));
                     }
-                }
-            }
-        }
-        out
-    }
-
-    /// Pins and returns **every** resident frame, dirty or not — the fuzzy
-    /// checkpoint's writer barrier. Visiting a clean frame matters there:
-    /// the checkpoint must *acquire each frame's read latch* to wait out
-    /// in-flight writers (who hold the write latch from before their WAL
-    /// append until after the dirty bit is set), so a dirty-only snapshot
-    /// taken here could miss a write whose record predates the checkpoint
-    /// cut. The caller re-checks `dirty` under the latch.
-    pub(crate) fn pin_all_resident(&self) -> Vec<Pinned<'_>> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let st = self.lock_shard(shard);
-            for (i, m) in st.meta.iter().enumerate() {
-                if let Some(pid) = m.resident {
-                    let f = &shard.frames[i];
-                    f.pins.fetch_add(1, Ordering::AcqRel);
-                    out.push((f, pid, i));
+                    _ => {}
                 }
             }
         }
@@ -986,8 +952,8 @@ mod tests {
             }
             _ => panic!("restored victim must hit"),
         }
-        assert_eq!(p.pin_dirty().len(), 1);
-        for (f, _, _) in p.pin_dirty() {
+        assert_eq!(p.pin_sweep(true, usize::MAX).len(), 1);
+        for (f, _, _) in p.pin_sweep(true, usize::MAX) {
             f.unpin();
         }
     }
@@ -1019,7 +985,10 @@ mod tests {
         }
         assert!(!p.is_mapped(pid(1)));
         assert!(!p.is_mapped(pid(2)));
-        assert!(p.pin_dirty().is_empty(), "orphan frame must not stay dirty");
+        assert!(
+            p.pin_sweep(true, usize::MAX).is_empty(),
+            "orphan frame must not stay dirty"
+        );
     }
 
     #[test]
@@ -1036,7 +1005,10 @@ mod tests {
         }
         p.discard(pid(7));
         assert!(!p.is_mapped(pid(7)));
-        assert!(p.pin_dirty().is_empty(), "discard must clear dirty");
+        assert!(
+            p.pin_sweep(true, usize::MAX).is_empty(),
+            "discard must clear dirty"
+        );
         // Claiming something new never flushes the discarded page.
         match p.claim(pid(8)) {
             Claim::Miss { flush, idx, .. } => {
@@ -1063,7 +1035,7 @@ mod tests {
                 _ => panic!(),
             }
         }
-        let dirty = p.pin_dirty();
+        let dirty = p.pin_sweep(true, usize::MAX);
         let mut pids: Vec<u32> = dirty.iter().map(|(_, p, _)| p.to_raw()).collect();
         pids.sort_unstable();
         assert_eq!(pids, vec![1, 3]);

@@ -70,7 +70,7 @@ impl RwLockTable {
             while st.writer || st.writers_waiting > 0 {
                 e.cv.wait(&mut st);
             }
-            stats.record_rw_wait(t0.elapsed().as_nanos() as u64);
+            stats.rw_wait_hist.record(t0.elapsed().as_nanos() as u64);
         }
         st.readers += 1;
         drop(st);
@@ -106,7 +106,7 @@ impl RwLockTable {
                 e.cv.wait(&mut st);
             }
             st.writers_waiting -= 1;
-            stats.record_rw_wait(t0.elapsed().as_nanos() as u64);
+            stats.rw_wait_hist.record(t0.elapsed().as_nanos() as u64);
         }
         st.writer = true;
         drop(st);

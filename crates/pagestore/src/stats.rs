@@ -12,16 +12,18 @@
 //! struct ([`StoreStats`]), its point-in-time copy ([`StatsSnapshot`]),
 //! `snapshot()`, `delta()`, and by-name access (`COUNTER_NAMES`,
 //! `counter()`, `hist()`) in one go — a new counter cannot silently miss
-//! the snapshot or the delta anymore.
+//! the snapshot or the delta anymore. The tree's `TreeCounters` is
+//! declared by the same (exported) macro.
 //!
-//! Wait *histograms* ([`WaitHist`]) accompany the wait-sum counters on
-//! every synchronization point of the write path (buffer-pool shard
+//! Every synchronization point of the write path (buffer-pool shard
 //! mutexes, frame latches, paper locks, rw locks, heap shard allocators,
-//! WAL append mutex, commit waits, fsyncs). Sums hide tails;
-//! snapshot deltas over the histograms give each measured interval its own
-//! p50/p99.
+//! WAL append mutex, commit waits, fsyncs) records each wait once, into
+//! its [`WaitHist`](crate::WaitHist). Sums hide tails; snapshot deltas
+//! over the histograms give each measured interval its own p50/p99. The
+//! scalar names `lock_contended`, `lock_wait_ns`, `wal_fsyncs`, … are
+//! *derived*: `counter()` resolves them to a histogram's `count()` or
+//! `sum()`, so they cannot drift from it.
 
-use crate::hist::{HistSnapshot, WaitHist};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Stripes per [`Counter`]. Threads are dealt stripes round-robin, so up to
@@ -43,6 +45,7 @@ pub struct Counter {
 
 impl Counter {
     /// The calling thread's stripe index, dealt on its first bump.
+    #[inline]
     fn stripe() -> usize {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         thread_local! {
@@ -51,7 +54,9 @@ impl Counter {
         MINE.with(|s| *s)
     }
 
-    fn add(&self, v: u64) {
+    /// Adds `v` to the calling thread's stripe.
+    #[inline]
+    pub fn add(&self, v: u64) {
         self.stripes[Counter::stripe()]
             .0
             .fetch_add(v, Ordering::Relaxed);
@@ -71,49 +76,71 @@ impl std::fmt::Debug for Counter {
     }
 }
 
+/// Declares a telemetry struct and its snapshot from one field list.
+///
+/// From `counters` (striped [`crate::stats::Counter`]s), `hists`
+/// ([`crate::WaitHist`]s) and `derived` names (each a histogram's `count`
+/// or `sum`), it generates the live struct (`snapshot()`,
+/// `counter_ref()`, `bump()`, `add()`) and its point-in-time copy
+/// (`delta()`, `COUNTER_NAMES`, `HIST_NAMES`, `counter()`, `hist()`,
+/// `for_each_counter()`). A derived name answers `counter()` and
+/// `for_each_counter()` like a stored counter, after them in
+/// `COUNTER_NAMES`, but is not stored: the histogram is its only home.
+/// [`crate::StoreStats`] and `sagiv_blink`'s `TreeCounters` are both
+/// declared by it.
+#[macro_export]
 macro_rules! store_stats {
     (
+        $(#[$sattr:meta])* stats $stats:ident;
+        $(#[$nattr:meta])* snapshot $snap:ident;
         counters {
             $( $(#[$cattr:meta])* $cname:ident, )*
         }
         hists {
             $( $(#[$hattr:meta])* $hname:ident, )*
         }
+        derived {
+            $( $dname:ident = $dhist:ident . $dfn:ident, )*
+        }
     ) => {
-        /// Counters maintained by a [`crate::PageStore`].
+        $(#[$sattr])*
         #[derive(Debug, Default)]
-        pub struct StoreStats {
-            $( $(#[$cattr])* pub $cname: Counter, )*
-            $( $(#[$hattr])* pub $hname: WaitHist, )*
+        pub struct $stats {
+            $( $(#[$cattr])* pub $cname: $crate::stats::Counter, )*
+            $( $(#[$hattr])* pub $hname: $crate::WaitHist, )*
         }
 
-        /// A point-in-time copy of [`StoreStats`], convenient for diffing.
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct StatsSnapshot {
+        $(#[$nattr])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct $snap {
             $( pub $cname: u64, )*
-            $( pub $hname: HistSnapshot, )*
+            $( pub $hname: $crate::HistSnapshot, )*
         }
 
-        impl Default for StatsSnapshot {
-            fn default() -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $cname: 0, )*
-                    $( $hname: HistSnapshot::new(), )*
-                }
+        impl $stats {
+            /// Adds 1 to a counter.
+            #[inline]
+            pub fn bump(counter: &$crate::stats::Counter) {
+                counter.add(1);
             }
-        }
 
-        impl StoreStats {
+            /// Adds `v` to a counter.
+            #[inline]
+            pub fn add(counter: &$crate::stats::Counter, v: u64) {
+                counter.add(v);
+            }
+
             /// Copies every counter and histogram.
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
+            pub fn snapshot(&self) -> $snap {
+                $snap {
                     $( $cname: self.$cname.get(), )*
                     $( $hname: self.$hname.snapshot(), )*
                 }
             }
 
-            /// Looks a scalar counter up by name (tests, generic emitters).
-            pub fn counter_ref(&self, name: &str) -> Option<&Counter> {
+            /// Looks a stored counter up by name (tests, generic emitters);
+            /// `None` for a derived name.
+            pub fn counter_ref(&self, name: &str) -> Option<&$crate::stats::Counter> {
                 match name {
                     $( stringify!($cname) => Some(&self.$cname), )*
                     _ => None,
@@ -121,47 +148,55 @@ macro_rules! store_stats {
             }
         }
 
-        impl StatsSnapshot {
-            /// Names of every scalar counter, in declaration order.
+        impl $snap {
+            /// Names of every counter, stored then derived, in declaration
+            /// order.
             pub const COUNTER_NAMES: &'static [&'static str] =
-                &[ $( stringify!($cname), )* ];
-            /// Names of every wait histogram, in declaration order.
+                &[ $( stringify!($cname), )* $( stringify!($dname), )* ];
+            /// Names of every histogram, in declaration order.
             pub const HIST_NAMES: &'static [&'static str] =
                 &[ $( stringify!($hname), )* ];
 
             /// Element-wise `self - earlier`, for measuring an interval.
-            pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
+            pub fn delta(&self, earlier: &$snap) -> $snap {
+                $snap {
                     $( $cname: self.$cname - earlier.$cname, )*
                     $( $hname: self.$hname.delta(&earlier.$hname), )*
                 }
             }
 
-            /// A scalar counter's value by name (see `COUNTER_NAMES`).
+            /// A counter's value by name (see `COUNTER_NAMES`).
             pub fn counter(&self, name: &str) -> Option<u64> {
                 match name {
                     $( stringify!($cname) => Some(self.$cname), )*
+                    $( stringify!($dname) => Some(self.$dhist.$dfn()), )*
                     _ => None,
                 }
             }
 
             /// A histogram by name (see `HIST_NAMES`).
-            pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
+            pub fn hist(&self, name: &str) -> Option<&$crate::HistSnapshot> {
                 match name {
                     $( stringify!($hname) => Some(&self.$hname), )*
                     _ => None,
                 }
             }
 
-            /// Visits every scalar counter as `(name, value)`.
+            /// Visits every counter as `(name, value)`, in `COUNTER_NAMES`
+            /// order.
             pub fn for_each_counter(&self, mut f: impl FnMut(&'static str, u64)) {
                 $( f(stringify!($cname), self.$cname); )*
+                $( f(stringify!($dname), self.$dhist.$dfn()); )*
             }
         }
     };
 }
 
 store_stats! {
+    /// Counters maintained by a [`crate::PageStore`].
+    stats StoreStats;
+    /// A point-in-time copy of [`StoreStats`], convenient for diffing.
+    snapshot StatsSnapshot;
     counters {
         /// Number of `get` (page read) operations.
         gets,
@@ -173,18 +208,10 @@ store_stats! {
         frees,
         /// Paper-lock acquisitions.
         lock_acquires,
-        /// Paper-lock acquisitions that had to wait for another holder.
-        lock_contended,
-        /// Total nanoseconds spent waiting for paper locks.
-        lock_wait_ns,
         /// Shared (rw) lock acquisitions (baseline trees only).
         rw_shared_acquires,
         /// Exclusive (rw) lock acquisitions (baseline trees only).
         rw_exclusive_acquires,
-        /// Rw-lock acquisitions that had to wait.
-        rw_contended,
-        /// Total nanoseconds spent waiting for rw locks.
-        rw_wait_ns,
         /// Buffer-pool read hits: `read`/`get` served from a resident frame
         /// (no backend access, no page copy). Writes are not counted here,
         /// so `cache_hits + cache_misses + optimistic_reads == gets` and
@@ -201,14 +228,6 @@ store_stats! {
         pins,
         /// Accesses that bypassed the pool because every frame was pinned.
         pool_bypasses,
-        /// Buffer-pool shard-mutex acquisitions that found it held.
-        pool_contended,
-        /// Total nanoseconds spent waiting for pool shard mutexes.
-        pool_wait_ns,
-        /// Frame-latch acquisitions (read or write) that had to wait.
-        latch_contended,
-        /// Total nanoseconds spent waiting for frame latches.
-        latch_wait_ns,
         /// WAL records appended (journaled stores only).
         wal_records,
         /// Bytes appended to the WAL (record headers + payloads) — the
@@ -231,26 +250,11 @@ store_stats! {
         /// Delta records recovery skipped because the on-disk page already
         /// carried an LSN at or past the record's (idempotent replay).
         recovery_deltas_skipped,
-        /// WAL fsync (sync_data) calls.
-        wal_fsyncs,
-        /// Total nanoseconds spent inside WAL fsync calls.
-        wal_fsync_ns,
         /// Group-commit flushes (each durably commits a batch of records).
         wal_group_commits,
         /// Records covered by those group-commit flushes; divide by
         /// `wal_group_commits` for the mean batch size.
         wal_group_commit_records,
-        /// WAL appends that found the append mutex held by another writer.
-        wal_append_contended,
-        /// Total nanoseconds spent waiting for the WAL append mutex.
-        wal_append_wait_ns,
-        /// Commits that joined an fsync batch because their LSN was not yet
-        /// durable.
-        wal_commit_waits,
-        /// Total nanoseconds those commits spent between joining a batch
-        /// and its covering fsync completing (their own fsync when they
-        /// led the batch).
-        wal_commit_wait_ns,
         /// WAL records replayed by recovery when the store was opened.
         recovery_replayed,
         /// Heap inserts that landed in a reused (previously freed) slot
@@ -265,10 +269,6 @@ store_stats! {
         /// a racing overwrite/delete; real I/O errors are propagated, not
         /// counted here).
         heap_double_frees,
-        /// Heap inserts that found their shard's allocator mutex held.
-        heap_shard_contended,
-        /// Total nanoseconds heap inserts spent waiting for a shard mutex.
-        heap_shard_wait_ns,
         /// Page reads served by an optimistic frame snapshot (no pin, no
         /// latch) that validated clean: every traversal read of a resident
         /// page, prime block and leaves included.
@@ -287,9 +287,6 @@ store_stats! {
         /// Background-flusher drain passes that found dirty frames to
         /// write (wakeups that did real work).
         flusher_wakeups,
-        /// Total nanoseconds foreground writers spent throttled waiting
-        /// for the flusher to drain below the high-dirty watermark.
-        flusher_backpressure_ns,
         /// Backend read/write attempts that failed transiently and then
         /// succeeded within the bounded retry loop.
         io_retries,
@@ -321,9 +318,11 @@ store_stats! {
         heap_wait_hist,
         /// Individual WAL append-mutex waits (contended only).
         wal_append_wait_hist,
-        /// Individual commit waits (batch joined to covering fsync done).
+        /// Individual commit waits: a commit whose LSN was not yet durable
+        /// joined an fsync batch, until its covering fsync completed (its
+        /// own when it led the batch).
         wal_commit_wait_hist,
-        /// Individual WAL fsync durations.
+        /// Individual WAL fsync (`sync_data`) durations.
         fsync_hist,
         /// Individual foreground waits for flusher backpressure (a writer
         /// throttled at the high-dirty watermark until the flusher
@@ -334,85 +333,29 @@ store_stats! {
         /// retried at all).
         io_retry_backoff_hist,
     }
+    derived {
+        // Each wait's number and total nanoseconds, read off its histogram.
+        lock_contended = lock_wait_hist.count,
+        lock_wait_ns = lock_wait_hist.sum,
+        rw_contended = rw_wait_hist.count,
+        rw_wait_ns = rw_wait_hist.sum,
+        pool_contended = pool_wait_hist.count,
+        pool_wait_ns = pool_wait_hist.sum,
+        latch_contended = latch_wait_hist.count,
+        latch_wait_ns = latch_wait_hist.sum,
+        heap_shard_contended = heap_wait_hist.count,
+        heap_shard_wait_ns = heap_wait_hist.sum,
+        wal_append_contended = wal_append_wait_hist.count,
+        wal_append_wait_ns = wal_append_wait_hist.sum,
+        wal_commit_waits = wal_commit_wait_hist.count,
+        wal_commit_wait_ns = wal_commit_wait_hist.sum,
+        wal_fsyncs = fsync_hist.count,
+        wal_fsync_ns = fsync_hist.sum,
+        flusher_backpressure_ns = flusher_backpressure_hist.sum,
+    }
 }
 
 impl StoreStats {
-    /// Adds 1 to a counter (public so journal implementations in other
-    /// crates can maintain the WAL counters on a shared `StoreStats`).
-    pub fn bump(counter: &Counter) {
-        counter.add(1);
-    }
-
-    /// Adds `v` to a counter.
-    pub fn add(counter: &Counter, v: u64) {
-        counter.add(v);
-    }
-
-    /// Records one contended paper-lock acquisition that waited `ns`.
-    pub fn record_lock_wait(&self, ns: u64) {
-        StoreStats::bump(&self.lock_contended);
-        StoreStats::add(&self.lock_wait_ns, ns);
-        self.lock_wait_hist.record(ns);
-    }
-
-    /// Records one contended rw-lock acquisition that waited `ns`.
-    pub fn record_rw_wait(&self, ns: u64) {
-        StoreStats::bump(&self.rw_contended);
-        StoreStats::add(&self.rw_wait_ns, ns);
-        self.rw_wait_hist.record(ns);
-    }
-
-    /// Records one contended buffer-pool shard-mutex wait.
-    pub fn record_pool_wait(&self, ns: u64) {
-        StoreStats::bump(&self.pool_contended);
-        StoreStats::add(&self.pool_wait_ns, ns);
-        self.pool_wait_hist.record(ns);
-    }
-
-    /// Records one contended frame-latch wait.
-    pub fn record_latch_wait(&self, ns: u64) {
-        StoreStats::bump(&self.latch_contended);
-        StoreStats::add(&self.latch_wait_ns, ns);
-        self.latch_wait_hist.record(ns);
-    }
-
-    /// Records one heap shard-mutex wait: bumps the contended counter, the
-    /// running sum, and the wait histogram.
-    pub fn record_heap_wait(&self, ns: u64) {
-        StoreStats::bump(&self.heap_shard_contended);
-        StoreStats::add(&self.heap_shard_wait_ns, ns);
-        self.heap_wait_hist.record(ns);
-    }
-
-    /// Records one contended WAL append-mutex wait.
-    pub fn record_wal_append_wait(&self, ns: u64) {
-        StoreStats::bump(&self.wal_append_contended);
-        StoreStats::add(&self.wal_append_wait_ns, ns);
-        self.wal_append_wait_hist.record(ns);
-    }
-
-    /// Records one commit wait (batch joined to covering fsync done).
-    pub fn record_wal_commit_wait(&self, ns: u64) {
-        StoreStats::bump(&self.wal_commit_waits);
-        StoreStats::add(&self.wal_commit_wait_ns, ns);
-        self.wal_commit_wait_hist.record(ns);
-    }
-
-    /// Records one WAL fsync: bumps the call counter, the duration sum,
-    /// and the duration histogram.
-    pub fn record_fsync(&self, ns: u64) {
-        StoreStats::bump(&self.wal_fsyncs);
-        StoreStats::add(&self.wal_fsync_ns, ns);
-        self.fsync_hist.record(ns);
-    }
-
-    /// Records one foreground throttle at the high-dirty watermark: adds
-    /// to the backpressure sum and the wait histogram.
-    pub fn record_flusher_backpressure(&self, ns: u64) {
-        StoreStats::add(&self.flusher_backpressure_ns, ns);
-        self.flusher_backpressure_hist.record(ns);
-    }
-
     /// Records one backend operation that retried transient I/O errors:
     /// `gave_up` decides which counter the outcome lands in, `backoff_ns`
     /// is the total sleep across its attempts.
@@ -452,7 +395,7 @@ mod tests {
         let s = StoreStats::default();
         StoreStats::bump(&s.gets);
         StoreStats::bump(&s.gets);
-        StoreStats::add(&s.lock_wait_ns, 500);
+        s.lock_wait_hist.record(500);
         let a = s.snapshot();
         StoreStats::bump(&s.gets);
         StoreStats::bump(&s.allocs);
@@ -460,19 +403,24 @@ mod tests {
         let d = b.delta(&a);
         assert_eq!(d.gets, 1);
         assert_eq!(d.allocs, 1);
-        assert_eq!(d.lock_wait_ns, 0);
-        assert_eq!(b.lock_wait_ns, 500);
+        assert_eq!(d.counter("lock_wait_ns"), Some(0));
+        assert_eq!(b.counter("lock_wait_ns"), Some(500));
         assert_eq!(b.live_pages(), 1);
     }
 
     #[test]
     fn every_counter_roundtrips_through_snapshot_and_delta() {
-        // The macro must wire every declared counter through snapshot(),
+        // The macro must wire every stored counter through snapshot(),
         // delta(), counter() and counter_ref() alike: bump each one a
         // distinct number of times and check the window sees exactly that.
+        // The derived names, listed last, have no cell of their own.
         let s = StoreStats::default();
         let before = s.snapshot();
-        for (i, &name) in StatsSnapshot::COUNTER_NAMES.iter().enumerate() {
+        let names = StatsSnapshot::COUNTER_NAMES;
+        let stored = names.iter().take_while(|n| s.counter_ref(n).is_some());
+        let stored = stored.count();
+        assert_eq!((stored, names.len()), (37, 54), "stored, stored + derived");
+        for (i, &name) in StatsSnapshot::COUNTER_NAMES[..stored].iter().enumerate() {
             let c = s
                 .counter_ref(name)
                 .unwrap_or_else(|| panic!("counter_ref missing {name}"));
@@ -482,11 +430,15 @@ mod tests {
         }
         let d = s.snapshot().delta(&before);
         for (i, &name) in StatsSnapshot::COUNTER_NAMES.iter().enumerate() {
+            let want = if i < stored { i as u64 + 1 } else { 0 };
             assert_eq!(
                 d.counter(name),
-                Some(i as u64 + 1),
+                Some(want),
                 "counter {name} lost in snapshot→delta"
             );
+        }
+        for &name in &StatsSnapshot::COUNTER_NAMES[stored..] {
+            assert!(s.counter_ref(name).is_none(), "{name} is derived");
         }
         let mut visited = 0;
         d.for_each_counter(|_, _| visited += 1);
@@ -497,15 +449,15 @@ mod tests {
     #[test]
     fn every_hist_is_reachable_by_name() {
         let s = StoreStats::default();
-        s.record_lock_wait(10);
-        s.record_rw_wait(20);
-        s.record_pool_wait(30);
-        s.record_latch_wait(40);
-        s.record_heap_wait(50);
-        s.record_wal_append_wait(60);
-        s.record_wal_commit_wait(70);
-        s.record_fsync(80);
-        s.record_flusher_backpressure(90);
+        s.lock_wait_hist.record(10);
+        s.rw_wait_hist.record(20);
+        s.pool_wait_hist.record(30);
+        s.latch_wait_hist.record(40);
+        s.heap_wait_hist.record(50);
+        s.wal_append_wait_hist.record(60);
+        s.wal_commit_wait_hist.record(70);
+        s.fsync_hist.record(80);
+        s.flusher_backpressure_hist.record(90);
         s.record_io_retry(100, false);
         let snap = s.snapshot();
         for &name in StatsSnapshot::HIST_NAMES {
@@ -515,16 +467,17 @@ mod tests {
             assert_eq!(h.count(), 1, "hist {name} must have the one sample");
         }
         assert_eq!(StatsSnapshot::HIST_NAMES.len(), 10);
-        // Each record_* helper also maintained its sum/contended counters.
-        assert_eq!(snap.lock_contended, 1);
-        assert_eq!(snap.pool_wait_ns, 30);
-        assert_eq!(snap.latch_contended, 1);
-        assert_eq!(snap.heap_shard_wait_ns, 50);
-        assert_eq!(snap.wal_append_wait_ns, 60);
-        assert_eq!(snap.wal_commit_wait_ns, 70);
-        assert_eq!(snap.wal_fsyncs, 1);
-        assert_eq!(snap.wal_fsync_ns, 80);
-        assert_eq!(snap.flusher_backpressure_ns, 90);
+        // The derived names read each histogram's count and sum.
+        let c = |name| snap.counter(name);
+        assert_eq!(c("lock_contended"), Some(1));
+        assert_eq!(c("pool_wait_ns"), Some(30));
+        assert_eq!(c("latch_contended"), Some(1));
+        assert_eq!(c("heap_shard_wait_ns"), Some(50));
+        assert_eq!(c("wal_append_wait_ns"), Some(60));
+        assert_eq!(c("wal_commit_wait_ns"), Some(70));
+        assert_eq!(c("wal_fsyncs"), Some(1));
+        assert_eq!(c("wal_fsync_ns"), Some(80));
+        assert_eq!(c("flusher_backpressure_ns"), Some(90));
         assert_eq!(snap.io_retries, 1);
         assert_eq!(snap.io_giveups, 0);
     }
@@ -534,12 +487,12 @@ mod tests {
         let s = StoreStats::default();
         // 8 sub-µs waits, one 50µs wait, one 2s outlier.
         for _ in 0..8 {
-            s.record_heap_wait(500);
+            s.heap_wait_hist.record(500);
         }
-        s.record_heap_wait(50_000);
-        s.record_heap_wait(2_000_000_000);
+        s.heap_wait_hist.record(50_000);
+        s.heap_wait_hist.record(2_000_000_000);
         let snap = s.snapshot();
-        assert_eq!(snap.heap_shard_contended, 10);
+        assert_eq!(snap.counter("heap_shard_contended"), Some(10));
         assert_eq!(snap.heap_wait_hist.count(), 10);
         let p50 = snap.heap_wait_hist.percentile(50.0);
         assert!((450..=550).contains(&p50), "p50 ≈ 500ns, got {p50}");

@@ -100,7 +100,7 @@ impl PageStore {
         };
         StoreStats::bump(&self.stats.lock_acquires);
         if wait_ns > 0 {
-            self.stats.record_lock_wait(wait_ns);
+            self.stats.lock_wait_hist.record(wait_ns);
         }
         session.note_lock(pid);
         true

@@ -282,7 +282,9 @@ impl PageStore {
             }
             let t0 = Instant::now();
             let g = frame.data.read();
-            self.stats.record_latch_wait(t0.elapsed().as_nanos() as u64);
+            self.stats
+                .latch_wait_hist
+                .record(t0.elapsed().as_nanos() as u64);
             g
         })
     }
@@ -295,7 +297,9 @@ impl PageStore {
             }
             let t0 = Instant::now();
             let g = frame.data.write();
-            self.stats.record_latch_wait(t0.elapsed().as_nanos() as u64);
+            self.stats
+                .latch_wait_hist
+                .record(t0.elapsed().as_nanos() as u64);
             g
         })
     }
@@ -699,7 +703,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         store.unlock(pid, &mut s1);
         assert!(handle.join().unwrap());
-        assert!(store.stats().snapshot().lock_contended >= 1);
+        assert!(store.stats().snapshot().lock_wait_hist.count() >= 1);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl PageStore {
         if self.pool.dirty_count() == 0 {
             return Ok(());
         }
-        let (_, errs) = self.sweep(self.pool.pin_dirty());
+        let (_, errs) = self.sweep(self.pool.pin_sweep(true, usize::MAX));
         errs.into_iter().next().map_or(Ok(()), Err)
     }
 
@@ -121,7 +121,7 @@ impl PageStore {
         if let Some(j) = &self.journal {
             j.sync()?;
         }
-        let (_, errs) = self.sweep(self.pool.pin_all_resident());
+        let (_, errs) = self.sweep(self.pool.pin_sweep(false, usize::MAX));
         errs.into_iter().next().map_or(Ok(()), Err)?;
         // Bypass-writer barrier (wait 2 above).
         for slot in self.slots.iter() {
@@ -149,7 +149,7 @@ impl PageStore {
             return;
         }
         StoreStats::bump(&self.stats.flusher_wakeups);
-        let (wrote, errs) = self.sweep(self.pool.pin_dirty_batch(count - low));
+        let (wrote, errs) = self.sweep(self.pool.pin_sweep(true, count - low));
         StoreStats::add(&self.stats.flusher_pages_written, wrote);
         // A background failure has nobody to return to: latch it so the
         // next foreground op fails loudly instead of the store limping
@@ -240,7 +240,8 @@ impl PageStore {
         }
         drop(ctl);
         self.stats
-            .record_flusher_backpressure(t0.elapsed().as_nanos() as u64);
+            .flusher_backpressure_hist
+            .record(t0.elapsed().as_nanos() as u64);
     }
 
     /// Retries a backend page access on transient I/O errors with bounded

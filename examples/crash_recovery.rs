@@ -44,7 +44,7 @@ fn main() {
         println!(
             "at crash: {} WAL records in {} fsync batches, {} live pages",
             snap.wal_records,
-            snap.wal_fsyncs,
+            snap.fsync_hist.count(),
             store.store().live_pages()
         );
         committed

@@ -34,7 +34,7 @@ fn concurrent_insert_update_free_across_shards() {
     let threads = 8u64;
     let ops = if quick() { 2_000u64 } else { 6_000 };
     let store = PageStore::new(StoreConfig::with_page_size(1024));
-    let heap = Arc::new(RecordHeap::with_shards(Arc::clone(&store), 4));
+    let heap = Arc::new(RecordHeap::with_shards(Arc::clone(&store), 4).unwrap());
 
     let results: Vec<_> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -122,7 +122,7 @@ fn sharded_churn_does_not_leak_pages() {
     let rounds = if quick() { 4 } else { 10 };
     let per_round = 500u64;
     let store = PageStore::new(StoreConfig::with_page_size(1024));
-    let heap = Arc::new(RecordHeap::with_shards(Arc::clone(&store), 4));
+    let heap = Arc::new(RecordHeap::with_shards(Arc::clone(&store), 4).unwrap());
     let mut peak = 0usize;
     for round in 0..rounds {
         let rids: Vec<_> = std::thread::scope(|scope| {

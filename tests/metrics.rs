@@ -6,7 +6,9 @@
 
 use blink_db::{Db, DbConfig};
 use blink_durable::FsyncPolicy;
-use blink_pagestore::{HistSnapshot, Page, PageStore, StoreConfig, WaitHist, WriteIntent};
+use blink_pagestore::{
+    HistSnapshot, Page, PageStore, StoreConfig, StoreStats, WaitHist, WriteIntent,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -164,7 +166,7 @@ fn held_page_write_records_latch_wait() {
     });
     let d = store.stats().snapshot().delta(&before);
     assert!(
-        d.latch_contended >= 1,
+        d.counter("latch_contended").unwrap() >= 1,
         "blocked reader must count as a contended latch acquisition"
     );
     let h = d.hist("latch_wait_hist").unwrap();
@@ -174,7 +176,7 @@ fn held_page_write_records_latch_wait() {
         "the recorded wait must cover most of the 50ms hold (got {}ns)",
         h.max()
     );
-    assert_eq!(d.latch_wait_ns, h.sum());
+    assert_eq!(d.counter("latch_wait_ns"), Some(h.sum()));
 }
 
 // ----------------------------------------------------------------------
@@ -230,13 +232,14 @@ fn db_metrics_smoke_populates_every_layer() {
     assert!(m.put.count() > 0, "put hist empty");
     assert!(m.get.count() > 0, "get hist empty");
     assert!(m.delete.count() > 0, "delete hist empty");
-    assert!(m.scan_hop.count() > 0, "scan-hop hist empty");
-    assert_eq!(m.tree.scan_hops, m.scan_hop.count());
+    let hops = m.tree.scan_hop_hist.count();
+    assert!(hops > 0, "scan-hop hist empty");
+    assert_eq!(m.tree.counter("scan_hops"), Some(hops));
     // The write path's own layers saw traffic.
     assert!(m.store.wal_records > 0);
     assert!(m.store.hist("fsync_hist").unwrap().count() > 0);
     assert_eq!(
-        m.store.wal_fsyncs,
+        m.store.counter("wal_fsyncs").unwrap(),
         m.store.hist("fsync_hist").unwrap().count()
     );
     assert!(
@@ -258,4 +261,190 @@ fn db_metrics_smoke_populates_every_layer() {
 
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ----------------------------------------------------------------------
+// Names looked up by string: a dropped one breaks no build, so check here.
+// ----------------------------------------------------------------------
+
+/// The store counters the benchmark's `bench` and `bench-trace` resolve
+/// by name at run time (a miss prints `null` in a ledger row).
+const RULER_NAMES: [&str; 24] = [
+    "cache_hits",
+    "cache_misses",
+    "dirty_writebacks",
+    "flusher_backpressure_ns",
+    "flusher_pages_written",
+    "flusher_wakeups",
+    "frames_evicted",
+    "gets",
+    "heap_shard_wait_ns",
+    "heap_slots_reused",
+    "latch_wait_ns",
+    "lock_wait_ns",
+    "optimistic_read_fallbacks",
+    "optimistic_reads",
+    "pool_wait_ns",
+    "wal_append_wait_ns",
+    "wal_bytes",
+    "wal_commit_wait_ns",
+    "wal_fsync_ns",
+    "wal_fsyncs",
+    "wal_group_commit_records",
+    "wal_group_commits",
+    "wal_pipeline_depth",
+    "wal_records",
+];
+
+/// Every store counter name `COUNTER_NAMES` listed when each wait was
+/// still kept as two stored counters beside its histogram.
+const STORE_NAMES: [&str; 54] = [
+    "gets",
+    "puts",
+    "allocs",
+    "frees",
+    "lock_acquires",
+    "lock_contended",
+    "lock_wait_ns",
+    "rw_shared_acquires",
+    "rw_exclusive_acquires",
+    "rw_contended",
+    "rw_wait_ns",
+    "cache_hits",
+    "cache_misses",
+    "frames_evicted",
+    "dirty_writebacks",
+    "pins",
+    "pool_bypasses",
+    "pool_contended",
+    "pool_wait_ns",
+    "latch_contended",
+    "latch_wait_ns",
+    "wal_records",
+    "wal_bytes",
+    "wal_put_deltas",
+    "wal_put_moves",
+    "wal_put_full_images",
+    "wal_delta_fallback_first_touch",
+    "wal_delta_fallback_large",
+    "recovery_deltas_skipped",
+    "wal_fsyncs",
+    "wal_fsync_ns",
+    "wal_group_commits",
+    "wal_group_commit_records",
+    "wal_append_contended",
+    "wal_append_wait_ns",
+    "wal_commit_waits",
+    "wal_commit_wait_ns",
+    "recovery_replayed",
+    "heap_slots_reused",
+    "heap_pages_recycled",
+    "heap_pages_released",
+    "heap_double_frees",
+    "heap_shard_contended",
+    "heap_shard_wait_ns",
+    "optimistic_reads",
+    "optimistic_read_fallbacks",
+    "wal_pipeline_depth",
+    "flusher_pages_written",
+    "flusher_wakeups",
+    "flusher_backpressure_ns",
+    "io_retries",
+    "io_giveups",
+    "flusher_errors",
+    "checksum_failures",
+];
+
+/// The tree counters `to_json` has always listed under `"tree"`.
+const TREE_NAMES: [&str; 14] = [
+    "splits",
+    "root_splits",
+    "merges",
+    "redistributes",
+    "root_collapses",
+    "enqueues",
+    "requeues",
+    "discards",
+    "waits",
+    "reclaimed",
+    "recoveries",
+    "restarts",
+    "link_follows",
+    "scan_hops",
+];
+
+/// Each derived store name: the histogram it reads, and whether it is the
+/// histogram's `sum()` (else its `count()`).
+const DERIVED: [(&str, &str, bool); 17] = [
+    ("lock_contended", "lock_wait_hist", false),
+    ("lock_wait_ns", "lock_wait_hist", true),
+    ("rw_contended", "rw_wait_hist", false),
+    ("rw_wait_ns", "rw_wait_hist", true),
+    ("pool_contended", "pool_wait_hist", false),
+    ("pool_wait_ns", "pool_wait_hist", true),
+    ("latch_contended", "latch_wait_hist", false),
+    ("latch_wait_ns", "latch_wait_hist", true),
+    ("heap_shard_contended", "heap_wait_hist", false),
+    ("heap_shard_wait_ns", "heap_wait_hist", true),
+    ("wal_append_contended", "wal_append_wait_hist", false),
+    ("wal_append_wait_ns", "wal_append_wait_hist", true),
+    ("wal_commit_waits", "wal_commit_wait_hist", false),
+    ("wal_commit_wait_ns", "wal_commit_wait_hist", true),
+    ("wal_fsyncs", "fsync_hist", false),
+    ("wal_fsync_ns", "fsync_hist", true),
+    ("flusher_backpressure_ns", "flusher_backpressure_hist", true),
+];
+
+#[test]
+fn every_name_the_ruler_looks_up_resolves() {
+    let s = StoreStats::default();
+    let hists = [
+        &s.lock_wait_hist,
+        &s.rw_wait_hist,
+        &s.pool_wait_hist,
+        &s.latch_wait_hist,
+        &s.heap_wait_hist,
+        &s.wal_append_wait_hist,
+        &s.wal_commit_wait_hist,
+        &s.fsync_hist,
+        &s.flusher_backpressure_hist,
+        &s.io_retry_backoff_hist,
+    ];
+    // A different number of samples and total in every histogram, before
+    // and inside the window the ruler measures (it reads deltas).
+    let record = |round: u64| {
+        for (i, h) in (1..).zip(hists) {
+            for j in 0..i * round {
+                h.record(100 * i + j);
+            }
+        }
+    };
+    record(1);
+    let before = s.snapshot();
+    record(2);
+    for snap in [s.snapshot(), s.snapshot().delta(&before)] {
+        for name in RULER_NAMES.iter().chain(&STORE_NAMES) {
+            assert!(snap.counter(name).is_some(), "{name} does not resolve");
+        }
+        for (name, hist, sum) in DERIVED {
+            let h = snap.hist(hist).unwrap();
+            assert!(h.count() > 0, "{hist} is empty");
+            let want = if sum { h.sum() } else { h.count() };
+            assert_eq!(snap.counter(name), Some(want), "{name} vs {hist}");
+        }
+    }
+
+    // `Db::metrics().to_json()` keeps every store and tree key.
+    let db = Db::open(DbConfig::in_memory()).unwrap();
+    let json = db.metrics().to_json();
+    for name in STORE_NAMES.iter().chain(&TREE_NAMES) {
+        assert!(
+            json.contains(&format!("\n    \"{name}\": ")),
+            "{name} missing"
+        );
+    }
+    let c = db.tree().counters().snapshot();
+    for name in TREE_NAMES {
+        assert!(c.counter(name).is_some(), "tree counter {name}");
+    }
 }
