@@ -28,11 +28,13 @@ fn self_test() -> ExitCode {
         .unwrap_or_else(|e| panic!("read {}: {e}", fixture.display()));
     // The fixture impersonates an allowlisted pagestore file so every rule
     // (including the unsafe SAFETY-comment one) is exercised at once, and
-    // then wal.rs and heap.rs for the rules keyed to the log and the heap.
+    // then wal.rs, heap.rs and db.rs for the rules keyed to the log, the
+    // heap and the `Db`.
     let found: Vec<_> = [
         "crates/pagestore/src/store/mod.rs",
         "crates/durable/src/wal.rs",
         "crates/pagestore/src/heap.rs",
+        "crates/db/src/db.rs",
     ]
     .into_iter()
     .flat_map(|label| lint::lint_source(label, &src))
@@ -53,6 +55,7 @@ fn self_test() -> ExitCode {
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
         ("wrapper-only", "allocated_pages("),
+        ("wrapper-only", ".read_with("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

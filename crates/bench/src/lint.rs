@@ -229,11 +229,14 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["lock_ctl"],
         use_instead: "FlusherShared::lock_ctl (FlusherQueue)",
     },
+    // One way from a leaf's record id to its record: a get and a scan
+    // both follow it through `fetch`, so the retry over a record freed
+    // under the read and the dangling-id check are written once.
     WrapperRule {
-        paths: &["db/src/db.rs"],
-        needles: &[".read_sessions.lock(", ".read_sessions.try_lock("],
-        allowed_fns: &["lock_sessions"],
-        use_instead: "Db::lock_sessions (SessionPool)",
+        paths: &["db/src/"],
+        needles: &[".read_with("],
+        allowed_fns: &["fetch"],
+        use_instead: "db::fetch (the one index-to-heap read)",
     },
     WrapperRule {
         paths: &["pagestore/src/health.rs"],
@@ -679,6 +682,21 @@ mod tests {
             let ok = lint_source("crates/pagestore/src/store/mod.rs", &src);
             assert!(ok.is_empty(), "{user}: {ok:?}");
         }
+    }
+
+    #[test]
+    fn record_read_is_pinned_to_the_fetch_loop() {
+        let v = lint_source(
+            "crates/db/src/scan.rs",
+            "fn resolve(&mut self) {\n    let v = self.db.heap.read_with(rid, |b| b.to_vec());\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("the one index-to-heap read"));
+        let ok = lint_source(
+            "crates/db/src/db.rs",
+            "fn fetch(db: &Db) {\n    let r = db.heap.read_with(rid, &mut f);\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
     }
 
     #[test]

@@ -34,6 +34,7 @@ fn fixture_trips_every_rule() {
         "crates/pagestore/src/store/mod.rs",
         "crates/durable/src/wal.rs",
         "crates/pagestore/src/heap.rs",
+        "crates/db/src/db.rs",
     ]
     .into_iter()
     .flat_map(|label| lint::lint_source(label, &src))
@@ -52,6 +53,7 @@ fn fixture_trips_every_rule() {
         ("wrapper-only", "sync_data("),
         ("wrapper-only", ".write_all("),
         ("wrapper-only", "allocated_pages("),
+        ("wrapper-only", ".read_with("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("store-stats-macro", ""),

@@ -89,9 +89,10 @@ impl Scan {
     }
 
     /// Advances to the leaf covering `self.cursor`, harvests its matching
-    /// pairs into `buf`, and moves the cursor past it. The page reference
-    /// taken for the leaf is released before returning (re-latching per
-    /// leaf). Each hop's latency lands in the tree's scan-hop histogram.
+    /// pairs into `buf`, and moves the cursor past it. The leaf is read by
+    /// an unlatched, validated probe ([`BLinkTree::try_read_node_optimistic`]),
+    /// latched only on its fallback, and nothing is held between leaves.
+    /// Each hop's latency lands in the tree's scan-hop histogram.
     fn fill(&mut self, tree: &BLinkTree, session: &mut Session) -> Result<()> {
         let t0 = std::time::Instant::now();
         let r = self.fill_inner(tree, session);

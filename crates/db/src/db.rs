@@ -4,11 +4,9 @@ use crate::config::DbConfig;
 use crate::metrics::{MetricsSnapshot, OpHists};
 use crate::scan::DbScan;
 use blink_durable::{DurableConfig, DurableStore};
-use blink_pagestore::audit::{self, Audited, LockClass};
 use blink_pagestore::{
-    HeapInventory, PageId, PageStore, RecordHeap, RecordId, Session, StoreConfig, StoreError,
+    PageId, PageStore, RecordHeap, RecordId, Session, StoreConfig, StoreError, WaitHist,
 };
-use parking_lot::{Mutex, MutexGuard};
 use sagiv_blink::{BLinkTree, Result, TreeConfig, TreeError, VerifyReport};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -17,7 +15,7 @@ use std::time::Instant;
 /// Bounded retries for the read-side race where a record is freed between
 /// the index lookup and the heap fetch (the re-read converges: the index
 /// either holds the successor record id or no longer holds the key).
-pub(crate) const READ_RETRIES: u64 = 64;
+const READ_RETRIES: u64 = 64;
 
 /// What a [`DbSession::put`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +41,7 @@ pub struct KvRecovery {
     /// record, or a `delete`/overwrite whose free never committed) — freed.
     pub orphan_records_freed: usize,
     /// Heap pages the heap's survey found with no live records — released
-    /// when it settled ([`HeapInventory::empty_pages_released`]).
+    /// when it settled ([`blink_pagestore::HeapInventory::empty_pages_released`]).
     pub empty_heap_pages_freed: usize,
 }
 
@@ -66,17 +64,9 @@ pub struct Db {
     pub(crate) heap: Arc<RecordHeap>,
     durable: Option<Arc<DurableStore>>,
     recovery: Option<KvRecovery>,
-    /// Small pool of tree sessions backing the session-less [`Db::get`] /
-    /// [`Db::get_with`] read helpers, so read fan-out does not force
-    /// callers to thread a [`DbSession`] through every call site.
-    read_sessions: Mutex<Vec<Session>>,
     /// End-to-end per-op latency histograms ([`Db::metrics`]).
     pub(crate) op_hists: OpHists,
 }
-
-/// Cap on pooled read sessions ([`Db::get`]); extras are dropped rather
-/// than hoarded when a burst of readers drains and returns them.
-const READ_SESSION_POOL: usize = 32;
 
 impl Db {
     /// Opens (or creates) a database per `cfg`.
@@ -152,7 +142,19 @@ impl Db {
                     empty_heap_pages_freed: inventory.empty_pages_released,
                     ..KvRecovery::default()
                 };
-                Self::reconcile(&tree, &heap, &inventory, &mut recovery)?;
+                // Write-ahead ordering guarantees a leaf's record id always
+                // has its record in the durable prefix (the heap write
+                // precedes the index write in every `put`), so a dangling
+                // id is corruption, not a crash artifact; a record no leaf
+                // names is the normal crash residue, freed in page order.
+                let (dangling, unreferenced) = membership(&tree, &inventory.records)?;
+                if !dangling.is_empty() {
+                    return Err(TreeError::Corrupt(DANGLING));
+                }
+                for rid in unreferenced {
+                    heap.free(rid)?;
+                    recovery.orphan_records_freed += 1;
+                }
                 (tree, Some(recovery))
             }
             _ => {
@@ -168,42 +170,8 @@ impl Db {
             heap,
             durable,
             recovery,
-            read_sessions: Mutex::new(Vec::new()),
             op_hists: OpHists::default(),
         })
-    }
-
-    /// Index/heap reconciliation on a reopen (quiesced store), by set
-    /// membership against the survey's inventory — no record is read.
-    /// Write-ahead ordering guarantees a leaf's record id always has its
-    /// record in the durable prefix (the heap write precedes the index
-    /// write in every `put`), so an id outside the live set is corruption,
-    /// not a crash artifact; the other direction — records no leaf
-    /// references — is the normal crash residue and is freed here, in page
-    /// order.
-    fn reconcile(
-        tree: &Arc<BLinkTree>,
-        heap: &Arc<RecordHeap>,
-        inventory: &HeapInventory,
-        out: &mut KvRecovery,
-    ) -> Result<()> {
-        let mut unreferenced: HashSet<RecordId> = inventory.records.iter().copied().collect();
-        let mut session = tree.session();
-        for pair in tree.scan(&mut session, 0, u64::MAX) {
-            let (_, raw) = pair?;
-            let rid = RecordId::from_raw(raw)
-                .ok_or(TreeError::Corrupt("leaf holds an invalid record id"))?;
-            if !unreferenced.remove(&rid) {
-                return Err(TreeError::Corrupt("leaf holds a dangling record id"));
-            }
-        }
-        for &rid in &inventory.records {
-            if unreferenced.contains(&rid) {
-                heap.free(rid)?;
-                out.orphan_records_freed += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Opens a session (a worker identity). One per thread.
@@ -214,45 +182,17 @@ impl Db {
         }
     }
 
-    /// Session-less point read: fetches the value stored under `key`
-    /// without the caller owning a [`DbSession`]. Backed by a small
-    /// internal session pool, so read fan-out (one-shot lookups from many
-    /// threads, request handlers, tests) stays ergonomic *and* keeps the
-    /// per-session instrumentation the paper's process model wants.
-    ///
-    /// Hot read loops that issue many gets back-to-back should still hold
-    /// their own [`Db::session`]: the pooled handle costs two small mutex
-    /// hops per call.
+    /// Session-less point read: [`DbSession::get`] on a fresh session.
+    /// A loop of reads should hold its own [`Db::session`], which it opens
+    /// once rather than once per read.
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>> {
-        self.get_with(key, |b| b.to_vec())
+        self.session().get(key)
     }
 
-    /// Session-less read through `f`: like [`DbSession::get_with`], `f`
-    /// sees the value bytes for exactly the duration of the call.
+    /// Session-less read through `f`: [`DbSession::get_with`] on a fresh
+    /// session.
     pub fn get_with<R>(&self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
-        let t0 = Instant::now();
-        let mut session = self
-            .lock_sessions()
-            .pop()
-            .unwrap_or_else(|| self.tree.session());
-        let r = get_with_session(self, &mut session, key, f);
-        let mut pool = self.lock_sessions();
-        if pool.len() < READ_SESSION_POOL {
-            pool.push(session);
-        }
-        OpHists::finish(&self.op_hists.get, t0);
-        r
-    }
-
-    /// Locks the pooled read-session vector. Sole lock site for
-    /// `Db::read_sessions` (audited as `SessionPool`, a leaf class: nothing
-    /// may be acquired while it is held).
-    fn lock_sessions(&self) -> Audited<MutexGuard<'_, Vec<Session>>> {
-        audit::audited(
-            LockClass::SessionPool,
-            &self.read_sessions as *const Mutex<Vec<Session>> as usize,
-            || self.read_sessions.lock(),
-        )
+        self.session().get_with(key, f)
     }
 
     /// What the last [`Db::open`] recovery did (`None` for in-memory
@@ -318,18 +258,50 @@ impl Db {
     /// Verifies every structural invariant of the index (and the page
     /// accounting across index + heap), plus the heap's own gauges: the
     /// hot-path live-record counter must agree with a ground-truth page
-    /// sweep. Quiesced databases only.
+    /// sweep. Every leaf's record id must name a live record of that sweep
+    /// (the membership pass [`Db::open`] runs, reading no record); a live
+    /// record no leaf names is no error, since a failed op may leak one and
+    /// the next open frees it. Quiesced databases only.
     pub fn verify(&self) -> Result<VerifyReport> {
         let mut rep = self.tree.verify(false)?;
-        let swept = self.heap.live_records()?.len() as u64;
-        let gauge = self.heap.live_record_count();
+        let live = self.heap.live_records()?;
+        let (swept, gauge) = (live.len() as u64, self.heap.live_record_count());
         if swept != gauge {
             rep.errors.push(format!(
                 "heap accounting: live-record gauge {gauge} != {swept} records on pages"
             ));
         }
+        let (dangling, _) = membership(&self.tree, &live)?;
+        for key in dangling {
+            rep.errors.push(format!("key {key}: {DANGLING}"));
+        }
         Ok(rep)
     }
+}
+
+/// A leaf's record id that names no live record.
+const DANGLING: &str = "leaf holds a dangling record id";
+
+/// The index↔heap membership pass, reading no record: every leaf's record
+/// id is checked off against `live` (a heap sweep's records). Returns the
+/// keys whose leaf id is not in `live` (or was already checked off by
+/// another leaf), and the live records no leaf names, in `live`'s order.
+fn membership(tree: &BLinkTree, live: &[RecordId]) -> Result<(Vec<u64>, Vec<RecordId>)> {
+    let mut unreferenced: HashSet<u64> = live.iter().map(|rid| rid.to_raw()).collect();
+    let mut dangling = Vec::new();
+    let mut session = tree.session();
+    for pair in tree.scan(&mut session, 0, u64::MAX) {
+        let (key, raw) = pair?;
+        if !unreferenced.remove(&raw) {
+            dangling.push(key);
+        }
+    }
+    let unreferenced = live
+        .iter()
+        .copied()
+        .filter(|rid| unreferenced.contains(&rid.to_raw()))
+        .collect();
+    Ok((dangling, unreferenced))
 }
 
 fn decode_rid(raw: u64) -> Result<RecordId> {
@@ -354,26 +326,44 @@ fn free_quiet(heap: &RecordHeap, raw: u64) -> Result<()> {
     }
 }
 
-/// The shared point-read loop behind [`DbSession::get_with`] and the
-/// session-less [`Db::get_with`]: bounded retries over the race where a
-/// record is freed between the index lookup and the heap fetch.
-fn get_with_session<R>(
+/// Follows `key`'s record id to its record through `f`: the one index→heap
+/// read behind every get and scan. `held` is the id the caller already
+/// holds (a scan's leaf pair); with none, `lookup` asks the index first.
+/// `lookup` is a point read's own operation ([`BLinkTree::search`]), or
+/// runs inside a scan's ([`BLinkTree::search_in_op`], so the §5.3
+/// reclamation horizon over the cursor's next hop never lapses).
+///
+/// A record freed between the index lookup and the heap fetch is asked
+/// for again, at most [`READ_RETRIES`] reads in all: the index names
+/// nothing (the key was deleted: `Ok(None)`), a different id (the value
+/// moved: read that one), or the same id that just read as missing — a
+/// dangling id, [`TreeError::Corrupt`]. No race yields the same id: every
+/// writer frees a record only after the index stopped naming it, and a
+/// reused slot gets a fresh generation, so a freed id is not minted again.
+pub(crate) fn fetch<R>(
     db: &Db,
     session: &mut Session,
     key: u64,
+    held: Option<u64>,
+    lookup: impl Fn(&BLinkTree, &mut Session, u64) -> Result<Option<u64>>,
     mut f: impl FnMut(&[u8]) -> R,
 ) -> Result<Option<R>> {
+    let mut raw = match held {
+        None => lookup(&db.tree, session, key)?,
+        held => held,
+    };
     for _ in 0..READ_RETRIES {
-        let Some(raw) = db.tree.search(session, key)? else {
+        let Some(read) = raw else {
             return Ok(None);
         };
-        let rid = decode_rid(raw)?;
-        match db.heap.read_with(rid, &mut f) {
+        match db.heap.read_with(decode_rid(read)?, &mut f) {
             Ok(r) => return Ok(Some(r)),
-            // Freed between index lookup and heap fetch: the index now
-            // holds the successor id (overwrite) or nothing (delete).
-            Err(StoreError::RecordMissing(_)) => continue,
+            Err(StoreError::RecordMissing(_)) => {}
             Err(e) => return Err(e.into()),
+        }
+        raw = lookup(&db.tree, session, key)?;
+        if raw == Some(read) {
+            return Err(TreeError::Corrupt(DANGLING));
         }
     }
     Err(TreeError::TooManyRestarts {
@@ -397,26 +387,33 @@ impl<'db> DbSession<'db> {
     /// concurrent readers never observe a dangling id.
     pub fn put(&mut self, key: u64, value: &[u8]) -> Result<PutOutcome> {
         let db = self.db;
+        self.write(&db.op_hists.put, |s| s.put_inner(key, value))
+    }
+
+    /// Runs one write op (`put` or `delete`) and records its latency into
+    /// `hist`.
+    fn write<T>(&mut self, hist: &WaitHist, op: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let db = self.db;
         // Backpressure before the op takes any latches: if dirty frames
         // crossed the flusher's high watermark, wait (bounded) for a
         // drain pass rather than letting a write burst outrun the disk.
         db.store().throttle_dirty();
         let t0 = Instant::now();
         let r = match db.durable.as_ref() {
-            // A put can log several WAL records (heap page plus one or more
-            // index pages); defer the fsync-policy commit to the end of the
-            // operation so the commit window is paid once per op rather
-            // than once per record.
+            // An op can log several WAL records (a heap page plus one or
+            // more index pages; an index delete plus a record free); defer
+            // the fsync-policy commit to the end of the op so the commit
+            // window is paid once per op rather than once per record.
             Some(ds) => {
-                let (r, commit) = ds.with_deferred_commit(|| self.put_inner(key, value));
+                let (r, commit) = ds.with_deferred_commit(|| op(self));
                 r.and_then(|v| {
                     commit?;
                     Ok(v)
                 })
             }
-            None => self.put_inner(key, value),
+            None => op(self),
         };
-        OpHists::finish(&db.op_hists.put, t0);
+        OpHists::finish(hist, t0);
         r
     }
 
@@ -485,7 +482,7 @@ impl<'db> DbSession<'db> {
     /// overwrite races the fetch (only the last run's result is returned).
     pub fn get_with<R>(&mut self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
         let t0 = Instant::now();
-        let r = get_with_session(self.db, &mut self.session, key, f);
+        let r = fetch(self.db, &mut self.session, key, None, BLinkTree::search, f);
         OpHists::finish(&self.db.op_hists.get, t0);
         r
     }
@@ -495,23 +492,7 @@ impl<'db> DbSession<'db> {
     /// rather than dangle.
     pub fn delete(&mut self, key: u64) -> Result<bool> {
         let db = self.db;
-        // Same pre-latch backpressure as `put`.
-        db.store().throttle_dirty();
-        let t0 = Instant::now();
-        let r = match db.durable.as_ref() {
-            // Same one-commit-per-op batching as `put`: the index delete
-            // and the record free both log records.
-            Some(ds) => {
-                let (r, commit) = ds.with_deferred_commit(|| self.delete_inner(key));
-                r.and_then(|v| {
-                    commit?;
-                    Ok(v)
-                })
-            }
-            None => self.delete_inner(key),
-        };
-        OpHists::finish(&db.op_hists.delete, t0);
-        r
+        self.write(&db.op_hists.delete, |s| s.delete_inner(key))
     }
 
     fn delete_inner(&mut self, key: u64) -> Result<bool> {
@@ -526,8 +507,10 @@ impl<'db> DbSession<'db> {
 
     /// Opens a streaming scan over `[lo, hi]` (both inclusive), yielding
     /// `(key, value)` pairs in key order. The cursor walks leaf links
-    /// incrementally — one leaf buffered at a time, pages re-latched per
-    /// visit — so a 50k-key scan never materializes 50k values.
+    /// incrementally — one leaf buffered at a time, each read by an
+    /// unlatched, validated probe that latches only on fallback — so a
+    /// 50k-key scan never materializes 50k values. Each pair's value is
+    /// read through the same fetch loop as [`DbSession::get`].
     pub fn scan(&mut self, lo: u64, hi: u64) -> DbScan<'_, 'db> {
         DbScan::new(self.db, &mut self.session, lo, hi)
     }

@@ -63,7 +63,9 @@ pub use scan::DbScan;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sagiv_blink::TreeError;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn mem_db(k: usize) -> Db {
@@ -282,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn sessionless_get_reads_through_the_pool() {
+    fn sessionless_get_reads_from_many_threads() {
         let db = Arc::new(mem_db(4));
         {
             let mut s = db.session();
@@ -350,11 +352,84 @@ mod tests {
     }
 
     #[test]
+    fn a_dangling_record_id_is_an_error_on_every_read() {
+        let db = mem_db(4);
+        let mut s = db.session();
+        s.put(1, b"one").unwrap();
+        s.put(2, b"two").unwrap();
+        // Free key 1's record under the index: its leaf now names nothing.
+        let raw = db.tree().search(s.inner(), 1).unwrap().unwrap();
+        db.heap()
+            .free(blink_pagestore::RecordId::from_raw(raw).unwrap())
+            .unwrap();
+        fn corrupt<T>(r: Result<T, TreeError>) -> bool {
+            matches!(r, Err(TreeError::Corrupt(_)))
+        }
+        assert!(corrupt(s.get(1)));
+        assert!(corrupt(s.get_with(1, |b| b.len())));
+        assert!(corrupt(db.get(1)));
+        assert!(corrupt(db.get_with(1, |b| b.len())));
+        let pairs: Vec<_> = s.scan(0, u64::MAX).collect();
+        assert!(
+            matches!(pairs[..], [Err(TreeError::Corrupt(_))]),
+            "{pairs:?}"
+        );
+        assert_eq!(s.get(2).unwrap().as_deref(), Some(&b"two"[..]));
+        let rep = db.verify().unwrap();
+        assert_eq!(rep.errors.len(), 1, "{:?}", rep.errors);
+    }
+
+    #[test]
+    fn reopen_refuses_a_dangling_record_id() {
+        let dir = tmpdir("dangling");
+        {
+            let db = Db::open(DbConfig::durable(&dir)).unwrap();
+            let mut s = db.session();
+            s.put(1, b"one").unwrap();
+            s.put(2, b"two").unwrap();
+            let raw = db.tree().search(s.inner(), 1).unwrap().unwrap();
+            db.heap()
+                .free(blink_pagestore::RecordId::from_raw(raw).unwrap())
+                .unwrap();
+            db.sync().unwrap();
+        }
+        let err = Db::open(DbConfig::durable(&dir)).unwrap_err();
+        assert!(matches!(err, TreeError::Corrupt(_)), "{err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn double_frees_are_counted_not_ignored() {
         let db = Arc::new(mem_db(8));
+        let writers_done = AtomicUsize::new(0);
         // Hammer one small key set with racing overwrites and deletes from
         // several threads: some frees must lose the race and be counted.
         std::thread::scope(|scope| {
+            // A reader racing the move-then-free path never sees a false
+            // dangling id: every get and scanned pair is `Ok`, with a
+            // value one writer wrote whole.
+            let db_r = Arc::clone(&db);
+            let writers_done = &writers_done;
+            scope.spawn(move || {
+                let mut s = db_r.session();
+                let written =
+                    |v: &[u8]| matches!(v.len(), 16 | 120) && v.iter().all(|&b| b == v[0] && b < 4);
+                loop {
+                    let finished = writers_done.load(Ordering::Acquire) == 4;
+                    for key in 0..17u64 {
+                        if let Some(v) = s.get(key).unwrap() {
+                            assert!(written(&v), "get({key}): {v:?}");
+                        }
+                    }
+                    for pair in s.scan(0, 16) {
+                        let (key, v) = pair.unwrap();
+                        assert!(key < 17 && written(&v), "scan: {key} {v:?}");
+                    }
+                    if finished {
+                        break;
+                    }
+                }
+            });
             for t in 0..4u64 {
                 let db = Arc::clone(&db);
                 scope.spawn(move || {
@@ -370,6 +445,7 @@ mod tests {
                             s.put(key, &vec![t as u8; len]).unwrap();
                         }
                     }
+                    writers_done.fetch_add(1, Ordering::Release);
                 });
             }
         });

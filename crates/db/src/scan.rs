@@ -1,19 +1,22 @@
 //! Streaming KV scans: the core index cursor joined with record fetches.
 
-use crate::db::Db;
-use blink_pagestore::{RecordId, Session, StoreError};
+use crate::db::{fetch, Db};
+use blink_pagestore::Session;
 use sagiv_blink::scan::Scan;
-use sagiv_blink::{Result, TreeError};
+use sagiv_blink::{BLinkTree, Result};
 
 /// A streaming `(key, value)` cursor over an inclusive key range, from
 /// [`crate::DbSession::scan`].
 ///
 /// Wraps the index's lazy [`Scan`] cursor (one leaf buffered at a time,
-/// re-latched per leaf, overtaking-safe via the link-chase protocol) and
-/// resolves each `RecordId` against the heap as it streams. A record freed
-/// mid-scan by a concurrent overwrite or delete is re-resolved through the
-/// index: replaced values are fetched fresh, deleted keys are skipped —
-/// the scan is weakly consistent, like every lock-free B-link scan.
+/// each read by an unlatched, validated probe that falls back to a latched
+/// read, overtaking-safe via the link-chase protocol) and follows each
+/// leaf's record id to its value as it streams, through the same fetch
+/// loop as a get. A record freed mid-scan by a concurrent overwrite or
+/// delete is asked for again through the index: replaced values are
+/// fetched fresh, deleted keys are skipped — the scan is weakly
+/// consistent, like every lock-free B-link scan. A leaf id that names no
+/// record ends the scan with [`sagiv_blink::TreeError::Corrupt`].
 #[derive(Debug)]
 pub struct DbScan<'a, 'db> {
     db: &'db Db,
@@ -33,32 +36,23 @@ impl<'a, 'db> DbScan<'a, 'db> {
         }
     }
 
-    /// Resolves one index entry to its value, retrying through the index
-    /// (bounded, like `DbSession::get`) when the record was freed under
-    /// the scan.
-    fn resolve(&mut self, key: u64, raw: u64) -> Result<Option<Vec<u8>>> {
-        let mut raw = raw;
-        for _ in 0..crate::db::READ_RETRIES {
-            let rid = RecordId::from_raw(raw)
-                .ok_or(TreeError::Corrupt("index holds an invalid record id"))?;
-            match self.db.heap.read_with(rid, |b| b.to_vec()) {
-                Ok(v) => return Ok(Some(v)),
-                Err(StoreError::RecordMissing(_)) => {
-                    // Concurrent overwrite/delete: ask the index afresh —
-                    // inside the scan's own logical operation, so the §5.3
-                    // reclamation horizon covering the cursor's next hop
-                    // never lapses.
-                    match self.db.tree.search_in_op(self.session, key)? {
-                        Some(next_raw) if next_raw != raw => raw = next_raw,
-                        _ => return Ok(None), // deleted (or unchanged-missing)
-                    }
-                }
-                Err(e) => return Err(e.into()),
+    /// The next pair in the range, or `None` past its end. A key deleted
+    /// under the scan reads as no record and is skipped.
+    fn step(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
+        while let Some((key, raw)) = self.cursor.next(&self.db.tree, self.session)? {
+            let read = fetch(
+                self.db,
+                self.session,
+                key,
+                Some(raw),
+                BLinkTree::search_in_op,
+                <[u8]>::to_vec,
+            );
+            if let Some(value) = read? {
+                return Ok(Some((key, value)));
             }
         }
-        Err(TreeError::TooManyRestarts {
-            attempts: crate::db::READ_RETRIES,
-        })
+        Ok(None)
     }
 }
 
@@ -69,23 +63,9 @@ impl Iterator for DbScan<'_, '_> {
         if self.poisoned {
             return None;
         }
-        loop {
-            match self.cursor.next(&self.db.tree, self.session) {
-                Ok(Some((key, raw))) => match self.resolve(key, raw) {
-                    Ok(Some(value)) => return Some(Ok((key, value))),
-                    Ok(None) => continue, // key raced a delete: skip
-                    Err(e) => {
-                        self.poisoned = true;
-                        return Some(Err(e));
-                    }
-                },
-                Ok(None) => return None,
-                Err(e) => {
-                    self.poisoned = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        let next = self.step().transpose();
+        self.poisoned = matches!(next, Some(Err(_)));
+        next
     }
 }
 

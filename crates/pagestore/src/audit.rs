@@ -72,27 +72,25 @@ pub enum LockClass {
     PoolShard = 7,
     /// The record heap's recycle queue (adoption candidates).
     HeapRecycle = 8,
-    /// The `Db` read-session pool.
-    SessionPool = 9,
     /// A pipelined-commit batch: the pipeline control mutex (`Wal`'s
     /// leader/durable-LSN state, the log's one durable horizon) and each
     /// in-flight batch's completion gate share this class. The leader
     /// must never hold the control mutex while taking a batch gate
     /// (same-class nesting is forbidden).
-    WalBatch = 10,
+    WalBatch = 9,
     /// The background flusher's control mutex (watermark state + shutdown
     /// flag). A pure leaf: foreground throttling and flusher drains take
     /// it with nothing else held.
-    FlusherQueue = 11,
+    FlusherQueue = 10,
     /// The store-health error latch ([`crate::health::StoreHealth`]): the
     /// mutex holding the first poison/flusher error. A pure leaf — the
     /// lock-free poisoned/flagged fast path means it is only taken to
     /// record or consume the latched error, never with anything held.
-    HealthLatch = 12,
+    HealthLatch = 11,
 }
 
 #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-const NCLASSES: usize = 13;
+const NCLASSES: usize = 12;
 
 /// The protocol whitelist: may a thread holding `from` acquire `to`?
 /// Same-class pairs are governed separately (see `reentrant`); this table
@@ -112,7 +110,7 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // the storage stack may be acquired under them, but never a heap
         // shard (record placement happens before the index descent) and
         // never each other.
-        PaperLock | RwPage => !matches!(to, PaperLock | RwPage | HeapShard | SessionPool),
+        PaperLock | RwPage => !matches!(to, PaperLock | RwPage | HeapShard),
         // A heap shard is held across place(): frame write → slot latch →
         // WAL, plus alloc (free list) and adoption (recycle).
         HeapShard => matches!(
@@ -129,8 +127,9 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // `WalBatch` is deliberately a leaf with same-class nesting
         // forbidden: the pipeline leader reads the batch cell out of the
         // control mutex, drops it, and only then touches the cell's gate.
-        WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle | SessionPool | FlusherQueue
-        | HealthLatch => false,
+        WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle | FlusherQueue | HealthLatch => {
+            false
+        }
     }
 }
 
@@ -280,7 +279,6 @@ mod imp {
             "FreeList",
             "PoolShard",
             "HeapRecycle",
-            "SessionPool",
             "WalBatch",
             "FlusherQueue",
             "HealthLatch",
@@ -779,7 +777,6 @@ mod tests {
             LockClass::FreeList,
             LockClass::PoolShard,
             LockClass::HeapRecycle,
-            LockClass::SessionPool,
             LockClass::WalBatch,
             LockClass::FlusherQueue,
             LockClass::HealthLatch,
