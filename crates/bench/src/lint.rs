@@ -196,12 +196,12 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "Wal::lock_inner (WalAppend)",
     },
     // One commit fsync: besides the segment-header sync in `open` and the
-    // outgoing-segment sync in `rotate`, only the pipeline leader fsyncs.
+    // outgoing-segment sync in `rotate`, only the commit leader fsyncs.
     WrapperRule {
         paths: &["durable/src/wal.rs"],
         needles: &["sync_data("],
-        allowed_fns: &["open", "rotate", "run_leader"],
-        use_instead: "Wal::commit_pipelined (the one commit fsync, in run_leader)",
+        allowed_fns: &["open", "rotate", "fsync_appended"],
+        use_instead: "Wal::commit_pipelined (the one commit fsync, in fsync_appended)",
     },
     // One append path: besides the segment headers written by `open` and
     // `rotate`, only `append_record` writes to a segment. (The tests forge
@@ -214,14 +214,9 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     },
     WrapperRule {
         paths: &["durable/src/wal.rs"],
-        needles: &[
-            ".ctl.lock(",
-            ".ctl.try_lock(",
-            ".gate.lock(",
-            ".gate.try_lock(",
-        ],
-        allowed_fns: &["lock_ctl", "lock_gate"],
-        use_instead: "Wal::lock_ctl / lock_gate (WalBatch)",
+        needles: &[".ctl.lock(", ".ctl.try_lock("],
+        allowed_fns: &["lock_ctl"],
+        use_instead: "Wal::lock_ctl (WalBatch)",
     },
     WrapperRule {
         paths: &[STORE],
@@ -612,17 +607,16 @@ mod tests {
 
     #[test]
     fn pipeline_and_flusher_locks_require_their_wrappers() {
-        // The commit pipeline's control/gate mutexes (WalBatch)…
+        // The commit monitor's one mutex (WalBatch)…
         let v = lint_source(
             "crates/durable/src/wal.rs",
-            "fn run_leader(&self) {\n    let g = ps.ctl.lock();\n    let b = cell.gate.lock();\n}\n",
+            "fn commit_pipelined(&self) {\n    let g = self.ctl.lock();\n    let h = self.ctl.try_lock();\n}\n",
         );
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "wrapper-only"));
         let ok = lint_source(
             "crates/durable/src/wal.rs",
-            "fn lock_ctl(&self) {\n    let g = ps.ctl.lock();\n}\n\
-             fn lock_gate(&self) {\n    let b = cell.gate.lock();\n}\n",
+            "fn lock_ctl(&self) {\n    let g = self.ctl.lock();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
         // …and the flusher's control mutex (FlusherQueue).

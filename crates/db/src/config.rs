@@ -81,10 +81,10 @@ impl DbConfig {
     }
 
     /// The same as [`DbConfig::durable`]; `window` is not used. Durable
-    /// commits batch in the fsync pipeline with no timer, so there is no
-    /// window to set. This exists only because the frozen `benchmark/`
-    /// package calls it; use [`DbConfig::durable`] everywhere else. It is
-    /// deleted at the next benchmark rebaseline.
+    /// commits batch in the group-commit monitor with no timer, so there
+    /// is no window to set. This exists only because the frozen
+    /// `benchmark/` package calls it; use [`DbConfig::durable`] everywhere
+    /// else. It is deleted at the next benchmark rebaseline.
     pub fn durable_group_commit(dir: impl Into<PathBuf>, _window: Duration) -> DbConfig {
         DbConfig::durable(dir)
     }

@@ -195,8 +195,9 @@ pub struct FaultInjector {
     tripped: AtomicBool,
     armed: AtomicBool,
     /// Artificial latency added to every WAL fsync, in nanoseconds
-    /// (0 = none). Lets tests dilate the commit pipeline's sync stage
-    /// enough to observe overlap and early-return bugs deterministically.
+    /// (0 = none). Lets tests hold a commit leader's fsync open long
+    /// enough that committers wait behind it, to observe batching and
+    /// early-return bugs deterministically.
     fsync_delay_ns: AtomicU64,
     /// Fast-path gate for the plan: sites skip the counter and the lock
     /// entirely until a plan is armed.

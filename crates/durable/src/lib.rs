@@ -9,7 +9,7 @@
 //! * [`wal`] — an append-only log of page-level mutations (alloc / free /
 //!   page write, logged as a full-image base or as a delta of the bytes
 //!   it changed) in checksummed segments, with [`FsyncPolicy`]
-//!   controlling commit durability (a pipelined group fsync per commit,
+//!   controlling commit durability (a group-commit fsync per commit,
 //!   or OS-buffered).
 //! * [`backend::FileBackend`] — the page file behind
 //!   [`blink_pagestore::PageBackend`], read with `pread` and written with

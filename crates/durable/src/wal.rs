@@ -1,5 +1,5 @@
 //! The write-ahead log: append-only segments, per-record checksums,
-//! pipelined group commit.
+//! group commit.
 //!
 //! ## On-disk format
 //!
@@ -64,18 +64,20 @@
 //! [`FsyncPolicy`]:
 //!
 //! * [`Always`](FsyncPolicy::Always) — return only after an fsync that
-//!   covers the commit's LSN. Every such commit rides one pipeline: join
-//!   the filling batch; one leader fsyncs batch N on a cloned fd with no
-//!   lock held while batch N+1 fills behind it, and every committer waits
-//!   only on its own batch's gate. Nobody waits on a timer — the running
-//!   fsync *is* the batching window. Mean batch size is
-//!   `StoreStats::wal_group_commit_records ÷ wal_group_commits`.
+//!   covers the commit's LSN. Every such commit enters one monitor (one
+//!   mutex, one condvar): if no fsync is running it leads, fsyncing a
+//!   cloned fd with no lock held; otherwise it waits for the running
+//!   fsync to end and looks again. Exactly one fsync is in flight, and
+//!   nobody waits on a timer — the running fsync *is* the batching
+//!   window. Mean batch size is
+//!   `StoreStats::wal_group_commit_records ÷ wal_group_commits`. A failed
+//!   fsync is sticky: every later commit not already durable fails.
 //! * [`Never`](FsyncPolicy::Never) — nothing more: the record is already
 //!   in the file and the fsync is left to the OS (fastest, no durability
 //!   promise on power loss; still crash-consistent thanks to record
 //!   checksums).
 //!
-//! [`Journal::sync`] is a pipeline commit at the last appended LSN under
+//! [`Journal::sync`] is a monitor commit at the last appended LSN under
 //! either policy, so a log loaded at `Never` is made durable by one sync.
 
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
@@ -115,7 +117,7 @@ const EDIT_MOVE: u8 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// A commit returns only after an fsync that covers its LSN
-    /// (concurrent commits share one pipelined fsync).
+    /// (concurrent commits share one group-commit fsync).
     Always,
     /// Never fsync on commit; the OS writes back when it pleases.
     Never,
@@ -195,67 +197,22 @@ thread_local! {
     static DEFERRED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Completion state of one in-flight pipelined batch.
+/// The group-commit monitor (see [`Wal::commit_pipelined`]), guarded by
+/// one mutex and signalled through one condvar.
 #[derive(Debug)]
-struct BatchGate {
-    /// `Some` once the batch's covering fsync finished: `Ok`, or the
-    /// leader's error, which every committer of the batch returns. Nothing
-    /// re-drives a failed batch: a failed fsync may have dropped the pages
-    /// it was writing, so no retry could honestly cover them.
-    outcome: Option<Result<()>>,
-    /// Leadership hand-off: the previous leader finished its batch and
-    /// left the baton here. The first waiter to observe the token takes
-    /// it and cuts this (its own) batch — the batch that filled while the
-    /// previous fsync ran.
-    lead_token: bool,
-}
-
-/// One pipelined-commit batch: committers who joined while it was the
-/// filling batch park on `cv` until a leader marks the gate done.
-#[derive(Debug)]
-struct BatchCell {
-    gate: Mutex<BatchGate>,
-    cv: Condvar,
-}
-
-impl BatchCell {
-    fn new() -> BatchCell {
-        BatchCell {
-            gate: Mutex::new(BatchGate {
-                outcome: None,
-                lead_token: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Pipeline control: which batch is filling, whether a leader is driving
-/// an fsync, and the durable horizon the pipeline has established.
-#[derive(Debug)]
-struct PipelineCtl {
-    filling: Arc<BatchCell>,
-    /// Committers who joined `filling` and will wait on its gate.
-    filling_waiters: u64,
-    leader_running: bool,
+struct CommitCtl {
     /// Highest LSN known durable — the log's one durable horizon, and the
     /// ledger `wal_group_commits`/`wal_group_commit_records` count against.
     durable_lsn: u64,
-}
-
-/// The pipelined group-commit state (see [`Wal::commit_pipelined`]).
-///
-/// The double-buffer invariant: at most one batch is *syncing* (its
-/// leader holds no lock across the fsync — it syncs a cloned fd) while
-/// the next batch *fills* behind it. Committers wait only on
-/// their own batch's gate, so a batch-N committer is never penalized by
-/// batch N+1's fsync. The control mutex and every gate register with the
-/// latch auditor as `WalBatch`, a leaf class with same-class nesting
-/// forbidden — the leader reads the cell out of the control mutex, drops
-/// it, and only then touches the gate.
-#[derive(Debug)]
-struct PipelineState {
-    ctl: Mutex<PipelineCtl>,
+    /// A leader's fsync is running (with the mutex released).
+    leader_running: bool,
+    /// Committers parked on the condvar until the running fsync ends.
+    waiters: u64,
+    /// The first failed fsync's error, returned by every later commit not
+    /// already durable. Nothing re-drives a failed fsync: it may have
+    /// dropped the pages it was writing, so no retry could honestly
+    /// cover them.
+    failed: Option<StoreError>,
 }
 
 /// The appender half of the log (see module docs).
@@ -267,21 +224,24 @@ pub struct Wal {
     fault: Arc<FaultInjector>,
     stats: Arc<StoreStats>,
     inner: Mutex<WalInner>,
-    /// Pipelined group commit: every fsync-backed commit and every sync.
-    pipeline: PipelineState,
+    /// Group commit: every fsync-backed commit and every sync.
+    ctl: Mutex<CommitCtl>,
+    /// Signalled when a leader's fsync ends.
+    commit_cv: Condvar,
     /// The store's health latch, bound by the durable store after the
     /// page store is constructed (they share one instance). A failed WAL
     /// fsync or segment write poisons it — sticky: every later append or
     /// commit fails with [`StoreError::Poisoned`] until a clean reopen
-    /// re-establishes the durable prefix. Unbound (standalone `Wal` in
-    /// tests), failures surface but nothing latches.
+    /// re-establishes the durable prefix. Unbound (a standalone `Wal`),
+    /// nothing poisons, but the commit monitor still latches a failed
+    /// fsync: every later commit not already durable fails.
     health: OnceLock<Arc<StoreHealth>>,
 }
 
 impl Wal {
     /// Acquires the append mutex, timing only the contended path into the
     /// append-wait histogram. It is held for one record's `write(2)`; no
-    /// commit fsync runs under it (the pipeline leader syncs a cloned fd),
+    /// commit fsync runs under it (the commit leader syncs a cloned fd),
     /// only a rotation's outgoing-segment sync does. The only place
     /// `Wal::inner` is locked: every acquisition registers with the latch
     /// auditor as `WalAppend`, a leaf (nothing but the health latch is
@@ -304,30 +264,20 @@ impl Wal {
         )
     }
 
-    /// The only place the pipeline control mutex is locked: registers as
-    /// `WalBatch` (a leaf; never held while a batch gate is taken).
-    fn lock_ctl(&self) -> Audited<MutexGuard<'_, PipelineCtl>> {
+    /// The only place the commit monitor's mutex is locked: registers as
+    /// `WalBatch`, a leaf (the leader drops it before it fsyncs).
+    fn lock_ctl(&self) -> Audited<MutexGuard<'_, CommitCtl>> {
         audit::audited(
             LockClass::WalBatch,
-            &self.pipeline.ctl as *const Mutex<PipelineCtl> as usize,
-            || self.pipeline.ctl.lock(),
-        )
-    }
-
-    /// The only place a batch gate is locked: registers as `WalBatch`
-    /// (committers wait on the batch condvar through it).
-    fn lock_gate<'a>(&self, cell: &'a BatchCell) -> Audited<MutexGuard<'a, BatchGate>> {
-        audit::audited(
-            LockClass::WalBatch,
-            &cell.gate as *const Mutex<BatchGate> as usize,
-            || cell.gate.lock(),
+            &self.ctl as *const Mutex<CommitCtl> as usize,
+            || self.ctl.lock(),
         )
     }
 
     /// Opens the log for appending: continues segment `seg_seq` at
     /// `seg_len` bytes (creating it if absent) with the next record taking
-    /// `next_lsn`. Recovery computes these from a [`scan`]. The pipeline's
-    /// durable horizon is seeded from `next_lsn`.
+    /// `next_lsn`. Recovery computes these from a [`scan`]. The commit
+    /// monitor's durable horizon is seeded from `next_lsn`.
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
@@ -381,14 +331,13 @@ impl Wal {
                 seg_len,
                 next_lsn,
             }),
-            pipeline: PipelineState {
-                ctl: Mutex::new(PipelineCtl {
-                    filling: Arc::new(BatchCell::new()),
-                    filling_waiters: 0,
-                    leader_running: false,
-                    durable_lsn: next_lsn.saturating_sub(1),
-                }),
-            },
+            ctl: Mutex::new(CommitCtl {
+                durable_lsn: next_lsn.saturating_sub(1),
+                leader_running: false,
+                waiters: 0,
+                failed: None,
+            }),
+            commit_cv: Condvar::new(),
             health: OnceLock::new(),
         })
     }
@@ -534,10 +483,14 @@ impl Wal {
         self.stats.fsync_hist.record(t0.elapsed().as_nanos() as u64);
         let seq = inner.seg_seq + 1;
         let path = segment_path(&self.dir, seq);
+        // Truncate whatever a failed rotation (or an older run) left at
+        // `seq`: every accepted record is below `next_lsn`, in this
+        // segment or an older one, so no later segment holds one.
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
-            .create_new(true)
+            .create(true)
+            .truncate(true)
             .open(&path)
             .map_err(|e| io_err("create wal segment", e))?;
         file.write_all(&segment_header(seq))
@@ -568,125 +521,87 @@ impl Wal {
     }
 
     /// The one fsync-backed commit (every `Always` commit and every
-    /// [`Journal::sync`]). Join the filling batch; if no leader is
-    /// driving, become one and cut it at once. Nobody waits on a timer:
-    /// while a leader's fsync runs, later committers fill the next batch,
-    /// so the pipeline batches on its own. A committer returns only the
-    /// outcome its own batch's gate reports for an fsync covering its LSN
-    /// — never a mere notification that *some* fsync ran.
+    /// [`Journal::sync`]), one loop under the monitor: return once `lsn` is
+    /// durable or an fsync has failed; while a leader's fsync runs, wait
+    /// for it; otherwise lead one. Nobody waits on a timer: the commits
+    /// that arrive during a running fsync share the next one. A committer
+    /// returns `Ok` only once an fsync covering its LSN has succeeded.
     fn commit_pipelined(&self, lsn: u64) -> Result<()> {
         let t0 = Instant::now();
-        let (cell, lead) = {
-            let mut ctl = self.lock_ctl();
-            if ctl.durable_lsn >= lsn {
-                return Ok(());
-            }
-            ctl.filling_waiters += 1;
-            let lead = !ctl.leader_running;
-            ctl.leader_running = true;
-            (Arc::clone(&ctl.filling), lead)
-        };
-        if lead {
-            self.run_leader(false);
+        let mut ctl = self.lock_ctl();
+        if ctl.durable_lsn >= lsn {
+            return Ok(());
         }
+        let mut waited = false;
         let outcome = loop {
-            let mut gate = self.lock_gate(&cell);
-            while gate.outcome.is_none() && !gate.lead_token {
-                cell.cv.wait(gate.guard_mut());
+            if ctl.durable_lsn >= lsn {
+                break Ok(());
             }
-            if let Some(outcome) = &gate.outcome {
-                break outcome.clone();
+            if let Some(e) = &ctl.failed {
+                break Err(e.clone());
             }
-            // The previous leader handed off: this batch filled while its
-            // fsync ran, and we cut it now.
-            gate.lead_token = false;
-            drop(gate);
-            self.run_leader(true);
+            if ctl.leader_running {
+                ctl.waiters += 1;
+                self.commit_cv.wait(ctl.guard_mut());
+                ctl.waiters -= 1;
+                waited = true;
+                continue;
+            }
+            ctl.leader_running = true;
+            if waited {
+                // This commit's record arrived while an fsync ran.
+                StoreStats::bump(&self.stats.wal_pipeline_depth);
+            }
+            drop(ctl);
+            let synced = self.fsync_appended();
+            ctl = self.lock_ctl();
+            ctl.leader_running = false;
+            match synced {
+                Ok(end) if end > ctl.durable_lsn => {
+                    StoreStats::bump(&self.stats.wal_group_commits);
+                    StoreStats::add(&self.stats.wal_group_commit_records, end - ctl.durable_lsn);
+                    ctl.durable_lsn = end;
+                }
+                Ok(_) => {}
+                // Nobody leads once `failed` is set, so this is the first.
+                Err(e) => ctl.failed = Some(e),
+            }
+            self.commit_cv.notify_all();
         };
+        drop(ctl);
         self.stats
             .wal_commit_wait_hist
             .record(t0.elapsed().as_nanos() as u64);
         outcome
     }
 
-    /// One leadership stint: cut the filling batch, fsync it on a cloned
-    /// fd (no lock held across the sync), advance the durable horizon and
-    /// post the outcome to the batch's gate. If the next batch already has
-    /// waiters, leave the leadership token in its gate — that batch filled
-    /// during this fsync, which is the pipeline overlap
-    /// `wal_pipeline_depth` counts.
-    fn run_leader(&self, handoff: bool) {
-        if handoff {
-            let mut ctl = self.lock_ctl();
-            if ctl.leader_running {
-                // A freshly-arrived committer self-elected before we woke:
-                // it will cut our batch; go back to waiting.
-                return;
-            }
-            ctl.leader_running = true;
-            drop(ctl);
-            StoreStats::bump(&self.stats.wal_pipeline_depth);
-        }
-        let cell = {
-            let mut ctl = self.lock_ctl();
-            let cell = Arc::clone(&ctl.filling);
-            ctl.filling = Arc::new(BatchCell::new());
-            ctl.filling_waiters = 0;
-            cell
+    /// The leader's fsync: syncs a clone of the segment fd with no lock
+    /// held and returns the LSN it covers. Every record below `next_lsn`
+    /// is in the file, and rotation fsyncs the outgoing segment before
+    /// switching, so syncing the current file covers every record up to
+    /// the returned LSN regardless of segment boundaries.
+    fn fsync_appended(&self) -> Result<u64> {
+        let (file, end) = {
+            let inner = self.lock_inner();
+            let file = inner
+                .file
+                .try_clone()
+                .map_err(|e| io_err("clone wal segment fd", e))?;
+            (file, inner.next_lsn - 1)
         };
-        let synced = (|| -> Result<u64> {
-            // Every record below `next_lsn` is in the file. Rotation fsyncs
-            // the outgoing segment before switching, so syncing the current
-            // file's clone covers every record up to `end` regardless of
-            // segment boundaries.
-            let (file, end) = {
-                let inner = self.lock_inner();
-                let file = inner
-                    .file
-                    .try_clone()
-                    .map_err(|e| io_err("clone wal segment fd", e))?;
-                (file, inner.next_lsn - 1)
-            };
-            // Once an fsync has failed, no later fsync is trusted to cover
-            // the gap (the dirty pages may be gone).
-            self.check_poisoned()?;
-            self.fault.check()?;
-            if let Err(e) = self.fault.plan_outcome(FaultSite::WalFsync).pass_or_fail() {
-                return Err(self.poison(e));
-            }
-            let t0 = Instant::now();
-            self.fault.fsync_delay();
-            file.sync_data()
-                .map_err(|e| self.poison(io_err("wal fsync", e)))?;
-            self.stats.fsync_hist.record(t0.elapsed().as_nanos() as u64);
-            Ok(end)
-        })();
-        let next_cell = {
-            let mut ctl = self.lock_ctl();
-            if let Ok(end) = synced {
-                if end > ctl.durable_lsn {
-                    StoreStats::bump(&self.stats.wal_group_commits);
-                    StoreStats::add(&self.stats.wal_group_commit_records, end - ctl.durable_lsn);
-                    ctl.durable_lsn = end;
-                }
-            }
-            ctl.leader_running = false;
-            (ctl.filling_waiters > 0).then(|| Arc::clone(&ctl.filling))
-        };
-        {
-            let mut gate = self.lock_gate(&cell);
-            gate.outcome = Some(synced.map(drop));
-            cell.cv.notify_all();
+        // Once an fsync has failed, no later fsync is trusted to cover
+        // the gap (the dirty pages may be gone).
+        self.check_poisoned()?;
+        self.fault.check()?;
+        if let Err(e) = self.fault.plan_outcome(FaultSite::WalFsync).pass_or_fail() {
+            return Err(self.poison(e));
         }
-        if let Some(next) = next_cell {
-            // Hand the baton to the batch that filled during our fsync
-            // (even on error: its waiters must self-rescue, not hang).
-            let mut gate = self.lock_gate(&next);
-            if gate.outcome.is_none() {
-                gate.lead_token = true;
-                next.cv.notify_all();
-            }
-        }
+        let t0 = Instant::now();
+        self.fault.fsync_delay();
+        file.sync_data()
+            .map_err(|e| self.poison(io_err("wal fsync", e)))?;
+        self.stats.fsync_hist.record(t0.elapsed().as_nanos() as u64);
+        Ok(end)
     }
 }
 
@@ -733,7 +648,7 @@ impl Journal for Wal {
         Ok(lsn)
     }
 
-    /// A pipeline commit at the last appended LSN under either policy: a
+    /// A monitor commit at the last appended LSN under either policy: a
     /// log loaded at `Never` still becomes durable here.
     fn sync(&self) -> Result<()> {
         self.commit_pipelined(self.appended_lsn())
@@ -1507,7 +1422,7 @@ mod tests {
     fn group_commit_batches_concurrent_committers() {
         // No timer gathers a batch: committers that arrive while an fsync
         // runs share the next one. A precursor's dilated fsync holds the
-        // pipeline until all four writers have appended their first record,
+        // monitor until all four writers have appended their first record,
         // so at least that batch is shared whatever the scheduler does.
         let dir = tmpdir("group");
         let stats = Arc::new(StoreStats::default());
@@ -1540,7 +1455,7 @@ mod tests {
             }));
         }
         wait_until(10, "four committers in one batch", || {
-            w.lock_ctl().filling_waiters == 4
+            w.lock_ctl().waiters == 4
         });
         fault.set_fsync_delay(Duration::ZERO);
         precursor.join().unwrap().unwrap();
@@ -1562,8 +1477,8 @@ mod tests {
         // fsync dilated so batches demonstrably fill while the leader
         // syncs: every record must still become durable exactly once in
         // the accounting, the log must scan clean and contiguous, and at
-        // least one leadership hand-off (a batch that filled during a
-        // running fsync) must be observed. That batches share fsyncs is
+        // least one overlap (a committer that waited behind a running
+        // fsync and then led the next one) must be observed. That batches share fsyncs is
         // pinned deterministically by
         // `group_commit_batches_concurrent_committers`.
         let dir = tmpdir("pipeline");
@@ -1582,7 +1497,7 @@ mod tests {
             .unwrap(),
         );
         fault.set_fsync_delay(Duration::from_millis(2));
-        // A hand-off needs a successor thread to arrive while the leader
+        // An overlap needs a successor thread to arrive while the leader
         // is inside fsync; a starved scheduler can serialize the writers,
         // so run rounds until the depth counter moves.
         let mut rounds = 0u32;
@@ -1668,45 +1583,60 @@ mod tests {
         }
     }
 
-    /// True once a lone committer leads and has cut its batch: a leader
-    /// is running and nobody has joined the fresh filling batch yet.
+    /// True once a lone committer leads: its fsync is running and nobody
+    /// waits behind it yet.
     fn lone_leader_cut(w: &Wal) -> bool {
         let ctl = w.lock_ctl();
-        ctl.leader_running && ctl.filling_waiters == 0
+        ctl.leader_running && ctl.waiters == 0
     }
 
-    #[test]
-    fn a_commit_whose_covering_fsync_failed_never_returns_ok() {
-        // A standalone log has no health latch, so nothing poisons: only
-        // the failed batch's own outcome stands between its committers and
-        // a false acknowledgement — a retried fsync that happens to pass
-        // must not be reported in its place.
-        let dir = tmpdir("fsyncfail");
-        let fault = Arc::new(FaultInjector::new());
-        let w = Arc::new(
+    /// A standalone log (no health latch) over `fault`.
+    fn faulty_wal(dir: &Path, fault: &Arc<FaultInjector>) -> Arc<Wal> {
+        Arc::new(
             Wal::open(
-                &dir,
+                dir,
                 FsyncPolicy::Always,
                 1 << 20,
                 1,
                 1,
-                Arc::clone(&fault),
+                Arc::clone(fault),
                 Arc::new(StoreStats::default()),
             )
             .unwrap(),
-        );
+        )
+    }
 
-        // One committer: it leads the batch whose fsync fails.
+    #[test]
+    fn a_commit_whose_covering_fsync_failed_never_returns_ok() {
+        // A standalone log has no health latch, so nothing poisons: the
+        // monitor's sticky failure alone stands between a committer and a
+        // false acknowledgement. A later fsync that happens to pass cannot
+        // cover the failed one's records, whose pages may be gone, so the
+        // commit after it must fail too.
+        let dir = tmpdir("fsyncfail");
+        let fault = Arc::new(FaultInjector::new());
+        let w = faulty_wal(&dir, &fault);
         fault.set_plan(FaultPlan::new().fail_nth(FaultSite::WalFsync, 1, FaultKind::Transient));
         assert!(
             w.log_put_base(pid(1), &[1; 8]).is_err(),
             "a failed fsync acknowledged"
         );
-        w.log_put_base(pid(2), &[1; 8]).unwrap(); // the fault was transient
+        assert!(
+            w.log_put_base(pid(2), &[1; 8]).is_err(),
+            "a commit after a failed fsync acknowledged"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
-        // Three committers share one failed batch: a precursor's dilated
-        // fsync (which passes) holds the pipeline while all three append
-        // after its cut and join the next batch, whose fsync fails.
+    #[test]
+    fn every_committer_sharing_a_failed_fsync_gets_its_error() {
+        // Three committers share one failed fsync: a precursor's dilated
+        // fsync (which passes) holds the monitor while all three append
+        // and wait behind it; the next fsync, which one of them leads,
+        // fails.
+        let dir = tmpdir("fsyncfanout");
+        let fault = Arc::new(FaultInjector::new());
+        let w = faulty_wal(&dir, &fault);
         fault.set_plan(FaultPlan::new().fail_nth(FaultSite::WalFsync, 2, FaultKind::Transient));
         fault.set_fsync_delay(Duration::from_millis(500));
         let precursor = {
@@ -1721,7 +1651,7 @@ mod tests {
             })
             .collect();
         wait_until(10, "three committers in one batch", || {
-            w.lock_ctl().filling_waiters == 3
+            w.lock_ctl().waiters == 3
         });
         fault.set_fsync_delay(Duration::ZERO);
         precursor.join().unwrap().unwrap();
@@ -1731,6 +1661,30 @@ mod tests {
                 "every committer of the failed batch must get its error"
             );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_leftover_next_segment_does_not_stop_appends() {
+        // A rotation that failed after creating its segment (or an older
+        // run) can leave the next segment behind; rotating onto it must
+        // truncate it, not fail every later append.
+        let dir = tmpdir("leftover");
+        std::fs::write(segment_path(&dir, 2), b"stale bytes of a failed rotation").unwrap();
+        let w = wal(&dir, FsyncPolicy::Never, 128);
+        for i in 1..=20u32 {
+            w.log_put_base(pid(i), &[5; 8]).unwrap();
+        }
+        w.sync().unwrap();
+        assert!(list_segments(&dir).unwrap().len() > 2, "the log rotated");
+        let mut n = 0u64;
+        let report = scan(&dir, 1, 1, 64, |_, _| {
+            n += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(n, 20);
+        assert!(!report.torn);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

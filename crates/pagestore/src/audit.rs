@@ -72,11 +72,10 @@ pub enum LockClass {
     PoolShard = 7,
     /// The record heap's recycle queue (adoption candidates).
     HeapRecycle = 8,
-    /// A pipelined-commit batch: the pipeline control mutex (`Wal`'s
-    /// leader/durable-LSN state, the log's one durable horizon) and each
-    /// in-flight batch's completion gate share this class. The leader
-    /// must never hold the control mutex while taking a batch gate
-    /// (same-class nesting is forbidden).
+    /// The WAL's group-commit monitor: one mutex (`Wal::ctl`, the leader
+    /// flag, the waiter count, the sticky fsync failure and the log's one
+    /// durable horizon), waited on through one condvar. No batch gates:
+    /// a leader drops the mutex before it fsyncs.
     WalBatch = 9,
     /// The background flusher's control mutex (watermark state + shutdown
     /// flag). A pure leaf: foreground throttling and flusher drains take
@@ -120,13 +119,12 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // Frame latch → slot latch → journal/backend is the store's
         // documented order; the pool's shard mutexes may be taken below it.
         FrameLatch => matches!(to, SlotLatch | WalAppend | WalBatch | PoolShard),
-        // Under a slot latch: journal appends (append mutex, pipeline
-        // batches) and pool-shard checks (`is_mapped`/`still_flushing`).
+        // Under a slot latch: journal appends (append mutex, commit
+        // monitor) and pool-shard checks (`is_mapped`/`still_flushing`).
         SlotLatch => matches!(to, WalAppend | WalBatch | PoolShard),
         // Leaves: nothing may be acquired while one of these is held.
-        // `WalBatch` is deliberately a leaf with same-class nesting
-        // forbidden: the pipeline leader reads the batch cell out of the
-        // control mutex, drops it, and only then touches the cell's gate.
+        // `WalBatch` is one mutex with no gates, and a leaf: the commit
+        // leader drops it before taking the append mutex to clone the fd.
         WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle | FlusherQueue | HealthLatch => {
             false
         }

@@ -276,10 +276,9 @@ store_stats! {
         /// Optimistic snapshot attempts that fell back to the latched read
         /// path (non-resident page, writer in the window, owner moved).
         optimistic_read_fallbacks,
-        /// Pipelined group commits where the fsync leader rolled straight
-        /// into the next filled batch without ever standing down — each
-        /// bump is one batch whose fill fully overlapped the previous
-        /// batch's fsync (the pipeline actually pipelining).
+        /// Group-commit fsyncs led by a committer that had waited behind
+        /// the running fsync: each bump is one batch that filled while the
+        /// previous batch's fsync ran (commits overlapping an fsync).
         wal_pipeline_depth,
         /// Dirty frames written back by the background flusher thread
         /// (a subset of `dirty_writebacks`).
@@ -318,9 +317,9 @@ store_stats! {
         heap_wait_hist,
         /// Individual WAL append-mutex waits (contended only).
         wal_append_wait_hist,
-        /// Individual commit waits: a commit whose LSN was not yet durable
-        /// joined an fsync batch, until its covering fsync completed (its
-        /// own when it led the batch).
+        /// Individual commit waits: a commit whose LSN was not yet durable,
+        /// until its covering fsync completed (its own when it led) or a
+        /// failed fsync failed it.
         wal_commit_wait_hist,
         /// Individual WAL fsync (`sync_data`) durations.
         fsync_hist,

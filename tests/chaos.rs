@@ -522,10 +522,10 @@ fn fsync_failure_is_sticky_and_poisons_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Poisoning under the pipelined commit: one failed batch fsync
-/// fans out to every committer in the batch and to every thread that
-/// commits afterwards, and each thread's acknowledged prefix survives
-/// reopen.
+/// Poisoning under group commit: one failed fsync fails every
+/// committer waiting on the monitor and every thread that commits
+/// afterwards (the monitor's failure is sticky, and the store is
+/// poisoned), and each thread's acknowledged prefix survives reopen.
 #[test]
 fn failed_pipeline_batch_fans_out_to_all_committers() {
     let dir = tmpdir("pipeline-poison");

@@ -1,14 +1,14 @@
-//! Pipelined group commit under a deliberately slow fsync.
+//! Group commit under a deliberately slow fsync.
 //!
 //! The fault injector's `set_fsync_delay` hook stretches every WAL fsync,
-//! which is exactly the regime the pipeline exists for: the leader fsyncs
-//! batch N on a cloned fd with no locks held while batch N+1 fills behind
-//! it. These tests pin down the two things that must stay true when fsync
-//! is slow: the pipeline actually engages (depth counter moves, batches
-//! form), and a committer never observes its op as committed before the
-//! batch holding its record is durable — including when the simulated
-//! crash lands mid-pipeline and the leader's error has to fan out to every
-//! waiter of the failed batch.
+//! which is exactly the regime the group-commit monitor exists for: the
+//! leader fsyncs a cloned fd with no locks held while the next batch's
+//! committers wait behind it, and one of them leads the next fsync. These
+//! tests pin down the two things that must stay true when fsync is slow:
+//! batches actually form (depth counter moves), and a committer never
+//! observes its op as committed before an fsync covering its record is
+//! durable — including when the simulated crash lands mid-commit and the
+//! leader's error has to reach every waiter and every later commit.
 
 use sagiv_blink_repro::db::{Db, DbConfig};
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ fn pipeline_engages_under_slow_fsync_and_concurrency() {
         .unwrap()
         .fault()
         .set_fsync_delay(Duration::from_micros(300));
-    // A hand-off needs a successor to show up while the leader is still
+    // An overlap needs a successor to show up while the leader is still
     // inside fsync; that is overwhelmingly likely per round but not
     // guaranteed, so run rounds until the depth counter moves.
     let mut snap = db.store().stats().snapshot();
@@ -95,11 +95,11 @@ fn pipeline_engages_under_slow_fsync_and_concurrency() {
 }
 
 /// Crash the store mid-run at assorted WAL-record boundaries while fsync is
-/// slow and commits are pipelined. Every put that returned `Ok` must read
-/// back after recovery (it waited for its batch's fsync); the first `Err`
-/// stops the run and only that key may land either way. This drives the
-/// pipeline's failure fan-out: the leader's fsync error must fail its whole
-/// batch's gate, hand the leader token on, and keep later batches honest.
+/// slow and commits wait behind it. Every put that returned `Ok` must read
+/// back after recovery (it waited for an fsync covering it); the first
+/// `Err` stops the run and only that key may land either way. This drives
+/// the monitor's failure path: the leader's fsync error must reach every
+/// waiter and stay latched so later commits stay honest.
 #[test]
 fn committed_puts_survive_a_crash_mid_pipeline() {
     const OPS: u64 = 200;
