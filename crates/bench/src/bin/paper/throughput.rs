@@ -78,7 +78,8 @@ pub fn exp2() {
 }
 
 /// One run of `cfg` on each of the three indexes over stores from
-/// `store`: per index, ops/s, lock wait ns per op and pool hit rate.
+/// `store`: per index, ops/s, lock wait ns per op and the share of page
+/// reads the pool served.
 fn io_runs(k: usize, cfg: &RunConfig, store: impl Fn() -> Arc<PageStore>) -> Vec<[f64; 3]> {
     let runs = indexes_over(k, store).into_iter().map(|index| {
         let r = run_workload(&index, cfg);
@@ -88,7 +89,9 @@ fn io_runs(k: usize, cfg: &RunConfig, store: impl Fn() -> Arc<PageStore>) -> Vec
         let d = &r.store_delta;
         let wait =
             (d.lock_wait_hist.sum() + d.rw_wait_hist.sum()) as f64 / r.total_ops.max(1) as f64;
-        let hits = d.cache_hits as f64 / (d.cache_hits + d.cache_misses).max(1) as f64;
+        // The share of page reads the pool served, latched or by a
+        // validated probe: only a miss pays the page latency.
+        let hits = 1.0 - d.cache_misses as f64 / d.gets.max(1) as f64;
         [r.ops_per_sec(), wait, hits]
     });
     runs.collect()

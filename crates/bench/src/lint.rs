@@ -233,6 +233,15 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["fetch"],
         use_instead: "db::fetch (the one index-to-heap read)",
     },
+    // One page read in the tree: every node and prime-block read goes
+    // through `read_page`, so the store's validated probe, its latched
+    // fallback and the test hook's window are reached one way.
+    WrapperRule {
+        paths: &["core/src/"],
+        needles: &["store.read(", ".read_probe("],
+        allowed_fns: &["read_page"],
+        use_instead: "BLinkTree::read_page (the tree's one page read)",
+    },
     WrapperRule {
         paths: &["pagestore/src/health.rs"],
         needles: &[".latched.lock(", ".latched.try_lock("],
@@ -243,13 +252,12 @@ const WRAPPER_RULES: &[WrapperRule] = &[
 
 /// Files allowed to contain `unsafe` blocks (each still needs `// SAFETY:`),
 /// by crate-relative path: exactly the pagestore files that hold one — the
-/// frame pool, the page store's chunked table and its two users, and the
-/// carry-less-multiply CRC path.
+/// frame pool's probe copy, the page store's chunked table and its pushes,
+/// and the carry-less-multiply CRC path.
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "pagestore/src/pool.rs",
     "pagestore/src/store/mod.rs",
     "pagestore/src/store/table.rs",
-    "pagestore/src/store/funnel.rs",
     "pagestore/src/crc.rs",
 ];
 
@@ -291,9 +299,8 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
     for (idx, raw) in raw_lines.iter().enumerate() {
         let lineno = idx + 1;
         let mut flag = |rule: &'static str, msg: String| {
-            let file = path_label.to_string();
             out.push(Violation {
-                file,
+                file: path_label.to_string(),
                 line: lineno,
                 rule,
                 msg,
@@ -689,6 +696,24 @@ mod tests {
         let ok = lint_source(
             "crates/db/src/db.rs",
             "fn fetch(db: &Db) {\n    let r = db.heap.read_with(rid, &mut f);\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn tree_page_read_is_pinned_to_read_page() {
+        for line in [
+            "let g = self.store.read(pid)?;",
+            "let n = self.store.read_probe(pid, f)?;",
+        ] {
+            let src = format!("fn peek(&self) {{\n    {line}\n}}\n");
+            let v = lint_source("crates/core/src/compress/worker.rs", &src);
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].msg.contains("the tree's one page read"));
+        }
+        let ok = lint_source(
+            "crates/core/src/tree.rs",
+            "fn read_page(&self) {\n    self.store.read_probe(pid, f)\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

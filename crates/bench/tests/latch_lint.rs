@@ -35,6 +35,7 @@ fn fixture_trips_every_rule() {
         "crates/durable/src/wal.rs",
         "crates/pagestore/src/heap.rs",
         "crates/db/src/db.rs",
+        "crates/core/src/tree.rs",
     ]
     .into_iter()
     .flat_map(|label| lint::lint_source(label, &src))
@@ -54,8 +55,10 @@ fn fixture_trips_every_rule() {
         ("wrapper-only", ".write_all("),
         ("wrapper-only", "allocated_pages("),
         ("wrapper-only", ".read_with("),
+        ("wrapper-only", "store.read("),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
+        ("unsafe-allowlist", ""),
         ("store-stats-macro", ""),
     ] {
         assert!(

@@ -20,6 +20,7 @@
 
 use crate::error::Result;
 use crate::key::Bound;
+use crate::node::Node;
 use crate::tree::BLinkTree;
 use blink_pagestore::Session;
 
@@ -114,7 +115,7 @@ impl BLinkTree {
             // Lock F and read it (§5.2: "a single loop that starts by
             // locking a node, F, at level i+1, and reading it").
             self.store.lock(current, session);
-            let f = match self.try_read_node(current)? {
+            let f = match self.try_read(current, Node::decode_probe)? {
                 Some(f) => f,
                 None => {
                     self.store.unlock(current, session);
@@ -127,8 +128,8 @@ impl BLinkTree {
                     // A sibling merge keeps the level: continue there (the
                     // cursor skips whatever was already processed).
                     Some(t) => {
-                        let same_level =
-                            matches!(self.try_read_node(t)?, Some(n) if n.level == i + 1);
+                        let merged = self.try_read(t, Node::decode_probe)?;
+                        let same_level = matches!(merged, Some(n) if n.level == i + 1);
                         if !same_level {
                             return Ok(stats); // root collapse removed the level
                         }
@@ -167,7 +168,7 @@ impl BLinkTree {
                 // has a left neighbor for it, process the overlapping pair
                 // (P[j-1], P[j]) instead of skipping.
                 let underfull = j < f.pointer_count()
-                    && matches!(self.try_read_node(f.pointer(j))?,
+                    && matches!(self.try_read(f.pointer(j), Node::decode_probe)?,
                         Some(n) if !n.deleted && n.pairs() < self.cfg.k);
                 if underfull && j >= 1 {
                     j -= 1; // fall through and process (P[j], P[j+1])
@@ -221,7 +222,7 @@ impl BLinkTree {
             let f_high = f.high;
             self.store.unlock(a_pid, session);
             self.store.unlock(current, session);
-            match self.try_read_node(b_pid)? {
+            match self.try_read(b_pid, Node::decode_probe)? {
                 Some(b) if !b.deleted && b.level == i => {
                     if b.high <= f_high {
                         // B belongs in F; its pointer is still in flight.
@@ -266,7 +267,7 @@ impl BLinkTree {
     /// root is removed and its child becomes the new root".
     fn scanner_root_check(&self, session: &mut Session) -> Result<bool> {
         let prime = self.read_prime()?;
-        let Some(root) = self.try_read_node(prime.root)? else {
+        let Some(root) = self.try_read(prime.root, Node::decode_probe)? else {
             return Ok(false);
         };
         if root.is_leaf() || root.pointer_count() != 1 || !root.is_root {
@@ -274,7 +275,7 @@ impl BLinkTree {
         }
         // Lock and re-validate (another process may have grown it back).
         self.store.lock(prime.root, session);
-        let Some(root_now) = self.try_read_node(prime.root)? else {
+        let Some(root_now) = self.try_read(prime.root, Node::decode_probe)? else {
             self.store.unlock(prime.root, session);
             return Ok(false);
         };

@@ -133,7 +133,7 @@ impl BLinkTree {
         // 2. Does F still have the pair (p, v) = (pointer to A, A's high
         //    value from the queue), with v immediately following p?
         let Some(j) = f.find_pair(item.pid, item.high) else {
-            let a = self.try_read_node(item.pid)?;
+            let a = self.try_read(item.pid, Node::decode_probe)?;
             self.store.unlock(f_pid, session);
             return match a {
                 Some(a) if !a.deleted && a.high == item.high => {
@@ -268,7 +268,7 @@ impl BLinkTree {
                 return Ok(None);
             }
             let restart = |tree: &BLinkTree| tree.parent_search_root(parent_level);
-            let node = match self.try_read_node(current)? {
+            let node = match self.try_read(current, Node::decode_probe)? {
                 Some(n) => n,
                 None => match restart(self)? {
                     Some(pid) => {
@@ -327,7 +327,7 @@ impl BLinkTree {
             }
             // Candidate found: lock and re-validate.
             self.store.lock(current, session);
-            match self.try_read_node(current)? {
+            match self.try_read(current, Node::decode_probe)? {
                 Some(n)
                     if !n.deleted
                         && n.level == parent_level

@@ -62,7 +62,7 @@ impl BLinkTree {
             let _ = writeln!(out, "level {level}:");
             let mut cur = prime.leftmost_at(level);
             while let Some(pid) = cur {
-                match self.try_read_node(pid)? {
+                match self.try_read(pid, Node::decode_probe)? {
                     Some(node) => {
                         let _ = writeln!(out, "  {}", render_node(pid, &node));
                         cur = node.link;

@@ -89,9 +89,10 @@ impl Scan {
     }
 
     /// Advances to the leaf covering `self.cursor`, harvests its matching
-    /// pairs into `buf`, and moves the cursor past it. The leaf is read by
-    /// an unlatched, validated probe ([`BLinkTree::try_read_node_optimistic`]),
-    /// latched only on its fallback, and nothing is held between leaves.
+    /// pairs into `buf`, and moves the cursor past it. The leaf is read
+    /// whole by the tree's one page read ([`BLinkTree::try_read`]): an
+    /// unlatched probe the store validates, latched only on its fallback.
+    /// Nothing is held between leaves.
     /// Each hop's latency lands in the tree's scan-hop histogram.
     fn fill(&mut self, tree: &BLinkTree, session: &mut Session) -> Result<()> {
         let t0 = std::time::Instant::now();
@@ -113,13 +114,13 @@ impl Scan {
                     tree.note_link(session);
                     let mut cur = link;
                     tree.step_node(session, &mut cur, 0, |pid| {
-                        tree.try_read_node_optimistic(pid)
+                        tree.try_read(pid, Node::decode_probe)
                     })?
                 }
                 // Route in place down to the leaf, then read it whole.
                 None => Some(
                     tree.descend_with(session, self.cursor, 0, false, &mut self.budget, |pid| {
-                        tree.try_read_node_optimistic(pid)
+                        tree.try_read(pid, Node::decode_probe)
                     })?
                     .node,
                 ),

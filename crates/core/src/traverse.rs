@@ -16,21 +16,23 @@
 //! `TreeConfig::max_restarts`.
 //!
 //! Every node a traversal examines — the prime block at descent start,
-//! every index level and the leaves — comes through one optimistic read
-//! (`read_optimistic`, `read_prime`): a probe of the page in place in its
-//! buffer-pool frame with no pin and no latch, validated by the frame's
-//! seqlock and revalidated before the traversal acts on it. A descent
-//! step reads only what it routes on — [`Node::route`]: the header and a
-//! binary search over the pairs, giving the child or link to follow and
-//! what the §5.2 checks need — so the §2.2 "private snapshot" a process
-//! reasons over is that [`Route`]. Only a scan's harvested leaf is read
-//! whole, as a [`Node`]. Sagiv's readers "do not use any lock and can read
-//! a node even if it is locked by an updater", and here they write nothing
-//! another process reads. Only when no probe can be taken (page not
-//! resident, writer mid-mutation) does a read fall back to a pinned,
-//! latched frame guard, which is gone before the traversal takes another
-//! step. Writers' locked re-reads (`lock_covering`) stay latched, under
-//! the paper lock.
+//! every index level and the leaves — comes through the tree's one page
+//! read (`BLinkTree::read_page`, behind `try_read` and `read_prime`): a
+//! probe of the page in place in its frame with no pin and no latch,
+//! which the store validates against the frame's seqlock before it hands
+//! the result back. A descent step reads only what it routes on —
+//! [`Node::route`]: the header and a binary search over the pairs, giving
+//! the child or link to follow and what the §5.2 checks need — so the
+//! §2.2 "private snapshot" a process reasons over is that [`Route`]. Only
+//! a scan's harvested leaf is read whole, as a [`Node`]. Sagiv's readers
+//! "do not use any lock and can read a node even if it is locked by an
+//! updater", and here they write nothing another process reads. Only when
+//! no probe can be taken (page not resident, writer mid-mutation) or the
+//! probe fails validation does the store fall back to a pinned, latched
+//! frame guard, which is gone before the read returns. Writers' re-reads
+//! under the paper lock (`lock_covering`) take the same read: no other
+//! process writes a node while its paper lock is held, so the probe sees
+//! the image a latched read would.
 
 use crate::counters::TreeCounters;
 use crate::error::{Result, TreeError};
@@ -285,7 +287,7 @@ impl BLinkTree {
         let mut current = hint;
         loop {
             self.store.lock(current, session);
-            let node = match self.try_read_node(current)? {
+            let node = match self.try_read(current, Node::decode_probe)? {
                 Some(n) => n,
                 None => {
                     self.store.unlock(current, session);
@@ -448,13 +450,15 @@ mod tests {
         let mut found_deleted = false;
         for raw in 1..=t.store.capacity() as u32 {
             let probe = PageId::from_raw(raw).unwrap();
-            if let Ok(Some(n)) = t.try_read_node(probe) {
+            if let Ok(Some(n)) = t.try_read(probe, Node::decode_probe) {
                 if n.deleted && n.level == 0 {
                     found_deleted = true;
                     let mut cur = probe;
                     s.begin_op();
                     let stepped = t
-                        .step_node(&mut s, &mut cur, 0, |pid| t.try_read_node_optimistic(pid))
+                        .step_node(&mut s, &mut cur, 0, |pid| {
+                            t.try_read(pid, Node::decode_probe)
+                        })
                         .unwrap();
                     s.end_op();
                     let n2 = stepped.expect("merge chain must resolve");

@@ -29,9 +29,9 @@ pub enum InsertOutcome {
     Duplicate,
 }
 
-/// Test-only hook fired between an optimistic node probe and its
-/// revalidation (see `BLinkTree::read_optimistic`; prime-block probes do
-/// not fire it): lets a test
+/// Test-only hook fired inside a node read's probe closure, after the
+/// decode and before the store validates the run (see
+/// `BLinkTree::read_page`; prime-block reads do not fire it): lets a test
 /// place a concurrent split deterministically inside the validation
 /// window. Fires at most once per arming, then disarms itself. The
 /// `AtomicBool` gate keeps the cost on the hot path to one relaxed load.
@@ -55,10 +55,6 @@ impl OptimisticTestHook {
             && self.armed.swap(false, std::sync::atomic::Ordering::AcqRel)
         {
             if let Some(mut f) = self.f.lock().take() {
-                // The closure plays a *different* process interleaved onto
-                // this thread mid-validation-window; park the thread-local
-                // probe-discipline state for its duration.
-                let _pause = blink_pagestore::audit::pause_snapshot_audit();
                 f();
             }
         }
@@ -140,8 +136,8 @@ impl BLinkTree {
         prime_pid: PageId,
     ) -> Result<Arc<BLinkTree>> {
         let tree = BLinkTree::open_unchecked(store, cfg, prime_pid)?;
-        let prime = PrimeBlock::decode(&tree.store.read(prime_pid)?)?;
-        let root = Node::decode(&tree.store.read(prime.root)?)?;
+        let prime = tree.read_prime()?;
+        let root = tree.read_node(prime.root)?;
         if !root.is_root || root.deleted {
             return Err(TreeError::Corrupt("prime block points to a non-root node"));
         }
@@ -244,83 +240,55 @@ impl BLinkTree {
     // Page-level plumbing.
     // ------------------------------------------------------------------
 
+    /// The one page read of the tree: `decode` runs over `pid`'s bytes
+    /// **in place**, in its frame, without a pin or a latch when the page
+    /// is resident, else over a latched read ([`PageStore::read_probe`]).
+    /// The store validates the run before it returns, so the result is a
+    /// consistent image of the page: for a traversal, the §2.2 private
+    /// snapshot it reasons over; for a writer's re-read under the paper
+    /// lock, the node itself, which no other process writes meanwhile.
+    fn read_page<T>(&self, pid: PageId, decode: impl Fn(&PageProbe<'_>) -> Result<T>) -> Result<T> {
+        self.store.read_probe(pid, |p| {
+            let decoded = decode(p);
+            if pid != self.prime_pid {
+                self.optimistic_hook.fire();
+            }
+            decoded
+        })?
+    }
+
+    /// [`BLinkTree::read_page`] for the protocols: `Ok(None)` when the page
+    /// was freed, reallocated to something undecodable, or is out of
+    /// bounds — all of which traversals answer with a restart (§5.2).
+    pub(crate) fn try_read<T>(
+        &self,
+        pid: PageId,
+        decode: impl Fn(&PageProbe<'_>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        match self.read_page(pid, decode) {
+            Ok(v) => Ok(Some(v)),
+            Err(TreeError::Corrupt(_))
+            | Err(TreeError::Store(StoreError::PageFreed(_) | StoreError::OutOfBounds(_))) => {
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// Reads and decodes a node; hard-fails on any problem. Inside the
     /// protocols this is used only when the page is guaranteed live (e.g. a
     /// child whose parent is locked); it is public for tools, figures and
-    /// tests that inspect quiesced trees.
-    ///
-    /// The page bytes are borrowed straight from the store's buffer-pool
-    /// frame (no page copy on a hit); the decoded [`Node`] is this process's
-    /// §2.2 private snapshot, so the guard is released before returning.
+    /// tests that inspect quiesced trees. The decoded [`Node`] is this
+    /// process's §2.2 private snapshot.
     pub fn read_node(&self, pid: PageId) -> Result<Node> {
-        Node::decode(&self.store.read(pid)?)
-    }
-
-    /// Reads a node defensively: `Ok(None)` when the page was freed,
-    /// reallocated to something undecodable, or out of bounds — all of
-    /// which traversals answer with a restart (§5.2).
-    pub(crate) fn try_read_node(&self, pid: PageId) -> Result<Option<Node>> {
-        match self.store.read(pid) {
-            Ok(guard) => match Node::decode(&guard) {
-                Ok(n) => Ok(Some(n)),
-                Err(TreeError::Corrupt(_)) => Ok(None),
-                Err(e) => Err(e),
-            },
-            Err(StoreError::PageFreed(_)) | Err(StoreError::OutOfBounds(_)) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The traversal read: `read` runs over `pid`'s bytes **in place**,
-    /// in its buffer-pool frame, without a pin or a latch
-    /// ([`PageStore::probe_unlatched`]), and the stamp is revalidated
-    /// before the traversal acts on the result. A failed revalidation — a
-    /// writer began mutating the page since the probe — returns
-    /// `Ok(None)`, which traversals answer with a restart, exactly like a
-    /// wrong-node read. Unavailable fast paths (page not resident, writer
-    /// mid-mutation) fall back to running `read` over a latched read.
-    fn read_optimistic<T>(
-        &self,
-        pid: PageId,
-        read: impl Fn(&PageProbe<'_>) -> Result<T>,
-    ) -> Result<Option<T>> {
-        let gone = |e: StoreError| match e {
-            StoreError::PageFreed(_) | StoreError::OutOfBounds(_) => Ok(None),
-            e => Err(TreeError::from(e)),
-        };
-        let r = match self.store.probe_unlatched(pid, &read) {
-            Ok(Some((stamp, r))) => {
-                self.optimistic_hook.fire();
-                if !self.store.stamp_valid(pid, &stamp) {
-                    return Ok(None);
-                }
-                r
-            }
-            Ok(None) => match self.store.read(pid) {
-                Ok(guard) => read(&PageProbe::new(&guard)),
-                Err(e) => return gone(e),
-            },
-            Err(e) => return gone(e),
-        };
-        match r {
-            Ok(v) => Ok(Some(v)),
-            Err(TreeError::Corrupt(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
+        self.read_page(pid, Node::decode_probe)
     }
 
     /// Routes `v` through the node at `pid` ([`Node::route`]) — what every
     /// descent level reads: the header and a binary search over the pairs,
     /// in place. `Ok(None)` asks for a restart.
     pub(crate) fn try_route(&self, pid: PageId, v: Key) -> Result<Option<Route>> {
-        self.read_optimistic(pid, |p| Node::route(p, v))
-    }
-
-    /// Reads the whole node at `pid` the optimistic way — for a scan's
-    /// harvested leaf, the one traversal read that needs every pair.
-    /// `Ok(None)` asks for a restart.
-    pub(crate) fn try_read_node_optimistic(&self, pid: PageId) -> Result<Option<Node>> {
-        self.read_optimistic(pid, Node::decode_probe)
+        self.try_read(pid, |p| Node::route(p, v))
     }
 
     /// Encodes and writes a node (one indivisible, journaled `put`),
@@ -332,19 +300,10 @@ impl BLinkTree {
         Ok(())
     }
 
-    /// Reads the prime block: optimistically, like every traversal read
-    /// (it starts every descent), falling back to the latched read when
-    /// the probe is unavailable or a root change invalidated it.
+    /// Reads the prime block, like every traversal read (it starts every
+    /// descent).
     pub(crate) fn read_prime(&self) -> Result<PrimeBlock> {
-        let probed = self
-            .store
-            .probe_unlatched(self.prime_pid, PrimeBlock::decode_probe);
-        if let Ok(Some((stamp, decoded))) = probed {
-            if self.store.stamp_valid(self.prime_pid, &stamp) {
-                return decoded;
-            }
-        }
-        PrimeBlock::decode(&self.store.read(self.prime_pid)?)
+        self.read_page(self.prime_pid, PrimeBlock::decode_probe)
     }
 
     /// Rewrites the prime block. Callers must hold the lock on the current

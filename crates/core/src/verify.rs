@@ -112,7 +112,7 @@ impl BLinkTree {
                         .push(format!("level {level}: link chain does not terminate"));
                     break;
                 }
-                let node = match self.try_read_node(pid)? {
+                let node = match self.try_read(pid, Node::decode_probe)? {
                     Some(n) => n,
                     None => {
                         rep.errors

@@ -190,7 +190,8 @@ impl Db {
     }
 
     /// Session-less read through `f`: [`DbSession::get_with`] on a fresh
-    /// session.
+    /// session. `f` sees a private copy of the record and runs at most
+    /// once.
     pub fn get_with<R>(&self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
         self.session().get_with(key, f)
     }
@@ -474,12 +475,11 @@ impl<'db> DbSession<'db> {
         self.get_with(key, |b| b.to_vec())
     }
 
-    /// Fetches the value under `key` through `f`, which sees the bytes for
-    /// exactly the duration of the call: a validated private copy of just
-    /// the record, taken without a pin or a latch when its page is
-    /// resident ([`RecordHeap::read_with`]), else a borrow of the page's
-    /// pinned, latched frame. `f` may run more than once if a concurrent
-    /// overwrite races the fetch (only the last run's result is returned).
+    /// Fetches the value under `key` through `f`, which sees a validated
+    /// private copy of just the record ([`RecordHeap::read_with`]: taken
+    /// without a pin or a latch when its page is resident, else under a
+    /// latched read), never a frame. `f` runs at most once: not at all when
+    /// the key is absent or the read fails.
     pub fn get_with<R>(&mut self, key: u64, f: impl FnMut(&[u8]) -> R) -> Result<Option<R>> {
         let t0 = Instant::now();
         let r = fetch(self.db, &mut self.session, key, None, BLinkTree::search, f);

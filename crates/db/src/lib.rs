@@ -414,12 +414,20 @@ mod tests {
                 let mut s = db_r.session();
                 let written =
                     |v: &[u8]| matches!(v.len(), 16 | 120) && v.iter().all(|&b| b == v[0] && b < 4);
+                // `f` runs at most once per get, and only for a hit.
+                let (mut runs, mut hits) = (0u64, 0u64);
                 loop {
                     let finished = writers_done.load(Ordering::Acquire) == 4;
                     for key in 0..17u64 {
-                        if let Some(v) = s.get(key).unwrap() {
+                        let got = s.get_with(key, |v| {
+                            runs += 1;
+                            v.to_vec()
+                        });
+                        if let Some(v) = got.unwrap() {
+                            hits += 1;
                             assert!(written(&v), "get({key}): {v:?}");
                         }
+                        assert_eq!(runs, hits, "get_with({key}) ran its closure {runs} times");
                     }
                     for pair in s.scan(0, 16) {
                         let (key, v) = pair.unwrap();

@@ -24,8 +24,8 @@
 //!   below is the top-down coupling, equality is the paper's left-to-right
 //!   overtaking exception (link chases along one level);
 //! * **seqlock discipline**: `Frame::begin_write` only under that frame's
-//!   write latch, and every `probe_unlatched` revalidated before the
-//!   thread takes another optimistic snapshot.
+//!   write latch. (An unlatched read needs no rule here: the store
+//!   validates every probe before it hands the result out.)
 //!
 //! A violation panics with the offending acquisition, the full held stack,
 //! and — for order-graph cycles (would-deadlock) — the stored backtrace of
@@ -213,13 +213,11 @@ mod imp {
 
     struct ThreadState {
         held: Vec<Entry>,
-        /// Frame address of an optimistic snapshot not yet revalidated.
-        pending_snapshot: Option<usize>,
     }
 
     thread_local! {
         static TLS: RefCell<ThreadState> = const {
-            RefCell::new(ThreadState { held: Vec::new(), pending_snapshot: None })
+            RefCell::new(ThreadState { held: Vec::new() })
         };
     }
 
@@ -537,61 +535,6 @@ mod imp {
         });
     }
 
-    /// Notes a successful `probe_unlatched`: at most one unvalidated
-    /// optimistic snapshot may exist per thread, so every snapshot is
-    /// revalidated (stamp-checked) before the next one is taken.
-    pub fn note_snapshot(frame_addr: usize) {
-        TLS.with(|tls| {
-            let mut st = tls.borrow_mut();
-            if let Some(prev) = st.pending_snapshot {
-                let msg = format!(
-                    "optimistic snapshot of frame {frame_addr:#x} taken while the \
-                     snapshot of frame {prev:#x} was never revalidated \
-                     (every probe_unlatched must be stamp-checked before use)"
-                );
-                violation(&st.held, &msg, None);
-            }
-            st.pending_snapshot = Some(frame_addr);
-        });
-    }
-
-    /// Notes a `stamp_valid` revalidation of the pending snapshot.
-    pub fn note_revalidate(frame_addr: usize) {
-        TLS.with(|tls| {
-            let mut st = tls.borrow_mut();
-            if st.pending_snapshot == Some(frame_addr) {
-                st.pending_snapshot = None;
-            }
-        });
-    }
-
-    /// Suspends the snapshot-discipline check until the returned guard
-    /// drops. For harnesses that interleave *another process's* work onto
-    /// the current thread inside a validation window (e.g. the tree's
-    /// optimistic-read test hook): the inner work legitimately snapshots
-    /// while the outer snapshot is still pending, which on a real second
-    /// thread would be two separate per-thread states.
-    pub fn pause_snapshot_audit() -> SnapshotAuditPause {
-        SnapshotAuditPause {
-            saved: TLS.with(|tls| tls.borrow_mut().pending_snapshot.take()),
-        }
-    }
-
-    /// Token from [`pause_snapshot_audit`]; restores the suspended pending
-    /// snapshot on drop.
-    #[derive(Debug)]
-    pub struct SnapshotAuditPause {
-        saved: Option<usize>,
-    }
-
-    impl Drop for SnapshotAuditPause {
-        fn drop(&mut self) {
-            if let Some(addr) = self.saved.take() {
-                TLS.with(|tls| tls.borrow_mut().pending_snapshot = Some(addr));
-            }
-        }
-    }
-
     /// Number of audited locks this thread currently holds (tests).
     pub fn held_count() -> usize {
         TLS.with(|tls| tls.borrow().held.len())
@@ -636,21 +579,6 @@ mod stub {
 
     #[inline(always)]
     pub fn seqlock_write_begin(_addr: usize) {}
-
-    #[inline(always)]
-    pub fn note_snapshot(_frame_addr: usize) {}
-
-    #[inline(always)]
-    pub fn note_revalidate(_frame_addr: usize) {}
-
-    /// Zero-sized stand-in for the snapshot-audit pause token.
-    #[derive(Debug)]
-    pub struct SnapshotAuditPause;
-
-    #[inline(always)]
-    pub fn pause_snapshot_audit() -> SnapshotAuditPause {
-        SnapshotAuditPause
-    }
 
     #[inline(always)]
     pub fn held_count() -> usize {
@@ -743,21 +671,6 @@ mod tests {
     #[should_panic(expected = "seqlock begin_write")]
     fn seqlock_write_without_latch_trips() {
         seqlock_write_begin(0xDEAD);
-    }
-
-    #[test]
-    #[should_panic(expected = "never revalidated")]
-    fn unvalidated_snapshot_trips_on_next_snapshot() {
-        note_snapshot(0x10);
-        note_snapshot(0x20);
-    }
-
-    #[test]
-    fn snapshot_then_revalidate_then_snapshot_is_legal() {
-        note_snapshot(0x10);
-        note_revalidate(0x10);
-        note_snapshot(0x20);
-        note_revalidate(0x20);
     }
 
     #[test]

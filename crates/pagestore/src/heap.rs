@@ -817,23 +817,21 @@ impl RecordHeap {
     }
 
     /// Reads a record through `f`, which sees a private, validated copy of
-    /// the record's bytes. The copy is taken in the page's resident frame
-    /// without a pin or a latch ([`PageStore::probe_unlatched`]): the probe
-    /// applies `slot_entry`'s checks to the header words and the slot
-    /// entry, copies only the record's bytes into a thread-local buffer,
-    /// and counts only if the frame's seqlock validates it. When no copy
-    /// can be taken (page not resident, a writer mid-update) the read falls
-    /// back to a latched one, and `f` borrows the bytes from the pinned
-    /// frame for the duration of the call. `f` may itself read records.
+    /// the record's bytes. The copy is taken by one
+    /// [`PageStore::read_probe`]: in the page's resident frame without a
+    /// pin or a latch when it can be, else under a latched read. Its
+    /// closure applies `slot_entry`'s checks to the header words and the
+    /// slot entry and copies only the record's bytes into a thread-local
+    /// buffer; `f` runs once, over that copy, after the read returns, so it
+    /// may itself read records.
     pub fn read_with<R>(&self, rid: RecordId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         thread_local! {
             static RECORD: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
         }
-        let pid = rid.page();
         // Taken, not borrowed: a nested read inside `f` finds an empty
         // buffer of its own.
         let mut buf = RECORD.take();
-        let probed = self.store.probe_unlatched(pid, |p| {
+        let found = self.store.read_probe(rid.page(), |p| {
             let (off, len, _) = Self::slot_entry(p, rid)?;
             #[cfg(test)]
             tests::in_probe_window();
@@ -842,29 +840,11 @@ impl RecordHeap {
             p.copy(off, &mut buf);
             Ok(())
         });
-        let r = match probed {
-            Err(e) => Err(Self::map_page_err(rid)(e)),
-            // Revalidated like every probe (the latch auditor holds each
-            // thread to it) before `f` sees the copy.
-            Ok(Some((stamp, found))) if self.store.stamp_valid(pid, &stamp) => {
-                found.map(|()| f(&buf))
-            }
-            Ok(_) => self.read_latched(rid, f),
-        };
+        let r = found
+            .map_err(Self::map_page_err(rid))
+            .and_then(|found| found.map(|()| f(&buf)));
         RECORD.set(buf);
         r
-    }
-
-    /// [`RecordHeap::read_with`]'s fallback: `f` borrows the record's bytes
-    /// from the page's pinned, read-latched frame.
-    fn read_latched<R>(&self, rid: RecordId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        let page = self
-            .store
-            .read(rid.page())
-            .map_err(Self::map_page_err(rid))?;
-        let b = page.bytes();
-        let (off, len, _) = Self::slot_entry(&PageProbe::new(b), rid)?;
-        Ok(f(&b[off..off + len]))
     }
 
     /// Reads a record into an owned buffer (a copying convenience over

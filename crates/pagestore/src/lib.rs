@@ -68,4 +68,4 @@ pub use pool::PageProbe;
 pub use reclaim::DeferredFreeList;
 pub use session::{Session, SessionRegistry, SessionStats};
 pub use stats::{StatsSnapshot, StoreStats};
-pub use store::{PageRef, PageStamp, PageStore, PageWrite, StoreConfig, WriteIntent};
+pub use store::{PageRef, PageStore, PageWrite, StoreConfig, WriteIntent};

@@ -72,7 +72,7 @@ use crate::page::PageId;
 use crate::stats::StoreStats;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -207,44 +207,27 @@ impl Frame {
         self as *const Frame as usize
     }
 
-    /// Runs `f` over the frame's bytes **in place**, without a latch or a
-    /// pin, and returns the (even) version it ran at with `f`'s result —
-    /// or `None` when the version was odd before `f` ran or changed by
-    /// the time it returned, in which case whatever `f` computed must be
-    /// thrown away. `f` sees the bytes only through a [`PageProbe`], whose
-    /// range-checked accessors cannot fault or panic on torn bytes. The
-    /// caller must still check `owner` (the frame may have been
-    /// repurposed) and, before acting on the result later, re-check the
-    /// version via [`Frame::version_is`].
-    pub(crate) fn probe_unlatched<T>(
-        &self,
-        f: impl FnOnce(&PageProbe<'_>) -> T,
-    ) -> Option<(u64, T)> {
-        let v1 = self.version.load(Ordering::Acquire);
-        if !v1.is_multiple_of(2) {
-            return None;
-        }
-        let probe = PageProbe {
+    /// The seqlock version: odd while a write is in progress.
+    pub(crate) fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// A [`PageProbe`] over the frame's bytes in place, taken without a
+    /// latch or a pin: what a reader computes from it counts only once
+    /// `PageStore::probe_unlatched` has validated the run.
+    pub(crate) fn probe(&self) -> PageProbe<'_> {
+        PageProbe {
             ptr: self.data_addr as *const u8,
             len: self.data_len as usize,
             _frame: std::marker::PhantomData,
-        };
-        let out = f(&probe);
-        fence(Ordering::Acquire);
-        (self.version.load(Ordering::Relaxed) == v1).then_some((v1, out))
-    }
-
-    /// True when the frame's version still equals `v` (and is therefore
-    /// still even: no mutation started since the matching snapshot).
-    pub(crate) fn version_is(&self, v: u64) -> bool {
-        fence(Ordering::Acquire);
-        self.version.load(Ordering::Relaxed) == v
+        }
     }
 }
 
 /// A read-only view of one page's bytes that may be changing under it:
-/// a resident frame read without a latch ([`crate::PageStore::probe_unlatched`]),
-/// or any byte slice ([`PageProbe::new`], for latched guards and tests).
+/// a resident frame read without a latch (the fast path of
+/// [`crate::PageStore::read_probe`]), or any byte slice ([`PageProbe::new`],
+/// for latched guards and tests).
 ///
 /// Every accessor is range-checked against the page size, so bytes torn by
 /// a concurrent writer can yield garbage values but never a fault or a

@@ -19,17 +19,20 @@
 //!
 //! ## Reads that write nothing shared
 //!
-//! [`PageStore::probe_unlatched`] serves a resident page without a pin, a
-//! shard mutex, a frame latch or a slot latch: it finds the page's own
-//! frame, or its pool frame through the pool's `pid → frame` hint, checks
-//! that the frame's `owner` names the page, runs the caller's closure over
-//! the bytes in place (a
-//! range-checked [`PageProbe`], so a reader touches only the bytes it
-//! routes on), and accepts the result only if the seqlock version was even
-//! and unchanged and `owner` still names the page afterwards (the pool's
-//! unmaps and refills keep `owner` honest — see [`crate::pool`]); the freed
-//! check is the slot's lock-free `live` mirror. Its counters are
-//! per-thread stripes ([`crate::stats::Counter`]).
+//! [`PageStore::read_probe`] is the one page read that takes no latch when
+//! it can: `probe_unlatched` serves a resident page without a pin, a shard
+//! mutex, a frame latch or a slot latch. It finds the page's own frame, or
+//! its pool frame through the pool's `pid → frame` hint, checks that the
+//! frame's `owner` names the page, runs the caller's closure over the
+//! bytes in place (a range-checked [`PageProbe`], so a reader touches only
+//! the bytes it routes on), and accepts the result only if, afterwards,
+//! `owner` still names the page and the seqlock version is the even one it
+//! started at (the pool's unmaps and refills keep `owner` honest — see
+//! [`crate::pool`]); the freed check is the slot's lock-free `live` mirror.
+//! What it returns is already validated: nothing is left for the caller to
+//! check. When no probe can be taken, or the run fails validation,
+//! `read_probe` runs the same closure over a latched [`PageStore::read`].
+//! Its counters are per-thread stripes ([`crate::stats::Counter`]).
 //!
 //! Every backend access (misses, write-backs, bypasses, alloc's zero-fill)
 //! runs under the page's latch, so a backend that costs real time — a
@@ -44,6 +47,7 @@ use crate::pool::{Claim, Frame, PageProbe};
 use crate::stats::StoreStats;
 use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
 use std::ops::Deref;
+use std::sync::atomic::{fence, Ordering};
 
 /// Zero-copy read access to a page, as returned by [`PageStore::read`].
 ///
@@ -106,19 +110,6 @@ impl Drop for PageRef<'_> {
             frame.unpin();
         }
     }
-}
-
-/// Token returned by [`PageStore::probe_unlatched`]: identifies the frame
-/// that served the optimistic probe and the seqlock version it was
-/// validated at. Pass back to [`PageStore::stamp_valid`] to check that what
-/// the probe read is still current before acting on it.
-#[derive(Debug, Clone, Copy)]
-pub struct PageStamp {
-    /// `*const Frame` as usize; the frame was never pinned, but frames
-    /// live as long as the store.
-    frame: usize,
-    /// The even seqlock version the snapshot validated against.
-    version: u64,
 }
 
 /// How [`PageStore::write_page`] should initialize the write buffer.
@@ -484,44 +475,63 @@ impl PageStore {
         Ok(self.read(pid)?.to_page())
     }
 
-    /// Optimistic latch-free read: runs `f` over `pid`'s bytes **in place**
-    /// in its resident frame, through a [`PageProbe`], **without a pin, a
-    /// shard mutex, a frame latch or a slot latch**, and validates the run
-    /// with the frame's seqlock. On success `f`'s result was computed from
-    /// a consistent image of the page, and the returned [`PageStamp`] lets
-    /// the caller revalidate later (via [`PageStore::stamp_valid`]) that no
-    /// writer has touched the page since — the version-coupling step of an
-    /// optimistic descent. `f` should read only what it needs: a route's
-    /// header and a few keys, a record's slot entry and bytes. The only
-    /// shared lines the read writes are the frame's CLOCK bit, and only
-    /// when the clock hand cleared it.
+    /// The one validated page read: runs `f` over `pid`'s bytes **in
+    /// place** in its resident frame, without a pin or a latch, and returns
+    /// its result once the store has validated the run
+    /// (`PageStore::probe_unlatched`). When no probe can be taken (page
+    /// not resident, a writer mid-mutation) or the run fails validation, it
+    /// runs `f` again over a latched [`PageStore::read`], which maps the
+    /// page and refreshes the pool's hint. Either way `f`'s result was
+    /// computed from one consistent image of the page. `f` should read only
+    /// what it needs — a route's header and a few keys, a record's slot
+    /// entry and bytes — and may itself read or write pages: a write to
+    /// this page inside the unlatched run voids it.
+    pub fn read_probe<T>(&self, pid: PageId, mut f: impl FnMut(&PageProbe<'_>) -> T) -> Result<T> {
+        match self.probe_unlatched(pid, &mut f)? {
+            Some(out) => Ok(out),
+            None => Ok(f(&PageProbe::new(&self.read(pid)?))),
+        }
+    }
+
+    /// [`PageStore::read_probe`]'s fast path. `Ok(None)` when the probe
+    /// cannot be taken or fails validation; then `f`'s result, if it ran,
+    /// is dropped. The only shared line it writes is the frame's CLOCK
+    /// bit, and only when the clock hand cleared it.
     ///
     /// In a store without a backend the frame is the page's own. Otherwise
     /// it comes from the pool's `pid → frame` hint and may hold another
-    /// page. Either way `owner` is checked before `f` runs (a pool miss or
-    /// a freed page does not run `f` over a stranger's bytes) and again
-    /// after it, and the result counts only if the seqlock version was even
-    /// and unchanged across the run. Returns `Ok(None)` whenever the fast
-    /// path cannot be taken safely (no hint, frame mid-mutation or holding
-    /// another page, pool disabled); the caller falls back to a latched
-    /// [`PageStore::read`], which maps the page and refreshes the hint.
-    /// `f` takes no latch, so it may itself read or write pages; a write
-    /// to this page inside the run fails the validation.
-    pub fn probe_unlatched<T>(
+    /// page, or none.
+    pub(crate) fn probe_unlatched<T>(
         &self,
         pid: PageId,
         f: impl FnOnce(&PageProbe<'_>) -> T,
-    ) -> Result<Option<(PageStamp, T)>> {
+    ) -> Result<Option<T>> {
         let slot = self.slot(pid)?;
         let frame = self
             .frames
             .get(pid.index())
             .or_else(|| self.pool.frame_hinted(pid));
-        let probed = frame.filter(|frame| frame.owned_by(pid)).and_then(|frame| {
-            let (version, out) = frame.probe_unlatched(f)?;
-            frame.owned_by(pid).then_some((frame, version, out))
+        let probed = frame.and_then(|frame| {
+            // `owner` before `f`: a pool miss or a freed page does not run
+            // `f` over a stranger's bytes.
+            if !frame.owned_by(pid) {
+                return None;
+            }
+            let version = frame.version();
+            if !version.is_multiple_of(2) {
+                return None;
+            }
+            let out = f(&frame.probe());
+            fence(Ordering::Acquire);
+            // `owner` before the version: a free disowns the frame, and a
+            // re-alloc (or a pool refill) names the page again only inside
+            // its seqlock window, so a reader that sees the page named
+            // again also sees the version that window bumped. Loaded the
+            // other way round, a free + re-alloc between the two loads
+            // would pass a run over the freed page's image.
+            (frame.owned_by(pid) && frame.version() == version).then_some((frame, out))
         });
-        let Some((frame, version, out)) = probed else {
+        let Some((frame, out)) = probed else {
             StoreStats::bump(&self.stats.optimistic_read_fallbacks);
             return Ok(None);
         };
@@ -533,42 +543,7 @@ impl PageStore {
         frame.touch();
         StoreStats::bump(&self.stats.gets);
         StoreStats::bump(&self.stats.optimistic_reads);
-        let addr = frame.audit_addr();
-        audit::note_snapshot(addr);
-        Ok(Some((
-            PageStamp {
-                frame: addr,
-                version,
-            },
-            out,
-        )))
-    }
-
-    /// Revalidates an earlier [`PageStore::probe_unlatched`]: true iff the
-    /// frame still holds `pid`'s image at the stamped version, i.e. no
-    /// writer has begun mutating the page since the snapshot was taken.
-    pub fn stamp_valid(&self, pid: PageId, stamp: &PageStamp) -> bool {
-        audit::note_revalidate(stamp.frame);
-        // SAFETY: `stamp.frame` was produced by `probe_unlatched` from a
-        // `&Frame` borrowed out of this store's frame table or buffer pool.
-        // That frame was never pinned, and it need not be: a table frame
-        // lives in a chunk that is never moved or freed while the store
-        // lives, and pool frames are allocated once at pool construction
-        // into a `Box<[Frame]>` that is never resized, moved or freed while
-        // the `PageStore` lives; `PageStamp` borrows the store
-        // (`probe_unlatched(&self)` / `stamp_valid(&self)`), so the pointer
-        // cannot outlive the frames. A free, a re-alloc or an eviction does
-        // not invalidate it either: a frame is *repurposed*, never
-        // deallocated, and every repurposing either brackets the refill
-        // (or a re-alloc's zeroing) with `begin_write`/`end_write`, bumping
-        // the seqlock version so the `version_is` check below rejects the
-        // stale stamp, or disowns the frame, which fails the `owned_by`
-        // check.
-        let frame = unsafe { &*(stamp.frame as *const Frame) };
-        // `owner` first: a re-alloc or a refill names the page again only
-        // inside its seqlock window, so a reader that sees the page named
-        // again also sees the version that window bumped.
-        frame.owned_by(pid) && frame.version_is(stamp.version)
+        Ok(Some(out))
     }
 
     /// Populates a freshly claimed frame under its write latch: writes the

@@ -71,7 +71,7 @@ mod page_log;
 mod table;
 mod writeback;
 
-pub use funnel::{PageRef, PageStamp, PageWrite, WriteIntent};
+pub use funnel::{PageRef, PageWrite, WriteIntent};
 
 use crate::audit::{self, Audited, LockClass};
 use crate::backend::PageBackend;
@@ -424,8 +424,9 @@ impl PageStore {
             .expect("free-listed or grown page must exist");
         if let Some(frame) = self.frames.get(pid.index()) {
             // A new frame, or the one a freed page kept, disowned: zero and
-            // own it in one seqlock window, so every stamp taken before
-            // fails, and before the slot latch (frame latch → slot latch).
+            // own it in one seqlock window, so every unlatched probe that
+            // overlaps it fails, and before the slot latch (frame latch →
+            // slot latch).
             let mut bytes = self.latch_write(frame);
             frame.begin_write();
             bytes.fill(0);
@@ -1156,8 +1157,8 @@ mod pool_tests {
             })
             .unwrap();
         match probed {
-            Some((stamp, copied)) => {
-                assert!(copied && store.stamp_valid(pid, &stamp));
+            Some(copied) => {
+                assert!(copied);
                 assert!(
                     buf.iter().all(|&x| x == fill),
                     "unpinned read served a frame that no longer holds the page"
@@ -1192,12 +1193,8 @@ mod pool_tests {
         let d = store.stats().snapshot().delta(&before);
         assert_eq!((d.optimistic_reads, d.optimistic_read_fallbacks), (0, 1));
         // Outside the window the same probe succeeds and sees the write.
-        let (stamp, seen) = store
-            .probe_unlatched(a, |probe| probe.u8(63))
-            .unwrap()
-            .unwrap();
-        assert!(store.stamp_valid(a, &stamp));
-        assert_eq!(seen, 0xA2);
+        let seen = store.probe_unlatched(a, |probe| probe.u8(63)).unwrap();
+        assert_eq!(seen, Some(0xA2));
     }
 
     #[test]
@@ -1771,31 +1768,64 @@ mod frame_table_tests {
 
     #[test]
     fn a_freed_page_keeps_its_frame_and_comes_back_zeroed() {
+        let (store, a) = filled_page();
+        let frame: *const Frame = frame_of(&store, a);
+        assert_eq!(store.probe_unlatched(a, |p| p.u8(63)), Ok(Some(0xA1)));
+        store.free(a).unwrap();
+        assert_eq!(frame_of(&store, a).owner(), None, "disowned");
+        assert_eq!(store.get(a), Err(StoreError::PageFreed(a)));
+        assert!(matches!(store.probe_unlatched(a, |_| ()), Ok(None)));
+        assert!(store.write_page(a, WriteIntent::Update).is_err());
+        // Reuse: the same frame, zeroed.
+        assert_eq!(store.alloc().unwrap(), a);
+        assert!(std::ptr::eq(frame, frame_of(&store, a)));
+        assert!(store.get(a).unwrap().bytes().iter().all(|&b| b == 0));
+        assert_eq!(store.probe_unlatched(a, |p| p.u8(63)), Ok(Some(0)));
+        assert_eq!(store.live_pages(), 1);
+    }
+
+    /// A page filled with `0xA1`, in a store without a backend.
+    fn filled_page() -> (Arc<PageStore>, PageId) {
         let store = PageStore::new(StoreConfig::with_page_size(64));
         let a = store.alloc().unwrap();
         let mut w = store.write_page(a, WriteIntent::Overwrite).unwrap();
         w.bytes_mut().fill(0xA1);
         w.commit().unwrap();
-        let frame: *const Frame = frame_of(&store, a);
-        let (stamp, seen) = store.probe_unlatched(a, |p| p.u8(63)).unwrap().unwrap();
-        assert_eq!(seen, 0xA1);
-        store.free(a).unwrap();
-        assert!(!store.stamp_valid(a, &stamp), "a free must void the stamp");
-        assert_eq!(frame_of(&store, a).owner(), None, "disowned");
-        assert_eq!(store.get(a), Err(StoreError::PageFreed(a)));
-        assert!(matches!(store.probe_unlatched(a, |_| ()), Ok(None)));
-        assert!(store.write_page(a, WriteIntent::Update).is_err());
-        // Reuse: the same frame, zeroed, and the old stamp stays void.
-        assert_eq!(store.alloc().unwrap(), a);
-        assert!(std::ptr::eq(frame, frame_of(&store, a)));
-        assert!(
-            !store.stamp_valid(a, &stamp),
-            "a re-alloc must void the stamp"
+        (store, a)
+    }
+
+    #[test]
+    fn a_free_inside_the_probe_window_voids_the_probe() {
+        let (store, a) = filled_page();
+        let probed = store.probe_unlatched(a, |p| {
+            let seen = p.u8(63);
+            store.free(a).unwrap();
+            seen
+        });
+        assert_eq!(probed, Ok(None), "a run over a freed page must not count");
+        assert_eq!(
+            store.read_probe(a, |p| p.u8(63)),
+            Err(StoreError::PageFreed(a))
         );
-        assert!(store.get(a).unwrap().bytes().iter().all(|&b| b == 0));
-        let (fresh, seen) = store.probe_unlatched(a, |p| p.u8(63)).unwrap().unwrap();
-        assert!(seen == 0 && store.stamp_valid(a, &fresh));
-        assert_eq!(store.live_pages(), 1);
+    }
+
+    #[test]
+    fn a_free_and_realloc_inside_the_probe_window_fall_back_to_zeros() {
+        let (store, a) = filled_page();
+        let before = store.stats().snapshot();
+        let mut first = true;
+        let seen = store.read_probe(a, |p| {
+            let seen = p.u8(63);
+            if std::mem::take(&mut first) {
+                store.free(a).unwrap();
+                assert_eq!(store.alloc().unwrap(), a, "the same page again");
+            }
+            seen
+        });
+        assert_eq!(seen, Ok(0), "the voided run fell back to the new image");
+        let d = store.stats().snapshot().delta(&before);
+        assert_eq!((d.optimistic_reads, d.optimistic_read_fallbacks), (0, 1));
+        assert_eq!((d.pins, d.cache_hits), (1, 1), "one latched read");
     }
 }
 

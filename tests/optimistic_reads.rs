@@ -1,12 +1,12 @@
 //! Optimistic-descent tests: every traversal read — prime block, index
-//! levels, leaves — and a `Db` get's record read is a seqlock-validated
-//! probe of the frame in place, taken without a pin or a frame latch, and
-//! is **revalidated before the reader acts on it** — a node rewritten
-//! between the version read and the revalidation must force a restart,
-//! never a torn route.
+//! levels, leaves — and a `Db` get's record read is a probe of the frame in
+//! place, taken without a pin or a frame latch, which **the store validates
+//! before it hands the result out** — a node rewritten inside the probe
+//! window must send the read to its latched fallback, never yield a torn
+//! route.
 
 use sagiv_blink_repro::blink::{BLinkTree, TreeConfig};
-use sagiv_blink_repro::db::{Db, DbConfig};
+use sagiv_blink_repro::db::{Db, DbConfig, PutOutcome};
 use sagiv_blink_repro::pagestore::{PageId, PageStore, StoreConfig, WriteIntent};
 use std::sync::Arc;
 
@@ -15,13 +15,14 @@ fn optimistic_tree(k: usize) -> Arc<BLinkTree> {
     BLinkTree::create(store, TreeConfig::with_k(k)).unwrap()
 }
 
-/// The deterministic seam: the test hook fires after the optimistic read
-/// has decoded its private copy but *before* the stamp revalidation, and
+/// The deterministic seam: the test hook fires inside the probe closure,
+/// after the route is decoded and before the store validates the run, and
 /// there it splits a leaf — which inserts a separator into the root, the
-/// very node the descent just read. The stale stamp must be rejected and
-/// the descent restarted.
+/// very node the descent is reading. The store must void the run and serve
+/// the root from a latched read instead, so the descent goes on without a
+/// restart.
 #[test]
-fn split_between_version_read_and_revalidate_restarts_the_descent() {
+fn split_inside_the_probe_window_falls_back_to_a_latched_read() {
     let tree = optimistic_tree(2);
     let mut s = tree.session();
     // Height exactly 2: one root over a handful of leaves, so any leaf
@@ -48,13 +49,19 @@ fn split_between_version_read_and_revalidate_restarts_the_descent() {
     }));
 
     let restarts_before = tree.counters().snapshot().restarts;
-    // The search must see the hook's root rewrite, restart, and still
+    let fallbacks_before = tree.store().stats().snapshot().optimistic_read_fallbacks;
+    // The search must see the hook's root rewrite, fall back, and still
     // produce the correct (pre-existing) binding — a torn decode would
     // either error or return garbage.
     assert_eq!(tree.search(&mut s, 70).unwrap(), Some(7));
     assert!(
-        tree.counters().snapshot().restarts > restarts_before,
-        "stale optimistic stamp must force a descent restart"
+        tree.store().stats().snapshot().optimistic_read_fallbacks > fallbacks_before,
+        "a run voided by a write must fall back to a latched read"
+    );
+    assert_eq!(
+        tree.counters().snapshot().restarts,
+        restarts_before,
+        "a voided probe falls back; it does not restart the descent"
     );
     // The hook fired exactly once and disarmed itself; the keys it wrote
     // are fully visible to later (optimistic) descents.
@@ -130,6 +137,30 @@ fn resident_db_get_takes_no_pin_or_latch() {
         N * (height + 2),
         "prime + one per level + the record"
     );
+    assert_eq!(d.optimistic_read_fallbacks, 0);
+}
+
+/// A resident `Db`'s writers read no page latched either: an insert into a
+/// leaf that does not split, an in-place overwrite and a delete each
+/// re-read their leaf under its paper lock through the same validated
+/// probe as a get, so the only pins they take are their own page writes.
+#[test]
+fn resident_db_writes_pin_only_their_page_writes() {
+    let db = Db::open(DbConfig::in_memory().with_k(4)).unwrap();
+    let mut s = db.session();
+    for i in (0..2_000u64).step_by(2) {
+        s.put(i, &i.to_le_bytes()).unwrap();
+    }
+    let splits = db.tree().counters().snapshot().splits;
+    let before = db.store().stats().snapshot();
+    assert_eq!(s.put(1_001, &[7u8; 8]).unwrap(), PutOutcome::Inserted);
+    assert_eq!(s.put(1_000, &[9u8; 8]).unwrap(), PutOutcome::Replaced);
+    assert!(s.delete(998).unwrap());
+    let d = db.store().stats().snapshot().delta(&before);
+    assert_eq!(db.tree().counters().snapshot().splits, splits, "no split");
+    assert_eq!(d.cache_hits + d.cache_misses, 0, "no latched page read");
+    // Heap insert + leaf; heap update; leaf + heap free.
+    assert_eq!((d.pins, d.puts), (5, 5), "one pin per page write");
     assert_eq!(d.optimistic_read_fallbacks, 0);
 }
 
@@ -217,10 +248,11 @@ fn fill_fresh(store: &PageStore, pid: PageId) {
 /// A store without a backend grows its frame table while readers probe it
 /// unlatched: two allocators grow it past the chunk boundaries at 512,
 /// 1 536 and 3 584 pages, a churner frees and re-allocates pages of its
-/// own, and readers probe and revalidate pages that already exist. An
-/// accepted probe must see one whole image of its own page (its pattern,
-/// or the zeros of a page not written yet), a stamp taken before a free or
-/// a re-alloc must fail, and every (re)allocated page must read as zeros.
+/// own, and readers read pages that already exist. A read must see one
+/// whole image of its own page (its pattern, or the zeros of a page not
+/// written yet), a probe whose window spans a free and a re-alloc must
+/// fall back to the zeroed page, and every (re)allocated page must read as
+/// zeros.
 #[test]
 fn frame_table_growth_under_unlatched_readers() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -242,19 +274,14 @@ fn frame_table_growth_under_unlatched_readers() {
                         continue;
                     }
                     let pid = PageId::from_raw(1 + (x >> 33) as u32 % have as u32).unwrap();
-                    let Ok(Some((stamp, true))) =
-                        store.probe_unlatched(pid, |p| p.copy(0, &mut words))
-                    else {
+                    let Ok(true) = store.read_probe(pid, |p| p.copy(0, &mut words)) else {
                         continue;
                     };
                     let own = pattern_of(pid, PAGE);
                     assert!(
                         words[..] == own[..] || words.iter().all(|&b| b == 0),
-                        "an accepted probe of {pid:?} saw a torn or foreign image"
+                        "a read of {pid:?} saw a torn or foreign image"
                     );
-                    // Revalidated before the next probe (the auditor's
-                    // rule); either answer is legal while others write.
-                    let _ = store.stamp_valid(pid, &stamp);
                     accepted.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -266,19 +293,31 @@ fn frame_table_growth_under_unlatched_readers() {
                 for &pid in &mine {
                     fill_fresh(store, pid);
                 }
+                let mut page = [0u8; PAGE];
                 let mut rounds = 0u64;
                 while !done.load(Ordering::Relaxed) || rounds < 200 {
                     let slot = rounds as usize % mine.len();
                     let pid = mine[slot];
-                    let (stamp, ()) = store.probe_unlatched(pid, |_| ()).unwrap().unwrap();
-                    assert!(store.stamp_valid(pid, &stamp));
-                    store.free(pid).unwrap();
-                    assert!(!store.stamp_valid(pid, &stamp), "a free must void a stamp");
-                    let again = store.alloc().unwrap();
-                    assert!(
-                        !store.stamp_valid(pid, &stamp),
-                        "a re-alloc must void a stamp"
-                    );
+                    // Free and re-allocate inside the probe's own window:
+                    // no writer touches the churner's pages, so the probe
+                    // runs, and the store must void it.
+                    let (mut first, mut again) = (true, None);
+                    let read = store.read_probe(pid, |p| {
+                        let copied = p.copy(0, &mut page);
+                        if std::mem::take(&mut first) {
+                            store.free(pid).unwrap();
+                            again = Some(store.alloc().unwrap());
+                        }
+                        copied
+                    });
+                    let again = again.expect("the closure ran");
+                    // A grower may have taken the freed page instead.
+                    if again == pid {
+                        assert!(
+                            read == Ok(true) && page.iter().all(|&b| b == 0),
+                            "a free + re-alloc must void the probe"
+                        );
+                    }
                     fill_fresh(store, again);
                     mine[slot] = again;
                     rounds += 1;
@@ -305,10 +344,8 @@ fn frame_table_growth_under_unlatched_readers() {
         assert!(churner.join().unwrap() >= 200);
     });
     assert!(store.capacity() >= TARGET, "the table crossed 3 584 pages");
-    assert!(
-        accepted.load(Ordering::Relaxed) > 0,
-        "no probe was accepted"
-    );
+    assert!(accepted.load(Ordering::Relaxed) > 0, "no read succeeded");
     let s = store.stats().snapshot();
+    assert!(s.optimistic_reads > 0, "no probe was accepted");
     assert_eq!((s.cache_misses, s.frames_evicted), (0, 0));
 }
