@@ -58,6 +58,7 @@ fn self_test() -> ExitCode {
         ("wrapper-only", "allocated_pages("),
         ("wrapper-only", ".read_with("),
         ("wrapper-only", "store.read("),
+        ("wrapper-only", ".tick()"),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         // As core's tree.rs, the fixture's `unsafe` is outside the allowlist.

@@ -50,7 +50,7 @@ impl fmt::Display for Violation {
 struct WrapperRule {
     /// Where the rule applies: crate-relative paths
     /// (`pagestore/src/pool.rs`), or directories (ending in `/`) whose
-    /// every file it polices.
+    /// every file it polices, or [`ALL`].
     paths: &'static [&'static str],
     /// Whitespace-free needles that constitute a raw acquisition.
     needles: &'static [&'static str],
@@ -63,6 +63,9 @@ struct WrapperRule {
 /// The page store's directory: its rules police every file in it, so a
 /// function moved between its files keeps its rules.
 const STORE: &str = "pagestore/src/store/";
+
+/// Every linted file.
+const ALL: &str = "";
 
 /// The named lock families and their single audited wrappers. Keep in
 /// sync with the `LockClass` taxonomy in `blink_pagestore::audit`.
@@ -242,6 +245,22 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         allowed_fns: &["read_page"],
         use_instead: "BLinkTree::read_page (the tree's one page read)",
     },
+    // Only a deletion ticks the §5.3 clock: an operation's start only
+    // reads it (`Session::begin_op`), so a read-only workload writes no
+    // shared line there. The four deferral sites are in the compression
+    // steps; the clock's own tests tick it too.
+    WrapperRule {
+        paths: &[ALL],
+        needles: &[".tick()"],
+        allowed_fns: &[
+            "rearrange_children",
+            "try_collapse_root",
+            "ticks_are_strictly_increasing",
+            "now_brackets_the_ticks",
+            "concurrent_ticks_are_unique",
+        ],
+        use_instead: "a deletion's stamp in compress/mod.rs (an op's start is LogicalClock::now)",
+    },
     WrapperRule {
         paths: &["pagestore/src/health.rs"],
         needles: &[".latched.lock(", ".latched.try_lock("],
@@ -281,9 +300,9 @@ struct ScanState {
 }
 
 /// Whether the crate-relative `path` is `key`, or lies under `key` when
-/// that names a directory (ends in `/`).
+/// that names a directory (ends in `/`), or `key` is [`ALL`].
 fn path_matches(key: &str, path: &str) -> bool {
-    path == key || (key.ends_with('/') && path.starts_with(key))
+    key == ALL || path == key || (key.ends_with('/') && path.starts_with(key))
 }
 
 /// Lints one file's source. `path_label` should be the repo-relative path
@@ -714,6 +733,33 @@ mod tests {
         let ok = lint_source(
             "crates/core/src/tree.rs",
             "fn read_page(&self) {\n    self.store.read_probe(pid, f)\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn clock_tick_is_pinned_to_the_deferral_sites() {
+        for path in [
+            "crates/pagestore/src/session.rs",
+            "crates/core/src/ops.rs",
+            "crates/db/src/db.rs",
+        ] {
+            let v = lint_source(
+                path,
+                "fn begin_op(&mut self) {\n    let t = self.clock.tick();\n}\n",
+            );
+            assert_eq!(v.len(), 1, "{path}: {v:?}");
+            assert!(v[0].msg.contains("LogicalClock::now"));
+        }
+        let ok = lint_source(
+            "crates/core/src/compress/mod.rs",
+            "fn rearrange_children(&self) {\n    self.freelist.defer(r_pid, self.clock.tick());\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+        // The definition and a read are not ticks.
+        let ok = lint_source(
+            "crates/pagestore/src/clock.rs",
+            "pub fn tick(&self) -> u64 {\n    self.next.fetch_add(1, AcqRel)\n}\nfn f() {\n    let t = clock.now();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

@@ -56,6 +56,7 @@ fn fixture_trips_every_rule() {
         ("wrapper-only", "allocated_pages("),
         ("wrapper-only", ".read_with("),
         ("wrapper-only", "store.read("),
+        ("wrapper-only", ".tick()"),
         ("no-std-sync", ""),
         ("unsafe-safety-comment", ""),
         ("unsafe-allowlist", ""),

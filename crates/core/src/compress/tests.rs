@@ -251,10 +251,16 @@ fn deleted_pages_are_reclaimed_only_past_the_horizon() {
     // started after its deletion time.
     let mut old_reader = t.session();
     old_reader.begin_op();
+    let clock_before = t.clock.now();
 
     t.compress_to_fixpoint(&mut s, 64).unwrap();
     let pending = t.pending_reclaim();
     assert!(pending > 0, "compression must defer node frees");
+    // Only deletions tick the clock; starting an operation reads it.
+    assert_eq!(t.clock.now() - clock_before, pending as u64);
+    // A reader that starts *after* the deletions pins none of them.
+    let mut new_reader = t.session();
+    new_reader.begin_op();
     assert_eq!(
         t.reclaim().unwrap(),
         0,
@@ -264,6 +270,44 @@ fn deleted_pages_are_reclaimed_only_past_the_horizon() {
     old_reader.end_op();
     let freed = t.reclaim().unwrap();
     assert_eq!(freed, pending);
+    new_reader.end_op();
+    assert_eq!(t.pending_reclaim(), 0);
+    t.verify(true).unwrap().assert_ok();
+}
+
+#[test]
+fn a_queued_stack_stamp_pins_the_horizon() {
+    // Deletions under the enqueue policy queue their under-full leaves
+    // with the deleting operation's start stamp (§5.4). Nodes the scanner
+    // deletes afterwards are stamped no earlier, so while the queue holds
+    // those stacks no deleted page is released, even with no process
+    // running; draining the queue releases them.
+    let t = tree_with(2, true);
+    let mut s = t.session();
+    fill(&t, &mut s, 400);
+    for i in 0..400u64 {
+        if i % 4 != 0 {
+            t.delete(&mut s, i * 3 + 1).unwrap();
+        }
+    }
+    let queued = t
+        .queue
+        .min_stamp()
+        .expect("deletions enqueue under-full leaves");
+    t.compress_to_fixpoint(&mut s, 64).unwrap();
+    let pending = t.pending_reclaim();
+    assert!(pending > 0, "compression must defer node frees");
+    assert!(t.queue_len() > 0, "the scanner left no queued stack");
+    assert_eq!(t.queue.min_stamp(), Some(queued));
+    assert_eq!(
+        t.reclaim().unwrap(),
+        0,
+        "a queued stack must pin the horizon"
+    );
+
+    t.compress_drain(&mut s, 100_000).unwrap();
+    assert_eq!(t.queue_len(), 0);
+    assert!(t.reclaim().unwrap() >= pending);
     assert_eq!(t.pending_reclaim(), 0);
     t.verify(true).unwrap().assert_ok();
 }

@@ -134,27 +134,38 @@ impl Db {
                     blink_durable::prime_page(),
                     &protected,
                 )?;
-                heap.settle(&mut inventory)?;
-                let mut recovery = KvRecovery {
+                // Settling and the orphan frees log one record per page;
+                // they commit once, at the end, not once per page (one
+                // fsync, not one per freed page, under `Always`). A crash
+                // before that commit leaves them for the next open to redo.
+                let (freed, commit) = ds.with_deferred_commit(|| {
+                    heap.settle(&mut inventory)?;
+                    // Write-ahead ordering guarantees a leaf's record id
+                    // always has its record in the durable prefix (the heap
+                    // write precedes the index write in every `put`), so a
+                    // dangling id is corruption, not a crash artifact; a
+                    // record no leaf names is the normal crash residue,
+                    // freed in page order.
+                    let (dangling, unreferenced) = membership(&tree, &inventory.records)?;
+                    if !dangling.is_empty() {
+                        return Err(TreeError::Corrupt(DANGLING));
+                    }
+                    for &rid in &unreferenced {
+                        heap.free(rid)?;
+                    }
+                    Ok(unreferenced.len())
+                });
+                let orphan_records_freed = freed.and_then(|n| {
+                    commit?;
+                    Ok(n)
+                })?;
+                let recovery = KvRecovery {
                     tree_repaired: stats.repaired,
                     wal_records_replayed: ds.recovery().replayed,
                     pages_rewritten: ds.recovery().pages_rewritten,
+                    orphan_records_freed,
                     empty_heap_pages_freed: inventory.empty_pages_released,
-                    ..KvRecovery::default()
                 };
-                // Write-ahead ordering guarantees a leaf's record id always
-                // has its record in the durable prefix (the heap write
-                // precedes the index write in every `put`), so a dangling
-                // id is corruption, not a crash artifact; a record no leaf
-                // names is the normal crash residue, freed in page order.
-                let (dangling, unreferenced) = membership(&tree, &inventory.records)?;
-                if !dangling.is_empty() {
-                    return Err(TreeError::Corrupt(DANGLING));
-                }
-                for rid in unreferenced {
-                    heap.free(rid)?;
-                    recovery.orphan_records_freed += 1;
-                }
                 (tree, Some(recovery))
             }
             _ => {

@@ -247,6 +247,33 @@ mod tests {
     }
 
     #[test]
+    fn reopen_frees_empty_heap_pages_under_one_commit() {
+        // Settling frees each empty heap page with a record of its own;
+        // under the default `Always` policy the reopen still commits once.
+        let dir = tmpdir("settleonce");
+        let cfg = || DbConfig::durable(&dir).with_k(4);
+        {
+            let db = Db::open(cfg()).unwrap();
+            let mut s = db.session();
+            for i in 0..2_000u64 {
+                s.put(i, &[i as u8; 200]).unwrap();
+            }
+            for i in 0..2_000u64 {
+                s.delete(i).unwrap();
+            }
+            db.sync().unwrap();
+        }
+        let db = Db::open(cfg()).unwrap();
+        let rec = db.recovery().unwrap();
+        assert!(rec.empty_heap_pages_freed > 0, "{rec:?}");
+        let fsyncs = db.metrics().store.counter("wal_fsyncs").unwrap();
+        assert!(fsyncs <= 1, "{fsyncs} fsyncs to free {rec:?}");
+        db.verify().unwrap().assert_ok();
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn kill_mid_put_recovers_mutually_consistent() {
         let dir = tmpdir("midput");
         let cfg = || DbConfig::durable(&dir).with_k(4);

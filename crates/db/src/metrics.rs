@@ -21,7 +21,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Per-op latency recorders owned by [`crate::Db`], shared by every
-/// session: two clock reads and two relaxed atomic adds per op.
+/// session. Each op costs two clock reads and three relaxed adds (bucket,
+/// count, sum) into the recording thread's own stripe, plus a min or max
+/// update when it sets a new extreme, so sessions on different threads
+/// write no common cache line.
 #[derive(Debug, Default)]
 pub(crate) struct OpHists {
     pub(crate) put: WaitHist,

@@ -1,10 +1,11 @@
 //! The shared log-bucketed wait/latency histogram.
 //!
 //! One histogram type serves every layer: [`WaitHist`] is the lock-free
-//! atomic form the hot paths record into (a relaxed `fetch_add` per
-//! sample), and [`HistSnapshot`] is its plain point-in-time copy — also
-//! usable directly as a single-threaded histogram (the harness records
-//! per-op latencies into one per worker thread and merges them).
+//! atomic form the hot paths record into (relaxed adds into the recording
+//! thread's own stripe), and [`HistSnapshot`] is its plain point-in-time
+//! copy — also usable directly as a single-threaded histogram (the
+//! harness records per-op latencies into one per worker thread and merges
+//! them).
 //!
 //! Values (nanoseconds) are bucketed by power of two with 16 linear
 //! sub-buckets per octave, giving ≤ ~6% relative error over the full
@@ -13,7 +14,9 @@
 //! Snapshot *deltas* subtract bucket-wise, so a measured interval gets its
 //! own distribution (windowed percentiles), not a running mixture.
 
+use crate::stats::{thread_stripe, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS; // 16 sub-buckets per octave
@@ -42,15 +45,37 @@ fn bucket_value(b: usize) -> u64 {
     (SUB as u64 + sub) << (octave - 1)
 }
 
-/// Lock-free histogram of `u64` values (typically nanoseconds): relaxed
-/// atomics only, so recording perturbs the measured path as little as a
-/// counter bump does.
-pub struct WaitHist {
-    counts: Box<[AtomicU64]>,
+/// One thread's share of a [`WaitHist`], alone on its cache line. Its
+/// buckets live in their own allocation, made on the stripe's first
+/// record, so a histogram costs only the stripes its threads touch.
+#[repr(align(64))]
+struct HistStripe {
+    counts: OnceLock<Box<[AtomicU64; HIST_BUCKETS]>>,
     total: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
     min: AtomicU64,
+}
+
+impl Default for HistStripe {
+    fn default() -> HistStripe {
+        HistStripe {
+            counts: OnceLock::new(),
+            total: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+        }
+    }
+}
+
+/// Lock-free histogram of `u64` values (typically nanoseconds), striped
+/// like [`crate::stats::Counter`]: a thread records into its own
+/// cache-padded stripe with relaxed atomics, so two threads recording the
+/// same histogram never write the same cache line, and
+/// [`WaitHist::snapshot`] / [`WaitHist::count`] merge the stripes exactly.
+pub struct WaitHist {
+    stripes: [HistStripe; STRIPES],
 }
 
 impl Default for WaitHist {
@@ -68,48 +93,56 @@ impl std::fmt::Debug for WaitHist {
 impl WaitHist {
     pub fn new() -> WaitHist {
         WaitHist {
-            counts: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
+            stripes: std::array::from_fn(|_| HistStripe::default()),
         }
     }
 
-    /// Records one value. Safe to call from any thread.
+    /// Records one value into the calling thread's stripe. Safe to call
+    /// from any thread; threads dealt the same stripe still count exactly.
     pub fn record(&self, v: u64) {
-        self.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
+        let s = &self.stripes[thread_stripe()];
+        let counts = s
+            .counts
+            .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU64::new(0))));
+        counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        s.total.fetch_add(1, Ordering::Relaxed);
+        s.sum.fetch_add(v, Ordering::Relaxed);
+        // Extremes only move outward, so a value inside them needs no
+        // write: the read-modify-write runs only for a new extreme.
+        if v > s.max.load(Ordering::Relaxed) {
+            s.max.fetch_max(v, Ordering::Relaxed);
+        }
+        if v < s.min.load(Ordering::Relaxed) {
+            s.min.fetch_min(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .fold(0, |n, s| n + s.total.load(Ordering::Relaxed))
     }
 
-    /// Copies the distribution. Concurrent recorders may land between the
-    /// individual loads; each counter is still exact, so deltas over a
-    /// quiesced interval are too.
+    /// Copies the distribution: the stripes merged. Concurrent recorders
+    /// may land between the individual loads; each counter is still exact,
+    /// so deltas over a quiesced interval are too.
     pub fn snapshot(&self) -> HistSnapshot {
-        let total = self.total.load(Ordering::Relaxed);
-        HistSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            total,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            min: if total == 0 {
-                u64::MAX
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
+        let mut snap = HistSnapshot::new();
+        for s in &self.stripes {
+            // A stripe without buckets has recorded nothing yet.
+            let Some(counts) = s.counts.get() else {
+                continue;
+            };
+            snap.total += s.total.load(Ordering::Relaxed);
+            for (a, c) in snap.counts.iter_mut().zip(counts.iter()) {
+                *a += c.load(Ordering::Relaxed);
+            }
+            snap.sum = snap.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
+            snap.max = snap.max.max(s.max.load(Ordering::Relaxed));
+            snap.min = snap.min.min(s.min.load(Ordering::Relaxed));
         }
+        snap
     }
 }
 
@@ -398,25 +431,48 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        use std::sync::Arc;
-        let w = Arc::new(WaitHist::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let w = Arc::clone(&w);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        w.record(t * 1_000_000 + i);
+        // Eight threads record disjoint value sets at once (across the
+        // test binary, some may be dealt the same stripe): the merged
+        // snapshot must equal one plain histogram of every value.
+        let w = WaitHist::new();
+        let start = std::sync::Barrier::new(8);
+        let value = |t: u64, i: u64| (t + 1) * 1_000_003 + i * i;
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (w, start) = (&w, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..5_000u64 {
+                        w.record(value(t, i));
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+                });
+            }
+        });
+        let mut plain = HistSnapshot::new();
+        for t in 0..8u64 {
+            for i in 0..5_000u64 {
+                plain.record(value(t, i));
+            }
         }
         let snap = w.snapshot();
+        assert_eq!(w.count(), 40_000);
         assert_eq!(snap.count(), 40_000);
-        assert_eq!(snap.min(), 0);
-        assert_eq!(snap.max(), 3_009_999);
+        assert_eq!(snap.sum(), plain.sum());
+        assert_eq!(snap.min(), value(0, 0));
+        assert_eq!(snap.max(), value(7, 4_999));
+        assert_eq!(snap.counts, plain.counts, "bucket counts differ");
+        assert_eq!(snap, plain);
+    }
+
+    #[test]
+    fn stripes_allocate_buckets_on_first_record() {
+        let w = WaitHist::new();
+        assert!(w.stripes.iter().all(|s| s.counts.get().is_none()));
+        assert_eq!(w.snapshot(), HistSnapshot::new());
+        w.record(7);
+        let allocated = w.stripes.iter().filter(|s| s.counts.get().is_some());
+        assert_eq!(allocated.count(), 1);
+        assert_eq!(std::mem::size_of::<HistStripe>(), 64);
     }
 
     #[test]

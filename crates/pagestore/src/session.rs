@@ -152,8 +152,20 @@ impl Session {
     }
 
     /// Marks the start of a logical operation; returns its start timestamp.
+    ///
+    /// The stamp is [`LogicalClock::now`], a load: starting an operation
+    /// writes no line another session writes, and two operations may share
+    /// a stamp. §5.3 needs only that the stamp is no later than any
+    /// deletion the operation could still see, and the clock's module docs
+    /// show both cases — a load before a deletion's tick yields a stamp at
+    /// most the deletion's, so the horizon holds the page; a load that
+    /// sees the tick also sees the unlink. A compression stack queued by a
+    /// deletion (§5.4) carries its operation's start stamp
+    /// ([`Session::start_stamp`]) as `QueueItem.stamp`; the stack's
+    /// pointers were read during that operation, so the same argument
+    /// covers them for as long as the queue pins the stamp.
     pub fn begin_op(&mut self) -> Timestamp {
-        let t = self.registry.clock.tick();
+        let t = self.registry.clock.now();
         self.publish_start(t);
         self.stats.ops += 1;
         t
@@ -267,13 +279,30 @@ mod tests {
         let t1 = s1.begin_op();
         assert_eq!(reg.min_active_start(), t1);
         let t2 = s2.begin_op();
-        assert!(t2 > t1);
+        assert!(t2 >= t1);
         assert_eq!(reg.min_active_start(), t1);
 
         s1.end_op();
         assert_eq!(reg.min_active_start(), t2);
         s2.end_op();
         assert_eq!(reg.min_active_start(), IDLE);
+    }
+
+    #[test]
+    fn begin_op_only_reads_the_clock() {
+        let reg = registry();
+        let mut a = reg.open();
+        let mut b = reg.open();
+        let before = reg.clock().now();
+        let (ta, tb) = (a.begin_op(), b.begin_op());
+        a.end_op();
+        b.end_op();
+        assert_eq!(
+            (ta, tb),
+            (before, before),
+            "concurrent starts share a stamp"
+        );
+        assert_eq!(reg.clock().now(), before, "starting an op moved the clock");
     }
 
     #[test]

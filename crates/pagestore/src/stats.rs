@@ -26,9 +26,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Stripes per [`Counter`]. Threads are dealt stripes round-robin, so up to
-/// this many concurrently running threads bump disjoint cache lines.
-const STRIPES: usize = 16;
+/// Stripes per [`Counter`] and per [`crate::WaitHist`]. Threads are dealt
+/// stripes round-robin, so up to this many concurrently running threads
+/// write disjoint cache lines.
+pub(crate) const STRIPES: usize = 16;
 
 /// One cache line holding one stripe of a [`Counter`].
 #[derive(Debug, Default)]
@@ -43,21 +44,22 @@ pub struct Counter {
     stripes: [Stripe; STRIPES],
 }
 
-impl Counter {
-    /// The calling thread's stripe index, dealt on its first bump.
-    #[inline]
-    fn stripe() -> usize {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-        }
-        MINE.with(|s| *s)
+/// The calling thread's stripe index, dealt on its first use: one ticket
+/// per thread, shared by every [`Counter`] and [`crate::WaitHist`].
+#[inline]
+pub(crate) fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
     }
+    MINE.with(|s| *s)
+}
 
+impl Counter {
     /// Adds `v` to the calling thread's stripe.
     #[inline]
     pub fn add(&self, v: u64) {
-        self.stripes[Counter::stripe()]
+        self.stripes[thread_stripe()]
             .0
             .fetch_add(v, Ordering::Relaxed);
     }

@@ -132,6 +132,38 @@ fn db_metrics_delta_windows_op_histograms() {
     assert!(d.put.percentile(99.0) >= d.put.percentile(50.0));
 }
 
+#[test]
+fn db_gets_from_two_threads_count_exactly_in_a_window() {
+    // Each thread records its ops into its own histogram stripe; the
+    // window's merged count must still be every op.
+    const N: u64 = 3_000;
+    let db = Db::open(DbConfig::in_memory().with_k(8)).unwrap();
+    {
+        let mut s = db.session();
+        for i in 0..100u64 {
+            s.put(i, b"striped").unwrap();
+        }
+    }
+    let m0 = db.metrics();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (db, start) = (&db, &start);
+            scope.spawn(move || {
+                let mut s = db.session();
+                start.wait();
+                for i in 0..N {
+                    assert!(s.get((i + t) % 100).unwrap().is_some());
+                }
+            });
+        }
+    });
+    let d = db.metrics().delta(&m0);
+    assert_eq!(d.get.count(), 2 * N);
+    assert_eq!(d.put.count(), 0);
+    assert!(d.get.sum() > 0);
+}
+
 // ----------------------------------------------------------------------
 // Deterministic latch contention.
 // ----------------------------------------------------------------------
