@@ -11,6 +11,9 @@
 //!   with shared locks, updaters with exclusive locks, restructuring
 //!   preemptively on the way down. This represents the "top-down solutions"
 //!   family of the paper's introduction.
+//! * [`rwlock`] — the shared/exclusive page locks the top-down baseline
+//!   couples. The Sagiv and Lehman–Yao protocols never need them: their
+//!   readers take no lock.
 //! * [`api`] — a small trait ([`api::ConcurrentIndex`]) unifying the trees
 //!   so the experiment harness can drive them interchangeably.
 
@@ -18,6 +21,7 @@
 
 pub mod api;
 pub mod lehman_yao;
+pub mod rwlock;
 pub mod topdown;
 
 pub use api::ConcurrentIndex;

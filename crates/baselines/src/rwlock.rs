@@ -10,10 +10,8 @@
 //! Writers are preferred: once a writer is waiting, new readers queue behind
 //! it. Lock-coupling acquires strictly root→leaf, so there are no cycles.
 
-use crate::page::PageId;
-use crate::session::Session;
-use crate::stats::StoreStats;
-use crate::store::PageStore;
+use blink_pagestore::audit::{acquire_manual, release_manual, LockClass};
+use blink_pagestore::{PageId, PageStore, Session, StoreStats};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,17 +45,18 @@ impl RwLockTable {
     }
 
     fn entry(&self, pid: PageId) -> Arc<RwEntry> {
+        let idx = pid.to_raw() as usize - 1;
         {
             let entries = self.entries.read();
-            if let Some(e) = entries.get(pid.index()) {
+            if let Some(e) = entries.get(idx) {
                 return Arc::clone(e);
             }
         }
         let mut entries = self.entries.write();
-        while entries.len() <= pid.index() {
+        while entries.len() <= idx {
             entries.push(Arc::new(RwEntry::default()));
         }
-        Arc::clone(&entries[pid.index()])
+        Arc::clone(&entries[idx])
     }
 
     /// Acquires a shared (read) lock on `pid`.
@@ -74,7 +73,7 @@ impl RwLockTable {
         }
         st.readers += 1;
         drop(st);
-        crate::audit::acquire_manual(crate::audit::LockClass::RwPage, Arc::as_ptr(&e) as usize);
+        acquire_manual(LockClass::RwPage, Arc::as_ptr(&e) as usize);
         StoreStats::bump(&stats.rw_shared_acquires);
         session.note_lock(pid);
     }
@@ -82,7 +81,7 @@ impl RwLockTable {
     /// Releases a shared lock.
     pub fn unlock_shared(&self, pid: PageId, session: &mut Session) {
         let e = self.entry(pid);
-        crate::audit::release_manual(crate::audit::LockClass::RwPage, Arc::as_ptr(&e) as usize);
+        release_manual(LockClass::RwPage, Arc::as_ptr(&e) as usize);
         session.note_unlock(pid);
         let mut st = e.st.lock();
         assert!(st.readers > 0, "unlock_shared with no readers on {pid}");
@@ -110,7 +109,7 @@ impl RwLockTable {
         }
         st.writer = true;
         drop(st);
-        crate::audit::acquire_manual(crate::audit::LockClass::RwPage, Arc::as_ptr(&e) as usize);
+        acquire_manual(LockClass::RwPage, Arc::as_ptr(&e) as usize);
         StoreStats::bump(&stats.rw_exclusive_acquires);
         session.note_lock(pid);
     }
@@ -118,7 +117,7 @@ impl RwLockTable {
     /// Releases an exclusive lock.
     pub fn unlock_exclusive(&self, pid: PageId, session: &mut Session) {
         let e = self.entry(pid);
-        crate::audit::release_manual(crate::audit::LockClass::RwPage, Arc::as_ptr(&e) as usize);
+        release_manual(LockClass::RwPage, Arc::as_ptr(&e) as usize);
         session.note_unlock(pid);
         let mut st = e.st.lock();
         assert!(st.writer, "unlock_exclusive with no writer on {pid}");
@@ -131,9 +130,7 @@ impl RwLockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::LogicalClock;
-    use crate::session::SessionRegistry;
-    use crate::store::StoreConfig;
+    use blink_pagestore::{LogicalClock, SessionRegistry, StoreConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 

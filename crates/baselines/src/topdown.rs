@@ -19,7 +19,7 @@
 //! everything), and writers exclusive-lock the meta/root, serializing at
 //! the top of the tree.
 
-use blink_pagestore::rwlock::RwLockTable;
+use crate::rwlock::RwLockTable;
 use blink_pagestore::{LogicalClock, PageId, PageStore, Session, SessionRegistry, WriteIntent};
 use sagiv_blink::key::Bound;
 use sagiv_blink::node::{Node, NodeKind};

@@ -7,9 +7,11 @@
 //! site cannot bypass registration; `std::sync` primitives (which the
 //! auditor cannot see) are banned in favor of the vendored `parking_lot`;
 //! `unsafe` stays confined to the allowlisted pagestore files and
-//! always carries a `// SAFETY:` justification; and `StoreStats` and
+//! always carries a `// SAFETY:` justification; `StoreStats` and
 //! `TreeCounters` fields are declared only through the `store_stats!`
-//! macro so snapshot/delta can never silently miss one.
+//! macro so snapshot/delta can never silently miss one; and outside their
+//! tests, the product crates start a thread only in `Upkeep::spawn`, so
+//! background work is a step of the one loop type.
 //!
 //! It is deliberately hand-rolled (no crate registry in the build
 //! environment): a line scanner with comment, string and char-literal
@@ -66,6 +68,17 @@ const STORE: &str = "pagestore/src/store/";
 
 /// Every linted file.
 const ALL: &str = "";
+
+/// The background loop's file: the one place a product crate starts a
+/// thread (in `Upkeep::spawn`).
+const UPKEEP: &str = "pagestore/src/upkeep.rs";
+
+/// The product crates, whose non-test code may start a thread only in
+/// `Upkeep::spawn`.
+const PRODUCT: &[&str] = &["pagestore/src/", "core/src/", "durable/src/", "db/src/"];
+
+/// Whitespace-free needles that start a thread.
+const THREAD_NEEDLES: &[&str] = &["thread::spawn(", "thread::Builder"];
 
 /// The named lock families and their single audited wrappers. Keep in
 /// sync with the `LockClass` taxonomy in `blink_pagestore::audit`.
@@ -222,10 +235,10 @@ const WRAPPER_RULES: &[WrapperRule] = &[
         use_instead: "Wal::lock_ctl (WalBatch)",
     },
     WrapperRule {
-        paths: &[STORE],
+        paths: &[UPKEEP],
         needles: &[".ctl.lock(", ".ctl.try_lock("],
         allowed_fns: &["lock_ctl"],
-        use_instead: "FlusherShared::lock_ctl (FlusherQueue)",
+        use_instead: "Upkeep's lock_ctl (UpkeepCtl)",
     },
     // One way from a leaf's record id to its record: a get and a scan
     // both follow it through `fetch`, so the retry over a record freed
@@ -297,6 +310,10 @@ struct ScanState {
     depth: usize,
     /// Depth at which a `macro_rules! store_stats` body opened, if inside.
     in_store_stats_macro: Option<usize>,
+    /// A `#[cfg(test)]` attribute waits for the item it applies to.
+    cfg_test_pending: bool,
+    /// Depth at which a `#[cfg(test)]` item's body opened, if inside.
+    in_test: Option<usize>,
 }
 
 /// Whether the crate-relative `path` is `key`, or lies under `key` when
@@ -311,6 +328,8 @@ fn path_matches(key: &str, path: &str) -> bool {
 pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
     let path = path_label.strip_prefix("crates/").unwrap_or(path_label);
     let is_stats = path == "pagestore/src/stats.rs";
+    let is_product = PRODUCT.iter().any(|k| path_matches(k, path));
+    let is_test_file = path.ends_with("/tests.rs");
     let mut st = ScanState::default();
     let mut out = Vec::new();
     let raw_lines: Vec<&str> = src.lines().collect();
@@ -331,6 +350,25 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
         // Track `macro_rules! store_stats` extent before depth updates.
         if is_stats && flat.contains("macro_rules!store_stats") {
             st.in_store_stats_macro = Some(st.depth);
+        }
+
+        // Test tracking: a `#[cfg(test)]` item (usually `mod tests`) is
+        // test code until its braces close; one ending in `;` (a `use`, an
+        // out-of-line `mod tests;`) opens nothing.
+        let item = match flat.find("#[cfg(test)]") {
+            Some(at) => {
+                st.cfg_test_pending = true;
+                &flat[at + "#[cfg(test)]".len()..]
+            }
+            None => flat.as_str(),
+        };
+        if st.cfg_test_pending && st.in_test.is_none() && !item.is_empty() {
+            if item.contains('{') {
+                st.in_test = Some(st.depth);
+                st.cfg_test_pending = false;
+            } else if item.ends_with(';') {
+                st.cfg_test_pending = false;
+            }
         }
 
         // Function tracking: a `fn name` token on this line scopes needle
@@ -355,6 +393,23 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
                     );
                 }
             }
+        }
+
+        // Rule: outside tests, a product crate starts a thread only in
+        // `Upkeep::spawn`; background work is a step of that loop.
+        let in_test = is_test_file || st.in_test.is_some();
+        if is_product
+            && !in_test
+            && THREAD_NEEDLES.iter().any(|n| flat.contains(n))
+            && !(path == UPKEEP && current_fn == Some("spawn"))
+        {
+            flag(
+                "upkeep-only-thread",
+                format!(
+                    "a thread started outside Upkeep::spawn ({UPKEEP}); add a step to \
+                     a loop (PageStore::add_upkeep_step, Upkeep::add_step) instead"
+                ),
+            );
         }
 
         // Rule: no std::sync lock primitives (parking_lot only — the
@@ -418,6 +473,9 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
                     }
                     if st.in_store_stats_macro.is_some_and(|d| d >= st.depth) {
                         st.in_store_stats_macro = None;
+                    }
+                    if st.in_test.is_some_and(|d| d >= st.depth) {
+                        st.in_test = None;
                     }
                 }
                 _ => {}
@@ -645,18 +703,49 @@ mod tests {
             "fn lock_ctl(&self) {\n    let g = self.ctl.lock();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
-        // …and the flusher's control mutex (FlusherQueue).
+        // …and the control mutex of the loop the flusher runs on
+        // (UpkeepCtl).
         let v = lint_source(
-            "crates/pagestore/src/store/writeback.rs",
-            "fn kick(&self) {\n    let g = self.ctl.lock();\n}\n",
+            "crates/pagestore/src/upkeep.rs",
+            "fn nudge(&self) {\n    let g = self.ctl.lock();\n}\n",
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "wrapper-only");
         let ok = lint_source(
-            "crates/pagestore/src/store/writeback.rs",
+            "crates/pagestore/src/upkeep.rs",
             "fn lock_ctl(&self) {\n    let g = self.ctl.lock();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn only_upkeep_spawn_starts_a_product_thread() {
+        let stray = "fn start(&self) {\n    std::thread::spawn(move || run());\n}\n";
+        for path in [
+            "crates/pagestore/src/store/writeback.rs",
+            "crates/core/src/compress/worker.rs",
+            "crates/durable/src/wal.rs",
+            "crates/db/src/db.rs",
+        ] {
+            let v = lint_source(path, stray);
+            assert_eq!(v.len(), 1, "{path}: {v:?}");
+            assert_eq!(v[0].rule, "upkeep-only-thread");
+        }
+        let v = lint_source(
+            "crates/core/src/compress/scanner.rs",
+            "fn spawn() {\n    let t = std::thread::Builder::new();\n}\n",
+        );
+        assert_eq!(v.len(), 1, "only upkeep.rs's spawn may: {v:?}");
+        let home = "fn spawn(name: &str) {\n    let j = thread::Builder::new().name(n);\n}\n";
+        assert!(lint_source("crates/pagestore/src/upkeep.rs", home).is_empty());
+        // Test code and the non-product crates start threads freely.
+        let tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        \
+                     std::thread::spawn(|| ());\n    }\n}\nfn g() {\n    std::thread::spawn(|| ());\n}\n";
+        let v = lint_source("crates/pagestore/src/heap.rs", tests);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 9, "only the call after the test module: {v:?}");
+        assert!(lint_source("crates/core/src/compress/tests.rs", stray).is_empty());
+        assert!(lint_source("crates/bench/src/bin/paper/main.rs", stray).is_empty());
     }
 
     #[test]

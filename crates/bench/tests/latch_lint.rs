@@ -61,6 +61,7 @@ fn fixture_trips_every_rule() {
         ("unsafe-safety-comment", ""),
         ("unsafe-allowlist", ""),
         ("store-stats-macro", ""),
+        ("upkeep-only-thread", ""),
     ] {
         assert!(
             found.iter().any(|v| v.rule == rule && v.msg.contains(what)),

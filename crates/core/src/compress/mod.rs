@@ -7,6 +7,10 @@
 //! * [`worker`] — §5.4: deletions enqueue under-full nodes; workers drain
 //!   the queue (shared or per-worker), highest level first.
 //!
+//! In the background each runs as a step of a
+//! [`blink_pagestore::Upkeep`] loop: [`worker::CompressorPool`],
+//! [`scanner::ScannerDaemon`], or the step a `Db` adds to its store's loop.
+//!
 //! Both funnel into `BLinkTree::rearrange_children`: with the parent `F`
 //! and two adjacent children `L`, `R` locked (three simultaneous locks, the
 //! paper's maximum), merge or redistribute and rewrite in §5.2's order —
@@ -14,7 +18,6 @@
 //! unlocking each node as soon as it is rewritten. Root shrinking
 //! (`BLinkTree::try_collapse_root`) follows §5.4's four-step procedure.
 
-pub mod daemon;
 pub mod queue;
 pub mod scanner;
 pub mod worker;
@@ -41,6 +44,14 @@ pub enum RearrangeOutcome {
 }
 
 impl BLinkTree {
+    /// A background step's result, its error counted in
+    /// `compress_errors`: the step has no caller to return it to, so it
+    /// ends and the loop tries again next tick.
+    pub(crate) fn counted<T>(&self, r: Result<T>) -> Option<T> {
+        r.inspect_err(|_| TreeCounters::bump(&self.counters.compress_errors))
+            .ok()
+    }
+
     /// Rearranges children `l` (at `f.pointer(jl)`) and `r` (at
     /// `f.pointer(jl+1)`) under their locked parent `f`. All three locks are
     /// held on entry and released inside, each immediately after its node is

@@ -22,9 +22,40 @@ use crate::error::Result;
 use crate::key::Bound;
 use crate::node::Node;
 use crate::tree::BLinkTree;
-use blink_pagestore::Session;
+use blink_pagestore::{Session, Upkeep};
+use std::sync::Arc;
+use std::time::Duration;
 
 use super::RearrangeOutcome;
+
+/// A §5.1 background scanner, "in the background as a low priority job":
+/// a loop (thread `blink-scanner`) whose step is one
+/// [`BLinkTree::compress_pass`] and a `reclaim`, `pause` apart. Errors are
+/// counted in `compress_errors`.
+#[derive(Debug)]
+pub struct ScannerDaemon {
+    upkeep: Upkeep,
+}
+
+impl ScannerDaemon {
+    /// Spawns the scanner; it waits `pause` between passes.
+    pub fn spawn(tree: &Arc<BLinkTree>, pause: Duration) -> ScannerDaemon {
+        let upkeep = Upkeep::spawn("blink-scanner", pause);
+        let (tree, mut session) = (Arc::clone(tree), tree.session());
+        upkeep.add_step(move || {
+            tree.counted(tree.compress_pass(&mut session));
+            tree.counted(tree.reclaim());
+            false
+        });
+        ScannerDaemon { upkeep }
+    }
+
+    /// Stops the scanner and waits for it to exit; a panic in its pass
+    /// resumes here.
+    pub fn stop(self) {
+        self.upkeep.stop();
+    }
+}
 
 /// Statistics from one scanner pass (or one level).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -206,6 +206,39 @@ fn compress_step_on_empty_queue_is_idle() {
 }
 
 #[test]
+fn the_upkeep_step_drains_the_queue_and_reclaims_in_bounded_chunks() {
+    let t = tree_with(2, true);
+    let mut s = t.session();
+    fill(&t, &mut s, 400);
+    for i in 0..400u64 {
+        if i % 4 != 0 {
+            t.delete(&mut s, i * 3 + 1).unwrap();
+        }
+    }
+    let queued = t.queue_len();
+    assert!(queued > 4, "the deletions must queue under-full leaves");
+    // A chunk of 4 items takes 4 off the queue and leaves work behind.
+    assert!(t.compress_upkeep(&mut s, 4));
+    assert!(t.queue_len() < queued);
+    let mut ticks = 1;
+    while t.compress_upkeep(&mut s, 4) {
+        ticks += 1;
+        assert!(ticks < 10_000, "the queue must drain");
+    }
+    assert_eq!(t.queue_len(), 0);
+    let c = t.counters().snapshot();
+    assert!(c.merges > 0, "{c:?}");
+    assert_eq!(c.compress_errors, 0);
+    // Every page the merges deleted was released in the same steps: no
+    // session is inside an operation, so §5.3 holds none back.
+    assert_eq!(t.pending_reclaim(), 0);
+    assert_eq!(c.reclaimed, c.merges + c.root_collapses);
+    t.verify(false).unwrap().assert_ok();
+    // On an empty queue the step is idle.
+    assert!(!t.compress_upkeep(&mut s, 4));
+}
+
+#[test]
 fn stale_queue_item_for_split_node_is_discarded() {
     let t = tree_with(2, true);
     let mut s = t.session();
@@ -362,7 +395,7 @@ fn reader_overlapping_compression_still_finds_data() {
 
 #[test]
 fn concurrent_updates_and_compressor_pool() {
-    use crate::compress::daemon::CompressorPool;
+    use crate::compress::worker::CompressorPool;
     let t = tree_with(2, true);
     let pool = CompressorPool::spawn(&t, 2);
 
@@ -405,7 +438,7 @@ fn concurrent_updates_and_compressor_pool() {
 
 #[test]
 fn scanner_daemon_runs_alongside_updates() {
-    use crate::compress::daemon::ScannerDaemon;
+    use crate::compress::scanner::ScannerDaemon;
     let t = tree_with(2, false);
     let daemon = ScannerDaemon::spawn(&t, std::time::Duration::from_millis(1));
     let mut s = t.session();

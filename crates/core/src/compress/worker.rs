@@ -1,10 +1,19 @@
 //! Queue-driven compression workers (§5.4).
+//!
+//! §5.4: "The advantage of this approach is the ability to dynamically
+//! change the number of compression processes according to the load on the
+//! system. A compression process can be stopped as soon as it finishes
+//! compressing a node." A background worker is a step of an
+//! [`Upkeep`] loop over [`BLinkTree::compress_upkeep`]: a `Db` adds one to
+//! its store's loop, and a [`CompressorPool`] runs N loops of its own.
 
 use crate::counters::TreeCounters;
 use crate::error::Result;
 use crate::node::Node;
 use crate::tree::BLinkTree;
-use blink_pagestore::{PageId, Session};
+use blink_pagestore::{PageId, Session, Upkeep};
+use std::sync::Arc;
+use std::time::Duration;
 
 use super::queue::QueueItem;
 use super::RearrangeOutcome;
@@ -32,6 +41,38 @@ pub struct DrainStats {
     pub discarded: u64,
 }
 
+/// How long an idle compression worker waits before it looks again.
+const WORKER_TICK: Duration = Duration::from_millis(1);
+
+/// A pool of §5.4 queue-compression workers: N loops, each a
+/// [`BLinkTree::compress_upkeep`] step of one item.
+#[derive(Debug)]
+pub struct CompressorPool {
+    workers: Vec<Upkeep>,
+}
+
+impl CompressorPool {
+    /// Spawns `n` workers (threads `blink-compress-<i>`) over the tree's
+    /// shared queue.
+    pub fn spawn(tree: &Arc<BLinkTree>, n: usize) -> CompressorPool {
+        let workers = (0..n)
+            .map(|w| {
+                let upkeep = Upkeep::spawn(&format!("blink-compress-{w}"), WORKER_TICK);
+                let (tree, mut session) = (Arc::clone(tree), tree.session());
+                upkeep.add_step(move || tree.compress_upkeep(&mut session, 1));
+                upkeep
+            })
+            .collect();
+        CompressorPool { workers }
+    }
+
+    /// Stops the workers and waits for them to exit; a worker's panic
+    /// resumes here.
+    pub fn stop(self) {
+        self.workers.into_iter().for_each(Upkeep::stop);
+    }
+}
+
 impl BLinkTree {
     /// Pops one node from the compression queue and compresses it (§5.4).
     /// Safe to run from any number of threads concurrently with all other
@@ -52,9 +93,25 @@ impl BLinkTree {
         r
     }
 
+    /// One background §5.4 step: up to `max_items` (at least 1) worker
+    /// steps, ending early at an empty queue or a requeued item (it waits
+    /// on work in flight), then §5.3 reclamation. A background step has no
+    /// caller to fail: an error is counted in `compress_errors` and ends
+    /// the step. Returns whether all `max_items` were finished, so more
+    /// may be queued.
+    pub fn compress_upkeep(&self, session: &mut Session, max_items: usize) -> bool {
+        let more = (0..max_items).all(|_| {
+            let step = self.counted(self.compress_step(session));
+            matches!(step, Some(CompressStep::Done | CompressStep::Discarded))
+        });
+        self.counted(self.reclaim());
+        more
+    }
+
     /// Runs worker steps until the queue is empty, progress stalls, or
     /// `max_steps` is reached. Intended for tests and single-threaded
-    /// drains; long-running services use [`crate::compress::daemon`].
+    /// drains; background workers are [`BLinkTree::compress_upkeep`]
+    /// steps.
     pub fn compress_drain(&self, session: &mut Session, max_steps: usize) -> Result<DrainStats> {
         let mut stats = DrainStats::default();
         let mut stalls: u32 = 0;

@@ -39,6 +39,9 @@ blink_pagestore::store_stats! {
         waits,
         /// Pages released by deferred reclamation.
         reclaimed,
+        /// Errors a background §5 step met (a queue drain, a scanner pass
+        /// or their `reclaim`): the step ends and runs again next tick.
+        compress_errors,
         /// Structural repairs run by [`crate::tree::BLinkTree::open_or_recover`]
         /// (0 when every shutdown was clean).
         recoveries,

@@ -47,8 +47,10 @@
 //!
 //! Concurrent use: clone the `Arc<BLinkTree>` into each thread and give
 //! every thread its own [`Session`](blink_pagestore::Session). Background
-//! compression: [`compress::daemon::CompressorPool`] (queue workers) or
-//! [`compress::daemon::ScannerDaemon`] (periodic passes).
+//! compression: [`CompressorPool`] (queue workers) or [`ScannerDaemon`]
+//! (periodic passes), each a [`blink_pagestore::Upkeep`] loop over a step
+//! tests call directly ([`BLinkTree::compress_upkeep`],
+//! [`BLinkTree::compress_pass`]).
 
 #![forbid(unsafe_code)]
 
@@ -67,10 +69,9 @@ pub mod traverse;
 pub mod tree;
 pub mod verify;
 
-pub use compress::daemon::{CompressorPool, ScannerDaemon};
 pub use compress::queue::QueueItem;
-pub use compress::scanner::PassStats;
-pub use compress::worker::{CompressStep, DrainStats};
+pub use compress::scanner::{PassStats, ScannerDaemon};
+pub use compress::worker::{CompressStep, CompressorPool, DrainStats};
 pub use compress::RearrangeOutcome;
 pub use config::{TreeConfig, UnderflowPolicy};
 pub use counters::{CountersSnapshot, TreeCounters};

@@ -12,7 +12,9 @@ use std::time::Duration;
 /// WAL in a directory, crash-recovered on open). Everything else has
 /// production defaults and plain public fields for tuning. There are no
 /// behaviour switches: durable stores always run the background flusher
-/// and per-page CRC32 checksums, in-memory stores run neither.
+/// and per-page CRC32 checksums, in-memory stores run neither. A `Db` has
+/// at most one background thread, its store's loop: the flusher and the
+/// compression `underflow_policy` asks for are steps of it.
 ///
 /// The index takes only `k` and `underflow_policy` from here;
 /// [`crate::Db::open`] runs every other `sagiv_blink::TreeConfig` field at
@@ -37,11 +39,12 @@ pub struct DbConfig {
     /// the `k` it was built with: a smaller one fails the open with
     /// `TreeError::Config` and leaves the files as they were.
     pub k: usize,
-    /// What a delete does to a leaf left under `k` pairs. Defaults to
-    /// [`UnderflowPolicy::Ignore`]: `Db` runs no compressor, so queueing
-    /// underflowing leaves would be work nobody consumes. To compress,
-    /// pick `Enqueue` or `Inline` and drive a `CompressorPool` over
-    /// [`crate::Db::tree`].
+    /// What a delete does to a leaf left under `k` pairs, and so which
+    /// §5 compression the `Db` runs. Under `Enqueue` or `Inline`,
+    /// [`crate::Db::open`] adds a bounded step to its store's background
+    /// loop that drains the compression queue and releases deleted pages
+    /// (§5.3); `Inline` deleters also compress as they go. The default,
+    /// [`UnderflowPolicy::Ignore`], queues nothing and adds no step.
     pub underflow_policy: UnderflowPolicy,
     /// Commit durability policy (durable stores only).
     pub fsync: FsyncPolicy,

@@ -7,10 +7,15 @@ use blink_durable::{DurableConfig, DurableStore};
 use blink_pagestore::{
     PageId, PageStore, RecordHeap, RecordId, Session, StoreConfig, StoreError, WaitHist,
 };
-use sagiv_blink::{BLinkTree, Result, TreeConfig, TreeError, VerifyReport};
+use sagiv_blink::{BLinkTree, Result, TreeConfig, TreeError, UnderflowPolicy, VerifyReport};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Instant;
+
+/// Queue items the §5 step on the store's loop compresses per tick, at
+/// most: a low-priority job (§5.1) that never holds the loop for long.
+const UPKEEP_ITEMS: usize = 32;
 
 /// Bounded retries for the read-side race where a record is freed between
 /// the index lookup and the heap fetch (the re-read converges: the index
@@ -66,6 +71,9 @@ pub struct Db {
     recovery: Option<KvRecovery>,
     /// End-to-end per-op latency histograms ([`Db::metrics`]).
     pub(crate) op_hists: OpHists,
+    /// Set on drop to retire the §5 step this `Db` added to its store's
+    /// loop (`None` under [`UnderflowPolicy::Ignore`], which adds none).
+    upkeep_retired: Option<Arc<AtomicBool>>,
 }
 
 impl Db {
@@ -86,6 +94,14 @@ impl Db {
     /// A store with no allocated pages holds no tree yet and gets a fresh
     /// one: an in-memory store, a new directory, or a directory whose
     /// first open failed (or crashed) before the tree's first page.
+    ///
+    /// Under [`UnderflowPolicy::Enqueue`] or [`UnderflowPolicy::Inline`]
+    /// the open adds one §5 step to the store's background loop (starting
+    /// the loop on an in-memory store): each tick it compresses at most 32
+    /// queued nodes, then releases the deleted pages §5.3 allows
+    /// ([`BLinkTree::compress_upkeep`]). Under `Ignore` it adds nothing,
+    /// so an in-memory `Db` runs no thread and a durable one only its
+    /// store's flusher.
     pub fn open(cfg: DbConfig) -> Result<Db> {
         // The one resolved index config: `DbConfig` chooses `k` and the
         // underflow policy, everything else runs at its default.
@@ -176,12 +192,15 @@ impl Db {
                 (tree, None)
             }
         };
+        let compresses = !matches!(cfg.underflow_policy, UnderflowPolicy::Ignore);
+        let upkeep_retired = compresses.then(|| add_compress_step(&tree, durable.as_ref()));
         Ok(Db {
             tree,
             heap,
             durable,
             recovery,
             op_hists: OpHists::default(),
+            upkeep_retired,
         })
     }
 
@@ -289,6 +308,55 @@ impl Db {
         }
         Ok(rep)
     }
+}
+
+impl Drop for Db {
+    /// Retires the §5 step before the index goes: once the loop's running
+    /// tick has ended, no step holds the tree, so the last `Arc`s of tree
+    /// and store drop on this thread and an in-memory store's loop is
+    /// joined here.
+    fn drop(&mut self) {
+        if let Some(retired) = &self.upkeep_retired {
+            // Release pairs with the step's Acquire load; `wait_tick`'s
+            // mutex then orders every later tick after this store.
+            retired.store(true, Ordering::Release);
+            if let Some(upkeep) = self.store().upkeep() {
+                upkeep.wait_tick();
+            }
+        }
+    }
+}
+
+/// Adds the bounded §5 step (see [`Db::open`]) to the tree's store's loop.
+/// It holds the tree and the durable store only by `Weak`s, since the
+/// store owns the loop. On a durable store the step's writes commit once,
+/// at its end, not once per node: nobody waits on them, and under
+/// `Always` each commit is an fsync. Returns the flag that retires it.
+fn add_compress_step(
+    tree: &Arc<BLinkTree>,
+    durable: Option<&Arc<DurableStore>>,
+) -> Arc<AtomicBool> {
+    let retired = Arc::new(AtomicBool::new(false));
+    let (flag, weak, mut session) = (Arc::clone(&retired), Arc::downgrade(tree), tree.session());
+    let durable = durable.map(Arc::downgrade);
+    tree.store().add_upkeep_step(move || {
+        let tree = (!flag.load(Ordering::Acquire))
+            .then(|| weak.upgrade())
+            .flatten();
+        let Some(tree) = tree else {
+            return false;
+        };
+        let mut step = || tree.compress_upkeep(&mut session, UPKEEP_ITEMS);
+        let Some(ds) = durable.as_ref().and_then(Weak::upgrade) else {
+            step();
+            return false;
+        };
+        if ds.with_deferred_commit(step).1.is_err() {
+            sagiv_blink::TreeCounters::bump(&tree.counters().compress_errors);
+        }
+        false
+    });
+    retired
 }
 
 /// A leaf's record id that names no live record.

@@ -102,8 +102,8 @@ mod tests {
 
     #[test]
     fn delete_heavy_run_feeds_no_compression_queue() {
-        // `Db` runs no compressor, so its deletes must not queue
-        // underflowing leaves for one.
+        // Under the default `Ignore` policy `Db` runs no compression, so
+        // its deletes must not queue underflowing leaves for one.
         let db = mem_db(4);
         let mut s = db.session();
         for i in 0..2_000u64 {
@@ -115,6 +115,36 @@ mod tests {
         assert_eq!(s.count().unwrap(), 500);
         assert_eq!(db.tree().queue_len(), 0);
         assert_eq!(db.tree().counters().snapshot().enqueues, 0);
+        db.verify().unwrap().assert_ok();
+    }
+
+    #[test]
+    fn an_enqueue_db_compresses_and_reclaims_in_the_background() {
+        let mut cfg = DbConfig::in_memory().with_k(4);
+        cfg.underflow_policy = sagiv_blink::UnderflowPolicy::Enqueue;
+        let db = Db::open(cfg).unwrap();
+        let mut s = db.session();
+        for i in 0..2_000u64 {
+            s.put(i, &[7u8; 32]).unwrap();
+        }
+        for i in (0..2_000u64).filter(|i| i % 4 != 0) {
+            assert!(s.delete(i).unwrap());
+        }
+        let tree = db.tree();
+        assert!(tree.counters().snapshot().enqueues > 0);
+        // The store's loop drains the queue and releases the merged-away
+        // pages, with no compressor of the caller's.
+        let t0 = std::time::Instant::now();
+        while (tree.queue_len() > 0 || tree.pending_reclaim() > 0)
+            && t0.elapsed() < std::time::Duration::from_secs(10)
+        {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!((tree.queue_len(), tree.pending_reclaim()), (0, 0));
+        let c = tree.counters().snapshot();
+        assert!(c.merges + c.redistributes > 0, "{c:?}");
+        assert!(c.reclaimed > 0 && c.compress_errors == 0, "{c:?}");
+        assert_eq!(s.count().unwrap(), 500);
         db.verify().unwrap().assert_ok();
     }
 
@@ -269,6 +299,32 @@ mod tests {
         let fsyncs = db.metrics().store.counter("wal_fsyncs").unwrap();
         assert!(fsyncs <= 1, "{fsyncs} fsyncs to free {rec:?}");
         db.verify().unwrap().assert_ok();
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn deletes_release_emptied_heap_pages_without_a_reopen() {
+        // A page on the recycle queue whose last record is freed goes back
+        // to the store at once; only the shards' open pages may stay.
+        let dir = tmpdir("emptypages");
+        let db = Db::open(DbConfig::durable(&dir).with_k(4)).unwrap();
+        let mut s = db.session();
+        for i in 0..2_000u64 {
+            s.put(i, &[i as u8; 200]).unwrap();
+        }
+        let full = db.heap().page_count();
+        for i in 0..2_000u64 {
+            s.delete(i).unwrap();
+        }
+        db.sync().unwrap();
+        let (pages, shards) = (db.heap().page_count(), db.heap().shard_count());
+        assert!(
+            pages <= shards,
+            "{pages} heap pages of {full} left, {shards} shards"
+        );
+        db.verify().unwrap().assert_ok();
+        drop(s);
         drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -48,7 +48,7 @@ pub enum LockClass {
     /// node reads/writes. Not RAII — paired via `acquire_manual`.
     PaperLock = 0,
     /// Shared/exclusive page locks of the top-down baseline
-    /// ([`crate::rwlock`]). Outermost like paper locks; coupling holds
+    /// (`blink_baselines::rwlock`). Outermost like paper locks; coupling holds
     /// several at once, strictly root→leaf.
     RwPage = 1,
     /// A record-heap shard's open-page slot ([`crate::heap`]). At most one
@@ -77,10 +77,11 @@ pub enum LockClass {
     /// durable horizon), waited on through one condvar. No batch gates:
     /// a leader drops the mutex before it fsyncs.
     WalBatch = 9,
-    /// The background flusher's control mutex (watermark state + shutdown
-    /// flag). A pure leaf: foreground throttling and flusher drains take
-    /// it with nothing else held.
-    FlusherQueue = 10,
+    /// A background loop's control mutex ([`crate::upkeep::Upkeep`]: the
+    /// stop flag, added steps, the tick count). A pure leaf: throttled
+    /// writers and the loop take it with nothing else held, and no step
+    /// runs under it.
+    UpkeepCtl = 10,
     /// The store-health error latch ([`crate::health::StoreHealth`]): the
     /// mutex holding the first poison/flusher error. A pure leaf — the
     /// lock-free poisoned/flagged fast path means it is only taken to
@@ -125,7 +126,7 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
         // Leaves: nothing may be acquired while one of these is held.
         // `WalBatch` is one mutex with no gates, and a leaf: the commit
         // leader drops it before taking the append mutex to clone the fd.
-        WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle | FlusherQueue | HealthLatch => {
+        WalAppend | WalBatch | FreeList | PoolShard | HeapRecycle | UpkeepCtl | HealthLatch => {
             false
         }
     }
@@ -276,7 +277,7 @@ mod imp {
             "PoolShard",
             "HeapRecycle",
             "WalBatch",
-            "FlusherQueue",
+            "UpkeepCtl",
             "HealthLatch",
         ][i]
     }
@@ -689,7 +690,7 @@ mod tests {
             LockClass::PoolShard,
             LockClass::HeapRecycle,
             LockClass::WalBatch,
-            LockClass::FlusherQueue,
+            LockClass::UpkeepCtl,
             LockClass::HealthLatch,
         ];
         // Kahn's algorithm over the cross-class whitelist.

@@ -15,7 +15,7 @@
 //!
 //! ## The error latch
 //!
-//! Background work (the flusher thread) has no caller to return errors
+//! Background work (the flusher step) has no caller to return errors
 //! to. Instead of swallowing a failed write-back, the flusher
 //! [`flag`](StoreHealth::flag)s the error here and the next foreground
 //! operation [`take_flagged`](StoreHealth::take_flagged)s it — a

@@ -95,8 +95,9 @@
 //!   into a detached page (or a rotation retires a page that already has
 //!   freed slots).
 //! * `DETACHED` — neither; full pages waiting for a `free` to re-enroll
-//!   them. A detached page whose last record is freed is released to the
-//!   store immediately; an open one is handled by its shard at rotation.
+//!   them. A detached or queued page whose last record is freed is
+//!   released to the store immediately; an open one is handled by its
+//!   shard at rotation.
 
 use crate::audit::{self, Audited, LockClass};
 use crate::error::{Result, StoreError};
@@ -597,7 +598,7 @@ impl RecordHeap {
         // page's queue entry is its only route back into circulation, so
         // even on an error the popped entry must be re-pushed — dropping
         // it would strand the page (no later `free` re-enqueues a page
-        // that is already `QUEUED`, and only an adopter may release one).
+        // that is already `QUEUED`).
         let mut skipped: Vec<PageId> = Vec::new();
         let mut adopted = None;
         let mut failed = None;
@@ -664,8 +665,7 @@ impl RecordHeap {
     /// One placement attempt on one page, under its write guard: best-fit
     /// reuse of a freed slot first, bump allocation of a new slot second.
     /// With `adopt`, the page must be a `QUEUED` heap page and is flipped
-    /// to `OPEN` in the same committed write (an empty queued page is
-    /// released here instead — its queue entry was its last reference).
+    /// to `OPEN` in the same committed write.
     fn place(&self, pid: PageId, data: &[u8], adopt: bool) -> Result<Placed> {
         let mut w = match self.store.write_page(pid, WriteIntent::Update) {
             Ok(w) => w,
@@ -680,13 +680,8 @@ impl RecordHeap {
         if adopt {
             let b = w.bytes();
             if !is_heap_page(b) || read_u16(b, 10) != STATE_QUEUED {
-                return Ok(Placed::Stale); // reincarnated or already adopted
-            }
-            if read_u16(b, 0) == 0 {
-                // Emptied while queued; nothing references it but the queue
-                // entry we just popped. Release it for real.
-                drop(w);
-                self.release_page(pid)?;
+                // Reincarnated, already adopted, or emptied (`free`
+                // detached it before releasing it).
                 return Ok(Placed::Stale);
             }
         }
@@ -897,8 +892,8 @@ impl RecordHeap {
 
     /// Frees a record. Touches only the record's page (no heap-level lock):
     /// the slot is tombstoned in place, a detached page gaining its first
-    /// hole is re-enrolled into the recycle queue, and a detached page
-    /// losing its last record is released to the store.
+    /// hole is re-enrolled into the recycle queue, and a detached or queued
+    /// page losing its last record is released to the store.
     pub fn free(&self, rid: RecordId) -> Result<()> {
         let pid = rid.page();
         let mut w = self
@@ -910,18 +905,26 @@ impl RecordHeap {
             Self::slot_entry(&PageProbe::new(b), rid)?;
             (read_u16(b, 0) - 1, read_u16(b, 10))
         };
-        if live == 0 && state == STATE_DETACHED {
-            // Whole page dead and in no pool: abandon the in-place edit
-            // (the guard rolls back untouched) and release the page itself.
-            // OPEN pages are their shard's to retire; QUEUED pages are
-            // released by the adopter that pops their entry (freeing them
-            // here would race that adopter, which validates under the
-            // guard *before* this rollback becomes visible).
-            drop(w);
+        let so = slot_off(w.len(), rid.slot());
+        if live == 0 && state != STATE_OPEN {
+            // Whole page dead and in no shard (OPEN pages are their
+            // shard's to retire): release the page itself. A DETACHED
+            // page's edit is abandoned (the guard rolls back untouched). A
+            // QUEUED page's queue entry may already be popped by an adopter
+            // waiting on this guard, so the tombstone commits with the
+            // page DETACHED first: the adopter then reads it as stale
+            // instead of placing a record into a page about to be freed.
+            if state == STATE_QUEUED {
+                put_u16(&mut w, so + 4, FREED);
+                put_u16(&mut w, 0, live);
+                put_u16(&mut w, 10, STATE_DETACHED);
+                w.commit()?;
+            } else {
+                drop(w);
+            }
             self.live.fetch_sub(1, Ordering::Relaxed);
             return self.release_page(pid);
         }
-        let so = slot_off(w.len(), rid.slot());
         put_u16(&mut w, so + 4, FREED);
         put_u16(&mut w, 0, live);
         let enqueue = state == STATE_DETACHED;

@@ -26,10 +26,8 @@
 //!   counts and CLOCK replacement. [`PageStore::read`] pins a frame and
 //!   returns a zero-copy [`PageRef`] guard; writes go through the frame
 //!   (write-back) and reach the backend on eviction or [`PageStore::sync`].
-//! * [`rwlock`] provides shared/exclusive page locks. The Sagiv and
-//!   Lehman–Yao protocols never need them; they exist for the top-down
-//!   (Bayer–Schkolnick-style) baseline the paper's introduction compares
-//!   against.
+//! * [`upkeep::Upkeep`] is the one background loop: the store's flusher
+//!   and every other layer's background work are steps of it.
 //! * [`audit`] (behind the `latch-audit` feature) machine-checks the latch
 //!   protocol at runtime: lock-class order, frame-latch level coupling with
 //!   the overtaking exception, and seqlock/snapshot discipline.
@@ -48,10 +46,10 @@ pub mod journal;
 pub mod page;
 pub mod pool;
 pub mod reclaim;
-pub mod rwlock;
 pub mod session;
 pub mod stats;
 pub mod store;
+pub mod upkeep;
 
 pub use backend::{MemBackend, PageBackend};
 pub use clock::LogicalClock;
@@ -69,3 +67,4 @@ pub use reclaim::DeferredFreeList;
 pub use session::{Session, SessionRegistry, SessionStats};
 pub use stats::{StatsSnapshot, StoreStats};
 pub use store::{PageRef, PageStore, PageWrite, StoreConfig, WriteIntent};
+pub use upkeep::Upkeep;

@@ -226,7 +226,10 @@ impl Session {
         self.stats.merge_pointer_follows += 1;
     }
 
-    pub(crate) fn note_lock(&mut self, pid: PageId) {
+    /// Records that this session took a lock on `pid`: the store's paper
+    /// locks call it, and so may a lock table outside the store (the
+    /// top-down baseline's shared/exclusive page locks).
+    pub fn note_lock(&mut self, pid: PageId) {
         debug_assert!(
             !self.held.contains(&pid),
             "session {} locked {} twice",
@@ -239,7 +242,9 @@ impl Session {
         self.stats.max_simultaneous_locks = self.stats.max_simultaneous_locks.max(self.held.len());
     }
 
-    pub(crate) fn note_unlock(&mut self, pid: PageId) {
+    /// Records that this session released its lock on `pid`; the pair of
+    /// [`Session::note_lock`], for the same callers.
+    pub fn note_unlock(&mut self, pid: PageId) {
         match self.held.iter().rposition(|&p| p == pid) {
             Some(i) => {
                 self.held.remove(i);

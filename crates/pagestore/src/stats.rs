@@ -282,8 +282,8 @@ store_stats! {
         /// the running fsync: each bump is one batch that filled while the
         /// previous batch's fsync ran (commits overlapping an fsync).
         wal_pipeline_depth,
-        /// Dirty frames written back by the background flusher thread
-        /// (a subset of `dirty_writebacks`).
+        /// Dirty frames written back by the background flusher, a step of
+        /// the store's loop (a subset of `dirty_writebacks`).
         flusher_pages_written,
         /// Background-flusher drain passes that found dirty frames to
         /// write (wakeups that did real work).

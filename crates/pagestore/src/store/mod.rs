@@ -45,7 +45,7 @@
 //! The `latch-audit` feature checks this order (and the frame-latch level
 //! rule) at runtime — see [`crate::audit`]; every lock site in this
 //! module goes through an audited wrapper (`latch_read`/`latch_write`,
-//! `Slot::latch`, `lock_free`, the flusher's `lock_ctl`). The slot and
+//! `Slot::latch`, `lock_free`). The slot and
 //! frame tables take no lock: they are append-only and chunked, so a
 //! lookup hands out a `&Slot` or `&Frame` that lives as long as the store.
 //!
@@ -63,7 +63,7 @@
 //! | `funnel.rs` | the frame funnel, the bypass, [`PageRef`]/[`PageWrite`] | `pool.*` |
 //! | `page_log.rs` | which WAL record a page write logs; checkpoint epochs | `wal.*` |
 //! | `lock.rs` | the paper's `lock`/`unlock` | `core.lock_wait*` |
-//! | `writeback.rs` | backend I/O, flush, checkpoint barrier, the flusher | `flusher.*`, `backend.*` |
+//! | `writeback.rs` | backend I/O, flush, checkpoint barrier, the flusher's pass and watermarks | `flusher.*`, `backend.*` |
 
 mod funnel;
 mod lock;
@@ -81,11 +81,17 @@ use crate::journal::Journal;
 use crate::page::{PageId, PAGE_RESERVED_END};
 use crate::pool::{BufferPool, Frame};
 use crate::stats::StoreStats;
+use crate::upkeep::Upkeep;
 use parking_lot::{Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use table::{ChunkTable, Slot};
+use writeback::Watermarks;
+
+/// How often the store's background loop ticks: the flusher's pass and
+/// every step another layer added run once per tick.
+const UPKEEP_TICK: Duration = Duration::from_millis(2);
 
 /// Configuration for a [`PageStore`]: sizing only. What a store *does*
 /// follows from its parts — a journaled store (the durable one) also runs
@@ -168,9 +174,12 @@ pub struct PageStore {
     /// [`PageStore::advance_checkpoint_epoch`]). A page whose
     /// `Slot::base_epoch` lags this must log a full image before any delta.
     epoch: AtomicU64,
-    /// The background write-back thread (see `writeback.rs`), spawned
-    /// after the `Arc` exists for a journaled store with a pool.
-    flusher: OnceLock<writeback::FlusherHandle>,
+    /// The flusher's dirty-page watermarks, from the pool's capacity.
+    watermarks: Watermarks,
+    /// The store's one background loop ([`PageStore::add_upkeep_step`]):
+    /// started for the flusher of a journaled store with a pool, or by the
+    /// first step another layer adds.
+    upkeep: OnceLock<Upkeep>,
 }
 
 impl PageStore {
@@ -194,8 +203,9 @@ impl PageStore {
     ///
     /// A journal makes the store durable, and a durable store also runs:
     ///
-    /// * **the background flusher** (with a pool): a thread writes dirty
-    ///   frames back in clock-hand order above a low watermark, so
+    /// * **the background flusher** (with a pool): a step of the store's
+    ///   loop writes dirty frames back in clock-hand order above a low
+    ///   watermark, so
     ///   foreground evictions almost never pay a `PageBackend::write`;
     ///   writers stall briefly (bounded) only above a high watermark;
     /// * **per-page CRC32**: stamped into the reserved header field at
@@ -226,8 +236,41 @@ impl PageStore {
             cfg.check_page_size()?;
         }
         backend.grow(allocated.len())?;
-        let backend = Some(backend);
-        Ok(Self::assemble(cfg, backend, journal, stats, allocated))
+        let store = Self::assemble(cfg, Some(backend), journal, stats, allocated);
+        if store.runs_flusher() {
+            // A `Weak`: the loop lives in the store (see `crate::upkeep`).
+            let weak = Arc::downgrade(&store);
+            store.add_upkeep_step(move || {
+                if let Some(store) = weak.upgrade() {
+                    store.flusher_pass();
+                }
+                false
+            });
+        }
+        Ok(store)
+    }
+
+    /// Adds a step to the store's background loop, starting the loop
+    /// (thread `blink-upkeep`) if the store has none yet. The step runs
+    /// every tick (2 ms) and returns whether it stopped with work left;
+    /// it must hold only a `Weak` to the store or anything owning it, and
+    /// must not call [`PageStore::throttle_dirty`], which waits on the
+    /// loop.
+    pub fn add_upkeep_step(&self, step: impl FnMut() -> bool + Send + 'static) {
+        self.upkeep
+            .get_or_init(|| Upkeep::spawn("blink-upkeep", UPKEEP_TICK))
+            .add_step(step);
+    }
+
+    /// The store's background loop, if it has one.
+    pub fn upkeep(&self) -> Option<&Upkeep> {
+        self.upkeep.get()
+    }
+
+    /// Whether the flusher is a step of this store's loop: a journaled
+    /// store with a buffer pool.
+    fn runs_flusher(&self) -> bool {
+        self.journal.is_some() && self.pool.capacity() > 0
     }
 
     fn assemble(
@@ -250,8 +293,9 @@ impl PageStore {
             }
         }
         let frames = backend.as_ref().map_or(0, |_| cfg.pool_frames);
-        let store = Arc::new(PageStore {
+        Arc::new(PageStore {
             pool: BufferPool::new(frames, cfg.page_size, Arc::clone(&stats)),
+            watermarks: Watermarks::for_capacity(frames),
             zero: vec![0u8; cfg.page_size].into_boxed_slice(),
             cfg,
             backend,
@@ -262,12 +306,8 @@ impl PageStore {
             stats,
             health: Arc::new(StoreHealth::new()),
             epoch: AtomicU64::new(1),
-            flusher: OnceLock::new(),
-        });
-        if store.journal.is_some() && store.pool.capacity() > 0 {
-            let _ = store.flusher.set(writeback::spawn(&store));
-        }
-        store
+            upkeep: OnceLock::new(),
+        })
     }
 
     /// Acquires a frame's read latch, timing only the contended path into
@@ -1430,6 +1470,55 @@ mod journal_tests {
         let page = store.get(a).unwrap();
         assert!(page.bytes()[..RESERVED.start].iter().all(|&b| b == 5));
         assert!(page.bytes()[RESERVED.end..].iter().all(|&b| b == 5));
+    }
+
+    #[test]
+    fn the_write_back_step_drains_a_pooled_journaled_store_to_the_low_watermark() {
+        // Assembled without the loop `with_parts` starts, so nothing but
+        // the step under test writes back.
+        let j = Arc::new(MockJournal::default());
+        let store = PageStore::assemble(
+            StoreConfig {
+                page_size: 64,
+                pool_frames: 64,
+            },
+            Some(Box::new(MemBackend::new(64))),
+            Some(j as Arc<dyn Journal>),
+            Arc::new(StoreStats::default()),
+            &[],
+        );
+        assert!(store.runs_flusher() && store.upkeep().is_none());
+        let low = 8; // an eighth of the pool
+        let mut p = Page::zeroed(64);
+        for i in 0..40u8 {
+            let pid = store.alloc().unwrap();
+            p.bytes_mut().fill(i);
+            store.put(pid, &p).unwrap();
+        }
+        assert_eq!(store.pool.dirty_count(), 40);
+        store.flusher_pass();
+        assert_eq!(store.pool.dirty_count(), low);
+        let snap = store.stats().snapshot();
+        assert_eq!(snap.flusher_pages_written, 40 - low as u64);
+        assert_eq!(snap.flusher_wakeups, 1);
+        // At the low watermark a pass has nothing to do.
+        store.flusher_pass();
+        assert_eq!(store.stats().snapshot().flusher_wakeups, 1);
+        assert_eq!(store.pool.dirty_count(), low);
+    }
+
+    #[test]
+    fn watermarks_keep_low_below_high_for_every_pool() {
+        for frames in 1..=4096 {
+            // `new` refuses `low >= high`, so `Some` shows low < high.
+            let (low, high) = ((frames / 8).max(4), (frames / 2).max(8));
+            let w = Watermarks::new(low, high);
+            assert_eq!(w, Some(Watermarks::for_capacity(frames)), "{frames} frames");
+        }
+        // The variant that stalled every write: low at or above high.
+        assert_eq!(Watermarks::new(8, 8), None);
+        assert_eq!(Watermarks::new(48, 32), None);
+        assert!(Watermarks::new(4, 8).is_some());
     }
 
     /// One recorded delta append: (pid, page_lsn, edits).

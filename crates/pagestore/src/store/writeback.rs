@@ -1,47 +1,33 @@
 //! Write-back and checkpoint (`flusher.*` in the ledger): every backend
 //! page read and write goes through the funnels here, with their retry
 //! and CRC; `flush`, `sync` and the fuzzy checkpoint's barrier sweep dirty
-//! frames back; eviction writes its dirty victim back; and a background
-//! thread drains dirty frames so foreground evictions almost never pay a
+//! frames back; eviction writes its dirty victim back; and the flusher, a
+//! step of the store's background loop ([`crate::upkeep`]), drains dirty
+//! frames so foreground evictions almost never pay a
 //! [`crate::backend::PageBackend::write`]. This is the one module that
-//! knows the flusher's two watermarks.
+//! knows the flusher's two watermarks ([`Watermarks`]).
 //!
 //! ## The flusher
 //!
-//! The thread wakes on a short tick (or a nudge from a writer in
-//! `PageStore::throttle_dirty`) and runs one `PageStore::flusher_pass`:
-//! if the pool's exact dirty-page gauge is above a **low watermark**,
-//! dirty frames are written back *in clock-hand order* — the frames the
-//! CLOCK hand passes next are cleaned first, so the foreground mostly finds
-//! clean victims. Writers only block above a **high watermark**, and then
-//! only in short bounded waits on the drain condvar (recorded in the
-//! `flusher_backpressure` histogram), so a write burst cannot fill the
+//! Every tick of the store's loop (or on a nudge from a writer in
+//! `PageStore::throttle_dirty`) runs one `PageStore::flusher_pass`: if the
+//! pool's exact dirty-page gauge is above the **low watermark**, dirty
+//! frames are written back *in clock-hand order* — the frames the CLOCK
+//! hand passes next are cleaned first, so the foreground mostly finds
+//! clean victims. Writers only block above the **high watermark**, and
+//! then only in short bounded waits for the loop's next tick (recorded in
+//! the `flusher_backpressure` histogram), so a write burst cannot fill the
 //! pool with dirty frames faster than the backend absorbs them.
 //!
-//! ### Lifetime
-//!
-//! The thread holds only a `Weak<PageStore>`: it upgrades per pass and
-//! exits when the store is gone. `PageStore::drop` joins the thread —
-//! unless the flusher thread itself dropped the last `Arc` at the end of
-//! a pass, in which case the drop detaches instead of self-joining.
-//!
-//! ### Locking
-//!
-//! The control mutex is class [`LockClass::FlusherQueue`] — a pure leaf,
-//! held only around the shutdown flag and condvar waits. The write-back
-//! pass itself runs with no flusher lock held and takes the store's
-//! ordinary `FrameLatch → SlotLatch → backend` path.
+//! The pass itself runs with no lock of the loop held and takes the
+//! store's ordinary `FrameLatch → SlotLatch → backend` path.
 
 use super::PageStore;
-use crate::audit::{self, Audited, LockClass};
 use crate::backend::PageBackend;
 use crate::error::{Result, StoreError};
 use crate::page::{stamp_page_crc, verify_page_crc, PageId};
 use crate::pool::{Frame, Pinned};
 use crate::stats::StoreStats;
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::sync::{Arc, Weak};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Backoff schedule for transient backend I/O errors: up to three retries
@@ -54,17 +40,35 @@ const IO_RETRY_BACKOFF: [Duration; 3] = [
     Duration::from_micros(800),
 ];
 
-/// How long the flusher sleeps between unprompted passes.
-const TICK: Duration = Duration::from_millis(2);
-
-/// One bounded wait on the drain condvar inside
-/// [`PageStore::throttle_dirty`].
-const DRAIN_WAIT: Duration = Duration::from_millis(5);
-
 /// Total bound on a single backpressure stall: the writer re-checks its
-/// predicate each `DRAIN_WAIT` and gives up after this long so a stuck
-/// backend degrades throughput, never liveness.
+/// predicate at the end of every tick and gives up after this long, so a
+/// stuck backend degrades throughput, never liveness.
 const DRAIN_DEADLINE: Duration = Duration::from_millis(50);
+
+/// The flusher's two dirty-page watermarks: a pass drains down to `low`,
+/// and writers stall (bounded) at `high` until a pass drains below it.
+/// Only [`Watermarks::new`] builds one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Watermarks {
+    low: usize,
+    high: usize,
+}
+
+impl Watermarks {
+    /// Refuses `low >= high`: a pass stops at `low`, so a writer stalled
+    /// at a `high` no greater than it would wait out [`DRAIN_DEADLINE`]
+    /// on every write.
+    pub(super) fn new(low: usize, high: usize) -> Option<Watermarks> {
+        (low < high).then_some(Watermarks { low, high })
+    }
+
+    /// A pool's watermarks: low at an eighth of its frames (at least 4),
+    /// high at half (at least 8).
+    pub(super) fn for_capacity(frames: usize) -> Watermarks {
+        Watermarks::new((frames / 8).max(4), (frames / 2).max(8))
+            .expect("frames/8 (at least 4) is below frames/2 (at least 8)")
+    }
+}
 
 impl PageStore {
     /// Writes every dirty frame back to the backend. The WAL record for a
@@ -138,13 +142,12 @@ impl PageStore {
             .expect("a store without a backend never misses")
     }
 
-    /// One background write-back pass (called from the flusher thread):
-    /// drains dirty frames in clock-hand order down to the low watermark.
+    /// One background write-back pass (the flusher's step of the store's
+    /// loop): drains dirty frames in clock-hand order down to the low
+    /// watermark.
     pub(super) fn flusher_pass(&self) {
         let count = self.pool.dirty_count();
-        // The low watermark: the dirty-page count above which the flusher
-        // starts draining.
-        let low = (self.pool.capacity() / 8).max(4);
+        let low = self.watermarks.low;
         if count <= low {
             return;
         }
@@ -217,28 +220,19 @@ impl PageStore {
     }
 
     /// Foreground backpressure: when the dirty-page gauge is above the
-    /// high watermark, wake the flusher and wait (briefly, bounded) for it
-    /// to drain below. A no-op unless this store runs a background
-    /// flusher. Call before starting a write.
+    /// high watermark, nudge the store's loop and wait (briefly, bounded)
+    /// for its flusher to drain below. A no-op unless the flusher runs
+    /// here. Call before starting a write, never from a loop's step.
     pub fn throttle_dirty(&self) {
-        let Some(h) = self.flusher.get() else {
+        let high = self.watermarks.high;
+        if self.pool.dirty_count() < high || !self.runs_flusher() {
+            return;
+        }
+        let Some(upkeep) = self.upkeep.get() else {
             return;
         };
-        // The high watermark: above it writers stall (bounded) for the
-        // flusher, so a write burst cannot fill the pool with dirty frames
-        // faster than the backend absorbs them.
-        let high = (self.pool.capacity() / 2).max(8);
-        if self.pool.dirty_count() < high {
-            return;
-        }
         let t0 = Instant::now();
-        let mut ctl = h.shared.lock_ctl();
-        h.shared.cv_work.notify_one();
-        while self.pool.dirty_count() >= high && !*ctl && t0.elapsed() < DRAIN_DEADLINE {
-            let until = Instant::now() + DRAIN_WAIT;
-            h.shared.cv_drain.wait_until(ctl.guard_mut(), until);
-        }
-        drop(ctl);
+        upkeep.nudge_until(|| self.pool.dirty_count() < high, DRAIN_DEADLINE);
         self.stats
             .flusher_backpressure_hist
             .record(t0.elapsed().as_nanos() as u64);
@@ -322,99 +316,5 @@ impl PageStore {
         self.backend_write_page(old, bytes)?;
         StoreStats::bump(&self.stats.dirty_writebacks);
         Ok(true)
-    }
-}
-
-/// State shared between the flusher thread and the store's foreground.
-#[derive(Debug, Default)]
-struct FlusherShared {
-    /// The shutdown flag.
-    ctl: Mutex<bool>,
-    /// Signaled to wake the flusher early (throttled writer, shutdown).
-    cv_work: Condvar,
-    /// Signaled after every pass; throttled writers wait here.
-    cv_drain: Condvar,
-}
-
-impl FlusherShared {
-    /// The only place `ctl` is locked: registers as `FlusherQueue` (a leaf
-    /// — nothing else is ever acquired under it).
-    fn lock_ctl(&self) -> Audited<MutexGuard<'_, bool>> {
-        audit::audited(
-            LockClass::FlusherQueue,
-            self as *const FlusherShared as usize,
-            || self.ctl.lock(),
-        )
-    }
-}
-
-/// Owner handle held by the store; stops and joins the thread on drop of
-/// the store.
-#[derive(Debug)]
-pub(super) struct FlusherHandle {
-    shared: Arc<FlusherShared>,
-    join: JoinHandle<()>,
-}
-
-/// Spawns the write-back thread for `store`. Called once from
-/// `PageStore::with_parts` for a journaled store with a buffer pool.
-pub(super) fn spawn(store: &Arc<PageStore>) -> FlusherHandle {
-    let shared = Arc::new(FlusherShared::default());
-    let (weak, thread_shared) = (Arc::downgrade(store), Arc::clone(&shared));
-    let join = thread::Builder::new()
-        .name("blink-flusher".into())
-        .spawn(move || flusher_main(weak, thread_shared))
-        .expect("spawn flusher thread");
-    FlusherHandle { shared, join }
-}
-
-fn flusher_main(store: Weak<PageStore>, shared: Arc<FlusherShared>) {
-    loop {
-        {
-            let mut ctl = shared.lock_ctl();
-            if *ctl {
-                return;
-            }
-            shared
-                .cv_work
-                .wait_until(ctl.guard_mut(), Instant::now() + TICK);
-            if *ctl {
-                return;
-            }
-        }
-        // Upgrade per pass: the Weak is the only reference this thread
-        // keeps, so a dropped store ends the loop. The temporary Arc keeps
-        // the store alive for the duration of the pass — if it turns out
-        // to be the *last* one, dropping it runs `PageStore::drop` right
-        // here, which detaches instead of self-joining.
-        let Some(store) = store.upgrade() else {
-            return;
-        };
-        store.flusher_pass();
-        drop(store);
-        let _ctl = shared.lock_ctl();
-        shared.cv_drain.notify_all();
-    }
-}
-
-impl Drop for PageStore {
-    /// Stops the background flusher before the store's fields go away:
-    /// signals shutdown and joins the thread. When the flusher thread
-    /// itself runs this drop (it held the last `Arc` at the end of a
-    /// pass), the join is skipped — the loop observes the shutdown (or the
-    /// dead `Weak`) and exits on its own.
-    fn drop(&mut self) {
-        let Some(h) = self.flusher.take() else {
-            return;
-        };
-        {
-            let mut ctl = h.shared.lock_ctl();
-            *ctl = true;
-            h.shared.cv_work.notify_all();
-            h.shared.cv_drain.notify_all();
-        }
-        if thread::current().id() != h.join.thread().id() {
-            let _ = h.join.join(); // a self-join would deadlock
-        }
     }
 }

@@ -1,9 +1,9 @@
 //! Cross-crate integration: the §2.1 dense index as consumed through the
 //! `Db` facade — "the leaves contain pairs (v, p), where p points to the
-//! record with key value v" — under concurrent writers and a compression
-//! pool. No caller-managed heap, no raw `RecordId`s.
+//! record with key value v" — under concurrent writers and the `Db`'s own
+//! background compression. No caller-managed heap, no raw `RecordId`s.
 
-use sagiv_blink_repro::blink::{CompressorPool, UnderflowPolicy};
+use sagiv_blink_repro::blink::UnderflowPolicy;
 use sagiv_blink_repro::db::{Db, DbConfig, PutOutcome};
 use std::sync::Arc;
 
@@ -38,12 +38,12 @@ fn records_round_trip_through_the_index() {
 
 #[test]
 fn concurrent_writers_own_records() {
-    // `Db` ignores underflow by default; this test drives compression, so
-    // it opts the index into queueing underflowing leaves.
+    // `Db` ignores underflow by default; this test compresses, so it opts
+    // the index into queueing underflowing leaves, which the `Db`'s
+    // background step drains while the writers run.
     let mut cfg = DbConfig::in_memory().with_k(4);
     cfg.underflow_policy = UnderflowPolicy::Enqueue;
     let db = Arc::new(Db::open(cfg).unwrap());
-    let pool = CompressorPool::spawn(db.tree(), 1);
     std::thread::scope(|scope| {
         for w in 0..4u64 {
             let db = Arc::clone(&db);
@@ -66,7 +66,6 @@ fn concurrent_writers_own_records() {
             });
         }
     });
-    pool.stop();
     let mut s = db.session();
     let tree = db.tree();
     tree.compress_drain(s.inner(), 1_000_000).unwrap();
